@@ -14,8 +14,8 @@ Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
 Reports are deterministic: fixed key order, no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
 files are written atomically (temp file + rename).  A config file may hold
-a list of configs; the sweep runs each entry into its own subdirectory,
-parallelized across at most MSLAB_THREADS workers.
+a list of configs; the sweep runs each entry, in order, into its own
+subdirectory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -344,7 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; recorded only")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="accepted and ignored; no computation is random"
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -357,19 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     try:
         if isinstance(config, list):
-            threads = max(1, int(os.environ.get("MSLAB_THREADS", "1")))
-            jobs = [
-                (args.command, entry, out_dir / f"run_{i:03d}")
-                for i, entry in enumerate(config)
-            ]
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    futures = [pool.submit(_run_one, *job) for job in jobs]
-                    for fut in futures:
-                        fut.result()
-            else:
-                for job in jobs:
-                    _run_one(*job)
+            for i, entry in enumerate(config):
+                _run_one(args.command, entry, out_dir / f"run_{i:03d}")
         else:
             _run_one(args.command, config, out_dir)
     except ConfigError as exc:

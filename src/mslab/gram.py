@@ -11,8 +11,8 @@ only certify necessary conditions for the corresponding infinite
 statements: verdicts below carry the section size for that reason.
 
 Entries are assembled from the closed kernel formula, never by quadrature.
-Eigenvalues come from a self-contained cyclic Jacobi sweep for sections up
-to 512 rows, and from shifted power iteration above that.
+Eigenvalues come from LAPACK's Hermitian solver (``np.linalg.eigvalsh``)
+for every section size.
 
 ``hankel_distance_lb`` bounds dist(Theta * conj(B_L), H^inf) from below by
 the largest singular value of a finite Hankel section of the symbol's
@@ -33,7 +33,6 @@ from .errors import NumericDomainError
 from .inner import InnerFunction, eval_inner, normalized_values
 from .points import ANGLE_TOL, PointSequence, angle_distance
 
-_JACOBI_MAX_N = 512
 _HERMITIAN_TOL = 1e-12
 _HANKEL_GRID_CAP = 1 << 16
 
@@ -113,111 +112,27 @@ def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
 # Hermitian extremal eigenvalues
 # ---------------------------------------------------------------------------
 
-def _jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a complex Hermitian matrix by cyclic Jacobi.
-
-    Each rotation annihilates one off-diagonal entry; off-diagonal mass
-    decreases monotonically and the sweep converges quadratically.
-    """
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(np.max(np.abs(a)), 1.0)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.abs(a[off_mask]) ** 2)))
-        if off <= tol * scale * n:
-            break
-        threshold = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) <= threshold * 1e-2:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                absg = abs(g)
-                phase = g / absg
-                tau = (aqq - app) / (2.0 * absg)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                # column update: A <- A J
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sp.conjugate() * col_q
-                a[:, q] = sp * col_p + c * col_q
-                # row update: A <- J^H A
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = sp.conjugate() * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise NumericDomainError("Jacobi eigenvalue iteration failed to converge")
-    return np.sort(np.diag(a).real)
-
-
-def _power_extremes(a: np.ndarray, tol: float = 1e-12, max_iter: int = 200_000) -> tuple[float, float]:
-    """Extremal eigenvalues of a large Hermitian matrix by shifted power iteration.
-
-    lambda_max comes from power iteration on A + shift*I (shift from a
-    Gershgorin bound makes the operator PSD with the top eigenvalue
-    dominant); lambda_min from the same argument applied to -A.
-    """
-    n = a.shape[0]
-    shift = float(np.max(np.sum(np.abs(a), axis=1))) + 1.0
-
-    def top(m: np.ndarray) -> float:
-        v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        v[0] += 1e-3  # break symmetry deterministically
-        v /= np.linalg.norm(v)
-        prev = math.inf
-        for _ in range(max_iter):
-            w = m @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            lam = float(np.real(np.vdot(v, m @ v)))
-            if abs(lam - prev) <= tol * max(1.0, abs(lam)):
-                return lam
-            prev = lam
-        raise NumericDomainError("power iteration failed to converge")
-
-    lam_max = top(a + shift * np.eye(n)) - shift
-    lam_min = -(top(-a + shift * np.eye(n)) - shift)
-    return lam_min, lam_max
-
-
 def extremal_eigs(g: GramMatrix | np.ndarray) -> FrameBounds:
-    """Smallest and largest eigenvalue of a Hermitian section.
+    """Smallest and largest eigenvalue of a Hermitian section (LAPACK).
 
     Tiny negative lambda_min from roundoff on a PSD Gram is clamped to 0.
     """
-    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericDomainError("eigenvalue input must be a square matrix")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise NumericDomainError(f"matrix not Hermitian: deviation {dev!r}")
-    n = a.shape[0]
-    if n <= _JACOBI_MAX_N:
-        eigs = _jacobi_eigenvalues(a)
-        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    if isinstance(g, GramMatrix):
+        a = g.entries  # validated Hermitian on construction
     else:
-        lam_min, lam_max = _power_extremes(a)
+        a = np.asarray(g, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NumericDomainError("eigenvalue input must be a square matrix")
+        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+        if dev > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
+            raise NumericDomainError(f"matrix not Hermitian: deviation {dev!r}")
+    if not np.isfinite(a).all():
+        raise NumericDomainError("eigenvalue input has non-finite entries")
+    eigs = np.linalg.eigvalsh(a)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if isinstance(g, GramMatrix) and -1e-10 < lam_min < 0.0:
         lam_min = 0.0
-    return FrameBounds(lambda_min=lam_min, lambda_max=lam_max, n=n)
+    return FrameBounds(lambda_min=lam_min, lambda_max=lam_max, n=a.shape[0])
 
 
 def bessel_constant_estimate(theta: InnerFunction, seq: PointSequence) -> float:
@@ -246,15 +161,6 @@ def riesz_verdict(
 # ---------------------------------------------------------------------------
 # Hankel lower bound for dist(Theta * conj(B_L), H^inf)
 # ---------------------------------------------------------------------------
-
-def _largest_singular_value(h: np.ndarray) -> float:
-    """sigma_max via the Hermitian dilation [[0, H], [H^H, 0]]."""
-    n, m = h.shape
-    dil = np.zeros((n + m, n + m), dtype=np.complex128)
-    dil[:n, n:] = h
-    dil[n:, :n] = h.conj().T
-    return max(0.0, extremal_eigs(dil).lambda_max)
-
 
 def hankel_distance_lb(theta: InnerFunction, seq: PointSequence, n: int) -> float:
     """Lower bound for the sup-norm distance of Theta*conj(B_L) to H^inf.
@@ -305,4 +211,4 @@ def hankel_distance_lb(theta: InnerFunction, seq: PointSequence, n: int) -> floa
     for j in range(n):
         for k in range(n):
             h[j, k] = neg[j + k]  # u_hat(-(j+k+1)) with 0-based j, k
-    return _largest_singular_value(h)
+    return float(np.linalg.norm(h, 2))  # sigma_max

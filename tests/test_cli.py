@@ -157,13 +157,12 @@ def test_exit_code_certification_failure_writes_partial(tmp_path) -> None:
     assert any(f.startswith("failed:") for f in partial["flags"])
 
 
-def test_sweep_list_config(tmp_path, monkeypatch) -> None:
+def test_sweep_list_config(tmp_path) -> None:
     entries = [
         {"inner": Z2, "points": [[0.0, 0.0], [0.5, 0.0]]},
         {"inner": Z2, "points": [[0.2, 0.1]]},
     ]
     cfg = _write(tmp_path / "sweep.json", entries)
-    monkeypatch.setenv("MSLAB_THREADS", "2")
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     first = json.loads((out / "run_000" / "analyze.json").read_text())

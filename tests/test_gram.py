@@ -101,8 +101,15 @@ def test_eigs_reject_non_hermitian() -> None:
         extremal_eigs(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
 
-def test_eigs_large_section_power_iteration_path() -> None:
-    # sections above the Jacobi cutoff go through shifted power iteration
+def test_eigs_reject_non_finite() -> None:
+    # NaN passes GramMatrix's tolerance checks; LAPACK would return NaN bounds
+    a = np.eye(2, dtype=np.complex128)
+    a[0, 1] = a[1, 0] = np.nan
+    with pytest.raises(NumericDomainError):
+        extremal_eigs(GramMatrix(a, (0, 1)))
+
+
+def test_eigs_large_section_spike() -> None:
     n = 600
     rng = np.random.default_rng(15)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -113,6 +120,20 @@ def test_eigs_large_section_power_iteration_path() -> None:
     fb = extremal_eigs(a)
     assert fb.lambda_max == pytest.approx(1.0 + spike, rel=1e-9)
     assert fb.lambda_min == pytest.approx(1.0, rel=1e-9)
+
+
+def test_eigs_singular_large_section_not_certified() -> None:
+    # 520 points against a degree-5 Theta: the section has rank <= 5, so a
+    # lambda_min above the rounding floor would be a false Riesz certificate
+    rng = np.random.default_rng(7)
+    theta = random_blaschke(rng, 5)
+    radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 520))
+    angles = rng.uniform(0.0, TWO_PI, 520)
+    seq = PointSequence.from_complex(
+        [r * cmath.exp(1j * a) for r, a in zip(radii, angles)]
+    )
+    fb = extremal_eigs(gram(theta, seq))
+    assert fb.lambda_min <= fb.n * np.finfo(float).eps * fb.lambda_max
 
 
 def test_interlacing_under_point_addition() -> None:
