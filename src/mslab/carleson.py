@@ -17,6 +17,12 @@ which dominates the interpolation constant of any sequence with Carleson
 constant delta.  ``interpolation_threshold`` inverts phi: given a target
 gamma in (0,1) it returns the separation level above which phi < 1/gamma.
 
+Both sums are formed in numpy from pairwise matrices.  The products
+behind delta are taken as exp of row sums of the log-distance matrix
+L[i, j] = log rho(l_i, l_j) for every n, so strongly clustered sequences
+cannot underflow a partial product; ``log_distance_matrix`` exposes L for
+callers that ask about many subsequences of one sequence.
+
 Boundary points are rejected throughout; the pseudohyperbolic metric
 degenerates on the circle.
 """
@@ -26,12 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NumericDomainError
 from .points import PointSequence, UnitPoint
-
-# Above this size, per-point products are formed as exp of summed logs to
-# dodge underflow for strongly clustered sequences.
-_LOG_PRODUCT_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -78,54 +82,45 @@ def _require_interior(seq: PointSequence) -> list[complex]:
     return [_interior_value(p) for p in seq.points]
 
 
+def log_distance_matrix(seq: PointSequence) -> np.ndarray:
+    """L[i, j] = log rho(l_i, l_j) over an interior sequence, with a zero diagonal.
+
+    The row sum of L is the log of that point's Carleson product.  L is made
+    exactly symmetric (the smaller of the two roundings is kept), so a
+    subsequence's constant does not depend on which of a pair is asked.  A
+    pair whose distance underflows to 0 gives -inf.
+    """
+    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    dist = np.abs(z[:, None] - z[None, :]) / np.abs(1.0 - z[:, None] * z[None, :].conj())
+    with np.errstate(divide="ignore"):
+        out = np.log(dist)
+    out = np.minimum(out, out.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def carleson_constant(seq: PointSequence) -> float:
     """Carleson separation constant of a finite interior sequence."""
-    return carleson_report(seq).delta
+    return math.exp(float(log_distance_matrix(seq).sum(axis=1).min()))
 
 
 def carleson_report(seq: PointSequence) -> CarlesonReport:
     """Carleson constant with witness, plus the embedding double sum."""
-    vals = _require_interior(seq)
-    n = len(vals)
-    use_logs = n > _LOG_PRODUCT_CUTOFF
-
-    best = math.inf
-    witness = seq.ids[0]
-    for i in range(n):
-        if use_logs:
-            acc = 0.0
-            for j in range(n):
-                if j != i:
-                    d = abs((vals[i] - vals[j]) / (1.0 - vals[j].conjugate() * vals[i]))
-                    acc += math.log(d) if d > 0.0 else -math.inf
-            prod = math.exp(acc) if acc > -math.inf else 0.0
-        else:
-            prod = 1.0
-            for j in range(n):
-                if j != i:
-                    prod *= abs(
-                        (vals[i] - vals[j]) / (1.0 - vals[j].conjugate() * vals[i])
-                    )
-        if prod < best:
-            best = prod
-            witness = seq.ids[i]
-    if n == 1:
-        best = 1.0  # empty product
-
-    sup = 0.0
-    for i in range(n):
-        row = 0.0
-        wi = 1.0 - abs(vals[i]) ** 2
-        for j in range(n):
-            wj = 1.0 - abs(vals[j]) ** 2
-            row += wi * wj / abs(1.0 - vals[i].conjugate() * vals[j]) ** 2
-        sup = max(sup, row)
-    return CarlesonReport(delta=best, embedding_sup=sup, witness_index=witness)
+    sums = log_distance_matrix(seq).sum(axis=1)
+    k = int(np.argmin(sums))  # the first minimal point, as in a scan
+    return CarlesonReport(
+        delta=math.exp(float(sums[k])),
+        embedding_sup=embedding_sup(seq),
+        witness_index=seq.ids[k],
+    )
 
 
 def embedding_sup(seq: PointSequence) -> float:
     """Max row sum of the embedding double-sum statistic."""
-    return carleson_report(seq).embedding_sup
+    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    w = 1.0 - np.abs(z) ** 2
+    terms = w[:, None] * w[None, :] / np.abs(1.0 - z.conj()[:, None] * z[None, :]) ** 2
+    return float(terms.sum(axis=1).max())
 
 
 def earl_bound(delta: float) -> float:
@@ -133,6 +128,8 @@ def earl_bound(delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise NumericDomainError(f"separation must lie in (0, 1], got {delta!r}")
     d2 = delta * delta
+    if d2 == 0.0:
+        return math.inf  # delta^2 underflows; phi exceeds every float
     return (2.0 - d2 + 2.0 * math.sqrt(max(0.0, 1.0 - d2))) / d2
 
 

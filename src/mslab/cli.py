@@ -37,7 +37,6 @@ from .carleson import carleson_report
 from .clark import herglotz_residual, level_set
 from .decompose import (
     Partition,
-    build_arc_system,
     build_squares,
     decompose_by_squares,
     split_by_interpolation,
@@ -263,8 +262,7 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     _partition_csvs(out_dir, seq, partition)
 
     if mode == "squares":
-        level_count = partition.global_info["level_count"]
-        arcs = build_arc_system(theta, level_count, opts.get("max_points_per_arc", 512))
+        arcs = partition.arcs
         squares = build_squares(arcs)
         _write_csv(
             out_dir / "geometry.csv",

@@ -8,9 +8,14 @@ part with Carleson constant delta_j has interpolation constant at most
 phi(delta_j), so the distance from Theta to B_j H^inf is bounded by
 gamma * phi(delta_j); once that product is below 1 the part's normalized
 kernels form a Riesz basic sequence.  The splitter therefore drives every
-part's separation above the threshold delta* with phi(delta*) = 1/gamma,
-by greedy covering plus recursive two-way splits, and emits the full
-certificate chain per part.
+part's separation above the threshold delta* with phi(delta*) = 1/gamma.
+It reads one matrix L[i, j] = log rho(l_i, l_j), computed once: a part's
+constant is exp of the min row sum of L over the part.  Recursive two-way
+(Mills) splits on index sets run until every part certifies, a first-fit
+merge of the certified parts keeps running row sums and stops where a
+merged part would fall below delta*, and every emitted part is re-verified
+from a fresh sum over its own block of L before its certificate chain is
+written.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}}, cuts the circle into arcs
@@ -29,7 +34,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .carleson import carleson_constant, earl_bound, interpolation_threshold, pseudohyperbolic
+import numpy as np
+
+from .carleson import (
+    carleson_constant,
+    earl_bound,
+    interpolation_threshold,
+    log_distance_matrix,
+)
 from .clark import ClarkFamily, level_sets, stability_margin
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, extremal_eigs, gram
@@ -89,9 +101,12 @@ class PartitionPart:
 
 @dataclass(frozen=True)
 class Partition:
+    """Parts plus global data; ``arcs`` is the square pipeline's arc system, not reported."""
+
     parts: tuple[PartitionPart, ...]
     global_info: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+    arcs: ArcSystem | None = None
 
     def all_ids(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -111,6 +126,68 @@ class Partition:
 # Interpolation-constant splitting
 # ---------------------------------------------------------------------------
 
+# A merged part keeps this much room, in log separation, above delta*: its
+# running row sums differ from a fresh sum of the same entries in the last
+# bits, and gamma * phi(delta*) itself may round to 1.
+_MERGE_SLACK = 1e-9
+
+
+def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
+    """Log Carleson constant of the points ``idx``: the min row sum of L[idx, idx]."""
+    return float(L[idx][:, idx].sum(axis=1).min())
+
+
+def _modulus_rank(seq: PointSequence) -> np.ndarray:
+    """Rank of each point in decreasing modulus order, ties by id."""
+    order = np.lexsort((np.asarray(seq.ids), -np.abs(np.asarray(seq.values))))
+    rank = np.empty(len(seq), dtype=int)
+    rank[order] = np.arange(len(seq))
+    return rank
+
+
+def _first_fit(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> list[np.ndarray]:
+    """First-fit of index groups into bins whose min row sum of L stays >= log_floor.
+
+    Every placed point keeps its running row sum within its bin, so trying
+    a group against all bins costs one |group| x n block of L.  Entries of
+    L are <= 0, so a single pair below the floor rules its bin out: the
+    group's rows of the clash matrix L < log_floor drop those bins before
+    any sum is formed.
+    """
+    clash = L < log_floor
+    label = np.full(len(L), -1)  # bin of each placed point
+    running = np.zeros(len(L))  # row sum of each placed point within its bin
+    bins: list[list[int]] = []
+    for group in groups:
+        own = L[group][:, group].sum(axis=1)
+        # shut[b]: bin b cannot take the group; the last slot, label -1,
+        # stands for the points not placed yet
+        shut = np.zeros(len(bins) + 1, dtype=bool)
+        shut[-1] = True
+        shut[label[clash[group].any(axis=0)]] = True
+        live = np.flatnonzero(~shut[label])
+        owner = label[live]
+        cross = L[group][:, live]
+        grown = running[live] + cross.sum(axis=0)
+        shut[owner[grown < log_floor]] = True
+        joined = own[:, None] + np.array(
+            [np.bincount(owner, weights=row, minlength=len(bins)) for row in cross]
+        )
+        shut[:-1] |= (joined < log_floor).any(axis=0)
+        fits = np.flatnonzero(~shut)
+        if fits.size:
+            b = int(fits[0])
+            running[live[owner == b]] = grown[owner == b]
+            running[group] = joined[:, b]
+        else:
+            b = len(bins)
+            bins.append([])
+            running[group] = own
+        label[group] = b
+        bins[b].extend(int(k) for k in group)
+    return [np.array(sorted(members)) for members in bins]
+
+
 def greedy_interpolating_cover(seq: PointSequence, delta_floor: float) -> list[PointSequence]:
     """Partition into parts with Carleson constant >= delta_floor.
 
@@ -120,23 +197,11 @@ def greedy_interpolating_cover(seq: PointSequence, delta_floor: float) -> list[P
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot cover an empty sequence")
-    order = sorted(
-        zip(seq.ids, seq.points), key=lambda ip: (-abs(ip[1].value), ip[0])
-    )
-    bins: list[list[tuple[int, UnitPoint]]] = []
-    for pid, pt in order:
-        placed = False
-        for part in bins:
-            trial = PointSequence.from_points(
-                [p for _, p in part] + [pt], [i for i, _ in part] + [pid]
-            )
-            if carleson_constant(trial) >= delta_floor:
-                part.append((pid, pt))
-                placed = True
-                break
-        if not placed:
-            bins.append([(pid, pt)])
-    parts = [seq.subset(i for i, _ in part) for part in bins]
+    L = log_distance_matrix(seq)
+    order = np.argsort(_modulus_rank(seq))
+    log_floor = math.log(delta_floor) if delta_floor > 0.0 else -math.inf
+    bins = _first_fit(L, [order[k : k + 1] for k in range(len(seq))], log_floor)
+    parts = [_subsequence(seq, idx) for idx in bins]
     for part in parts:
         got = carleson_constant(part)
         if got < delta_floor - 1e-15:
@@ -144,6 +209,34 @@ def greedy_interpolating_cover(seq: PointSequence, delta_floor: float) -> list[P
                 f"greedy cover verification failed: delta {got} < floor {delta_floor}"
             )
     return parts
+
+
+def _mills_halves(
+    L: np.ndarray, idx: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves, as sorted positions into L, of the points ``idx``."""
+    sub = L[idx][:, idx]
+    np.fill_diagonal(sub, np.inf)
+    i0, j0 = divmod(int(np.argmin(sub)), len(idx))  # first closest pair, i0 < j0
+    near_a = sub[i0].copy()  # log distance from each point to the nearest of a
+    near_b = sub[j0].copy()
+    a, b = [i0], [j0]
+    rest = np.delete(np.arange(len(idx)), [i0, j0])
+    for k in rest[np.argsort(rank[idx[rest]])]:
+        da, db = near_a[k], near_b[k]
+        if da > db or (da == db and len(a) <= len(b)):
+            a.append(k)
+            np.minimum(near_a, sub[k], out=near_a)
+        else:
+            b.append(k)
+            np.minimum(near_b, sub[k], out=near_b)
+    return np.sort(idx[a]), np.sort(idx[b])
+
+
+def _subsequence(seq: PointSequence, idx: np.ndarray) -> PointSequence:
+    return PointSequence(
+        tuple(seq.points[k] for k in idx), tuple(seq.ids[k] for k in idx)
+    )
 
 
 def mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
@@ -161,29 +254,8 @@ def mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
         raise NumericDomainError("cannot split an empty sequence")
     if n == 1:
         return seq, PointSequence((), ())
-    pairs = list(zip(seq.ids, seq.points))
-    best = (math.inf, 0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pseudohyperbolic(pairs[i][1], pairs[j][1])
-            if d < best[0]:
-                best = (d, i, j)
-    _, i0, j0 = best
-    a_members = [pairs[i0]]
-    b_members = [pairs[j0]]
-    rest = [pairs[k] for k in range(n) if k not in (i0, j0)]
-    rest.sort(key=lambda ip: (-abs(ip[1].value), ip[0]))
-    for pid, pt in rest:
-        da = min(pseudohyperbolic(pt, q) for _, q in a_members)
-        db = min(pseudohyperbolic(pt, q) for _, q in b_members)
-        if da > db or (da == db and len(a_members) <= len(b_members)):
-            a_members.append((pid, pt))
-        else:
-            b_members.append((pid, pt))
-    return (
-        seq.subset(i for i, _ in a_members),
-        seq.subset(i for i, _ in b_members),
-    )
+    a, b = _mills_halves(log_distance_matrix(seq), np.arange(n), _modulus_rank(seq))
+    return _subsequence(seq, a), _subsequence(seq, b)
 
 
 def _theta_values(theta: ThetaLike, seq: PointSequence) -> list[complex]:
@@ -192,12 +264,20 @@ def _theta_values(theta: ThetaLike, seq: PointSequence) -> list[complex]:
     return [complex(theta(p.value)) for p in seq.points]
 
 
+def _clique_size(clash: np.ndarray) -> int:
+    """Size of a greedy clique of the clash graph, highest degree first."""
+    clique: list[int] = []
+    for v in np.argsort(-clash.sum(axis=1), kind="stable"):
+        if clash[v, clique].all():
+            clique.append(int(v))
+    return len(clique)
+
+
 def split_by_interpolation(
     theta: ThetaLike,
     seq: PointSequence,
     *,
     gamma_floor: float = 0.0,
-    cover_floor_cap: float = 0.1,
     max_depth: int = 20,
     attach_frame_bounds: bool = True,
     route: str = "interp",
@@ -208,6 +288,14 @@ def split_by_interpolation(
     (gamma_floor lets a caller impose a larger certified bound, e.g. a
     region-wide sup).  Theta may be an inner-function record or a plain
     evaluator; frame bounds are attached per part only for records.
+
+    Every layer reads one log-distance matrix L of the sequence: Mills
+    splits recurse on index sets until each part certifies, the certified
+    parts are merged first-fit (largest first) while the merged row sums
+    stay above delta*, and each emitted part is re-verified from a fresh sum
+    over its own block of L.  ``parts_lower_bound`` in the global info is the size of a
+    greedy clique of points pairwise closer than delta*, no two of which
+    can share a part.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot split an empty sequence")
@@ -218,52 +306,57 @@ def split_by_interpolation(
         raise CertificationError(
             f"off-spectrum condition violated: max |Theta(lambda)| = {gamma} is not < 1"
         )
-    delta_all = carleson_constant(seq)
     delta_star = 0.0 if gamma == 0.0 else interpolation_threshold(gamma)
+    L = log_distance_matrix(seq)
+    rank = _modulus_rank(seq)
+
+    def certified(delta: float) -> bool:
+        return delta >= delta_star and gamma * earl_bound(delta) < 1.0
 
     flags: list[str] = []
-    if delta_all >= delta_star:
-        initial = [seq]
-    else:
-        initial = greedy_interpolating_cover(seq, min(delta_all, cover_floor_cap))
-
-    final: list[PointSequence] = []
-    stack = [(part, 0) for part in initial]
+    delta_all = carleson_constant(seq)
+    found: list[np.ndarray] = []
+    stack = [(np.arange(len(seq)), delta_all, 0)]
     while stack:
-        part, depth = stack.pop()
-        if len(part) == 0:
-            continue
-        delta_j = carleson_constant(part)
-        if delta_j >= delta_star and gamma * earl_bound(delta_j) < 1.0:
-            final.append(part)
+        idx, delta_j, depth = stack.pop()
+        if certified(delta_j):
+            found.append(idx)
             continue
         if depth >= max_depth:
             raise CertificationError(
                 f"split recursion exceeded depth {max_depth} (gamma = {gamma})"
             )
-        half_a, half_b = mills_split(part)
-        if len(half_b) == 0:  # singleton that still failed: impossible, guard anyway
+        if len(idx) == 1:  # a singleton has delta 1: impossible, guard anyway
             raise CertificationError(
                 f"cannot certify singleton part at gamma = {gamma}"
             )
-        if min(carleson_constant(half_a), carleson_constant(half_b)) < math.sqrt(delta_j) - 1e-12:
+        halves = _mills_halves(L, idx, rank)
+        deltas = [math.exp(_log_delta(L, half)) for half in halves]
+        if min(deltas) < math.sqrt(delta_j) - 1e-12:
             flags.append(
                 f"mills sqrt-target missed at depth {depth} (delta {delta_j:.6g}); re-splitting"
             )
-        stack.append((half_a, depth + 1))
-        stack.append((half_b, depth + 1))
+        for half, delta in zip(halves, deltas):
+            stack.append((half, delta, depth + 1))
 
-    final.sort(key=lambda part: min(part.ids))
+    log_star = math.log(delta_star) if delta_star > 0.0 else -math.inf
+    found.sort(key=lambda idx: (-len(idx), int(idx[0])))
+    merged = _first_fit(L, found, log_star + _MERGE_SLACK)
+    merged.sort(key=lambda idx: min(seq.ids[k] for k in idx))
     parts = []
-    for part in final:
-        delta_j = carleson_constant(part)
+    for idx in merged:
+        delta_j = math.exp(_log_delta(L, idx))  # a fresh sum, not the running ones
+        if not certified(delta_j):
+            raise NumericDomainError(
+                f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
+            )
         phi = earl_bound(delta_j)
         fb = None
         if attach_frame_bounds and isinstance(theta, InnerFunction):
-            fb = extremal_eigs(gram(theta, part))
+            fb = extremal_eigs(gram(theta, _subsequence(seq, idx)))
         parts.append(
             PartitionPart(
-                ids=tuple(part.ids),
+                ids=tuple(seq.ids[k] for k in idx),
                 route=route,
                 certificate=PartCertificate(
                     gamma=gamma,
@@ -280,6 +373,7 @@ def split_by_interpolation(
             "gamma": gamma,
             "delta_star": delta_star,
             "delta_input": delta_all,
+            "parts_lower_bound": _clique_size(L < log_star),
         },
         flags=tuple(flags),
     )
@@ -567,17 +661,39 @@ def select_level_count(
     no N meets the health margin the spread-qualified N with the smallest
     sup below 1 is taken instead; certificates stay valid for any sup < 1.
     """
-    best: tuple[float, int] | None = None
+    arcs, _squares, _region = _select_square_system(
+        theta,
+        delta_ceiling=delta_ceiling,
+        spread_ceiling=spread_ceiling,
+        start=start,
+        limit=limit,
+        samples=samples,
+    )
+    return arcs.level_count
+
+
+def _select_square_system(
+    theta: InnerFunction,
+    *,
+    delta_ceiling: float = 0.9,
+    spread_ceiling: float = 4.0,
+    start: int = 8,
+    limit: int = 256,
+    samples: int = 2048,
+    max_points_per_arc: int = 512,
+) -> tuple[ArcSystem, SquareSystem, UncoveredRegionReport]:
+    """The search behind ``select_level_count``, returning what it built for the pick."""
+    best: tuple[float, tuple] | None = None
     n = start
     while n <= limit:
-        arcs = build_arc_system(theta, n)
+        arcs = build_arc_system(theta, n, max_points_per_arc)
         squares = build_squares(arcs)
-        delta = uncovered_region_delta(theta, squares, samples)
+        region = uncovered_region_report(theta, squares, samples)
         if rate_comparability(theta, arcs) <= spread_ceiling:
-            if delta < delta_ceiling:
-                return n
-            if delta < 1.0 - 1e-9 and (best is None or delta < best[0]):
-                best = (delta, n)
+            if region.delta < delta_ceiling:
+                return arcs, squares, region
+            if region.delta < 1.0 - 1e-9 and (best is None or region.delta < best[0]):
+                best = (region.delta, (arcs, squares, region))
         n *= 2
     if best is not None:
         return best[1]
@@ -614,10 +730,14 @@ def decompose_by_squares(
             raise NumericDomainError(f"point {pid} lies on the spectrum")
 
     if level_count is None:
-        level_count = select_level_count(theta, samples=samples)
-    arcs = build_arc_system(theta, level_count, max_points_per_arc)
-    squares = build_squares(arcs)
-    region = uncovered_region_report(theta, squares, samples)
+        arcs, squares, region = _select_square_system(
+            theta, samples=samples, max_points_per_arc=max_points_per_arc
+        )
+        level_count = arcs.level_count
+    else:
+        arcs = build_arc_system(theta, level_count, max_points_per_arc)
+        squares = build_squares(arcs)
+        region = uncovered_region_report(theta, squares, samples)
 
     flags: list[str] = []
     if squares.truncated:
@@ -722,6 +842,7 @@ def decompose_by_squares(
             "delta_uncovered": region.delta,
         },
         flags=tuple(flags),
+        arcs=arcs,
     )
     if partition.all_ids() != tuple(sorted(seq.ids)):
         raise NumericDomainError("partition failed to cover the sequence exactly")

@@ -43,10 +43,14 @@ class ExpSystem:
     freqs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ConfigError(f"interval half-length must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise ConfigError(
+                f"interval half-length must be positive and finite, got {self.a!r}"
+            )
         freqs = tuple(complex(f) for f in self.freqs)
         for f in freqs:
+            if not cmath.isfinite(f):
+                raise ConfigError(f"frequencies must be finite, got {f!r}")
             if f.imag < 0.0:
                 raise ConfigError(f"frequencies must have Im >= 0, got {f!r}")
         for i in range(len(freqs)):

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own code paths: quadrature
 is plain composite rules on numpy arrays, eigenvalues come from a
-self-contained cyclic Jacobi sweep (the library calls LAPACK), and
-Blaschke products are re-evaluated from scratch where a cross-check
+self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
+constants are plain pairwise products (the library sums logs in numpy),
+and Blaschke products are re-evaluated from scratch where a cross-check
 matters.
 """
 
@@ -107,6 +108,23 @@ def eig_extremes_oracle(matrix: np.ndarray) -> tuple[float, float]:
     """Cyclic Jacobi as a reference independent of the library's LAPACK path."""
     w = _jacobi_eigenvalues(matrix)
     return float(w[0]), float(w[-1])
+
+
+def carleson_delta_oracle(values) -> float:
+    """Carleson constant by plain pairwise products: no logs, no numpy."""
+    best = 1.0
+    for i, a in enumerate(values):
+        prod = 1.0
+        for j, b in enumerate(values):
+            if i != j:
+                prod *= abs((a - b) / (1.0 - b.conjugate() * a))
+        best = min(best, prod)
+    return best
+
+
+def earl_oracle(delta: float) -> float:
+    """phi(delta) = (2 - delta^2 + 2 sqrt(1 - delta^2)) / delta^2, written out."""
+    return (2.0 - delta * delta + 2.0 * math.sqrt(1.0 - delta * delta)) / (delta * delta)
 
 
 def composite_gauss_legendre(f, a: float, b: float, panels: int, order: int = 8) -> complex:

@@ -80,7 +80,7 @@ def test_carleson_brute_force_oracle_random() -> None:
 
 def test_carleson_log_product_path_matches_direct() -> None:
     rng = np.random.default_rng(3)
-    seq = _random_interior(rng, 80)  # exercises the log-sum branch
+    seq = _random_interior(rng, 80)
     vals = seq.values
     per_point = []
     for i, v in enumerate(vals):

@@ -120,6 +120,20 @@ def test_pw_command_with_split(tmp_path) -> None:
     assert ids == list(range(8))
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"a": 1.0, "freqs": [[math.nan, 0.0], [1.0, 0.0]]},
+        {"a": 1.0, "freqs": [[0.0, math.inf], [1.0, 0.0]]},
+        {"a": math.inf, "freqs": [[0.0, 0.0], [1.0, 0.0]]},
+    ],
+)
+def test_pw_non_finite_config_is_a_config_error(tmp_path, system) -> None:
+    # json writes these as the NaN / Infinity literals that json.load accepts
+    cfg = _write(tmp_path / "cfg.json", {"pw": system})
+    assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_exit_code_config_error(tmp_path) -> None:
     cfg = _write(
         tmp_path / "cfg.json",

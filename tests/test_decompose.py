@@ -243,6 +243,7 @@ def test_squares_pipeline_with_atom() -> None:
     seq = PointSequence.from_complex([0.2, 0.4j, 0.99])
     partition = decompose_by_squares(theta, seq, 4, max_points_per_arc=48)
     assert partition.all_ids() == (0, 1, 2)
+    assert partition.arcs == build_arc_system(theta, 4, max_points_per_arc=48)
     assert "square system truncated near the spectrum" in partition.flags
 
 
@@ -412,6 +413,9 @@ def test_auto_level_count_used_when_omitted() -> None:
     seq = PointSequence.from_complex([0.1, 0.2j])
     partition = decompose_by_squares(z2, seq)
     assert partition.global_info["level_count"] == 8
+    # the selected arc system travels on the partition, outside the report
+    assert partition.arcs == build_arc_system(z2, 8)
+    assert "arcs" not in partition.to_json_dict()
 
 
 def test_mixed_clouds_decompose_cleanly() -> None:
