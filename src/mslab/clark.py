@@ -6,6 +6,15 @@ derivative |Theta'|.  Tracking that branch gives guaranteed, complete
 enumeration of every level set {Theta = alpha} by monotone bisection: each
 2*pi of argument increase contains exactly one solution.
 
+Branches are sampled level-synchronously: every round checks all pending
+cells with one array evaluation (``inner.eval_points``) at their
+midpoints and splits those that fail.  A cell's argument increase is read
+from the principal arguments at its ends, which is only sound if the true
+increase is below a full turn; the cell's width times the proven rate
+bound of ``inner.rate_bound`` (below pi/2) certifies that, whatever the
+rate does between samples.  Root solving bisects all targets on a branch
+in lockstep, one array evaluation per round.
+
 A level set carries a Clark family: the points tau_n, their angular
 derivatives, and the weights a_n = 1/|Theta'(tau_n)| of the associated
 boundary measure.  For a complete family these weights reproduce the
@@ -29,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError
-from .inner import InnerFunction, boundary_derivative, derivative, eval_inner
+from .inner import InnerFunction, boundary_derivative, derivative, eval_points, rate_bound
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
@@ -44,7 +53,8 @@ class ArgBranch:
     """Continuous increasing branch of arg Theta(e^{i theta}) on one arc.
 
     Dense samples plus monotone piecewise-linear interpolation; consecutive
-    sampled increments stay below pi/4, so principal-argument differences
+    sampled increments stay below pi/4 and each cell's width times its
+    proven rate bound stays below pi/2, so principal-argument differences
     within a cell are unambiguous.
     """
 
@@ -87,12 +97,14 @@ class ClarkFamily:
         }
 
 
-def _principal_arg(theta: InnerFunction, angle: float) -> float:
-    return cmath.phase(eval_inner(theta, cmath.exp(1j * angle)))
-
-
 def _deriv_at(theta: InnerFunction, angle: float) -> float:
     return boundary_derivative(theta, cmath.exp(1j * angle))
+
+
+def _principal_args(theta: InnerFunction, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal arguments of Theta and rates |Theta'| at e^{i angles}."""
+    values, rates = eval_points(theta, np.exp(1j * angles))
+    return np.angle(values), rates
 
 
 def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
@@ -125,9 +137,12 @@ def _seed_angles(theta: InnerFunction, lo: float, hi: float) -> list[float]:
 def build_arg_branch(theta: InnerFunction, arc: tuple[float, float]) -> ArgBranch:
     """Adaptively sampled increasing argument branch on a spectrum-free arc.
 
-    Each cell is refined until its wrapped increment is below pi/4, its
-    width times the sampled rate is safely below a half turn, and the cell
-    secant matches the midpoint rate to the branch slope tolerance.
+    Refinement is level-synchronous: each round checks every pending cell,
+    with one evaluation of all their midpoints, and splits those that fail.
+    A cell is accepted once its wrapped increment is below pi/4, its width
+    times the proven rate bound of ``rate_bound`` is below pi/2 (so the true
+    increment is the wrapped one), and its secant matches the midpoint rate
+    to the branch slope tolerance.
     """
     lo, hi = float(arc[0]), float(arc[1])
     if not hi > lo:
@@ -138,98 +153,82 @@ def build_arg_branch(theta: InnerFunction, arc: tuple[float, float]) -> ArgBranc
         raise NumericDomainError("constant inner function has no argument branch")
     _check_arc_clear(theta, lo, hi)
 
-    angles = _seed_angles(theta, lo, hi)
-    princ = {t: _principal_arg(theta, t) for t in angles}
-    deriv = {t: _deriv_at(theta, t) for t in angles}
-
-    def cell_ok(a: float, b: float) -> bool:
-        d = (princ[b] - princ[a]) % TWO_PI
-        if d >= _MAX_WRAP_INCREMENT:
-            return False
-        m = 0.5 * (a + b)
-        dm = deriv.get(m)
-        if dm is None:
-            deriv[m] = dm = _deriv_at(theta, m)
-            princ[m] = _principal_arg(theta, m)
-        h = b - a
-        if h * max(deriv[a], dm, deriv[b]) >= 0.5 * math.pi:
-            return False
-        secant = d / h
-        return abs(secant - dm) <= _SLOPE_REL_TOL * dm
-
-    stack = [(angles[i], angles[i + 1]) for i in range(len(angles) - 1)]
-    accepted: list[tuple[float, float]] = []
-    while stack:
-        a, b = stack.pop()
-        if cell_ok(a, b):
-            accepted.append((a, b))
-            continue
-        m = 0.5 * (a + b)
-        if m <= a or m >= b or len(princ) > _MAX_BRANCH_SAMPLES:
+    angles = np.array(_seed_angles(theta, lo, hi))
+    princ, _ = _principal_args(theta, angles)
+    # pending cells [a, b] with the principal arguments at their ends
+    a, b, pa, pb = angles[:-1], angles[1:], princ[:-1], princ[1:]
+    evaluated = angles.size
+    accepted: list[tuple[np.ndarray, ...]] = []
+    while a.size:
+        evaluated += a.size
+        if evaluated > _MAX_BRANCH_SAMPLES:
             raise NumericDomainError("argument branch refinement exhausted")
-        if m not in princ:
-            princ[m] = _principal_arg(theta, m)
-            deriv[m] = _deriv_at(theta, m)
-        stack.append((a, m))
-        stack.append((m, b))
+        m = 0.5 * (a + b)
+        pm, rate_m = _principal_args(theta, m)
+        h = b - a
+        inc = np.mod(pb - pa, TWO_PI)
+        ok = (inc < _MAX_WRAP_INCREMENT) & (np.abs(inc / h - rate_m) <= _SLOPE_REL_TOL * rate_m)
+        ok[ok] = h[ok] * rate_bound(theta, a[ok], b[ok]) < 0.5 * math.pi
+        accepted.append((a[ok], b[ok], pa[ok], pb[ok]))
+        split = ~ok
+        a, b, pa, pb, m, pm = a[split], b[split], pa[split], pb[split], m[split], pm[split]
+        if np.any((m <= a) | (m >= b)):
+            raise NumericDomainError("argument branch refinement exhausted")
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        pa, pb = np.concatenate([pa, pm]), np.concatenate([pm, pb])
 
-    accepted.sort()
-    thetas = [accepted[0][0]] + [cell[1] for cell in accepted]
-    values = [princ[thetas[0]]]
-    for a, b in accepted:
-        values.append(values[-1] + (princ[b] - princ[a]) % TWO_PI)
-    th = np.asarray(thetas)
-    vals = np.asarray(values)
+    a, b, pa, pb = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.argsort(a)
+    th = np.concatenate([a[order[:1]], b[order]])
+    vals = np.cumsum(np.concatenate([pa[order[:1]], np.mod(pb - pa, TWO_PI)[order]]))
     if np.any(np.diff(vals) <= 0.0):
         raise NumericDomainError("argument branch is not strictly increasing")
     return ArgBranch(arc=(lo, hi), thetas=th, values=vals)
 
 
-def _branch_value_exact(
-    theta: InnerFunction, branch: ArgBranch, angle: float, cell: int
-) -> float:
-    """True branch value inside sample cell ``cell`` (increment < pi/4)."""
-    base_angle = float(branch.thetas[cell])
-    base_val = float(branch.values[cell])
-    inc = (_principal_arg(theta, angle) - _principal_arg(theta, base_angle)) % TWO_PI
-    return base_val + inc
-
-
 def _solve_on_branch(
-    theta: InnerFunction, branch: ArgBranch, target_value: float, tol: float = 1e-12
-) -> float:
-    """Monotone bisection for branch(theta) = target_value."""
-    vals = branch.values
-    if target_value < float(vals[0]):
-        if float(vals[0]) - target_value > 1e-8:
-            raise NumericDomainError("level target below the branch range")
-        return float(branch.thetas[0])
-    if target_value > float(vals[-1]):
-        if target_value - float(vals[-1]) > 1e-8:
-            raise NumericDomainError("level target above the branch range")
-        return float(branch.thetas[-1])
-    idx = int(np.searchsorted(vals, target_value, side="right")) - 1
-    idx = max(0, min(idx, len(vals) - 2))
-    a = float(branch.thetas[idx])
-    b = float(branch.thetas[idx + 1])
-    fa = float(vals[idx])
-    fb = float(vals[idx + 1])
-    if not fa <= target_value <= fb:
+    theta: InnerFunction, branch: ArgBranch, targets: np.ndarray, tol: float = 1e-12
+) -> np.ndarray:
+    """Monotone bisection for branch(theta) = target, all targets in lockstep.
+
+    Each round evaluates the live midpoints at once.  Inside a sample cell
+    (increment < pi/4) the branch value is the cell's base value plus the
+    wrapped principal-argument increment from the cell's base angle, whose
+    principal argument is computed once per bracket.
+    """
+    vals, ths = branch.values, branch.thetas
+    t = np.asarray(targets, dtype=float)
+    if np.any(vals[0] - t > 1e-8):
+        raise NumericDomainError("level target below the branch range")
+    if np.any(t - vals[-1] > 1e-8):
+        raise NumericDomainError("level target above the branch range")
+    below, above = t < vals[0], t > vals[-1]
+    idx = np.clip(np.searchsorted(vals, t, side="right") - 1, 0, len(vals) - 2)
+    a, b = ths[idx], ths[idx + 1]
+    fa, fb = vals[idx], vals[idx + 1]
+    live = ~(below | above)
+    if np.any(live & ~((fa <= t) & (t <= fb))):
         raise NumericDomainError("level target escaped its bracket")
+    base_val = vals[idx]
+    base_arg, _ = _principal_args(theta, a)
     # refine in branch-value space as well: the value gap, not the angle
     # gap, bounds the residual |Theta(tau) - alpha| where the rate is large
     for _ in range(200):
-        if b - a <= tol and fb - fa <= 1e-12:
-            break
         m = 0.5 * (a + b)
-        if m <= a or m >= b:  # double-precision floor
+        live &= ~((b - a <= tol) & (fb - fa <= 1e-12))
+        live &= (m > a) & (m < b)  # double-precision floor
+        k = np.flatnonzero(live)
+        if not k.size:
             break
-        fm = _branch_value_exact(theta, branch, m, idx)
-        if fm < target_value:
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+        pm, _ = _principal_args(theta, m[k])
+        fm = base_val[k] + np.mod(pm - base_arg[k], TWO_PI)
+        low = fm < t[k]
+        a[k[low]], fa[k[low]] = m[k[low]], fm[low]
+        b[k[~low]], fb[k[~low]] = m[k[~low]], fm[~low]
+    roots = 0.5 * (a + b)
+    roots[below] = ths[0]
+    roots[above] = ths[-1]
+    return roots
 
 
 def _trim_to_budget(
@@ -299,73 +298,48 @@ def _level_branches(
     return branches, truncated, False
 
 
-def _solutions_for_target(
-    theta: InnerFunction,
-    branches: list[ArgBranch],
-    target_arg: float,
-    full_circle: bool,
-    max_points_per_arc: int,
+def _branch_targets(
+    branch: ArgBranch, target_arg: float, full_circle: bool, max_points_per_arc: int
 ) -> tuple[list[float], bool]:
-    """Angles solving arg Theta = target_arg (mod 2*pi) on the branches."""
-    solutions: list[float] = []
-    capped = False
-    for branch in branches:
-        v0 = float(branch.values[0])
-        v1 = float(branch.values[-1])
-        k = math.ceil((v0 - target_arg) / TWO_PI)
-        if full_circle:
-            # any run of degree-many consecutive sheets carries the complete
-            # root set mod 2*pi; enumerating exactly that many sidesteps all
-            # float-noise bookkeeping at the wrap seam
-            count = int(round((v1 - v0) / TWO_PI))
-            if count > max_points_per_arc:
-                count = max_points_per_arc
-                capped = True
-            for j in range(count):
-                target = target_arg + TWO_PI * (k + j)
-                solutions.append(
-                    normalize_angle(_solve_on_branch(theta, branch, target))
-                )
-        else:
-            found = 0
-            while found < max_points_per_arc:
-                target = target_arg + TWO_PI * k
-                if target > v1:
-                    break
-                solutions.append(
-                    normalize_angle(_solve_on_branch(theta, branch, target))
-                )
-                k += 1
-                found += 1
-            if found >= max_points_per_arc:
-                capped = True
-    return solutions, capped
+    """Branch values at which arg Theta = target_arg (mod 2*pi), and a cap flag."""
+    v0 = float(branch.values[0])
+    v1 = float(branch.values[-1])
+    k = math.ceil((v0 - target_arg) / TWO_PI)
+    if full_circle:
+        # any run of degree-many consecutive sheets carries the complete
+        # root set mod 2*pi; enumerating exactly that many sidesteps all
+        # float-noise bookkeeping at the wrap seam
+        count = int(round((v1 - v0) / TWO_PI))
+        capped = count > max_points_per_arc
+        return [target_arg + TWO_PI * (k + j) for j in range(min(count, max_points_per_arc))], capped
+    targets: list[float] = []
+    while len(targets) < max_points_per_arc:
+        target = target_arg + TWO_PI * (k + len(targets))
+        if target > v1:
+            break
+        targets.append(target)
+    return targets, len(targets) >= max_points_per_arc
 
 
 def _family_from_angles(
     theta: InnerFunction, alpha: complex, angles: list[float], truncated: bool
 ) -> ClarkFamily:
-    pts: list[UnitPoint] = []
-    derivs: list[float] = []
-    weights: list[float] = []
-    for ang in sorted(angles):
-        p = UnitPoint.boundary(ang)
-        val = eval_inner(theta, p)
-        d = boundary_derivative(theta, p)
-        # the achievable residual is floored by the rate times one ulp of angle
-        tol = max(1e-10, 8.0 * d * 2.3e-16 * max(1.0, abs(ang)))
-        if abs(val - alpha) > tol:
-            raise NumericDomainError(
-                f"level point at angle {ang} misses alpha: residual {abs(val - alpha)!r}"
-            )
-        pts.append(p)
-        derivs.append(d)
-        weights.append(1.0 / d)
+    ang = np.sort(np.asarray(angles, dtype=float))
+    vals, derivs = eval_points(theta, np.exp(1j * ang))
+    residual = np.abs(vals - alpha)
+    # the achievable residual is floored by the rate times one ulp of angle
+    tol = np.maximum(1e-10, 8.0 * derivs * 2.3e-16 * np.maximum(1.0, np.abs(ang)))
+    miss = np.flatnonzero(residual > tol)
+    if miss.size:
+        i = miss[0]
+        raise NumericDomainError(
+            f"level point at angle {ang[i]} misses alpha: residual {float(residual[i])!r}"
+        )
     return ClarkFamily(
         alpha=alpha,
-        points=tuple(pts),
-        derivs=tuple(derivs),
-        weights=tuple(weights),
+        points=tuple(UnitPoint.boundary(t) for t in ang),
+        derivs=tuple(float(d) for d in derivs),
+        weights=tuple(float(w) for w in 1.0 / derivs),
         truncated=truncated,
     )
 
@@ -381,14 +355,15 @@ def level_sets(
     complete (one point per 2*pi of argument increase, i.e. the degree).
     Arcs between singular atoms are trimmed to an argument budget so at
     most ``max_points_per_arc`` points per arc are produced per level; such
-    families are flagged truncated.
+    families are flagged truncated.  The targets of every level on a branch
+    are solved together in one lockstep bisection.
     """
     if theta.is_constant:
         raise NumericDomainError("constant inner function has no level sets")
     values = []
     for alpha in alphas:
         alpha = complex(alpha)
-        if abs(abs(alpha) - 1.0) > 1e-12:
+        if not abs(abs(alpha) - 1.0) <= 1e-12:  # also refuses NaN
             raise ConfigError(
                 f"level value must be unimodular, got |alpha| = {abs(alpha)!r}"
             )
@@ -401,16 +376,27 @@ def level_sets(
             raise NumericDomainError(
                 f"argument increase {increase} inconsistent with degree {theta.degree}"
             )
-    families = []
-    for alpha in values:
-        angles, capped = _solutions_for_target(
-            theta, branches, cmath.phase(alpha), full_circle, max_points_per_arc
-        )
-        if full_circle and not capped and len(angles) != theta.degree:
-            raise NumericDomainError(
-                f"found {len(angles)} level points, expected {theta.degree}"
+    angles: list[list[float]] = [[] for _ in values]
+    capped = [False] * len(values)
+    for branch in branches:
+        targets: list[float] = []
+        owner: list[int] = []
+        for i, alpha in enumerate(values):
+            found, cap = _branch_targets(
+                branch, cmath.phase(alpha), full_circle, max_points_per_arc
             )
-        families.append(_family_from_angles(theta, alpha, angles, trimmed or capped))
+            capped[i] = capped[i] or cap
+            targets += found
+            owner += [i] * len(found)
+        for i, root in zip(owner, _solve_on_branch(theta, branch, np.array(targets))):
+            angles[i].append(normalize_angle(float(root)))
+    families = []
+    for alpha, found, cap in zip(values, angles, capped):
+        if full_circle and not cap and len(found) != theta.degree:
+            raise NumericDomainError(
+                f"found {len(found)} level points, expected {theta.degree}"
+            )
+        families.append(_family_from_angles(theta, alpha, found, trimmed or cap))
     return families
 
 
@@ -432,14 +418,22 @@ def herglotz_residual(
     mass near the spectrum and its residual does not certify anything.
     """
     w = z.value if isinstance(z, UnitPoint) else complex(z)
-    if abs(w) >= 1.0:
+    return float(herglotz_residuals(theta, family, np.array([w]))[0])
+
+
+def herglotz_residuals(
+    theta: InnerFunction, family: ClarkFamily, z: np.ndarray
+) -> np.ndarray:
+    """``herglotz_residual`` over a 1-D array of interior points."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) >= 1.0):
         raise NumericDomainError("Herglotz residual needs an interior point")
-    val = eval_inner(theta, w)
+    val, _ = eval_points(theta, z)
     lhs = ((family.alpha + val) / (family.alpha - val)).real
-    rhs = 0.0
-    for p, a_n in zip(family.points, family.weights):
-        rhs += a_n * (1.0 - abs(w) ** 2) / abs(p.value - w) ** 2
-    return abs(lhs - rhs)
+    taus = np.array([p.value for p in family.points], dtype=complex)
+    weights = np.array(family.weights, dtype=float)
+    poisson = (1.0 - np.abs(z[:, None]) ** 2) / np.abs(taus - z[:, None]) ** 2
+    return np.abs(lhs - poisson @ weights)
 
 
 def stability_margin(

@@ -45,7 +45,7 @@ from .carleson import (
 from .clark import ClarkFamily, level_sets, stability_margin
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, extremal_eigs, gram
-from .inner import InnerFunction, boundary_derivative, eval_inner, spectrum_distance
+from .inner import InnerFunction, boundary_derivative, eval_inner, eval_points, spectrum_distance
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
@@ -566,30 +566,9 @@ def uncovered_region_report(
     if not sqs:
         raise NumericDomainError("square system is empty")
     per_side = max(8, math.ceil(samples / len(sqs)))
-    worst_delta = 0.0
-    worst_const = math.inf
-    count = 0
-
-    def visit(z: complex) -> None:
-        nonlocal worst_delta, worst_const, count
-        mod = abs(eval_inner(theta, z))
-        worst_delta = max(worst_delta, mod)
-        r = abs(z)
-        if 0.0 < r < 1.0:
-            zeta = z / r
-            deriv = boundary_derivative(theta, zeta)
-            if mod == 0.0:
-                c = math.inf
-            else:
-                c = -math.log(mod) / ((1.0 - r) * deriv)
-            worst_const = min(worst_const, c)
-        count += 1
-
-    for sq in sqs:
-        length = sq.hi - sq.lo
-        for j in range(per_side):
-            ang = sq.lo + length * (j + 0.5) / per_side
-            visit(sq.inner_radius * cmath.exp(1j * ang))
+    steps = np.arange(per_side) + 0.5
+    radii = [np.full(per_side, sq.inner_radius) for sq in sqs]
+    angles = [sq.lo + (sq.hi - sq.lo) * steps / per_side for sq in sqs]
     # radial joints between adjacent squares of different depth
     for i, sq in enumerate(sqs):
         nxt = sqs[(i + 1) % len(sqs)]
@@ -597,12 +576,19 @@ def uncovered_region_report(
         r_hi = max(sq.inner_radius, nxt.inner_radius)
         if r_hi - r_lo < 1e-15:
             continue
-        ang = sq.hi
-        for j in range(8):
-            r = r_lo + (r_hi - r_lo) * (j + 0.5) / 8
-            visit(r * cmath.exp(1j * ang))
+        radii.append(r_lo + (r_hi - r_lo) * (np.arange(8) + 0.5) / 8)
+        angles.append(np.full(8, sq.hi))
+    z = np.concatenate(radii) * np.exp(1j * np.concatenate(angles))
+    values, rates = eval_points(theta, z)
+    mod = np.abs(values)
+    r = np.abs(z)
+    # log|Theta| <= -C (1-|z|) |Theta'| holds for every C at a zero of Theta
+    off_zero = (r > 0.0) & (r < 1.0) & (mod > 0.0)
+    consts = -np.log(mod[off_zero]) / ((1.0 - r[off_zero]) * rates[off_zero])
     return UncoveredRegionReport(
-        delta=worst_delta, log_modulus_worst_const=worst_const, samples=count
+        delta=float(mod.max()),
+        log_modulus_worst_const=float(consts.min()) if consts.size else math.inf,
+        samples=int(z.size),
     )
 
 
@@ -629,18 +615,14 @@ def count_per_square(
 # Full square-pipeline decomposition
 # ---------------------------------------------------------------------------
 
-def _arc_rate_spread(theta: InnerFunction, arc: Arc, grid: int = 32) -> float:
-    """max/min of |Theta'| over a subgrid of one arc (rate comparability)."""
-    vals = []
-    for j in range(grid):
-        ang = arc.lo + arc.length * (j + 0.5) / grid
-        vals.append(boundary_derivative(theta, cmath.exp(1j * ang)))
-    return max(vals) / min(vals)
-
-
 def rate_comparability(theta: InnerFunction, arcs: ArcSystem, grid: int = 32) -> float:
-    """Worst per-arc max/min ratio of the boundary rate |Theta'|."""
-    return max(_arc_rate_spread(theta, arc, grid) for arc in arcs.arcs)
+    """Worst per-arc max/min ratio of |Theta'| over a midpoint subgrid of each arc."""
+    lo = np.array([arc.lo for arc in arcs.arcs])
+    length = np.array([arc.length for arc in arcs.arcs])
+    angles = lo[:, None] + length[:, None] * (np.arange(grid) + 0.5) / grid
+    _, rates = eval_points(theta, np.exp(1j * angles.ravel()))
+    rates = rates.reshape(angles.shape)
+    return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
 
 
 def select_level_count(

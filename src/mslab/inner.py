@@ -25,6 +25,13 @@ points, and |Theta'(zeta)| at boundary points, where
                    + 2 sum_k m_k / |zeta - tau_k|^2
 
 is also the angular derivative of arg Theta(e^{i theta}).
+
+``eval_points`` evaluates Theta and |Theta'| over an array of points in
+one numpy pass (points against zeros, points against atoms); the layers
+that evaluate a batch (argument branches, level sets, square geometry)
+share it.  ``rate_bound`` gives a proven upper bound of |Theta'| over each
+of an array of boundary arcs.  ``eval_inner`` and ``boundary_derivative``
+remain the scalar entry points.
 """
 
 from __future__ import annotations
@@ -32,13 +39,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, NumericDomainError, OnSpectrumError
-from .points import ANGLE_TOL, UnitPoint, angle_distance, normalize_angle
+from .points import ANGLE_TOL, TWO_PI, UnitPoint, angle_distance, normalize_angle
 
 # Guard for the kernel's diagonal singularity 1 - conj(lambda) z = 0.
 _DIAG_GUARD = 1e-14
+
+# |z| within this distance of 1 counts as a boundary point for evaluation.
+_BOUNDARY_EVAL_TOL = 1e-9
+
+# Entries per block of a points-by-zeros array: bounds the temporaries.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,14 +69,20 @@ class InnerFunction:
     singular_atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        zeros = tuple(complex(z) for z in self.blaschke_zeros)
+        try:
+            zeros = tuple(complex(z) for z in self.blaschke_zeros)
+            atoms = tuple((float(a), float(m)) for a, m in self.singular_atoms)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"inner function data must be numeric: {exc}") from exc
         for z in zeros:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:  # also refuses NaN
                 raise ConfigError(f"Blaschke zero must be strictly interior, got {z!r}")
-        atoms = tuple((normalize_angle(float(a)), float(m)) for a, m in self.singular_atoms)
         for a, m in atoms:
-            if m <= 0.0:
-                raise ConfigError(f"atom mass must be positive, got {m!r}")
+            if not math.isfinite(a):
+                raise ConfigError(f"atom angle must be finite, got {a!r}")
+            if not 0.0 < m < math.inf:
+                raise ConfigError(f"atom mass must be positive and finite, got {m!r}")
+        atoms = tuple((normalize_angle(a), m) for a, m in atoms)
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):
                 if angle_distance(atoms[i][0], atoms[j][0]) <= ANGLE_TOL:
@@ -99,8 +120,14 @@ class InnerFunction:
         unknown = set(data) - {"blaschke_zeros", "singular_atoms"}
         if unknown:
             raise ConfigError(f"unknown inner function keys: {sorted(unknown)}")
-        zeros = [complex(re, im) for re, im in data.get("blaschke_zeros", [])]
-        atoms = [(d["angle"], d["mass"]) for d in data.get("singular_atoms", [])]
+        try:
+            zeros = [complex(re, im) for re, im in data.get("blaschke_zeros", [])]
+            atoms = [(d["angle"], d["mass"]) for d in data.get("singular_atoms", [])]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ConfigError(
+                "zeros must be [re, im] number pairs and atoms {\"angle\", \"mass\"} "
+                f"objects: {exc!r}"
+            ) from exc
         return InnerFunction(tuple(zeros), tuple(atoms))
 
 
@@ -117,7 +144,7 @@ def _blaschke_factor(eta: complex, z: complex) -> complex:
 def _check_off_atoms(theta: InnerFunction, z: complex) -> None:
     if not theta.singular_atoms:
         return
-    if abs(abs(z) - 1.0) > 1e-9:
+    if abs(abs(z) - 1.0) > _BOUNDARY_EVAL_TOL:
         return
     ang = cmath.phase(z)
     for a, _ in theta.singular_atoms:
@@ -181,7 +208,7 @@ def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> floa
     Returns +inf when zeta coincides with an atom.
     """
     w = _as_complex(zeta)
-    if abs(abs(w) - 1.0) > 1e-9:
+    if abs(abs(w) - 1.0) > _BOUNDARY_EVAL_TOL:
         raise NumericDomainError(
             f"boundary derivative needs a boundary point, got |z| = {abs(w)!r}"
         )
@@ -195,6 +222,94 @@ def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> floa
         tau = cmath.exp(1j * a)
         total += 2.0 * m / abs(w - tau) ** 2
     return total
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices of a rows-by-cols array with at most _BLOCK_ENTRIES entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, cols))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
+def _atom_arrays(theta: InnerFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    angles = np.array([a for a, _ in theta.singular_atoms], dtype=float)
+    masses = np.array([m for _, m in theta.singular_atoms], dtype=float)
+    return angles, np.exp(1j * angles), masses
+
+
+def eval_points(theta: InnerFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Theta(z) and the boundary rate |Theta'| over a 1-D array of points.
+
+    The rate is taken at the radial projection e^{i arg z} (at z itself when
+    |z| is within 1e-9 of 1), so the pair answers both boundary sampling and
+    the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  As in
+    ``eval_inner``, a boundary point on an atom raises ``OnSpectrumError``;
+    as in ``boundary_derivative``, the rate at an atom's angle is +inf.
+    """
+    z = np.asarray(z, dtype=complex)
+    radius = np.abs(z)
+    arg = np.angle(z)
+    on_circle = np.abs(radius - 1.0) <= _BOUNDARY_EVAL_TOL
+    zeta = np.where(on_circle, z, np.exp(1j * arg))
+    atom_angles, taus, masses = _atom_arrays(theta)
+    if taus.size:
+        gap = np.mod(arg[:, None] - atom_angles[None, :], TWO_PI)
+        at_atom = (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=1)
+        hit = np.flatnonzero(at_atom & on_circle)
+        if hit.size:
+            raise OnSpectrumError(
+                f"evaluation at a singular atom (point {complex(z[hit[0]])!r}) is on the spectrum"
+            )
+    zeros = np.array(theta.blaschke_zeros, dtype=complex)
+    nonzero = zeros[zeros != 0]
+    unit = np.abs(nonzero) / nonzero
+    weight = 1.0 - np.abs(zeros) ** 2
+    values = np.empty(z.shape, dtype=complex)
+    rates = np.empty(z.shape, dtype=float)
+    for rows in _row_blocks(z.size, max(zeros.size, taus.size)):
+        w = z[rows, None]
+        zw = zeta[rows, None]
+        values[rows] = np.prod(unit * (nonzero - w) / (1.0 - nonzero.conj() * w), axis=1)
+        rates[rows] = np.sum(weight / np.abs(zw - zeros) ** 2, axis=1)
+        if taus.size:
+            s = np.sum(masses * (taus + w) / (taus - w), axis=1)
+            values[rows] *= np.exp(-s)
+            with np.errstate(divide="ignore"):
+                rates[rows] += np.sum(2.0 * masses / np.abs(zw - taus) ** 2, axis=1)
+    for _ in range(zeros.size - nonzero.size):
+        values *= z
+    if taus.size:
+        rates[at_atom] = math.inf
+    return values, rates
+
+
+def rate_bound(theta: InnerFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Proven upper bound of |Theta'| on each boundary arc [lo, hi].
+
+        R = sum_n (1-|z_n|^2)/dist(z_n, arc)^2 + 2 sum_k m_k/dist(tau_k, arc)^2
+
+    Each term of the rate is largest where the arc comes nearest its zero or
+    atom: at 1 - |z_n| when arg z_n lies on the arc, otherwise at the arc
+    endpoint nearer in angle, where the distance is the chord.  The arcs
+    must be shorter than a full turn and free of atoms.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    zeros = np.array(theta.blaschke_zeros, dtype=complex)
+    _, taus, masses = _atom_arrays(theta)
+    points = np.concatenate([zeros, taus])
+    numer = np.concatenate([1.0 - np.abs(zeros) ** 2, 2.0 * masses])
+    depth = np.concatenate([1.0 - np.abs(zeros), np.zeros(taus.size)])
+    arg = np.angle(points)
+    bound = np.empty(lo.shape, dtype=float)
+    for rows in _row_blocks(lo.size, points.size):
+        a = lo[rows, None]
+        b = hi[rows, None]
+        chord = np.minimum(np.abs(np.exp(1j * a) - points), np.abs(np.exp(1j * b) - points))
+        dist = np.where(np.mod(arg - a, TWO_PI) <= b - a, depth, chord)
+        with np.errstate(divide="ignore"):  # an atom on the arc: no finite bound
+            bound[rows] = np.sum(numer / dist**2, axis=1)
+    return bound
 
 
 def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:

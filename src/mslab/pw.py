@@ -74,9 +74,14 @@ class ExpSystem:
             raise ConfigError(f"unknown exponential system keys: {sorted(unknown)}")
         if "a" not in data or "freqs" not in data:
             raise ConfigError("exponential system needs keys 'a' and 'freqs'")
-        return ExpSystem(
-            float(data["a"]), tuple(complex(re, im) for re, im in data["freqs"])
-        )
+        try:
+            a = float(data["a"])
+            freqs = tuple(complex(re, im) for re, im in data["freqs"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"'a' must be a number and 'freqs' a list of [re, im] pairs: {exc}"
+            ) from exc
+        return ExpSystem(a, freqs)
 
 
 def exp_inner(a: float, lam: complex, mu: complex) -> complex:

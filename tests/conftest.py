@@ -31,9 +31,14 @@ def random_blaschke(rng: np.random.Generator, degree: int, rmax: float = 0.8) ->
 def blaschke_values_on_circle(theta: InnerFunction, angles: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of a Blaschke-plus-atoms product on the circle.
 
-    Independent of the library's scalar evaluator.
+    Independent of the library's evaluators.
     """
-    z = np.exp(1j * angles)
+    return blaschke_values(theta, np.exp(1j * angles))
+
+
+def blaschke_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+    """Blaschke-plus-atoms product at arbitrary points, one factor at a time."""
+    z = np.asarray(z, dtype=complex)
     out = np.ones_like(z)
     for eta in theta.blaschke_zeros:
         if eta == 0:
@@ -44,6 +49,29 @@ def blaschke_values_on_circle(theta: InnerFunction, angles: np.ndarray) -> np.nd
         tau = cmath.exp(1j * a)
         out = out * np.exp(-m * (tau + z) / (tau - z))
     return out
+
+
+def cell_rate_bound_oracle(theta: InnerFunction, a: float, b: float) -> float:
+    """Upper bound of |Theta'| on the arc [a, b], from the law of cosines.
+
+    |e^{it} - r e^{i phi}|^2 = (1 - r)^2 + 4 r sin^2((t - phi)/2) grows with
+    the angular distance |t - phi| (taken mod 2*pi), so over the arc it is
+    least at phi itself when phi lies on the arc, else at the nearer end.
+    """
+    def least_sq_dist(r: float, phi: float) -> float:
+        offset = (phi - a) % TWO_PI
+        if offset <= b - a:
+            return (1.0 - r) ** 2
+        gap = min(TWO_PI - offset, offset - (b - a))
+        return (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * gap) ** 2
+
+    total = 0.0
+    for eta in theta.blaschke_zeros:
+        r = abs(eta)
+        total += (1.0 - r * r) / least_sq_dist(r, cmath.phase(eta))
+    for angle, mass in theta.singular_atoms:
+        total += 2.0 * mass / least_sq_dist(1.0, angle)
+    return total
 
 
 def circle_mean(values: np.ndarray) -> complex:

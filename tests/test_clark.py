@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blaschke_values_on_circle, random_blaschke, simpson_fixed
+from conftest import (
+    blaschke_values_on_circle,
+    cell_rate_bound_oracle,
+    random_blaschke,
+    simpson_fixed,
+)
 
 from mslab.clark import (
+    _level_branches,
+    _solve_on_branch,
     build_arg_branch,
     herglotz_residual,
     level_set,
@@ -16,7 +23,7 @@ from mslab.clark import (
 )
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
-from mslab.inner import InnerFunction, boundary_derivative, eval_inner
+from mslab.inner import InnerFunction, boundary_derivative, eval_inner, rate_bound
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +68,20 @@ def test_branch_secants_match_rate() -> None:
     for m, s in zip(mids[::7], secants[::7]):
         rate = boundary_derivative(theta, cmath.exp(1j * m))
         assert abs(s - rate) <= 1e-6 * rate
+
+
+def test_branch_unwrap_certified_near_boundary_zeros() -> None:
+    # rate spikes of height ~2e6 at the angles of zeros 1e-6 inside the
+    # circle: every cell's width times an independent bound of the rate on
+    # it stays below pi/2, so no cell can hide a full turn of argument
+    zeros = tuple((1 - 1e-6) * cmath.exp(1j * a) for a in (0.4, 2.5, 4.1)) + (0.5j,)
+    theta = InnerFunction(blaschke_zeros=zeros)
+    branch = build_arg_branch(theta, (0.0, TWO_PI))
+    assert branch.total_increase == pytest.approx(4 * TWO_PI, abs=1e-9)
+    lo, hi = branch.thetas[:-1], branch.thetas[1:]
+    oracle = np.array([cell_rate_bound_oracle(theta, a, b) for a, b in zip(lo, hi)])
+    assert np.max((hi - lo) * oracle) < 0.5 * math.pi
+    assert rate_bound(theta, lo, hi) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_branch_rejects_atom_in_arc() -> None:
@@ -114,6 +135,63 @@ def test_level_set_against_dense_scan_oracle() -> None:
     assert len(crossings) == 2
     for found, expect in zip(sorted(fam.angles), sorted(crossings)):
         assert abs(found - expect) <= 1e-5
+
+
+def _oracle_roots(theta: InnerFunction, alpha: complex, n_grid: int) -> list[float]:
+    """Roots of Theta = alpha from a dense grid, refined by bisection on the
+    conftest evaluator: arg(Theta/alpha) crosses 0 upwards at each root."""
+    def phase(t: float) -> float:
+        return float(np.angle(blaschke_values_on_circle(theta, np.array([t]))[0] / alpha))
+
+    grid = np.linspace(0.0, TWO_PI, n_grid + 1)
+    arg = np.angle(blaschke_values_on_circle(theta, grid) / alpha)
+    roots = []
+    for i in np.flatnonzero((arg[:-1] <= 0.0) & (arg[1:] > 0.0) & (arg[1:] - arg[:-1] < math.pi)):
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if phase(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def test_level_set_degree_64_against_dense_scan_oracle() -> None:
+    theta = random_blaschke(np.random.default_rng(71), 64)
+    alpha = cmath.exp(2.2j)
+    fam = level_set(theta, alpha)
+    expect = _oracle_roots(theta, alpha, 1 << 16)
+    assert len(fam) == len(expect) == 64
+    assert np.max(np.abs(np.array(fam.angles) - np.array(expect))) <= 1e-10
+
+
+def test_lockstep_solve_matches_one_target_at_a_time() -> None:
+    # the truncated atomic family and the seam targets, solved in one batch
+    # and one by one, give the same roots
+    cases = [(InnerFunction(singular_atoms=((0.0, 1.0),)), 64, [1.0, 1j, -1.0])]
+    rng = np.random.default_rng(99)
+    theta = random_blaschke(rng, 5)
+    anchor = eval_inner(theta, 1.0)
+    seam = [anchor * cmath.exp(1j * eps) for eps in (0.0, 1e-13, -1e-13, 1e-10, -3e-9)]
+    cases.append((theta, 512, [a / abs(a) for a in seam]))
+    for theta, cap, alphas in cases:
+        branches, _, _ = _level_branches(theta, cap)
+        for branch in branches:
+            v0, v1 = float(branch.values[0]), float(branch.values[-1])
+            targets = []
+            for alpha in alphas:
+                arg = cmath.phase(alpha)
+                k = math.ceil((v0 - arg) / TWO_PI)
+                targets += [arg + TWO_PI * j for j in range(k, k + 64) if arg + TWO_PI * j <= v1]
+            batch = _solve_on_branch(theta, branch, np.array(targets))
+            single = [_solve_on_branch(theta, branch, np.array([t]))[0] for t in targets]
+            assert np.max(np.abs(batch - np.array(single))) <= 1e-15
+    families = level_sets(theta, [a / abs(a) for a in seam])
+    for alpha, fam in zip(seam, families):
+        assert fam.angles == pytest.approx(level_set(theta, alpha / abs(alpha)).angles, abs=1e-15)
+        assert len(fam) == theta.degree
 
 
 def test_level_set_seam_targets() -> None:

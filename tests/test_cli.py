@@ -134,6 +134,29 @@ def test_pw_non_finite_config_is_a_config_error(tmp_path, system) -> None:
     assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("pw", {"pw": {"a": "x", "freqs": [[0.0, 0.0], [1.0, 0.0]]}}),
+        ("pw", {"pw": {"a": 1.0, "freqs": [[0.0, 0.0, 0.0], [1.0, 0.0]]}}),
+        ("split", {"inner": Z2, "points": [[0.1, "y"], [0.2, 0.0]], "mode": "interp"}),
+        ("clark", {"inner": {"blaschke_zeros": [["0.1", 0.0]]}, "alpha": [1.0, 0.0]}),
+        ("clark", {"inner": Z3, "alpha": [_NAN, 0.0]}),
+        ("clark", {"inner": {"blaschke_zeros": [[_NAN, 0.0]]}, "alpha": [1.0, 0.0]}),
+        ("clark", {"inner": {"singular_atoms": [{"angle": _NAN, "mass": 1.0}]},
+                   "alpha": [1.0, 0.0]}),
+    ],
+    ids=["pw-a-string", "pw-three-element-freq", "point-string", "zero-string",
+         "alpha-nan", "zero-nan", "atom-angle-nan"],
+)
+def test_malformed_numbers_are_config_errors(tmp_path, command, config) -> None:
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_exit_code_config_error(tmp_path) -> None:
     cfg = _write(
         tmp_path / "cfg.json",

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blaschke_values_on_circle, random_blaschke
+from conftest import (
+    blaschke_values,
+    blaschke_values_on_circle,
+    cell_rate_bound_oracle,
+    random_blaschke,
+)
 
 from mslab.errors import ConfigError, NumericDomainError, OnSpectrumError
 from mslab.inner import (
@@ -12,9 +17,11 @@ from mslab.inner import (
     boundary_derivative,
     derivative,
     eval_inner,
+    eval_points,
     kernel,
     kernel_norm_sq,
     log_derivative,
+    rate_bound,
     spectrum_distance,
 )
 from mslab.points import UnitPoint
@@ -253,3 +260,71 @@ def test_vectorized_oracle_agrees_with_scalar_eval() -> None:
     vec = blaschke_values_on_circle(theta, angles)
     for ang, expected in zip(angles, vec):
         assert eval_inner(theta, cmath.exp(1j * ang)) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# array evaluator
+# ---------------------------------------------------------------------------
+
+_TWO_ATOMS = ((0.7, 0.4), (3.9, 0.15))
+
+
+def _evaluator_case(name: str) -> InnerFunction:
+    rng = np.random.default_rng(61)
+    if name == "atoms only":
+        return InnerFunction(singular_atoms=_TWO_ATOMS)
+    if name == "origin zero":
+        return InnerFunction(blaschke_zeros=(0, 0) + random_blaschke(rng, 3).blaschke_zeros)
+    if name == "zeros and atoms":
+        return InnerFunction(random_blaschke(rng, 5).blaschke_zeros, _TWO_ATOMS)
+    return random_blaschke(rng, int(name.split()[1]), rmax=0.95)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["atoms only", "degree 1", "degree 17", "degree 256", "origin zero", "zeros and atoms"],
+)
+def test_eval_points_matches_oracle_and_scalar_rate(name: str) -> None:
+    theta = _evaluator_case(name)
+    rng = np.random.default_rng(67)
+    angles = rng.uniform(-TWO_PI, 2 * TWO_PI, 300)
+    radii = np.concatenate([np.ones(150), rng.uniform(0.0, 0.999, 149), [0.0]])
+    z = radii * np.exp(1j * angles)
+    values, rates = eval_points(theta, z)
+    tol = 1e-12 * max(1, theta.degree)
+    assert np.max(np.abs(values[:150] - blaschke_values_on_circle(theta, angles[:150]))) <= tol
+    assert np.max(np.abs(values - blaschke_values(theta, z))) <= tol
+    # the rate is |Theta'| at the radial projection e^{i arg z}
+    expected = [boundary_derivative(theta, cmath.exp(1j * cmath.phase(w))) for w in z]
+    assert rates == pytest.approx(expected, rel=1e-12)
+
+
+def test_eval_points_empty_batch() -> None:
+    values, rates = eval_points(_evaluator_case("zeros and atoms"), np.array([]))
+    assert values.shape == rates.shape == (0,)
+
+
+def test_eval_points_refuses_atoms() -> None:
+    theta = _evaluator_case("zeros and atoms")
+    for angle in (0.7, 0.7 + TWO_PI, 3.9 - TWO_PI):
+        with pytest.raises(OnSpectrumError):
+            eval_points(theta, np.exp(1j * np.array([0.1, angle])))
+    # an interior point over an atom has a value, and an infinite boundary rate
+    values, rates = eval_points(theta, 0.5 * np.exp(1j * np.array([0.7, 1.0])))
+    assert values[0] == pytest.approx(eval_inner(theta, 0.5 * cmath.exp(0.7j)), abs=1e-14)
+    assert math.isinf(rates[0]) and math.isinf(boundary_derivative(theta, cmath.exp(0.7j)))
+    assert math.isfinite(rates[1])
+
+
+def test_rate_bound_matches_oracle_and_dominates_rate() -> None:
+    theta = InnerFunction(
+        blaschke_zeros=(0.0, 0.9 * cmath.exp(1.0j), (1 - 1e-6) * cmath.exp(-2.0j)),
+        singular_atoms=((3.0, 0.2),),
+    )
+    lo = np.array([0.2, 0.9, 4.2, -2.5, 2.0, 3.1])
+    hi = np.array([0.8, 1.1, 4.4, -1.9, 2.9, 5.9])
+    bound = rate_bound(theta, lo, hi)
+    for a, b, r in zip(lo, hi, bound):
+        assert r == pytest.approx(cell_rate_bound_oracle(theta, a, b), rel=1e-9)
+        _, rates = eval_points(theta, np.exp(1j * np.linspace(a, b, 2001)))
+        assert np.max(rates) <= r
