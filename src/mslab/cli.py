@@ -43,7 +43,7 @@ from .decompose import (
     split_by_interpolation,
 )
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
-from .gram import extremal_eigs, riesz_verdict
+from .gram import extremal_eigs, gram_from_values
 from .inner import InnerFunction, normalized_values
 from .points import PointSequence, UnitPoint
 from .pw import ExpSystem, pw_gram, pw_split
@@ -156,21 +156,23 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     floor = opts.get("riesz_floor", 0.5)
 
     values, norms = normalized_values(theta, seq.points, seq.ids)
-    gamma = max(abs(v) for v in values)
+    gamma = float(np.abs(values).max())
     has_boundary = any(p.is_boundary for p in seq.points)
 
     interior = seq.interior_only()
     carleson = carleson_report(interior).to_json_dict() if len(interior) else None
-    verdict, fb = riesz_verdict(theta, seq, floor)
+    fb = extremal_eigs(
+        gram_from_values(np.array(seq.values, dtype=complex), values, norms, seq.ids)
+    )
 
     report = {
         "carleson": carleson,
-        "frame_bounds": fb.to_json_dict(verdict),
+        "frame_bounds": fb.to_json_dict(fb.verdict_at(floor)),
         "frame_bounds_note": _FINITE_SECTION_NOTE,
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,
         "kernel_norms_sq": [
-            {"id": pid, "value": ns} for pid, ns in zip(seq.ids, norms)
+            {"id": pid, "value": float(ns)} for pid, ns in zip(seq.ids, norms)
         ],
         "riesz_floor": floor,
     }

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,14 @@ from .carleson import (
 )
 from .clark import ClarkFamily, level_sets, stability_margin
 from .errors import CertificationError, ConfigError, NumericDomainError
-from .gram import FrameBounds, extremal_eigs, gram
-from .inner import InnerFunction, boundary_derivative, eval_inner, eval_points, spectrum_distance
+from .gram import FrameBounds, part_frame_bounds
+from .inner import (
+    InnerFunction,
+    boundary_derivative,
+    eval_points,
+    normalized_values,
+    spectrum_distance,
+)
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
@@ -258,12 +264,6 @@ def mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
     return _subsequence(seq, a), _subsequence(seq, b)
 
 
-def _theta_values(theta: ThetaLike, seq: PointSequence) -> list[complex]:
-    if isinstance(theta, InnerFunction):
-        return [eval_inner(theta, p) for p in seq.points]
-    return [complex(theta(p.value)) for p in seq.points]
-
-
 def _clique_size(clash: np.ndarray) -> int:
     """Size of a greedy clique of the clash graph, highest degree first."""
     clique: list[int] = []
@@ -279,7 +279,6 @@ def split_by_interpolation(
     *,
     gamma_floor: float = 0.0,
     max_depth: int = 20,
-    attach_frame_bounds: bool = True,
     route: str = "interp",
 ) -> Partition:
     """Split into parts whose certificates give gamma * phi(delta_j) < 1.
@@ -295,12 +294,32 @@ def split_by_interpolation(
     stay above delta*, and each emitted part is re-verified from a fresh sum
     over its own block of L.  ``parts_lower_bound`` in the global info is the size of a
     greedy clique of points pairwise closer than delta*, no two of which
-    can share a part.
+    can share a part.  The sequence is evaluated once: gamma and every
+    part's Gram section read the same values and kernel norms.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot split an empty sequence")
-    values = _theta_values(theta, seq)
-    gamma_points = max(abs(v) for v in values)
+    if isinstance(theta, InnerFunction):
+        values, norms_sq = normalized_values(theta, seq.points, seq.ids)
+    else:
+        values = np.array([complex(theta(p.value)) for p in seq.points])
+        norms_sq = None
+    return _split_evaluated(
+        seq, values, norms_sq, gamma_floor=gamma_floor, max_depth=max_depth, route=route
+    )
+
+
+def _split_evaluated(
+    seq: PointSequence,
+    values: np.ndarray,
+    norms_sq: np.ndarray | None,
+    *,
+    gamma_floor: float,
+    max_depth: int,
+    route: str,
+) -> Partition:
+    """``split_by_interpolation`` on Theta values (and kernel norms, for frame bounds) already evaluated."""
+    gamma_points = float(np.abs(values).max())
     gamma = max(gamma_points, gamma_floor)
     if gamma >= _GAMMA_CEILING:
         raise CertificationError(
@@ -343,17 +362,20 @@ def split_by_interpolation(
     found.sort(key=lambda idx: (-len(idx), int(idx[0])))
     merged = _first_fit(L, found, log_star + _MERGE_SLACK)
     merged.sort(key=lambda idx: min(seq.ids[k] for k in idx))
-    parts = []
-    for idx in merged:
-        delta_j = math.exp(_log_delta(L, idx))  # a fresh sum, not the running ones
+    deltas = [math.exp(_log_delta(L, idx)) for idx in merged]  # fresh sums, not the running ones
+    for delta_j in deltas:
         if not certified(delta_j):
             raise NumericDomainError(
                 f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
             )
+    if norms_sq is None:
+        bounds: list[FrameBounds | None] = [None] * len(merged)
+    else:
+        z = np.array(seq.values, dtype=complex)
+        bounds = part_frame_bounds(z, values, norms_sq, seq.ids, merged)
+    parts = []
+    for idx, delta_j, fb in zip(merged, deltas, bounds):
         phi = earl_bound(delta_j)
-        fb = None
-        if attach_frame_bounds and isinstance(theta, InnerFunction):
-            fb = extremal_eigs(gram(theta, _subsequence(seq, idx)))
         parts.append(
             PartitionPart(
                 ids=tuple(seq.ids[k] for k in idx),
@@ -452,10 +474,37 @@ class SquareSystem:
     truncated: bool = False
 
     def square_of(self, z: complex | UnitPoint) -> CarlesonSquare | None:
-        for sq in self.squares:
-            if sq.contains(z):
-                return sq
-        return None
+        w = z.value if isinstance(z, UnitPoint) else complex(z)
+        k = int(self.locate([w])[0])
+        return self.squares[k] if k >= 0 else None
+
+    def locate(self, z: Sequence[complex]) -> np.ndarray:
+        """Position in ``squares`` of the first square containing each point, -1 if none.
+
+        The same answer as scanning ``CarlesonSquare.contains`` in order.
+        The squares' angular windows (lo + 1e-12, hi + 1e-12] follow each
+        other without overlap, so a bisection of the sorted lows leaves at
+        most the neighbouring squares as candidates; each candidate is
+        checked by the scan's own rule, on the same phase and modulus.
+        """
+        m = len(self.squares)
+        if m == 0 or len(z) == 0:
+            return np.full(len(z), -1)
+        found = np.full(len(z), m)
+        lo = np.array([sq.lo for sq in self.squares])
+        width = np.array([sq.hi - sq.lo for sq in self.squares])
+        inner = np.array([sq.inner_radius for sq in self.squares])
+        phase = np.array([cmath.phase(w) for w in z])
+        radius = np.array([abs(w) for w in z])
+        k = np.searchsorted(lo, np.mod(phase, TWO_PI), side="right") - 1
+        for cand in ((k - 1) % m, k % m, (k + 1) % m):
+            d = np.fmod(phase - lo[cand], TWO_PI)  # normalize_angle, elementwise
+            d = np.where(d < 0.0, d + TWO_PI, d)
+            d = np.where(d >= TWO_PI, d - TWO_PI, d)
+            in_arc = (width[cand] >= TWO_PI - 1e-12) | ((1e-12 < d) & (d <= width[cand] + 1e-12))
+            held = in_arc & (radius >= inner[cand]) & (radius <= 1.0 + 1e-14)
+            found = np.where(held, np.minimum(found, cand), found)
+        return np.where(found < m, found, -1)
 
     def by_level(self, level: int) -> list[CarlesonSquare]:
         return [sq for sq in self.squares if sq.level == level]
@@ -603,12 +652,12 @@ def count_per_square(
     squares: SquareSystem, seq: PointSequence
 ) -> tuple[int, list[int]]:
     """Exact membership counts per square; first element is the max count."""
-    counts = [0] * len(squares.squares)
-    for _, p in seq:
-        sq = squares.square_of(p)
-        if sq is not None:
-            counts[sq.arc_index] += 1
-    return (max(counts) if counts else 0), counts
+    return _square_counts(squares, squares.locate(seq.values))
+
+
+def _square_counts(squares: SquareSystem, located: np.ndarray) -> tuple[int, list[int]]:
+    counts = np.bincount(located[located >= 0], minlength=len(squares.squares))
+    return (int(counts.max()) if counts.size else 0), counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -729,46 +778,47 @@ def decompose_by_squares(
             f"uncovered-region modulus bound {region.delta:.6f} exceeds the 0.9 health margin"
         )
 
-    uncovered_ids: list[int] = []
+    located = squares.locate(seq.values)
+    uncovered: list[int] = []  # positions in seq
     bucket: dict[int, dict[int, list[int]]] = {}  # level -> arc_index -> ids
-    for pid, p in seq:
-        sq = squares.square_of(p)
-        if sq is None:
+    for k, (pid, p) in enumerate(seq):
+        if located[k] < 0:
             if p.is_boundary:
                 raise NumericDomainError(
                     f"boundary point {pid} escaped every square; "
                     "the uncovered region is interior-only"
                 )
-            uncovered_ids.append(pid)
+            uncovered.append(k)
         else:
+            sq = squares.squares[located[k]]
             bucket.setdefault(sq.level, {}).setdefault(sq.arc_index, []).append(pid)
 
-    max_count, _counts = count_per_square(squares, seq)
+    max_count, _counts = _square_counts(squares, located)
+    z = np.array(seq.values, dtype=complex)
+    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
     parts: list[PartitionPart] = []
 
-    if uncovered_ids:
-        sub = seq.subset(uncovered_ids)
-        gamma_pts = max(abs(eval_inner(theta, p)) for p in sub.points)
-        gamma_used = max(region.delta, gamma_pts)
+    if uncovered:
+        sub = _subsequence(seq, uncovered)
+        gamma_used = max(region.delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
                 f"sublevel bound failed at level count {level_count} "
                 f"(delta = {gamma_used}); uncovered bucket left uncertified - increase N"
             )
+            (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [np.array(uncovered)])
             parts.append(
                 PartitionPart(
-                    ids=tuple(sorted(uncovered_ids)),
+                    ids=tuple(sorted(sub.ids)),
                     route="uncovered:uncertified",
-                    certificate=PartCertificate(
-                        gamma=gamma_used,
-                        frame_bounds=extremal_eigs(gram(theta, sub)),
-                    ),
+                    certificate=PartCertificate(gamma=gamma_used, frame_bounds=fb),
                 )
             )
         else:
-            inner_partition = split_by_interpolation(
-                theta,
+            inner_partition = _split_evaluated(
                 sub,
+                values[uncovered],
+                norms_sq[uncovered],
                 gamma_floor=region.delta,
                 max_depth=max_depth,
                 route="uncovered:interp",
@@ -776,6 +826,8 @@ def decompose_by_squares(
             flags.extend(inner_partition.flags)
             parts.extend(inner_partition.parts)
 
+    position = {pid: k for k, pid in enumerate(seq.ids)}
+    square_parts: list[tuple[PointSequence, str, list[float]]] = []
     square_by_index = {sq.arc_index: sq for sq in squares.squares}
     for level in sorted(bucket):
         per_square = bucket[level]
@@ -805,16 +857,24 @@ def decompose_by_squares(
                 weights=tuple(1.0 / d for d in derivs),
             )
             margins = stability_margin(theta, anchor_family, part_seq)
-            parts.append(
-                PartitionPart(
-                    ids=tuple(part_seq.ids),
-                    route=f"square:{level}:{m + 1}",
-                    certificate=PartCertificate(
-                        frame_bounds=extremal_eigs(gram(theta, part_seq))
-                    ),
-                    stability_margins=tuple(margins),
-                )
+            square_parts.append((part_seq, f"square:{level}:{m + 1}", margins))
+
+    bounds = part_frame_bounds(
+        z,
+        values,
+        norms_sq,
+        seq.ids,
+        [np.array([position[pid] for pid in part_seq.ids]) for part_seq, _, _ in square_parts],
+    )
+    for (part_seq, route, margins), fb in zip(square_parts, bounds):
+        parts.append(
+            PartitionPart(
+                ids=tuple(part_seq.ids),
+                route=route,
+                certificate=PartCertificate(frame_bounds=fb),
+                stability_margins=tuple(margins),
             )
+        )
 
     partition = Partition(
         parts=tuple(parts),

@@ -10,31 +10,42 @@ eigenvalues are the finite-section surrogates of the Bessel constant
 only certify necessary conditions for the corresponding infinite
 statements: verdicts below carry the section size for that reason.
 
-Entries are assembled from the closed kernel formula, never by quadrature.
-Eigenvalues come from LAPACK's Hermitian solver (``np.linalg.eigvalsh``)
-for every section size.
+Entries are assembled from the closed kernel formula, never by quadrature,
+out of each point's Theta value and kernel norm: one
+``inner.normalized_values`` pass per sequence, whose arrays the
+decomposition drivers and the CLI pass on instead of evaluating again.
+Assembly works on stacks of equal-size sections in numpy row blocks of the
+upper triangles, mirrored exactly below the diagonal, so no temporary grows
+with a full section: ``gram_from_values`` builds a stack of one, and
+``part_frame_bounds`` stacks a splitter's parts by size, with one stacked
+call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack.
 
 ``hankel_distance_lb`` bounds dist(Theta * conj(B_L), H^inf) from below by
 the largest singular value of a finite Hankel section of the symbol's
 negative Fourier coefficients (Nehari's theorem makes the full Hankel norm
 equal to the distance; finite sections are dominated by it and increase
-with the section size).
+with the section size).  Both factors of the symbol are sampled with
+``inner.eval_points`` on the whole grid, and the section is one gather of
+the coefficient vector by index arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericDomainError
-from .inner import InnerFunction, eval_inner, normalized_values
-from .points import ANGLE_TOL, PointSequence, angle_distance
+from .inner import InnerFunction, _row_blocks, eval_points, normalized_values
+from .points import ANGLE_TOL, TWO_PI, PointSequence
 
 _HERMITIAN_TOL = 1e-12
 _HANKEL_GRID_CAP = 1 << 16
+
+# Off-diagonal kernel denominators |1 - conj(z_j) z_i| below this are refused.
+_SEPARATION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -50,10 +61,11 @@ class GramMatrix:
             raise NumericDomainError("Gram matrix must be square")
         if a.shape[0] != len(self.point_ids):
             raise NumericDomainError("Gram size and id count disagree")
-        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if dev > _HERMITIAN_TOL:
-            raise NumericDomainError(f"Gram matrix not Hermitian: deviation {dev!r}")
-        if a.size and np.max(np.abs(np.diag(a) - 1.0)) > _HERMITIAN_TOL:
+        if not (a == a.conj().T).all():  # exact mirrors skip the deviation pass
+            dev = np.max(np.abs(a - a.conj().T))
+            if dev > _HERMITIAN_TOL:
+                raise NumericDomainError(f"Gram matrix not Hermitian: deviation {dev!r}")
+        if a.size and np.abs(a.diagonal() - 1.0).max() > _HERMITIAN_TOL:
             raise NumericDomainError("Gram matrix must have unit diagonal")
         object.__setattr__(self, "entries", a)
 
@@ -70,6 +82,10 @@ class FrameBounds:
     lambda_max: float
     n: int
 
+    def verdict_at(self, floor: float) -> str:
+        """"certified_riesz" when lambda_min clears the floor, else "indeterminate"."""
+        return "certified_riesz" if self.lambda_min >= floor else "indeterminate"
+
     def to_json_dict(self, verdict: str | None = None) -> dict:
         out = {"lambda_min": self.lambda_min, "lambda_max": self.lambda_max, "n": self.n}
         if verdict is not None:
@@ -85,27 +101,91 @@ def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
     """
     if len(seq) == 0:
         raise NumericDomainError("empty point sequence")
-    vals, norms2 = normalized_values(theta, seq.points, seq.ids)
-    for pid, ns in zip(seq.ids, norms2):
-        if not ns > 0.0 or math.isinf(ns):
+    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
+    return gram_from_values(np.array(seq.values, dtype=complex), values, norms_sq, seq.ids)
+
+
+def gram_from_values(
+    z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[int]
+) -> GramMatrix:
+    """Gram section of points z from their Theta values and kernel norms squared."""
+    return GramMatrix(_sections(z[None], values[None], norms_sq[None], [ids])[0], tuple(ids))
+
+
+def part_frame_bounds(
+    z: np.ndarray,
+    values: np.ndarray,
+    norms_sq: np.ndarray,
+    ids: Sequence[int],
+    parts: Sequence[np.ndarray],
+) -> list[FrameBounds]:
+    """Frame bounds of the Gram section of each part, an index array into the points.
+
+    Parts of one size are assembled as stacks of at most 2^15 entries, and
+    each stack takes one stacked ``eigvalsh`` call: a part costs a share of
+    a few numpy calls, not a few numpy calls of its own.
+    """
+    bounds: dict[int, FrameBounds] = {}
+    by_size: dict[int, list[int]] = {}
+    for k, idx in enumerate(parts):
+        by_size.setdefault(len(idx), []).append(k)
+    labels = np.asarray(ids)
+    for m, members in by_size.items():
+        for rows in _row_blocks(len(members), m * m):
+            chunk = members[rows]
+            idx = np.array([parts[k] for k in chunk])
+            stack = _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+            if not np.isfinite(stack).all():
+                raise NumericDomainError("eigenvalue input has non-finite entries")
+            for k, eigs in zip(chunk, np.linalg.eigvalsh(stack)):
+                bounds[k] = _gram_bounds(eigs)
+    return [bounds[k] for k in range(len(parts))]
+
+
+def _sections(
+    z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Stacked Gram sections: row p of the (P, n) inputs gives section p of the (P, n, n) result.
+
+        G_ij = (1 - conj(v_j) v_i)/(1 - conj(z_j) z_i) * s_i s_j,   s = norms_sq^(-1/2)
+
+    Each row block of the upper triangles is one numpy expression over the
+    whole stack; the strict lower triangles are exact conjugate mirrors and
+    the diagonals are 1.  ``ids[p][k]`` names point k of section p in errors.
+    """
+    usable = (norms_sq > 0.0) & (norms_sq < math.inf)
+    if not usable.all():
+        p, k = np.unravel_index(np.argmin(usable), usable.shape)
+        raise NumericDomainError(
+            f"point {ids[p][k]} has unusable kernel norm squared {float(norms_sq[p, k])!r}"
+        )
+    count, n = z.shape
+    s = 1.0 / np.sqrt(norms_sq)
+    g = np.empty((count, n, n), dtype=np.complex128)
+    for rows in _row_blocks(n, count * n):
+        a = rows.start
+        i = np.arange(a, min(rows.stop, n))
+        d = np.arange(i.size)
+        denom = z[:, None, a:].conj() * z[:, i, None]
+        np.subtract(1.0, denom, out=denom)
+        denom[:, d, d] = 1.0  # the diagonal of g is set to 1
+        near = np.abs(denom) < _SEPARATION_TOL
+        if near.any():
+            p, k, c = np.argwhere(np.triu(near, 1))[0]
             raise NumericDomainError(
-                f"point {pid} has unusable kernel norm squared {ns!r}"
+                f"points {ids[p][a + k]} and {ids[p][a + c]} are numerically inseparable"
             )
-    n = len(seq)
-    pts = [p.value for p in seq.points]
-    scale = [1.0 / math.sqrt(ns) for ns in norms2]
-    g = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = 1.0 - pts[j].conjugate() * pts[i]
-            if abs(denom) < 1e-14:
-                raise NumericDomainError(
-                    f"points {seq.ids[i]} and {seq.ids[j]} are numerically inseparable"
-                )
-            num = 1.0 - vals[j].conjugate() * vals[i]
-            g[i, j] = (num / denom) * scale[i] * scale[j]
-            g[j, i] = g[i, j].conjugate()
-    return GramMatrix(g, seq.ids)
+        block = values[:, None, a:].conj() * values[:, i, None]
+        np.subtract(1.0, block, out=block)
+        block /= denom
+        block *= s[:, i, None] * s[:, None, a:]
+        square = block[:, :, : i.size]
+        np.copyto(square, square.swapaxes(1, 2).conj(), where=np.tri(i.size, k=-1, dtype=bool))
+        g[:, rows, a:] = block
+        g[:, rows.stop :, rows] = block[:, :, i.size :].swapaxes(1, 2).conj()
+    d = np.arange(n)
+    g[:, d, d] = 1.0
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +209,17 @@ def extremal_eigs(g: GramMatrix | np.ndarray) -> FrameBounds:
     if not np.isfinite(a).all():
         raise NumericDomainError("eigenvalue input has non-finite entries")
     eigs = np.linalg.eigvalsh(a)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if isinstance(g, GramMatrix) and -1e-10 < lam_min < 0.0:
+    if isinstance(g, GramMatrix):
+        return _gram_bounds(eigs)
+    return FrameBounds(lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]), n=a.shape[0])
+
+
+def _gram_bounds(eigs: np.ndarray) -> FrameBounds:
+    """Bounds from a Gram section's ascending eigenvalues; roundoff just below 0 is clamped."""
+    lam_min = float(eigs[0])
+    if -1e-10 < lam_min < 0.0:
         lam_min = 0.0
-    return FrameBounds(lambda_min=lam_min, lambda_max=lam_max, n=a.shape[0])
+    return FrameBounds(lambda_min=lam_min, lambda_max=float(eigs[-1]), n=eigs.size)
 
 
 def bessel_constant_estimate(theta: InnerFunction, seq: PointSequence) -> float:
@@ -154,8 +241,7 @@ def riesz_verdict(
     is why the bounds carry the section size.
     """
     fb = extremal_eigs(gram(theta, seq))
-    verdict = "certified_riesz" if fb.lambda_min >= floor else "indeterminate"
-    return verdict, fb
+    return fb.verdict_at(floor), fb
 
 
 # ---------------------------------------------------------------------------
@@ -186,29 +272,22 @@ def hankel_distance_lb(theta: InnerFunction, seq: PointSequence, n: int) -> floa
     while size < 8 * n and size < _HANKEL_GRID_CAP:
         size *= 2
 
+    nodes = TWO_PI * np.arange(size) / size
     offset = 0.0
     if theta.singular_atoms:
         # never sample exactly on an atom
-        node_angles = [2.0 * math.pi * j / size for j in range(size)]
-        for a, _ in theta.singular_atoms:
-            if any(angle_distance(a, t) <= 1e3 * ANGLE_TOL for t in node_angles):
-                offset = math.pi / size
-                break
+        atoms = np.array([a for a, _ in theta.singular_atoms])
+        gap = np.abs(nodes[:, None] - atoms)
+        if (np.minimum(gap, TWO_PI - gap) <= 1e3 * ANGLE_TOL).any():
+            offset = math.pi / size
 
-    u = np.empty(size, dtype=np.complex128)
-    for j in range(size):
-        zeta = cmath.exp(1j * (2.0 * math.pi * j / size + offset))
-        u[j] = eval_inner(theta, zeta) * eval_inner(b_prod, zeta).conjugate()
+    zeta = np.exp(1j * (nodes + offset))
+    u = eval_points(theta, zeta)[0] * eval_points(b_prod, zeta)[0].conj()
     coeffs = np.fft.fft(u) / size  # c_m = u_hat(m) for the offset grid
-    needed = 2 * n - 1
-    neg = np.empty(needed, dtype=np.complex128)
-    for m in range(1, needed + 1):
-        c = coeffs[(size - m) % size]
-        if offset != 0.0:
-            c *= cmath.exp(1j * m * offset)
-        neg[m - 1] = c
-    h = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(n):
-            h[j, k] = neg[j + k]  # u_hat(-(j+k+1)) with 0-based j, k
+    m = np.arange(1, 2 * n)
+    neg = coeffs[(size - m) % size]  # neg[m - 1] = u_hat(-m)
+    if offset != 0.0:
+        neg = neg * np.exp(1j * m * offset)
+    j = np.arange(n)
+    h = neg[j[:, None] + j]  # u_hat(-(j+k+1)) with 0-based j, k
     return float(np.linalg.norm(h, 2))  # sigma_max

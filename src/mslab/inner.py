@@ -26,12 +26,24 @@ points, and |Theta'(zeta)| at boundary points, where
 
 is also the angular derivative of arg Theta(e^{i theta}).
 
+The interior norm is not taken from the subtraction 1 - |Theta|^2, which
+loses digits as |lambda| -> 1.  Each factor gives its share exactly:
+
+    1 - |b_eta(z)|^2 = (1 - |eta|^2)(1 - |z|^2)/|1 - conj(eta) z|^2,
+    -log|exp(-s(z))|^2 = 2 sum_k m_k (1 - |z|^2)/|tau_k - z|^2,
+
+so log|Theta|^2 is a sum S of log1p terms and the squared norm is
+-expm1(S)/(1 - |z|^2), with the factor 1 - |z|^2 cancelling exactly.
+
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
 one numpy pass (points against zeros, points against atoms); the layers
 that evaluate a batch (argument branches, level sets, square geometry)
-share it.  ``rate_bound`` gives a proven upper bound of |Theta'| over each
-of an array of boundary arcs.  ``eval_inner`` and ``boundary_derivative``
-remain the scalar entry points.
+share it.  ``normalized_values`` gives the Theta values and kernel norms of
+a point sequence as arrays from one such pass, for Gram sections and the
+decomposition drivers.  ``rate_bound`` gives a proven upper bound of
+|Theta'| over each of an array of boundary arcs.  ``eval_inner``,
+``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` remain the
+scalar entry points.
 """
 
 from __future__ import annotations
@@ -54,6 +66,9 @@ _BOUNDARY_EVAL_TOL = 1e-9
 
 # Entries per block of a points-by-zeros array: bounds the temporaries.
 _BLOCK_ENTRIES = 1 << 15
+
+# Interior points with |z| at or above this take the boundary kernel norm.
+_NORM_EDGE = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,14 +252,17 @@ def _atom_arrays(theta: InnerFunction) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return angles, np.exp(1j * angles), masses
 
 
-def eval_points(theta: InnerFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eval_points(
+    theta: InnerFunction, z: np.ndarray, ids: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Theta(z) and the boundary rate |Theta'| over a 1-D array of points.
 
     The rate is taken at the radial projection e^{i arg z} (at z itself when
     |z| is within 1e-9 of 1), so the pair answers both boundary sampling and
     the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  As in
-    ``eval_inner``, a boundary point on an atom raises ``OnSpectrumError``;
-    as in ``boundary_derivative``, the rate at an atom's angle is +inf.
+    ``eval_inner``, a boundary point on an atom raises ``OnSpectrumError``,
+    naming the point's label when ``ids`` gives one per point; as in
+    ``boundary_derivative``, the rate at an atom's angle is +inf.
     """
     z = np.asarray(z, dtype=complex)
     radius = np.abs(z)
@@ -257,8 +275,10 @@ def eval_points(theta: InnerFunction, z: np.ndarray) -> tuple[np.ndarray, np.nda
         at_atom = (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=1)
         hit = np.flatnonzero(at_atom & on_circle)
         if hit.size:
+            k = int(hit[0])
+            label = f"point {ids[k]}: " if ids is not None else ""
             raise OnSpectrumError(
-                f"evaluation at a singular atom (point {complex(z[hit[0]])!r}) is on the spectrum"
+                f"{label}evaluation at a singular atom (point {complex(z[k])!r}) is on the spectrum"
             )
     zeros = np.array(theta.blaschke_zeros, dtype=complex)
     nonzero = zeros[zeros != 0]
@@ -312,11 +332,39 @@ def rate_bound(theta: InnerFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return bound
 
 
+def _interior_norm_sq(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+    """(1 - |Theta(z)|^2)/(1 - |z|^2) over a 1-D array of interior points.
+
+    With gap = (1 - |z|)(1 + |z|), t_n = (1 - |z_n|^2) gap/|1 - conj(z_n) z|^2
+    and S = sum log1p(-t_n) - 2 sum m_k gap/|tau_k - z|^2 = log|Theta(z)|^2,
+    the value is -expm1(S)/gap: no digits are lost as |z| -> 1.
+    """
+    zeros = np.array(theta.blaschke_zeros, dtype=complex)
+    _, taus, masses = _atom_arrays(theta)
+    weight = 1.0 - np.abs(zeros) ** 2
+    radius = np.abs(z)
+    gap = (1.0 - radius) * (1.0 + radius)
+    log_mod_sq = np.empty(z.shape, dtype=float)
+    for rows in _row_blocks(z.size, max(zeros.size, taus.size)):
+        w = z[rows, None]
+        g = gap[rows, None]
+        # t_n rounds at most an ulp above 1 at a zero of Theta, where
+        # log1p(-1) = -inf gives |Theta| = 0
+        t = np.minimum(weight * g / np.abs(1.0 - zeros.conj() * w) ** 2, 1.0)
+        with np.errstate(divide="ignore"):
+            log_mod_sq[rows] = np.sum(np.log1p(-t), axis=1)
+        if taus.size:
+            log_mod_sq[rows] -= 2.0 * np.sum(masses * g / np.abs(taus - w) ** 2, axis=1)
+    return -np.expm1(log_mod_sq) / gap
+
+
 def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:
     """Squared norm of the reproducing kernel at a point.
 
-    Interior: (1 - |Theta(lambda)|^2)/(1 - |lambda|^2).  Boundary: the
-    angular derivative.  A boundary point sitting on an atom is an error.
+    Interior: (1 - |Theta(lambda)|^2)/(1 - |lambda|^2), from the factor
+    identities of the module docstring.  Boundary (and |lambda| >= 1 -
+    1e-12): the angular derivative at lambda/|lambda|.  A boundary point
+    sitting on an atom is an error.
     """
     if isinstance(lam, UnitPoint) and lam.is_boundary:
         val = boundary_derivative(theta, lam)
@@ -325,13 +373,13 @@ def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:
         return val
     w = _as_complex(lam)
     r = abs(w)
-    if r >= 1.0 - 1e-12:
+    if r >= _NORM_EDGE:
         val = boundary_derivative(theta, w / r)
         if math.isinf(val):
             raise OnSpectrumError("kernel norm requested at a singular atom")
         return val
-    v = eval_inner(theta, w)
-    return (1.0 - abs(v) ** 2) / (1.0 - r * r)
+    _check_off_atoms(theta, w)
+    return float(_interior_norm_sq(theta, np.array([w]))[0])
 
 
 def kernel(
@@ -375,21 +423,27 @@ def normalized_values(
     theta: InnerFunction,
     points: Sequence[UnitPoint],
     ids: Sequence[int] | None = None,
-) -> tuple[list[complex], list[float]]:
-    """Theta values and kernel norms squared for a batch of points.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta values and kernel norms squared for a batch of points, as arrays.
 
-    Shared by Gram assembly and the decomposition drivers so each point is
-    evaluated exactly once.  When ids are given, numeric errors are
-    annotated with the offending point's id.
+    One ``eval_points`` pass gives the values and the boundary rates (at
+    the radial projections of the interior points with |z| >= 1 - 1e-12,
+    which take the boundary norm as in ``kernel_norm_sq``); the other
+    interior norms come from the stable identity.  Gram assembly and the
+    decomposition drivers read these arrays, so each point is evaluated
+    once.  When ids are given, the on-atom error names the offending
+    point's id.
     """
-    vals: list[complex] = []
-    norms: list[float] = []
-    for idx, p in enumerate(points):
-        try:
-            vals.append(eval_inner(theta, p))
-            norms.append(kernel_norm_sq(theta, p))
-        except NumericDomainError as exc:
-            if ids is not None:
-                raise type(exc)(f"point {ids[idx]}: {exc}") from exc
-            raise
-    return vals, norms
+    z = np.array([p.value for p in points], dtype=complex)
+    boundary = np.array([p.is_boundary for p in points], dtype=bool)
+    radius = np.abs(z)
+    edge = np.flatnonzero(~boundary & (radius >= _NORM_EDGE))
+    labels = None if ids is None else list(ids) + [ids[k] for k in edge]
+    values, rates = eval_points(theta, np.concatenate([z, z[edge] / radius[edge]]), labels)
+    values = values[: z.size]
+    norms = rates[: z.size]
+    norms[edge] = rates[z.size :]
+    interior = ~boundary
+    interior[edge] = False
+    norms[interior] = _interior_norm_sq(theta, z[interior])
+    return values, norms

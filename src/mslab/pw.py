@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import Partition, PartitionPart, split_by_interpolation
-from .errors import ConfigError
+from .errors import ConfigError, NumericDomainError
 from .gram import FrameBounds, GramMatrix, extremal_eigs
 from .points import PointSequence
 
@@ -97,19 +97,34 @@ def exp_inner(a: float, lam: complex, mu: complex) -> complex:
 
 
 def pw_gram(system: ExpSystem) -> GramMatrix:
-    """Exact normalized Gram of an exponential system (no quadrature)."""
+    """Exact normalized Gram of an exponential system (no quadrature).
+
+    ``exp_inner`` on the whole frequency matrix at once: entry (i, j) is
+    <e_{l_j}, e_{l_i}> over the two norms, with the same series branch.
+    """
     n = len(system)
     if n == 0:
         raise ConfigError("empty exponential system")
     a = system.a
-    norms = [math.sqrt(exp_inner(a, f, f).real) for f in system.freqs]
-    g = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g[i, j] = exp_inner(a, system.freqs[j], system.freqs[i]) / (
-                norms[i] * norms[j]
-            )
-            g[j, i] = g[i, j].conjugate()
+    f = np.array(system.freqs, dtype=complex)
+    d = f - f.conj()[:, None]
+    w = a * d
+    series = np.abs(w) < _SERIES_CUTOFF
+    ip = np.empty((n, n), dtype=np.complex128)
+    w2 = w[series] ** 2
+    ip[series] = 2.0 * a * (1.0 - w2 / 6.0 + w2 * w2 / 120.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ip[~series] = 2.0 * np.sin(w[~series]) / d[~series]
+    norms_sq = ip.diagonal().real
+    bad = np.flatnonzero(~(norms_sq > 0.0) | np.isinf(norms_sq))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericDomainError(
+            f"frequency {system.freqs[k]!r} has unusable norm squared {float(norms_sq[k])!r} on (-a, a)"
+        )
+    norms = np.sqrt(norms_sq)
+    g = ip / (norms[:, None] * norms)
+    np.fill_diagonal(g, 1.0)
     return GramMatrix(g, tuple(range(n)))
 
 

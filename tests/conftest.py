@@ -4,18 +4,23 @@ Oracles here deliberately avoid the library's own code paths: quadrature
 is plain composite rules on numpy arrays, eigenvalues come from a
 self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
 constants are plain pairwise products (the library sums logs in numpy),
-and Blaschke products are re-evaluated from scratch where a cross-check
-matters.
+Blaschke products are re-evaluated from scratch where a cross-check
+matters, kernel norms are exact rationals or a telescoping sum over the
+factors (the library sums log1p terms), and Hankel sections are sampled
+point by point and transformed by a direct sum (the library uses its
+array evaluator and the FFT).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from mslab.inner import InnerFunction
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,3 +180,92 @@ def simpson_fixed(f, a: float, b: float, n: int = 4096) -> float:
     y = np.array([f(t) for t in x])
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+
+
+def kernel_norm_sq_exact(zeros, z: complex) -> Fraction:
+    """(1 - |B(z)|^2)/(1 - |z|^2) in exact rational arithmetic, B the Blaschke product.
+
+    Each |b_eta(z)|^2 = |eta - z|^2/|1 - conj(eta) z|^2 (|z|^2 when eta = 0)
+    is rational in the binary fractions that make up the floats eta and z.
+    """
+    x, y = Fraction(z.real), Fraction(z.imag)
+    mod_sq = Fraction(1)
+    for eta in zeros:
+        a, b = Fraction(eta.real), Fraction(eta.imag)
+        if a == 0 and b == 0:
+            mod_sq *= x * x + y * y
+        else:
+            num = (a - x) ** 2 + (b - y) ** 2
+            den = (1 - a * x - b * y) ** 2 + (a * y - b * x) ** 2
+            mod_sq *= num / den
+    return (1 - mod_sq) / (1 - x * x - y * y)
+
+
+def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
+    """Squared kernel norms by telescoping over the factors of Theta.
+
+        1 - prod_k p_k = sum_k (1 - p_k) prod_{j<k} p_j,   p_k = |factor_k(z)|^2,
+
+    and each (1 - p_k)/(1 - |z|^2) has a closed form with no cancellation:
+    (1 - |eta|^2)/|1 - conj(eta) z|^2 for a zero, and (1 - e^{-c g})/g with
+    c = 2m/|tau - z|^2, g = 1 - |z|^2 for an atom.  At boundary points
+    (g = 0) the sum is the angular derivative |Theta'|.
+    """
+    z = np.array(seq.values, dtype=complex)
+    boundary = np.array([p.is_boundary for p in seq.points])
+    gap = np.where(boundary, 0.0, 1.0 - np.abs(z) ** 2)
+    total = np.zeros(z.size)
+    before = np.ones(z.size)  # prod_{j<k} p_j
+    for eta in theta.blaschke_zeros:
+        total += before * (1.0 - abs(eta) ** 2) / np.abs(1.0 - np.conj(eta) * z) ** 2
+        factor = z if eta == 0 else (eta - z) / (1.0 - np.conj(eta) * z)
+        before = before * np.abs(factor) ** 2
+    for a, m in theta.singular_atoms:
+        c = 2.0 * m / np.abs(cmath.exp(1j * a) - z) ** 2
+        x = c * gap
+        share = np.ones(z.size)  # (1 - e^{-x})/x, 1 at x = 0
+        np.divide(-np.expm1(-x), x, out=share, where=x > 0.0)
+        total += before * c * share
+        before = before * np.exp(-x)
+    return total
+
+
+def gram_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
+    """Normalized Gram section from the closed kernel formula and this module's evaluators."""
+    z = np.array(seq.values, dtype=complex)
+    v = blaschke_values(theta, z)
+    norms = kernel_norm_sq_oracle(theta, seq)
+    num = 1.0 - np.conj(v)[None, :] * v[:, None]
+    den = 1.0 - np.conj(z)[None, :] * z[:, None]
+    k = np.diag(norms).astype(complex)
+    off = ~np.eye(z.size, dtype=bool)
+    np.divide(num, den, out=k, where=off)
+    return k / np.sqrt(np.outer(norms, norms))
+
+
+def hankel_section_oracle(theta: InnerFunction, points, n: int) -> float:
+    """sigma_max of the n-by-n Hankel section of Theta * conj(B), sampled point by point.
+
+    Same grid rule as the library (2^k >= 8n nodes, k <= 16, shifted by half
+    a step when a node comes within 1e-9 of an atom); the coefficients are
+    direct sums over the nodes, not an FFT.
+    """
+    size = 8
+    while size < 8 * n and size < 1 << 16:
+        size *= 2
+    nodes = [TWO_PI * j / size for j in range(size)]
+    offset = 0.0
+    for a, _ in theta.singular_atoms:
+        if any(min(abs(a - t), TWO_PI - abs(a - t)) <= 1e-9 for t in nodes):
+            offset = math.pi / size
+    angles = np.array(nodes) + offset
+    u = np.empty(size, dtype=complex)
+    for j, t in enumerate(angles):
+        zeta = cmath.exp(1j * t)
+        b = 1.0 + 0j
+        for w in points:
+            b *= zeta if w == 0 else (abs(w) / w) * (w - zeta) / (1.0 - w.conjugate() * zeta)
+        u[j] = complex(blaschke_values(theta, np.array([zeta]))[0]) * b.conjugate()
+    neg = [np.sum(u * np.exp(1j * m * angles)) / size for m in range(1, 2 * n)]
+    h = np.array([[neg[j + k] for k in range(n)] for j in range(n)])
+    return float(np.linalg.svd(h, compute_uv=False)[0])

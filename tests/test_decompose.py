@@ -311,6 +311,43 @@ def test_count_per_square_cases() -> None:
     assert m == 5
 
 
+def _square_by_scan(squares, z: complex) -> int:
+    return next((k for k, sq in enumerate(squares.squares) if sq.contains(z)), -1)
+
+
+@pytest.mark.parametrize(
+    "theta, levels",
+    [
+        (InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((math.pi, 0.8),)), 4),
+        (InnerFunction(blaschke_zeros=(0, 0)), 4),
+        (InnerFunction(blaschke_zeros=(0, 0, 0)), 8),
+        (random_blaschke(np.random.default_rng(61), 3), 8),
+        (InnerFunction(blaschke_zeros=(0,)), 1),
+    ],
+)
+def test_square_lookup_agrees_with_linear_scan(theta: InnerFunction, levels: int) -> None:
+    squares = build_squares(build_arc_system(theta, levels, max_points_per_arc=48))
+    assert squares.truncated == bool(theta.singular_atoms)
+    rng = np.random.default_rng(levels)
+    pts = list(
+        np.sqrt(rng.uniform(0.5, 1.0, 400)) * np.exp(1j * rng.uniform(-4.0, 8.0, 400))
+    )
+    for sq in squares.squares:
+        depth = 0.5 * (1.0 + sq.inner_radius)
+        for end in (sq.lo, sq.hi):
+            for shift in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12):
+                pts.append(depth * cmath.exp(1j * (end + shift)))
+                pts.append(cmath.exp(1j * (end + shift)))
+        pts.append(sq.inner_radius * cmath.exp(1j * 0.5 * (sq.lo + sq.hi)))
+        pts.append(0.999 * sq.inner_radius * cmath.exp(1j * 0.5 * (sq.lo + sq.hi)))
+    found = squares.locate(pts)
+    assert list(found) == [_square_by_scan(squares, complex(z)) for z in pts]
+    assert (found >= 0).any() and ((found < 0).any() or levels == 1)
+    for z, k in zip(pts[:50], found):
+        owner = squares.square_of(z)
+        assert (owner is None) == (k < 0) and (owner is None or owner is squares.squares[k])
+
+
 # ---------------------------------------------------------------------------
 # full square decomposition
 # ---------------------------------------------------------------------------
@@ -349,6 +386,20 @@ def test_squares_pipeline_clustered_corpus() -> None:
     for part in square_parts:
         owners = [squares.square_of(seq.point_by_id(i)).arc_index for i in part.ids]
         assert len(set(owners)) == len(owners)
+
+
+def test_squares_pipeline_splits_a_near_coincident_boundary_pair() -> None:
+    # |1 - conj(z_j) z_i| < 1e-14 only matters inside one part's section
+    z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
+    angles = [TWO_PI * k / 3 + 0.1 for k in range(3)] + [0.1 + 2e-15]
+    seq = PointSequence.from_points([UnitPoint.boundary(a) for a in angles])
+    assert abs(1.0 - seq.points[3].value.conjugate() * seq.points[0].value) < 1e-14
+    partition = decompose_by_squares(z3, seq, 4)
+    assert partition.all_ids() == (0, 1, 2, 3)
+    owner = {pid: k for k, part in enumerate(partition.parts) for pid in part.ids}
+    assert owner[0] != owner[3]
+    for part in partition.parts:
+        assert part.certificate.frame_bounds.lambda_max >= 1.0 - 1e-12
 
 
 def test_squares_pipeline_deep_ring_routed_to_interpolation() -> None:

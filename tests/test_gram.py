@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eig_extremes_oracle, random_blaschke
+from conftest import eig_extremes_oracle, gram_oracle, hankel_section_oracle, random_blaschke
 
-from mslab.errors import NumericDomainError
+from mslab.errors import NumericDomainError, OnSpectrumError
 from mslab.gram import (
     FrameBounds,
     GramMatrix,
     bessel_constant_estimate,
     extremal_eigs,
     gram,
+    gram_from_values,
     hankel_distance_lb,
+    part_frame_bounds,
     riesz_verdict,
 )
-from mslab.inner import InnerFunction, eval_inner
+from mslab.inner import InnerFunction, eval_inner, normalized_values
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -60,6 +62,87 @@ def test_gram_unusable_norm_names_the_point() -> None:
     constant = InnerFunction()  # identically 1, kernels vanish
     with pytest.raises(NumericDomainError, match="point 0"):
         gram(constant, PointSequence.from_complex([0.3]))
+
+
+def _oracle_corpus(rng: np.random.Generator, n: int) -> PointSequence:
+    """Interior points, a few at 1 - |z| = 1e-9, and boundary points, pairwise apart."""
+    angles = TWO_PI * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
+    radii = 0.95 * np.sqrt(rng.uniform(size=n))
+    radii[::7] = 1.0 - 1e-9
+    pts = [UnitPoint.interior(r * cmath.exp(1j * a)) for r, a in zip(radii, angles)]
+    for k in range(5, n, 11):
+        pts[k] = UnitPoint.boundary(angles[k])
+    return PointSequence.from_points(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 97, 256, 300])
+def test_gram_matches_independent_oracle(n: int) -> None:
+    rng = np.random.default_rng(n)
+    theta = InnerFunction(
+        blaschke_zeros=(0.0,) + random_blaschke(rng, 5).blaschke_zeros,
+        singular_atoms=((0.05, 0.4), (3.3, 1.1)),
+    )
+    seq = _oracle_corpus(rng, n)
+    g = gram(theta, seq).entries
+    assert np.max(np.abs(g - gram_oracle(theta, seq))) <= 1e-12
+    assert np.array_equal(g, g.conj().T)
+
+
+def test_part_frame_bounds_match_one_section_at_a_time() -> None:
+    rng = np.random.default_rng(83)
+    theta = InnerFunction(
+        blaschke_zeros=random_blaschke(rng, 4).blaschke_zeros, singular_atoms=((1.0, 0.5),)
+    )
+    seq = _oracle_corpus(rng, 1200)
+    order = rng.permutation(len(seq))
+    # 25 parts of 40 points fill two stacks; then pairs, singletons and one of 3
+    cuts = [40 * k for k in range(26)] + [1000 + 2 * k for k in range(1, 80)] + [1197, 1200]
+    parts = [np.sort(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    values, norms = normalized_values(theta, seq.points, seq.ids)
+    z = np.array(seq.values)
+    bounds = part_frame_bounds(z, values, norms, seq.ids, parts)
+    for idx, fb in zip(parts, bounds):
+        want = extremal_eigs(gram(theta, seq.subset(seq.ids[k] for k in idx)))
+        assert fb.n == want.n == len(idx)
+        assert fb.lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
+        assert fb.lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
+
+
+def test_gram_inseparable_pair_names_both_points() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    pts = [UnitPoint.interior(0.2), UnitPoint.boundary(0.5), UnitPoint.boundary(0.5 + 2e-15)]
+    seq = PointSequence.from_points(pts, ids=(7, 3, 9))
+    with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
+        gram(theta, seq)
+    values, norms = normalized_values(theta, seq.points, seq.ids)
+    with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
+        part_frame_bounds(
+            np.array(seq.values), values, norms, seq.ids, [np.array([0]), np.array([1, 2])]
+        )
+    # the pair in different parts is no error
+    bounds = part_frame_bounds(
+        np.array(seq.values), values, norms, seq.ids, [np.array([0, 1]), np.array([2])]
+    )
+    assert bounds[1] == FrameBounds(1.0, 1.0, 1)
+
+
+def test_gram_names_the_point_on_an_atom() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, 0.5),))
+    seq = PointSequence.from_points(
+        [UnitPoint.interior(0.2), UnitPoint.boundary(2.0), UnitPoint.boundary(1.0)],
+        ids=(4, 5, 6),
+    )
+    with pytest.raises(OnSpectrumError, match="point 6: "):
+        gram(theta, seq)
+
+
+def test_gram_from_values_unusable_norm_names_the_point() -> None:
+    z = np.array([0.1, 0.2, 0.3], dtype=complex)
+    values = np.zeros(3, dtype=complex)
+    with pytest.raises(NumericDomainError, match="point 12 has unusable"):
+        gram_from_values(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12))
+    with pytest.raises(NumericDomainError, match="point 11 has unusable"):
+        gram_from_values(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12))
 
 
 def test_gram_matrix_validation() -> None:
@@ -282,6 +365,26 @@ def test_hankel_rejects_boundary_points() -> None:
     theta = InnerFunction(blaschke_zeros=(0,))
     with pytest.raises(NumericDomainError):
         hankel_distance_lb(theta, PointSequence.from_points([UnitPoint.boundary(0.3)]), 2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["z2", "atom on a node", "atoms and zeros"],
+)
+def test_hankel_matches_pointwise_oracle(case: str) -> None:
+    if case == "z2":
+        theta, points, n = InnerFunction(blaschke_zeros=(0, 0)), [0.5], 6
+    elif case == "atom on a node":  # the grid of test_hankel_atom_grid_offset
+        theta, points, n = InnerFunction(singular_atoms=((0.0, 0.8),)), [0.4], 4
+    else:
+        rng = np.random.default_rng(89)
+        theta = InnerFunction(
+            blaschke_zeros=random_blaschke(rng, 3).blaschke_zeros,
+            singular_atoms=((TWO_PI * 5 / 128, 0.3), (2.0, 0.6)),
+        )
+        points, n = [0.3 + 0.2j, -0.5j, 0.0], 16
+    bound = hankel_distance_lb(theta, PointSequence.from_complex(points), n)
+    assert bound == pytest.approx(hankel_section_oracle(theta, points, n), abs=1e-12)
 
 
 def test_hankel_atom_grid_offset() -> None:

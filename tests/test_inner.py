@@ -8,6 +8,8 @@ from conftest import (
     blaschke_values,
     blaschke_values_on_circle,
     cell_rate_bound_oracle,
+    kernel_norm_sq_exact,
+    kernel_norm_sq_oracle,
     random_blaschke,
 )
 
@@ -21,10 +23,11 @@ from mslab.inner import (
     kernel,
     kernel_norm_sq,
     log_derivative,
+    normalized_values,
     rate_bound,
     spectrum_distance,
 )
-from mslab.points import UnitPoint
+from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,6 +167,56 @@ def test_norm_error_on_atom() -> None:
     theta = InnerFunction(singular_atoms=((1.0, 0.5),))
     with pytest.raises(OnSpectrumError):
         kernel_norm_sq(theta, UnitPoint.boundary(1.0))
+
+
+def test_norm_keeps_its_digits_near_the_circle() -> None:
+    # against exact rational arithmetic; 1 - |Theta|^2 by subtraction was
+    # 2.4e-5 off at 1 - |z| = 5e-12
+    rng = np.random.default_rng(5)
+    zeros = (0.0,) + random_blaschke(rng, 7, rmax=0.9).blaschke_zeros
+    theta = InnerFunction(blaschke_zeros=zeros)
+    points = [
+        (1.0 - gap) * cmath.exp(1j * angle)
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 5e-12)
+        for angle in (0.3, 2.1, 4.4)
+    ]
+    _, norms = normalized_values(theta, [UnitPoint.interior(z) for z in points])
+    for z, array_norm in zip(points, norms):
+        exact = kernel_norm_sq_exact(zeros, z)
+        assert abs(kernel_norm_sq(theta, z) - exact) <= 1e-13 * exact
+        assert abs(float(array_norm) - exact) <= 1e-13 * exact
+
+
+def test_norm_at_a_zero_and_near_an_atom() -> None:
+    eta = 0.4 - 0.3j
+    theta = InnerFunction(blaschke_zeros=(eta, 0.0), singular_atoms=((1.0, 0.6),))
+    # Theta(eta) = 0: the norm is 1/(1 - |eta|^2), with no warning raised
+    assert kernel_norm_sq(theta, eta) == pytest.approx(1.0 / (1.0 - abs(eta) ** 2), rel=1e-15)
+    seq = PointSequence.from_complex(
+        [eta, 0.0, 0.5, (1 - 1e-9) * cmath.exp(2.5j), (1 - 1e-3) * cmath.exp(1.01j)]
+        + [cmath.exp(1j * t) for t in (0.5, 3.0)]
+    )
+    values, norms = normalized_values(theta, seq.points, seq.ids)
+    assert norms == pytest.approx(kernel_norm_sq_oracle(theta, seq), rel=1e-13)
+    assert norms == pytest.approx([kernel_norm_sq(theta, p) for p in seq.points], rel=1e-14)
+    assert values == pytest.approx(blaschke_values(theta, np.array(seq.values)), abs=1e-14)
+
+
+def test_normalized_values_edge_points_take_the_boundary_norm() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.5, 0.2j), singular_atoms=((2.0, 0.3),))
+    z = (1.0 - 5e-13) * cmath.exp(0.9j)
+    _, norms = normalized_values(theta, [UnitPoint.interior(z)])
+    assert float(norms[0]) == pytest.approx(kernel_norm_sq(theta, z), rel=1e-15)
+    assert kernel_norm_sq(theta, z) == boundary_derivative(theta, z / abs(z))
+
+
+def test_normalized_values_names_the_point_on_an_atom() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, 0.5),))
+    points = [UnitPoint.interior(0.2), UnitPoint.boundary(2.0), UnitPoint.boundary(1.0)]
+    with pytest.raises(OnSpectrumError, match="point 12: "):
+        normalized_values(theta, points, (10, 11, 12))
+    with pytest.raises(OnSpectrumError):
+        normalized_values(theta, points)
 
 
 def test_reproducing_property_polynomials() -> None:

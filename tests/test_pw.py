@@ -6,7 +6,7 @@ import pytest
 
 from conftest import composite_gauss_legendre
 
-from mslab.errors import ConfigError
+from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import extremal_eigs
 from mslab.pw import ExpSystem, exp_inner, pw_gram, pw_split, shift_off_axis
 
@@ -77,6 +77,27 @@ def test_pw_gram_singleton() -> None:
     g = pw_gram(ExpSystem(2.0, (0.7,)))
     assert g.entries.shape == (1, 1)
     assert g.entries[0, 0] == pytest.approx(1.0)
+
+
+def test_pw_gram_matches_scalar_exp_inner_entrywise() -> None:
+    a = 1.3
+    # 0 and 1e-6 (and each real frequency with itself) take the series branch
+    freqs = (0.0, 1e-6, 0.5 + 0.2j, 3.0, -2.0 + 1.5j, 5e-5 + 1e-5j)
+    g = pw_gram(ExpSystem(a, freqs)).entries
+    norms = [math.sqrt(exp_inner(a, f, f).real) for f in freqs]
+    series = 0
+    for i, fi in enumerate(freqs):
+        for j, fj in enumerate(freqs):
+            series += abs(a * (fj - fi.conjugate())) < 1e-4
+            want = 1.0 if i == j else exp_inner(a, fj, fi) / (norms[i] * norms[j])
+            assert abs(g[i, j] - want) <= 1e-14 * max(1.0, abs(want))
+    assert series > 6  # off-diagonal entries on the series branch too
+
+
+def test_pw_gram_refuses_overflowing_norms() -> None:
+    # sinh(2 a Im l) overflows: the norm is unusable, not a traceback
+    with pytest.raises(NumericDomainError, match="unusable norm"):
+        pw_gram(ExpSystem(1.0, (0.0, 400j)))
 
 
 def test_pw_gram_matches_quadrature_on_random_systems() -> None:
