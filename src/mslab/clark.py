@@ -1,19 +1,15 @@
-"""Boundary argument tracking, level sets, and Clark-family machinery.
+"""Boundary argument, level sets, and Clark-family machinery.
 
 On any boundary arc free of spectrum, a nonconstant inner function has a
-strictly increasing continuous argument branch whose rate is the angular
-derivative |Theta'|.  Tracking that branch gives guaranteed, complete
-enumeration of every level set {Theta = alpha} by monotone bisection: each
-2*pi of argument increase contains exactly one solution.
-
-Branches are sampled level-synchronously: every round checks all pending
-cells with one array evaluation (``inner.eval_points``) at their
-midpoints and splits those that fail.  A cell's argument increase is read
-from the principal arguments at its ends, which is only sound if the true
-increase is below a full turn; the cell's width times the proven rate
-bound of ``inner.rate_bound`` (below pi/2) certifies that, whatever the
-rate does between samples.  Root solving bisects all targets on a branch
-in lockstep, one array evaluation per round.
+strictly increasing continuous argument whose rate is the angular
+derivative |Theta'|.  For finite data that argument has a closed form,
+``inner.boundary_argument`` (Phi), with exp(i Phi) = Theta(e^{it}) exactly;
+so every level set {Theta = alpha} is enumerated completely by monotone
+bisection of Phi - target, one target per 2*pi of argument increase.
+All targets on an arc are bisected in lockstep, one array evaluation of
+Phi per round, down to the spacing of doubles at the arc's ends.  Arcs
+next to a singular atom, where Phi diverges, are cut by the same
+bisection where the increase from the arc's middle reaches the budget.
 
 A level set carries a Clark family: the points tau_n, their angular
 derivatives, and the weights a_n = 1/|Theta'(tau_n)| of the associated
@@ -38,26 +34,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError
-from .inner import InnerFunction, boundary_derivative, derivative, eval_points, rate_bound
+from .inner import InnerFunction, boundary_argument, derivative, eval_points
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
-
-# Refinement targets for argument-branch sampling.
-_MAX_WRAP_INCREMENT = math.pi / 4.0
-_SLOPE_REL_TOL = 5e-7
-_MAX_BRANCH_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
 class ArgBranch:
-    """Continuous increasing branch of arg Theta(e^{i theta}) on one arc.
+    """Continuous increasing branch Phi of arg Theta(e^{i t}) on one arc.
 
-    Dense samples plus monotone piecewise-linear interpolation; consecutive
-    sampled increments stay below pi/4 and each cell's width times its
-    proven rate bound stays below pi/2, so principal-argument differences
-    within a cell are unambiguous.
+    ``thetas`` holds the arc's ends and ``values`` the closed-form Phi of
+    ``inner.boundary_argument`` there; ``value_at`` evaluates Phi exactly
+    anywhere on the arc, and the bisections of this module solve Phi =
+    target between the ends.
     """
 
+    inner: InnerFunction
     arc: tuple[float, float]
     thetas: np.ndarray
     values: np.ndarray
@@ -66,8 +58,8 @@ class ArgBranch:
     def total_increase(self) -> float:
         return float(self.values[-1] - self.values[0])
 
-    def value_at(self, theta: float) -> float:
-        return float(np.interp(theta, self.thetas, self.values))
+    def value_at(self, angle: float) -> float:
+        return float(boundary_argument(self.inner, np.array([angle]))[0])
 
 
 @dataclass(frozen=True)
@@ -97,16 +89,6 @@ class ClarkFamily:
         }
 
 
-def _deriv_at(theta: InnerFunction, angle: float) -> float:
-    return boundary_derivative(theta, cmath.exp(1j * angle))
-
-
-def _principal_args(theta: InnerFunction, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal arguments of Theta and rates |Theta'| at e^{i angles}."""
-    values, rates = eval_points(theta, np.exp(1j * angles))
-    return np.angle(values), rates
-
-
 def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
     for a, _ in theta.singular_atoms:
         for shift in (a, a + TWO_PI, a - TWO_PI):
@@ -116,34 +98,8 @@ def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
                 )
 
 
-def _seed_angles(theta: InnerFunction, lo: float, hi: float) -> list[float]:
-    """Initial sample angles: a uniform grid plus clusters at the angles of
-    near-boundary zeros, where the argument rate spikes."""
-    span = hi - lo
-    n0 = max(32, 16 + 8 * theta.degree)
-    grid = [lo + span * i / n0 for i in range(n0 + 1)]
-    for eta in theta.blaschke_zeros:
-        gap = 1.0 - abs(eta)
-        if gap < 0.25:
-            base = cmath.phase(eta)
-            for shift in (base, base + TWO_PI, base - TWO_PI):
-                for j in range(-8, 9):
-                    t = shift + 0.5 * j * gap
-                    if lo < t < hi:
-                        grid.append(t)
-    return sorted(set(grid))
-
-
 def build_arg_branch(theta: InnerFunction, arc: tuple[float, float]) -> ArgBranch:
-    """Adaptively sampled increasing argument branch on a spectrum-free arc.
-
-    Refinement is level-synchronous: each round checks every pending cell,
-    with one evaluation of all their midpoints, and splits those that fail.
-    A cell is accepted once its wrapped increment is below pi/4, its width
-    times the proven rate bound of ``rate_bound`` is below pi/2 (so the true
-    increment is the wrapped one), and its secant matches the midpoint rate
-    to the branch slope tolerance.
-    """
+    """Closed-form increasing argument branch on a spectrum-free arc."""
     lo, hi = float(arc[0]), float(arc[1])
     if not hi > lo:
         raise ConfigError("arc must have positive length")
@@ -152,150 +108,80 @@ def build_arg_branch(theta: InnerFunction, arc: tuple[float, float]) -> ArgBranc
     if theta.is_constant:
         raise NumericDomainError("constant inner function has no argument branch")
     _check_arc_clear(theta, lo, hi)
-
-    angles = np.array(_seed_angles(theta, lo, hi))
-    princ, _ = _principal_args(theta, angles)
-    # pending cells [a, b] with the principal arguments at their ends
-    a, b, pa, pb = angles[:-1], angles[1:], princ[:-1], princ[1:]
-    evaluated = angles.size
-    accepted: list[tuple[np.ndarray, ...]] = []
-    while a.size:
-        evaluated += a.size
-        if evaluated > _MAX_BRANCH_SAMPLES:
-            raise NumericDomainError("argument branch refinement exhausted")
-        m = 0.5 * (a + b)
-        pm, rate_m = _principal_args(theta, m)
-        h = b - a
-        inc = np.mod(pb - pa, TWO_PI)
-        ok = (inc < _MAX_WRAP_INCREMENT) & (np.abs(inc / h - rate_m) <= _SLOPE_REL_TOL * rate_m)
-        ok[ok] = h[ok] * rate_bound(theta, a[ok], b[ok]) < 0.5 * math.pi
-        accepted.append((a[ok], b[ok], pa[ok], pb[ok]))
-        split = ~ok
-        a, b, pa, pb, m, pm = a[split], b[split], pa[split], pb[split], m[split], pm[split]
-        if np.any((m <= a) | (m >= b)):
-            raise NumericDomainError("argument branch refinement exhausted")
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        pa, pb = np.concatenate([pa, pm]), np.concatenate([pm, pb])
-
-    a, b, pa, pb = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.argsort(a)
-    th = np.concatenate([a[order[:1]], b[order]])
-    vals = np.cumsum(np.concatenate([pa[order[:1]], np.mod(pb - pa, TWO_PI)[order]]))
-    if np.any(np.diff(vals) <= 0.0):
-        raise NumericDomainError("argument branch is not strictly increasing")
-    return ArgBranch(arc=(lo, hi), thetas=th, values=vals)
+    ends = np.array([lo, hi])
+    return ArgBranch(theta, (lo, hi), ends, boundary_argument(theta, ends))
 
 
-def _solve_on_branch(
-    theta: InnerFunction, branch: ArgBranch, targets: np.ndarray, tol: float = 1e-12
-) -> np.ndarray:
-    """Monotone bisection for branch(theta) = target, all targets in lockstep.
+def _bisect(
+    theta: InnerFunction, a: np.ndarray, b: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep bisection of Phi = target on brackets [a, b] with no atom inside.
 
-    Each round evaluates the live midpoints at once.  Inside a sample cell
-    (increment < pi/4) the branch value is the cell's base value plus the
-    wrapped principal-argument increment from the cell's base angle, whose
-    principal argument is computed once per bracket.
+    Each round evaluates Phi at all live midpoints at once; a bracket is
+    done once it is no wider than the spacing of doubles at its initial
+    ends.  An end that moved keeps its side: Phi(a) < target <= Phi(b).
     """
-    vals, ths = branch.values, branch.thetas
-    t = np.asarray(targets, dtype=float)
-    if np.any(vals[0] - t > 1e-8):
-        raise NumericDomainError("level target below the branch range")
-    if np.any(t - vals[-1] > 1e-8):
-        raise NumericDomainError("level target above the branch range")
-    below, above = t < vals[0], t > vals[-1]
-    idx = np.clip(np.searchsorted(vals, t, side="right") - 1, 0, len(vals) - 2)
-    a, b = ths[idx], ths[idx + 1]
-    fa, fb = vals[idx], vals[idx + 1]
-    live = ~(below | above)
-    if np.any(live & ~((fa <= t) & (t <= fb))):
-        raise NumericDomainError("level target escaped its bracket")
-    base_val = vals[idx]
-    base_arg, _ = _principal_args(theta, a)
-    # refine in branch-value space as well: the value gap, not the angle
-    # gap, bounds the residual |Theta(tau) - alpha| where the rate is large
-    for _ in range(200):
+    a, b = a.astype(float), b.astype(float)
+    floor = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    while True:
         m = 0.5 * (a + b)
-        live &= ~((b - a <= tol) & (fb - fa <= 1e-12))
-        live &= (m > a) & (m < b)  # double-precision floor
-        k = np.flatnonzero(live)
+        k = np.flatnonzero((b - a > floor) & (m > a) & (m < b))
         if not k.size:
-            break
-        pm, _ = _principal_args(theta, m[k])
-        fm = base_val[k] + np.mod(pm - base_arg[k], TWO_PI)
-        low = fm < t[k]
-        a[k[low]], fa[k[low]] = m[k[low]], fm[low]
-        b[k[~low]], fb[k[~low]] = m[k[~low]], fm[~low]
-    roots = 0.5 * (a + b)
-    roots[below] = ths[0]
-    roots[above] = ths[-1]
-    return roots
+            return a, b
+        low = boundary_argument(theta, m[k]) < targets[k]
+        a[k[low]] = m[k[low]]
+        b[k[~low]] = m[k[~low]]
+
+
+def _solve_on_branch(branch: ArgBranch, targets: np.ndarray) -> np.ndarray:
+    """Angles where the branch takes the target values, all in lockstep."""
+    t = np.asarray(targets, dtype=float)
+    if np.any(branch.values[0] - t > 1e-8):
+        raise NumericDomainError("level target below the branch range")
+    if np.any(t - branch.values[-1] > 1e-8):
+        raise NumericDomainError("level target above the branch range")
+    lo, hi = branch.arc
+    a, b = _bisect(branch.inner, np.full(t.size, lo), np.full(t.size, hi), t)
+    return 0.5 * (a + b)
 
 
 def _trim_to_budget(
     theta: InnerFunction, lo: float, hi: float, budget: float
-) -> tuple[float, float, bool]:
+) -> tuple[float, float]:
     """Cut an atom-bounded arc so its argument increase stays within budget.
 
-    The increase diverges at the atoms, so each side is cut where the
-    integral of the rate from the midpoint reaches half the budget.
+    Phi diverges at the atoms, so each side is cut where Phi reaches
+    Phi(mid) -+ budget/2, on the side of the cut that stays within budget.
     """
     mid = 0.5 * (lo + hi)
-    rate = lambda t: _deriv_at(theta, t)  # noqa: E731
-
-    def cut(side_end: float, toward_mid: float) -> tuple[float, bool]:
-        # integral of rate over [c, mid] (or [mid, c]) as c -> side_end
-        def increase(c: float) -> float:
-            a, b = (c, toward_mid) if c < toward_mid else (toward_mid, c)
-            return adaptive_simpson(rate, a, b, rel_tol=1e-6)
-
-        span = abs(side_end - toward_mid)
-        prev = toward_mid
-        for k in range(1, 48):
-            c = side_end + (toward_mid - side_end) * 0.5**k
-            if increase(c) > 0.5 * budget:
-                # bisect between c (too much) and prev (within budget)
-                far, near = c, prev
-                for _ in range(30):
-                    m = 0.5 * (far + near)
-                    if increase(m) > 0.5 * budget:
-                        far = m
-                    else:
-                        near = m
-                    if abs(far - near) <= 1e-3 * span:
-                        break
-                return near, True
-            prev = c
-        return prev, True  # machine-precision close to the atom
-
-    c_lo, t1 = cut(lo, mid)
-    c_hi, t2 = cut(hi, mid)
-    return c_lo, c_hi, (t1 or t2)
+    half = 0.5 * budget
+    centre = float(boundary_argument(theta, np.array([mid]))[0])
+    a, b = _bisect(
+        theta, np.array([lo, mid]), np.array([mid, hi]), np.array([centre - half, centre + half])
+    )
+    return float(b[0]), float(a[1])
 
 
-def _level_branches(
-    theta: InnerFunction, max_points_per_arc: int
-) -> tuple[list[ArgBranch], bool, bool]:
+def _level_branches(theta: InnerFunction, max_points_per_arc: int) -> list[ArgBranch]:
     """Argument branches covering the solvable part of the circle.
 
-    Returns (branches, truncated, full_circle).  Pure Blaschke data gives a
-    single full-circle branch; atom-bounded arcs are trimmed so each carries
-    at most ``max_points_per_arc`` turns of argument.
+    Pure Blaschke data gives a single full-circle branch.  Each arc between
+    neighbouring atoms is trimmed to an argument increase of
+    ``max_points_per_arc + 1`` turns, so its families are truncated.
     """
     if not theta.singular_atoms:
-        return [build_arg_branch(theta, (0.0, TWO_PI))], False, True
+        return [build_arg_branch(theta, (0.0, TWO_PI))]
     atoms = sorted(a for a, _ in theta.singular_atoms)
     budget = TWO_PI * (max_points_per_arc + 1)
     branches: list[ArgBranch] = []
-    truncated = False
     for i, a in enumerate(atoms):
         b = atoms[(i + 1) % len(atoms)]
         if i + 1 == len(atoms):
             b = b + TWO_PI
-        c_lo, c_hi, cut_flag = _trim_to_budget(theta, a, b, budget)
-        truncated = truncated or cut_flag
+        c_lo, c_hi = _trim_to_budget(theta, a, b, budget)
         if c_hi - c_lo > 0.0:
             branches.append(build_arg_branch(theta, (c_lo, c_hi)))
-    return branches, truncated, False
+    return branches
 
 
 def _branch_targets(
@@ -353,9 +239,10 @@ def level_sets(
 
     Pure Blaschke data is solved on the full circle and enumeration is
     complete (one point per 2*pi of argument increase, i.e. the degree).
-    Arcs between singular atoms are trimmed to an argument budget so at
-    most ``max_points_per_arc`` points per arc are produced per level; such
-    families are flagged truncated.  The targets of every level on a branch
+    Arcs between singular atoms are trimmed to an argument budget of
+    ``max_points_per_arc + 1`` turns, so each arc gives at most, and as a
+    rule exactly, ``max_points_per_arc`` points per level; such families
+    are flagged truncated.  The targets of every level on a branch
     are solved together in one lockstep bisection.
     """
     if theta.is_constant:
@@ -368,7 +255,8 @@ def level_sets(
                 f"level value must be unimodular, got |alpha| = {abs(alpha)!r}"
             )
         values.append(alpha)
-    branches, trimmed, full_circle = _level_branches(theta, max_points_per_arc)
+    branches = _level_branches(theta, max_points_per_arc)
+    full_circle = not theta.singular_atoms
     if full_circle:
         branch = branches[0]
         increase = float(branch.values[-1] - branch.values[0])
@@ -388,7 +276,7 @@ def level_sets(
             capped[i] = capped[i] or cap
             targets += found
             owner += [i] * len(found)
-        for i, root in zip(owner, _solve_on_branch(theta, branch, np.array(targets))):
+        for i, root in zip(owner, _solve_on_branch(branch, np.array(targets))):
             angles[i].append(normalize_angle(float(root)))
     families = []
     for alpha, found, cap in zip(values, angles, capped):
@@ -396,7 +284,7 @@ def level_sets(
             raise NumericDomainError(
                 f"found {len(found)} level points, expected {theta.degree}"
             )
-        families.append(_family_from_angles(theta, alpha, found, trimmed or cap))
+        families.append(_family_from_angles(theta, alpha, found, not full_circle or cap))
     return families
 
 

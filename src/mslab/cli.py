@@ -11,7 +11,7 @@ Subcommands
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
 
-Reports are deterministic: fixed key order, no timestamps; the only
+Reports are compact, sorted-key JSON and deterministic: no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
 files are written atomically (temp file + rename).  A config file may hold
 a list of configs; the sweep runs each entry, in order, into its own
@@ -133,7 +133,7 @@ def _atomic_write(path: Path, text: str) -> None:
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["generated_by"] = f"mslab {__version__}"
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

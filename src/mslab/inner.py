@@ -33,17 +33,19 @@ loses digits as |lambda| -> 1.  Each factor gives its share exactly:
     -log|exp(-s(z))|^2 = 2 sum_k m_k (1 - |z|^2)/|tau_k - z|^2,
 
 so log|Theta|^2 is a sum S of log1p terms and the squared norm is
--expm1(S)/(1 - |z|^2), with the factor 1 - |z|^2 cancelling exactly.
+-expm1(S)/(1 - |z|^2), with the factor 1 - |z|^2 cancelling exactly.  That
+factor is itself computed as 1 - x^2 - y^2 with exact products and sums,
+not from the rounded |z|.
 
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
 one numpy pass (points against zeros, points against atoms); the layers
-that evaluate a batch (argument branches, level sets, square geometry)
-share it.  ``normalized_values`` gives the Theta values and kernel norms of
-a point sequence as arrays from one such pass, for Gram sections and the
-decomposition drivers.  ``rate_bound`` gives a proven upper bound of
-|Theta'| over each of an array of boundary arcs.  ``eval_inner``,
-``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` remain the
-scalar entry points.
+that evaluate a batch (level sets, square geometry) share it.
+``boundary_argument`` gives, in the same way, the continuous argument Phi
+of Theta(e^{it}) on an atom-free boundary arc in closed form.
+``normalized_values`` gives the Theta values and kernel norms of a point
+sequence as arrays from one such pass, for Gram sections and the
+decomposition drivers.  ``eval_inner``, ``boundary_derivative``,
+``kernel_norm_sq`` and ``kernel`` remain the scalar entry points.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -113,6 +116,19 @@ class InnerFunction:
     @property
     def is_constant(self) -> bool:
         return not self.blaschke_zeros and not self.singular_atoms
+
+    @cached_property
+    def _argument_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Data of the nonzero zeros that ``boundary_argument`` reads on every call.
+
+        Moduli r, angles phi, depths 1 - r (from the exact 1 - r^2) and the
+        constant sum(pi - phi).
+        """
+        zeros = np.array(self.blaschke_zeros, dtype=complex)
+        nonzero = zeros[zeros != 0]
+        r, phi = np.abs(nonzero), np.angle(nonzero)
+        depth = _one_minus_modulus_sq(nonzero) / (1.0 + r)
+        return r, phi, depth, math.fsum(math.pi - phi)
 
     def spectrum_points(self) -> tuple[complex, ...]:
         """Zeros and atom positions as points of the closed disk."""
@@ -303,47 +319,74 @@ def eval_points(
     return values, rates
 
 
-def rate_bound(theta: InnerFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Proven upper bound of |Theta'| on each boundary arc [lo, hi].
+def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
+    """Continuous argument Phi(t) of Theta(e^{it}) over a 1-D array of angles.
 
-        R = sum_n (1-|z_n|^2)/dist(z_n, arc)^2 + 2 sum_k m_k/dist(tau_k, arc)^2
+    Each factor's share is written without cancellation, with s = phi - t
+    for a zero eta = r e^{i phi}:
 
-    Each term of the rate is largest where the arc comes nearest its zero or
-    atom: at 1 - |z_n| when arg z_n lies on the arc, otherwise at the arc
-    endpoint nearer in angle, where the distance is the chord.  The arcs
-    must be shorter than a full turn and free of atoms.
+        zero eta != 0:   pi - s - 2 atan2(r sin s, (1 - r) + 2 r sin^2(s/2)),
+        zero at 0:       t,
+        atom (a, m):     m cot((a - t)/2).
+
+    The atan2 has a positive second argument, so it never wraps, and the
+    cotangent's poles are the atom's angles mod 2*pi.  So on any arc free
+    of atoms, exp(i Phi) = Theta(e^{it}) exactly and Phi is continuous and
+    strictly increasing at the rate |Theta'|; it diverges at the atoms.
+    The linear parts pi - phi + t of the zeros are summed apart, as one
+    constant plus degree * t, and 1 - r is taken from the exact 1 - r^2.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    zeros = np.array(theta.blaschke_zeros, dtype=complex)
-    _, taus, masses = _atom_arrays(theta)
-    points = np.concatenate([zeros, taus])
-    numer = np.concatenate([1.0 - np.abs(zeros) ** 2, 2.0 * masses])
-    depth = np.concatenate([1.0 - np.abs(zeros), np.zeros(taus.size)])
-    arg = np.angle(points)
-    bound = np.empty(lo.shape, dtype=float)
-    for rows in _row_blocks(lo.size, points.size):
-        a = lo[rows, None]
-        b = hi[rows, None]
-        chord = np.minimum(np.abs(np.exp(1j * a) - points), np.abs(np.exp(1j * b) - points))
-        dist = np.where(np.mod(arg - a, TWO_PI) <= b - a, depth, chord)
-        with np.errstate(divide="ignore"):  # an atom on the arc: no finite bound
-            bound[rows] = np.sum(numer / dist**2, axis=1)
-    return bound
+    t = np.asarray(t, dtype=float)
+    r, phi, depth, offset = theta._argument_terms
+    atom_angles, _, masses = _atom_arrays(theta)
+    bend = np.empty(t.shape, dtype=float)
+    for rows in _row_blocks(t.size, max(r.size, masses.size)):
+        s = phi - t[rows, None]
+        half = np.sin(0.5 * s)
+        turn = np.arctan2(r * np.sin(s), depth + 2.0 * r * half * half)
+        bend[rows] = np.sum(masses / np.tan(0.5 * (atom_angles - t[rows, None])), axis=1)
+        bend[rows] -= 2.0 * np.sum(turn, axis=1)
+    return offset + theta.degree * t + bend
 
 
-def _interior_norm_sq(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+def _two_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a*a = p + e exactly (Dekker's product, on Veltkamp's split a = hi + lo
+    into halves of 26 significant bits)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    lo = a - hi
+    p = a * a
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b = s + e exactly (Knuth's sum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _one_minus_modulus_sq(z: np.ndarray) -> np.ndarray:
+    """1 - x^2 - y^2 for z = x + iy (an array or a complex), to about one
+    rounding of the exact value: the squares and sums carry their errors."""
+    px, ex = _two_square(z.real)
+    py, ey = _two_square(z.imag)
+    s, e1 = _two_sum(1.0, -px)
+    s, e2 = _two_sum(s, -py)
+    return s + (((e1 + e2) - ex) - ey)
+
+
+def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """(1 - |Theta(z)|^2)/(1 - |z|^2) over a 1-D array of interior points.
 
-    With gap = (1 - |z|)(1 + |z|), t_n = (1 - |z_n|^2) gap/|1 - conj(z_n) z|^2
-    and S = sum log1p(-t_n) - 2 sum m_k gap/|tau_k - z|^2 = log|Theta(z)|^2,
+    With gap = 1 - |z|^2 from ``_one_minus_modulus_sq``,
+    t_n = (1 - |z_n|^2) gap/|1 - conj(z_n) z|^2 and
+    S = sum log1p(-t_n) - 2 sum m_k gap/|tau_k - z|^2 = log|Theta(z)|^2,
     the value is -expm1(S)/gap: no digits are lost as |z| -> 1.
     """
     zeros = np.array(theta.blaschke_zeros, dtype=complex)
     _, taus, masses = _atom_arrays(theta)
     weight = 1.0 - np.abs(zeros) ** 2
-    radius = np.abs(z)
-    gap = (1.0 - radius) * (1.0 + radius)
     log_mod_sq = np.empty(z.shape, dtype=float)
     for rows in _row_blocks(z.size, max(zeros.size, taus.size)):
         w = z[rows, None]
@@ -379,7 +422,7 @@ def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:
             raise OnSpectrumError("kernel norm requested at a singular atom")
         return val
     _check_off_atoms(theta, w)
-    return float(_interior_norm_sq(theta, np.array([w]))[0])
+    return float(_interior_norm_sq(theta, np.array([w]), np.array([_one_minus_modulus_sq(w)]))[0])
 
 
 def kernel(
@@ -445,5 +488,5 @@ def normalized_values(
     norms[edge] = rates[z.size :]
     interior = ~boundary
     interior[edge] = False
-    norms[interior] = _interior_norm_sq(theta, z[interior])
+    norms[interior] = _interior_norm_sq(theta, z[interior], _one_minus_modulus_sq(z[interior]))
     return values, norms

@@ -6,9 +6,9 @@ self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
 constants are plain pairwise products (the library sums logs in numpy),
 Blaschke products are re-evaluated from scratch where a cross-check
 matters, kernel norms are exact rationals or a telescoping sum over the
-factors (the library sums log1p terms), and Hankel sections are sampled
-point by point and transformed by a direct sum (the library uses its
-array evaluator and the FFT).
+factors with an exact 1 - |z|^2 (the library sums log1p terms), and
+Hankel sections are sampled point by point and transformed by a direct
+sum (the library uses its array evaluator and the FFT).
 """
 
 from __future__ import annotations
@@ -54,29 +54,6 @@ def blaschke_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
         tau = cmath.exp(1j * a)
         out = out * np.exp(-m * (tau + z) / (tau - z))
     return out
-
-
-def cell_rate_bound_oracle(theta: InnerFunction, a: float, b: float) -> float:
-    """Upper bound of |Theta'| on the arc [a, b], from the law of cosines.
-
-    |e^{it} - r e^{i phi}|^2 = (1 - r)^2 + 4 r sin^2((t - phi)/2) grows with
-    the angular distance |t - phi| (taken mod 2*pi), so over the arc it is
-    least at phi itself when phi lies on the arc, else at the nearer end.
-    """
-    def least_sq_dist(r: float, phi: float) -> float:
-        offset = (phi - a) % TWO_PI
-        if offset <= b - a:
-            return (1.0 - r) ** 2
-        gap = min(TWO_PI - offset, offset - (b - a))
-        return (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * gap) ** 2
-
-    total = 0.0
-    for eta in theta.blaschke_zeros:
-        r = abs(eta)
-        total += (1.0 - r * r) / least_sq_dist(r, cmath.phase(eta))
-    for angle, mass in theta.singular_atoms:
-        total += 2.0 * mass / least_sq_dist(1.0, angle)
-    return total
 
 
 def circle_mean(values: np.ndarray) -> complex:
@@ -208,12 +185,15 @@ def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarra
 
     and each (1 - p_k)/(1 - |z|^2) has a closed form with no cancellation:
     (1 - |eta|^2)/|1 - conj(eta) z|^2 for a zero, and (1 - e^{-c g})/g with
-    c = 2m/|tau - z|^2, g = 1 - |z|^2 for an atom.  At boundary points
-    (g = 0) the sum is the angular derivative |Theta'|.
+    c = 2m/|tau - z|^2, g = 1 - |z|^2 for an atom, with g rounded once
+    from its exact rational value.  At boundary points (g = 0) the sum is
+    the angular derivative |Theta'|.
     """
     z = np.array(seq.values, dtype=complex)
-    boundary = np.array([p.is_boundary for p in seq.points])
-    gap = np.where(boundary, 0.0, 1.0 - np.abs(z) ** 2)
+    gap = np.array([
+        0.0 if p.is_boundary else float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2)
+        for p, w in zip(seq.points, z)
+    ])
     total = np.zeros(z.size)
     before = np.ones(z.size)  # prod_{j<k} p_j
     for eta in theta.blaschke_zeros:

@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (
-    blaschke_values_on_circle,
-    cell_rate_bound_oracle,
-    random_blaschke,
-    simpson_fixed,
-)
+from conftest import blaschke_values_on_circle, random_blaschke, simpson_fixed
 
 from mslab.clark import (
     _level_branches,
@@ -23,7 +18,7 @@ from mslab.clark import (
 )
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
-from mslab.inner import InnerFunction, boundary_derivative, eval_inner, rate_bound
+from mslab.inner import InnerFunction, boundary_derivative, eval_inner
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -55,33 +50,6 @@ def test_branch_rate_peaks_at_zero_angle() -> None:
     h = 1e-4
     slope = (branch.value_at(h) - branch.value_at(0.0)) / h
     assert slope == pytest.approx(3.0, rel=1e-3)
-
-
-def test_branch_secants_match_rate() -> None:
-    rng = np.random.default_rng(31)
-    theta = random_blaschke(rng, 4)
-    branch = build_arg_branch(theta, (0.0, TWO_PI))
-    thetas = branch.thetas
-    values = branch.values
-    mids = 0.5 * (thetas[:-1] + thetas[1:])
-    secants = np.diff(values) / np.diff(thetas)
-    for m, s in zip(mids[::7], secants[::7]):
-        rate = boundary_derivative(theta, cmath.exp(1j * m))
-        assert abs(s - rate) <= 1e-6 * rate
-
-
-def test_branch_unwrap_certified_near_boundary_zeros() -> None:
-    # rate spikes of height ~2e6 at the angles of zeros 1e-6 inside the
-    # circle: every cell's width times an independent bound of the rate on
-    # it stays below pi/2, so no cell can hide a full turn of argument
-    zeros = tuple((1 - 1e-6) * cmath.exp(1j * a) for a in (0.4, 2.5, 4.1)) + (0.5j,)
-    theta = InnerFunction(blaschke_zeros=zeros)
-    branch = build_arg_branch(theta, (0.0, TWO_PI))
-    assert branch.total_increase == pytest.approx(4 * TWO_PI, abs=1e-9)
-    lo, hi = branch.thetas[:-1], branch.thetas[1:]
-    oracle = np.array([cell_rate_bound_oracle(theta, a, b) for a, b in zip(lo, hi)])
-    assert np.max((hi - lo) * oracle) < 0.5 * math.pi
-    assert rate_bound(theta, lo, hi) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_branch_rejects_atom_in_arc() -> None:
@@ -137,13 +105,22 @@ def test_level_set_against_dense_scan_oracle() -> None:
         assert abs(found - expect) <= 1e-5
 
 
-def _oracle_roots(theta: InnerFunction, alpha: complex, n_grid: int) -> list[float]:
+def _oracle_roots(
+    theta: InnerFunction,
+    alpha: complex,
+    n_grid: int,
+    span: tuple[float, float] = (0.0, TWO_PI),
+    extra: np.ndarray = np.empty(0),
+) -> list[float]:
     """Roots of Theta = alpha from a dense grid, refined by bisection on the
-    conftest evaluator: arg(Theta/alpha) crosses 0 upwards at each root."""
+    conftest evaluator: arg(Theta/alpha) crosses 0 upwards at each root.
+
+    The grid is uniform over ``span``, plus the ``extra`` angles inside it."""
     def phase(t: float) -> float:
         return float(np.angle(blaschke_values_on_circle(theta, np.array([t]))[0] / alpha))
 
-    grid = np.linspace(0.0, TWO_PI, n_grid + 1)
+    lo, hi = span
+    grid = np.union1d(np.linspace(lo, hi, n_grid + 1), extra[(extra > lo) & (extra < hi)])
     arg = np.angle(blaschke_values_on_circle(theta, grid) / alpha)
     roots = []
     for i in np.flatnonzero((arg[:-1] <= 0.0) & (arg[1:] > 0.0) & (arg[1:] - arg[:-1] < math.pi)):
@@ -167,6 +144,72 @@ def test_level_set_degree_64_against_dense_scan_oracle() -> None:
     assert np.max(np.abs(np.array(fam.angles) - np.array(expect))) <= 1e-10
 
 
+def _near_zero_grid(theta: InnerFunction) -> np.ndarray:
+    """Angles clustered at each zero within 1e-3 of the circle, spaced so the
+    argument turns by less than pi between neighbours."""
+    out = []
+    for eta in theta.blaschke_zeros:
+        depth = 1.0 - abs(eta)
+        if depth < 1e-3:
+            steps = np.concatenate([np.arange(-8, 9) / 4.0, 2.0 ** np.arange(1, 60)])
+            offsets = depth * steps[depth * steps < 0.1]
+            out.append(cmath.phase(eta) % TWO_PI + np.concatenate([offsets, -offsets]))
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _assert_residuals_within_rate_tolerance(theta: InnerFunction, fam, alpha: complex) -> None:
+    # the tolerance of the library's own residual check, with the rate and
+    # the values recomputed here
+    ang = np.array(fam.angles)
+    zeta = np.exp(1j * ang)
+    rate = sum((1.0 - abs(eta) ** 2) / np.abs(zeta - eta) ** 2 for eta in theta.blaschke_zeros)
+    for a, m in theta.singular_atoms:
+        rate = rate + 2.0 * m / np.abs(zeta - cmath.exp(1j * a)) ** 2
+    tol = np.maximum(1e-10, 8.0 * rate * 2.3e-16 * np.maximum(1.0, np.abs(ang)))
+    assert np.all(np.abs(blaschke_values_on_circle(theta, ang) - alpha) <= tol)
+
+
+_NEAR_BOUNDARY_ZEROS = {
+    "1 - 1e-7": ((1 - 1e-7) * cmath.exp(0.9j),),
+    "1 - 1e-8": ((1 - 1e-8) * cmath.exp(0.9j), 0.3 + 0.2j),
+    "1 - 1e-12": tuple((1 - 1e-12) * cmath.exp(1j * a) for a in (0.4, 2.5)) + (0.3 + 0.2j,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_BOUNDARY_ZEROS))
+def test_level_set_near_boundary_zeros_against_dense_scan_oracle(name: str) -> None:
+    # the sampled branch exhausted its refinement on each of these
+    theta = InnerFunction(blaschke_zeros=_NEAR_BOUNDARY_ZEROS[name])
+    for alpha in (cmath.exp(2.0j), cmath.exp(-0.7j)):
+        fam = level_set(theta, alpha)
+        expect = _oracle_roots(theta, alpha, 1 << 14, extra=_near_zero_grid(theta))
+        assert len(fam) == len(expect) == theta.degree
+        assert np.max(np.abs(np.array(fam.angles) - np.array(expect))) <= 1e-12
+        _assert_residuals_within_rate_tolerance(theta, fam, alpha)
+
+
+def test_level_set_atoms_1e6_apart_against_dense_scan_oracle() -> None:
+    atoms = ((1.0, 0.5), (1.0 + 1e-6, 0.5))
+    theta = InnerFunction(blaschke_zeros=(0.5j,), singular_atoms=atoms)
+    alpha = cmath.exp(2.0j)
+    cap = 24
+    fam = level_set(theta, alpha, max_points_per_arc=cap)
+    assert fam.truncated
+    ang = np.array(fam.angles)
+    short = (ang > 1.0) & (ang < 1.0 + 1e-6)
+    # the budget of cap + 1 turns per arc reaches the cap on both arcs
+    assert np.sum(short) == np.sum(~short) == cap
+    _assert_residuals_within_rate_tolerance(theta, fam, alpha)
+    # every root between the outermost found ones on each arc, and no other
+    long_arc = np.where(ang < 1.0, ang + TWO_PI, ang)[~short]
+    for found, n_grid in ((ang[short], 1 << 12), (long_arc, 1 << 16)):
+        found = np.sort(found)
+        span = (found[0] - 0.25 * (found[1] - found[0]), found[-1] + 0.25 * (found[-1] - found[-2]))
+        expect = _oracle_roots(theta, alpha, n_grid, span=span)
+        assert len(expect) == cap
+        assert np.max(np.abs(found - np.array(expect))) <= 1e-12
+
+
 def test_lockstep_solve_matches_one_target_at_a_time() -> None:
     # the truncated atomic family and the seam targets, solved in one batch
     # and one by one, give the same roots
@@ -177,7 +220,7 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
     seam = [anchor * cmath.exp(1j * eps) for eps in (0.0, 1e-13, -1e-13, 1e-10, -3e-9)]
     cases.append((theta, 512, [a / abs(a) for a in seam]))
     for theta, cap, alphas in cases:
-        branches, _, _ = _level_branches(theta, cap)
+        branches = _level_branches(theta, cap)
         for branch in branches:
             v0, v1 = float(branch.values[0]), float(branch.values[-1])
             targets = []
@@ -185,8 +228,8 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
                 arg = cmath.phase(alpha)
                 k = math.ceil((v0 - arg) / TWO_PI)
                 targets += [arg + TWO_PI * j for j in range(k, k + 64) if arg + TWO_PI * j <= v1]
-            batch = _solve_on_branch(theta, branch, np.array(targets))
-            single = [_solve_on_branch(theta, branch, np.array([t]))[0] for t in targets]
+            batch = _solve_on_branch(branch, np.array(targets))
+            single = [_solve_on_branch(branch, np.array([t]))[0] for t in targets]
             assert np.max(np.abs(batch - np.array(single))) <= 1e-15
     families = level_sets(theta, [a / abs(a) for a in seam])
     for alpha, fam in zip(seam, families):

@@ -49,7 +49,7 @@ def test_reports_are_deterministic_and_round_trip(tmp_path) -> None:
     second = (tmp_path / "b" / "analyze.json").read_bytes()
     assert first == second
     parsed = json.loads(first)
-    again = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    again = json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n"
     assert again.encode() == first  # floats round-trip bit-exactly
 
 
@@ -103,6 +103,36 @@ def test_clark_command(tmp_path) -> None:
     assert report["weights"] == pytest.approx([1 / 3] * 3)
     assert report["herglotz_residual_max"] <= 1e-8
     assert report["herglotz_certifying"] is True
+
+
+_NEAR_BOUNDARY = {
+    # zeros at 1 - depth, and two atoms 1e-6 apart
+    "zero at 1 - 1e-7": {"blaschke_zeros": [[(1 - 1e-7) * math.cos(0.9), (1 - 1e-7) * math.sin(0.9)]]},
+    "zero at 1 - 1e-8": {
+        "blaschke_zeros": [[(1 - 1e-8) * math.cos(0.9), (1 - 1e-8) * math.sin(0.9)], [0.3, 0.2]]
+    },
+    "zeros at 1 - 1e-12": {
+        "blaschke_zeros": [[(1 - 1e-12) * math.cos(a), (1 - 1e-12) * math.sin(a)] for a in (0.4, 2.5)]
+        + [[0.3, 0.2]]
+    },
+    "atoms 1e-6 apart": {
+        "blaschke_zeros": [[0.0, 0.5]],
+        "singular_atoms": [{"angle": 1.0, "mass": 0.5}, {"angle": 1.0 + 1e-6, "mass": 0.5}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_BOUNDARY))
+def test_clark_command_near_the_boundary(tmp_path, name) -> None:
+    inner = _NEAR_BOUNDARY[name]
+    config = {"inner": inner, "alpha": [math.cos(2.0), math.sin(2.0)], "options": {"max_points_per_arc": 24}}
+    out = tmp_path / "out"
+    assert main(["clark", "--config", _write(tmp_path / "cfg.json", config), "--out", str(out)]) == 0
+    report = json.loads((out / "clark.json").read_text())
+    if "singular_atoms" in inner:
+        assert report["truncated"] and len(report["points"]) == 48
+    else:
+        assert not report["truncated"] and len(report["points"]) == len(inner["blaschke_zeros"])
 
 
 def test_pw_command_with_split(tmp_path) -> None:

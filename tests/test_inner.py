@@ -7,7 +7,6 @@ import pytest
 from conftest import (
     blaschke_values,
     blaschke_values_on_circle,
-    cell_rate_bound_oracle,
     kernel_norm_sq_exact,
     kernel_norm_sq_oracle,
     random_blaschke,
@@ -16,6 +15,7 @@ from conftest import (
 from mslab.errors import ConfigError, NumericDomainError, OnSpectrumError
 from mslab.inner import (
     InnerFunction,
+    boundary_argument,
     boundary_derivative,
     derivative,
     eval_inner,
@@ -24,7 +24,6 @@ from mslab.inner import (
     kernel_norm_sq,
     log_derivative,
     normalized_values,
-    rate_bound,
     spectrum_distance,
 )
 from mslab.points import PointSequence, UnitPoint
@@ -192,8 +191,12 @@ def test_norm_at_a_zero_and_near_an_atom() -> None:
     theta = InnerFunction(blaschke_zeros=(eta, 0.0), singular_atoms=((1.0, 0.6),))
     # Theta(eta) = 0: the norm is 1/(1 - |eta|^2), with no warning raised
     assert kernel_norm_sq(theta, eta) == pytest.approx(1.0 / (1.0 - abs(eta) ** 2), rel=1e-15)
+    # 1e-3 from the atom its share 2 m gap/|tau - z|^2 is not small: there a
+    # gap taken from the rounded |z| was 1.2e-10 off at 1 - |z| = 1e-9
+    near_atom = [(1 - depth) * cmath.exp(1j * t) for depth in (1e-9, 1e-11) for t in (0.999, 1.001)]
     seq = PointSequence.from_complex(
         [eta, 0.0, 0.5, (1 - 1e-9) * cmath.exp(2.5j), (1 - 1e-3) * cmath.exp(1.01j)]
+        + near_atom
         + [cmath.exp(1j * t) for t in (0.5, 3.0)]
     )
     values, norms = normalized_values(theta, seq.points, seq.ids)
@@ -369,15 +372,53 @@ def test_eval_points_refuses_atoms() -> None:
     assert math.isfinite(rates[1])
 
 
-def test_rate_bound_matches_oracle_and_dominates_rate() -> None:
-    theta = InnerFunction(
-        blaschke_zeros=(0.0, 0.9 * cmath.exp(1.0j), (1 - 1e-6) * cmath.exp(-2.0j)),
-        singular_atoms=((3.0, 0.2),),
-    )
-    lo = np.array([0.2, 0.9, 4.2, -2.5, 2.0, 3.1])
-    hi = np.array([0.8, 1.1, 4.4, -1.9, 2.9, 5.9])
-    bound = rate_bound(theta, lo, hi)
-    for a, b, r in zip(lo, hi, bound):
-        assert r == pytest.approx(cell_rate_bound_oracle(theta, a, b), rel=1e-9)
-        _, rates = eval_points(theta, np.exp(1j * np.linspace(a, b, 2001)))
-        assert np.max(rates) <= r
+# ---------------------------------------------------------------------------
+# closed-form boundary argument
+# ---------------------------------------------------------------------------
+
+_CLOSE_ATOMS = ((0.7, 0.4), (0.7 + 1e-6, 0.3), (3.9, 0.15))
+
+
+def _argument_case(name: str) -> tuple[InnerFunction, list[tuple[float, float]]]:
+    """Inner function and atom-free arcs to sample Phi on."""
+    rng = np.random.default_rng(73)
+    full = [(0.0, TWO_PI), (-TWO_PI, 0.0), (2.0, 2.0 + TWO_PI)]
+    if name == "degree 256":
+        return random_blaschke(rng, 256, rmax=0.95), full
+    if name == "zeros at 0":
+        return InnerFunction((0, 0, 0) + random_blaschke(rng, 4).blaschke_zeros), full
+    if name == "near-boundary zeros":
+        zeros = tuple((1 - gap) * cmath.exp(1j * a) for gap, a in ((1e-12, 0.4), (1e-8, 2.5), (1e-7, 4.1)))
+        return InnerFunction(zeros + (0.5j,)), full
+    # atoms 1e-6 apart; arcs between them, across the seam and a turn away
+    theta = InnerFunction((0,) + random_blaschke(rng, 5).blaschke_zeros, _CLOSE_ATOMS)
+    arcs = [(0.7 + 1e-6, 3.9), (3.9, 0.7 + TWO_PI), (3.9 - TWO_PI, 0.7), (0.7 + 1e-6 + TWO_PI, 3.9 + TWO_PI)]
+    return theta, arcs
+
+
+def _argument_angles(arcs: list[tuple[float, float]], per_arc: int) -> list[np.ndarray]:
+    """Random angles on each arc, clear of its ends by 5% of its length."""
+    rng = np.random.default_rng(79)
+    return [rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), per_arc) for lo, hi in arcs]
+
+
+_ARGUMENT_CASES = ["degree 256", "zeros at 0", "near-boundary zeros", "atoms 1e-6 apart"]
+
+
+@pytest.mark.parametrize("name", _ARGUMENT_CASES)
+def test_boundary_argument_exponentiates_to_theta(name: str) -> None:
+    theta, arcs = _argument_case(name)
+    for t in _argument_angles(arcs, 500):
+        phi = boundary_argument(theta, t)
+        assert np.max(np.abs(np.exp(1j * phi) - blaschke_values_on_circle(theta, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", _ARGUMENT_CASES)
+def test_boundary_argument_strictly_increasing(name: str) -> None:
+    theta, arcs = _argument_case(name)
+    for t in _argument_angles(arcs, 2000):
+        assert np.all(np.diff(boundary_argument(theta, np.sort(t))) > 0.0)
+    # the increase over a full turn is 2*pi per zero
+    if not theta.singular_atoms:
+        ends = boundary_argument(theta, np.array([0.3, 0.3 + TWO_PI]))
+        assert ends[1] - ends[0] == pytest.approx(TWO_PI * theta.degree, rel=1e-13)
