@@ -39,6 +39,12 @@ from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
 
+# A trim cut stays this far, in angle, from the atom it cuts away: ten times
+# the 1e-12 within which a boundary point counts as on the atom (and the
+# 1e-13 margin of ``_check_arc_clear``).
+_ATOM_CLEARANCE = 1e-11
+
+
 @dataclass(frozen=True)
 class ArgBranch:
     """Continuous increasing branch Phi of arg Theta(e^{i t}) on one arc.
@@ -151,13 +157,19 @@ def _trim_to_budget(
     """Cut an atom-bounded arc so its argument increase stays within budget.
 
     Phi diverges at the atoms, so each side is cut where Phi reaches
-    Phi(mid) -+ budget/2, on the side of the cut that stays within budget.
+    Phi(mid) -+ budget/2, on the side of the cut that stays within budget,
+    but never nearer than ``_ATOM_CLEARANCE`` to the atom: next to a light
+    atom Phi reaches the budget only there, and the arc ends at the
+    clearance with less.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * budget
     centre = float(boundary_argument(theta, np.array([mid]))[0])
     a, b = _bisect(
-        theta, np.array([lo, mid]), np.array([mid, hi]), np.array([centre - half, centre + half])
+        theta,
+        np.array([min(lo + _ATOM_CLEARANCE, mid), mid]),
+        np.array([mid, max(hi - _ATOM_CLEARANCE, mid)]),
+        np.array([centre - half, centre + half]),
     )
     return float(b[0]), float(a[1])
 
@@ -369,10 +381,10 @@ def variation_along_path(
                 )
         chord = end - start
 
-        def integrand(t: float, base: complex = start, step: complex = chord) -> float:
-            return abs(derivative(theta, base + t * step))
+        def integrand(t: np.ndarray, base: complex = start, step: complex = chord) -> np.ndarray:
+            return np.abs(derivative(theta, base + t * step))
 
-        total += abs(chord) * adaptive_simpson(integrand, 0.0, 1.0, rel_tol=1e-8)
+        total += abs(chord) * float(adaptive_simpson(integrand, 0.0, 1.0, rel_tol=1e-8)[0])
     return total
 
 

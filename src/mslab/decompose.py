@@ -45,13 +45,7 @@ from .carleson import (
 from .clark import ClarkFamily, level_sets, stability_margin
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, part_frame_bounds
-from .inner import (
-    InnerFunction,
-    boundary_derivative,
-    eval_points,
-    normalized_values,
-    spectrum_distance,
-)
+from .inner import InnerFunction, eval_points, normalized_values, spectrum_distance
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
@@ -194,29 +188,6 @@ def _first_fit(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> lis
     return [np.array(sorted(members)) for members in bins]
 
 
-def greedy_interpolating_cover(seq: PointSequence, delta_floor: float) -> list[PointSequence]:
-    """Partition into parts with Carleson constant >= delta_floor.
-
-    First-fit greedy over points in decreasing modulus order, followed by
-    re-verification of every part.  Singletons have constant 1, so the
-    cover always succeeds.
-    """
-    if len(seq) == 0:
-        raise NumericDomainError("cannot cover an empty sequence")
-    L = log_distance_matrix(seq)
-    order = np.argsort(_modulus_rank(seq))
-    log_floor = math.log(delta_floor) if delta_floor > 0.0 else -math.inf
-    bins = _first_fit(L, [order[k : k + 1] for k in range(len(seq))], log_floor)
-    parts = [_subsequence(seq, idx) for idx in bins]
-    for part in parts:
-        got = carleson_constant(part)
-        if got < delta_floor - 1e-15:
-            raise NumericDomainError(
-                f"greedy cover verification failed: delta {got} < floor {delta_floor}"
-            )
-    return parts
-
-
 def _mills_halves(
     L: np.ndarray, idx: np.ndarray, rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -237,31 +208,6 @@ def _mills_halves(
             b.append(k)
             np.minimum(near_b, sub[k], out=near_b)
     return np.sort(idx[a]), np.sort(idx[b])
-
-
-def _subsequence(seq: PointSequence, idx: np.ndarray) -> PointSequence:
-    return PointSequence(
-        tuple(seq.points[k] for k in idx), tuple(seq.ids[k] for k in idx)
-    )
-
-
-def mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
-    """Split a sequence in two without losing separation.
-
-    Heuristic: the two pseudohyperbolically closest points seed different
-    halves; remaining points go, in decreasing modulus order, to the half
-    maximizing their minimum distance to it.  Dropping points can only
-    raise each factor's Carleson constant, so min(delta_1, delta_2) >=
-    delta always holds; the sqrt(delta) quality target is the caller's to
-    check (re-splitting recursively when missed).
-    """
-    n = len(seq)
-    if n == 0:
-        raise NumericDomainError("cannot split an empty sequence")
-    if n == 1:
-        return seq, PointSequence((), ())
-    a, b = _mills_halves(log_distance_matrix(seq), np.arange(n), _modulus_rank(seq))
-    return _subsequence(seq, a), _subsequence(seq, b)
 
 
 def _clique_size(clash: np.ndarray) -> int:
@@ -517,7 +463,9 @@ def build_arc_system(
 
     The level sets at e^{2 pi i l / N} are merged and sorted; consecutive
     points bound the arcs, each tagged by the level of its hi endpoint.
-    Per-arc mass is re-integrated independently and checked against 1/N.
+    Per-arc mass is re-integrated independently of the level sets, all
+    arcs in one lockstep adaptive Simpson over the rate |Theta'|/(2 pi) of
+    ``eval_points``, and checked against 1/N.
     Arcs that would contain a singular atom are dropped and the system is
     flagged truncated.
     """
@@ -543,22 +491,23 @@ def build_arc_system(
                 f"level points at angles {tagged[i - 1][0]} and {tagged[i][0]} collide"
             )
 
-    rate = lambda t: boundary_derivative(theta, cmath.exp(1j * t)) / TWO_PI  # noqa: E731
     atom_angles = [a for a, _ in theta.singular_atoms]
-    arcs: list[Arc] = []
-    target = 1.0 / level_count
-    for i in range(n_pts):
-        hi, level, hi_deriv = tagged[i]
+    spans: list[tuple[float, float, int, float]] = []  # (lo, hi, level, derivative)
+    for i, (hi, level, hi_deriv) in enumerate(tagged):
         lo = tagged[i - 1][0] if i > 0 else tagged[-1][0] - TWO_PI
         # atoms never coincide with level points, so a wrapped offset in
         # (0, length) means the atom sits strictly inside this arc
-        contains_atom = any(
-            normalize_angle(a - lo) < (hi - lo) + 1e-15 for a in atom_angles
-        )
-        if contains_atom:
+        if any(normalize_angle(a - lo) < (hi - lo) + 1e-15 for a in atom_angles):
             truncated = True
-            continue
-        mass = adaptive_simpson(rate, lo, hi, rel_tol=1e-9)
+        else:
+            spans.append((lo, hi, level, hi_deriv))
+    lo, hi = np.array([span[:2] for span in spans]).reshape(-1, 2).T
+    masses = adaptive_simpson(
+        lambda t: eval_points(theta, np.exp(1j * t))[1] / TWO_PI, lo, hi, rel_tol=1e-9
+    )
+    arcs: list[Arc] = []
+    target = 1.0 / level_count
+    for (lo, hi, level, hi_deriv), mass in zip(spans, masses.tolist()):
         if abs(mass - target) > _ARC_MASS_REL_TOL * target:
             if truncated:
                 # an end arc next to a truncation cut can lose its partner
@@ -756,9 +705,9 @@ def decompose_by_squares(
         raise NumericDomainError("cannot decompose an empty sequence")
     if theta.is_constant:
         raise NumericDomainError("constant inner function: nothing to decompose")
-    for pid, p in seq:
-        if spectrum_distance(theta, p.value) <= 1e-13:
-            raise NumericDomainError(f"point {pid} lies on the spectrum")
+    on_spectrum = np.flatnonzero(spectrum_distance(theta, np.array(seq.values)) <= 1e-13)
+    if on_spectrum.size:
+        raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
     if level_count is None:
         arcs, squares, region = _select_square_system(
@@ -799,7 +748,7 @@ def decompose_by_squares(
     parts: list[PartitionPart] = []
 
     if uncovered:
-        sub = _subsequence(seq, uncovered)
+        sub = seq.subset(seq.ids[k] for k in uncovered)
         gamma_used = max(region.delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(

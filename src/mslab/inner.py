@@ -44,8 +44,12 @@ that evaluate a batch (level sets, square geometry) share it.
 of Theta(e^{it}) on an atom-free boundary arc in closed form.
 ``normalized_values`` gives the Theta values and kernel norms of a point
 sequence as arrays from one such pass, for Gram sections and the
-decomposition drivers.  ``eval_inner``, ``boundary_derivative``,
-``kernel_norm_sq`` and ``kernel`` remain the scalar entry points.
+decomposition drivers.  ``log_derivative``, ``derivative`` and
+``spectrum_distance`` take a point or an array of points.  Each formula
+has this one array implementation, computed from arrays of the data
+built once per function: the scalar names ``eval_inner``,
+``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` are one-point
+views of the array code.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +76,23 @@ _BLOCK_ENTRIES = 1 << 15
 
 # Interior points with |z| at or above this take the boundary kernel norm.
 _NORM_EDGE = 1.0 - 1e-12
+
+
+class _Terms(NamedTuple):
+    """Arrays of an inner function's data, built once (``InnerFunction._terms``)."""
+
+    zeros: np.ndarray  # all Blaschke zeros z_n
+    weight: np.ndarray  # 1 - |z_n|^2
+    nonzero: np.ndarray  # the zeros other than 0 ...
+    unit: np.ndarray  # ... their unimodular factors |eta|/eta ...
+    origin: int  # ... and the multiplicity of the zero at 0
+    r: np.ndarray  # moduli of the nonzero zeros
+    phi: np.ndarray  # their angles
+    depth: np.ndarray  # 1 - r, from the exact 1 - r^2
+    offset: float  # sum(pi - phi)
+    atom_angles: np.ndarray
+    taus: np.ndarray  # e^{i angle} of the atoms
+    masses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -118,17 +139,26 @@ class InnerFunction:
         return not self.blaschke_zeros and not self.singular_atoms
 
     @cached_property
-    def _argument_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Data of the nonzero zeros that ``boundary_argument`` reads on every call.
-
-        Moduli r, angles phi, depths 1 - r (from the exact 1 - r^2) and the
-        constant sum(pi - phi).
-        """
+    def _terms(self) -> _Terms:
+        """The zero and atom arrays every evaluator reads, built once."""
         zeros = np.array(self.blaschke_zeros, dtype=complex)
         nonzero = zeros[zeros != 0]
         r, phi = np.abs(nonzero), np.angle(nonzero)
-        depth = _one_minus_modulus_sq(nonzero) / (1.0 + r)
-        return r, phi, depth, math.fsum(math.pi - phi)
+        angles = np.array([a for a, _ in self.singular_atoms], dtype=float)
+        return _Terms(
+            zeros=zeros,
+            weight=1.0 - np.abs(zeros) ** 2,
+            nonzero=nonzero,
+            unit=r / nonzero,
+            origin=zeros.size - nonzero.size,
+            r=r,
+            phi=phi,
+            depth=_one_minus_modulus_sq(nonzero) / (1.0 + r),
+            offset=math.fsum(math.pi - phi),
+            atom_angles=angles,
+            taus=np.exp(1j * angles),
+            masses=np.array([m for _, m in self.singular_atoms], dtype=float),
+        )
 
     def spectrum_points(self) -> tuple[complex, ...]:
         """Zeros and atom positions as points of the closed disk."""
@@ -166,93 +196,16 @@ def _as_complex(z: complex | UnitPoint) -> complex:
     return z.value if isinstance(z, UnitPoint) else complex(z)
 
 
-def _blaschke_factor(eta: complex, z: complex) -> complex:
-    if eta == 0:
-        return z
-    return (abs(eta) / eta) * (eta - z) / (1.0 - eta.conjugate() * z)
+def _as_point(z: complex | UnitPoint) -> UnitPoint:
+    """z as a point; a bare complex number is taken by its modulus, untagged."""
+    return z if isinstance(z, UnitPoint) else UnitPoint(complex(z))
 
 
-def _check_off_atoms(theta: InnerFunction, z: complex) -> None:
-    if not theta.singular_atoms:
-        return
-    if abs(abs(z) - 1.0) > _BOUNDARY_EVAL_TOL:
-        return
-    ang = cmath.phase(z)
-    for a, _ in theta.singular_atoms:
-        if angle_distance(ang, a) <= ANGLE_TOL:
-            raise OnSpectrumError(
-                f"evaluation at singular atom (angle {a!r}) is on the spectrum"
-            )
-
-
-def eval_inner(theta: InnerFunction, z: complex | UnitPoint) -> complex:
-    """Evaluate the inner function at a point off its boundary spectrum.
-
-    Interior points always work; boundary points must avoid the atoms.
-    """
-    w = _as_complex(z)
-    _check_off_atoms(theta, w)
-    result = complex(1.0)
-    for eta in theta.blaschke_zeros:
-        result *= _blaschke_factor(eta, w)
-    if theta.singular_atoms:
-        s = complex(0.0)
-        for a, m in theta.singular_atoms:
-            tau = cmath.exp(1j * a)
-            s += m * (tau + w) / (tau - w)
-        result *= cmath.exp(-s)
-    return result
-
-
-def log_derivative(theta: InnerFunction, z: complex | UnitPoint) -> complex:
-    """Theta'(z)/Theta(z), from the factorwise logarithmic derivative.
-
-    Valid off the zeros and atoms; combined with ``eval_inner`` this gives
-    the analytic derivative anywhere off the spectrum.
-    """
-    w = _as_complex(z)
-    _check_off_atoms(theta, w)
-    total = complex(0.0)
-    for eta in theta.blaschke_zeros:
-        denom = (eta - w) * (1.0 - eta.conjugate() * w)
-        if denom == 0:
-            raise OnSpectrumError(f"derivative requested at Blaschke zero {eta!r}")
-        total += (abs(eta) ** 2 - 1.0) / denom
-    for a, m in theta.singular_atoms:
-        tau = cmath.exp(1j * a)
-        total += -2.0 * m * tau / (tau - w) ** 2
-    return total
-
-
-def derivative(theta: InnerFunction, z: complex | UnitPoint) -> complex:
-    """Analytic derivative Theta'(z), off the spectrum."""
-    w = _as_complex(z)
-    return eval_inner(theta, w) * log_derivative(theta, w)
-
-
-def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> float:
-    """Angular derivative |Theta'| at a boundary point.
-
-        |Theta'(zeta)| = sum_n (1-|z_n|^2)/|zeta - z_n|^2
-                       + 2 sum_k m_k / |zeta - tau_k|^2
-
-    Returns +inf when zeta coincides with an atom.
-    """
-    w = _as_complex(zeta)
-    if abs(abs(w) - 1.0) > _BOUNDARY_EVAL_TOL:
-        raise NumericDomainError(
-            f"boundary derivative needs a boundary point, got |z| = {abs(w)!r}"
-        )
-    ang = cmath.phase(w)
-    total = 0.0
-    for eta in theta.blaschke_zeros:
-        total += (1.0 - abs(eta) ** 2) / abs(w - eta) ** 2
-    for a, m in theta.singular_atoms:
-        if angle_distance(ang, a) <= ANGLE_TOL:
-            return math.inf
-        tau = cmath.exp(1j * a)
-        total += 2.0 * m / abs(w - tau) ** 2
-    return total
+def _as_points(z) -> tuple[np.ndarray, bool]:
+    """z as a 1-D complex array, and whether it was given as one point."""
+    if isinstance(z, UnitPoint) or np.ndim(z) == 0:
+        return np.array([_as_complex(z)]), True
+    return np.asarray(z, dtype=complex), False
 
 
 def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
@@ -262,10 +215,41 @@ def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
-def _atom_arrays(theta: InnerFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    angles = np.array([a for a, _ in theta.singular_atoms], dtype=float)
-    masses = np.array([m for _, m in theta.singular_atoms], dtype=float)
-    return angles, np.exp(1j * angles), masses
+def _near_atoms(terms: _Terms, angles: np.ndarray) -> np.ndarray:
+    """Which angles lie within ANGLE_TOL of an atom's angle."""
+    gap = np.mod(angles[:, None] - terms.atom_angles, TWO_PI)
+    return (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=1)
+
+
+def _refuse_atoms(
+    terms: _Terms, z: np.ndarray, ids: Sequence[int] | None = None
+) -> np.ndarray:
+    """``_near_atoms`` of the points' angles; a boundary point on an atom
+    raises ``OnSpectrumError``, naming its label when ``ids`` gives one."""
+    if not terms.taus.size:
+        return np.zeros(z.shape, dtype=bool)
+    at_atom = _near_atoms(terms, np.angle(z))
+    hit = np.flatnonzero(at_atom & (np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL))
+    if hit.size:
+        k = int(hit[0])
+        label = f"point {ids[k]}: " if ids is not None else ""
+        raise OnSpectrumError(
+            f"{label}evaluation at a singular atom (point {complex(z[k])!r}) is on the spectrum"
+        )
+    return at_atom
+
+
+def _rates(terms: _Terms, zeta: np.ndarray, at_atom: np.ndarray) -> np.ndarray:
+    """|Theta'| at boundary points zeta, +inf where ``at_atom`` flags an atom's angle."""
+    rates = np.empty(zeta.shape, dtype=float)
+    for rows in _row_blocks(zeta.size, max(terms.zeros.size, terms.taus.size)):
+        zw = zeta[rows, None]
+        rates[rows] = (terms.weight / np.abs(zw - terms.zeros) ** 2).sum(axis=1)
+        if terms.taus.size:
+            with np.errstate(divide="ignore"):
+                rates[rows] += (2.0 * terms.masses / np.abs(zw - terms.taus) ** 2).sum(axis=1)
+    rates[at_atom] = math.inf
+    return rates
 
 
 def eval_points(
@@ -275,48 +259,86 @@ def eval_points(
 
     The rate is taken at the radial projection e^{i arg z} (at z itself when
     |z| is within 1e-9 of 1), so the pair answers both boundary sampling and
-    the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  As in
-    ``eval_inner``, a boundary point on an atom raises ``OnSpectrumError``,
-    naming the point's label when ``ids`` gives one per point; as in
-    ``boundary_derivative``, the rate at an atom's angle is +inf.
+    the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  A
+    boundary point on an atom raises ``OnSpectrumError``, naming the
+    point's label when ``ids`` gives one per point; the rate at an atom's
+    angle is +inf.
     """
     z = np.asarray(z, dtype=complex)
-    radius = np.abs(z)
-    arg = np.angle(z)
-    on_circle = np.abs(radius - 1.0) <= _BOUNDARY_EVAL_TOL
-    zeta = np.where(on_circle, z, np.exp(1j * arg))
-    atom_angles, taus, masses = _atom_arrays(theta)
-    if taus.size:
-        gap = np.mod(arg[:, None] - atom_angles[None, :], TWO_PI)
-        at_atom = (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=1)
-        hit = np.flatnonzero(at_atom & on_circle)
-        if hit.size:
-            k = int(hit[0])
-            label = f"point {ids[k]}: " if ids is not None else ""
-            raise OnSpectrumError(
-                f"{label}evaluation at a singular atom (point {complex(z[k])!r}) is on the spectrum"
-            )
-    zeros = np.array(theta.blaschke_zeros, dtype=complex)
-    nonzero = zeros[zeros != 0]
-    unit = np.abs(nonzero) / nonzero
-    weight = 1.0 - np.abs(zeros) ** 2
+    terms = theta._terms
+    at_atom = _refuse_atoms(terms, z, ids)
     values = np.empty(z.shape, dtype=complex)
-    rates = np.empty(z.shape, dtype=float)
-    for rows in _row_blocks(z.size, max(zeros.size, taus.size)):
+    for rows in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
         w = z[rows, None]
-        zw = zeta[rows, None]
-        values[rows] = np.prod(unit * (nonzero - w) / (1.0 - nonzero.conj() * w), axis=1)
-        rates[rows] = np.sum(weight / np.abs(zw - zeros) ** 2, axis=1)
-        if taus.size:
-            s = np.sum(masses * (taus + w) / (taus - w), axis=1)
+        values[rows] = (
+            terms.unit * (terms.nonzero - w) / (1.0 - terms.nonzero.conj() * w)
+        ).prod(axis=1)
+        if terms.taus.size:
+            s = (terms.masses * (terms.taus + w) / (terms.taus - w)).sum(axis=1)
             values[rows] *= np.exp(-s)
-            with np.errstate(divide="ignore"):
-                rates[rows] += np.sum(2.0 * masses / np.abs(zw - taus) ** 2, axis=1)
-    for _ in range(zeros.size - nonzero.size):
-        values *= z
-    if taus.size:
-        rates[at_atom] = math.inf
-    return values, rates
+    if terms.origin:
+        values *= z**terms.origin
+    on_circle = np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL
+    zeta = np.where(on_circle, z, np.exp(1j * np.angle(z)))
+    return values, _rates(terms, zeta, at_atom)
+
+
+def eval_inner(theta: InnerFunction, z: complex | UnitPoint) -> complex:
+    """Evaluate the inner function at a point off its boundary spectrum.
+
+    Interior points always work; boundary points must avoid the atoms.
+    One point of ``eval_points``.
+    """
+    return complex(eval_points(theta, _as_points(z)[0])[0][0])
+
+
+def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> float:
+    """Angular derivative |Theta'| at a boundary point.
+
+        |Theta'(zeta)| = sum_n (1-|z_n|^2)/|zeta - z_n|^2
+                       + 2 sum_k m_k / |zeta - tau_k|^2
+
+    Returns +inf when zeta coincides with an atom.  The rate of
+    ``eval_points`` at one point.
+    """
+    w = _as_complex(zeta)
+    if abs(abs(w) - 1.0) > _BOUNDARY_EVAL_TOL:
+        raise NumericDomainError(
+            f"boundary derivative needs a boundary point, got |z| = {abs(w)!r}"
+        )
+    zeta = np.array([w])
+    return float(_rates(theta._terms, zeta, _near_atoms(theta._terms, np.angle(zeta)))[0])
+
+
+def log_derivative(theta: InnerFunction, z):
+    """Theta'(z)/Theta(z), from the factorwise logarithmic derivative.
+
+    Takes one point (returns a complex) or a 1-D array of points (returns
+    an array).  Valid off the zeros and atoms: a zero raises
+    ``OnSpectrumError``, as does a boundary point on an atom.
+    """
+    w, one = _as_points(z)
+    terms = theta._terms
+    _refuse_atoms(terms, w)
+    total = np.empty(w.shape, dtype=complex)
+    for rows in _row_blocks(w.size, max(terms.zeros.size, terms.taus.size)):
+        v = w[rows, None]
+        denom = (terms.zeros - v) * (1.0 - terms.zeros.conj() * v)
+        at_zero = np.argwhere(denom == 0)
+        if at_zero.size:
+            eta = complex(terms.zeros[at_zero[0, 1]])
+            raise OnSpectrumError(f"derivative requested at Blaschke zero {eta!r}")
+        total[rows] = (-terms.weight / denom).sum(axis=1) - (
+            2.0 * terms.masses * terms.taus / (terms.taus - v) ** 2
+        ).sum(axis=1)
+    return complex(total[0]) if one else total
+
+
+def derivative(theta: InnerFunction, z):
+    """Analytic derivative Theta'(z), off the spectrum, at one point or a 1-D array."""
+    w, one = _as_points(z)
+    out = eval_points(theta, w)[0] * log_derivative(theta, w)
+    return complex(out[0]) if one else out
 
 
 def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
@@ -337,16 +359,16 @@ def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
     constant plus degree * t, and 1 - r is taken from the exact 1 - r^2.
     """
     t = np.asarray(t, dtype=float)
-    r, phi, depth, offset = theta._argument_terms
-    atom_angles, _, masses = _atom_arrays(theta)
+    terms = theta._terms
+    r = terms.r
     bend = np.empty(t.shape, dtype=float)
-    for rows in _row_blocks(t.size, max(r.size, masses.size)):
-        s = phi - t[rows, None]
+    for rows in _row_blocks(t.size, max(r.size, terms.masses.size)):
+        s = terms.phi - t[rows, None]
         half = np.sin(0.5 * s)
-        turn = np.arctan2(r * np.sin(s), depth + 2.0 * r * half * half)
-        bend[rows] = np.sum(masses / np.tan(0.5 * (atom_angles - t[rows, None])), axis=1)
-        bend[rows] -= 2.0 * np.sum(turn, axis=1)
-    return offset + theta.degree * t + bend
+        turn = np.arctan2(r * np.sin(s), terms.depth + 2.0 * r * half * half)
+        bend[rows] = (terms.masses / np.tan(0.5 * (terms.atom_angles - t[rows, None]))).sum(axis=1)
+        bend[rows] -= 2.0 * turn.sum(axis=1)
+    return terms.offset + theta.degree * t + bend
 
 
 def _two_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,20 +406,20 @@ def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> n
     S = sum log1p(-t_n) - 2 sum m_k gap/|tau_k - z|^2 = log|Theta(z)|^2,
     the value is -expm1(S)/gap: no digits are lost as |z| -> 1.
     """
-    zeros = np.array(theta.blaschke_zeros, dtype=complex)
-    _, taus, masses = _atom_arrays(theta)
-    weight = 1.0 - np.abs(zeros) ** 2
+    terms = theta._terms
     log_mod_sq = np.empty(z.shape, dtype=float)
-    for rows in _row_blocks(z.size, max(zeros.size, taus.size)):
+    for rows in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
         w = z[rows, None]
         g = gap[rows, None]
         # t_n rounds at most an ulp above 1 at a zero of Theta, where
         # log1p(-1) = -inf gives |Theta| = 0
-        t = np.minimum(weight * g / np.abs(1.0 - zeros.conj() * w) ** 2, 1.0)
+        t = np.minimum(terms.weight * g / np.abs(1.0 - terms.zeros.conj() * w) ** 2, 1.0)
         with np.errstate(divide="ignore"):
             log_mod_sq[rows] = np.sum(np.log1p(-t), axis=1)
-        if taus.size:
-            log_mod_sq[rows] -= 2.0 * np.sum(masses * g / np.abs(taus - w) ** 2, axis=1)
+        if terms.taus.size:
+            log_mod_sq[rows] -= 2.0 * np.sum(
+                terms.masses * g / np.abs(terms.taus - w) ** 2, axis=1
+            )
     return -np.expm1(log_mod_sq) / gap
 
 
@@ -407,22 +429,9 @@ def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:
     Interior: (1 - |Theta(lambda)|^2)/(1 - |lambda|^2), from the factor
     identities of the module docstring.  Boundary (and |lambda| >= 1 -
     1e-12): the angular derivative at lambda/|lambda|.  A boundary point
-    sitting on an atom is an error.
+    sitting on an atom is an error.  One point of ``normalized_values``.
     """
-    if isinstance(lam, UnitPoint) and lam.is_boundary:
-        val = boundary_derivative(theta, lam)
-        if math.isinf(val):
-            raise OnSpectrumError("kernel norm requested at a singular atom")
-        return val
-    w = _as_complex(lam)
-    r = abs(w)
-    if r >= _NORM_EDGE:
-        val = boundary_derivative(theta, w / r)
-        if math.isinf(val):
-            raise OnSpectrumError("kernel norm requested at a singular atom")
-        return val
-    _check_off_atoms(theta, w)
-    return float(_interior_norm_sq(theta, np.array([w]), np.array([_one_minus_modulus_sq(w)]))[0])
+    return float(normalized_values(theta, [_as_point(lam)])[1][0])
 
 
 def kernel(
@@ -433,14 +442,15 @@ def kernel(
     """Reproducing kernel k_lambda(z) of the model subspace of Theta.
 
     Hermitian in its arguments: kernel(lam, z) == conj(kernel(z, lam)).
-    The diagonal goes through the same closed form as ``kernel_norm_sq``.
+    The diagonal is the kernel norm of ``normalized_values``.
     """
     lw = _as_complex(lam)
     zw = _as_complex(z)
     if lw == zw:
-        return complex(kernel_norm_sq(theta, lam))
+        return complex(normalized_values(theta, [_as_point(lam)])[1][0])
     denom = 1.0 - lw.conjugate() * zw
-    num = 1.0 - eval_inner(theta, lw).conjugate() * eval_inner(theta, zw)
+    values, _ = eval_points(theta, np.array([lw, zw]))
+    num = 1.0 - complex(values[0]).conjugate() * complex(values[1])
     if abs(denom) < _DIAG_GUARD and (denom == 0 or abs(num) > 1e-10):
         # z is numerically at the reflection 1/conj(lambda) without the
         # numerator vanishing along with it; the formula has no limit here.
@@ -450,16 +460,18 @@ def kernel(
     return num / denom
 
 
-def spectrum_distance(theta: InnerFunction, w: complex | UnitPoint) -> float:
-    """Euclidean distance from a point to the zero/atom set.
+def spectrum_distance(theta: InnerFunction, w):
+    """Euclidean distance from a point, or each of a 1-D array of points,
+    to the zero/atom set.
 
     +inf for a constant representation (empty spectrum).
     """
-    pts = theta.spectrum_points()
-    if not pts:
-        return math.inf
-    v = _as_complex(w)
-    return min(abs(v - p) for p in pts)
+    v, one = _as_points(w)
+    spectrum = np.concatenate([theta._terms.zeros, theta._terms.taus])
+    dist = np.empty(v.shape)
+    for rows in _row_blocks(v.size, spectrum.size):
+        dist[rows] = np.abs(v[rows, None] - spectrum).min(axis=1, initial=math.inf)
+    return float(dist[0]) if one else dist
 
 
 def normalized_values(

@@ -4,8 +4,8 @@ Oracles here deliberately avoid the library's own code paths: quadrature
 is plain composite rules on numpy arrays, eigenvalues come from a
 self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
 constants are plain pairwise products (the library sums logs in numpy),
-Blaschke products are re-evaluated from scratch where a cross-check
-matters, kernel norms are exact rationals or a telescoping sum over the
+Blaschke products and the boundary rate |Theta'| are re-evaluated factor
+by factor where a cross-check matters, kernel norms are exact rationals or a telescoping sum over the
 factors with an exact 1 - |z|^2 (the library sums log1p terms), and
 Hankel sections are sampled point by point and transformed by a direct
 sum (the library uses its array evaluator and the FFT).
@@ -53,6 +53,21 @@ def blaschke_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
     for a, m in theta.singular_atoms:
         tau = cmath.exp(1j * a)
         out = out * np.exp(-m * (tau + z) / (tau - z))
+    return out
+
+
+def boundary_rate_oracle(theta: InnerFunction, angles: np.ndarray) -> np.ndarray:
+    """|Theta'(e^{it})| summed one factor at a time.
+
+    (1 - |eta|^2)/|e^{it} - eta|^2 for each zero and 2m/|e^{it} - tau|^2
+    for each atom (m, tau), on the points e^{it}.
+    """
+    zeta = np.exp(1j * np.asarray(angles, dtype=float))
+    out = np.zeros(zeta.shape)
+    for eta in theta.blaschke_zeros:
+        out = out + (1.0 - abs(eta) ** 2) / np.abs(zeta - eta) ** 2
+    for a, m in theta.singular_atoms:
+        out = out + 2.0 * m / np.abs(zeta - cmath.exp(1j * a)) ** 2
     return out
 
 
@@ -150,11 +165,11 @@ def composite_gauss_legendre(f, a: float, b: float, panels: int, order: int = 8)
 
 
 def simpson_fixed(f, a: float, b: float, n: int = 4096) -> float:
-    """Fixed-grid composite Simpson rule (n even) for a real integrand."""
+    """Fixed-grid composite Simpson rule (n even) for a real integrand on arrays."""
     if n % 2:
         n += 1
     x = np.linspace(a, b, n + 1)
-    y = np.array([f(t) for t in x])
+    y = f(x)
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -133,6 +134,37 @@ def test_clark_command_near_the_boundary(tmp_path, name) -> None:
         assert report["truncated"] and len(report["points"]) == 48
     else:
         assert not report["truncated"] and len(report["points"]) == len(inner["blaschke_zeros"])
+
+
+_SCALAR_VIEWS = ("eval_inner", "boundary_derivative", "kernel_norm_sq", "log_derivative", "derivative")
+
+
+def test_commands_read_only_the_array_evaluators(tmp_path, monkeypatch) -> None:
+    # every module binding of a scalar view raises; each command still
+    # runs, so no layer evaluates Theta one point at a time
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer called a scalar view of the evaluator")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mslab" or name.startswith("mslab."):
+            for attr in _SCALAR_VIEWS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    inner = {"blaschke_zeros": [[0.3, 0.1], [-0.2, 0.4]], "singular_atoms": [{"angle": 2.0, "mass": 0.3}]}
+    ring = [[0.6 * math.cos(0.9 * k), 0.6 * math.sin(0.9 * k)] for k in range(6)]
+    near = [[0.995 * math.cos(0.4 * k), 0.995 * math.sin(0.4 * k)] for k in range(4)]
+    configs = [
+        ("analyze", {"inner": inner, "points": ring + [{"angle": 1.0}]}),
+        ("split", {"inner": inner, "points": ring, "mode": "interp"}),
+        ("split", {"inner": Z3, "points": near + ring, "mode": "squares", "options": {"level_count": 8}}),
+        ("split", {"inner": inner, "points": near, "mode": "squares", "options": {"max_points_per_arc": 24}}),
+        ("clark", {"inner": inner, "alpha": [0.0, 1.0], "options": {"max_points_per_arc": 24}}),
+        ("pw", {"pw": {"a": math.pi, "freqs": [[n + 0.1 * math.sin(n), 0.0] for n in range(6)]},
+                "options": {"split": True}}),
+    ]
+    for k, (command, config) in enumerate(configs):
+        cfg = _write(tmp_path / f"cfg{k}.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{k}")]) == 0
 
 
 def test_pw_command_with_split(tmp_path) -> None:

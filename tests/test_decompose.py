@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import composite_gauss_legendre, random_blaschke
+from conftest import (
+    blaschke_values,
+    boundary_rate_oracle,
+    composite_gauss_legendre,
+    random_blaschke,
+)
 
-from mslab.carleson import carleson_constant, earl_bound
+from mslab.carleson import carleson_constant, earl_bound, log_distance_matrix
 from mslab.decompose import (
+    _mills_halves,
+    _modulus_rank,
     build_arc_system,
     build_squares,
     count_per_square,
     decompose_by_squares,
-    greedy_interpolating_cover,
-    mills_split,
     rate_comparability,
     select_level_count,
     split_by_interpolation,
@@ -21,7 +26,7 @@ from mslab.decompose import (
     uncovered_region_report,
 )
 from mslab.errors import CertificationError, NumericDomainError
-from mslab.inner import InnerFunction, boundary_derivative, eval_inner
+from mslab.inner import InnerFunction
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -36,35 +41,18 @@ def _random_interior(rng: np.random.Generator, n: int, rmax: float = 0.9) -> Poi
 
 
 # ---------------------------------------------------------------------------
-# greedy cover and two-way splits
+# two-way (Mills) splits
 # ---------------------------------------------------------------------------
 
-def test_cover_keeps_good_sequence_whole() -> None:
-    seq = PointSequence.from_complex([0.5, -0.5])
-    parts = greedy_interpolating_cover(seq, 0.5)
-    assert len(parts) == 1
-
-
-def test_cover_separates_collapsed_pair() -> None:
-    seq = PointSequence.from_complex([0.0, 1e-9])
-    parts = greedy_interpolating_cover(seq, 0.5)
-    assert sorted(len(p) for p in parts) == [1, 1]
-
-
-def test_cover_random_post_verified() -> None:
-    rng = np.random.default_rng(51)
-    seq = _random_interior(rng, 20)
-    floor = 0.3
-    parts = greedy_interpolating_cover(seq, floor)
-    seen = sorted(i for p in parts for i in p.ids)
-    assert seen == sorted(seq.ids)
-    for p in parts:
-        assert carleson_constant(p) >= floor
+def _mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
+    """The splitter's two halves of a whole sequence, as subsequences."""
+    halves = _mills_halves(log_distance_matrix(seq), np.arange(len(seq)), _modulus_rank(seq))
+    return tuple(seq.subset([seq.ids[k] for k in idx]) for idx in halves)
 
 
 def test_mills_pair_to_singletons() -> None:
     seq = PointSequence.from_complex([0.0, 0.5])
-    a, b = mills_split(seq)
+    a, b = _mills_split(seq)
     assert len(a) == 1 and len(b) == 1
     assert carleson_constant(a) == 1.0 >= math.sqrt(0.5)
 
@@ -72,7 +60,7 @@ def test_mills_pair_to_singletons() -> None:
 def test_mills_antipodal_quadruple() -> None:
     seq = PointSequence.from_complex([0.5, -0.5, 0.5j, -0.5j])
     delta = carleson_constant(seq)
-    a, b = mills_split(seq)
+    a, b = _mills_split(seq)
     da, db = carleson_constant(a), carleson_constant(b)
     assert da == pytest.approx(0.8) and db == pytest.approx(0.8)
     assert min(da, db) >= math.sqrt(delta)
@@ -83,16 +71,10 @@ def test_mills_halves_nonempty_and_never_lose_separation() -> None:
     for _ in range(10):
         seq = _random_interior(rng, int(rng.integers(2, 12)))
         delta = carleson_constant(seq)
-        a, b = mills_split(seq)
+        a, b = _mills_split(seq)
         assert len(a) >= 1 and len(b) >= 1
         assert len(a) + len(b) == len(seq)
         assert min(carleson_constant(a), carleson_constant(b)) >= delta - 1e-14
-
-
-def test_mills_singleton() -> None:
-    seq = PointSequence.from_complex([0.2])
-    a, b = mills_split(seq)
-    assert len(a) == 1 and len(b) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +98,7 @@ def test_split_ring_end_to_end() -> None:
     )
     partition = split_by_interpolation(theta, ring)
     gamma = partition.global_info["gamma"]
-    assert gamma == pytest.approx(
-        max(abs(eval_inner(theta, p)) for p in ring.points)
-    )
+    assert gamma == pytest.approx(np.abs(blaschke_values(theta, np.array(ring.values))).max())
     assert partition.all_ids() == tuple(range(10))
     for part in partition.parts:
         cert = part.certificate
@@ -210,10 +190,7 @@ def test_arcs_blaschke_pair_mass_oracle() -> None:
     assert len(lengths) > 1  # nonuniform
     for arc in arcs.arcs:
         oracle = composite_gauss_legendre(
-            lambda t: np.array(
-                [boundary_derivative(theta, cmath.exp(1j * s)) for s in np.atleast_1d(t)]
-            )
-            / TWO_PI,
+            lambda t: boundary_rate_oracle(theta, t) / TWO_PI,
             arc.lo,
             arc.hi,
             panels=64,

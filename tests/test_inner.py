@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     blaschke_values,
     blaschke_values_on_circle,
+    boundary_rate_oracle,
     kernel_norm_sq_exact,
     kernel_norm_sq_oracle,
     random_blaschke,
@@ -210,7 +211,9 @@ def test_normalized_values_edge_points_take_the_boundary_norm() -> None:
     z = (1.0 - 5e-13) * cmath.exp(0.9j)
     _, norms = normalized_values(theta, [UnitPoint.interior(z)])
     assert float(norms[0]) == pytest.approx(kernel_norm_sq(theta, z), rel=1e-15)
-    assert kernel_norm_sq(theta, z) == boundary_derivative(theta, z / abs(z))
+    assert kernel_norm_sq(theta, z) == pytest.approx(
+        boundary_rate_oracle(theta, [cmath.phase(z)])[0], rel=1e-14
+    )
 
 
 def test_normalized_values_names_the_point_on_an_atom() -> None:
@@ -351,8 +354,7 @@ def test_eval_points_matches_oracle_and_scalar_rate(name: str) -> None:
     assert np.max(np.abs(values[:150] - blaschke_values_on_circle(theta, angles[:150]))) <= tol
     assert np.max(np.abs(values - blaschke_values(theta, z))) <= tol
     # the rate is |Theta'| at the radial projection e^{i arg z}
-    expected = [boundary_derivative(theta, cmath.exp(1j * cmath.phase(w))) for w in z]
-    assert rates == pytest.approx(expected, rel=1e-12)
+    assert rates == pytest.approx(boundary_rate_oracle(theta, np.angle(z)), rel=1e-12)
 
 
 def test_eval_points_empty_batch() -> None:
@@ -366,10 +368,11 @@ def test_eval_points_refuses_atoms() -> None:
         with pytest.raises(OnSpectrumError):
             eval_points(theta, np.exp(1j * np.array([0.1, angle])))
     # an interior point over an atom has a value, and an infinite boundary rate
-    values, rates = eval_points(theta, 0.5 * np.exp(1j * np.array([0.7, 1.0])))
-    assert values[0] == pytest.approx(eval_inner(theta, 0.5 * cmath.exp(0.7j)), abs=1e-14)
-    assert math.isinf(rates[0]) and math.isinf(boundary_derivative(theta, cmath.exp(0.7j)))
-    assert math.isfinite(rates[1])
+    z = 0.5 * np.exp(1j * np.array([0.7, 1.0]))
+    values, rates = eval_points(theta, z)
+    assert values == pytest.approx(blaschke_values(theta, z), abs=1e-14)
+    assert math.isinf(rates[0])
+    assert rates[1] == pytest.approx(boundary_rate_oracle(theta, [1.0])[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
