@@ -15,7 +15,9 @@ constant is exp of the min row sum of L over the part.  Recursive two-way
 merge of the certified parts keeps running row sums and stops where a
 merged part would fall below delta*, and every emitted part is re-verified
 from a fresh sum over its own block of L before its certificate chain is
-written.
+written.  The merge tries a part against all bins with bincounts over the
+points' bin slots and no clash pre-filter.  At gamma = 0, delta* is the
+smallest delta with a finite phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}}, cuts the circle into arcs
@@ -131,10 +133,14 @@ class Partition:
 # bits, and gamma * phi(delta*) itself may round to 1.
 _MERGE_SLACK = 1e-9
 
+# The smallest delta whose phi(delta) ~ 4/delta^2 is finite: at gamma = 0
+# any part with delta_j >= delta* certifies, since gamma * phi(delta_j) = 0.
+_DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
+
 
 def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
-    """Log Carleson constant of the points ``idx``: the min row sum of L[idx, idx]."""
-    return float(L[idx][:, idx].sum(axis=1).min())
+    """Log Carleson constant of the points ``idx``: min row sum of L[idx, idx], 0 for one."""
+    return 0.0 if len(idx) == 1 else float(L[idx][:, idx].sum(axis=1).min())
 
 
 def _modulus_rank(seq: PointSequence) -> np.ndarray:
@@ -146,60 +152,50 @@ def _modulus_rank(seq: PointSequence) -> np.ndarray:
 
 
 def _first_fit(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> list[np.ndarray]:
-    """First-fit of index groups into bins whose min row sum of L stays >= log_floor.
+    """First-fit of groups, largest first, into bins whose min row sum of L stays >= log_floor.
 
-    Every placed point keeps its running row sum within its bin, so trying
-    a group against all bins costs one |group| x n block of L.  Entries of
-    L are <= 0, so a single pair below the floor rules its bin out: the
-    group's rows of the clash matrix L < log_floor drop those bins before
-    any sum is formed.
+    Every placed point keeps its running row sum within its bin and its bin's
+    slot, counted from 1 (slot 0: not placed yet).  One bincount per group row
+    over the slots sums each bin's entries in index order; one more counts the
+    members the group would push below the floor.  Entries of L are <= 0, so a
+    pair below the floor pushes its member below it: no clash pre-filter.
     """
-    clash = L < log_floor
-    label = np.full(len(L), -1)  # bin of each placed point
+    slot = np.zeros(len(L), dtype=int)
     running = np.zeros(len(L))  # row sum of each placed point within its bin
-    bins: list[list[int]] = []
+    opened = 0
     for group in groups:
-        own = L[group][:, group].sum(axis=1)
-        # shut[b]: bin b cannot take the group; the last slot, label -1,
-        # stands for the points not placed yet
-        shut = np.zeros(len(bins) + 1, dtype=bool)
-        shut[-1] = True
-        shut[label[clash[group].any(axis=0)]] = True
-        live = np.flatnonzero(~shut[label])
-        owner = label[live]
-        cross = L[group][:, live]
-        grown = running[live] + cross.sum(axis=0)
-        shut[owner[grown < log_floor]] = True
-        joined = own[:, None] + np.array(
-            [np.bincount(owner, weights=row, minlength=len(bins)) for row in cross]
-        )
-        shut[:-1] |= (joined < log_floor).any(axis=0)
-        fits = np.flatnonzero(~shut)
-        if fits.size:
-            b = int(fits[0])
-            running[live[owner == b]] = grown[owner == b]
-            running[group] = joined[:, b]
+        rows = L[group]
+        own = rows[:, group].sum(axis=1)
+        grown = running + rows.sum(axis=0)
+        shut = np.bincount(slot, weights=grown < log_floor) > 0
+        joined = own[:, None] + np.array([np.bincount(slot, weights=row) for row in rows])
+        shut |= (joined < log_floor).any(axis=0)
+        shut[0] = True  # slot 0 takes no group
+        s = int(shut.argmin())  # the first open bin's slot, 0 if every bin is shut
+        if s:
+            np.copyto(running, grown, where=slot == s)
+            running[group] = joined[:, s]
         else:
-            b = len(bins)
-            bins.append([])
+            opened += 1
+            s = opened
             running[group] = own
-        label[group] = b
-        bins[b].extend(int(k) for k in group)
-    return [np.array(sorted(members)) for members in bins]
+        slot[group] = s
+    return [np.flatnonzero(slot == s) for s in range(1, opened + 1)]
 
 
 def _mills_halves(
     L: np.ndarray, idx: np.ndarray, rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves, as sorted positions into L, of the points ``idx``."""
+    """The two halves, as sorted positions into L, of the points ``idx`` (sorted)."""
     sub = L[idx][:, idx]
-    np.fill_diagonal(sub, np.inf)
+    sub.flat[:: len(idx) + 1] = np.inf
     i0, j0 = divmod(int(np.argmin(sub)), len(idx))  # first closest pair, i0 < j0
     near_a = sub[i0].copy()  # log distance from each point to the nearest of a
     near_b = sub[j0].copy()
     a, b = [i0], [j0]
-    rest = np.delete(np.arange(len(idx)), [i0, j0])
-    for k in rest[np.argsort(rank[idx[rest]])]:
+    for k in np.argsort(rank[idx]).tolist():
+        if k == i0 or k == j0:
+            continue
         da, db = near_a[k], near_b[k]
         if da > db or (da == db and len(a) <= len(b)):
             a.append(k)
@@ -207,16 +203,18 @@ def _mills_halves(
         else:
             b.append(k)
             np.minimum(near_b, sub[k], out=near_b)
-    return np.sort(idx[a]), np.sort(idx[b])
+    return idx[sorted(a)], idx[sorted(b)]
 
 
 def _clique_size(clash: np.ndarray) -> int:
     """Size of a greedy clique of the clash graph, highest degree first."""
-    clique: list[int] = []
-    for v in np.argsort(-clash.sum(axis=1), kind="stable"):
-        if clash[v, clique].all():
-            clique.append(int(v))
-    return len(clique)
+    joins = np.ones(len(clash), dtype=bool)  # clashes with every clique member so far
+    size = 0
+    for v in np.argsort(-clash.sum(axis=1), kind="stable").tolist():
+        if joins[v]:
+            size += 1
+            joins &= clash[v]
+    return size
 
 
 def split_by_interpolation(
@@ -271,7 +269,7 @@ def _split_evaluated(
         raise CertificationError(
             f"off-spectrum condition violated: max |Theta(lambda)| = {gamma} is not < 1"
         )
-    delta_star = 0.0 if gamma == 0.0 else interpolation_threshold(gamma)
+    delta_star = _DELTA_FINITE if gamma == 0.0 else interpolation_threshold(gamma)
     L = log_distance_matrix(seq)
     rank = _modulus_rank(seq)
 
@@ -304,7 +302,7 @@ def _split_evaluated(
         for half, delta in zip(halves, deltas):
             stack.append((half, delta, depth + 1))
 
-    log_star = math.log(delta_star) if delta_star > 0.0 else -math.inf
+    log_star = math.log(delta_star)
     found.sort(key=lambda idx: (-len(idx), int(idx[0])))
     merged = _first_fit(L, found, log_star + _MERGE_SLACK)
     merged.sort(key=lambda idx: min(seq.ids[k] for k in idx))

@@ -8,7 +8,8 @@ Blaschke products and the boundary rate |Theta'| are re-evaluated factor
 by factor where a cross-check matters, kernel norms are exact rationals or a telescoping sum over the
 factors with an exact 1 - |z|^2 (the library sums log1p terms), and
 Hankel sections are sampled point by point and transformed by a direct
-sum (the library uses its array evaluator and the FFT).
+sum (the library uses its array evaluator and the FFT).  The splitter's
+earlier first-fit and Mills loops are kept at the end as references.
 """
 
 from __future__ import annotations
@@ -264,3 +265,75 @@ def hankel_section_oracle(theta: InnerFunction, points, n: int) -> float:
     neg = [np.sum(u * np.exp(1j * m * angles)) / size for m in range(1, 2 * n)]
     h = np.array([[neg[j + k] for k in range(n)] for j in range(n)])
     return float(np.linalg.svd(h, compute_uv=False)[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference loops of the interpolation splitter
+# ---------------------------------------------------------------------------
+# The splitter's first-fit merge and Mills halves as they were written with
+# a clash pre-filter, live/owner bookkeeping and np.delete; kept verbatim so
+# that tests can check the leaner versions take every decision alike.
+
+def first_fit_reference(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> list[np.ndarray]:
+    """First-fit of index groups into bins whose min row sum of L stays >= log_floor.
+
+    Every placed point keeps its running row sum within its bin, so trying
+    a group against all bins costs one |group| x n block of L.  Entries of
+    L are <= 0, so a single pair below the floor rules its bin out: the
+    group's rows of the clash matrix L < log_floor drop those bins before
+    any sum is formed.
+    """
+    clash = L < log_floor
+    label = np.full(len(L), -1)  # bin of each placed point
+    running = np.zeros(len(L))  # row sum of each placed point within its bin
+    bins: list[list[int]] = []
+    for group in groups:
+        own = L[group][:, group].sum(axis=1)
+        # shut[b]: bin b cannot take the group; the last slot, label -1,
+        # stands for the points not placed yet
+        shut = np.zeros(len(bins) + 1, dtype=bool)
+        shut[-1] = True
+        shut[label[clash[group].any(axis=0)]] = True
+        live = np.flatnonzero(~shut[label])
+        owner = label[live]
+        cross = L[group][:, live]
+        grown = running[live] + cross.sum(axis=0)
+        shut[owner[grown < log_floor]] = True
+        joined = own[:, None] + np.array(
+            [np.bincount(owner, weights=row, minlength=len(bins)) for row in cross]
+        )
+        shut[:-1] |= (joined < log_floor).any(axis=0)
+        fits = np.flatnonzero(~shut)
+        if fits.size:
+            b = int(fits[0])
+            running[live[owner == b]] = grown[owner == b]
+            running[group] = joined[:, b]
+        else:
+            b = len(bins)
+            bins.append([])
+            running[group] = own
+        label[group] = b
+        bins[b].extend(int(k) for k in group)
+    return [np.array(sorted(members)) for members in bins]
+
+
+def mills_halves_reference(
+    L: np.ndarray, idx: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves, as sorted positions into L, of the points ``idx``."""
+    sub = L[idx][:, idx]
+    np.fill_diagonal(sub, np.inf)
+    i0, j0 = divmod(int(np.argmin(sub)), len(idx))  # first closest pair, i0 < j0
+    near_a = sub[i0].copy()  # log distance from each point to the nearest of a
+    near_b = sub[j0].copy()
+    a, b = [i0], [j0]
+    rest = np.delete(np.arange(len(idx)), [i0, j0])
+    for k in rest[np.argsort(rank[idx[rest]])]:
+        da, db = near_a[k], near_b[k]
+        if da > db or (da == db and len(a) <= len(b)):
+            a.append(k)
+            np.minimum(near_a, sub[k], out=near_a)
+        else:
+            b.append(k)
+            np.minimum(near_b, sub[k], out=near_b)
+    return np.sort(idx[a]), np.sort(idx[b])

@@ -74,6 +74,28 @@ def test_split_interp_outputs(tmp_path) -> None:
     assert parts_csv[0].startswith("part,route,n_points,delta_j")
 
 
+# At gamma = 0 a part certifies when phi(delta_j) is finite, i.e. delta_j is
+# at least about 1.5e-154; a pair 1e-200 or 1e-160 apart must be split up,
+# one 1e-100 apart may stay together.
+@pytest.mark.parametrize(
+    "gap, parts", [(1e-200, [[0, 2], [1]]), (1e-160, [[0, 2], [1]]), (1e-100, [[0, 1, 2]])]
+)
+def test_split_interp_gamma_zero_near_duplicates(tmp_path, gap, parts) -> None:
+    points = [[0.0, 0.0], [gap, 0.0], [0.5, 0.0]]
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"inner": {"blaschke_zeros": points}, "points": points, "mode": "interp"},
+    )
+    out = tmp_path / "out"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == 0
+    partition = json.loads((out / "partition.json").read_text())
+    assert partition["global"]["gamma"] == 0.0
+    assert [p["ids"] for p in partition["parts"]] == parts
+    for part in partition["parts"]:
+        assert math.isfinite(part["certificate"]["earl_value"])
+        assert part["certificate"]["dist_bound"] == 0.0
+
+
 def test_split_squares_outputs(tmp_path) -> None:
     pts = []
     for root in range(3):

@@ -89,6 +89,10 @@ def test_split_trivial_gamma_zero() -> None:
     assert cert.gamma == 0.0
     assert cert.dist_bound == 0.0
     assert cert.frame_bounds.lambda_min == pytest.approx(1.0)
+    # at gamma = 0, delta* is the smallest delta with a finite phi
+    delta_star = partition.global_info["delta_star"]
+    assert math.isfinite(earl_bound(delta_star))
+    assert earl_bound(math.nextafter(delta_star, 0.0)) == math.inf
 
 
 def test_split_ring_end_to_end() -> None:
