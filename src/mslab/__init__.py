@@ -18,9 +18,7 @@ from .carleson import (
     pseudohyperbolic,
 )
 from .clark import (
-    ArgBranch,
     ClarkFamily,
-    build_arg_branch,
     herglotz_residual,
     level_set,
     level_sets,
@@ -78,7 +76,6 @@ __all__ = [
     "__version__",
     "Arc",
     "ArcSystem",
-    "ArgBranch",
     "CarlesonReport",
     "CarlesonSquare",
     "CertificationError",
@@ -100,7 +97,6 @@ __all__ = [
     "bessel_constant_estimate",
     "boundary_derivative",
     "build_arc_system",
-    "build_arg_branch",
     "build_squares",
     "carleson_constant",
     "carleson_report",

@@ -133,23 +133,13 @@ def earl_bound(delta: float) -> float:
     return (2.0 - d2 + 2.0 * math.sqrt(max(0.0, 1.0 - d2))) / d2
 
 
-def interpolation_threshold(gamma: float, tol: float = 1e-12) -> float:
-    """The separation level delta* with phi(delta*) = 1/gamma.
+def interpolation_threshold(gamma: float) -> float:
+    """The separation level delta* = 2 sqrt(gamma)/(1 + gamma), where phi(delta*) = 1/gamma.
 
-    Bisection on [1e-9, 1]; phi is strictly decreasing so the bracket is
-    self-verifying.  The upper end of the final bracket is returned, so
-    phi(delta) < 1/gamma holds for every delta > delta*.
+    phi(delta) = ((1 + sqrt(1 - delta^2))/delta)^2 is strictly decreasing, so
+    phi(delta) < 1/gamma for every delta > delta* (up to rounding, which
+    callers check with ``earl_bound``).
     """
     if not 0.0 < gamma < 1.0:
         raise NumericDomainError(f"gamma must lie in (0, 1), got {gamma!r}")
-    target = 1.0 / gamma
-    lo, hi = 1e-9, 1.0
-    if earl_bound(lo) < target:
-        return lo  # gamma so small that any positive separation works
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if earl_bound(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return 2.0 * math.sqrt(gamma) / (1.0 + gamma)

@@ -6,10 +6,12 @@ derivative |Theta'|.  For finite data that argument has a closed form,
 ``inner.boundary_argument`` (Phi), with exp(i Phi) = Theta(e^{it}) exactly;
 so every level set {Theta = alpha} is enumerated completely by monotone
 bisection of Phi - target, one target per 2*pi of argument increase.
-All targets on an arc are bisected in lockstep, one array evaluation of
-Phi per round, down to the spacing of doubles at the arc's ends.  Arcs
-next to a singular atom, where Phi diverges, are cut by the same
-bisection where the increase from the arc's middle reaches the budget.
+An arc is just its ends (lo, hi) and Phi there.  Every target of every
+level on every arc is bisected in one lockstep run, one array evaluation
+of Phi per round, down to the spacing of doubles at the arcs' ends.  The
+arcs between singular atoms, where Phi diverges, are cut by one earlier
+run of the same bisection where the increase from each arc's middle
+reaches the budget.
 
 A level set carries a Clark family: the points tau_n, their angular
 derivatives, and the weights a_n = 1/|Theta'(tau_n)| of the associated
@@ -43,29 +45,6 @@ from .quadrature import adaptive_simpson
 # the 1e-12 within which a boundary point counts as on the atom (and the
 # 1e-13 margin of ``_check_arc_clear``).
 _ATOM_CLEARANCE = 1e-11
-
-
-@dataclass(frozen=True)
-class ArgBranch:
-    """Continuous increasing branch Phi of arg Theta(e^{i t}) on one arc.
-
-    ``thetas`` holds the arc's ends and ``values`` the closed-form Phi of
-    ``inner.boundary_argument`` there; ``value_at`` evaluates Phi exactly
-    anywhere on the arc, and the bisections of this module solve Phi =
-    target between the ends.
-    """
-
-    inner: InnerFunction
-    arc: tuple[float, float]
-    thetas: np.ndarray
-    values: np.ndarray
-
-    @property
-    def total_increase(self) -> float:
-        return float(self.values[-1] - self.values[0])
-
-    def value_at(self, angle: float) -> float:
-        return float(boundary_argument(self.inner, np.array([angle]))[0])
 
 
 @dataclass(frozen=True)
@@ -104,20 +83,6 @@ def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
                 )
 
 
-def build_arg_branch(theta: InnerFunction, arc: tuple[float, float]) -> ArgBranch:
-    """Closed-form increasing argument branch on a spectrum-free arc."""
-    lo, hi = float(arc[0]), float(arc[1])
-    if not hi > lo:
-        raise ConfigError("arc must have positive length")
-    if hi - lo > TWO_PI + 1e-12:
-        raise ConfigError("arc cannot exceed a full turn")
-    if theta.is_constant:
-        raise NumericDomainError("constant inner function has no argument branch")
-    _check_arc_clear(theta, lo, hi)
-    ends = np.array([lo, hi])
-    return ArgBranch(theta, (lo, hi), ends, boundary_argument(theta, ends))
-
-
 def _bisect(
     theta: InnerFunction, a: np.ndarray, b: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,69 +104,41 @@ def _bisect(
         b[k[~low]] = m[k[~low]]
 
 
-def _solve_on_branch(branch: ArgBranch, targets: np.ndarray) -> np.ndarray:
-    """Angles where the branch takes the target values, all in lockstep."""
-    t = np.asarray(targets, dtype=float)
-    if np.any(branch.values[0] - t > 1e-8):
-        raise NumericDomainError("level target below the branch range")
-    if np.any(t - branch.values[-1] > 1e-8):
-        raise NumericDomainError("level target above the branch range")
-    lo, hi = branch.arc
-    a, b = _bisect(branch.inner, np.full(t.size, lo), np.full(t.size, hi), t)
-    return 0.5 * (a + b)
+def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum-free arcs (lo, hi) covering the solvable part of the circle.
 
-
-def _trim_to_budget(
-    theta: InnerFunction, lo: float, hi: float, budget: float
-) -> tuple[float, float]:
-    """Cut an atom-bounded arc so its argument increase stays within budget.
-
-    Phi diverges at the atoms, so each side is cut where Phi reaches
-    Phi(mid) -+ budget/2, on the side of the cut that stays within budget,
-    but never nearer than ``_ATOM_CLEARANCE`` to the atom: next to a light
-    atom Phi reaches the budget only there, and the arc ends at the
-    clearance with less.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * budget
-    centre = float(boundary_argument(theta, np.array([mid]))[0])
-    a, b = _bisect(
-        theta,
-        np.array([min(lo + _ATOM_CLEARANCE, mid), mid]),
-        np.array([mid, max(hi - _ATOM_CLEARANCE, mid)]),
-        np.array([centre - half, centre + half]),
-    )
-    return float(b[0]), float(a[1])
-
-
-def _level_branches(theta: InnerFunction, max_points_per_arc: int) -> list[ArgBranch]:
-    """Argument branches covering the solvable part of the circle.
-
-    Pure Blaschke data gives a single full-circle branch.  Each arc between
-    neighbouring atoms is trimmed to an argument increase of
-    ``max_points_per_arc + 1`` turns, so its families are truncated.
+    Pure Blaschke data gives the full circle.  Phi diverges at the atoms,
+    so each arc between neighbouring atoms is cut where Phi reaches
+    Phi(mid) -+ pi (``max_points_per_arc`` + 1), on the side of the cut
+    that stays within that budget, but never nearer than ``_ATOM_CLEARANCE``
+    to the atom: next to a light atom Phi reaches the budget only there,
+    and the arc ends at the clearance with less.  Both cuts of every arc
+    come from one bisection.
     """
     if not theta.singular_atoms:
-        return [build_arg_branch(theta, (0.0, TWO_PI))]
-    atoms = sorted(a for a, _ in theta.singular_atoms)
-    budget = TWO_PI * (max_points_per_arc + 1)
-    branches: list[ArgBranch] = []
-    for i, a in enumerate(atoms):
-        b = atoms[(i + 1) % len(atoms)]
-        if i + 1 == len(atoms):
-            b = b + TWO_PI
-        c_lo, c_hi = _trim_to_budget(theta, a, b, budget)
-        if c_hi - c_lo > 0.0:
-            branches.append(build_arg_branch(theta, (c_lo, c_hi)))
-    return branches
+        return np.array([0.0]), np.array([TWO_PI])
+    atoms = np.sort([a for a, _ in theta.singular_atoms])
+    ends = np.append(atoms[1:], atoms[0] + TWO_PI)
+    mid = 0.5 * (atoms + ends)
+    centre = boundary_argument(theta, mid)
+    half = math.pi * (max_points_per_arc + 1)
+    a, b = _bisect(
+        theta,
+        np.concatenate([np.minimum(atoms + _ATOM_CLEARANCE, mid), mid]),
+        np.concatenate([mid, np.maximum(ends - _ATOM_CLEARANCE, mid)]),
+        np.concatenate([centre - half, centre + half]),
+    )
+    lo, hi = b[: atoms.size], a[atoms.size :]
+    keep = hi - lo > 0.0
+    for l, h in zip(lo[keep].tolist(), hi[keep].tolist()):
+        _check_arc_clear(theta, l, h)
+    return lo[keep], hi[keep]
 
 
 def _branch_targets(
-    branch: ArgBranch, target_arg: float, full_circle: bool, max_points_per_arc: int
+    v0: float, v1: float, target_arg: float, full_circle: bool, max_points_per_arc: int
 ) -> tuple[list[float], bool]:
-    """Branch values at which arg Theta = target_arg (mod 2*pi), and a cap flag."""
-    v0 = float(branch.values[0])
-    v1 = float(branch.values[-1])
+    """Values of Phi in [v0, v1] at which arg Theta = target_arg (mod 2*pi), and a cap flag."""
     k = math.ceil((v0 - target_arg) / TWO_PI)
     if full_circle:
         # any run of degree-many consecutive sheets carries the complete
@@ -219,43 +156,21 @@ def _branch_targets(
     return targets, len(targets) >= max_points_per_arc
 
 
-def _family_from_angles(
-    theta: InnerFunction, alpha: complex, angles: list[float], truncated: bool
-) -> ClarkFamily:
-    ang = np.sort(np.asarray(angles, dtype=float))
-    vals, derivs = eval_points(theta, np.exp(1j * ang))
-    residual = np.abs(vals - alpha)
-    # the achievable residual is floored by the rate times one ulp of angle
-    tol = np.maximum(1e-10, 8.0 * derivs * 2.3e-16 * np.maximum(1.0, np.abs(ang)))
-    miss = np.flatnonzero(residual > tol)
-    if miss.size:
-        i = miss[0]
-        raise NumericDomainError(
-            f"level point at angle {ang[i]} misses alpha: residual {float(residual[i])!r}"
-        )
-    return ClarkFamily(
-        alpha=alpha,
-        points=tuple(UnitPoint.boundary(t) for t in ang),
-        derivs=tuple(float(d) for d in derivs),
-        weights=tuple(float(w) for w in 1.0 / derivs),
-        truncated=truncated,
-    )
-
-
 def level_sets(
     theta: InnerFunction,
     alphas: Sequence[complex],
     max_points_per_arc: int = 512,
 ) -> list[ClarkFamily]:
-    """Level sets for several unimodular values, sharing one branch build.
+    """Level sets for several unimodular values, solved together.
 
     Pure Blaschke data is solved on the full circle and enumeration is
     complete (one point per 2*pi of argument increase, i.e. the degree).
     Arcs between singular atoms are trimmed to an argument budget of
     ``max_points_per_arc + 1`` turns, so each arc gives at most, and as a
     rule exactly, ``max_points_per_arc`` points per level; such families
-    are flagged truncated.  The targets of every level on a branch
-    are solved together in one lockstep bisection.
+    are flagged truncated.  Every target of every level on every arc is
+    solved in one lockstep bisection, and all roots are checked against
+    their levels in one evaluation.
     """
     if theta.is_constant:
         raise NumericDomainError("constant inner function has no level sets")
@@ -267,37 +182,67 @@ def level_sets(
                 f"level value must be unimodular, got |alpha| = {abs(alpha)!r}"
             )
         values.append(alpha)
-    branches = _level_branches(theta, max_points_per_arc)
+    lo, hi = _level_arcs(theta, max_points_per_arc)
+    v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
     full_circle = not theta.singular_atoms
     if full_circle:
-        branch = branches[0]
-        increase = float(branch.values[-1] - branch.values[0])
+        increase = float(v1[0] - v0[0])
         if int(round(increase / TWO_PI)) != theta.degree:
             raise NumericDomainError(
                 f"argument increase {increase} inconsistent with degree {theta.degree}"
             )
-    angles: list[list[float]] = [[] for _ in values]
+    targets: list[float] = []
+    owner: list[int] = []  # the level of each target
+    arc: list[int] = []  # the arc of each target
     capped = [False] * len(values)
-    for branch in branches:
-        targets: list[float] = []
-        owner: list[int] = []
+    for j in range(lo.size):
         for i, alpha in enumerate(values):
             found, cap = _branch_targets(
-                branch, cmath.phase(alpha), full_circle, max_points_per_arc
+                float(v0[j]), float(v1[j]), cmath.phase(alpha), full_circle, max_points_per_arc
             )
             capped[i] = capped[i] or cap
             targets += found
             owner += [i] * len(found)
-        for i, root in zip(owner, _solve_on_branch(branch, np.array(targets))):
-            angles[i].append(normalize_angle(float(root)))
-    families = []
-    for alpha, found, cap in zip(values, angles, capped):
-        if full_circle and not cap and len(found) != theta.degree:
-            raise NumericDomainError(
-                f"found {len(found)} level points, expected {theta.degree}"
-            )
-        families.append(_family_from_angles(theta, alpha, found, not full_circle or cap))
-    return families
+            arc += [j] * len(found)
+    t = np.array(targets, dtype=float)
+    arc_of, owner_of = np.array(arc, dtype=int), np.array(owner, dtype=int)
+    if np.any(v0[arc_of] - t > 1e-8):
+        raise NumericDomainError("level target below the branch range")
+    if np.any(t - v1[arc_of] > 1e-8):
+        raise NumericDomainError("level target above the branch range")
+    a, b = _bisect(theta, lo[arc_of], hi[arc_of], t)
+    counts = np.bincount(owner_of, minlength=len(values))
+    if full_circle:
+        for n, cap in zip(counts.tolist(), capped):
+            if not cap and n != theta.degree:
+                raise NumericDomainError(f"found {n} level points, expected {theta.degree}")
+    roots = np.array([normalize_angle(r) for r in (0.5 * (a + b)).tolist()])
+    order = np.lexsort((roots, owner_of))  # by level, then by angle
+    ang = roots[order]
+    level = np.array(values, dtype=complex)[owner_of[order]]
+    vals, derivs = eval_points(theta, np.exp(1j * ang))
+    residual = np.abs(vals - level)
+    # the achievable residual is floored by the rate times one ulp of angle
+    tol = np.maximum(1e-10, 8.0 * derivs * 2.3e-16 * np.maximum(1.0, np.abs(ang)))
+    miss = np.flatnonzero(residual > tol)
+    if miss.size:
+        i = miss[0]
+        raise NumericDomainError(
+            f"level point at angle {ang[i]} misses alpha: residual {float(residual[i])!r}"
+        )
+    splits = np.cumsum(counts)[:-1]
+    return [
+        ClarkFamily(
+            alpha=alpha,
+            points=tuple(UnitPoint.boundary(x) for x in fam_ang.tolist()),
+            derivs=tuple(fam_d.tolist()),
+            weights=tuple((1.0 / fam_d).tolist()),
+            truncated=not full_circle or cap,
+        )
+        for alpha, cap, fam_ang, fam_d in zip(
+            values, capped, np.split(ang, splits), np.split(derivs, splits)
+        )
+    ]
 
 
 def level_set(

@@ -38,12 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .carleson import (
-    carleson_constant,
-    earl_bound,
-    interpolation_threshold,
-    log_distance_matrix,
-)
+from .carleson import earl_bound, interpolation_threshold, log_distance_matrix
 from .clark import ClarkFamily, level_sets, stability_margin
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, part_frame_bounds
@@ -135,6 +130,7 @@ _MERGE_SLACK = 1e-9
 
 # The smallest delta whose phi(delta) ~ 4/delta^2 is finite: at gamma = 0
 # any part with delta_j >= delta* certifies, since gamma * phi(delta_j) = 0.
+# It also floors delta* = 2 sqrt(gamma)/(1 + gamma) for a subnormal gamma.
 _DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
 
 
@@ -269,7 +265,7 @@ def _split_evaluated(
         raise CertificationError(
             f"off-spectrum condition violated: max |Theta(lambda)| = {gamma} is not < 1"
         )
-    delta_star = _DELTA_FINITE if gamma == 0.0 else interpolation_threshold(gamma)
+    delta_star = _DELTA_FINITE if gamma == 0.0 else max(_DELTA_FINITE, interpolation_threshold(gamma))
     L = log_distance_matrix(seq)
     rank = _modulus_rank(seq)
 
@@ -277,7 +273,7 @@ def _split_evaluated(
         return delta >= delta_star and gamma * earl_bound(delta) < 1.0
 
     flags: list[str] = []
-    delta_all = carleson_constant(seq)
+    delta_all = math.exp(float(L.sum(axis=1).min()))
     found: list[np.ndarray] = []
     stack = [(np.arange(len(seq)), delta_all, 0)]
     while stack:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import Partition, PartitionPart, split_by_interpolation
+from .decompose import Partition, split_by_interpolation
 from .errors import ConfigError, NumericDomainError
-from .gram import FrameBounds, GramMatrix, extremal_eigs
+from .gram import GramMatrix, extremal_eigs
 from .points import PointSequence
 
 # Switch to the power series of sin(w)/w below this argument size.
@@ -171,21 +171,8 @@ def pw_split(system: ExpSystem, *, max_depth: int = 20) -> Partition:
     parts = []
     for part in base.parts:
         sub = ExpSystem(a, tuple(system.freqs[i] for i in part.ids))
-        exact: FrameBounds = extremal_eigs(pw_gram(sub))
-        exact = FrameBounds(exact.lambda_min, exact.lambda_max, exact.n)
-        parts.append(
-            PartitionPart(
-                ids=part.ids,
-                route=part.route,
-                certificate=type(part.certificate)(
-                    gamma=part.certificate.gamma,
-                    delta_j=part.certificate.delta_j,
-                    earl_value=part.certificate.earl_value,
-                    dist_bound=part.certificate.dist_bound,
-                    frame_bounds=exact,
-                ),
-            )
-        )
+        exact = replace(part.certificate, frame_bounds=extremal_eigs(pw_gram(sub)))
+        parts.append(replace(part, certificate=exact))
     info = dict(base.global_info)
     info["a"] = a
     return Partition(parts=tuple(parts), global_info=info, flags=base.flags)

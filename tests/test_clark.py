@@ -12,10 +12,11 @@ from conftest import (
     simpson_fixed,
 )
 
+from mslab import clark
 from mslab.clark import (
-    _level_branches,
-    _solve_on_branch,
-    build_arg_branch,
+    _bisect,
+    _check_arc_clear,
+    _level_arcs,
     herglotz_residual,
     level_set,
     level_sets,
@@ -24,7 +25,7 @@ from mslab.clark import (
 )
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
-from mslab.inner import InnerFunction
+from mslab.inner import InnerFunction, boundary_argument
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -34,39 +35,42 @@ TWO_PI = 2.0 * math.pi
 # argument branches
 # ---------------------------------------------------------------------------
 
+def _increase(theta: InnerFunction, lo: float, hi: float) -> float:
+    """Phi(hi) - Phi(lo) of the closed-form boundary argument."""
+    v = boundary_argument(theta, np.array([lo, hi]))
+    return float(v[1] - v[0])
+
+
 def test_branch_identity_function() -> None:
     theta = InnerFunction(blaschke_zeros=(0,))
-    branch = build_arg_branch(theta, (0.0, TWO_PI))
-    assert branch.total_increase == pytest.approx(TWO_PI, abs=1e-12)
+    assert _increase(theta, 0.0, TWO_PI) == pytest.approx(TWO_PI, abs=1e-12)
     for t in (0.3, 1.2, 4.0):
-        assert branch.value_at(t) == pytest.approx(t, abs=1e-9)
+        assert _increase(theta, 0.0, t) == pytest.approx(t, abs=1e-9)
 
 
 def test_branch_cube_total() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    branch = build_arg_branch(z3, (0.0, TWO_PI))
-    assert branch.total_increase == pytest.approx(6 * math.pi, abs=1e-10)
+    assert _increase(z3, 0.0, TWO_PI) == pytest.approx(6 * math.pi, abs=1e-10)
 
 
 def test_branch_rate_peaks_at_zero_angle() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5,))
-    branch = build_arg_branch(theta, (0.0, TWO_PI))
-    assert branch.total_increase == pytest.approx(TWO_PI, abs=1e-10)
+    assert _increase(theta, 0.0, TWO_PI) == pytest.approx(TWO_PI, abs=1e-10)
     # rate (1 - 0.25)/|e^{i t} - 0.5|^2 peaks at 3 for t = 0
     h = 1e-4
-    slope = (branch.value_at(h) - branch.value_at(0.0)) / h
-    assert slope == pytest.approx(3.0, rel=1e-3)
+    assert _increase(theta, 0.0, h) / h == pytest.approx(3.0, rel=1e-3)
 
 
 def test_branch_rejects_atom_in_arc() -> None:
     theta = InnerFunction(singular_atoms=((1.0, 0.5),))
     with pytest.raises(NumericDomainError):
-        build_arg_branch(theta, (0.5, 1.5))
-
-
-def test_branch_rejects_constant() -> None:
+        _check_arc_clear(theta, 0.5, 1.5)
+    # the atom's images a -+ 2*pi count too, and so does an end within 1e-13
     with pytest.raises(NumericDomainError):
-        build_arg_branch(InnerFunction(), (0.0, 1.0))
+        _check_arc_clear(theta, 1.0 + TWO_PI - 0.5, 1.0 + TWO_PI + 0.5)
+    with pytest.raises(NumericDomainError):
+        _check_arc_clear(theta, 1.0 + 5e-14, 2.0)
+    _check_arc_clear(theta, 1.0 + 1e-11, 1.0 + TWO_PI - 1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +221,60 @@ def test_level_set_atoms_1e6_apart_against_dense_scan_oracle() -> None:
 
 def test_lockstep_solve_matches_one_target_at_a_time() -> None:
     # the truncated atomic family and the seam targets, solved in one batch
-    # and one by one, give the same roots
-    cases = [(InnerFunction(singular_atoms=((0.0, 1.0),)), 64, [1.0, 1j, -1.0])]
+    # over every arc and one by one, give the same roots
+    cases = [(InnerFunction(singular_atoms=((0.0, 1.0), (2.0, 0.5))), 64, [1.0, 1j, -1.0])]
     rng = np.random.default_rng(99)
     theta = random_blaschke(rng, 5)
     anchor = complex(blaschke_values(theta, np.array([1.0]))[0])
     seam = [anchor * cmath.exp(1j * eps) for eps in (0.0, 1e-13, -1e-13, 1e-10, -3e-9)]
     cases.append((theta, 512, [a / abs(a) for a in seam]))
     for theta, cap, alphas in cases:
-        branches = _level_branches(theta, cap)
-        for branch in branches:
-            v0, v1 = float(branch.values[0]), float(branch.values[-1])
-            targets = []
+        lo, hi = _level_arcs(theta, cap)
+        assert lo.size == max(1, len(theta.singular_atoms))
+        v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+        targets, arc = [], []
+        for j in range(lo.size):
             for alpha in alphas:
                 arg = cmath.phase(alpha)
-                k = math.ceil((v0 - arg) / TWO_PI)
-                targets += [arg + TWO_PI * j for j in range(k, k + 64) if arg + TWO_PI * j <= v1]
-            batch = _solve_on_branch(branch, np.array(targets))
-            single = [_solve_on_branch(branch, np.array([t]))[0] for t in targets]
-            assert np.max(np.abs(batch - np.array(single))) <= 1e-15
+                k = math.ceil((v0[j] - arg) / TWO_PI)
+                found = [arg + TWO_PI * i for i in range(k, k + 64) if arg + TWO_PI * i <= v1[j]]
+                targets += found
+                arc += [j] * len(found)
+        arc = np.array(arc)
+        a, b = _bisect(theta, lo[arc], hi[arc], np.array(targets))
+        batch = 0.5 * (a + b)
+        single = []
+        for j, t in zip(arc.tolist(), targets):
+            a1, b1 = _bisect(theta, lo[j : j + 1], hi[j : j + 1], np.array([t]))
+            single.append(0.5 * (a1[0] + b1[0]))
+        assert np.max(np.abs(batch - np.array(single))) <= 1e-15
+        assert np.all((lo[arc] <= batch) & (batch <= hi[arc]))
     families = level_sets(theta, [a / abs(a) for a in seam])
     for alpha, fam in zip(seam, families):
         assert fam.angles == pytest.approx(level_set(theta, alpha / abs(alpha)).angles, abs=1e-15)
         assert len(fam) == theta.degree
+
+
+def test_level_set_bisects_all_arcs_at_once(monkeypatch) -> None:
+    # one bisection cuts every atom arc, one more solves every level on
+    # every arc: two calls whatever the number of atoms and levels
+    calls = []
+
+    def counting(theta, a, b, targets):
+        calls.append(a.size)
+        return _bisect(theta, a, b, targets)
+
+    monkeypatch.setattr(clark, "_bisect", counting)
+    theta = InnerFunction(
+        blaschke_zeros=(0.3j,), singular_atoms=((0.5, 0.2), (2.5, 1.0), (4.5, 0.05))
+    )
+    fam = level_set(theta, 1j, max_points_per_arc=16)
+    assert len(calls) == 2
+    assert calls[0] == 6  # two cuts per arc
+    assert calls[1] == len(fam) == 3 * 16
+    calls.clear()
+    level_sets(theta, [1.0, -1.0, 1j], max_points_per_arc=16)
+    assert len(calls) == 2
 
 
 def test_level_set_seam_targets() -> None:

@@ -95,6 +95,30 @@ def test_split_trivial_gamma_zero() -> None:
     assert earl_bound(math.nextafter(delta_star, 0.0)) == math.inf
 
 
+@pytest.mark.parametrize(
+    "points, gamma",
+    [([0.0, 1e-100, 0.5], 1e-300), ([0.0, 5e-10], 1e-20)],
+    ids=["1e-100 apart at gamma 1e-300", "5e-10 apart at gamma 1e-20"],
+)
+def test_split_keeps_one_part_at_a_tiny_gamma(points, gamma) -> None:
+    # delta* = 2 sqrt(gamma)/(1 + gamma) lies below the separation of the
+    # whole sequence, and gamma * phi(delta) < 1 there: one part certifies
+    partition = split_by_interpolation(lambda z: gamma, PointSequence.from_complex(points))
+    assert [p.ids for p in partition.parts] == [tuple(range(len(points)))]
+    assert partition.parts[0].certificate.dist_bound < 1.0
+    assert partition.global_info["delta_star"] == pytest.approx(2.0 * math.sqrt(gamma), rel=1e-15)
+
+
+def test_split_floors_delta_star_at_a_subnormal_gamma() -> None:
+    # 2 sqrt(gamma)/(1 + gamma) = 2e-160 lies below the smallest delta with a
+    # finite phi; delta* stays at that floor, so the point 1e-157 from 0 is not
+    # merged into a part that would fail its re-verification
+    seq = PointSequence.from_complex([0.0, 1e-157, 0.5])
+    partition = split_by_interpolation(lambda z: 1e-320, seq)
+    assert partition.global_info["delta_star"] == 2.0 / math.sqrt(np.finfo(float).max)
+    assert sorted(p.ids for p in partition.parts) == [(0, 2), (1,)]
+
+
 def test_split_ring_end_to_end() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5,))
     ring = PointSequence.from_complex(
