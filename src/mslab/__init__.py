@@ -28,19 +28,15 @@ from .clark import (
 from .decompose import (
     Arc,
     ArcSystem,
-    CarlesonSquare,
     Partition,
     PartitionPart,
     PartCertificate,
-    SquareSystem,
     build_arc_system,
-    build_squares,
     count_per_square,
     decompose_by_squares,
     rate_comparability,
-    select_level_count,
+    select_arc_system,
     split_by_interpolation,
-    uncovered_region_delta,
     uncovered_region_report,
 )
 from .errors import (
@@ -77,7 +73,6 @@ __all__ = [
     "Arc",
     "ArcSystem",
     "CarlesonReport",
-    "CarlesonSquare",
     "CertificationError",
     "ClarkFamily",
     "ConfigError",
@@ -92,12 +87,10 @@ __all__ = [
     "PartitionPart",
     "PartCertificate",
     "PointSequence",
-    "SquareSystem",
     "UnitPoint",
     "bessel_constant_estimate",
     "boundary_derivative",
     "build_arc_system",
-    "build_squares",
     "carleson_constant",
     "carleson_report",
     "count_per_square",
@@ -122,12 +115,11 @@ __all__ = [
     "pw_split",
     "rate_comparability",
     "riesz_verdict",
-    "select_level_count",
+    "select_arc_system",
     "shift_off_axis",
     "spectrum_distance",
     "split_by_interpolation",
     "stability_margin",
-    "uncovered_region_delta",
     "uncovered_region_report",
     "variation_along_path",
 ]

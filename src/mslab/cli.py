@@ -10,6 +10,8 @@ Subcommands
 ``pw``       exponential-system report, optionally with a split.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
+Malformed options exit 2: counts are JSON integers >= 1, ``max_depth`` one
+>= 0, ``split`` true or false, and ``riesz_floor`` a finite number.
 
 Reports are compact, sorted-key JSON and deterministic: no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -29,19 +32,14 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .carleson import carleson_report
 from .clark import herglotz_residuals, level_set
-from .decompose import (
-    Partition,
-    build_squares,
-    decompose_by_squares,
-    split_by_interpolation,
-)
+from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
 from .gram import extremal_eigs, gram_from_values
 from .inner import InnerFunction, normalized_values
@@ -93,18 +91,28 @@ def _number(raw: Any, what: str) -> float:
     return float(raw)
 
 
-def _parse_options(raw: Any, allowed: dict[str, type]) -> dict:
+def _integer(raw: Any, what: str, least: int = 1) -> int:
+    """A JSON integer (bool excluded) of at least ``least``, else ConfigError."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {raw!r}")
+    return raw
+
+
+def _boolean(raw: Any, what: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{what} must be true or false, got {raw!r}")
+    return raw
+
+
+_DEPTH = functools.partial(_integer, least=0)
+
+
+def _parse_options(raw: Any, allowed: dict[str, Callable[[Any, str], Any]]) -> dict:
+    """Options checked by their parsers (``_number``, ``_boolean``, ``_integer``, ``_DEPTH``)."""
     if raw is None:
         return {}
     _require_keys(raw, set(allowed), set(), "options")
-    out = {}
-    for key, value in raw.items():
-        want = allowed[key]
-        try:
-            out[key] = want(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"option {key!r} must be {want.__name__}: {exc}")
-    return out
+    return {key: allowed[key](value, f"option {key!r}") for key, value in raw.items()}
 
 
 def _parse_alpha(raw: Any) -> complex:
@@ -152,7 +160,7 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"inner", "points", "options"}, {"inner", "points"}, "config")
     theta = InnerFunction.from_json_dict(config["inner"])
     seq = _parse_points(config["points"])
-    opts = _parse_options(config.get("options"), {"riesz_floor": float})
+    opts = _parse_options(config.get("options"), {"riesz_floor": _number})
     floor = opts.get("riesz_floor", 0.5)
 
     values, norms = normalized_values(theta, seq.points, seq.ids)
@@ -240,10 +248,10 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     opts = _parse_options(
         config.get("options"),
         {
-            "level_count": int,
-            "samples": int,
-            "max_depth": int,
-            "max_points_per_arc": int,
+            "level_count": _integer,
+            "samples": _integer,
+            "max_depth": _DEPTH,
+            "max_points_per_arc": _integer,
         },
     )
     if mode not in ("interp", "squares"):
@@ -274,14 +282,12 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     _partition_csvs(out_dir, seq, partition)
 
     if mode == "squares":
-        arcs = partition.arcs
-        squares = build_squares(arcs)
         _write_csv(
             out_dir / "geometry.csv",
             ["arc", "level", "theta_lo", "theta_hi", "inner_radius", "mass"],
             [
-                [i, arc.level, arc.lo, arc.hi, sq.inner_radius, arc.mass]
-                for i, (arc, sq) in enumerate(zip(arcs.arcs, squares.squares))
+                [i, arc.level, arc.lo, arc.hi, arc.inner_radius, arc.mass]
+                for i, arc in enumerate(partition.arcs.arcs)
             ],
         )
 
@@ -291,7 +297,7 @@ def cmd_clark(config: dict, out_dir: Path) -> None:
     theta = InnerFunction.from_json_dict(config["inner"])
     alpha = _parse_alpha(config["alpha"])
     opts = _parse_options(
-        config.get("options"), {"max_points_per_arc": int, "herglotz_grid": int}
+        config.get("options"), {"max_points_per_arc": _integer, "herglotz_grid": _integer}
     )
     family = level_set(theta, alpha, opts.get("max_points_per_arc", 512))
 
@@ -309,7 +315,7 @@ def cmd_clark(config: dict, out_dir: Path) -> None:
 def cmd_pw(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"pw", "options"}, {"pw"}, "config")
     system = ExpSystem.from_json_dict(config["pw"])
-    opts = _parse_options(config.get("options"), {"split": bool, "max_depth": int})
+    opts = _parse_options(config.get("options"), {"split": _boolean, "max_depth": _DEPTH})
     fb = extremal_eigs(pw_gram(system))
     report = {
         "system": system.to_json_dict(),

@@ -20,13 +20,16 @@ points' bin slots and no clash pre-filter.  At gamma = 0, delta* is the
 smallest delta with a finite phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
-builds the N level sets {Theta = e^{2pi i l/N}}, cuts the circle into arcs
-carrying equal angular mass 1/N, erects a Carleson square over each arc,
-and classifies each point: inside a square it joins that square's level
-bucket (within a bucket, sub-parts take at most one point per square, so
-each sub-part is a small perturbation of one Clark family); outside all
-squares it lies in the uncovered region, where |Theta| stays below a
-measurable delta < 1 and the interpolation splitter applies.
+builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
+arcs carrying equal angular mass 1/N.  An ``Arc`` is also the Carleson
+square over it, (lo, hi] x [1 - |J|/2pi, 1], anchored at its hi endpoint,
+and ``ArcSystem.locate`` is the one membership rule.  A point inside a
+square joins that square's level bucket: one sort ranks each square's
+points by id, and sub-part m of a level takes the m-th point of every
+square of that level, so each sub-part is a small perturbation of one
+Clark family.  A point outside all squares lies in the uncovered region,
+where |Theta| stays below a measurable delta < 1 and the interpolation
+splitter applies.  ``select_arc_system`` picks N when none is given.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .carleson import earl_bound, interpolation_threshold, log_distance_matrix
-from .clark import ClarkFamily, level_sets, stability_margin
+from .clark import level_sets
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, part_frame_bounds
 from .inner import InnerFunction, eval_points, normalized_values, spectrum_distance
-from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
+from .points import TWO_PI, PointSequence
 from .quadrature import adaptive_simpson
 
 ThetaLike = InnerFunction | Callable[[complex], complex]
@@ -342,16 +345,31 @@ def _split_evaluated(
 
 
 # ---------------------------------------------------------------------------
-# Arc and square systems
+# Arc systems and their Carleson squares
 # ---------------------------------------------------------------------------
+
+# The uncovered region is healthy while its sampled sup of |Theta| stays
+# below this: the level-count search aims under it, and a split above it
+# is flagged.
+_HEALTH_MARGIN = 0.9
+
+
+def _normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """``points.normalize_angle``, elementwise."""
+    theta = np.fmod(theta, TWO_PI)
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    return np.where(theta >= TWO_PI, theta - TWO_PI, theta)
+
 
 @dataclass(frozen=True)
 class Arc:
-    """One boundary arc: (lo, hi] in angle, tagged by its hi endpoint.
+    """One boundary arc (lo, hi] in angle and the Carleson square over it.
 
-    ``hi`` is the designated level-set endpoint; ``lo`` may be negative for
-    the arc wrapping through angle zero.  ``mass`` is the independently
-    integrated angular mass, verified against 1/N.
+    ``hi`` is the designated level-set endpoint, in [0, 2 pi); ``lo`` may be
+    negative for the arc wrapping through angle zero.  ``mass`` is the
+    independently integrated angular mass, verified against 1/N.  The
+    square is (lo, hi] x [1 - |J|/(2 pi), 1], anchored at e^{i hi}, where
+    |Theta'| is ``hi_derivative``.
     """
 
     lo: float
@@ -364,17 +382,15 @@ class Arc:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains_angle(self, angle: float) -> bool:
-        if self.length >= TWO_PI - 1e-12:
-            return True
-        # a point within angle tolerance of lo belongs to the previous arc
-        # (this arc's lo is that arc's designated hi endpoint)
-        d = normalize_angle(angle - self.lo)
-        return 1e-12 < d <= self.length + 1e-12
+    @property
+    def inner_radius(self) -> float:
+        return 1.0 - self.length / TWO_PI
 
 
 @dataclass(frozen=True)
 class ArcSystem:
+    """Arcs of angular mass 1/N in increasing angle; ``truncated`` if arcs near atoms were dropped."""
+
     level_count: int
     arcs: tuple[Arc, ...]
     truncated: bool = False
@@ -383,71 +399,31 @@ class ArcSystem:
     def total_mass(self) -> float:
         return sum(a.mass for a in self.arcs)
 
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Radial box over one arc: angles (lo, hi], radius >= 1 - |J|/(2 pi)."""
-
-    arc_index: int
-    lo: float
-    hi: float
-    level: int
-    inner_radius: float
-    anchor_angle: float
-    anchor_derivative: float
-
-    def contains(self, z: complex | UnitPoint) -> bool:
-        w = z.value if isinstance(z, UnitPoint) else complex(z)
-        r = abs(w)
-        if r < self.inner_radius or r > 1.0 + 1e-14:
-            return False
-        if self.hi - self.lo >= TWO_PI - 1e-12:
-            return True
-        d = normalize_angle(cmath.phase(w) - self.lo)
-        return 1e-12 < d <= (self.hi - self.lo) + 1e-12
-
-
-@dataclass(frozen=True)
-class SquareSystem:
-    level_count: int
-    squares: tuple[CarlesonSquare, ...]
-    truncated: bool = False
-
-    def square_of(self, z: complex | UnitPoint) -> CarlesonSquare | None:
-        w = z.value if isinstance(z, UnitPoint) else complex(z)
-        k = int(self.locate([w])[0])
-        return self.squares[k] if k >= 0 else None
-
     def locate(self, z: Sequence[complex]) -> np.ndarray:
-        """Position in ``squares`` of the first square containing each point, -1 if none.
+        """Position in ``arcs`` of the first arc whose square holds each point, -1 if none.
 
-        The same answer as scanning ``CarlesonSquare.contains`` in order.
-        The squares' angular windows (lo + 1e-12, hi + 1e-12] follow each
-        other without overlap, so a bisection of the sorted lows leaves at
-        most the neighbouring squares as candidates; each candidate is
-        checked by the scan's own rule, on the same phase and modulus.
+        A square holds the points with inner_radius <= |z| <= 1 + 1e-14 and
+        phase in the window (lo + 1e-12, hi + 1e-12]: a point within 1e-12
+        of lo belongs to the previous arc, whose designated hi that is.  An
+        arc as long as the circle holds every phase.  The windows follow
+        each other without overlap, so a bisection of the sorted lows leaves
+        at most the neighbouring arcs as candidates.  Modulus and phase are
+        Python's ``abs`` and ``cmath.phase`` of each point.
         """
-        m = len(self.squares)
+        m = len(self.arcs)
         if m == 0 or len(z) == 0:
             return np.full(len(z), -1)
         found = np.full(len(z), m)
-        lo = np.array([sq.lo for sq in self.squares])
-        width = np.array([sq.hi - sq.lo for sq in self.squares])
-        inner = np.array([sq.inner_radius for sq in self.squares])
+        lo, width, inner = np.array([(a.lo, a.length, a.inner_radius) for a in self.arcs]).T
         phase = np.array([cmath.phase(w) for w in z])
         radius = np.array([abs(w) for w in z])
         k = np.searchsorted(lo, np.mod(phase, TWO_PI), side="right") - 1
         for cand in ((k - 1) % m, k % m, (k + 1) % m):
-            d = np.fmod(phase - lo[cand], TWO_PI)  # normalize_angle, elementwise
-            d = np.where(d < 0.0, d + TWO_PI, d)
-            d = np.where(d >= TWO_PI, d - TWO_PI, d)
+            d = _normalize_angles(phase - lo[cand])
             in_arc = (width[cand] >= TWO_PI - 1e-12) | ((1e-12 < d) & (d <= width[cand] + 1e-12))
             held = in_arc & (radius >= inner[cand]) & (radius <= 1.0 + 1e-14)
             found = np.where(held, np.minimum(found, cand), found)
         return np.where(found < m, found, -1)
-
-    def by_level(self, level: int) -> list[CarlesonSquare]:
-        return [sq for sq in self.squares if sq.level == level]
 
 
 def build_arc_system(
@@ -471,67 +447,44 @@ def build_arc_system(
     families = level_sets(theta, alphas, max_points_per_arc)
     truncated = any(f.truncated for f in families)
 
-    tagged: list[tuple[float, int, float]] = []  # (angle, level, derivative)
-    for l, fam in zip(range(1, level_count + 1), families):
-        for p, d in zip(fam.points, fam.derivs):
-            tagged.append((p.angle, l, d))
-    tagged.sort()
-    n_pts = len(tagged)
-    if n_pts < 1:
+    angle = np.array([p.angle for fam in families for p in fam.points])
+    if angle.size < 1:
         raise NumericDomainError("no level points found")
-    for i in range(1, n_pts):
-        if tagged[i][0] - tagged[i - 1][0] < 1e-11:
-            raise NumericDomainError(
-                f"level points at angles {tagged[i - 1][0]} and {tagged[i][0]} collide"
-            )
+    level = np.repeat(np.arange(1, level_count + 1), [len(fam.points) for fam in families])
+    deriv = np.array([d for fam in families for d in fam.derivs])
+    order = np.lexsort((deriv, level, angle))  # by angle, then level, then derivative
+    hi, level, deriv = angle[order], level[order], deriv[order]
+    collide = np.flatnonzero(np.diff(hi) < 1e-11)
+    if collide.size:
+        i = collide[0]
+        raise NumericDomainError(
+            f"level points at angles {float(hi[i])} and {float(hi[i + 1])} collide"
+        )
 
-    atom_angles = [a for a, _ in theta.singular_atoms]
-    spans: list[tuple[float, float, int, float]] = []  # (lo, hi, level, derivative)
-    for i, (hi, level, hi_deriv) in enumerate(tagged):
-        lo = tagged[i - 1][0] if i > 0 else tagged[-1][0] - TWO_PI
-        # atoms never coincide with level points, so a wrapped offset in
-        # (0, length) means the atom sits strictly inside this arc
-        if any(normalize_angle(a - lo) < (hi - lo) + 1e-15 for a in atom_angles):
-            truncated = True
-        else:
-            spans.append((lo, hi, level, hi_deriv))
-    lo, hi = np.array([span[:2] for span in spans]).reshape(-1, 2).T
+    lo = np.concatenate([hi[-1:] - TWO_PI, hi[:-1]])
+    atoms = np.array([a for a, _ in theta.singular_atoms])
+    # atoms never coincide with level points, so a wrapped offset in
+    # (0, length) means the atom sits strictly inside this arc
+    holds_atom = (
+        _normalize_angles(atoms[None, :] - lo[:, None]) < (hi - lo)[:, None] + 1e-15
+    ).any(axis=1)
+    truncated = truncated or bool(holds_atom.any())
+    keep = ~holds_atom
+    lo, hi, level, deriv = lo[keep], hi[keep], level[keep], deriv[keep]
     masses = adaptive_simpson(
         lambda t: eval_points(theta, np.exp(1j * t))[1] / TWO_PI, lo, hi, rel_tol=1e-9
     )
-    arcs: list[Arc] = []
     target = 1.0 / level_count
-    for (lo, hi, level, hi_deriv), mass in zip(spans, masses.tolist()):
-        if abs(mass - target) > _ARC_MASS_REL_TOL * target:
-            if truncated:
-                # an end arc next to a truncation cut can lose its partner
-                # point; surrender it along with the already-cut zone
-                continue
-            raise NumericDomainError(
-                f"arc mass check failed: got {mass}, expected {target}"
-            )
-        arcs.append(Arc(lo=lo, hi=hi, level=level, mass=mass, hi_derivative=hi_deriv))
-    return ArcSystem(level_count=level_count, arcs=tuple(arcs), truncated=truncated)
-
-
-def build_squares(arcs: ArcSystem) -> SquareSystem:
-    """Carleson square over each arc, depth equal to the arc's turn fraction."""
-    squares = []
-    for idx, arc in enumerate(arcs.arcs):
-        squares.append(
-            CarlesonSquare(
-                arc_index=idx,
-                lo=arc.lo,
-                hi=arc.hi,
-                level=arc.level,
-                inner_radius=1.0 - arc.length / TWO_PI,
-                anchor_angle=normalize_angle(arc.hi),
-                anchor_derivative=arc.hi_derivative,
-            )
+    off = np.abs(masses - target) > _ARC_MASS_REL_TOL * target
+    if off.any() and not truncated:
+        raise NumericDomainError(
+            f"arc mass check failed: got {float(masses[off][0])}, expected {target}"
         )
-    return SquareSystem(
-        level_count=arcs.level_count, squares=tuple(squares), truncated=arcs.truncated
-    )
+    # an end arc next to a truncation cut can lose its partner point; it is
+    # surrendered along with the already-cut zone
+    fields = (x[~off].tolist() for x in (lo, hi, level, masses, deriv))
+    arcs = tuple(Arc(*row) for row in zip(*fields))
+    return ArcSystem(level_count=level_count, arcs=arcs, truncated=truncated)
 
 
 @dataclass(frozen=True)
@@ -544,9 +497,9 @@ class UncoveredRegionReport:
 
 
 def uncovered_region_report(
-    theta: InnerFunction, squares: SquareSystem, samples: int = 4096
+    theta: InnerFunction, arcs: ArcSystem, samples: int = 4096
 ) -> UncoveredRegionReport:
-    """Max |Theta| over the in-disk boundary of the uncovered region.
+    """Max |Theta| over the in-disk boundary of the region under the arcs' squares.
 
     The boundary consists of the squares' inner sides plus the radial
     segments joining adjacent squares of different depths; by the maximum
@@ -554,23 +507,19 @@ def uncovered_region_report(
     sampling resolution).  Also records the worst constant C for which
     log|Theta(z)| <= -C (1-|z|) |Theta'(z/|z|)| held on the samples.
     """
-    sqs = squares.squares
-    if not sqs:
-        raise NumericDomainError("square system is empty")
-    per_side = max(8, math.ceil(samples / len(sqs)))
-    steps = np.arange(per_side) + 0.5
-    radii = [np.full(per_side, sq.inner_radius) for sq in sqs]
-    angles = [sq.lo + (sq.hi - sq.lo) * steps / per_side for sq in sqs]
+    if not arcs.arcs:
+        raise NumericDomainError("arc system is empty")
+    lo, length, hi, inner = (
+        np.array([(arc.lo, arc.length, arc.hi, arc.inner_radius) for arc in arcs.arcs]).T
+    )
+    per_side = max(8, math.ceil(samples / lo.size))
+    sides = lo[:, None] + length[:, None] * (np.arange(per_side) + 0.5) / per_side
     # radial joints between adjacent squares of different depth
-    for i, sq in enumerate(sqs):
-        nxt = sqs[(i + 1) % len(sqs)]
-        r_lo = min(sq.inner_radius, nxt.inner_radius)
-        r_hi = max(sq.inner_radius, nxt.inner_radius)
-        if r_hi - r_lo < 1e-15:
-            continue
-        radii.append(r_lo + (r_hi - r_lo) * (np.arange(8) + 0.5) / 8)
-        angles.append(np.full(8, sq.hi))
-    z = np.concatenate(radii) * np.exp(1j * np.concatenate(angles))
+    r_lo, r_hi = np.minimum(inner, np.roll(inner, -1)), np.maximum(inner, np.roll(inner, -1))
+    joint = r_hi - r_lo >= 1e-15
+    joints = r_lo[joint, None] + (r_hi - r_lo)[joint, None] * (np.arange(8) + 0.5) / 8
+    radii = np.concatenate([np.repeat(inner, per_side), joints.ravel()])
+    z = radii * np.exp(1j * np.concatenate([sides.ravel(), np.repeat(hi[joint], 8)]))
     values, rates = eval_points(theta, z)
     mod = np.abs(values)
     r = np.abs(z)
@@ -584,22 +533,10 @@ def uncovered_region_report(
     )
 
 
-def uncovered_region_delta(
-    theta: InnerFunction, squares: SquareSystem, samples: int = 4096
-) -> float:
-    """Sampled sup of |Theta| over the uncovered region's in-disk boundary."""
-    return uncovered_region_report(theta, squares, samples).delta
-
-
-def count_per_square(
-    squares: SquareSystem, seq: PointSequence
-) -> tuple[int, list[int]]:
-    """Exact membership counts per square; first element is the max count."""
-    return _square_counts(squares, squares.locate(seq.values))
-
-
-def _square_counts(squares: SquareSystem, located: np.ndarray) -> tuple[int, list[int]]:
-    counts = np.bincount(located[located >= 0], minlength=len(squares.squares))
+def count_per_square(arcs: ArcSystem, seq: PointSequence) -> tuple[int, list[int]]:
+    """Exact membership counts per arc's square; first element is the max count."""
+    located = arcs.locate(seq.values)
+    counts = np.bincount(located[located >= 0], minlength=len(arcs.arcs))
     return (int(counts.max()) if counts.size else 0), counts.tolist()
 
 
@@ -609,24 +546,24 @@ def _square_counts(squares: SquareSystem, located: np.ndarray) -> tuple[int, lis
 
 def rate_comparability(theta: InnerFunction, arcs: ArcSystem, grid: int = 32) -> float:
     """Worst per-arc max/min ratio of |Theta'| over a midpoint subgrid of each arc."""
-    lo = np.array([arc.lo for arc in arcs.arcs])
-    length = np.array([arc.length for arc in arcs.arcs])
+    lo, length = np.array([(arc.lo, arc.length) for arc in arcs.arcs]).T
     angles = lo[:, None] + length[:, None] * (np.arange(grid) + 0.5) / grid
     _, rates = eval_points(theta, np.exp(1j * angles.ravel()))
     rates = rates.reshape(angles.shape)
     return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
 
 
-def select_level_count(
+def select_arc_system(
     theta: InnerFunction,
     *,
-    delta_ceiling: float = 0.9,
+    delta_ceiling: float = _HEALTH_MARGIN,
     spread_ceiling: float = 4.0,
     start: int = 8,
     limit: int = 256,
     samples: int = 2048,
-) -> int:
-    """Smallest power-of-two N at which the square system is usable.
+    max_points_per_arc: int = 512,
+) -> tuple[ArcSystem, UncoveredRegionReport]:
+    """The arc system at the smallest usable power-of-two N, with its uncovered-region report.
 
     Usable means: the uncovered region's sampled sup of |Theta| is below
     ``delta_ceiling`` and the per-arc rate spread stays below
@@ -635,45 +572,50 @@ def select_level_count(
     no N meets the health margin the spread-qualified N with the smallest
     sup below 1 is taken instead; certificates stay valid for any sup < 1.
     """
-    arcs, _squares, _region = _select_square_system(
-        theta,
-        delta_ceiling=delta_ceiling,
-        spread_ceiling=spread_ceiling,
-        start=start,
-        limit=limit,
-        samples=samples,
-    )
-    return arcs.level_count
-
-
-def _select_square_system(
-    theta: InnerFunction,
-    *,
-    delta_ceiling: float = 0.9,
-    spread_ceiling: float = 4.0,
-    start: int = 8,
-    limit: int = 256,
-    samples: int = 2048,
-    max_points_per_arc: int = 512,
-) -> tuple[ArcSystem, SquareSystem, UncoveredRegionReport]:
-    """The search behind ``select_level_count``, returning what it built for the pick."""
-    best: tuple[float, tuple] | None = None
+    best: tuple[ArcSystem, UncoveredRegionReport] | None = None
     n = start
     while n <= limit:
         arcs = build_arc_system(theta, n, max_points_per_arc)
-        squares = build_squares(arcs)
-        region = uncovered_region_report(theta, squares, samples)
+        region = uncovered_region_report(theta, arcs, samples)
         if rate_comparability(theta, arcs) <= spread_ceiling:
             if region.delta < delta_ceiling:
-                return arcs, squares, region
-            if region.delta < 1.0 - 1e-9 and (best is None or region.delta < best[0]):
-                best = (region.delta, (arcs, squares, region))
+                return arcs, region
+            if region.delta < 1.0 - 1e-9 and (best is None or region.delta < best[1].delta):
+                best = (arcs, region)
         n *= 2
     if best is not None:
-        return best[1]
+        return best
     raise CertificationError(
         f"no usable level count up to {limit}: sublevel bound or rate spread failed"
     )
+
+
+def _square_parts(
+    seq: PointSequence, arcs: ArcSystem, located: np.ndarray
+) -> list[tuple[np.ndarray, str, tuple[float, ...]]]:
+    """Square sub-parts as (positions in ``seq``, route, stability margins).
+
+    One lexsort ranks each square's points by id; sub-part m of a level
+    holds the m-th point of every square of that level, in sequence order.
+    A point's margin is |lambda - e^{i hi}| |Theta'(e^{i hi})| against the
+    anchor of its own square, in Python complex arithmetic.
+    """
+    held = np.flatnonzero(located >= 0)
+    held = held[np.lexsort((np.asarray(seq.ids)[held], located[held]))]
+    rank = np.arange(held.size) - np.searchsorted(located[held], located[held])
+    level = np.array([arc.level for arc in arcs.arcs], dtype=int)[located[held]]
+    order = np.lexsort((held, rank, level))
+    held, rank, level = held[order], rank[order], level[order]
+    starts = np.flatnonzero((np.diff(level, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
+    out = []
+    for s, idx in zip(starts.tolist(), np.split(held, starts[1:])):
+        anchors = [arcs.arcs[a] for a in located[idx].tolist()]
+        margins = tuple(
+            abs(seq.points[k].value - cmath.exp(1j * arc.hi)) * arc.hi_derivative
+            for k, arc in zip(idx.tolist(), anchors)
+        )
+        out.append((idx, f"square:{level[s]}:{rank[s] + 1}", margins))
+    return out
 
 
 def decompose_by_squares(
@@ -688,10 +630,12 @@ def decompose_by_squares(
     """Classify points into Carleson-square buckets and an uncovered bucket.
 
     Square-bucket points are grouped by level and spread into sub-parts
-    with at most one point per square; each sub-part gets exact Gram frame
-    bounds and stability margins against its squares' anchor points.  The
-    uncovered bucket is routed through the interpolation splitter with the
-    region-wide modulus bound as its gamma.  If that bound reaches 1 the
+    with at most one point per square: sub-part m of a level takes the
+    m-th smallest id of every square of that level.  Each sub-part gets
+    exact Gram frame bounds and, per point, the stability margin
+    |lambda - e^{i hi}| |Theta'(e^{i hi})| against its own square's anchor.
+    The uncovered bucket is routed through the interpolation splitter with
+    the region-wide modulus bound as its gamma.  If that bound reaches 1 the
     bucket is emitted uncertified and flagged; a larger level count fixes
     it.
     """
@@ -704,52 +648,45 @@ def decompose_by_squares(
         raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
     if level_count is None:
-        arcs, squares, region = _select_square_system(
+        arcs, region = select_arc_system(
             theta, samples=samples, max_points_per_arc=max_points_per_arc
         )
         level_count = arcs.level_count
     else:
         arcs = build_arc_system(theta, level_count, max_points_per_arc)
-        squares = build_squares(arcs)
-        region = uncovered_region_report(theta, squares, samples)
+        region = uncovered_region_report(theta, arcs, samples)
 
     flags: list[str] = []
-    if squares.truncated:
+    if arcs.truncated:
         flags.append("square system truncated near the spectrum")
-    if region.delta >= 0.9:
+    if region.delta >= _HEALTH_MARGIN:
         flags.append(
-            f"uncovered-region modulus bound {region.delta:.6f} exceeds the 0.9 health margin"
+            f"uncovered-region modulus bound {region.delta:.6f} exceeds the "
+            f"{_HEALTH_MARGIN} health margin"
         )
 
-    located = squares.locate(seq.values)
-    uncovered: list[int] = []  # positions in seq
-    bucket: dict[int, dict[int, list[int]]] = {}  # level -> arc_index -> ids
-    for k, (pid, p) in enumerate(seq):
-        if located[k] < 0:
-            if p.is_boundary:
-                raise NumericDomainError(
-                    f"boundary point {pid} escaped every square; "
-                    "the uncovered region is interior-only"
-                )
-            uncovered.append(k)
-        else:
-            sq = squares.squares[located[k]]
-            bucket.setdefault(sq.level, {}).setdefault(sq.arc_index, []).append(pid)
+    located = arcs.locate(seq.values)
+    uncovered = np.flatnonzero(located < 0)  # positions in seq
+    escaped = [k for k in uncovered.tolist() if seq.points[k].is_boundary]
+    if escaped:
+        raise NumericDomainError(
+            f"boundary point {seq.ids[escaped[0]]} escaped every square; "
+            "the uncovered region is interior-only"
+        )
 
-    max_count, _counts = _square_counts(squares, located)
     z = np.array(seq.values, dtype=complex)
     values, norms_sq = normalized_values(theta, seq.points, seq.ids)
     parts: list[PartitionPart] = []
 
-    if uncovered:
-        sub = seq.subset(seq.ids[k] for k in uncovered)
+    if uncovered.size:
+        sub = seq.subset(seq.ids[k] for k in uncovered.tolist())
         gamma_used = max(region.delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
                 f"sublevel bound failed at level count {level_count} "
                 f"(delta = {gamma_used}); uncovered bucket left uncertified - increase N"
             )
-            (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [np.array(uncovered)])
+            (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [uncovered])
             parts.append(
                 PartitionPart(
                     ids=tuple(sorted(sub.ids)),
@@ -769,61 +706,24 @@ def decompose_by_squares(
             flags.extend(inner_partition.flags)
             parts.extend(inner_partition.parts)
 
-    position = {pid: k for k, pid in enumerate(seq.ids)}
-    square_parts: list[tuple[PointSequence, str, list[float]]] = []
-    square_by_index = {sq.arc_index: sq for sq in squares.squares}
-    for level in sorted(bucket):
-        per_square = bucket[level]
-        for ids in per_square.values():
-            ids.sort()
-        depth = max(len(ids) for ids in per_square.values())
-        alpha = cmath.exp(2j * math.pi * level / level_count)
-        for m in range(depth):
-            owner: dict[int, int] = {}  # id -> arc_index
-            for arc_index in sorted(per_square):
-                ids = per_square[arc_index]
-                if m < len(ids):
-                    owner[ids[m]] = arc_index
-            part_seq = seq.subset(owner)
-            # index-matched anchor family: each point against its own
-            # square's designated level point
-            anchors = []
-            derivs = []
-            for pid, _lam in part_seq:
-                sq = square_by_index[owner[pid]]
-                anchors.append(UnitPoint.boundary(sq.anchor_angle))
-                derivs.append(sq.anchor_derivative)
-            anchor_family = ClarkFamily(
-                alpha=alpha,
-                points=tuple(anchors),
-                derivs=tuple(derivs),
-                weights=tuple(1.0 / d for d in derivs),
-            )
-            margins = stability_margin(theta, anchor_family, part_seq)
-            square_parts.append((part_seq, f"square:{level}:{m + 1}", margins))
-
-    bounds = part_frame_bounds(
-        z,
-        values,
-        norms_sq,
-        seq.ids,
-        [np.array([position[pid] for pid in part_seq.ids]) for part_seq, _, _ in square_parts],
-    )
-    for (part_seq, route, margins), fb in zip(square_parts, bounds):
+    square_parts = _square_parts(seq, arcs, located)
+    bounds = part_frame_bounds(z, values, norms_sq, seq.ids, [idx for idx, _, _ in square_parts])
+    for (idx, route, margins), fb in zip(square_parts, bounds):
         parts.append(
             PartitionPart(
-                ids=tuple(part_seq.ids),
+                ids=tuple(seq.ids[k] for k in idx.tolist()),
                 route=route,
                 certificate=PartCertificate(frame_bounds=fb),
-                stability_margins=tuple(margins),
+                stability_margins=margins,
             )
         )
+    counts = np.bincount(located[located >= 0])
 
     partition = Partition(
         parts=tuple(parts),
         global_info={
             "level_count": level_count,
-            "max_per_square": max_count,
+            "max_per_square": int(counts.max()) if counts.size else 0,
             "delta_uncovered": region.delta,
         },
         flags=tuple(flags),

@@ -9,7 +9,8 @@ by factor where a cross-check matters, kernel norms are exact rationals or a tel
 factors with an exact 1 - |z|^2 (the library sums log1p terms), and
 Hankel sections are sampled point by point and transformed by a direct
 sum (the library uses its array evaluator and the FFT).  The splitter's
-earlier first-fit and Mills loops are kept at the end as references.
+earlier first-fit and Mills loops, and the square pipeline's earlier
+membership scan and grouping loop, are kept at the end as references.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from mslab.clark import ClarkFamily, stability_margin
 from mslab.inner import InnerFunction
-from mslab.points import PointSequence
+from mslab.points import PointSequence, UnitPoint, normalize_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -337,3 +339,89 @@ def mills_halves_reference(
             b.append(k)
             np.minimum(near_b, sub[k], out=near_b)
     return np.sort(idx[a]), np.sort(idx[b])
+
+
+# ---------------------------------------------------------------------------
+# Reference loops of the square pipeline
+# ---------------------------------------------------------------------------
+# Square membership and the grouping of square points into sub-parts as they
+# were written with one square object per arc: a linear scan of each square's
+# own rule, and bucket dicts with an index-matched anchor Clark family per
+# sub-part; kept so that tests can check the array versions take every
+# decision alike.
+
+def square_contains_reference(arc, z: complex) -> bool:
+    """Whether the square over ``arc`` holds z: angles (lo, hi], 1 - |J|/(2 pi) <= |z| <= 1."""
+    w = complex(z)
+    r = abs(w)
+    if r < 1.0 - (arc.hi - arc.lo) / TWO_PI or r > 1.0 + 1e-14:
+        return False
+    if arc.hi - arc.lo >= TWO_PI - 1e-12:
+        return True
+    # a point within angle tolerance of lo belongs to the previous arc
+    d = normalize_angle(cmath.phase(w) - arc.lo)
+    return 1e-12 < d <= (arc.hi - arc.lo) + 1e-12
+
+
+def locate_reference(arcs, z) -> np.ndarray:
+    """Position of the first arc whose square holds each point, by a linear scan; -1 if none."""
+    return np.array(
+        [
+            next((k for k, arc in enumerate(arcs.arcs) if square_contains_reference(arc, w)), -1)
+            for w in z
+        ],
+        dtype=int,
+    )
+
+
+def square_parts_reference(
+    theta: InnerFunction, seq: PointSequence, arcs, located: np.ndarray
+) -> list[tuple[np.ndarray, str, tuple[float, ...]]]:
+    """Square sub-parts as (positions in seq, route, stability margins).
+
+    Points are bucketed by level and square, each square's ids sorted;
+    sub-part m of a level takes the m-th id of every square, and its margins
+    come from ``stability_margin`` against the family of the squares'
+    anchor points e^{i hi}, matched by index.
+    """
+    bucket: dict[int, dict[int, list[int]]] = {}  # level -> arc index -> ids
+    for k, pid in enumerate(seq.ids):
+        if located[k] >= 0:
+            arc_index = int(located[k])
+            bucket.setdefault(arcs.arcs[arc_index].level, {}).setdefault(arc_index, []).append(pid)
+    position = {pid: k for k, pid in enumerate(seq.ids)}
+    out = []
+    for level in sorted(bucket):
+        per_square = bucket[level]
+        for ids in per_square.values():
+            ids.sort()
+        depth = max(len(ids) for ids in per_square.values())
+        alpha = cmath.exp(2j * math.pi * level / arcs.level_count)
+        for m in range(depth):
+            owner: dict[int, int] = {}  # id -> arc index
+            for arc_index in sorted(per_square):
+                ids = per_square[arc_index]
+                if m < len(ids):
+                    owner[ids[m]] = arc_index
+            part_seq = seq.subset(owner)
+            anchors = []
+            derivs = []
+            for pid, _lam in part_seq:
+                arc = arcs.arcs[owner[pid]]
+                anchors.append(UnitPoint.boundary(normalize_angle(arc.hi)))
+                derivs.append(arc.hi_derivative)
+            family = ClarkFamily(
+                alpha=alpha,
+                points=tuple(anchors),
+                derivs=tuple(derivs),
+                weights=tuple(1.0 / d for d in derivs),
+            )
+            margins = stability_margin(theta, family, part_seq)
+            out.append(
+                (
+                    np.array([position[pid] for pid in part_seq.ids]),
+                    f"square:{level}:{m + 1}",
+                    tuple(margins),
+                )
+            )
+    return out

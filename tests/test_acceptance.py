@@ -18,10 +18,9 @@ from mslab.carleson import carleson_constant, earl_bound, interpolation_threshol
 from mslab.clark import level_set, herglotz_residual
 from mslab.decompose import (
     build_arc_system,
-    build_squares,
     decompose_by_squares,
     split_by_interpolation,
-    uncovered_region_delta,
+    uncovered_region_report,
 )
 from mslab.gram import extremal_eigs, gram
 from mslab.inner import (
@@ -166,8 +165,7 @@ def test_criterion_07_uncovered_region_delta_brackets() -> None:
         for d in (2, 3, 5):
             zd = InnerFunction(blaschke_zeros=(0,) * d)
             for n_levels in (8, 16):
-                squares = build_squares(build_arc_system(zd, n_levels))
-                delta = uncovered_region_delta(zd, squares, 2048)
+                delta = uncovered_region_report(zd, build_arc_system(zd, n_levels), 2048).delta
                 assert math.exp(-2.0 / n_levels) <= delta <= math.exp(-0.5 / n_levels)
 
 

@@ -241,6 +241,52 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, config) -> None:
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+_PW_SYSTEM = {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0]]}
+_SQUARES = {"inner": Z3, "points": [[0.5, 0.0]], "mode": "squares"}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": "false"}}),
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": 1}}),
+        ("analyze", {"inner": Z2, "points": [[0.1, 0.0]], "options": {"riesz_floor": _NAN}}),
+        ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"herglotz_grid": -5}}),
+        ("split", {**_SQUARES, "options": {"level_count": 2.7}}),
+        ("split", {**_SQUARES, "options": {"max_points_per_arc": 0}}),
+        ("split", {**_SQUARES, "options": {"max_points_per_arc": -3}}),
+        ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"max_points_per_arc": 0}}),
+        ("split", {**_SQUARES, "options": {"max_depth": -1}}),
+        ("split", {**_SQUARES, "options": {"samples": True}}),
+    ],
+    ids=["split-string", "split-integer", "riesz-floor-nan", "herglotz-grid-negative",
+         "level-count-float", "points-per-arc-zero", "points-per-arc-negative",
+         "clark-points-per-arc-zero", "max-depth-negative", "samples-bool"],
+)
+def test_malformed_options_are_config_errors(tmp_path, capsys, command, config) -> None:
+    cfg = _write(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: option" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, report",
+    [
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": False, "max_depth": 0}}, "pw.json"),
+        ("analyze", {"inner": Z2, "points": [[0.1, 0.0]], "options": {"riesz_floor": 1}}, "analyze.json"),
+        ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"herglotz_grid": 1, "max_points_per_arc": 1}}, "clark.json"),
+        ("split", {**_SQUARES, "options": {"level_count": 1, "samples": 1, "max_depth": 0}}, "partition.json"),
+    ],
+    ids=["pw", "analyze", "clark", "split"],
+)
+def test_smallest_well_formed_options_run(tmp_path, command, config, report) -> None:
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / report).exists()
+
+
 def test_exit_code_config_error(tmp_path) -> None:
     cfg = _write(
         tmp_path / "cfg.json",

@@ -8,7 +8,9 @@ from conftest import (
     blaschke_values,
     boundary_rate_oracle,
     composite_gauss_legendre,
+    locate_reference,
     random_blaschke,
+    square_contains_reference,
 )
 
 from mslab.carleson import carleson_constant, earl_bound, log_distance_matrix
@@ -16,13 +18,11 @@ from mslab.decompose import (
     _mills_halves,
     _modulus_rank,
     build_arc_system,
-    build_squares,
     count_per_square,
     decompose_by_squares,
     rate_comparability,
-    select_level_count,
+    select_arc_system,
     split_by_interpolation,
-    uncovered_region_delta,
     uncovered_region_report,
 )
 from mslab.errors import CertificationError, NumericDomainError
@@ -237,8 +237,9 @@ def test_arcs_with_atom_truncate_cleanly() -> None:
     assert len(arcs.arcs) > 4
     for arc in arcs.arcs:
         assert abs(arc.mass * 4 - 1.0) <= 1e-6
-        # the dropped zone straddles the atom: no surviving arc contains it
-        assert not arc.contains_angle(math.pi)
+        # the dropped zone straddles the atom: no surviving arc's square holds it
+        assert not square_contains_reference(arc, cmath.exp(1j * math.pi))
+    assert arcs.locate([cmath.exp(1j * math.pi), 0.999 * cmath.exp(1j * math.pi)]).tolist() == [-1, -1]
 
 
 def test_squares_pipeline_with_atom() -> None:
@@ -254,70 +255,68 @@ def test_squares_pipeline_with_atom() -> None:
 
 def test_squares_geometry() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    squares = build_squares(build_arc_system(z2, 4))
-    sq = squares.squares[0]
-    assert sq.inner_radius == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-10)
-    mid = 0.5 * (sq.lo + sq.hi)
-    assert sq.contains(0.99 * cmath.exp(1j * mid))
-    assert not sq.contains(0.999 * cmath.exp(1j * (sq.hi + 0.5)))
-    assert not sq.contains(0.5 * cmath.exp(1j * mid))
+    arcs = build_arc_system(z2, 4)
+    arc = arcs.arcs[0]
+    assert arc.inner_radius == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-10)
+    mid = 0.5 * (arc.lo + arc.hi)
+    pts = [
+        0.99 * cmath.exp(1j * mid),
+        0.999 * cmath.exp(1j * (arc.hi + 0.5)),
+        0.5 * cmath.exp(1j * mid),
+    ]
+    assert arcs.locate(pts)[0] == 0
+    assert arcs.locate(pts)[1] != 0
+    assert arcs.locate(pts)[2] == -1
 
 
 def test_anchor_point_belongs_to_its_own_square() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    squares = build_squares(build_arc_system(z3, 4))
-    for sq in squares.squares:
-        owner = squares.square_of(UnitPoint.boundary(sq.anchor_angle))
-        assert owner is not None and owner.arc_index == sq.arc_index
+    arcs = build_arc_system(z3, 4)
+    anchors = [UnitPoint.boundary(arc.hi).value for arc in arcs.arcs]
+    assert arcs.locate(anchors).tolist() == list(range(len(arcs.arcs)))
 
 
 def test_uncovered_delta_power_brackets() -> None:
     for d in (2, 3):
         zd = InnerFunction(blaschke_zeros=(0,) * d)
         for n_levels in (8, 16):
-            squares = build_squares(build_arc_system(zd, n_levels))
-            delta = uncovered_region_delta(zd, squares, 2048)
+            delta = uncovered_region_report(zd, build_arc_system(zd, n_levels), 2048).delta
             assert delta == pytest.approx((1 - 1 / (n_levels * d)) ** d, rel=1e-9)
             assert math.exp(-2 / n_levels) <= delta <= math.exp(-1 / (2 * n_levels))
 
 
 def test_uncovered_delta_degree_one_single_square() -> None:
     z1 = InnerFunction(blaschke_zeros=(0,))
-    squares = build_squares(build_arc_system(z1, 1))
-    assert uncovered_region_delta(z1, squares, 64) == pytest.approx(0.0, abs=1e-12)
+    arcs = build_arc_system(z1, 1)
+    assert uncovered_region_report(z1, arcs, 64).delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uncovered_delta_random_strictly_below_one() -> None:
     rng = np.random.default_rng(59)
     theta = random_blaschke(rng, 6)
-    squares = build_squares(build_arc_system(theta, 16))
-    report = uncovered_region_report(theta, squares, 2048)
+    report = uncovered_region_report(theta, build_arc_system(theta, 16), 2048)
     assert report.delta < 1.0
     assert report.log_modulus_worst_const > 0.0
 
 
 def test_count_per_square_cases() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    squares = build_squares(build_arc_system(z3, 8))
+    arcs = build_arc_system(z3, 8)
     deep = PointSequence.from_complex([0.1, -0.2j, 0.3])
-    m, counts = count_per_square(squares, deep)
+    m, counts = count_per_square(arcs, deep)
     assert m == 0 and sum(counts) == 0
     anchors = PointSequence.from_points(
-        [UnitPoint.boundary(sq.anchor_angle) for sq in squares.squares[:5]]
+        [UnitPoint.boundary(arc.hi) for arc in arcs.arcs[:5]]
     )
-    m, counts = count_per_square(squares, anchors)
+    m, counts = count_per_square(arcs, anchors)
     assert m == 1 and sum(counts) == 5
-    one_sq = squares.squares[0]
-    mid = 0.5 * (one_sq.lo + one_sq.hi)
+    one = arcs.arcs[0]
+    mid = 0.5 * (one.lo + one.hi)
     cluster = PointSequence.from_complex(
         [(1 - 1e-4 * (k + 1)) * cmath.exp(1j * mid) for k in range(5)]
     )
-    m, counts = count_per_square(squares, cluster)
-    assert m == 5
-
-
-def _square_by_scan(squares, z: complex) -> int:
-    return next((k for k, sq in enumerate(squares.squares) if sq.contains(z)), -1)
+    m, counts = count_per_square(arcs, cluster)
+    assert m == 5 and counts[0] == 5
 
 
 @pytest.mark.parametrize(
@@ -331,26 +330,25 @@ def _square_by_scan(squares, z: complex) -> int:
     ],
 )
 def test_square_lookup_agrees_with_linear_scan(theta: InnerFunction, levels: int) -> None:
-    squares = build_squares(build_arc_system(theta, levels, max_points_per_arc=48))
-    assert squares.truncated == bool(theta.singular_atoms)
+    arcs = build_arc_system(theta, levels, max_points_per_arc=48)
+    assert arcs.truncated == bool(theta.singular_atoms)
     rng = np.random.default_rng(levels)
     pts = list(
         np.sqrt(rng.uniform(0.5, 1.0, 400)) * np.exp(1j * rng.uniform(-4.0, 8.0, 400))
     )
-    for sq in squares.squares:
-        depth = 0.5 * (1.0 + sq.inner_radius)
-        for end in (sq.lo, sq.hi):
+    for arc in arcs.arcs:
+        depth = 0.5 * (1.0 + arc.inner_radius)
+        for end in (arc.lo, arc.hi):
             for shift in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12):
                 pts.append(depth * cmath.exp(1j * (end + shift)))
                 pts.append(cmath.exp(1j * (end + shift)))
-        pts.append(sq.inner_radius * cmath.exp(1j * 0.5 * (sq.lo + sq.hi)))
-        pts.append(0.999 * sq.inner_radius * cmath.exp(1j * 0.5 * (sq.lo + sq.hi)))
-    found = squares.locate(pts)
-    assert list(found) == [_square_by_scan(squares, complex(z)) for z in pts]
+        pts.append(arc.inner_radius * cmath.exp(1j * 0.5 * (arc.lo + arc.hi)))
+        pts.append(0.999 * arc.inner_radius * cmath.exp(1j * 0.5 * (arc.lo + arc.hi)))
+    found = arcs.locate(pts)
+    assert found.tolist() == locate_reference(arcs, pts).tolist()
     assert (found >= 0).any() and ((found < 0).any() or levels == 1)
-    for z, k in zip(pts[:50], found):
-        owner = squares.square_of(z)
-        assert (owner is None) == (k < 0) and (owner is None or owner is squares.squares[k])
+    for z in pts[:50]:
+        assert arcs.locate([z]).tolist() == locate_reference(arcs, [z]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +385,10 @@ def test_squares_pipeline_clustered_corpus() -> None:
         assert part.certificate.frame_bounds.lambda_min > 0.0
     assert partition.all_ids() == tuple(range(9))
     # shape precondition: within one part, at most one point per square
-    squares = build_squares(build_arc_system(z3, 8))
+    arcs = build_arc_system(z3, 8)
     for part in square_parts:
-        owners = [squares.square_of(seq.point_by_id(i)).arc_index for i in part.ids]
-        assert len(set(owners)) == len(owners)
+        owners = arcs.locate([seq.point_by_id(i).value for i in part.ids]).tolist()
+        assert min(owners) >= 0 and len(set(owners)) == len(owners)
 
 
 def test_squares_pipeline_splits_a_near_coincident_boundary_pair() -> None:
@@ -433,11 +431,11 @@ def test_squares_pipeline_mixed_membership() -> None:
         0.5 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
         for _ in range(6)
     ]
-    squares = build_squares(build_arc_system(theta, 8))
+    arcs = build_arc_system(theta, 8)
     near = [
-        (sq.inner_radius + 0.6 * (1 - sq.inner_radius))
-        * cmath.exp(1j * (0.5 * (sq.lo + sq.hi)))
-        for sq in squares.squares[:4]
+        (arc.inner_radius + 0.6 * (1 - arc.inner_radius))
+        * cmath.exp(1j * (0.5 * (arc.lo + arc.hi)))
+        for arc in arcs.arcs[:4]
     ]
     seq = PointSequence.from_complex(pts + near)
     partition = decompose_by_squares(theta, seq, 8)
@@ -461,7 +459,11 @@ def test_rate_comparability_shrinks_with_level_count() -> None:
 
 def test_select_level_count_power_function() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    assert select_level_count(z3) == 8
+    arcs, region = select_arc_system(z3)
+    assert arcs.level_count == 8
+    assert arcs == build_arc_system(z3, 8)
+    assert region == uncovered_region_report(z3, arcs, 2048)
+    assert region.delta < 0.9
 
 
 def test_auto_level_count_used_when_omitted() -> None:
