@@ -3,14 +3,17 @@
 On any boundary arc free of spectrum, a nonconstant inner function has a
 strictly increasing continuous argument whose rate is the angular
 derivative |Theta'|.  For finite data that argument has a closed form,
-``inner.boundary_argument`` (Phi), with exp(i Phi) = Theta(e^{it}) exactly;
-so every level set {Theta = alpha} is enumerated completely by monotone
-bisection of Phi - target, one target per 2*pi of argument increase.
+``inner.boundary_argument`` (Phi), with exp(i Phi) = Theta(e^{it}) exactly,
+and ``inner.argument_and_rate`` gives Phi' = |Theta'| from the same pass;
+so every level set {Theta = alpha} is enumerated completely as the roots
+of the monotone Phi - target, one target per 2*pi of argument increase.
 An arc is just its ends (lo, hi) and Phi there.  Every target of every
-level on every arc is bisected in one lockstep run, one array evaluation
-of Phi per round, down to the spacing of doubles at the arcs' ends.  The
-arcs between singular atoms, where Phi diverges, are cut by one earlier
-run of the same bisection where the increase from each arc's middle
+level on every arc is solved in one lockstep run: one evaluation of Phi
+and Phi' on a grid of two points per 2*pi of each arc's increase
+brackets every target, then safeguarded Newton steps, one array
+evaluation per round, close each bracket to the rounding band of Phi.
+The arcs between singular atoms, where Phi diverges, are cut by one
+earlier run of the same solver where the increase from each arc's middle
 reaches the budget.
 
 A level set carries a Clark family: the points tau_n, their angular
@@ -36,7 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError
-from .inner import InnerFunction, boundary_argument, derivative, eval_points
+from .inner import (
+    InnerFunction,
+    argument_and_rate,
+    boundary_argument,
+    derivative,
+    eval_points,
+)
 from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
 from .quadrature import adaptive_simpson
 
@@ -83,25 +92,75 @@ def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
                 )
 
 
-def _bisect(
-    theta: InnerFunction, a: np.ndarray, b: np.ndarray, targets: np.ndarray
+def _solve(
+    theta: InnerFunction,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cells: np.ndarray,
+    arc: np.ndarray,
+    targets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep bisection of Phi = target on brackets [a, b] with no atom inside.
+    """Brackets (a, b) of the roots of Phi = target on arcs [lo, hi] free of atoms.
 
-    Each round evaluates Phi at all live midpoints at once; a bracket is
-    done once it is no wider than the spacing of doubles at its initial
-    ends.  An end that moved keeps its side: Phi(a) < target <= Phi(b).
+    Arc j is sampled at ``cells[j] + 1`` equally spaced angles, its ends
+    included, in one evaluation of Phi and Phi'; one searchsorted per arc
+    then brackets each target (on arc ``arc``) between neighbouring
+    samples.  Phi carries a rounding noise of about
+    4 eps (|target| + 4 degree + 1).  A target below Phi(lo) or within
+    that noise above it gives (lo, lo), and one above Phi(hi) or within
+    the noise below it gives (hi, hi): a root at an end of the full
+    circle is 0 or 2*pi exactly.  From the sample nearer the target in
+    Phi, every bracket takes lockstep Newton steps, one array evaluation
+    per round, each step kept strictly inside its bracket or replaced by
+    the midpoint (the bracketed Newton of Numerical Recipes' ``rtsafe``).
+    A bracket is done once it is no wider than the rounding band
+    noise/Phi', and never below two ulps of its ends, so its midpoint is
+    within one ulp of the root (the level check in ``level_sets`` allows
+    about two); a step shorter than half the band probes the open side
+    by half a band instead.  Every end is a point where Phi was
+    evaluated, so Phi(a) < target <= Phi(b) holds on return.
     """
-    a, b = a.astype(float), b.astype(float)
-    floor = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    cells = np.asarray(cells, dtype=int)
+    owner = np.repeat(np.arange(lo.size), cells + 1)
+    first = np.concatenate([[0], np.cumsum(cells + 1)])
+    frac = (np.arange(owner.size) - first[owner]) / cells[owner]
+    grid = lo[owner] * (1.0 - frac) + hi[owner] * frac
+    values, rates = argument_and_rate(theta, grid)
+    noise = 4.0 * np.finfo(float).eps * (np.abs(targets) + 4.0 * theta.degree + 1.0)
+    below = targets - values[first[arc]] <= noise
+    above = ~below & (values[first[arc + 1] - 1] - targets < noise)
+    k = np.empty(targets.size, dtype=int)
+    for j in range(lo.size):
+        on = arc == j
+        k[on] = first[j] + np.searchsorted(values[first[j] : first[j + 1]], targets[on])
+    k = np.clip(k, first[arc] + 1, first[arc + 1] - 1)
+    a, b = grid[k - 1], grid[k]
+    a[below], b[above] = lo[arc[below]], hi[arc[above]]
+    b[below], a[above] = a[below], b[above]
+    # Newton starts from the sample whose Phi is nearer the target
+    near = np.where(targets - values[k - 1] < values[k] - targets, k - 1, k)
+    x, phi, rate = grid[near], values[near], rates[near]
+    live = np.flatnonzero(~(below | above))
     while True:
-        m = 0.5 * (a + b)
-        k = np.flatnonzero((b - a > floor) & (m > a) & (m < b))
-        if not k.size:
+        a_, b_ = a[live], b[live]
+        band = np.maximum(
+            noise[live] / rate[live], 2.0 * np.spacing(np.maximum(np.abs(a_), np.abs(b_)))
+        )
+        open_ = b_ - a_ > band
+        live, a_, b_, band = live[open_], a_[open_], b_[open_], band[open_]
+        if not live.size:
             return a, b
-        low = boundary_argument(theta, m[k]) < targets[k]
-        a[k[low]] = m[k[low]]
-        b[k[~low]] = m[k[~low]]
+        t_ = targets[live]
+        step = (t_ - phi[live]) / rate[live]
+        short = np.abs(step) < 0.5 * band  # probe the open side instead
+        step[short] = np.where(phi[live[short]] < t_[short], 0.5, -0.5) * band[short]
+        x_ = x[live] + step
+        out = ~((x_ > a_) & (x_ < b_))
+        x_[out] = 0.5 * (a_[out] + b_[out])
+        x[live] = x_
+        phi[live], rate[live] = argument_and_rate(theta, x_)
+        low = phi[live] < t_
+        a[live[low]], b[live[~low]] = x_[low], x_[~low]
 
 
 def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +172,7 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
     that stays within that budget, but never nearer than ``_ATOM_CLEARANCE``
     to the atom: next to a light atom Phi reaches the budget only there,
     and the arc ends at the clearance with less.  Both cuts of every arc
-    come from one bisection.
+    come from one ``_solve``, each bracketed by its half-arc's ends alone.
     """
     if not theta.singular_atoms:
         return np.array([0.0]), np.array([TWO_PI])
@@ -122,10 +181,13 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
     mid = 0.5 * (atoms + ends)
     centre = boundary_argument(theta, mid)
     half = math.pi * (max_points_per_arc + 1)
-    a, b = _bisect(
+    cuts = np.arange(2 * atoms.size)
+    a, b = _solve(
         theta,
         np.concatenate([np.minimum(atoms + _ATOM_CLEARANCE, mid), mid]),
         np.concatenate([mid, np.maximum(ends - _ATOM_CLEARANCE, mid)]),
+        np.ones_like(cuts),
+        cuts,
         np.concatenate([centre - half, centre + half]),
     )
     lo, hi = b[: atoms.size], a[atoms.size :]
@@ -169,7 +231,9 @@ def level_sets(
     ``max_points_per_arc + 1`` turns, so each arc gives at most, and as a
     rule exactly, ``max_points_per_arc`` points per level; such families
     are flagged truncated.  Every target of every level on every arc is
-    solved in one lockstep bisection, and all roots are checked against
+    solved in one lockstep ``_solve``, on a grid of two points per 2*pi of
+    each arc's increase (so a target's root does not depend on which
+    other targets share the call), and all roots are checked against
     their levels in one evaluation.
     """
     if theta.is_constant:
@@ -210,7 +274,8 @@ def level_sets(
         raise NumericDomainError("level target below the branch range")
     if np.any(t - v1[arc_of] > 1e-8):
         raise NumericDomainError("level target above the branch range")
-    a, b = _bisect(theta, lo[arc_of], hi[arc_of], t)
+    turns = np.ceil((v1 - v0) / TWO_PI).astype(int)
+    a, b = _solve(theta, lo, hi, 2 * np.maximum(turns, 1), arc_of, t)
     counts = np.bincount(owner_of, minlength=len(values))
     if full_circle:
         for n, cap in zip(counts.tolist(), capped):

@@ -40,8 +40,10 @@ not from the rounded |z|.
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
 one numpy pass (points against zeros, points against atoms); the layers
 that evaluate a batch (level sets, square geometry) share it.
-``boundary_argument`` gives, in the same way, the continuous argument Phi
-of Theta(e^{it}) on an atom-free boundary arc in closed form.
+``argument_and_rate`` gives, in the same way, the continuous argument Phi
+of Theta(e^{it}) on an atom-free boundary arc in closed form, together
+with its rate |Theta'| from the same sines; ``boundary_argument`` is its
+Phi alone.
 ``normalized_values`` gives the Theta values and kernel norms of a point
 sequence as arrays from one such pass, for Gram sections and the
 decomposition drivers.  ``log_derivative``, ``derivative`` and
@@ -88,7 +90,8 @@ class _Terms(NamedTuple):
     origin: int  # ... and the multiplicity of the zero at 0
     r: np.ndarray  # moduli of the nonzero zeros
     phi: np.ndarray  # their angles
-    depth: np.ndarray  # 1 - r, from the exact 1 - r^2
+    gap: np.ndarray  # their 1 - r^2, exact
+    depth: np.ndarray  # 1 - r, from it
     offset: float  # sum(pi - phi)
     atom_angles: np.ndarray
     taus: np.ndarray  # e^{i angle} of the atoms
@@ -144,6 +147,7 @@ class InnerFunction:
         zeros = np.array(self.blaschke_zeros, dtype=complex)
         nonzero = zeros[zeros != 0]
         r, phi = np.abs(nonzero), np.angle(nonzero)
+        gap = _one_minus_modulus_sq(nonzero)
         angles = np.array([a for a, _ in self.singular_atoms], dtype=float)
         return _Terms(
             zeros=zeros,
@@ -153,7 +157,8 @@ class InnerFunction:
             origin=zeros.size - nonzero.size,
             r=r,
             phi=phi,
-            depth=_one_minus_modulus_sq(nonzero) / (1.0 + r),
+            gap=gap,
+            depth=gap / (1.0 + r),
             offset=math.fsum(math.pi - phi),
             atom_angles=angles,
             taus=np.exp(1j * angles),
@@ -341,34 +346,47 @@ def derivative(theta: InnerFunction, z):
     return complex(out[0]) if one else out
 
 
-def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
-    """Continuous argument Phi(t) of Theta(e^{it}) over a 1-D array of angles.
+def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous argument Phi(t) of Theta(e^{it}) and its rate Phi'(t) =
+    |Theta'(e^{it})|, over a 1-D array of angles in one pass.
 
     Each factor's share is written without cancellation, with s = phi - t
-    for a zero eta = r e^{i phi}:
+    for a zero eta = r e^{i phi} and u = (a - t)/2 for an atom (a, m):
 
-        zero eta != 0:   pi - s - 2 atan2(r sin s, (1 - r) + 2 r sin^2(s/2)),
-        zero at 0:       t,
-        atom (a, m):     m cot((a - t)/2).
+        zero eta != 0:   Phi: pi - s - 2 atan2(r sin s, (1 - r) + 2 r sin^2(s/2)),
+                         Phi': (1 - r^2)/((1 - r)^2 + 4 r sin^2(s/2)),
+        zero at 0:       Phi: t,  Phi': 1,
+        atom (a, m):     Phi: m cot u,  Phi': (m/2)(1 + cot^2 u),
 
+    from |e^{it} - eta|^2 = (1 - r)^2 + 4 r sin^2(s/2) and
+    |e^{it} - e^{ia}|^2 = 4 sin^2 u, so both share sin(s/2) and tan u.
     The atan2 has a positive second argument, so it never wraps, and the
     cotangent's poles are the atom's angles mod 2*pi.  So on any arc free
     of atoms, exp(i Phi) = Theta(e^{it}) exactly and Phi is continuous and
-    strictly increasing at the rate |Theta'|; it diverges at the atoms.
-    The linear parts pi - phi + t of the zeros are summed apart, as one
-    constant plus degree * t, and 1 - r is taken from the exact 1 - r^2.
+    strictly increasing at the rate Phi'; it diverges at the atoms.  The
+    linear parts pi - phi + t of the zeros are summed apart, as one
+    constant plus degree * t, and 1 - r and 1 - r^2 are exact.
     """
     t = np.asarray(t, dtype=float)
     terms = theta._terms
     r = terms.r
     bend = np.empty(t.shape, dtype=float)
+    rate = np.empty(t.shape, dtype=float)
     for rows in _row_blocks(t.size, max(r.size, terms.masses.size)):
         s = terms.phi - t[rows, None]
         half = np.sin(0.5 * s)
-        turn = np.arctan2(r * np.sin(s), terms.depth + 2.0 * r * half * half)
-        bend[rows] = (terms.masses / np.tan(0.5 * (terms.atom_angles - t[rows, None]))).sum(axis=1)
-        bend[rows] -= 2.0 * turn.sum(axis=1)
-    return terms.offset + theta.degree * t + bend
+        lift = 2.0 * r * half * half
+        turn = np.arctan2(r * np.sin(s), terms.depth + lift)
+        cot = 1.0 / np.tan(0.5 * (terms.atom_angles - t[rows, None]))
+        bend[rows] = (terms.masses * cot).sum(axis=1) - 2.0 * turn.sum(axis=1)
+        rate[rows] = (terms.gap / (terms.depth * terms.depth + 2.0 * lift)).sum(axis=1)
+        rate[rows] += (0.5 * terms.masses * (1.0 + cot * cot)).sum(axis=1)
+    return terms.offset + theta.degree * t + bend, terms.origin + rate
+
+
+def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
+    """Phi(t) of ``argument_and_rate``: the continuous argument of Theta(e^{it})."""
+    return argument_and_rate(theta, t)[0]
 
 
 def _two_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -151,13 +151,21 @@ def pw_split(system: ExpSystem, *, max_depth: int = 20) -> Partition:
     Runs the interpolation splitter on the Cayley images of the shifted
     frequencies against the transported symbol exp(ia*), then replaces each
     part's frame bounds with the exact exponential-Gram bounds of the
-    original frequencies, which is the stronger check.
+    original frequencies, which is the stronger check.  A frequency so
+    large that its Cayley image rounds onto the unit circle has no disk
+    point, and is refused with ``NumericDomainError``.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
     a = system.a
-    shifted = shift_off_axis(system.freqs)
-    disk_points = PointSequence.from_complex([_cayley(z) for z in shifted])
+    images = [_cayley(z) for z in shift_off_axis(system.freqs)]
+    for f, w in zip(system.freqs, images):
+        if not abs(w) < 1.0:
+            raise NumericDomainError(
+                f"frequency {f!r} is too large to split: its Cayley image {w!r} "
+                "rounds onto the unit circle"
+            )
+    disk_points = PointSequence.from_complex(images)
 
     def transported_symbol(w: complex) -> complex:
         return cmath.exp(1j * a * _cayley_inv(w))

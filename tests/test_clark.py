@@ -14,9 +14,9 @@ from conftest import (
 
 from mslab import clark
 from mslab.clark import (
-    _bisect,
     _check_arc_clear,
     _level_arcs,
+    _solve,
     herglotz_residual,
     level_set,
     level_sets,
@@ -25,7 +25,7 @@ from mslab.clark import (
 )
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
-from mslab.inner import InnerFunction, boundary_argument
+from mslab.inner import InnerFunction, argument_and_rate, boundary_argument
 from mslab.points import PointSequence, UnitPoint
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +85,17 @@ def test_level_set_cube_roots() -> None:
     assert fam.derivs == pytest.approx((3.0, 3.0, 3.0))
     assert fam.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     assert not fam.truncated
+
+
+@pytest.mark.parametrize("degree", [3, 4, 7, 16])
+def test_level_set_root_on_the_seam_is_zero(degree: int) -> None:
+    # exp(2 pi i) = 1 - 2.4e-16 i, the last level of every arc system: its
+    # target sits within rounding of Phi(2 pi), and the root there is 0,
+    # listed first, not an ulp or two below 2 pi and listed last
+    zn = InnerFunction(blaschke_zeros=(0,) * degree)
+    fam = level_set(zn, cmath.exp(2j * math.pi))
+    assert fam.angles[0] == 0.0
+    assert fam.angles == pytest.approx(tuple(TWO_PI * k / degree for k in range(degree)), abs=1e-13)
 
 
 def test_level_set_minus_one() -> None:
@@ -241,11 +252,14 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
                 targets += found
                 arc += [j] * len(found)
         arc = np.array(arc)
-        a, b = _bisect(theta, lo[arc], hi[arc], np.array(targets))
+        cells = 2 * np.ceil((v1 - v0) / TWO_PI).astype(int)
+        a, b = _solve(theta, lo, hi, cells, arc, np.array(targets))
         batch = 0.5 * (a + b)
         single = []
         for j, t in zip(arc.tolist(), targets):
-            a1, b1 = _bisect(theta, lo[j : j + 1], hi[j : j + 1], np.array([t]))
+            a1, b1 = _solve(
+                theta, lo[j : j + 1], hi[j : j + 1], cells[j : j + 1], np.array([0]), np.array([t])
+            )
             single.append(0.5 * (a1[0] + b1[0]))
         assert np.max(np.abs(batch - np.array(single))) <= 1e-15
         assert np.all((lo[arc] <= batch) & (batch <= hi[arc]))
@@ -255,16 +269,16 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
         assert len(fam) == theta.degree
 
 
-def test_level_set_bisects_all_arcs_at_once(monkeypatch) -> None:
-    # one bisection cuts every atom arc, one more solves every level on
-    # every arc: two calls whatever the number of atoms and levels
+def test_level_set_solves_all_arcs_in_two_calls(monkeypatch) -> None:
+    # one solve cuts every atom arc, one more solves every level on every
+    # arc: two calls whatever the number of atoms and levels
     calls = []
 
-    def counting(theta, a, b, targets):
-        calls.append(a.size)
-        return _bisect(theta, a, b, targets)
+    def counting(theta, lo, hi, cells, arc, targets):
+        calls.append(targets.size)
+        return _solve(theta, lo, hi, cells, arc, targets)
 
-    monkeypatch.setattr(clark, "_bisect", counting)
+    monkeypatch.setattr(clark, "_solve", counting)
     theta = InnerFunction(
         blaschke_zeros=(0.3j,), singular_atoms=((0.5, 0.2), (2.5, 1.0), (4.5, 0.05))
     )
@@ -275,6 +289,73 @@ def test_level_set_bisects_all_arcs_at_once(monkeypatch) -> None:
     calls.clear()
     level_sets(theta, [1.0, -1.0, 1j], max_points_per_arc=16)
     assert len(calls) == 2
+
+
+_SOLVER_CASES = {
+    "zeros at 1 - 1e-12": (_NEAR_BOUNDARY_ZEROS["1 - 1e-12"], (), 512),
+    "atoms 1e-6 apart": ((0.5j,), ((1.0, 0.5), (1.0 + 1e-6, 0.5)), 24),
+    "light atom 1e-11": ((0.3,), ((1.0, 1e-11),), 24),
+    "light atom 1e-13": ((0.3,), ((1.0, 1e-13),), 24),
+    "degree 500": (random_blaschke(np.random.default_rng(500), 500, rmax=0.95).blaschke_zeros, (), 512),
+}
+
+
+def _recording_solves(monkeypatch) -> list:
+    """Patch ``clark._solve`` to record each call's arcs, targets and brackets."""
+    seen = []
+
+    def recording(theta, lo, hi, cells, arc, targets):
+        a, b = _solve(theta, lo, hi, cells, arc, targets)
+        seen.append((lo[arc], hi[arc], targets, a, b))
+        return a, b
+
+    monkeypatch.setattr(clark, "_solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
+def test_solver_brackets_every_root(monkeypatch, name: str) -> None:
+    # every bracket of the trim cuts and of the levels has
+    # Phi(a) < target <= Phi(b); a target past an end of its arc, or
+    # within the rounding noise of Phi there, gets that end twice
+    zeros, atoms, cap = _SOLVER_CASES[name]
+    theta = InnerFunction(blaschke_zeros=zeros, singular_atoms=atoms)
+    seen = _recording_solves(monkeypatch)
+    level_sets(theta, [1.0, cmath.exp(2.0j), cmath.exp(-0.7j)], cap)
+    assert len(seen) == (2 if atoms else 1)
+    for lo, hi, t, a, b in seen:
+        assert np.all((lo <= a) & (a <= b) & (b <= hi))
+        phi_a, phi_b = boundary_argument(theta, a), boundary_argument(theta, b)
+        inner = a < b
+        assert np.all(phi_a[inner] < t[inner]) and np.all(t[inner] <= phi_b[inner])
+        first, last = ~inner & (a == lo), ~inner & (b == hi)
+        assert np.all(first | last | inner)
+        noise = 4.0 * 2.3e-16 * (np.abs(t) + 4.0 * theta.degree + 1.0)
+        assert np.all(t[first] <= phi_a[first] + noise[first])
+        assert np.all(t[last & ~first] > phi_b[last & ~first] - noise[last & ~first])
+        # and each bracket closes within the rounding band of Phi
+        rate = boundary_rate_oracle(theta, b[inner])
+        band = noise[inner] / rate
+        assert np.all(b[inner] - a[inner] <= np.maximum(2.0 * band, 1e-15 * np.abs(b[inner])))
+
+
+def test_blaschke_solve_takes_few_phi_calls(monkeypatch) -> None:
+    # one grid evaluation and a few Newton rounds, where bisection to the
+    # spacing of doubles took over 50
+    calls = []
+
+    def counting(theta, t):
+        calls.append(t.size)
+        return argument_and_rate(theta, t)
+
+    monkeypatch.setattr(clark, "argument_and_rate", counting)
+    theta = random_blaschke(np.random.default_rng(256), 256, rmax=0.95)
+    assert len(level_set(theta, cmath.exp(0.7j))) == 256
+    # two grid points per turn, the ends included
+    assert calls[0] <= 2 * 257 + 1 and len(calls) <= 12
+    calls.clear()
+    assert len(level_sets(theta, [1.0, 1j, -1.0, -1j])) == 4
+    assert calls[0] <= 2 * 257 + 1 and len(calls) <= 12
 
 
 def test_level_set_seam_targets() -> None:
@@ -405,20 +486,32 @@ def test_herglotz_needs_interior_point() -> None:
         herglotz_residual(z2, fam, UnitPoint.boundary(0.5))
 
 
+def _assert_light_atom_family(atom: float, mass: float) -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((atom, mass),))
+    fam = level_set(theta, 1.0, max_points_per_arc=24)
+    assert fam.truncated and 1 <= len(fam) <= 24
+    angles = np.array(fam.angles)
+    assert np.min(np.abs(angles - atom)) > 1e-12
+    residual = np.abs(blaschke_values_on_circle(theta, angles) - 1.0)
+    # the residual is floored by the rate times one ulp of angle
+    floor = 8.0 * boundary_rate_oracle(theta, angles) * 2.3e-16
+    assert np.all(residual <= np.maximum(1e-10, floor))
+
+
 @pytest.mark.parametrize("mass", [10.0 ** -e for e in range(3, 14)])
 def test_level_set_next_to_a_light_atom(mass: float) -> None:
     # next to a light atom Phi reaches the trim budget only within 1e-12 of
     # it; the cut keeps its clearance, so the arc ends there with fewer
     # points, still truncated, and no point sits on the atom
-    theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, mass),))
-    fam = level_set(theta, 1.0, max_points_per_arc=24)
-    assert fam.truncated and 1 <= len(fam) <= 24
-    angles = np.array(fam.angles)
-    assert np.min(np.abs(angles - 1.0)) > 1e-12
-    residual = np.abs(blaschke_values_on_circle(theta, angles) - 1.0)
-    # the residual is floored by the rate times one ulp of angle
-    floor = 8.0 * boundary_rate_oracle(theta, angles) * 2.3e-16
-    assert np.all(residual <= np.maximum(1e-10, floor))
+    _assert_light_atom_family(1.0, mass)
+
+
+@pytest.mark.parametrize("mass", [10.0 ** -e for e in range(3, 14)])
+def test_level_set_roots_past_two_pi_next_to_a_light_atom(mass: float) -> None:
+    # the roots on the far end of the arc, past 2*pi, have ulps of 8.9e-16,
+    # while the level check allows about two ulps of the wrapped angle near
+    # 0.9: a solver that closed brackets at four ulps missed it here
+    _assert_light_atom_family(0.9, mass)
 
 
 def test_truncated_atomic_family_flagged() -> None:

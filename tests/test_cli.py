@@ -218,6 +218,18 @@ def test_pw_non_finite_config_is_a_config_error(tmp_path, system) -> None:
     assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("freq", [[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]])
+def test_pw_split_refuses_a_frequency_off_the_disk(tmp_path, capsys, freq) -> None:
+    # the Cayley image of such a frequency rounds onto the unit circle
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0], freq]}, "options": {"split": True}},
+    )
+    assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "frequency" in err and "1e+300" in err
+
+
 _NAN = float("nan")
 
 

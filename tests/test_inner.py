@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
 from mslab.errors import ConfigError, NumericDomainError, OnSpectrumError
 from mslab.inner import (
     InnerFunction,
+    argument_and_rate,
     boundary_argument,
     boundary_derivative,
     derivative,
@@ -425,3 +427,35 @@ def test_boundary_argument_strictly_increasing(name: str) -> None:
     if not theta.singular_atoms:
         ends = boundary_argument(theta, np.array([0.3, 0.3 + TWO_PI]))
         assert ends[1] - ends[0] == pytest.approx(TWO_PI * theta.degree, rel=1e-13)
+
+
+def _rate_with_exact_weights(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
+    """``boundary_rate_oracle`` with each 1 - |eta|^2 taken in exact rationals."""
+    zeta = np.exp(1j * t)
+    out = np.zeros(t.shape)
+    for eta in theta.blaschke_zeros:
+        weight = float(1 - Fraction(eta.real) ** 2 - Fraction(eta.imag) ** 2)
+        out = out + weight / np.abs(zeta - eta) ** 2
+    for a, m in theta.singular_atoms:
+        out = out + 2.0 * m / np.abs(zeta - cmath.exp(1j * a)) ** 2
+    return out
+
+
+@pytest.mark.parametrize("name", _ARGUMENT_CASES)
+def test_argument_rate_matches_eval_points(name: str) -> None:
+    # the fused pass gives boundary_argument's Phi bit for bit, and the
+    # rate of eval_points.  Next to zeros at 1 - 1e-12 eval_points rounds
+    # 1 - |eta|^2, so there the rate is checked on exact weights instead,
+    # 0.01 or more from the zeros, where |e^{it} - eta|^2 keeps its digits
+    theta, arcs = _argument_case(name)
+    for t in _argument_angles(arcs, 500):
+        phi, rate = argument_and_rate(theta, t)
+        assert np.array_equal(phi, boundary_argument(theta, t))
+        if name == "near-boundary zeros":
+            zeros = np.array(theta.blaschke_zeros)
+            far = np.abs(np.exp(1j * t)[:, None] - zeros).min(axis=1) >= 0.01
+            t, rate = t[far], rate[far]
+            expect = _rate_with_exact_weights(theta, t)
+        else:
+            expect = eval_points(theta, np.exp(1j * t))[1]
+        assert np.max(np.abs(rate / expect - 1.0)) <= 1e-13
