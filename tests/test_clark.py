@@ -510,7 +510,7 @@ def test_level_set_next_to_a_light_atom(mass: float) -> None:
 def test_level_set_roots_past_two_pi_next_to_a_light_atom(mass: float) -> None:
     # the roots on the far end of the arc, past 2*pi, have ulps of 8.9e-16,
     # while the level check allows about two ulps of the wrapped angle near
-    # 0.9: a solver that closed brackets at four ulps missed it here
+    # 0.9: brackets closed at four ulps miss it here for four of the masses
     _assert_light_atom_family(0.9, mass)
 
 
