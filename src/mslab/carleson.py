@@ -82,6 +82,11 @@ def _require_interior(seq: PointSequence) -> list[complex]:
     return [_interior_value(p) for p in seq.points]
 
 
+def _pair_denominators(z: np.ndarray) -> np.ndarray:
+    """D[i, j] = |1 - z_i conj(z_j)|, the denominator of every pairwise sum here."""
+    return np.abs(1.0 - z[:, None] * z[None, :].conj())
+
+
 def log_distance_matrix(seq: PointSequence) -> np.ndarray:
     """L[i, j] = log rho(l_i, l_j) over an interior sequence, with a zero diagonal.
 
@@ -91,7 +96,12 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
     pair whose distance underflows to 0 gives -inf.
     """
     z = np.asarray(_require_interior(seq), dtype=np.complex128)
-    dist = np.abs(z[:, None] - z[None, :]) / np.abs(1.0 - z[:, None] * z[None, :].conj())
+    return _log_distances(z, _pair_denominators(z))
+
+
+def _log_distances(z: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``log_distance_matrix`` of points z with their ``_pair_denominators``."""
+    dist = np.abs(z[:, None] - z[None, :]) / denom
     with np.errstate(divide="ignore"):
         out = np.log(dist)
     out = np.minimum(out, out.T)
@@ -105,12 +115,17 @@ def carleson_constant(seq: PointSequence) -> float:
 
 
 def carleson_report(seq: PointSequence) -> CarlesonReport:
-    """Carleson constant with witness, plus the embedding double sum."""
-    sums = log_distance_matrix(seq).sum(axis=1)
+    """Carleson constant with witness, plus the embedding double sum.
+
+    Both sums share one matrix of pairwise denominators.
+    """
+    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    denom = _pair_denominators(z)
+    sums = _log_distances(z, denom).sum(axis=1)
     k = int(np.argmin(sums))  # the first minimal point, as in a scan
     return CarlesonReport(
         delta=math.exp(float(sums[k])),
-        embedding_sup=embedding_sup(seq),
+        embedding_sup=_embedding_sup(z, denom),
         witness_index=seq.ids[k],
     )
 
@@ -118,9 +133,13 @@ def carleson_report(seq: PointSequence) -> CarlesonReport:
 def embedding_sup(seq: PointSequence) -> float:
     """Max row sum of the embedding double-sum statistic."""
     z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    return _embedding_sup(z, _pair_denominators(z))
+
+
+def _embedding_sup(z: np.ndarray, denom: np.ndarray) -> float:
+    """``embedding_sup`` of points z with their ``_pair_denominators``."""
     w = 1.0 - np.abs(z) ** 2
-    terms = w[:, None] * w[None, :] / np.abs(1.0 - z.conj()[:, None] * z[None, :]) ** 2
-    return float(terms.sum(axis=1).max())
+    return float((w[:, None] * w[None, :] / denom**2).sum(axis=1).max())
 
 
 def earl_bound(delta: float) -> float:

@@ -41,7 +41,7 @@ from .carleson import carleson_report
 from .clark import herglotz_residuals, level_set
 from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
-from .gram import extremal_eigs, gram_from_values
+from .gram import extremal_eigs, section_frame_bounds
 from .inner import InnerFunction, normalized_values
 from .points import PointSequence, UnitPoint
 from .pw import ExpSystem, pw_gram, pw_split
@@ -169,9 +169,7 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
 
     interior = seq.interior_only()
     carleson = carleson_report(interior).to_json_dict() if len(interior) else None
-    fb = extremal_eigs(
-        gram_from_values(np.array(seq.values, dtype=complex), values, norms, seq.ids)
-    )
+    fb = section_frame_bounds(theta, np.array(seq.values, dtype=complex), values, norms, seq.ids)
 
     report = {
         "carleson": carleson,

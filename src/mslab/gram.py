@@ -20,6 +20,17 @@ with a full section: ``gram_from_values`` builds a stack of one, and
 ``part_frame_bounds`` stacks a splitter's parts by size, with one stacked
 call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack.
 
+``section_frame_bounds`` picks a route for one section.  A Blaschke
+product of degree d spans a d-dimensional K_Theta, with the
+Takenaka-Malmquist-Walsh orthonormal basis e_1, ..., e_d.  So with n > d
+points and no singular atoms the section is the Gram matrix of the n rows
+of an n-by-d matrix V, formed from one cumulative product over the
+factors: lambda_min = 0 is then a proof by rank, not a computed
+eigenvalue, and lambda_max is the top eigenvalue of the d-by-d V*V.  No
+n-by-n matrix is formed, and no entry 1 - conj(Theta(l_j)) Theta(l_i)
+cancels as |Theta| -> 1.  Sections with atoms, or with n <= d, are
+assembled in full as above.
+
 ``hankel_distance_lb`` bounds dist(Theta * conj(B_L), H^inf) from below by
 the largest singular value of a finite Hankel section of the symbol's
 negative Fourier coefficients (Nehari's theorem makes the full Hankel norm
@@ -38,8 +49,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericDomainError
-from .inner import InnerFunction, _row_blocks, eval_points, normalized_values
-from .points import ANGLE_TOL, TWO_PI, PointSequence
+from .inner import (
+    _NORM_EDGE,
+    InnerFunction,
+    _one_minus_conj_zeros,
+    _row_blocks,
+    eval_points,
+    normalized_values,
+)
+from .points import ANGLE_TOL, BOUNDARY_TOL, TWO_PI, PointSequence
 
 _HERMITIAN_TOL = 1e-12
 _HANKEL_GRID_CAP = 1 << 16
@@ -93,16 +111,23 @@ class FrameBounds:
         return out
 
 
+def _evaluated(
+    theta: InnerFunction, seq: PointSequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """A non-empty sequence's points, Theta values, kernel norms squared and ids."""
+    if len(seq) == 0:
+        raise NumericDomainError("empty point sequence")
+    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
+    return np.array(seq.values, dtype=complex), values, norms_sq, seq.ids
+
+
 def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
     """Normalized-kernel Gram section for a sequence off the spectrum.
 
     Each point's Theta value and kernel norm is computed once; entries are
     the exact rational expressions in those values.
     """
-    if len(seq) == 0:
-        raise NumericDomainError("empty point sequence")
-    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
-    return gram_from_values(np.array(seq.values, dtype=complex), values, norms_sq, seq.ids)
+    return gram_from_values(*_evaluated(theta, seq))
 
 
 def gram_from_values(
@@ -142,6 +167,111 @@ def part_frame_bounds(
     return [bounds[k] for k in range(len(parts))]
 
 
+def section_frame_bounds(
+    theta: InnerFunction,
+    z: np.ndarray,
+    values: np.ndarray,
+    norms_sq: np.ndarray,
+    ids: Sequence[int],
+) -> FrameBounds:
+    """Frame bounds of the Gram section of points z, from their Theta values and kernel norms.
+
+    Blaschke products of degree d < n take the factored route: the n
+    normalized kernels lie in the d-dimensional K_Theta, so lambda_min is 0
+    by rank, and lambda_max is the top eigenvalue of the d-by-d matrix V*V
+    of ``_factored_gram``.  Other sections (atoms, or n <= d) are assembled
+    in full.  Both routes refuse an unusable norm, an inseparable pair and
+    non-finite input alike.
+    """
+    z = np.asarray(z, dtype=complex)
+    if theta.singular_atoms or z.size <= theta.degree:
+        return extremal_eigs(gram_from_values(z, values, norms_sq, ids))
+    _require_usable(norms_sq[None], [ids])
+    _refuse_inseparable(z, ids)
+    m, rows_sq = _factored_gram(theta, z, norms_sq)
+    if not (np.isfinite(values).all() and np.isfinite(m).all()):
+        raise NumericDomainError("eigenvalue input has non-finite entries")
+    off = np.abs(rows_sq - 1.0) > _HERMITIAN_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise NumericDomainError(
+            f"Gram matrix must have unit diagonal: point {ids[k]} has {float(rows_sq[k])!r}"
+        )
+    return FrameBounds(lambda_min=0.0, lambda_max=float(np.linalg.eigvalsh(m)[-1]), n=z.size)
+
+
+def _factored_gram(
+    theta: InnerFunction, z: np.ndarray, norms_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """V*V and the squared row norms of V[i, j] = conj(e_j(l_i))/||k_{l_i}||.
+
+    e_j(z) = sqrt(1 - |a_j|^2)/(1 - conj(a_j) z) * prod_{i<j} b_{a_i}(z) is
+    the Takenaka-Malmquist-Walsh basis of K_Theta, and k_l = sum_j
+    conj(e_j(l)) e_j, so the Gram section is conj(V) V^T, whose nonzero
+    eigenvalues are those of V*V.  The factors b_a(z) = (z - a)/(1 - conj(a) z)
+    drop their unimodular constants, which only turn the columns of V.
+
+    Each e_j is taken where ``normalized_values`` takes the point's norm:
+    an interior point with |z| >= 1 - 1e-12 at z/|z|.  There and at
+    boundary points, the norm is the rate sum (1 - |a|^2)/|zeta - a|^2, so
+    1 - conj(a) zeta is formed as zeta conj(zeta - a), equal on the circle,
+    with the same |zeta - a|; inside, as in ``_interior_norm_sq``.  Either
+    way the rows of V keep unit norm next to zeros at the circle.
+    Rows are formed in blocks and summed into V*V.
+    """
+    terms = theta._terms
+    a = terms.zeros
+    root_weight = np.sqrt(terms.weight)
+    radius = np.abs(z)
+    on_circle = radius >= _NORM_EDGE
+    edge = on_circle & (radius < 1.0 - BOUNDARY_TOL)
+    zeta = z.copy()
+    zeta[edge] = z[edge] / radius[edge]
+    scale = 1.0 / np.sqrt(norms_sq)
+    m = np.zeros((a.size, a.size), dtype=complex)
+    rows_sq = np.empty(z.size)
+    for rows in _row_blocks(z.size, a.size):
+        w = zeta[rows, None]
+        den = np.where(on_circle[rows, None], w * (w - a).conj(), _one_minus_conj_zeros(terms, w))
+        e = np.empty(den.shape, dtype=complex)
+        e[:, :1] = 1.0
+        np.cumprod((w - a[:-1]) / den[:, :-1], axis=1, out=e[:, 1:])
+        e *= root_weight / den
+        v = e.conj() * scale[rows, None]
+        rows_sq[rows] = (v.real * v.real + v.imag * v.imag).sum(axis=1)
+        m += v.conj().T @ v
+    return m, rows_sq
+
+
+def _require_usable(norms_sq: np.ndarray, ids: Sequence[Sequence[int]]) -> None:
+    """Refuse a kernel norm squared that is not positive and finite; ``ids[p][k]`` names it."""
+    usable = (norms_sq > 0.0) & (norms_sq < math.inf)
+    if not usable.all():
+        p, k = np.unravel_index(np.argmin(usable), usable.shape)
+        raise NumericDomainError(
+            f"point {ids[p][k]} has unusable kernel norm squared {float(norms_sq[p, k])!r}"
+        )
+
+
+def _refuse_inseparable(z: np.ndarray, ids: Sequence[int]) -> None:
+    """Refuse the first pair i < j with |1 - conj(z_j) z_i| < _SEPARATION_TOL.
+
+    The pair and its message are those of ``_sections``.  That quantity is
+    at least 1 - |z_i||z_j|, so only points with
+    1 - |z_i| max|z| below twice the tolerance (a margin for rounding) are
+    compared pairwise.
+    """
+    radius = np.abs(z)
+    near = np.flatnonzero(1.0 - radius * radius.max() < 2.0 * _SEPARATION_TOL)
+    w = z[near]
+    close = np.triu(np.abs(1.0 - w[None, :].conj() * w[:, None]) < _SEPARATION_TOL, 1)
+    if close.any():
+        k, c = np.argwhere(close)[0]
+        raise NumericDomainError(
+            f"points {ids[near[k]]} and {ids[near[c]]} are numerically inseparable"
+        )
+
+
 def _sections(
     z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[Sequence[int]]
 ) -> np.ndarray:
@@ -153,12 +283,7 @@ def _sections(
     whole stack; the strict lower triangles are exact conjugate mirrors and
     the diagonals are 1.  ``ids[p][k]`` names point k of section p in errors.
     """
-    usable = (norms_sq > 0.0) & (norms_sq < math.inf)
-    if not usable.all():
-        p, k = np.unravel_index(np.argmin(usable), usable.shape)
-        raise NumericDomainError(
-            f"point {ids[p][k]} has unusable kernel norm squared {float(norms_sq[p, k])!r}"
-        )
+    _require_usable(norms_sq, ids)
     count, n = z.shape
     s = 1.0 / np.sqrt(norms_sq)
     g = np.empty((count, n, n), dtype=np.complex128)
@@ -228,7 +353,7 @@ def bessel_constant_estimate(theta: InnerFunction, seq: PointSequence) -> float:
     A certified lower bound for the true Bessel constant of the infinite
     family; monotone nondecreasing as the section grows.
     """
-    return extremal_eigs(gram(theta, seq)).lambda_max
+    return section_frame_bounds(theta, *_evaluated(theta, seq)).lambda_max
 
 
 def riesz_verdict(
@@ -240,7 +365,7 @@ def riesz_verdict(
     necessary condition for the infinite statement, never sufficient, which
     is why the bounds carry the section size.
     """
-    fb = extremal_eigs(gram(theta, seq))
+    fb = section_frame_bounds(theta, *_evaluated(theta, seq))
     return fb.verdict_at(floor), fb
 
 

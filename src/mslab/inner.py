@@ -34,8 +34,10 @@ loses digits as |lambda| -> 1.  Each factor gives its share exactly:
 
 so log|Theta|^2 is a sum S of log1p terms and the squared norm is
 -expm1(S)/(1 - |z|^2), with the factor 1 - |z|^2 cancelling exactly.  That
-factor is itself computed as 1 - x^2 - y^2 with exact products and sums,
-not from the rounded |z|.
+factor and each zero's weight 1 - |eta|^2 are computed with exact
+products and sums, not from rounded moduli, and 1 - conj(eta) z as
+(1 - |eta|^2) - conj(eta)(z - eta), where neither term cancels the other;
+so norms and rates keep their digits next to zeros at the circle.
 
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
 one numpy pass (points against zeros, points against atoms); the layers
@@ -84,7 +86,7 @@ class _Terms(NamedTuple):
     """Arrays of an inner function's data, built once (``InnerFunction._terms``)."""
 
     zeros: np.ndarray  # all Blaschke zeros z_n
-    weight: np.ndarray  # 1 - |z_n|^2
+    weight: np.ndarray  # 1 - |z_n|^2, exact: gap below, and 1 at 0
     nonzero: np.ndarray  # the zeros other than 0 ...
     unit: np.ndarray  # ... their unimodular factors |eta|/eta ...
     origin: int  # ... and the multiplicity of the zero at 0
@@ -145,13 +147,16 @@ class InnerFunction:
     def _terms(self) -> _Terms:
         """The zero and atom arrays every evaluator reads, built once."""
         zeros = np.array(self.blaschke_zeros, dtype=complex)
-        nonzero = zeros[zeros != 0]
+        at_origin = zeros == 0
+        nonzero = zeros[~at_origin]
         r, phi = np.abs(nonzero), np.angle(nonzero)
         gap = _one_minus_modulus_sq(nonzero)
+        weight = np.ones(zeros.size)
+        weight[~at_origin] = gap
         angles = np.array([a for a, _ in self.singular_atoms], dtype=float)
         return _Terms(
             zeros=zeros,
-            weight=1.0 - np.abs(zeros) ** 2,
+            weight=weight,
             nonzero=nonzero,
             unit=r / nonzero,
             origin=zeros.size - nonzero.size,
@@ -416,6 +421,18 @@ def _one_minus_modulus_sq(z: np.ndarray) -> np.ndarray:
     return s + (((e1 + e2) - ex) - ey)
 
 
+def _one_minus_conj_zeros(terms: _Terms, w: np.ndarray) -> np.ndarray:
+    """1 - conj(z_n) w against every zero z_n, for a column of points w.
+
+    Formed as (1 - |z_n|^2) - conj(z_n)(w - z_n), from the exact weight.
+    Its modulus is at least 1 - |z_n| >= (1 - |z_n|^2)/2 and at least
+    |z_n| |w - z_n|, so neither term cancels the other: it keeps its digits
+    where z_n and w are close to one point of the circle, as the plain
+    1 - conj(z_n) w does not.
+    """
+    return terms.weight - terms.zeros.conj() * (w - terms.zeros)
+
+
 def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """(1 - |Theta(z)|^2)/(1 - |z|^2) over a 1-D array of interior points.
 
@@ -431,7 +448,7 @@ def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> n
         g = gap[rows, None]
         # t_n rounds at most an ulp above 1 at a zero of Theta, where
         # log1p(-1) = -inf gives |Theta| = 0
-        t = np.minimum(terms.weight * g / np.abs(1.0 - terms.zeros.conj() * w) ** 2, 1.0)
+        t = np.minimum(terms.weight * g / np.abs(_one_minus_conj_zeros(terms, w)) ** 2, 1.0)
         with np.errstate(divide="ignore"):
             log_mod_sq[rows] = np.sum(np.log1p(-t), axis=1)
         if terms.taus.size:

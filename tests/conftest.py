@@ -5,10 +5,13 @@ is plain composite rules on numpy arrays, eigenvalues come from a
 self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
 constants are plain pairwise products (the library sums logs in numpy),
 Blaschke products and the boundary rate |Theta'| are re-evaluated factor
-by factor where a cross-check matters, kernel norms are exact rationals or a telescoping sum over the
-factors with an exact 1 - |z|^2 (the library sums log1p terms), and
-Hankel sections are sampled point by point and transformed by a direct
-sum (the library uses its array evaluator and the FFT).  The splitter's
+by factor where a cross-check matters, kernel norms are exact rationals or
+a telescoping sum over the factors with exact weights 1 - |eta|^2 and
+1 - |z|^2 (the library sums log1p terms), normalized Gram sections of
+Blaschke products are exact rationals rounded once (the library factors
+them or assembles them in floats), and Hankel sections are sampled point
+by point and transformed by a direct sum (the library uses its array
+evaluator and the FFT).  The splitter's
 earlier first-fit and Mills loops, and the square pipeline's earlier
 membership scan and grouping loop, are kept at the end as references.
 """
@@ -196,6 +199,75 @@ def kernel_norm_sq_exact(zeros, z: complex) -> Fraction:
     return (1 - mod_sq) / (1 - x * x - y * y)
 
 
+def boundary_rate_exact(zeros, zeta: complex) -> Fraction:
+    """sum (1 - |eta|^2)/|zeta - eta|^2 over the zeros, in exact rational arithmetic."""
+    x, y = Fraction(zeta.real), Fraction(zeta.imag)
+    total = Fraction(0)
+    for eta in zeros:
+        a, b = Fraction(eta.real), Fraction(eta.imag)
+        total += (1 - a * a - b * b) / ((x - a) ** 2 + (y - b) ** 2)
+    return total
+
+
+def _rational(z: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _times(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _over(p, q):
+    d = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / d, (p[1] * q[0] - p[0] * q[1]) / d
+
+
+def _round_over_root(x: Fraction, y: Fraction, guard: int = 128) -> float:
+    """x/sqrt(y) for rationals x and y > 0, rounded once to a float.
+
+    x/sqrt(p/q) = x sqrt(pq)/p, and isqrt of pq 4^guard gives sqrt(pq) to
+    guard bits below the ones place: far beyond double precision.
+    """
+    p, q = y.numerator, y.denominator
+    root = math.isqrt(p * q << (2 * guard))
+    return float(x * Fraction(root, p << guard))
+
+
+def normalized_gram_exact(zeros, z) -> np.ndarray:
+    """Normalized Gram section of a Blaschke product's kernels at interior points z.
+
+        G_ij = K_ij/sqrt(K_ii K_jj),   K_ij = (1 - conj(B(z_j)) B(z_i))/(1 - conj(z_j) z_i),
+
+    in exact rational arithmetic, each entry rounded once.  B is taken as
+    prod (eta - z)/(1 - conj(eta) z): the unimodular constants of the
+    factors cancel in conj(B(z_j)) B(z_i).
+    """
+    points = [_rational(w) for w in z]
+    b_values = []
+    for w in points:
+        b = (Fraction(1), Fraction(0))
+        for eta in zeros:
+            a = _rational(eta)
+            one_minus = (1 - (a[0] * w[0] + a[1] * w[1]), a[1] * w[0] - a[0] * w[1])
+            b = _times(b, _over((a[0] - w[0], a[1] - w[1]), one_minus))
+        b_values.append(b)
+    n = len(points)
+    k = [[None] * n for _ in range(n)]
+    for i, (wi, bi) in enumerate(zip(points, b_values)):
+        for j, (wj, bj) in enumerate(zip(points, b_values)):
+            cb = _times((bj[0], -bj[1]), bi)
+            cz = _times((wj[0], -wj[1]), wi)
+            k[i][j] = _over((1 - cb[0], -cb[1]), (1 - cz[0], -cz[1]))
+    g = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            scale = k[i][i][0] * k[j][j][0]
+            g[i, j] = complex(
+                _round_over_root(k[i][j][0], scale), _round_over_root(k[i][j][1], scale)
+            )
+    return g
+
+
 def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
     """Squared kernel norms by telescoping over the factors of Theta.
 
@@ -203,9 +275,9 @@ def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarra
 
     and each (1 - p_k)/(1 - |z|^2) has a closed form with no cancellation:
     (1 - |eta|^2)/|1 - conj(eta) z|^2 for a zero, and (1 - e^{-c g})/g with
-    c = 2m/|tau - z|^2, g = 1 - |z|^2 for an atom, with g rounded once
-    from its exact rational value.  At boundary points (g = 0) the sum is
-    the angular derivative |Theta'|.
+    c = 2m/|tau - z|^2, g = 1 - |z|^2 for an atom, with g and each
+    1 - |eta|^2 rounded once from their exact rational values.  At boundary
+    points (g = 0) the sum is the angular derivative |Theta'|.
     """
     z = np.array(seq.values, dtype=complex)
     gap = np.array([
@@ -215,7 +287,8 @@ def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarra
     total = np.zeros(z.size)
     before = np.ones(z.size)  # prod_{j<k} p_j
     for eta in theta.blaschke_zeros:
-        total += before * (1.0 - abs(eta) ** 2) / np.abs(1.0 - np.conj(eta) * z) ** 2
+        weight = float(1 - Fraction(eta.real) ** 2 - Fraction(eta.imag) ** 2)
+        total += before * weight / np.abs(1.0 - np.conj(eta) * z) ** 2
         factor = z if eta == 0 else (eta - z) / (1.0 - np.conj(eta) * z)
         before = before * np.abs(factor) ** 2
     for a, m in theta.singular_atoms:

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -137,6 +138,20 @@ def test_delta_bounded_by_min_pairwise() -> None:
     assert carleson_constant(pair) == pytest.approx(
         pseudohyperbolic(0.1, 0.6j), rel=1e-14
     )
+
+
+def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
+    # the report's two sums share one matrix, and give what the public
+    # functions that each form their own give, bit for bit
+    module = importlib.import_module("mslab.carleson")
+    seq = _random_interior(np.random.default_rng(8), 200, rmax=0.99)
+    want = (carleson_constant(seq), embedding_sup(seq))
+    formed = []
+    denominators = module._pair_denominators
+    monkeypatch.setattr(module, "_pair_denominators", lambda z: formed.append(1) or denominators(z))
+    report = carleson_report(seq)
+    assert len(formed) == 1
+    assert (report.delta, report.embedding_sup) == want
 
 
 def test_empty_sequence_rejected() -> None:

@@ -323,6 +323,27 @@ def test_exit_code_numeric_domain(tmp_path, capsys) -> None:
     assert "point 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"inner": {"blaschke_zeros": [[0.3, 0.0], [0.0, -0.5]]},
+             "points": [[0.2, 0.1], {"angle": 1.0}, [-0.4, 0.3], {"angle": 1.0 + 1e-15}]},
+            "points 1 and 3 are numerically inseparable",
+        ),
+        (
+            {"inner": {}, "points": [[0.2, 0.1], [-0.4, 0.3]]},
+            "point 0 has unusable kernel norm squared -0.0",
+        ),
+    ],
+    ids=["boundary pair on degree 2", "constant inner function"],
+)
+def test_analyze_refusals_with_more_points_than_zeros(tmp_path, capsys, config, message) -> None:
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"mslab: numeric domain error: {message}\n"
+
+
 def test_exit_code_certification_failure_writes_partial(tmp_path) -> None:
     cfg = _write(
         tmp_path / "cfg.json",

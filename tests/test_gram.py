@@ -1,10 +1,17 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import eig_extremes_oracle, gram_oracle, hankel_section_oracle, random_blaschke
+from conftest import (
+    eig_extremes_oracle,
+    gram_oracle,
+    hankel_section_oracle,
+    normalized_gram_exact,
+    random_blaschke,
+)
 
 from mslab.errors import NumericDomainError, OnSpectrumError
 from mslab.gram import (
@@ -17,6 +24,7 @@ from mslab.gram import (
     hankel_distance_lb,
     part_frame_bounds,
     riesz_verdict,
+    section_frame_bounds,
 )
 from mslab.inner import InnerFunction, eval_inner, normalized_values
 from mslab.points import PointSequence, UnitPoint
@@ -248,6 +256,154 @@ def test_frame_operator_subadditivity() -> None:
     lam_1 = extremal_eigs(gram(theta, first)).lambda_max
     lam_2 = extremal_eigs(gram(theta, second)).lambda_max
     assert lam_union <= lam_1 + lam_2 + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the two routes of section_frame_bounds
+# ---------------------------------------------------------------------------
+
+_ROUTE_CASES = [f"degree {d}" for d in range(1, 9)] + [
+    "degree 200, 260 points",
+    "degree 500, 520 points",
+    "zeros at 0",
+    "boundary points",
+]
+
+
+def _route_case(name: str) -> tuple[InnerFunction, PointSequence]:
+    """A Blaschke product of degree d and n > d points in |z| <= 0.9 or on the circle."""
+    rng = np.random.default_rng(_ROUTE_CASES.index(name) + 31)
+    if name == "degree 200, 260 points":
+        theta, n = random_blaschke(rng, 200), 260
+    elif name == "degree 500, 520 points":
+        theta, n = random_blaschke(rng, 500), 520
+    elif name == "zeros at 0":
+        theta, n = InnerFunction((0, 0, 0) + random_blaschke(rng, 3).blaschke_zeros), 20
+    elif name == "boundary points":
+        theta, n = random_blaschke(rng, 4), 30
+    else:
+        degree = int(name.split()[1])
+        theta, n = random_blaschke(rng, degree), degree + 1 + int(rng.integers(0, 40))
+    radii = 0.9 * np.sqrt(rng.uniform(size=n))
+    angles = rng.uniform(0.0, TWO_PI, n)
+    pts = [UnitPoint.interior(r * cmath.exp(1j * a)) for r, a in zip(radii, angles)]
+    if name == "boundary points":
+        pts[::3] = [UnitPoint.boundary(a) for a in angles[::3]]
+    return theta, PointSequence.from_points(pts)
+
+
+def _routes(theta: InnerFunction, seq: PointSequence) -> tuple:
+    """(factored, dense) frame bounds, or the messages of their refusals."""
+    z = np.array(seq.values)
+    values, norms = normalized_values(theta, seq.points, seq.ids)
+    return _both(theta, z, values, norms, seq.ids)
+
+
+def _both(theta, z, values, norms, ids) -> tuple:
+    out = []
+    for route in (section_frame_bounds, lambda _t, *args: extremal_eigs(gram_from_values(*args))):
+        try:
+            out.append(route(theta, z, values, norms, ids))
+        except NumericDomainError as exc:
+            out.append(str(exc))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", _ROUTE_CASES)
+def test_factored_route_matches_the_dense_route(name: str) -> None:
+    theta, seq = _route_case(name)
+    factored, dense = _routes(theta, seq)
+    assert factored.n == dense.n == len(seq) > theta.degree
+    assert factored.lambda_min == 0.0  # by rank
+    assert dense.lambda_min <= len(seq) * np.finfo(float).eps * dense.lambda_max
+    assert abs(factored.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
+
+
+def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> None:
+    # 1 - conj(Theta(l_j)) Theta(l_i) cancels as |Theta| -> 1: the assembled
+    # section gave lambda_min = -7.7e-4 and lambda_max 1.2e-4 off here
+    zeros = tuple((1.0 - 1e-12) * cmath.exp(1j * a) for a in (0.3, 2.0, 4.1))
+    theta = InnerFunction(blaschke_zeros=zeros)
+    rng = np.random.default_rng(5)
+    pts = [
+        0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+        for _ in range(20)
+    ]
+    seq = PointSequence.from_complex(pts)
+    lo, hi = eig_extremes_oracle(normalized_gram_exact(zeros, pts))
+    assert abs(lo) <= 20 * np.finfo(float).eps * hi
+    verdict, fb = riesz_verdict(theta, seq, floor=1e-3)
+    assert verdict == "indeterminate"
+    assert fb.lambda_min == 0.0
+    assert abs(fb.lambda_max - hi) <= 1e-13 * hi
+    assert bessel_constant_estimate(theta, seq) == fb.lambda_max
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_factored_rows_stay_unit_next_to_zeros_at_the_circle(gap: float) -> None:
+    # points next to each zero: inside, at the edge 1 - |z| < 1e-12 and on
+    # the circle.  Each row of V must have unit norm to 1e-12, or the route
+    # refuses; 1 - conj(a) z formed by plain subtraction inside, or off the
+    # circle at boundary points, was up to 7e-4 off
+    angles = (0.4, 2.5, 4.1)
+    theta = InnerFunction(blaschke_zeros=tuple((1.0 - gap) * cmath.exp(1j * a) for a in angles))
+    pts = [
+        UnitPoint.from_complex((1.0 - depth) * cmath.exp(1j * (a + da)))
+        for a in angles
+        for depth in (1e-3, 2e-6, 2e-9, 2e-12, 1e-13)
+        for da in (0.0, 1e-7, 1e-3)
+    ]
+    pts += [UnitPoint.boundary(a + da) for a in angles for da in (1e-9, 1e-5, 0.1)]
+    fb = bessel_constant_estimate(theta, PointSequence.from_points(pts))
+    assert 1.0 <= fb <= len(pts)
+
+
+def test_factored_route_refuses_as_the_dense_route_does() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    pts = [
+        UnitPoint.interior(0.2),
+        UnitPoint.boundary(2.0),
+        UnitPoint.boundary(1.0),
+        UnitPoint.interior(-0.4 + 0.3j),
+        UnitPoint.boundary(2.0 + 2e-15),
+        UnitPoint.boundary(1.0 + 2e-15),
+    ]
+    seq = PointSequence.from_points(pts, ids=(4, 5, 8, 0, 2, 9))
+    z = np.array(seq.values)
+    values, norms = normalized_values(theta, seq.points, seq.ids)
+    # two inseparable pairs: both routes name the first, in row order
+    assert _both(theta, z, values, norms, seq.ids) == ("points 5 and 2 are numerically inseparable",) * 2
+    keep = [0, 1, 2, 3]
+    z, values, norms, ids = z[keep], values[keep], norms[keep], [seq.ids[k] for k in keep]
+    bad = norms.copy()
+    bad[2] = 0.0
+    assert _both(theta, z, values, bad, ids) == ("point 8 has unusable kernel norm squared 0.0",) * 2
+    bad = values.copy()
+    bad[1] = math.nan
+    assert _both(theta, z, bad, norms, ids) == ("eigenvalue input has non-finite entries",) * 2
+    factored, dense = _both(theta, z, values, norms, ids)
+    assert factored.lambda_min == 0.0
+    assert factored.lambda_max == pytest.approx(dense.lambda_max, rel=1e-13)
+    # a norm that does not belong to its point leaves a row of V off the unit sphere
+    bad = norms.copy()
+    bad[3] *= 1.01
+    with pytest.raises(NumericDomainError, match="unit diagonal: point 0 has"):
+        section_frame_bounds(theta, z, values, bad, ids)
+
+
+def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> None:
+    def factored(*args):
+        raise AssertionError("the factored route was taken")
+
+    monkeypatch.setattr(importlib.import_module("mslab.gram"), "_factored_gram", factored)
+    rng = np.random.default_rng(41)
+    theta = random_blaschke(rng, 5)
+    atoms = InnerFunction(theta.blaschke_zeros, singular_atoms=((1.0, 0.5),))
+    for th, n in ((theta, 5), (atoms, 12)):
+        seq = _oracle_corpus(rng, n)
+        values, norms = normalized_values(th, seq.points)
+        fb = section_frame_bounds(th, np.array(seq.values), values, norms, seq.ids)
+        assert fb == extremal_eigs(gram(th, seq))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from conftest import (
     blaschke_values,
     blaschke_values_on_circle,
+    boundary_rate_exact,
     boundary_rate_oracle,
     kernel_norm_sq_exact,
     kernel_norm_sq_oracle,
@@ -187,6 +187,44 @@ def test_norm_keeps_its_digits_near_the_circle() -> None:
         exact = kernel_norm_sq_exact(zeros, z)
         assert abs(kernel_norm_sq(theta, z) - exact) <= 1e-13 * exact
         assert abs(float(array_norm) - exact) <= 1e-13 * exact
+
+
+def _zeros_at_the_circle(gap: float) -> tuple[complex, ...]:
+    return tuple((1.0 - gap) * cmath.exp(1j * a) for a in (0.4, 2.5, 4.1))
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_norm_keeps_its_digits_next_to_zeros_at_the_circle(gap: float) -> None:
+    # against exact rational arithmetic; a weight 1 - |eta|^2 taken from the
+    # rounded |eta| put the norms 1.1e-5 off at gap 1e-12, 5.8e-9 at 1e-9
+    # and 1.7e-11 at 1e-6.  The last two points sit next to zeros, where
+    # 1 - conj(eta) z must be formed without cancellation
+    zeros = _zeros_at_the_circle(gap)
+    theta = InnerFunction(blaschke_zeros=zeros)
+    points = [
+        0.3 + 0.2j,
+        -0.6j,
+        0.85 * cmath.exp(2.45j),
+        (1.0 - 3.0 * gap) * cmath.exp(1j * (0.4 + gap)),
+        (1.0 - 10.0 * gap) * cmath.exp(4.1j),
+    ]
+    _, norms = normalized_values(theta, [UnitPoint.interior(z) for z in points])
+    for z, norm in zip(points, norms):
+        exact = kernel_norm_sq_exact(zeros, z)
+        assert abs(float(norm) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_boundary_rate_keeps_its_digits_next_to_zeros_at_the_circle(gap: float) -> None:
+    # the angular derivative sum (1 - |eta|^2)/|zeta - eta|^2 against exact
+    # rationals, 0.3 rad or more from the zeros' angles
+    zeros = _zeros_at_the_circle(gap)
+    theta = InnerFunction(blaschke_zeros=zeros)
+    zeta = np.exp(1j * np.array([0.0, 1.3, 3.3, 5.5]))
+    for w, rate in zip(zeta, eval_points(theta, zeta)[1]):
+        exact = boundary_rate_exact(zeros, complex(w))
+        assert abs(float(rate) - exact) <= 1e-13 * exact
+        assert abs(boundary_derivative(theta, complex(w)) - exact) <= 1e-13 * exact
 
 
 def test_norm_at_a_zero_and_near_an_atom() -> None:
@@ -429,24 +467,12 @@ def test_boundary_argument_strictly_increasing(name: str) -> None:
         assert ends[1] - ends[0] == pytest.approx(TWO_PI * theta.degree, rel=1e-13)
 
 
-def _rate_with_exact_weights(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
-    """``boundary_rate_oracle`` with each 1 - |eta|^2 taken in exact rationals."""
-    zeta = np.exp(1j * t)
-    out = np.zeros(t.shape)
-    for eta in theta.blaschke_zeros:
-        weight = float(1 - Fraction(eta.real) ** 2 - Fraction(eta.imag) ** 2)
-        out = out + weight / np.abs(zeta - eta) ** 2
-    for a, m in theta.singular_atoms:
-        out = out + 2.0 * m / np.abs(zeta - cmath.exp(1j * a)) ** 2
-    return out
-
-
 @pytest.mark.parametrize("name", _ARGUMENT_CASES)
 def test_argument_rate_matches_eval_points(name: str) -> None:
     # the fused pass gives boundary_argument's Phi bit for bit, and the
-    # rate of eval_points.  Next to zeros at 1 - 1e-12 eval_points rounds
-    # 1 - |eta|^2, so there the rate is checked on exact weights instead,
-    # 0.01 or more from the zeros, where |e^{it} - eta|^2 keeps its digits
+    # rate of eval_points.  Next to zeros at 1 - 1e-12 eval_points forms
+    # |e^{it} - eta|^2 by subtraction, so there the rates are compared
+    # 0.01 or more from the zeros, where that keeps its digits
     theta, arcs = _argument_case(name)
     for t in _argument_angles(arcs, 500):
         phi, rate = argument_and_rate(theta, t)
@@ -455,7 +481,5 @@ def test_argument_rate_matches_eval_points(name: str) -> None:
             zeros = np.array(theta.blaschke_zeros)
             far = np.abs(np.exp(1j * t)[:, None] - zeros).min(axis=1) >= 0.01
             t, rate = t[far], rate[far]
-            expect = _rate_with_exact_weights(theta, t)
-        else:
-            expect = eval_points(theta, np.exp(1j * t))[1]
+        expect = eval_points(theta, np.exp(1j * t))[1]
         assert np.max(np.abs(rate / expect - 1.0)) <= 1e-13
