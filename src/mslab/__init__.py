@@ -32,7 +32,6 @@ from .decompose import (
     PartitionPart,
     PartCertificate,
     build_arc_system,
-    count_per_square,
     decompose_by_squares,
     rate_comparability,
     select_arc_system,
@@ -65,7 +64,7 @@ from .inner import (
     log_derivative,
     spectrum_distance,
 )
-from .points import PointSequence, UnitPoint
+from .points import PointSequence
 from .pw import ExpSystem, exp_inner, pw_gram, pw_split, shift_off_axis
 
 __all__ = [
@@ -87,13 +86,11 @@ __all__ = [
     "PartitionPart",
     "PartCertificate",
     "PointSequence",
-    "UnitPoint",
     "bessel_constant_estimate",
     "boundary_derivative",
     "build_arc_system",
     "carleson_constant",
     "carleson_report",
-    "count_per_square",
     "decompose_by_squares",
     "derivative",
     "earl_bound",

@@ -23,8 +23,9 @@ L[i, j] = log rho(l_i, l_j) for every n, so strongly clustered sequences
 cannot underflow a partial product; ``log_distance_matrix`` exposes L for
 callers that ask about many subsequences of one sequence.
 
-Boundary points are rejected throughout; the pseudohyperbolic metric
-degenerates on the circle.
+Every function reads the sequence's ``z`` array, and one vectorized check
+rejects boundary points throughout (the pseudohyperbolic metric
+degenerates on the circle) as well as the empty sequence.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError
-from .points import PointSequence, UnitPoint
+from .points import BOUNDARY_TOL, PointSequence
 
 
 @dataclass(frozen=True)
@@ -54,32 +55,24 @@ class CarlesonReport:
         }
 
 
-def _interior_value(p: complex | UnitPoint) -> complex:
-    if isinstance(p, UnitPoint):
-        if p.is_boundary:
-            raise NumericDomainError(
-                "pseudohyperbolic metric degenerates at boundary points"
-            )
-        return p.value
-    z = complex(p)
-    if abs(z) >= 1.0 - 1e-14:
-        raise NumericDomainError(
-            "pseudohyperbolic metric degenerates at boundary points"
-        )
+def _require_interior(z: np.ndarray) -> np.ndarray:
+    """z, a non-empty 1-D complex array, if every point has |z| < 1 - 1e-14.
+
+    A sequence's boundary points have |z| = 1 to rounding, so this refuses
+    them too.
+    """
+    if z.size == 0:
+        raise NumericDomainError("empty point sequence")
+    if not (np.hypot(z.real, z.imag) < 1.0 - BOUNDARY_TOL).all():
+        raise NumericDomainError("pseudohyperbolic metric degenerates at boundary points")
     return z
 
 
-def pseudohyperbolic(lam: complex | UnitPoint, mu: complex | UnitPoint) -> float:
+def pseudohyperbolic(lam: complex, mu: complex) -> float:
     """Pseudohyperbolic distance |(l - m)/(1 - conj(m) l)| of interior points."""
-    a = _interior_value(lam)
-    b = _interior_value(mu)
+    a, b = complex(lam), complex(mu)
+    _require_interior(np.array([a, b]))
     return abs((a - b) / (1.0 - b.conjugate() * a))
-
-
-def _require_interior(seq: PointSequence) -> list[complex]:
-    if len(seq) == 0:
-        raise NumericDomainError("empty point sequence")
-    return [_interior_value(p) for p in seq.points]
 
 
 def _pair_denominators(z: np.ndarray) -> np.ndarray:
@@ -95,7 +88,7 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
     subsequence's constant does not depend on which of a pair is asked.  A
     pair whose distance underflows to 0 gives -inf.
     """
-    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    z = _require_interior(seq.z)
     return _log_distances(z, _pair_denominators(z))
 
 
@@ -119,20 +112,20 @@ def carleson_report(seq: PointSequence) -> CarlesonReport:
 
     Both sums share one matrix of pairwise denominators.
     """
-    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    z = _require_interior(seq.z)
     denom = _pair_denominators(z)
     sums = _log_distances(z, denom).sum(axis=1)
     k = int(np.argmin(sums))  # the first minimal point, as in a scan
     return CarlesonReport(
         delta=math.exp(float(sums[k])),
         embedding_sup=_embedding_sup(z, denom),
-        witness_index=seq.ids[k],
+        witness_index=int(seq.ids[k]),
     )
 
 
 def embedding_sup(seq: PointSequence) -> float:
     """Max row sum of the embedding double-sum statistic."""
-    z = np.asarray(_require_interior(seq), dtype=np.complex128)
+    z = _require_interior(seq.z)
     return _embedding_sup(z, _pair_denominators(z))
 
 

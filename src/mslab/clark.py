@@ -16,10 +16,10 @@ The arcs between singular atoms, where Phi diverges, are cut by one
 earlier run of the same solver where the increase from each arc's middle
 reaches the budget.
 
-A level set carries a Clark family: the points tau_n, their angular
-derivatives, and the weights a_n = 1/|Theta'(tau_n)| of the associated
-boundary measure.  For a complete family these weights reproduce the
-Herglotz transform
+A level set carries a Clark family: arrays of the angles of its points
+tau_n (``ClarkFamily.points``), their angular derivatives, and the weights
+a_n = 1/|Theta'(tau_n)| of the associated boundary measure.  For a
+complete family these weights reproduce the Herglotz transform
 
     Re (alpha + Theta(z))/(alpha - Theta(z))
         = sum_n a_n (1 - |z|^2)/|tau_n - z|^2,
@@ -46,7 +46,7 @@ from .inner import (
     derivative,
     eval_points,
 )
-from .points import TWO_PI, PointSequence, UnitPoint, normalize_angle
+from .points import TWO_PI, PointSequence, normalize_angles
 from .quadrature import adaptive_simpson
 
 
@@ -56,29 +56,29 @@ from .quadrature import adaptive_simpson
 _ATOM_CLEARANCE = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClarkFamily:
-    """Level set of Theta at a unimodular alpha, with weights 1/|Theta'|."""
+    """Level set of Theta at a unimodular alpha, with weights 1/|Theta'|.
+
+    ``points`` holds the level points' angles in [0, 2*pi), ``derivs`` the
+    rates |Theta'| there and ``weights`` their reciprocals, as float arrays.
+    """
 
     alpha: complex
-    points: tuple[UnitPoint, ...]
-    derivs: tuple[float, ...]
-    weights: tuple[float, ...]
+    points: np.ndarray
+    derivs: np.ndarray
+    weights: np.ndarray
     truncated: bool = False
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return tuple(p.angle for p in self.points)
+        return self.points.size
 
     def to_json_dict(self) -> dict:
         return {
             "alpha": [self.alpha.real, self.alpha.imag],
-            "points": list(self.angles),
-            "derivs": list(self.derivs),
-            "weights": list(self.weights),
+            "points": self.points.tolist(),
+            "derivs": self.derivs.tolist(),
+            "weights": self.weights.tolist(),
             "truncated": self.truncated,
         }
 
@@ -281,7 +281,7 @@ def level_sets(
         for n, cap in zip(counts.tolist(), capped):
             if not cap and n != theta.degree:
                 raise NumericDomainError(f"found {n} level points, expected {theta.degree}")
-    roots = np.array([normalize_angle(r) for r in (0.5 * (a + b)).tolist()])
+    roots = normalize_angles(0.5 * (a + b))
     order = np.lexsort((roots, owner_of))  # by level, then by angle
     ang = roots[order]
     level = np.array(values, dtype=complex)[owner_of[order]]
@@ -299,9 +299,9 @@ def level_sets(
     return [
         ClarkFamily(
             alpha=alpha,
-            points=tuple(UnitPoint.boundary(x) for x in fam_ang.tolist()),
-            derivs=tuple(fam_d.tolist()),
-            weights=tuple((1.0 / fam_d).tolist()),
+            points=fam_ang,
+            derivs=fam_d,
+            weights=1.0 / fam_d,
             truncated=not full_circle or cap,
         )
         for alpha, cap, fam_ang, fam_d in zip(
@@ -319,16 +319,13 @@ def level_set(
     return level_sets(theta, [alpha], max_points_per_arc)[0]
 
 
-def herglotz_residual(
-    theta: InnerFunction, family: ClarkFamily, z: complex | UnitPoint
-) -> float:
+def herglotz_residual(theta: InnerFunction, family: ClarkFamily, z: complex) -> float:
     """Gap between the Herglotz transform and the family's Poisson sum at z.
 
     Small (<= 1e-8) only for complete families; a truncated family misses
     mass near the spectrum and its residual does not certify anything.
     """
-    w = z.value if isinstance(z, UnitPoint) else complex(z)
-    return float(herglotz_residuals(theta, family, np.array([w]))[0])
+    return float(herglotz_residuals(theta, family, np.array([complex(z)]))[0])
 
 
 def herglotz_residuals(
@@ -340,10 +337,9 @@ def herglotz_residuals(
         raise NumericDomainError("Herglotz residual needs an interior point")
     val, _ = eval_points(theta, z)
     lhs = ((family.alpha + val) / (family.alpha - val)).real
-    taus = np.array([p.value for p in family.points], dtype=complex)
-    weights = np.array(family.weights, dtype=float)
+    taus = np.exp(1j * family.points)
     poisson = (1.0 - np.abs(z[:, None]) ** 2) / np.abs(taus - z[:, None]) ** 2
-    return np.abs(lhs - poisson @ weights)
+    return np.abs(lhs - poisson @ family.weights)
 
 
 def stability_margin(
@@ -354,20 +350,18 @@ def stability_margin(
     The pairing is by position, never re-matched: a silent nearest-point
     rematch would hide exactly the violations this measures.
     """
-    if len(seq) != len(family.points):
+    if len(seq) != len(family):
         raise ConfigError(
-            f"sequence length {len(seq)} does not match family size {len(family.points)}"
+            f"sequence length {len(seq)} does not match family size {len(family)}"
         )
-    out = []
-    for (_pid, lam), tau, d in zip(seq, family.points, family.derivs):
-        out.append(abs(lam.value - tau.value) * d)
-    return out
+    gap = seq.z - np.exp(1j * family.points)
+    return (np.hypot(gap.real, gap.imag) * family.derivs).tolist()
 
 
 def variation_along_path(
     theta: InnerFunction,
-    tau: complex | UnitPoint,
-    lam: complex | UnitPoint,
+    tau: complex,
+    lam: complex,
     via: Sequence[complex] | None = None,
 ) -> float:
     """Integral of |Theta'| along the path from tau to lam.
@@ -377,9 +371,7 @@ def variation_along_path(
     derivative comes from differentiating the product/atom representation;
     every segment must stay clear of the spectrum.
     """
-    a = tau.value if isinstance(tau, UnitPoint) else complex(tau)
-    b = lam.value if isinstance(lam, UnitPoint) else complex(lam)
-    nodes = [a] + [complex(w) for w in (via or ())] + [b]
+    nodes = [complex(tau)] + [complex(w) for w in (via or ())] + [complex(lam)]
     total = 0.0
     for start, end in zip(nodes, nodes[1:]):
         if start == end:

@@ -43,7 +43,7 @@ from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
 from .gram import extremal_eigs, section_frame_bounds
 from .inner import InnerFunction, normalized_values
-from .points import PointSequence, UnitPoint
+from .points import PointSequence
 from .pw import ExpSystem, pw_gram, pw_split
 
 _FINITE_SECTION_NOTE = (
@@ -70,18 +70,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
 def _parse_points(raw: Any) -> PointSequence:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("'points' must be a non-empty list")
-    pts = []
+    z = np.zeros(len(raw), dtype=complex)
+    angle = np.full(len(raw), math.nan)
     for i, entry in enumerate(raw):
         if isinstance(entry, dict):
             _require_keys(entry, {"angle"}, {"angle"}, f"point {i}")
-            angle = _number(entry["angle"], f"point {i}")
-            pts.append(UnitPoint.boundary(angle))
+            angle[i] = _number(entry["angle"], f"point {i}")
         elif isinstance(entry, list) and len(entry) == 2:
-            z = complex(_number(entry[0], f"point {i}"), _number(entry[1], f"point {i}"))
-            pts.append(UnitPoint.from_complex(z))
+            z[i] = complex(_number(entry[0], f"point {i}"), _number(entry[1], f"point {i}"))
         else:
             raise ConfigError(f"point {i} must be [re, im] or {{\"angle\": a}}")
-    return PointSequence.from_points(pts)
+    return PointSequence.from_mixed(z, angle)
 
 
 def _number(raw: Any, what: str) -> float:
@@ -163,13 +162,13 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     opts = _parse_options(config.get("options"), {"riesz_floor": _number})
     floor = opts.get("riesz_floor", 0.5)
 
-    values, norms = normalized_values(theta, seq.points, seq.ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     gamma = float(np.abs(values).max())
-    has_boundary = any(p.is_boundary for p in seq.points)
+    has_boundary = bool(seq.boundary.any())
 
     interior = seq.interior_only()
     carleson = carleson_report(interior).to_json_dict() if len(interior) else None
-    fb = section_frame_bounds(theta, np.array(seq.values, dtype=complex), values, norms, seq.ids)
+    fb = section_frame_bounds(theta, seq.z, values, norms, seq.ids)
 
     report = {
         "carleson": carleson,
@@ -178,7 +177,7 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,
         "kernel_norms_sq": [
-            {"id": pid, "value": float(ns)} for pid, ns in zip(seq.ids, norms)
+            {"id": pid, "value": ns} for pid, ns in zip(seq.ids.tolist(), norms.tolist())
         ],
         "riesz_floor": floor,
     }
@@ -198,8 +197,8 @@ def _partition_csvs(
         out_dir / "points.csv",
         ["id", "re", "im", "part", "route"],
         [
-            [pid, p.value.real, p.value.imag, part_of[pid], route_of[pid]]
-            for pid, p in seq
+            [pid, re, im, part_of[pid], route_of[pid]]
+            for pid, re, im in zip(seq.ids.tolist(), seq.z.real.tolist(), seq.z.imag.tolist())
         ],
     )
     rows = []

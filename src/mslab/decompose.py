@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .clark import level_sets
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, part_frame_bounds
 from .inner import InnerFunction, eval_points, normalized_values, spectrum_distance
-from .points import TWO_PI, PointSequence
+from .points import TWO_PI, PointSequence, normalize_angles
 from .quadrature import adaptive_simpson
 
 ThetaLike = InnerFunction | Callable[[complex], complex]
@@ -144,7 +144,7 @@ def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
 
 def _modulus_rank(seq: PointSequence) -> np.ndarray:
     """Rank of each point in decreasing modulus order, ties by id."""
-    order = np.lexsort((np.asarray(seq.ids), -np.abs(np.asarray(seq.values))))
+    order = np.lexsort((seq.ids, -np.abs(seq.z)))
     rank = np.empty(len(seq), dtype=int)
     rank[order] = np.arange(len(seq))
     return rank
@@ -243,9 +243,9 @@ def split_by_interpolation(
     if len(seq) == 0:
         raise NumericDomainError("cannot split an empty sequence")
     if isinstance(theta, InnerFunction):
-        values, norms_sq = normalized_values(theta, seq.points, seq.ids)
+        values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
     else:
-        values = np.array([complex(theta(p.value)) for p in seq.points])
+        values = np.array([complex(theta(w)) for w in seq.z.tolist()])
         norms_sq = None
     return _split_evaluated(
         seq, values, norms_sq, gamma_floor=gamma_floor, max_depth=max_depth, route=route
@@ -304,7 +304,7 @@ def _split_evaluated(
     log_star = math.log(delta_star)
     found.sort(key=lambda idx: (-len(idx), int(idx[0])))
     merged = _first_fit(L, found, log_star + _MERGE_SLACK)
-    merged.sort(key=lambda idx: min(seq.ids[k] for k in idx))
+    merged.sort(key=lambda idx: int(seq.ids[idx].min()))
     deltas = [math.exp(_log_delta(L, idx)) for idx in merged]  # fresh sums, not the running ones
     for delta_j in deltas:
         if not certified(delta_j):
@@ -314,14 +314,13 @@ def _split_evaluated(
     if norms_sq is None:
         bounds: list[FrameBounds | None] = [None] * len(merged)
     else:
-        z = np.array(seq.values, dtype=complex)
-        bounds = part_frame_bounds(z, values, norms_sq, seq.ids, merged)
+        bounds = part_frame_bounds(seq.z, values, norms_sq, seq.ids, merged)
     parts = []
     for idx, delta_j, fb in zip(merged, deltas, bounds):
         phi = earl_bound(delta_j)
         parts.append(
             PartitionPart(
-                ids=tuple(seq.ids[k] for k in idx),
+                ids=tuple(seq.ids[idx].tolist()),
                 route=route,
                 certificate=PartCertificate(
                     gamma=gamma,
@@ -352,13 +351,6 @@ def _split_evaluated(
 # below this: the level-count search aims under it, and a split above it
 # is flagged.
 _HEALTH_MARGIN = 0.9
-
-
-def _normalize_angles(theta: np.ndarray) -> np.ndarray:
-    """``points.normalize_angle``, elementwise."""
-    theta = np.fmod(theta, TWO_PI)
-    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-    return np.where(theta >= TWO_PI, theta - TWO_PI, theta)
 
 
 @dataclass(frozen=True)
@@ -399,7 +391,7 @@ class ArcSystem:
     def total_mass(self) -> float:
         return sum(a.mass for a in self.arcs)
 
-    def locate(self, z: Sequence[complex]) -> np.ndarray:
+    def locate(self, z: np.ndarray) -> np.ndarray:
         """Position in ``arcs`` of the first arc whose square holds each point, -1 if none.
 
         A square holds the points with inner_radius <= |z| <= 1 + 1e-14 and
@@ -407,19 +399,21 @@ class ArcSystem:
         of lo belongs to the previous arc, whose designated hi that is.  An
         arc as long as the circle holds every phase.  The windows follow
         each other without overlap, so a bisection of the sorted lows leaves
-        at most the neighbouring arcs as candidates.  Modulus and phase are
-        Python's ``abs`` and ``cmath.phase`` of each point.
+        at most the neighbouring arcs as candidates.  The modulus is
+        ``np.hypot``, equal to Python's ``abs``, and the phase
+        ``cmath.phase`` of each point (numpy's differs in the last bit).
         """
+        z = np.asarray(z, dtype=complex)
         m = len(self.arcs)
-        if m == 0 or len(z) == 0:
-            return np.full(len(z), -1)
-        found = np.full(len(z), m)
+        if m == 0 or z.size == 0:
+            return np.full(z.size, -1)
+        found = np.full(z.size, m)
         lo, width, inner = np.array([(a.lo, a.length, a.inner_radius) for a in self.arcs]).T
-        phase = np.array([cmath.phase(w) for w in z])
-        radius = np.array([abs(w) for w in z])
+        phase = np.array([cmath.phase(w) for w in z.tolist()])
+        radius = np.hypot(z.real, z.imag)
         k = np.searchsorted(lo, np.mod(phase, TWO_PI), side="right") - 1
         for cand in ((k - 1) % m, k % m, (k + 1) % m):
-            d = _normalize_angles(phase - lo[cand])
+            d = normalize_angles(phase - lo[cand])
             in_arc = (width[cand] >= TWO_PI - 1e-12) | ((1e-12 < d) & (d <= width[cand] + 1e-12))
             held = in_arc & (radius >= inner[cand]) & (radius <= 1.0 + 1e-14)
             found = np.where(held, np.minimum(found, cand), found)
@@ -447,11 +441,11 @@ def build_arc_system(
     families = level_sets(theta, alphas, max_points_per_arc)
     truncated = any(f.truncated for f in families)
 
-    angle = np.array([p.angle for fam in families for p in fam.points])
+    angle = np.concatenate([fam.points for fam in families])
     if angle.size < 1:
         raise NumericDomainError("no level points found")
-    level = np.repeat(np.arange(1, level_count + 1), [len(fam.points) for fam in families])
-    deriv = np.array([d for fam in families for d in fam.derivs])
+    level = np.repeat(np.arange(1, level_count + 1), [len(fam) for fam in families])
+    deriv = np.concatenate([fam.derivs for fam in families])
     order = np.lexsort((deriv, level, angle))  # by angle, then level, then derivative
     hi, level, deriv = angle[order], level[order], deriv[order]
     collide = np.flatnonzero(np.diff(hi) < 1e-11)
@@ -466,7 +460,7 @@ def build_arc_system(
     # atoms never coincide with level points, so a wrapped offset in
     # (0, length) means the atom sits strictly inside this arc
     holds_atom = (
-        _normalize_angles(atoms[None, :] - lo[:, None]) < (hi - lo)[:, None] + 1e-15
+        normalize_angles(atoms[None, :] - lo[:, None]) < (hi - lo)[:, None] + 1e-15
     ).any(axis=1)
     truncated = truncated or bool(holds_atom.any())
     keep = ~holds_atom
@@ -533,13 +527,6 @@ def uncovered_region_report(
     )
 
 
-def count_per_square(arcs: ArcSystem, seq: PointSequence) -> tuple[int, list[int]]:
-    """Exact membership counts per arc's square; first element is the max count."""
-    located = arcs.locate(seq.values)
-    counts = np.bincount(located[located >= 0], minlength=len(arcs.arcs))
-    return (int(counts.max()) if counts.size else 0), counts.tolist()
-
-
 # ---------------------------------------------------------------------------
 # Full square-pipeline decomposition
 # ---------------------------------------------------------------------------
@@ -598,24 +585,25 @@ def _square_parts(
     One lexsort ranks each square's points by id; sub-part m of a level
     holds the m-th point of every square of that level, in sequence order.
     A point's margin is |lambda - e^{i hi}| |Theta'(e^{i hi})| against the
-    anchor of its own square, in Python complex arithmetic.
+    anchor of its own square, with ``np.hypot`` for the modulus.
     """
     held = np.flatnonzero(located >= 0)
-    held = held[np.lexsort((np.asarray(seq.ids)[held], located[held]))]
+    held = held[np.lexsort((seq.ids[held], located[held]))]
     rank = np.arange(held.size) - np.searchsorted(located[held], located[held])
     level = np.array([arc.level for arc in arcs.arcs], dtype=int)[located[held]]
     order = np.lexsort((held, rank, level))
     held, rank, level = held[order], rank[order], level[order]
     starts = np.flatnonzero((np.diff(level, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
-    out = []
-    for s, idx in zip(starts.tolist(), np.split(held, starts[1:])):
-        anchors = [arcs.arcs[a] for a in located[idx].tolist()]
-        margins = tuple(
-            abs(seq.points[k].value - cmath.exp(1j * arc.hi)) * arc.hi_derivative
-            for k, arc in zip(idx.tolist(), anchors)
+    hi = np.array([arc.hi for arc in arcs.arcs])[located[held]]
+    rate = np.array([arc.hi_derivative for arc in arcs.arcs])[located[held]]
+    gap = seq.z[held] - np.exp(1j * hi)
+    margin = np.hypot(gap.real, gap.imag) * rate
+    return [
+        (idx, f"square:{level[s]}:{rank[s] + 1}", tuple(m.tolist()))
+        for s, idx, m in zip(
+            starts.tolist(), np.split(held, starts[1:]), np.split(margin, starts[1:])
         )
-        out.append((idx, f"square:{level[s]}:{rank[s] + 1}", margins))
-    return out
+    ]
 
 
 def decompose_by_squares(
@@ -643,7 +631,7 @@ def decompose_by_squares(
         raise NumericDomainError("cannot decompose an empty sequence")
     if theta.is_constant:
         raise NumericDomainError("constant inner function: nothing to decompose")
-    on_spectrum = np.flatnonzero(spectrum_distance(theta, np.array(seq.values)) <= 1e-13)
+    on_spectrum = np.flatnonzero(spectrum_distance(theta, seq.z) <= 1e-13)
     if on_spectrum.size:
         raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
@@ -665,21 +653,21 @@ def decompose_by_squares(
             f"{_HEALTH_MARGIN} health margin"
         )
 
-    located = arcs.locate(seq.values)
+    located = arcs.locate(seq.z)
     uncovered = np.flatnonzero(located < 0)  # positions in seq
-    escaped = [k for k in uncovered.tolist() if seq.points[k].is_boundary]
-    if escaped:
+    escaped = uncovered[seq.boundary[uncovered]]
+    if escaped.size:
         raise NumericDomainError(
             f"boundary point {seq.ids[escaped[0]]} escaped every square; "
             "the uncovered region is interior-only"
         )
 
-    z = np.array(seq.values, dtype=complex)
-    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
+    z = seq.z
+    values, norms_sq = normalized_values(theta, z, seq.angle, seq.ids)
     parts: list[PartitionPart] = []
 
     if uncovered.size:
-        sub = seq.subset(seq.ids[k] for k in uncovered.tolist())
+        sub = seq.subset(uncovered)
         gamma_used = max(region.delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
@@ -689,7 +677,7 @@ def decompose_by_squares(
             (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [uncovered])
             parts.append(
                 PartitionPart(
-                    ids=tuple(sorted(sub.ids)),
+                    ids=tuple(np.sort(sub.ids).tolist()),
                     route="uncovered:uncertified",
                     certificate=PartCertificate(gamma=gamma_used, frame_bounds=fb),
                 )
@@ -711,7 +699,7 @@ def decompose_by_squares(
     for (idx, route, margins), fb in zip(square_parts, bounds):
         parts.append(
             PartitionPart(
-                ids=tuple(seq.ids[k] for k in idx.tolist()),
+                ids=tuple(seq.ids[idx].tolist()),
                 route=route,
                 certificate=PartCertificate(frame_bounds=fb),
                 stability_margins=margins,
@@ -729,6 +717,6 @@ def decompose_by_squares(
         flags=tuple(flags),
         arcs=arcs,
     )
-    if partition.all_ids() != tuple(sorted(seq.ids)):
+    if partition.all_ids() != tuple(np.sort(seq.ids).tolist()):
         raise NumericDomainError("partition failed to cover the sequence exactly")
     return partition

@@ -113,12 +113,12 @@ class FrameBounds:
 
 def _evaluated(
     theta: InnerFunction, seq: PointSequence
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A non-empty sequence's points, Theta values, kernel norms squared and ids."""
     if len(seq) == 0:
         raise NumericDomainError("empty point sequence")
-    values, norms_sq = normalized_values(theta, seq.points, seq.ids)
-    return np.array(seq.values, dtype=complex), values, norms_sq, seq.ids
+    values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return seq.z, values, norms_sq, seq.ids
 
 
 def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
@@ -134,7 +134,9 @@ def gram_from_values(
     z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[int]
 ) -> GramMatrix:
     """Gram section of points z from their Theta values and kernel norms squared."""
-    return GramMatrix(_sections(z[None], values[None], norms_sq[None], [ids])[0], tuple(ids))
+    return GramMatrix(
+        _sections(z[None], values[None], norms_sq[None], [ids])[0], tuple(np.asarray(ids).tolist())
+    )
 
 
 def part_frame_bounds(
@@ -389,10 +391,12 @@ def hankel_distance_lb(theta: InnerFunction, seq: PointSequence, n: int) -> floa
     """
     if n < 1:
         raise NumericDomainError("section size must be at least 1")
-    for pid, p in seq:
-        if p.is_boundary:
-            raise NumericDomainError(f"point {pid} must be interior for the Blaschke symbol")
-    b_prod = InnerFunction(blaschke_zeros=seq.values)
+    boundary = np.flatnonzero(seq.boundary)
+    if boundary.size:
+        raise NumericDomainError(
+            f"point {seq.ids[boundary[0]]} must be interior for the Blaschke symbol"
+        )
+    b_prod = InnerFunction(blaschke_zeros=tuple(seq.z.tolist()))
     size = 8
     while size < 8 * n and size < _HANKEL_GRID_CAP:
         size *= 2

@@ -47,13 +47,14 @@ of Theta(e^{it}) on an atom-free boundary arc in closed form, together
 with its rate |Theta'| from the same sines; ``boundary_argument`` is its
 Phi alone.
 ``normalized_values`` gives the Theta values and kernel norms of a point
-sequence as arrays from one such pass, for Gram sections and the
-decomposition drivers.  ``log_derivative``, ``derivative`` and
+sequence as arrays, from its ``z`` and ``angle`` arrays (NaN inside the
+disk), for Gram sections and the decomposition drivers; it takes rates
+only where it uses them.  ``log_derivative``, ``derivative`` and
 ``spectrum_distance`` take a point or an array of points.  Each formula
 has this one array implementation, computed from arrays of the data
 built once per function: the scalar names ``eval_inner``,
-``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` are one-point
-views of the array code.
+``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` take complex
+numbers and are one-point views of the array code.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError, OnSpectrumError
-from .points import ANGLE_TOL, TWO_PI, UnitPoint, angle_distance, normalize_angle
+from .points import ANGLE_TOL, TWO_PI, angle_distance, normalize_angle
 
 # Guard for the kernel's diagonal singularity 1 - conj(lambda) z = 0.
 _DIAG_GUARD = 1e-14
@@ -202,19 +203,10 @@ class InnerFunction:
         return InnerFunction(tuple(zeros), tuple(atoms))
 
 
-def _as_complex(z: complex | UnitPoint) -> complex:
-    return z.value if isinstance(z, UnitPoint) else complex(z)
-
-
-def _as_point(z: complex | UnitPoint) -> UnitPoint:
-    """z as a point; a bare complex number is taken by its modulus, untagged."""
-    return z if isinstance(z, UnitPoint) else UnitPoint(complex(z))
-
-
 def _as_points(z) -> tuple[np.ndarray, bool]:
     """z as a 1-D complex array, and whether it was given as one point."""
-    if isinstance(z, UnitPoint) or np.ndim(z) == 0:
-        return np.array([_as_complex(z)]), True
+    if np.ndim(z) == 0:
+        return np.array([complex(z)]), True
     return np.asarray(z, dtype=complex), False
 
 
@@ -277,6 +269,13 @@ def eval_points(
     z = np.asarray(z, dtype=complex)
     terms = theta._terms
     at_atom = _refuse_atoms(terms, z, ids)
+    on_circle = np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL
+    zeta = np.where(on_circle, z, np.exp(1j * np.angle(z)))
+    return _values(terms, z), _rates(terms, zeta, at_atom)
+
+
+def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
+    """Theta over a 1-D array of points off the atoms."""
     values = np.empty(z.shape, dtype=complex)
     for rows in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
         w = z[rows, None]
@@ -288,12 +287,10 @@ def eval_points(
             values[rows] *= np.exp(-s)
     if terms.origin:
         values *= z**terms.origin
-    on_circle = np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL
-    zeta = np.where(on_circle, z, np.exp(1j * np.angle(z)))
-    return values, _rates(terms, zeta, at_atom)
+    return values
 
 
-def eval_inner(theta: InnerFunction, z: complex | UnitPoint) -> complex:
+def eval_inner(theta: InnerFunction, z: complex) -> complex:
     """Evaluate the inner function at a point off its boundary spectrum.
 
     Interior points always work; boundary points must avoid the atoms.
@@ -302,7 +299,7 @@ def eval_inner(theta: InnerFunction, z: complex | UnitPoint) -> complex:
     return complex(eval_points(theta, _as_points(z)[0])[0][0])
 
 
-def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> float:
+def boundary_derivative(theta: InnerFunction, zeta: complex) -> float:
     """Angular derivative |Theta'| at a boundary point.
 
         |Theta'(zeta)| = sum_n (1-|z_n|^2)/|zeta - z_n|^2
@@ -311,7 +308,7 @@ def boundary_derivative(theta: InnerFunction, zeta: complex | UnitPoint) -> floa
     Returns +inf when zeta coincides with an atom.  The rate of
     ``eval_points`` at one point.
     """
-    w = _as_complex(zeta)
+    w = complex(zeta)
     if abs(abs(w) - 1.0) > _BOUNDARY_EVAL_TOL:
         raise NumericDomainError(
             f"boundary derivative needs a boundary point, got |z| = {abs(w)!r}"
@@ -458,31 +455,27 @@ def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> n
     return -np.expm1(log_mod_sq) / gap
 
 
-def kernel_norm_sq(theta: InnerFunction, lam: complex | UnitPoint) -> float:
-    """Squared norm of the reproducing kernel at a point.
+def kernel_norm_sq(theta: InnerFunction, lam: complex) -> float:
+    """Squared norm of the reproducing kernel at a point of the closed disk.
 
-    Interior: (1 - |Theta(lambda)|^2)/(1 - |lambda|^2), from the factor
-    identities of the module docstring.  Boundary (and |lambda| >= 1 -
-    1e-12): the angular derivative at lambda/|lambda|.  A boundary point
-    sitting on an atom is an error.  One point of ``normalized_values``.
+    (1 - |Theta(lambda)|^2)/(1 - |lambda|^2), from the factor identities of
+    the module docstring; for |lambda| >= 1 - 1e-12, the angular
+    derivative at lambda/|lambda|.  A point on an atom is an error.  One
+    interior-tagged point of ``normalized_values``.
     """
-    return float(normalized_values(theta, [_as_point(lam)])[1][0])
+    return float(normalized_values(theta, np.array([complex(lam)]), np.array([math.nan]))[1][0])
 
 
-def kernel(
-    theta: InnerFunction,
-    lam: complex | UnitPoint,
-    z: complex | UnitPoint,
-) -> complex:
+def kernel(theta: InnerFunction, lam: complex, z: complex) -> complex:
     """Reproducing kernel k_lambda(z) of the model subspace of Theta.
 
     Hermitian in its arguments: kernel(lam, z) == conj(kernel(z, lam)).
-    The diagonal is the kernel norm of ``normalized_values``.
+    The diagonal is ``kernel_norm_sq``.
     """
-    lw = _as_complex(lam)
-    zw = _as_complex(z)
+    lw = complex(lam)
+    zw = complex(z)
     if lw == zw:
-        return complex(normalized_values(theta, [_as_point(lam)])[1][0])
+        return complex(kernel_norm_sq(theta, lw))
     denom = 1.0 - lw.conjugate() * zw
     values, _ = eval_points(theta, np.array([lw, zw]))
     num = 1.0 - complex(values[0]).conjugate() * complex(values[1])
@@ -511,29 +504,34 @@ def spectrum_distance(theta: InnerFunction, w):
 
 def normalized_values(
     theta: InnerFunction,
-    points: Sequence[UnitPoint],
+    z: np.ndarray,
+    angle: np.ndarray,
     ids: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Theta values and kernel norms squared for a batch of points, as arrays.
+    """Theta values and kernel norms squared of points z, as arrays.
 
-    One ``eval_points`` pass gives the values and the boundary rates (at
-    the radial projections of the interior points with |z| >= 1 - 1e-12,
-    which take the boundary norm as in ``kernel_norm_sq``); the other
-    interior norms come from the stable identity.  Gram assembly and the
+    ``angle`` is a ``PointSequence``'s: NaN at interior points.  Boundary
+    points, and interior points with |z| >= 1 - 1e-12 at their radial
+    projection z/|z|, take the boundary rate |Theta'| as their norm, and
+    only those points are given a rate; the other interior norms come from
+    the stable identity.  Gram assembly and the
     decomposition drivers read these arrays, so each point is evaluated
-    once.  When ids are given, the on-atom error names the offending
-    point's id.
+    once.  A boundary point on an atom raises ``OnSpectrumError``, naming
+    its id when ids are given.
     """
-    z = np.array([p.value for p in points], dtype=complex)
-    boundary = np.array([p.is_boundary for p in points], dtype=bool)
+    terms = theta._terms
+    interior = np.isnan(angle)
     radius = np.abs(z)
-    edge = np.flatnonzero(~boundary & (radius >= _NORM_EDGE))
-    labels = None if ids is None else list(ids) + [ids[k] for k in edge]
-    values, rates = eval_points(theta, np.concatenate([z, z[edge] / radius[edge]]), labels)
-    values = values[: z.size]
-    norms = rates[: z.size]
-    norms[edge] = rates[z.size :]
-    interior = ~boundary
+    edge = np.flatnonzero(interior & (radius >= _NORM_EDGE))
+    projected = z[edge] / radius[edge]
+    labels = None if ids is None else np.concatenate([ids, np.asarray(ids)[edge]])
+    _refuse_atoms(terms, np.concatenate([z, projected]), labels)
+    rated = np.concatenate([np.flatnonzero(~interior), edge])
+    norms = np.empty(z.size)
+    # every rated point is on the circle, so one on an atom was refused above
+    norms[rated] = _rates(
+        terms, np.concatenate([z[~interior], projected]), np.zeros(rated.size, dtype=bool)
+    )
     interior[edge] = False
     norms[interior] = _interior_norm_sq(theta, z[interior], _one_minus_modulus_sq(z[interior]))
-    return values, norms
+    return _values(terms, z), norms

@@ -1,11 +1,19 @@
-"""Points of the closed unit disk and labelled point sequences.
+"""Labelled sequences of points of the closed unit disk, held as arrays.
 
-A ``UnitPoint`` is either an interior point (|z| < 1) or a boundary point.
-Boundary points are stored canonically by their angle in [0, 2*pi) so that
-repeated trigonometric round trips cannot drift the modulus away from 1.
+A ``PointSequence`` is three arrays of one length: ``z`` (complex), the
+points; ``angle`` (float), NaN for an interior point (|z| < 1 - 1e-14) and
+the canonical angle in [0, 2*pi) for a boundary point, whose ``z`` is
+exp(i*angle), so that repeated trigonometric round trips cannot drift its
+modulus away from 1; and ``ids``, stable integer labels that
+decompositions refer back to.  The boundary tag ~isnan(angle) is the only
+record of which points lie on the circle.
 
-A ``PointSequence`` is an ordered list of pairwise distinct unit points with
-stable integer labels; decompositions refer back to points by label.
+``from_complex`` classifies raw complex numbers by modulus, taking a
+boundary point's angle as ``cmath.phase`` of the input; ``from_angles``
+builds boundary points; ``from_mixed`` takes both kinds in one list.  Every
+sequence, including each ``subset``, passes one check: equal lengths,
+unique ids, points in the closed disk, and pairwise distinct points, found
+by one sort (``coincident_pair``).
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -36,123 +46,129 @@ def normalize_angle(theta: float) -> float:
     return theta
 
 
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """``normalize_angle``, elementwise."""
+    theta = np.fmod(theta, TWO_PI)
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    return np.where(theta >= TWO_PI, theta - TWO_PI, theta)
+
+
 def angle_distance(a: float, b: float) -> float:
     """Shortest angular distance between two angles, in [0, pi]."""
     d = abs(normalize_angle(a) - normalize_angle(b))
     return min(d, TWO_PI - d)
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    """A point of the closed disk, tagged interior or boundary.
+def coincident_pair(z: np.ndarray) -> tuple[int, int] | None:
+    """The first repeated value of a 1-D complex array, as positions (i, j), i < j.
 
-    ``angle`` is None for interior points; boundary points carry their
-    canonical angle and a value recomputed as exp(i*angle).
+    j is the first position whose value occurred earlier, and i the first
+    position holding that value; None if all values differ.  One stable
+    sort by real and imaginary part puts equal values next to each other,
+    first occurrence first.
+    """
+    order = np.lexsort((z.imag, z.real))
+    s = z[order]
+    repeat = np.flatnonzero(s[1:] == s[:-1]) + 1  # sorted positions equal to their left neighbour
+    if not repeat.size:
+        return None
+    k = repeat[np.argmin(order[repeat])]
+    # the sorted run of s[k] starts after the last position before it that differs
+    head = np.flatnonzero(s[:k] != s[k])
+    first = head[-1] + 1 if head.size else 0
+    return int(order[first]), int(order[k])
+
+
+@dataclass(frozen=True, eq=False)
+class PointSequence:
+    """Ordered, labelled sequence of pairwise distinct points of the closed disk.
+
+    ``z``: complex128 points; ``angle``: float64, NaN inside the disk and
+    the canonical angle of a boundary point, with z = exp(i*angle);
+    ``ids``: int64 labels.  The arrays are read-only.
     """
 
-    value: complex
-    angle: float | None = None
-
-    @staticmethod
-    def interior(z: complex) -> "UnitPoint":
-        z = complex(z)
-        if abs(z) >= 1.0 - BOUNDARY_TOL:
-            raise ConfigError(f"interior point must satisfy |z| < 1, got |z| = {abs(z)!r}")
-        return UnitPoint(z, None)
-
-    @staticmethod
-    def boundary(angle: float) -> "UnitPoint":
-        a = normalize_angle(float(angle))
-        return UnitPoint(cmath.exp(1j * a), a)
-
-    @staticmethod
-    def from_complex(z: complex) -> "UnitPoint":
-        """Classify a raw complex number as interior or boundary."""
-        z = complex(z)
-        r = abs(z)
-        if r < 1.0 - BOUNDARY_TOL:
-            return UnitPoint(z, None)
-        if r <= 1.0 + BOUNDARY_TOL:
-            return UnitPoint.boundary(cmath.phase(z))
-        raise ConfigError(f"point lies outside the closed disk: |z| = {r!r}")
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.angle is not None
-
-    @property
-    def is_interior(self) -> bool:
-        return self.angle is None
-
-    def close_to(self, other: "UnitPoint") -> bool:
-        """Equality up to the canonical tolerances."""
-        if self.is_boundary and other.is_boundary:
-            return angle_distance(self.angle, other.angle) <= ANGLE_TOL
-        if self.is_boundary != other.is_boundary:
-            return False
-        return abs(self.value - other.value) <= BOUNDARY_TOL
-
-
-@dataclass(frozen=True)
-class PointSequence:
-    """Ordered, labelled sequence of pairwise distinct unit points."""
-
-    points: tuple[UnitPoint, ...]
-    ids: tuple[int, ...]
+    z: np.ndarray
+    angle: np.ndarray
+    ids: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) != len(self.ids):
+        z = np.array(self.z, dtype=np.complex128).reshape(-1)
+        angle = np.array(self.angle, dtype=np.float64).reshape(-1)
+        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        if not z.size == angle.size == ids.size:
             raise ConfigError("points and ids must have equal length")
-        if len(set(self.ids)) != len(self.ids):
+        if np.unique(ids).size != ids.size:
             raise ConfigError("point ids must be unique")
-        seen: dict[complex, int] = {}
-        for pid, p in zip(self.ids, self.points):
-            key = complex(p.value)
-            if key in seen:
-                raise ConfigError(
-                    f"points {seen[key]} and {pid} coincide; sequence points must be distinct"
-                )
-            seen[key] = pid
+        interior = np.isnan(angle)
+        radius = np.hypot(z.real, z.imag)
+        outside = np.flatnonzero(interior & ~(radius < 1.0 - BOUNDARY_TOL))
+        if outside.size:
+            r = float(radius[outside[0]])
+            if r <= 1.0 + BOUNDARY_TOL:
+                raise ConfigError(f"interior point must satisfy |z| < 1, got |z| = {r!r}")
+            raise ConfigError(f"point lies outside the closed disk: |z| = {r!r}")
+        b = ~interior
+        if not ((angle[b] >= 0.0) & (angle[b] < TWO_PI) & (z[b] == np.exp(1j * angle[b]))).all():
+            raise ConfigError("boundary points must be exp(i*angle) with angle in [0, 2*pi)")
+        pair = coincident_pair(z)
+        if pair is not None:
+            i, j = pair
+            raise ConfigError(
+                f"points {ids[i]} and {ids[j]} coincide; sequence points must be distinct"
+            )
+        for name, arr in (("z", z), ("angle", angle), ("ids", ids)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @staticmethod
-    def from_points(points: Iterable[UnitPoint], ids: Sequence[int] | None = None) -> "PointSequence":
-        pts = tuple(points)
-        if ids is None:
-            ids = tuple(range(len(pts)))
-        return PointSequence(pts, tuple(int(i) for i in ids))
+    def from_mixed(
+        values: Sequence[complex], angles: Sequence[float], ids: Sequence[int] | None = None
+    ) -> "PointSequence":
+        """Boundary points at the finite entries of ``angles``; elsewhere the
+        entries of ``values``, classified as in ``from_complex``."""
+        z = np.array(values, dtype=np.complex128).reshape(-1)
+        given = np.array(angles, dtype=np.float64).reshape(-1)
+        if z.size != given.size:
+            raise ConfigError("points and angles must have equal length")
+        if np.isinf(given).any():
+            raise ConfigError("boundary angles must be finite")
+        radius = np.hypot(z.real, z.imag)  # equal to Python's abs
+        on = np.isnan(given) & (radius >= 1.0 - BOUNDARY_TOL) & (radius <= 1.0 + BOUNDARY_TOL)
+        angle = given.copy()
+        angle[on] = [cmath.phase(w) for w in z[on].tolist()]  # numpy's differs in the last bit
+        b = ~np.isnan(angle)
+        angle[b] = normalize_angles(angle[b])
+        z[b] = np.exp(1j * angle[b])
+        return PointSequence(z, angle, np.arange(z.size) if ids is None else ids)
 
     @staticmethod
-    def from_complex(values: Iterable[complex], ids: Sequence[int] | None = None) -> "PointSequence":
-        return PointSequence.from_points(
-            (UnitPoint.from_complex(z) for z in values), ids
-        )
+    def from_complex(
+        values: Sequence[complex], ids: Sequence[int] | None = None
+    ) -> "PointSequence":
+        """Points with |z| < 1 - 1e-14 stay interior; those within 1e-14 of the
+        circle become boundary points at their phase; others are refused."""
+        z = np.array(values, dtype=np.complex128).reshape(-1)
+        return PointSequence.from_mixed(z, np.full(z.size, math.nan), ids)
+
+    @staticmethod
+    def from_angles(angles: Sequence[float], ids: Sequence[int] | None = None) -> "PointSequence":
+        """Boundary points exp(i*angle), each angle reduced to [0, 2*pi)."""
+        angle = np.array(angles, dtype=np.float64).reshape(-1)
+        return PointSequence.from_mixed(np.zeros(angle.size), angle, ids)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(zip(self.ids, self.points))
+        return self.z.size
 
     @property
-    def values(self) -> tuple[complex, ...]:
-        return tuple(p.value for p in self.points)
+    def boundary(self) -> np.ndarray:
+        """Which points lie on the circle."""
+        return ~np.isnan(self.angle)
+
+    def subset(self, idx: np.ndarray) -> "PointSequence":
+        """The subsequence at the positions ``idx``, in that order."""
+        return PointSequence(self.z[idx], self.angle[idx], self.ids[idx])
 
     def interior_only(self) -> "PointSequence":
         """The subsequence of interior points (labels preserved)."""
-        kept = [(i, p) for i, p in zip(self.ids, self.points) if p.is_interior]
-        return PointSequence(tuple(p for _, p in kept), tuple(i for i, _ in kept))
-
-    def subset(self, ids: Iterable[int]) -> "PointSequence":
-        """The subsequence with the given labels, in this sequence's order."""
-        want = set(ids)
-        missing = want - set(self.ids)
-        if missing:
-            raise ConfigError(f"unknown point ids: {sorted(missing)}")
-        kept = [(i, p) for i, p in zip(self.ids, self.points) if i in want]
-        return PointSequence(tuple(p for _, p in kept), tuple(i for i, _ in kept))
-
-    def point_by_id(self, pid: int) -> UnitPoint:
-        for i, p in zip(self.ids, self.points):
-            if i == pid:
-                return p
-        raise ConfigError(f"unknown point id: {pid}")
+        return self.subset(np.isnan(self.angle))

@@ -29,7 +29,7 @@ import numpy as np
 from .decompose import Partition, split_by_interpolation
 from .errors import ConfigError, NumericDomainError
 from .gram import GramMatrix, extremal_eigs
-from .points import PointSequence
+from .points import PointSequence, coincident_pair
 
 # Switch to the power series of sin(w)/w below this argument size.
 _SERIES_CUTOFF = 1e-4
@@ -53,10 +53,9 @@ class ExpSystem:
                 raise ConfigError(f"frequencies must be finite, got {f!r}")
             if f.imag < 0.0:
                 raise ConfigError(f"frequencies must have Im >= 0, got {f!r}")
-        for i in range(len(freqs)):
-            for j in range(i + 1, len(freqs)):
-                if freqs[i] == freqs[j]:
-                    raise ConfigError(f"frequencies {i} and {j} coincide")
+        pair = coincident_pair(np.array(freqs, dtype=complex))
+        if pair is not None:
+            raise ConfigError("frequencies {} and {} coincide".format(*pair))
         object.__setattr__(self, "freqs", freqs)
 
     def __len__(self) -> int:

@@ -13,20 +13,24 @@ them or assembles them in floats), and Hankel sections are sampled point
 by point and transformed by a direct sum (the library uses its array
 evaluator and the FFT).  The splitter's
 earlier first-fit and Mills loops, and the square pipeline's earlier
-membership scan and grouping loop, are kept at the end as references.
+membership scan and grouping loop, are kept at the end as references, as
+is the point classifier that ``PointSequence`` replaced: one object per
+point, and a dict scan for coincident points.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from mslab.clark import ClarkFamily, stability_margin
+from mslab.errors import ConfigError
 from mslab.inner import InnerFunction
-from mslab.points import PointSequence, UnitPoint, normalize_angle
+from mslab.points import BOUNDARY_TOL, PointSequence, normalize_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,10 +283,10 @@ def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarra
     1 - |eta|^2 rounded once from their exact rational values.  At boundary
     points (g = 0) the sum is the angular derivative |Theta'|.
     """
-    z = np.array(seq.values, dtype=complex)
+    z = seq.z
     gap = np.array([
-        0.0 if p.is_boundary else float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2)
-        for p, w in zip(seq.points, z)
+        0.0 if on_circle else float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2)
+        for on_circle, w in zip(seq.boundary.tolist(), z.tolist())
     ])
     total = np.zeros(z.size)
     before = np.ones(z.size)  # prod_{j<k} p_j
@@ -303,7 +307,7 @@ def kernel_norm_sq_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarra
 
 def gram_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
     """Normalized Gram section from the closed kernel formula and this module's evaluators."""
-    z = np.array(seq.values, dtype=complex)
+    z = seq.z
     v = blaschke_values(theta, z)
     norms = kernel_norm_sq_oracle(theta, seq)
     num = 1.0 - np.conj(v)[None, :] * v[:, None]
@@ -458,11 +462,11 @@ def square_parts_reference(
     anchor points e^{i hi}, matched by index.
     """
     bucket: dict[int, dict[int, list[int]]] = {}  # level -> arc index -> ids
-    for k, pid in enumerate(seq.ids):
+    for k, pid in enumerate(seq.ids.tolist()):
         if located[k] >= 0:
             arc_index = int(located[k])
             bucket.setdefault(arcs.arcs[arc_index].level, {}).setdefault(arc_index, []).append(pid)
-    position = {pid: k for k, pid in enumerate(seq.ids)}
+    position = {pid: k for k, pid in enumerate(seq.ids.tolist())}
     out = []
     for level in sorted(bucket):
         per_square = bucket[level]
@@ -476,25 +480,67 @@ def square_parts_reference(
                 ids = per_square[arc_index]
                 if m < len(ids):
                     owner[ids[m]] = arc_index
-            part_seq = seq.subset(owner)
+            part_seq = seq.subset(np.flatnonzero(np.isin(seq.ids, list(owner))))
             anchors = []
             derivs = []
-            for pid, _lam in part_seq:
+            for pid in part_seq.ids.tolist():
                 arc = arcs.arcs[owner[pid]]
-                anchors.append(UnitPoint.boundary(normalize_angle(arc.hi)))
+                anchors.append(normalize_angle(arc.hi))
                 derivs.append(arc.hi_derivative)
             family = ClarkFamily(
                 alpha=alpha,
-                points=tuple(anchors),
-                derivs=tuple(derivs),
-                weights=tuple(1.0 / d for d in derivs),
+                points=np.array(anchors),
+                derivs=np.array(derivs),
+                weights=1.0 / np.array(derivs),
             )
             margins = stability_margin(theta, family, part_seq)
             out.append(
                 (
-                    np.array([position[pid] for pid in part_seq.ids]),
+                    np.array([position[pid] for pid in part_seq.ids.tolist()]),
                     f"square:{level}:{m + 1}",
                     tuple(margins),
                 )
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference point classifier
+# ---------------------------------------------------------------------------
+# Points as they were held before ``PointSequence`` became arrays: one frozen
+# object per point, classified one at a time in Python, and a dict scan for
+# the first coincident pair; kept so that tests can check the array
+# constructors classify every point alike, to the bit.
+
+@dataclass(frozen=True)
+class UnitPointReference:
+    """A point of the closed disk; ``angle`` is None inside, canonical on the circle."""
+
+    value: complex
+    angle: float | None = None
+
+    @staticmethod
+    def boundary(angle: float) -> "UnitPointReference":
+        a = normalize_angle(float(angle))
+        return UnitPointReference(cmath.exp(1j * a), a)
+
+    @staticmethod
+    def from_complex(z: complex) -> "UnitPointReference":
+        z = complex(z)
+        r = abs(z)
+        if r < 1.0 - BOUNDARY_TOL:
+            return UnitPointReference(z, None)
+        if r <= 1.0 + BOUNDARY_TOL:
+            return UnitPointReference.boundary(cmath.phase(z))
+        raise ConfigError(f"point lies outside the closed disk: |z| = {r!r}")
+
+
+def first_coincidence_reference(values, ids) -> tuple[int, int] | None:
+    """(earlier id, id) of the first point whose value occurred earlier, by a dict scan."""
+    seen: dict[complex, int] = {}
+    for pid, w in zip(ids, values):
+        key = complex(w)
+        if key in seen:
+            return seen[key], pid
+        seen[key] = pid
+    return None

@@ -30,7 +30,7 @@ from mslab.inner import (
     kernel_norm_sq,
     normalized_values,
 )
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 from mslab.pw import ExpSystem, pw_gram, pw_split
 
 TWO_PI = 2.0 * math.pi
@@ -60,7 +60,7 @@ def test_criterion_01_level_set_orthogonality() -> None:
         for theta in _clark_corpus():
             fam = level_set(theta, 1.0)
             assert len(fam) == theta.degree
-            g = gram(theta, PointSequence.from_points(fam.points))
+            g = gram(theta, PointSequence.from_angles(fam.points))
             off = np.max(np.abs(g.entries - np.eye(len(fam))))
             assert off <= 1e-8
             fb = extremal_eigs(g)
@@ -95,7 +95,7 @@ def test_criterion_03_parseval() -> None:
             f = lambda w: np.polyval(coeffs[::-1], w)  # noqa: E731
             norm_sq = float(np.mean(np.abs(f(z)) ** 2))
             discrete = sum(
-                a * abs(f(p.value)) ** 2 for a, p in zip(fam.weights, fam.points)
+                a * abs(f(cmath.exp(1j * t))) ** 2 for a, t in zip(fam.weights, fam.points)
             )
             assert abs(discrete - norm_sq) <= 1e-8 * norm_sq
 
@@ -130,7 +130,7 @@ def test_criterion_05_interpolation_split_end_to_end() -> None:
                 if abs(eval_inner(theta, z)) <= 0.5 and all(z != w for w in pts):
                     pts.append(z)
             seq = PointSequence.from_complex(pts)
-            gamma = max(abs(eval_inner(theta, p)) for p in seq.points)
+            gamma = max(abs(eval_inner(theta, w)) for w in seq.z)
             assert gamma <= 0.5
             partition = split_by_interpolation(theta, seq)
             assert partition.all_ids() == tuple(sorted(seq.ids))
@@ -249,7 +249,7 @@ def test_criterion_10_norm_ratio_sweep_regression() -> None:
             for phi in angle_grid:
                 theta = InnerFunction(blaschke_zeros=(s * cmath.exp(1j * phi),))
                 deriv = boundary_derivative(theta, 1.0)
-                _, norms = normalized_values(theta, [UnitPoint.interior(r) for r in r_grid])
+                _, norms = normalized_values(theta, r_grid + 0j, np.full(r_grid.size, math.nan))
                 ratio = float(np.max(norms)) / deriv
                 c_emp = max(c_emp, ratio)
                 if phi == 0.0:
@@ -287,8 +287,8 @@ def test_criterion_11_stability_slope() -> None:
         fam = level_set(z16, 1.0)
         previous = math.inf
         for t, baseline in _STABILITY_BASELINE.items():
-            pts = [UnitPoint.interior((1 - t / 16) * p.value) for p in fam.points]
-            fb = extremal_eigs(gram(z16, PointSequence.from_points(pts)))
+            pts = (1 - t / 16) * np.exp(1j * fam.points)
+            fb = extremal_eigs(gram(z16, PointSequence.from_complex(pts)))
             assert fb.lambda_min > 0.0
             assert fb.lambda_min <= previous + 1e-12
             assert fb.lambda_min == pytest.approx(baseline, rel=1e-6)

@@ -17,7 +17,17 @@ def test_star_import_binds_every_exported_name() -> None:
 
 
 def test_removed_square_names_are_not_exported() -> None:
-    gone = {"CarlesonSquare", "SquareSystem", "build_squares", "select_level_count", "uncovered_region_delta"}
+    gone = {
+        "CarlesonSquare",
+        "SquareSystem",
+        "build_squares",
+        "select_level_count",
+        "uncovered_region_delta",
+        "count_per_square",
+        "UnitPoint",
+        "point_by_id",
+        "close_to",
+    }
     assert gone.isdisjoint(mslab.__all__)
     assert not any(hasattr(mslab, name) for name in gone)
     assert "select_arc_system" in mslab.__all__

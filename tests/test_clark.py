@@ -26,7 +26,7 @@ from mslab.clark import (
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
 from mslab.inner import InnerFunction, argument_and_rate, boundary_argument
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,7 +81,7 @@ def test_level_set_cube_roots() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     fam = level_set(z3, 1.0)
     assert len(fam) == 3
-    assert fam.angles == pytest.approx((0.0, TWO_PI / 3, 2 * TWO_PI / 3), abs=1e-10)
+    assert fam.points == pytest.approx((0.0, TWO_PI / 3, 2 * TWO_PI / 3), abs=1e-10)
     assert fam.derivs == pytest.approx((3.0, 3.0, 3.0))
     assert fam.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     assert not fam.truncated
@@ -94,14 +94,14 @@ def test_level_set_root_on_the_seam_is_zero(degree: int) -> None:
     # listed first, not an ulp or two below 2 pi and listed last
     zn = InnerFunction(blaschke_zeros=(0,) * degree)
     fam = level_set(zn, cmath.exp(2j * math.pi))
-    assert fam.angles[0] == 0.0
-    assert fam.angles == pytest.approx(tuple(TWO_PI * k / degree for k in range(degree)), abs=1e-13)
+    assert fam.points[0] == 0.0
+    assert fam.points == pytest.approx(tuple(TWO_PI * k / degree for k in range(degree)), abs=1e-13)
 
 
 def test_level_set_minus_one() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     fam = level_set(z3, -1.0)
-    assert fam.angles == pytest.approx(
+    assert fam.points == pytest.approx(
         (math.pi / 3, math.pi, 5 * math.pi / 3), abs=1e-10
     )
 
@@ -110,7 +110,7 @@ def test_level_set_against_dense_scan_oracle() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5, -0.5))
     fam = level_set(theta, 1.0)
     assert len(fam) == 2
-    assert np.max(np.abs(blaschke_values_on_circle(theta, np.array(fam.angles)) - 1.0)) <= 1e-10
+    assert np.max(np.abs(blaschke_values_on_circle(theta, fam.points) - 1.0)) <= 1e-10
     # oracle: sign changes of the wrapped argument on a dense grid
     grid = np.linspace(0.0, TWO_PI, 1_000_001)
     vals = blaschke_values_on_circle(theta, grid)
@@ -121,7 +121,7 @@ def test_level_set_against_dense_scan_oracle() -> None:
         if a <= 0.0 < b and b - a < math.pi:
             crossings.append(0.5 * (grid[i] + grid[i + 1]))
     assert len(crossings) == 2
-    for found, expect in zip(sorted(fam.angles), sorted(crossings)):
+    for found, expect in zip(sorted(fam.points), sorted(crossings)):
         assert abs(found - expect) <= 1e-5
 
 
@@ -161,7 +161,7 @@ def test_level_set_degree_64_against_dense_scan_oracle() -> None:
     fam = level_set(theta, alpha)
     expect = _oracle_roots(theta, alpha, 1 << 16)
     assert len(fam) == len(expect) == 64
-    assert np.max(np.abs(np.array(fam.angles) - np.array(expect))) <= 1e-10
+    assert np.max(np.abs(fam.points - np.array(expect))) <= 1e-10
 
 
 def _near_zero_grid(theta: InnerFunction) -> np.ndarray:
@@ -180,7 +180,7 @@ def _near_zero_grid(theta: InnerFunction) -> np.ndarray:
 def _assert_residuals_within_rate_tolerance(theta: InnerFunction, fam, alpha: complex) -> None:
     # the tolerance of the library's own residual check, with the rate and
     # the values recomputed here
-    ang = np.array(fam.angles)
+    ang = fam.points
     zeta = np.exp(1j * ang)
     rate = sum((1.0 - abs(eta) ** 2) / np.abs(zeta - eta) ** 2 for eta in theta.blaschke_zeros)
     for a, m in theta.singular_atoms:
@@ -204,7 +204,7 @@ def test_level_set_near_boundary_zeros_against_dense_scan_oracle(name: str) -> N
         fam = level_set(theta, alpha)
         expect = _oracle_roots(theta, alpha, 1 << 14, extra=_near_zero_grid(theta))
         assert len(fam) == len(expect) == theta.degree
-        assert np.max(np.abs(np.array(fam.angles) - np.array(expect))) <= 1e-12
+        assert np.max(np.abs(fam.points - np.array(expect))) <= 1e-12
         _assert_residuals_within_rate_tolerance(theta, fam, alpha)
 
 
@@ -215,7 +215,7 @@ def test_level_set_atoms_1e6_apart_against_dense_scan_oracle() -> None:
     cap = 24
     fam = level_set(theta, alpha, max_points_per_arc=cap)
     assert fam.truncated
-    ang = np.array(fam.angles)
+    ang = fam.points
     short = (ang > 1.0) & (ang < 1.0 + 1e-6)
     # the budget of cap + 1 turns per arc reaches the cap on both arcs
     assert np.sum(short) == np.sum(~short) == cap
@@ -265,7 +265,7 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
         assert np.all((lo[arc] <= batch) & (batch <= hi[arc]))
     families = level_sets(theta, [a / abs(a) for a in seam])
     for alpha, fam in zip(seam, families):
-        assert fam.angles == pytest.approx(level_set(theta, alpha / abs(alpha)).angles, abs=1e-15)
+        assert fam.points == pytest.approx(level_set(theta, alpha / abs(alpha)).points, abs=1e-15)
         assert len(fam) == theta.degree
 
 
@@ -370,10 +370,10 @@ def test_level_set_seam_targets() -> None:
             alpha /= abs(alpha)
             fam = level_set(theta, alpha)
             assert len(fam) == theta.degree
-            angles = sorted(fam.angles)
+            angles = sorted(fam.points)
             for a, b in zip(angles, angles[1:]):
                 assert b - a > 1e-8
-            residual = blaschke_values_on_circle(theta, np.array(fam.angles)) - alpha
+            residual = blaschke_values_on_circle(theta, fam.points) - alpha
             assert np.max(np.abs(residual)) <= 1e-9
 
 
@@ -399,8 +399,8 @@ def test_level_counting_and_interleaving() -> None:
         for j, fam_b in enumerate(families):
             if i == j:
                 continue
-            a = sorted(fam_a.angles)
-            b = sorted(fam_b.angles)
+            a = sorted(fam_a.points)
+            b = sorted(fam_b.points)
             assert min(abs(x - y) for x in a for y in b) > 1e-9
             for k in range(len(a)):
                 lo = a[k]
@@ -415,7 +415,7 @@ def test_unit_variation_between_neighbours() -> None:
     rng = np.random.default_rng(41)
     theta = random_blaschke(rng, 3)
     fam = level_set(theta, cmath.exp(0.4j))
-    angles = sorted(fam.angles)
+    angles = sorted(fam.points)
     for k in range(len(angles)):
         lo = angles[k]
         hi = angles[(k + 1) % len(angles)]
@@ -434,7 +434,7 @@ def test_clark_gram_is_identity() -> None:
     rng = np.random.default_rng(43)
     theta = random_blaschke(rng, 5)
     fam = level_set(theta, 1j)
-    seq = PointSequence.from_points(fam.points)
+    seq = PointSequence.from_angles(fam.points)
     g = gram(theta, seq)
     off = np.max(np.abs(g.entries - np.eye(len(fam))))
     assert off <= 1e-10
@@ -452,7 +452,7 @@ def test_parseval_at_desk_scale() -> None:
         f = lambda w: np.polyval(coeffs[::-1], w)  # noqa: E731
         norm_sq = float(np.mean(np.abs(f(z)) ** 2))
         discrete = sum(
-            a * abs(f(p.value)) ** 2 for a, p in zip(fam.weights, fam.points)
+            a * abs(f(cmath.exp(1j * t))) ** 2 for a, t in zip(fam.weights, fam.points)
         )
         assert abs(discrete - norm_sq) <= 1e-8 * norm_sq
 
@@ -483,14 +483,14 @@ def test_herglotz_needs_interior_point() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     fam = level_set(z2, 1.0)
     with pytest.raises(NumericDomainError):
-        herglotz_residual(z2, fam, UnitPoint.boundary(0.5))
+        herglotz_residual(z2, fam, cmath.exp(0.5j))
 
 
 def _assert_light_atom_family(atom: float, mass: float) -> None:
     theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((atom, mass),))
     fam = level_set(theta, 1.0, max_points_per_arc=24)
     assert fam.truncated and 1 <= len(fam) <= 24
-    angles = np.array(fam.angles)
+    angles = fam.points
     assert np.min(np.abs(angles - atom)) > 1e-12
     residual = np.abs(blaschke_values_on_circle(theta, angles) - 1.0)
     # the residual is floored by the rate times one ulp of angle
@@ -519,7 +519,7 @@ def test_truncated_atomic_family_flagged() -> None:
     fam = level_set(theta, 1.0, max_points_per_arc=64)
     assert fam.truncated
     assert len(fam) <= 64
-    assert np.max(np.abs(blaschke_values_on_circle(theta, np.array(fam.angles)) - 1.0)) <= 1e-9
+    assert np.max(np.abs(blaschke_values_on_circle(theta, fam.points) - 1.0)) <= 1e-9
     # residual is returned but does not certify for a truncated family
     res = herglotz_residual(theta, fam, 0.2)
     assert math.isfinite(res)
@@ -532,7 +532,7 @@ def test_truncated_atomic_family_flagged() -> None:
 def test_stability_margin_zero_for_exact_family() -> None:
     z4 = InnerFunction(blaschke_zeros=(0,) * 4)
     fam = level_set(z4, 1.0)
-    seq = PointSequence.from_points(fam.points)
+    seq = PointSequence.from_angles(fam.points)
     assert stability_margin(z4, fam, seq) == pytest.approx([0.0] * 4, abs=1e-12)
 
 
@@ -541,9 +541,7 @@ def test_stability_margin_angular_shift() -> None:
     zn = InnerFunction(blaschke_zeros=(0,) * n)
     fam = level_set(zn, 1.0)
     t = 0.1
-    seq = PointSequence.from_points(
-        [UnitPoint.boundary(p.angle + t / n) for p in fam.points]
-    )
+    seq = PointSequence.from_angles(fam.points + t / n)
     margins = stability_margin(zn, fam, seq)
     expect = abs(cmath.exp(1j * t / n) - 1.0) * n
     assert margins == pytest.approx([expect] * n, rel=1e-12)
@@ -554,8 +552,8 @@ def test_stability_margin_radial_move() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     fam = level_set(z3, 1.0)
     s = 0.05
-    pts = [UnitPoint.interior((1 - s) * p.value) for p in fam.points]
-    margins = stability_margin(z3, fam, PointSequence.from_points(pts))
+    pts = (1 - s) * np.exp(1j * fam.points)
+    margins = stability_margin(z3, fam, PointSequence.from_complex(pts))
     assert margins == pytest.approx([s * 3.0] * 3, rel=1e-12)
 
 

@@ -344,6 +344,19 @@ def test_analyze_refusals_with_more_points_than_zeros(tmp_path, capsys, config, 
     assert capsys.readouterr().err == f"mslab: numeric domain error: {message}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_point_on_a_zero_next_to_the_circle(tmp_path) -> None:
+    # the point on the zero (1 - 1e-9) e^{2.5i} is interior: no boundary rate
+    # is taken there, so nothing divides by zero
+    eta = [(1 - 1e-9) * math.cos(2.5), (1 - 1e-9) * math.sin(2.5)]
+    config = {"inner": {"blaschke_zeros": [eta, [0.3, 0.0]]}, "points": [eta, [0.1, 0.0]]}
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "analyze.json").read_text())
+    assert report["gamma_flag"] is None
+    assert report["kernel_norms_sq"][0]["value"] == pytest.approx(1.0 / (1.0 - (1 - 1e-9) ** 2), rel=1e-6)
+
+
 def test_exit_code_certification_failure_writes_partial(tmp_path) -> None:
     cfg = _write(
         tmp_path / "cfg.json",

@@ -18,7 +18,6 @@ from mslab.decompose import (
     _mills_halves,
     _modulus_rank,
     build_arc_system,
-    count_per_square,
     decompose_by_squares,
     rate_comparability,
     select_arc_system,
@@ -27,7 +26,7 @@ from mslab.decompose import (
 )
 from mslab.errors import CertificationError, NumericDomainError
 from mslab.inner import InnerFunction
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,7 +46,7 @@ def _random_interior(rng: np.random.Generator, n: int, rmax: float = 0.9) -> Poi
 def _mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
     """The splitter's two halves of a whole sequence, as subsequences."""
     halves = _mills_halves(log_distance_matrix(seq), np.arange(len(seq)), _modulus_rank(seq))
-    return tuple(seq.subset([seq.ids[k] for k in idx]) for idx in halves)
+    return tuple(seq.subset(idx) for idx in halves)
 
 
 def test_mills_pair_to_singletons() -> None:
@@ -126,12 +125,12 @@ def test_split_ring_end_to_end() -> None:
     )
     partition = split_by_interpolation(theta, ring)
     gamma = partition.global_info["gamma"]
-    assert gamma == pytest.approx(np.abs(blaschke_values(theta, np.array(ring.values))).max())
+    assert gamma == pytest.approx(np.abs(blaschke_values(theta, ring.z)).max())
     assert partition.all_ids() == tuple(range(10))
     for part in partition.parts:
         cert = part.certificate
         # re-derive the certificate from scratch
-        sub = ring.subset(part.ids)
+        sub = ring.subset(np.flatnonzero(np.isin(ring.ids, part.ids)))
         delta = carleson_constant(sub)
         assert cert.delta_j == pytest.approx(delta, rel=1e-12)
         assert cert.earl_value == pytest.approx(earl_bound(delta), rel=1e-12)
@@ -147,7 +146,7 @@ def test_split_certificate_arithmetic_example() -> None:
 
 def test_split_rejects_boundary_points() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    seq = PointSequence.from_points([UnitPoint.boundary(0.3)])
+    seq = PointSequence.from_angles([0.3])
     with pytest.raises(CertificationError):
         split_by_interpolation(z3, seq)
 
@@ -155,7 +154,7 @@ def test_split_rejects_boundary_points() -> None:
 def test_split_rejects_empty() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     with pytest.raises(NumericDomainError):
-        split_by_interpolation(z2, PointSequence((), ()))
+        split_by_interpolation(z2, PointSequence((), (), ()))
 
 
 def test_split_accepts_plain_evaluator() -> None:
@@ -272,7 +271,7 @@ def test_squares_geometry() -> None:
 def test_anchor_point_belongs_to_its_own_square() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     arcs = build_arc_system(z3, 4)
-    anchors = [UnitPoint.boundary(arc.hi).value for arc in arcs.arcs]
+    anchors = PointSequence.from_angles([arc.hi for arc in arcs.arcs]).z
     assert arcs.locate(anchors).tolist() == list(range(len(arcs.arcs)))
 
 
@@ -299,24 +298,29 @@ def test_uncovered_delta_random_strictly_below_one() -> None:
     assert report.log_modulus_worst_const > 0.0
 
 
-def test_count_per_square_cases() -> None:
+def test_located_counts_and_max_per_square() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     arcs = build_arc_system(z3, 8)
+
+    def counts(seq: PointSequence) -> np.ndarray:
+        located = arcs.locate(seq.z)
+        return np.bincount(located[located >= 0], minlength=len(arcs.arcs))
+
+    def max_per_square(seq: PointSequence) -> int:
+        return decompose_by_squares(z3, seq, 8).global_info["max_per_square"]
+
     deep = PointSequence.from_complex([0.1, -0.2j, 0.3])
-    m, counts = count_per_square(arcs, deep)
-    assert m == 0 and sum(counts) == 0
-    anchors = PointSequence.from_points(
-        [UnitPoint.boundary(arc.hi) for arc in arcs.arcs[:5]]
-    )
-    m, counts = count_per_square(arcs, anchors)
-    assert m == 1 and sum(counts) == 5
+    assert counts(deep).sum() == 0 and max_per_square(deep) == 0
+    anchors = PointSequence.from_angles([arc.hi for arc in arcs.arcs[:5]])
+    assert counts(anchors).max() == 1 and counts(anchors).sum() == 5
+    assert max_per_square(anchors) == 1
     one = arcs.arcs[0]
     mid = 0.5 * (one.lo + one.hi)
     cluster = PointSequence.from_complex(
         [(1 - 1e-4 * (k + 1)) * cmath.exp(1j * mid) for k in range(5)]
     )
-    m, counts = count_per_square(arcs, cluster)
-    assert m == 5 and counts[0] == 5
+    assert counts(cluster).max() == 5 and counts(cluster)[0] == 5
+    assert max_per_square(cluster) == 5
 
 
 @pytest.mark.parametrize(
@@ -357,9 +361,7 @@ def test_square_lookup_agrees_with_linear_scan(theta: InnerFunction, levels: int
 
 def test_squares_pipeline_clark_family_input() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    seq = PointSequence.from_points(
-        [UnitPoint.boundary(TWO_PI * k / 3) for k in range(3)]
-    )
+    seq = PointSequence.from_angles([TWO_PI * k / 3 for k in range(3)])
     partition = decompose_by_squares(z3, seq, 4)
     assert len(partition.parts) == 1
     part = partition.parts[0]
@@ -387,7 +389,7 @@ def test_squares_pipeline_clustered_corpus() -> None:
     # shape precondition: within one part, at most one point per square
     arcs = build_arc_system(z3, 8)
     for part in square_parts:
-        owners = arcs.locate([seq.point_by_id(i).value for i in part.ids]).tolist()
+        owners = arcs.locate(seq.z[np.isin(seq.ids, part.ids)]).tolist()
         assert min(owners) >= 0 and len(set(owners)) == len(owners)
 
 
@@ -395,8 +397,8 @@ def test_squares_pipeline_splits_a_near_coincident_boundary_pair() -> None:
     # |1 - conj(z_j) z_i| < 1e-14 only matters inside one part's section
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     angles = [TWO_PI * k / 3 + 0.1 for k in range(3)] + [0.1 + 2e-15]
-    seq = PointSequence.from_points([UnitPoint.boundary(a) for a in angles])
-    assert abs(1.0 - seq.points[3].value.conjugate() * seq.points[0].value) < 1e-14
+    seq = PointSequence.from_angles(angles)
+    assert abs(1.0 - seq.z[3].conjugate() * seq.z[0]) < 1e-14
     partition = decompose_by_squares(z3, seq, 4)
     assert partition.all_ids() == (0, 1, 2, 3)
     owner = {pid: k for k, part in enumerate(partition.parts) for pid in part.ids}
@@ -482,16 +484,19 @@ def test_mixed_clouds_decompose_cleanly() -> None:
     rng = np.random.default_rng(8080)
     for _ in range(6):
         theta = random_blaschke(rng, int(rng.integers(1, 6)), rmax=0.75)
-        pts = []
+        pts, angles = [], []
         for _ in range(int(rng.integers(3, 10))):
             z = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
-            pts.append(UnitPoint.from_complex(z))
+            pts.append(z)
+            angles.append(math.nan)
         for _ in range(int(rng.integers(1, 6))):
             z = (1 - 10 ** rng.uniform(-5, -2)) * cmath.exp(1j * rng.uniform(0, TWO_PI))
-            pts.append(UnitPoint.from_complex(z))
+            pts.append(z)
+            angles.append(math.nan)
         for _ in range(int(rng.integers(0, 4))):
-            pts.append(UnitPoint.boundary(rng.uniform(0, TWO_PI)))
-        seq = PointSequence.from_points(pts)
+            pts.append(0j)
+            angles.append(rng.uniform(0, TWO_PI))
+        seq = PointSequence.from_mixed(pts, angles)
         partition = decompose_by_squares(theta, seq)
         assert partition.all_ids() == tuple(sorted(seq.ids))
         for part in partition.parts:
@@ -499,7 +504,6 @@ def test_mixed_clouds_decompose_cleanly() -> None:
             if part.route == "uncovered:interp":
                 cert = part.certificate
                 assert cert.gamma * cert.earl_value < 1.0
-        for pid, p in seq:
-            if p.is_boundary:
-                owner = [q for q in partition.parts if pid in q.ids]
-                assert len(owner) == 1 and owner[0].route.startswith("square:")
+        for pid in seq.ids[seq.boundary].tolist():
+            owner = [q for q in partition.parts if pid in q.ids]
+            assert len(owner) == 1 and owner[0].route.startswith("square:")

@@ -27,7 +27,7 @@ from mslab.gram import (
     section_frame_bounds,
 )
 from mslab.inner import InnerFunction, eval_inner, normalized_values
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,9 +38,7 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _clark_points(n: int) -> PointSequence:
-    return PointSequence.from_points(
-        [UnitPoint.boundary(TWO_PI * k / n) for k in range(n)]
-    )
+    return PointSequence.from_angles([TWO_PI * k / n for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +75,9 @@ def _oracle_corpus(rng: np.random.Generator, n: int) -> PointSequence:
     angles = TWO_PI * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
     radii = 0.95 * np.sqrt(rng.uniform(size=n))
     radii[::7] = 1.0 - 1e-9
-    pts = [UnitPoint.interior(r * cmath.exp(1j * a)) for r, a in zip(radii, angles)]
-    for k in range(5, n, 11):
-        pts[k] = UnitPoint.boundary(angles[k])
-    return PointSequence.from_points(pts)
+    tags = np.full(n, math.nan)
+    tags[5::11] = angles[5::11]
+    return PointSequence.from_mixed(radii * np.exp(1j * angles), tags)
 
 
 @pytest.mark.parametrize("n", [1, 2, 97, 256, 300])
@@ -106,11 +103,10 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
     # 25 parts of 40 points fill two stacks; then pairs, singletons and one of 3
     cuts = [40 * k for k in range(26)] + [1000 + 2 * k for k in range(1, 80)] + [1197, 1200]
     parts = [np.sort(order[a:b]) for a, b in zip(cuts, cuts[1:])]
-    values, norms = normalized_values(theta, seq.points, seq.ids)
-    z = np.array(seq.values)
-    bounds = part_frame_bounds(z, values, norms, seq.ids, parts)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    bounds = part_frame_bounds(seq.z, values, norms, seq.ids, parts)
     for idx, fb in zip(parts, bounds):
-        want = extremal_eigs(gram(theta, seq.subset(seq.ids[k] for k in idx)))
+        want = extremal_eigs(gram(theta, seq.subset(idx)))
         assert fb.n == want.n == len(idx)
         assert fb.lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
         assert fb.lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
@@ -118,28 +114,20 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
 
 def test_gram_inseparable_pair_names_both_points() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
-    pts = [UnitPoint.interior(0.2), UnitPoint.boundary(0.5), UnitPoint.boundary(0.5 + 2e-15)]
-    seq = PointSequence.from_points(pts, ids=(7, 3, 9))
+    seq = PointSequence.from_mixed([0.2, 0, 0], [math.nan, 0.5, 0.5 + 2e-15], ids=(7, 3, 9))
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
         gram(theta, seq)
-    values, norms = normalized_values(theta, seq.points, seq.ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
-        part_frame_bounds(
-            np.array(seq.values), values, norms, seq.ids, [np.array([0]), np.array([1, 2])]
-        )
+        part_frame_bounds(seq.z, values, norms, seq.ids, [np.array([0]), np.array([1, 2])])
     # the pair in different parts is no error
-    bounds = part_frame_bounds(
-        np.array(seq.values), values, norms, seq.ids, [np.array([0, 1]), np.array([2])]
-    )
+    bounds = part_frame_bounds(seq.z, values, norms, seq.ids, [np.array([0, 1]), np.array([2])])
     assert bounds[1] == FrameBounds(1.0, 1.0, 1)
 
 
 def test_gram_names_the_point_on_an_atom() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, 0.5),))
-    seq = PointSequence.from_points(
-        [UnitPoint.interior(0.2), UnitPoint.boundary(2.0), UnitPoint.boundary(1.0)],
-        ids=(4, 5, 6),
-    )
+    seq = PointSequence.from_mixed([0.2, 0, 0], [math.nan, 2.0, 1.0], ids=(4, 5, 6))
     with pytest.raises(OnSpectrumError, match="point 6: "):
         gram(theta, seq)
 
@@ -220,9 +208,7 @@ def test_eigs_singular_large_section_not_certified() -> None:
     theta = random_blaschke(rng, 5)
     radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 520))
     angles = rng.uniform(0.0, TWO_PI, 520)
-    seq = PointSequence.from_complex(
-        [r * cmath.exp(1j * a) for r, a in zip(radii, angles)]
-    )
+    seq = PointSequence.from_complex(radii * np.exp(1j * angles))
     fb = extremal_eigs(gram(theta, seq))
     assert fb.lambda_min <= fb.n * np.finfo(float).eps * fb.lambda_max
 
@@ -250,8 +236,8 @@ def test_frame_operator_subadditivity() -> None:
         for _ in range(10)
     ]
     union = PointSequence.from_complex(pts)
-    first = union.subset(range(5))
-    second = union.subset(range(5, 10))
+    first = union.subset(np.arange(5))
+    second = union.subset(np.arange(5, 10))
     lam_union = extremal_eigs(gram(theta, union)).lambda_max
     lam_1 = extremal_eigs(gram(theta, first)).lambda_max
     lam_2 = extremal_eigs(gram(theta, second)).lambda_max
@@ -286,17 +272,16 @@ def _route_case(name: str) -> tuple[InnerFunction, PointSequence]:
         theta, n = random_blaschke(rng, degree), degree + 1 + int(rng.integers(0, 40))
     radii = 0.9 * np.sqrt(rng.uniform(size=n))
     angles = rng.uniform(0.0, TWO_PI, n)
-    pts = [UnitPoint.interior(r * cmath.exp(1j * a)) for r, a in zip(radii, angles)]
+    tags = np.full(n, math.nan)
     if name == "boundary points":
-        pts[::3] = [UnitPoint.boundary(a) for a in angles[::3]]
-    return theta, PointSequence.from_points(pts)
+        tags[::3] = angles[::3]
+    return theta, PointSequence.from_mixed(radii * np.exp(1j * angles), tags)
 
 
 def _routes(theta: InnerFunction, seq: PointSequence) -> tuple:
     """(factored, dense) frame bounds, or the messages of their refusals."""
-    z = np.array(seq.values)
-    values, norms = normalized_values(theta, seq.points, seq.ids)
-    return _both(theta, z, values, norms, seq.ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return _both(theta, seq.z, values, norms, seq.ids)
 
 
 def _both(theta, z, values, norms, ids) -> tuple:
@@ -347,30 +332,28 @@ def test_factored_rows_stay_unit_next_to_zeros_at_the_circle(gap: float) -> None
     # circle at boundary points, was up to 7e-4 off
     angles = (0.4, 2.5, 4.1)
     theta = InnerFunction(blaschke_zeros=tuple((1.0 - gap) * cmath.exp(1j * a) for a in angles))
-    pts = [
-        UnitPoint.from_complex((1.0 - depth) * cmath.exp(1j * (a + da)))
+    inside = [
+        (1.0 - depth) * cmath.exp(1j * (a + da))
         for a in angles
         for depth in (1e-3, 2e-6, 2e-9, 2e-12, 1e-13)
         for da in (0.0, 1e-7, 1e-3)
     ]
-    pts += [UnitPoint.boundary(a + da) for a in angles for da in (1e-9, 1e-5, 0.1)]
-    fb = bessel_constant_estimate(theta, PointSequence.from_points(pts))
+    on = [a + da for a in angles for da in (1e-9, 1e-5, 0.1)]
+    pts = inside + [0j] * len(on)
+    seq = PointSequence.from_mixed(pts, [math.nan] * len(inside) + on)
+    fb = bessel_constant_estimate(theta, seq)
     assert 1.0 <= fb <= len(pts)
 
 
 def test_factored_route_refuses_as_the_dense_route_does() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
-    pts = [
-        UnitPoint.interior(0.2),
-        UnitPoint.boundary(2.0),
-        UnitPoint.boundary(1.0),
-        UnitPoint.interior(-0.4 + 0.3j),
-        UnitPoint.boundary(2.0 + 2e-15),
-        UnitPoint.boundary(1.0 + 2e-15),
-    ]
-    seq = PointSequence.from_points(pts, ids=(4, 5, 8, 0, 2, 9))
-    z = np.array(seq.values)
-    values, norms = normalized_values(theta, seq.points, seq.ids)
+    seq = PointSequence.from_mixed(
+        [0.2, 0, 0, -0.4 + 0.3j, 0, 0],
+        [math.nan, 2.0, 1.0, math.nan, 2.0 + 2e-15, 1.0 + 2e-15],
+        ids=(4, 5, 8, 0, 2, 9),
+    )
+    z = seq.z
+    values, norms = normalized_values(theta, z, seq.angle, seq.ids)
     # two inseparable pairs: both routes name the first, in row order
     assert _both(theta, z, values, norms, seq.ids) == ("points 5 and 2 are numerically inseparable",) * 2
     keep = [0, 1, 2, 3]
@@ -401,8 +384,8 @@ def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> 
     atoms = InnerFunction(theta.blaschke_zeros, singular_atoms=((1.0, 0.5),))
     for th, n in ((theta, 5), (atoms, 12)):
         seq = _oracle_corpus(rng, n)
-        values, norms = normalized_values(th, seq.points)
-        fb = section_frame_bounds(th, np.array(seq.values), values, norms, seq.ids)
+        values, norms = normalized_values(th, seq.z, seq.angle)
+        fb = section_frame_bounds(th, seq.z, values, norms, seq.ids)
         assert fb == extremal_eigs(gram(th, seq))
 
 
@@ -429,7 +412,7 @@ def test_verdict_indeterminate_for_close_pair() -> None:
 def test_verdict_empty_rejected() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     with pytest.raises(NumericDomainError):
-        riesz_verdict(z2, PointSequence((), ()), floor=0.5)
+        riesz_verdict(z2, PointSequence((), (), ()), floor=0.5)
 
 
 def test_bessel_estimate_orthonormal() -> None:
@@ -448,9 +431,7 @@ def test_bessel_estimate_interleaved_clark_families() -> None:
     zn = InnerFunction(blaschke_zeros=(0,) * n)
     first = [TWO_PI * k / n for k in range(n)]
     second = [(TWO_PI * k + math.pi / n) / n for k in range(n)]
-    seq = PointSequence.from_points(
-        [UnitPoint.boundary(a) for a in first + second]
-    )
+    seq = PointSequence.from_angles(first + second)
     est = bessel_constant_estimate(zn, seq)
     oracle = eig_extremes_oracle(gram(zn, seq).entries)[1]
     assert est == pytest.approx(oracle, rel=1e-10)
@@ -520,7 +501,7 @@ def test_hankel_lower_bound_against_minimax_oracle() -> None:
 def test_hankel_rejects_boundary_points() -> None:
     theta = InnerFunction(blaschke_zeros=(0,))
     with pytest.raises(NumericDomainError):
-        hankel_distance_lb(theta, PointSequence.from_points([UnitPoint.boundary(0.3)]), 2)
+        hankel_distance_lb(theta, PointSequence.from_angles([0.3]), 2)
 
 
 @pytest.mark.parametrize(

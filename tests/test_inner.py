@@ -29,7 +29,7 @@ from mslab.inner import (
     normalized_values,
     spectrum_distance,
 )
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +78,7 @@ def test_eval_atomic_factor() -> None:
 def test_eval_at_atom_is_on_spectrum() -> None:
     theta = InnerFunction(singular_atoms=((0.0, 1.0),))
     with pytest.raises(OnSpectrumError):
-        eval_inner(theta, UnitPoint.boundary(0.0))
+        eval_inner(theta, 1.0)
 
 
 def test_modulus_contract() -> None:
@@ -115,8 +115,8 @@ def test_kernel_constant_one_when_theta_vanishes_at_zero() -> None:
 
 def test_kernel_clark_orthogonality_cube_roots() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    tau = UnitPoint.boundary(0.0)
-    sigma = UnitPoint.boundary(TWO_PI / 3.0)
+    tau = 1.0
+    sigma = cmath.exp(1j * TWO_PI / 3.0)
     assert abs(kernel(z3, tau, sigma)) <= 1e-12
 
 
@@ -162,13 +162,13 @@ def test_norm_is_one_at_origin_when_theta_vanishes() -> None:
 
 def test_norm_boundary_power() -> None:
     z4 = InnerFunction(blaschke_zeros=(0,) * 4)
-    assert kernel_norm_sq(z4, UnitPoint.boundary(1.3)) == pytest.approx(4.0)
+    assert kernel_norm_sq(z4, cmath.exp(1.3j)) == pytest.approx(4.0)
 
 
 def test_norm_error_on_atom() -> None:
     theta = InnerFunction(singular_atoms=((1.0, 0.5),))
     with pytest.raises(OnSpectrumError):
-        kernel_norm_sq(theta, UnitPoint.boundary(1.0))
+        kernel_norm_sq(theta, cmath.exp(1.0j))
 
 
 def test_norm_keeps_its_digits_near_the_circle() -> None:
@@ -182,7 +182,7 @@ def test_norm_keeps_its_digits_near_the_circle() -> None:
         for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 5e-12)
         for angle in (0.3, 2.1, 4.4)
     ]
-    _, norms = normalized_values(theta, [UnitPoint.interior(z) for z in points])
+    _, norms = normalized_values(theta, np.array(points), np.full(len(points), math.nan))
     for z, array_norm in zip(points, norms):
         exact = kernel_norm_sq_exact(zeros, z)
         assert abs(kernel_norm_sq(theta, z) - exact) <= 1e-13 * exact
@@ -208,7 +208,7 @@ def test_norm_keeps_its_digits_next_to_zeros_at_the_circle(gap: float) -> None:
         (1.0 - 3.0 * gap) * cmath.exp(1j * (0.4 + gap)),
         (1.0 - 10.0 * gap) * cmath.exp(4.1j),
     ]
-    _, norms = normalized_values(theta, [UnitPoint.interior(z) for z in points])
+    _, norms = normalized_values(theta, np.array(points), np.full(len(points), math.nan))
     for z, norm in zip(points, norms):
         exact = kernel_norm_sq_exact(zeros, z)
         assert abs(float(norm) - exact) <= 1e-13 * exact
@@ -240,29 +240,43 @@ def test_norm_at_a_zero_and_near_an_atom() -> None:
         + near_atom
         + [cmath.exp(1j * t) for t in (0.5, 3.0)]
     )
-    values, norms = normalized_values(theta, seq.points, seq.ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     assert norms == pytest.approx(kernel_norm_sq_oracle(theta, seq), rel=1e-13)
-    assert norms == pytest.approx([kernel_norm_sq(theta, p) for p in seq.points], rel=1e-14)
-    assert values == pytest.approx(blaschke_values(theta, np.array(seq.values)), abs=1e-14)
+    assert norms == pytest.approx([kernel_norm_sq(theta, w) for w in seq.z], rel=1e-14)
+    assert values == pytest.approx(blaschke_values(theta, seq.z), abs=1e-14)
 
 
 def test_normalized_values_edge_points_take_the_boundary_norm() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5, 0.2j), singular_atoms=((2.0, 0.3),))
     z = (1.0 - 5e-13) * cmath.exp(0.9j)
-    _, norms = normalized_values(theta, [UnitPoint.interior(z)])
+    _, norms = normalized_values(theta, np.array([z]), np.array([math.nan]))
     assert float(norms[0]) == pytest.approx(kernel_norm_sq(theta, z), rel=1e-15)
     assert kernel_norm_sq(theta, z) == pytest.approx(
         boundary_rate_oracle(theta, [cmath.phase(z)])[0], rel=1e-14
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalized_values_rates_only_the_points_that_use_them() -> None:
+    # an interior point on a zero 1e-9 from the circle takes the interior
+    # norm 1/(1 - |eta|^2); a boundary rate taken at the point itself divided
+    # by zero, and was discarded
+    eta = (1 - 1e-9) * cmath.exp(2.5j)
+    theta = InnerFunction(blaschke_zeros=(eta, 0.3))
+    points = [eta, 0.1 + 0j]
+    values, norms = normalized_values(theta, np.array(points), np.full(2, math.nan))
+    assert values[0] == 0.0
+    exact = [float(kernel_norm_sq_exact(theta.blaschke_zeros, z)) for z in points]
+    assert norms == pytest.approx(exact, rel=1e-13)
+
+
 def test_normalized_values_names_the_point_on_an_atom() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, 0.5),))
-    points = [UnitPoint.interior(0.2), UnitPoint.boundary(2.0), UnitPoint.boundary(1.0)]
+    seq = PointSequence.from_mixed([0.2, 0, 0], [math.nan, 2.0, 1.0])
     with pytest.raises(OnSpectrumError, match="point 12: "):
-        normalized_values(theta, points, (10, 11, 12))
+        normalized_values(theta, seq.z, seq.angle, (10, 11, 12))
     with pytest.raises(OnSpectrumError):
-        normalized_values(theta, points)
+        normalized_values(theta, seq.z, seq.angle)
 
 
 def test_reproducing_property_polynomials() -> None:
@@ -299,7 +313,7 @@ def test_boundary_derivative_power() -> None:
 def test_boundary_derivative_atom() -> None:
     theta = InnerFunction(singular_atoms=((0.0, 1.0),))
     assert boundary_derivative(theta, -1.0) == pytest.approx(0.5)
-    assert math.isinf(boundary_derivative(theta, UnitPoint.boundary(0.0)))
+    assert math.isinf(boundary_derivative(theta, 1.0))
 
 
 def test_boundary_derivative_matches_argument_rate() -> None:

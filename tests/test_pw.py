@@ -59,6 +59,15 @@ def test_system_validation() -> None:
         ExpSystem(1.0, (1.0 - 0.5j,))
 
 
+def test_coincident_frequencies_name_the_first_repeat() -> None:
+    with pytest.raises(ConfigError, match="^frequencies 0 and 2 coincide$"):
+        ExpSystem(1.0, (1.0, 2.0, 1.0))
+    # with two coincident pairs, the pair whose later member comes first:
+    # b at 2 repeats b at 1 before a at 3 repeats a at 0
+    with pytest.raises(ConfigError, match="^frequencies 1 and 2 coincide$"):
+        ExpSystem(1.0, (1.0, 2.0 + 1j, 2.0 + 1j, 1.0))
+
+
 def test_pw_gram_integer_identity() -> None:
     system = ExpSystem(math.pi, tuple(float(n) for n in range(10)))
     g = pw_gram(system)

@@ -31,13 +31,13 @@ def _disk_points(rng: np.random.Generator, n: int, rmax: float = 0.9) -> list[co
 def _check_against_oracle(theta, seq: PointSequence) -> None:
     partition = split_by_interpolation(theta, seq)
     assert partition.all_ids() == tuple(sorted(seq.ids))
-    gamma = max(abs(theta(z)) for z in seq.values)
+    gamma = max(abs(theta(z)) for z in seq.z.tolist())
     assert partition.global_info["gamma"] == gamma
     assert partition.global_info["delta_input"] == pytest.approx(
-        carleson_delta_oracle(seq.values), rel=1e-9, abs=1e-300
+        carleson_delta_oracle(seq.z.tolist()), rel=1e-9, abs=1e-300
     )
     for part in partition.parts:
-        delta = carleson_delta_oracle(seq.subset(part.ids).values)
+        delta = carleson_delta_oracle(seq.z[np.isin(seq.ids, part.ids)].tolist())
         cert = part.certificate
         assert cert.delta_j == pytest.approx(delta, rel=1e-9)
         assert cert.delta_j >= partition.global_info["delta_star"]
@@ -67,7 +67,7 @@ def test_split_near_duplicates_underflow_without_warnings() -> None:
     seq = PointSequence.from_complex(cluster + _disk_points(rng, 30))
     partition = split_by_interpolation(lambda z: 0.5 * z, seq)
     assert partition.global_info["delta_input"] == 0.0
-    assert carleson_delta_oracle(seq.values) == 0.0
+    assert carleson_delta_oracle(seq.z.tolist()) == 0.0
     # the five cluster points are pairwise closer than delta*
     assert partition.global_info["parts_lower_bound"] >= len(cluster)
     _check_against_oracle(lambda z: 0.5 * z, seq)

@@ -22,34 +22,43 @@ from conftest import locate_reference, square_parts_reference
 import mslab.decompose as decompose
 from mslab.decompose import build_arc_system, decompose_by_squares, select_arc_system
 from mslab.inner import InnerFunction
-from mslab.points import PointSequence, UnitPoint
+from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 CAP = 48  # points per arc between atoms: enough to truncate near each atom
 
 
-def _points(rng: np.random.Generator, arcs) -> list[UnitPoint]:
-    """Clusters in a few squares, boundary points, anchors, deep and scattered points."""
-    pts = []
+def _points(rng: np.random.Generator, arcs) -> PointSequence:
+    """Clusters in a few squares, boundary points, anchors, deep and scattered points.
+
+    Labels are out of sequence, angle and square order.
+    """
+    values: list[complex] = []
+    angles: list[float] = []  # NaN: the value is classified
+
+    def at(z: complex = 0j, angle: float = math.nan) -> None:
+        values.append(z)
+        angles.append(angle)
+
     picks = rng.choice(len(arcs.arcs), size=min(3, len(arcs.arcs)), replace=False)
     for a in picks.tolist():
         arc = arcs.arcs[a]
         for _ in range(int(rng.integers(2, 5))):
             t = arc.lo + rng.uniform(0.05, 0.95) * arc.length
             r = 1.0 - rng.uniform(0.05, 0.95) * (1.0 - arc.inner_radius)
-            pts.append(UnitPoint.from_complex(r * cmath.exp(1j * t)))
-        pts.append(UnitPoint.boundary(arc.lo + rng.uniform(0.05, 0.95) * arc.length))
+            at(r * cmath.exp(1j * t))
+        at(angle=arc.lo + rng.uniform(0.05, 0.95) * arc.length)
     for a in rng.choice(len(arcs.arcs), size=min(2, len(arcs.arcs)), replace=False).tolist():
         arc = arcs.arcs[a]
-        pts.append(UnitPoint.boundary(arc.hi))  # the anchor: margin 0
-        pts.append(UnitPoint.boundary(arc.hi + 5e-13))  # past hi, within tolerance
-        pts.append(UnitPoint.boundary(arc.lo + 3e-13))  # the previous arc's point
+        at(angle=arc.hi)  # the anchor: margin 0
+        at(angle=arc.hi + 5e-13)  # past hi, within tolerance
+        at(angle=arc.lo + 3e-13)  # the previous arc's point
     for _ in range(3):
-        pts.append(UnitPoint.from_complex(0.4 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))))
+        at(0.4 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI)))
     for _ in range(6):
         r = math.sqrt(rng.uniform(0.5, 1.0)) * (1.0 - 1e-9)
-        pts.append(UnitPoint.from_complex(r * cmath.exp(1j * rng.uniform(0, TWO_PI))))
-    return pts
+        at(r * cmath.exp(1j * rng.uniform(0, TWO_PI)))
+    return PointSequence.from_mixed(values, angles, 3 * rng.permutation(len(values)) + 5)
 
 
 def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
@@ -67,10 +76,7 @@ def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
             arcs, _ = select_arc_system(theta, samples=4096, max_points_per_arc=CAP)
         else:
             arcs = build_arc_system(theta, level_count, CAP)
-        pts = _points(rng, arcs)
-        # labels out of sequence, angle and square order
-        ids = 3 * rng.permutation(len(pts)) + 5
-        out.append((theta, PointSequence.from_points(pts, ids), level_count))
+        out.append((theta, _points(rng, arcs), level_count))
     return out
 
 
@@ -99,7 +105,7 @@ def test_corpus_covers_truncation_boundary_points_deep_squares_and_uncovered(rep
     assert any(got.arcs.truncated for got, _ in reports)
     assert any(not got.arcs.truncated for got, _ in reports)
     assert {None, 4, 8, 16} <= {level_count for _, _, level_count in CORPUS}
-    assert all(any(p.is_boundary for p in seq.points) for _, seq, _ in CORPUS)
+    assert all(seq.boundary.any() for _, seq, _ in CORPUS)
     assert max(got.global_info["max_per_square"] for got, _ in reports) >= 3
     assert all(
         any(p.route.startswith("uncovered") for p in got.parts) for got, _ in reports
@@ -108,13 +114,12 @@ def test_corpus_covers_truncation_boundary_points_deep_squares_and_uncovered(rep
 
 def test_locate_matches_scan_on_corpus(reports) -> None:
     for (_, seq, _), (got, _) in zip(CORPUS, reports):
-        z = list(seq.values)
-        assert np.array_equal(got.arcs.locate(z), locate_reference(got.arcs, z))
+        assert np.array_equal(got.arcs.locate(seq.z), locate_reference(got.arcs, seq.z))
 
 
 def test_square_parts_match_reference(reports) -> None:
     for (theta, seq, _), (got, _) in zip(CORPUS, reports):
-        located = got.arcs.locate(seq.values)
+        located = got.arcs.locate(seq.z)
         new = decompose._square_parts(seq, got.arcs, located)
         ref = square_parts_reference(theta, seq, got.arcs, located)
         assert len(new) == len(ref)
