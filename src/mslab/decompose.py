@@ -677,7 +677,7 @@ def decompose_by_squares(
             (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [uncovered])
             parts.append(
                 PartitionPart(
-                    ids=tuple(np.sort(sub.ids).tolist()),
+                    ids=tuple(sorted(sub.ids.tolist())),
                     route="uncovered:uncertified",
                     certificate=PartCertificate(gamma=gamma_used, frame_bounds=fb),
                 )
@@ -717,6 +717,6 @@ def decompose_by_squares(
         flags=tuple(flags),
         arcs=arcs,
     )
-    if partition.all_ids() != tuple(np.sort(seq.ids).tolist()):
+    if partition.all_ids() != tuple(sorted(seq.ids.tolist())):
         raise NumericDomainError("partition failed to cover the sequence exactly")
     return partition
