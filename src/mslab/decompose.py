@@ -9,15 +9,17 @@ phi(delta_j), so the distance from Theta to B_j H^inf is bounded by
 gamma * phi(delta_j); once that product is below 1 the part's normalized
 kernels form a Riesz basic sequence.  The splitter therefore drives every
 part's separation above the threshold delta* with phi(delta*) = 1/gamma.
-It reads one matrix L[i, j] = log rho(l_i, l_j), computed once: a part's
-constant is exp of the min row sum of L over the part.  Recursive two-way
-(Mills) splits on index sets run until every part certifies, a first-fit
-merge of the certified parts keeps running row sums and stops where a
-merged part would fall below delta*, and every emitted part is re-verified
-from a fresh sum over its own block of L before its certificate chain is
-written.  The merge tries a part against all bins with bincounts over the
-points' bin slots and no clash pre-filter.  At gamma = 0, delta* is the
-smallest delta with a finite phi(delta), about 1.49e-154.
+Its core ``split_log_distances`` reads gamma, a Mills order and one
+matrix L[i, j] = log rho(l_i, l_j) that its caller forms once, in the disk
+or (``mslab.pw``) the half-plane: a part's constant is exp of the min row
+sum of L over the part.  Recursive two-way (Mills) splits on index sets
+run until every part certifies, a first-fit merge of the certified parts
+keeps running row sums and stops where a merged part would fall below
+delta*, and every emitted part is re-verified from a fresh sum over its
+own block of L before its certificate chain is written.  The merge tries
+a part against all bins with bincounts over the points' bin slots and no
+clash pre-filter.  At gamma = 0, delta* is the smallest delta with a
+finite phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -37,7 +39,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .gram import FrameBounds, part_frame_bounds
 from .inner import InnerFunction, eval_points, normalized_values, spectrum_distance
 from .points import TWO_PI, PointSequence, normalize_angles
 from .quadrature import adaptive_simpson
-
-ThetaLike = InnerFunction | Callable[[complex], complex]
 
 _ARC_MASS_REL_TOL = 1e-6
 _GAMMA_CEILING = 1.0 - 1e-14
@@ -142,11 +141,11 @@ def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
     return 0.0 if len(idx) == 1 else float(L[idx][:, idx].sum(axis=1).min())
 
 
-def _modulus_rank(seq: PointSequence) -> np.ndarray:
-    """Rank of each point in decreasing modulus order, ties by id."""
-    order = np.lexsort((seq.ids, -np.abs(seq.z)))
-    rank = np.empty(len(seq), dtype=int)
-    rank[order] = np.arange(len(seq))
+def modulus_rank(modulus: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rank of each point in decreasing ``modulus`` order, ties by id: the Mills order."""
+    order = np.lexsort((ids, -modulus))
+    rank = np.empty(len(ids), dtype=int)
+    rank[order] = np.arange(len(ids))
     return rank
 
 
@@ -217,60 +216,62 @@ def _clique_size(clash: np.ndarray) -> int:
 
 
 def split_by_interpolation(
-    theta: ThetaLike,
+    theta: InnerFunction,
     seq: PointSequence,
     *,
-    gamma_floor: float = 0.0,
     max_depth: int = 20,
-    route: str = "interp",
 ) -> Partition:
     """Split into parts whose certificates give gamma * phi(delta_j) < 1.
 
-    Requires the off-spectrum condition gamma = max |Theta(lambda_n)| < 1
-    (gamma_floor lets a caller impose a larger certified bound, e.g. a
-    region-wide sup).  Theta may be an inner-function record or a plain
-    evaluator; frame bounds are attached per part only for records.
-
-    Every layer reads one log-distance matrix L of the sequence: Mills
-    splits recurse on index sets until each part certifies, the certified
-    parts are merged first-fit (largest first) while the merged row sums
-    stay above delta*, and each emitted part is re-verified from a fresh sum
-    over its own block of L.  ``parts_lower_bound`` in the global info is the size of a
-    greedy clique of points pairwise closer than delta*, no two of which
-    can share a part.  The sequence is evaluated once: gamma and every
-    part's Gram section read the same values and kernel norms.
+    Requires gamma = max |Theta(lambda_n)| < 1.  The sequence is evaluated
+    once, for gamma and for every part's Gram section.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot split an empty sequence")
-    if isinstance(theta, InnerFunction):
-        values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    else:
-        values = np.array([complex(theta(w)) for w in seq.z.tolist()])
-        norms_sq = None
-    return _split_evaluated(
-        seq, values, norms_sq, gamma_floor=gamma_floor, max_depth=max_depth, route=route
+    values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    # refused before L is formed, which refuses boundary points itself
+    gamma = _off_spectrum(float(np.abs(values).max()))
+    return split_log_distances(
+        log_distance_matrix(seq),
+        modulus_rank(np.abs(seq.z), seq.ids),
+        seq.ids,
+        gamma,
+        lambda parts: part_frame_bounds(seq.z, values, norms_sq, seq.ids, parts),
+        max_depth=max_depth,
     )
 
 
-def _split_evaluated(
-    seq: PointSequence,
-    values: np.ndarray,
-    norms_sq: np.ndarray | None,
-    *,
-    gamma_floor: float,
-    max_depth: int,
-    route: str,
-) -> Partition:
-    """``split_by_interpolation`` on Theta values (and kernel norms, for frame bounds) already evaluated."""
-    gamma_points = float(np.abs(values).max())
-    gamma = max(gamma_points, gamma_floor)
+def _off_spectrum(gamma: float) -> float:
+    """gamma, if it is below 1 - 1e-14."""
     if gamma >= _GAMMA_CEILING:
         raise CertificationError(
             f"off-spectrum condition violated: max |Theta(lambda)| = {gamma} is not < 1"
         )
+    return gamma
+
+
+def split_log_distances(
+    L: np.ndarray,
+    rank: np.ndarray,
+    ids: np.ndarray,
+    gamma: float,
+    frame_bounds,
+    *,
+    max_depth: int = 20,
+    route: str = "interp",
+) -> Partition:
+    """Split points into parts with gamma * phi(delta_j) < 1, from their log distances.
+
+    L[i, j] = log rho(l_i, l_j) is the points' log-distance matrix (zero
+    diagonal, exactly symmetric), ``rank`` their Mills order, ``ids`` their
+    labels and gamma the certified bound on the symbol over them, any floor
+    included.  ``frame_bounds`` maps the emitted parts, as arrays of
+    positions, to their ``FrameBounds``.  ``parts_lower_bound`` in the
+    global info is the size of a greedy clique of points pairwise closer
+    than delta*, no two of which can share a part.
+    """
+    gamma = _off_spectrum(gamma)
     delta_star = _DELTA_FINITE if gamma == 0.0 else max(_DELTA_FINITE, interpolation_threshold(gamma))
-    L = log_distance_matrix(seq)
-    rank = _modulus_rank(seq)
 
     def certified(delta: float) -> bool:
         return delta >= delta_star and gamma * earl_bound(delta) < 1.0
@@ -278,7 +279,7 @@ def _split_evaluated(
     flags: list[str] = []
     delta_all = math.exp(float(L.sum(axis=1).min()))
     found: list[np.ndarray] = []
-    stack = [(np.arange(len(seq)), delta_all, 0)]
+    stack = [(np.arange(len(L)), delta_all, 0)]
     while stack:
         idx, delta_j, depth = stack.pop()
         if certified(delta_j):
@@ -304,23 +305,19 @@ def _split_evaluated(
     log_star = math.log(delta_star)
     found.sort(key=lambda idx: (-len(idx), int(idx[0])))
     merged = _first_fit(L, found, log_star + _MERGE_SLACK)
-    merged.sort(key=lambda idx: int(seq.ids[idx].min()))
+    merged.sort(key=lambda idx: int(ids[idx].min()))
     deltas = [math.exp(_log_delta(L, idx)) for idx in merged]  # fresh sums, not the running ones
     for delta_j in deltas:
         if not certified(delta_j):
             raise NumericDomainError(
                 f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
             )
-    if norms_sq is None:
-        bounds: list[FrameBounds | None] = [None] * len(merged)
-    else:
-        bounds = part_frame_bounds(seq.z, values, norms_sq, seq.ids, merged)
     parts = []
-    for idx, delta_j, fb in zip(merged, deltas, bounds):
+    for idx, delta_j, fb in zip(merged, deltas, frame_bounds(merged)):
         phi = earl_bound(delta_j)
         parts.append(
             PartitionPart(
-                ids=tuple(seq.ids[idx].tolist()),
+                ids=tuple(ids[idx].tolist()),
                 route=route,
                 certificate=PartCertificate(
                     gamma=gamma,
@@ -683,11 +680,14 @@ def decompose_by_squares(
                 )
             )
         else:
-            inner_partition = _split_evaluated(
-                sub,
-                values[uncovered],
-                norms_sq[uncovered],
-                gamma_floor=region.delta,
+            inner_partition = split_log_distances(
+                log_distance_matrix(sub),
+                modulus_rank(np.abs(sub.z), sub.ids),
+                sub.ids,
+                gamma_used,
+                lambda parts: part_frame_bounds(
+                    z, values, norms_sq, seq.ids, [uncovered[p] for p in parts]
+                ),
                 max_depth=max_depth,
                 route="uncovered:interp",
             )

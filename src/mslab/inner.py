@@ -294,9 +294,15 @@ def eval_inner(theta: InnerFunction, z: complex) -> complex:
     """Evaluate the inner function at a point off its boundary spectrum.
 
     Interior points always work; boundary points must avoid the atoms.
-    One point of ``eval_points``.
+    One point of the array evaluator, which takes no boundary rate here.
     """
-    return complex(eval_points(theta, _as_points(z)[0])[0][0])
+    return complex(_checked_values(theta, _as_points(z)[0])[0])
+
+
+def _checked_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+    """Theta over a 1-D array of points, without rates; refuses boundary points on atoms."""
+    _refuse_atoms(theta._terms, z)
+    return _values(theta._terms, z)
 
 
 def boundary_derivative(theta: InnerFunction, zeta: complex) -> float:
@@ -344,7 +350,7 @@ def log_derivative(theta: InnerFunction, z):
 def derivative(theta: InnerFunction, z):
     """Analytic derivative Theta'(z), off the spectrum, at one point or a 1-D array."""
     w, one = _as_points(z)
-    out = eval_points(theta, w)[0] * log_derivative(theta, w)
+    out = _checked_values(theta, w) * log_derivative(theta, w)
     return complex(out[0]) if one else out
 
 
@@ -477,7 +483,7 @@ def kernel(theta: InnerFunction, lam: complex, z: complex) -> complex:
     if lw == zw:
         return complex(kernel_norm_sq(theta, lw))
     denom = 1.0 - lw.conjugate() * zw
-    values, _ = eval_points(theta, np.array([lw, zw]))
+    values = _checked_values(theta, np.array([lw, zw]))
     num = 1.0 - complex(values[0]).conjugate() * complex(values[1])
     if abs(denom) < _DIAG_GUARD and (denom == 0 or abs(num) > 1e-10):
         # z is numerically at the reflection 1/conj(lambda) without the

@@ -10,26 +10,27 @@ entire in both frequencies (the diagonal limit is 2a, handled by series
 near the removable singularity).  Gram sections are therefore exact, which
 makes them the decisive certificate on this side of the theory.
 
-Splitting works through the disk machinery: frequencies are shifted one
-unit up (making the symbol exp(iaz) uniformly contractive on them, with
-modulus exp(-a(Im l + 1)) <= exp(-a) < 1), carried into the disk by the
-Cayley map w = (z - i)/(z + i), and run through the interpolation
-splitter against the transported symbol.  Each resulting part then gets
-its exact exponential-Gram frame bounds.
+Splitting works in the upper half-plane.  Shifted one unit up, s = l + i,
+the frequencies see the symbol exp(iaz) with modulus exp(-a Im s) <=
+exp(-a) < 1.  The half-plane's rho(s, t) = |s - t|/|s - conj(t)| is the
+disk's pseudohyperbolic distance under the Cayley map, so the interpolation
+splitter runs on log rho of the shifted frequencies, with no transport.
+Each resulting part gets its exact exponential-Gram frame bounds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Partition, split_by_interpolation
+from .carleson import _log_distances
+from .decompose import Partition, modulus_rank, split_log_distances
 from .errors import ConfigError, NumericDomainError
-from .gram import GramMatrix, extremal_eigs
-from .points import PointSequence, coincident_pair
+from .gram import FrameBounds, GramMatrix, extremal_eigs
+from .points import coincident_pair
 
 # Switch to the power series of sin(w)/w below this argument size.
 _SERIES_CUTOFF = 1e-4
@@ -37,7 +38,7 @@ _SERIES_CUTOFF = 1e-4
 
 @dataclass(frozen=True)
 class ExpSystem:
-    """Exponentials exp(i l t) on (-a, a) with pairwise distinct frequencies."""
+    """Exponentials exp(i l t) on (-a, a); distinct frequencies, every a (l - conj(m)) finite."""
 
     a: float
     freqs: tuple[complex, ...]
@@ -53,9 +54,17 @@ class ExpSystem:
                 raise ConfigError(f"frequencies must be finite, got {f!r}")
             if f.imag < 0.0:
                 raise ConfigError(f"frequencies must have Im >= 0, got {f!r}")
-        pair = coincident_pair(np.array(freqs, dtype=complex))
+        f = np.array(freqs, dtype=complex)
+        pair = coincident_pair(f)
         if pair is not None:
             raise ConfigError("frequencies {} and {} coincide".format(*pair))
+        # a (l - conj(m)) peaks in real part at the extreme real parts and in
+        # imaginary part at the largest imaginary part taken twice
+        for i, j in [(f.real.argmax(), f.real.argmin()), (f.imag.argmax(),) * 2] if freqs else []:
+            if not cmath.isfinite(self.a * (freqs[i] - freqs[j].conjugate())):
+                raise NumericDomainError(
+                    f"frequencies {freqs[i]!r} and {freqs[j]!r}: a (l - conj(m)) overflows"
+                )
         object.__setattr__(self, "freqs", freqs)
 
     def __len__(self) -> int:
@@ -136,50 +145,34 @@ def shift_off_axis(freqs: tuple[complex, ...] | list[complex]) -> tuple[complex,
     return tuple(complex(f) + 1j for f in freqs)
 
 
-def _cayley(z: complex) -> complex:
-    return (z - 1j) / (z + 1j)
-
-
-def _cayley_inv(w: complex) -> complex:
-    return 1j * (1.0 + w) / (1.0 - w)
-
-
 def pw_split(system: ExpSystem, *, max_depth: int = 20) -> Partition:
     """Split an exponential system into parts with exact Gram certificates.
 
-    Runs the interpolation splitter on the Cayley images of the shifted
-    frequencies against the transported symbol exp(ia*), then replaces each
-    part's frame bounds with the exact exponential-Gram bounds of the
-    original frequencies, which is the stronger check.  A frequency so
-    large that its Cayley image rounds onto the unit circle has no disk
-    point, and is refused with ``NumericDomainError``.
+    Runs the interpolation splitter on the shifted frequencies s = l + i:
+    L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|), the Mills order of
+    rho(s, i) = |s - i|/|s + i| (the modulus of the Cayley image) and
+    gamma = max exp(-a Im s), all exact in the half-plane.  Each part's
+    frame bounds are the exact exponential-Gram bounds of its frequencies.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
     a = system.a
-    images = [_cayley(z) for z in shift_off_axis(system.freqs)]
-    for f, w in zip(system.freqs, images):
-        if not abs(w) < 1.0:
-            raise NumericDomainError(
-                f"frequency {f!r} is too large to split: its Cayley image {w!r} "
-                "rounds onto the unit circle"
-            )
-    disk_points = PointSequence.from_complex(images)
+    s = np.array(shift_off_axis(system.freqs))
 
-    def transported_symbol(w: complex) -> complex:
-        return cmath.exp(1j * a * _cayley_inv(w))
+    def part_bounds(parts: list[np.ndarray]) -> list[FrameBounds]:
+        return [
+            extremal_eigs(pw_gram(ExpSystem(a, tuple(system.freqs[i] for i in idx))))
+            for idx in parts
+        ]
 
-    base = split_by_interpolation(
-        transported_symbol,
-        disk_points,
+    ids = np.arange(len(system))
+    partition = split_log_distances(
+        _log_distances(s, np.abs(s[:, None] - s.conj())),
+        modulus_rank(np.abs(s - 1j) / np.abs(s + 1j), ids),
+        ids,
+        math.exp(-a * float(s.imag.min())),
+        part_bounds,
         max_depth=max_depth,
-        route="interp",
     )
-    parts = []
-    for part in base.parts:
-        sub = ExpSystem(a, tuple(system.freqs[i] for i in part.ids))
-        exact = replace(part.certificate, frame_bounds=extremal_eigs(pw_gram(sub)))
-        parts.append(replace(part, certificate=exact))
-    info = dict(base.global_info)
-    info["a"] = a
-    return Partition(parts=tuple(parts), global_info=info, flags=base.flags)
+    partition.global_info["a"] = a
+    return partition

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's own code paths: quadrature
 is plain composite rules on numpy arrays, eigenvalues come from a
 self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
-constants are plain pairwise products (the library sums logs in numpy),
+constants are plain pairwise products and log distances one Python
+expression per pair (the library sums logs in numpy),
 Blaschke products and the boundary rate |Theta'| are re-evaluated factor
 by factor where a cross-check matters, kernel norms are exact rationals or
 a telescoping sum over the factors with exact weights 1 - |eta|^2 and
@@ -15,7 +16,8 @@ evaluator and the FFT).  The splitter's
 earlier first-fit and Mills loops, and the square pipeline's earlier
 membership scan and grouping loop, are kept at the end as references, as
 is the point classifier that ``PointSequence`` replaced: one object per
-point, and a dict scan for coincident points.
+point, and a dict scan for coincident points.  ``split_at_gamma`` is not
+an oracle: it runs the library's splitter core at a gamma a test sets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from mslab.carleson import log_distance_matrix
 from mslab.clark import ClarkFamily, stability_margin
+from mslab.decompose import Partition, modulus_rank, split_log_distances
 from mslab.errors import ConfigError
 from mslab.inner import InnerFunction
 from mslab.points import BOUNDARY_TOL, PointSequence, normalize_angle
@@ -155,6 +159,29 @@ def carleson_delta_oracle(values) -> float:
                 prod *= abs((a - b) / (1.0 - b.conjugate() * a))
         best = min(best, prod)
     return best
+
+
+def log_distance_oracle(values) -> np.ndarray:
+    """log rho(a, b) = log |(a - b)/(1 - conj(b) a)| for every pair of disk
+    points, one Python expression per entry; 0 on the diagonal."""
+    return np.array([
+        [0.0 if i == j else math.log(abs((a - b) / (1.0 - b.conjugate() * a)))
+         for j, b in enumerate(values)]
+        for i, a in enumerate(values)
+    ])
+
+
+def split_at_gamma(seq: PointSequence, gamma: float, **options) -> Partition:
+    """The interpolation splitter's core on a disk sequence at a prescribed
+    gamma: its log-distance matrix, its modulus rank, no frame bounds."""
+    return split_log_distances(
+        log_distance_matrix(seq),
+        modulus_rank(np.abs(seq.z), seq.ids),
+        seq.ids,
+        gamma,
+        lambda parts: [None] * len(parts),
+        **options,
+    )
 
 
 def earl_oracle(delta: float) -> float:

@@ -218,16 +218,57 @@ def test_pw_non_finite_config_is_a_config_error(tmp_path, system) -> None:
     assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("freq", [[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]])
-def test_pw_split_refuses_a_frequency_off_the_disk(tmp_path, capsys, freq) -> None:
-    # the Cayley image of such a frequency rounds onto the unit circle
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        [[1e5, 0.0], [1e5 + 1, 0.0], [1e5 + 2, 0.0]],
+        [[1e6, 0.0], [1e6 + 1, 0.0], [1e6 + 2, 0.0]],
+        [[1e7, 0.0], [1e7 + 1, 0.0], [1e7 + 2, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [3e7, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [1e300, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [-1e300, 0.0]],
+    ],
+    ids=["near-1e5", "near-1e6", "near-1e7", "3e7-beside-0-1", "1e300-beside-0-1", "-1e300-beside-0-1"],
+)
+def test_pw_split_gamma_is_exact_at_large_frequencies(tmp_path, freqs) -> None:
+    # real frequencies shifted by i: exp(iaz) has modulus exp(-a) on every one
+    cfg = _write(tmp_path / "cfg.json", {"pw": {"a": 1.0, "freqs": freqs}, "options": {"split": True}})
+    out = tmp_path / "o"
+    assert main(["pw", "--config", cfg, "--out", str(out)]) == 0
+    partition = json.loads((out / "pw.json").read_text())["partition"]
+    assert partition["global"]["gamma"] == math.exp(-1.0)
+    assert all(p["certificate"]["gamma"] == math.exp(-1.0) for p in partition["parts"])
+    assert sorted(i for p in partition["parts"] for i in p["ids"]) == [0, 1, 2]
+
+
+def test_pw_split_refuses_an_imaginary_frequency_of_1e300(tmp_path, capsys) -> None:
+    # its norm squared sinh(2e300)/1e300 overflows in the exact Gram
     cfg = _write(
         tmp_path / "cfg.json",
-        {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0], freq]}, "options": {"split": True}},
+        {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0], [0.0, 1e300]]}, "options": {"split": True}},
     )
     assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "frequency" in err and "1e+300" in err
+    assert "unusable norm squared" in err and "1e+300" in err
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["gram", "split"])
+@pytest.mark.parametrize(
+    "freqs, named",
+    [
+        ([[1e308, 0.0], [-1e308, 0.0]], ["(1e+308+0j)", "(-1e+308+0j)"]),
+        ([[0.0, 0.0], [0.0, 1e308]], ["1e+308j"]),
+    ],
+    ids=["real-parts", "imaginary-parts"],
+)
+def test_pw_refuses_overflowing_frequency_differences(tmp_path, capsys, split, freqs, named) -> None:
+    cfg = _write(
+        tmp_path / "cfg.json", {"pw": {"a": 1.0, "freqs": freqs}, "options": {"split": split}}
+    )
+    assert main(["pw", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "overflows" in err and all(f in err for f in named)
+    assert "Warning" not in err
 
 
 _NAN = float("nan")

@@ -10,15 +10,16 @@ from conftest import (
     composite_gauss_legendre,
     locate_reference,
     random_blaschke,
+    split_at_gamma,
     square_contains_reference,
 )
 
 from mslab.carleson import carleson_constant, earl_bound, log_distance_matrix
 from mslab.decompose import (
     _mills_halves,
-    _modulus_rank,
     build_arc_system,
     decompose_by_squares,
+    modulus_rank,
     rate_comparability,
     select_arc_system,
     split_by_interpolation,
@@ -45,7 +46,8 @@ def _random_interior(rng: np.random.Generator, n: int, rmax: float = 0.9) -> Poi
 
 def _mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
     """The splitter's two halves of a whole sequence, as subsequences."""
-    halves = _mills_halves(log_distance_matrix(seq), np.arange(len(seq)), _modulus_rank(seq))
+    rank = modulus_rank(np.abs(seq.z), seq.ids)
+    halves = _mills_halves(log_distance_matrix(seq), np.arange(len(seq)), rank)
     return tuple(seq.subset(idx) for idx in halves)
 
 
@@ -102,7 +104,7 @@ def test_split_trivial_gamma_zero() -> None:
 def test_split_keeps_one_part_at_a_tiny_gamma(points, gamma) -> None:
     # delta* = 2 sqrt(gamma)/(1 + gamma) lies below the separation of the
     # whole sequence, and gamma * phi(delta) < 1 there: one part certifies
-    partition = split_by_interpolation(lambda z: gamma, PointSequence.from_complex(points))
+    partition = split_at_gamma(PointSequence.from_complex(points), gamma)
     assert [p.ids for p in partition.parts] == [tuple(range(len(points)))]
     assert partition.parts[0].certificate.dist_bound < 1.0
     assert partition.global_info["delta_star"] == pytest.approx(2.0 * math.sqrt(gamma), rel=1e-15)
@@ -113,7 +115,7 @@ def test_split_floors_delta_star_at_a_subnormal_gamma() -> None:
     # finite phi; delta* stays at that floor, so the point 1e-157 from 0 is not
     # merged into a part that would fail its re-verification
     seq = PointSequence.from_complex([0.0, 1e-157, 0.5])
-    partition = split_by_interpolation(lambda z: 1e-320, seq)
+    partition = split_at_gamma(seq, 1e-320)
     assert partition.global_info["delta_star"] == 2.0 / math.sqrt(np.finfo(float).max)
     assert sorted(p.ids for p in partition.parts) == [(0, 2), (1,)]
 
@@ -155,14 +157,6 @@ def test_split_rejects_empty() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     with pytest.raises(NumericDomainError):
         split_by_interpolation(z2, PointSequence((), (), ()))
-
-
-def test_split_accepts_plain_evaluator() -> None:
-    seq = PointSequence.from_complex([0.1, -0.3j])
-    partition = split_by_interpolation(lambda z: 0.2 * z, seq)
-    for part in partition.parts:
-        assert part.certificate.frame_bounds is None
-        assert part.certificate.dist_bound < 1.0
 
 
 def test_split_depth_cap_fails_loudly() -> None:

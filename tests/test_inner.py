@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,6 +269,26 @@ def test_normalized_values_rates_only_the_points_that_use_them() -> None:
     assert values[0] == 0.0
     exact = [float(kernel_norm_sq_exact(theta.blaschke_zeros, z)) for z in points]
     assert norms == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("view", ["eval_inner", "kernel", "derivative"])
+def test_scalar_views_at_a_zero_next_to_the_circle(view: str) -> None:
+    # the views take Theta without a boundary rate; a rate taken at the
+    # point itself divided by zero, and was discarded
+    eta = (1 - 1e-9) * cmath.exp(2.5j)
+    theta = InnerFunction(blaschke_zeros=(eta, 0.3))
+    if view == "eval_inner":
+        assert eval_inner(theta, eta) == 0.0
+    elif view == "kernel":
+        # Theta(eta) = 0, so k_eta(z) = 1/(1 - conj(eta) z), here in exact rationals
+        re = 1 - Fraction(0.1) * Fraction(eta.real)
+        im = Fraction(0.1) * Fraction(eta.imag)
+        size = re * re + im * im
+        exact = complex(float(re / size), float(-im / size))
+        assert abs(kernel(theta, eta, 0.1) - exact) <= 1e-15 * abs(exact)
+    else:
+        with pytest.raises(OnSpectrumError, match="Blaschke zero"):
+            derivative(theta, eta)
 
 
 def test_normalized_values_names_the_point_on_an_atom() -> None:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import composite_gauss_legendre
+from conftest import carleson_delta_oracle, composite_gauss_legendre, log_distance_oracle
 
+import mslab.pw as pw
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import extremal_eigs
 from mslab.pw import ExpSystem, exp_inner, pw_gram, pw_split, shift_off_axis
@@ -190,3 +191,30 @@ def test_pw_split_perturbed_integer_corpus() -> None:
     for part in partition.parts:
         assert part.certificate.frame_bounds.lambda_min > 0.0
         assert part.certificate.dist_bound < 1.0
+
+
+def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypatch) -> None:
+    # the half-plane distance |s - t|/|s - conj(t)| is the disk's on the
+    # Cayley images (s - i)/(s + i), which are accurate at moderate frequencies
+    rng = np.random.default_rng(83)
+    freqs = tuple(
+        complex(n + rng.uniform(-0.3, 0.3), rng.uniform(0.0, 1.0)) for n in range(-6, 7)
+    )
+    seen = {}
+    split = pw.split_log_distances
+
+    def record(L, rank, ids, gamma, frame_bounds, **options):
+        seen.update(L=L, rank=rank, gamma=gamma)
+        return split(L, rank, ids, gamma, frame_bounds, **options)
+
+    monkeypatch.setattr(pw, "split_log_distances", record)
+    partition = pw_split(ExpSystem(math.pi, freqs))
+    images = [(s - 1j) / (s + 1j) for s in shift_off_axis(freqs)]
+    np.testing.assert_allclose(seen["L"], log_distance_oracle(images), rtol=1e-12, atol=1e-12)
+    assert math.exp(seen["L"].sum(axis=1).min()) == pytest.approx(
+        carleson_delta_oracle(images), rel=1e-12
+    )
+    by_modulus = sorted(range(len(freqs)), key=lambda k: (-abs(images[k]), k))
+    assert np.argsort(seen["rank"]).tolist() == by_modulus
+    assert seen["gamma"] == max(math.exp(-math.pi * (f.imag + 1.0)) for f in freqs)
+    assert partition.global_info["gamma"] == seen["gamma"]

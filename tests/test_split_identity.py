@@ -14,10 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import first_fit_reference, mills_halves_reference
+from conftest import first_fit_reference, mills_halves_reference, split_at_gamma
 
 import mslab.decompose as decompose
-from mslab.decompose import split_by_interpolation
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
@@ -46,8 +45,9 @@ def _corpus() -> list[tuple[float, PointSequence]]:
 CORPUS = _corpus()
 
 
-def _theta(gamma: float):
-    return lambda z: gamma / 0.9 * z
+def _split(gamma: float, seq: PointSequence):
+    """The splitter's core at max |Theta| over the points, Theta(z) = gamma z / 0.9."""
+    return split_at_gamma(seq, max(abs(gamma / 0.9 * z) for z in seq.z.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def recorded() -> list[dict]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, "_first_fit", record_fit)
             mp.setattr(decompose, "_mills_halves", record_halves)
-            partition = split_by_interpolation(_theta(gamma), seq)
+            partition = _split(gamma, seq)
         out.append({"partition": partition, "fits": fits, "halves": halves})
     return out
 
@@ -135,7 +135,7 @@ def test_minus_inf_entries_match_reference(recorded, floor) -> None:
 
 def test_reports_match_with_reference_loops(recorded) -> None:
     for (gamma, seq), r in zip(CORPUS, recorded):
-        partition = split_by_interpolation(_theta(gamma), seq)
+        partition = _split(gamma, seq)
         assert partition.to_json_dict() == r["partition"].to_json_dict()
 
 

@@ -1,6 +1,6 @@
 """The interpolation splitter's certificates against a pairwise-product oracle.
 
-Nothing here comes from ``mslab.carleson``: every part's separation is
+The checks take nothing from ``mslab.carleson``: every part's separation is
 re-derived by ``carleson_delta_oracle`` (plain products of pseudohyperbolic
 distances) and phi by ``earl_oracle``, so a fault in the library's log-sum
 path, its running row sums or its merge shows up as a mismatch.
@@ -12,9 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import carleson_delta_oracle, earl_oracle
+from conftest import carleson_delta_oracle, earl_oracle, split_at_gamma
 
-from mslab.decompose import split_by_interpolation
 from mslab.errors import NumericDomainError
 from mslab.points import PointSequence
 
@@ -28,10 +27,15 @@ def _disk_points(rng: np.random.Generator, n: int, rmax: float = 0.9) -> list[co
     ]
 
 
-def _check_against_oracle(theta, seq: PointSequence) -> None:
-    partition = split_by_interpolation(theta, seq)
+def _gamma(scale: float, seq: PointSequence) -> float:
+    """max |Theta| over the points for Theta(z) = scale * z."""
+    return max(abs(scale * z) for z in seq.z.tolist())
+
+
+def _check_against_oracle(scale: float, seq: PointSequence) -> None:
+    gamma = _gamma(scale, seq)
+    partition = split_at_gamma(seq, gamma)
     assert partition.all_ids() == tuple(sorted(seq.ids))
-    gamma = max(abs(theta(z)) for z in seq.z.tolist())
     assert partition.global_info["gamma"] == gamma
     assert partition.global_info["delta_input"] == pytest.approx(
         carleson_delta_oracle(seq.z.tolist()), rel=1e-9, abs=1e-300
@@ -55,7 +59,7 @@ def test_split_certificates_match_pairwise_oracle(n: int, scale: float) -> None:
     rng = np.random.default_rng(n)
     pts = _disk_points(rng, n)
     pts[0] = 0.9  # pins gamma at 0.9 * scale
-    _check_against_oracle(lambda z: scale * z, PointSequence.from_complex(pts))
+    _check_against_oracle(scale, PointSequence.from_complex(pts))
 
 
 @pytest.mark.filterwarnings("error")
@@ -65,20 +69,19 @@ def test_split_near_duplicates_underflow_without_warnings() -> None:
     rng = np.random.default_rng(11)
     cluster = [0.0, 1e-200, 1e-200j, -1e-200, 1e-320]
     seq = PointSequence.from_complex(cluster + _disk_points(rng, 30))
-    partition = split_by_interpolation(lambda z: 0.5 * z, seq)
+    partition = split_at_gamma(seq, _gamma(0.5, seq))
     assert partition.global_info["delta_input"] == 0.0
     assert carleson_delta_oracle(seq.z.tolist()) == 0.0
     # the five cluster points are pairwise closer than delta*
     assert partition.global_info["parts_lower_bound"] >= len(cluster)
-    _check_against_oracle(lambda z: 0.5 * z, seq)
+    _check_against_oracle(0.5, seq)
 
 
 def test_lower_bound_counts_a_tight_cluster() -> None:
     k = 5
     cluster = [0.3 + 1e-3 * cmath.exp(1j * TWO_PI * m / k) for m in range(k)]
-    partition = split_by_interpolation(
-        lambda z: 0.5 * z, PointSequence.from_complex(cluster)
-    )
+    seq = PointSequence.from_complex(cluster)
+    partition = split_at_gamma(seq, _gamma(0.5, seq))
     assert partition.global_info["delta_star"] > 0.5  # every pair clashes
     assert partition.global_info["parts_lower_bound"] == k
     assert len(partition.parts) == k
@@ -90,7 +93,7 @@ def test_lower_bound_never_exceeds_parts_on_random_sequences() -> None:
         n = int(rng.integers(2, 80))
         scale = float(rng.uniform(0.01, 1.1))
         seq = PointSequence.from_complex(_disk_points(rng, n))
-        partition = split_by_interpolation(lambda z: scale * z, seq)
+        partition = split_at_gamma(seq, _gamma(scale, seq))
         bound = partition.global_info["parts_lower_bound"]
         assert 1 <= bound <= len(partition.parts)
 
@@ -104,4 +107,4 @@ def test_merged_parts_are_reverified(monkeypatch) -> None:
     )
     seq = PointSequence.from_complex([0.3, 0.3001, -0.4j])
     with pytest.raises(NumericDomainError, match="re-verification"):
-        split_by_interpolation(lambda z: 0.5 * z, seq)
+        split_at_gamma(seq, _gamma(0.5, seq))
