@@ -13,16 +13,12 @@ from .carleson import (
     carleson_constant,
     carleson_report,
     earl_bound,
-    embedding_sup,
     interpolation_threshold,
-    pseudohyperbolic,
 )
 from .clark import (
     ClarkFamily,
-    herglotz_residual,
     level_set,
     level_sets,
-    stability_margin,
     variation_along_path,
 )
 from .decompose import (
@@ -48,24 +44,18 @@ from .errors import (
 from .gram import (
     FrameBounds,
     GramMatrix,
-    bessel_constant_estimate,
     extremal_eigs,
     gram,
     hankel_distance_lb,
-    riesz_verdict,
 )
 from .inner import (
     InnerFunction,
-    boundary_derivative,
     derivative,
-    eval_inner,
-    kernel,
-    kernel_norm_sq,
     log_derivative,
     spectrum_distance,
 )
 from .points import PointSequence
-from .pw import ExpSystem, exp_inner, pw_gram, pw_split, shift_off_axis
+from .pw import ExpSystem, pw_gram, pw_split
 
 __all__ = [
     "__version__",
@@ -86,37 +76,25 @@ __all__ = [
     "PartitionPart",
     "PartCertificate",
     "PointSequence",
-    "bessel_constant_estimate",
-    "boundary_derivative",
     "build_arc_system",
     "carleson_constant",
     "carleson_report",
     "decompose_by_squares",
     "derivative",
     "earl_bound",
-    "embedding_sup",
-    "eval_inner",
-    "exp_inner",
     "extremal_eigs",
     "gram",
     "hankel_distance_lb",
-    "herglotz_residual",
     "interpolation_threshold",
-    "kernel",
-    "kernel_norm_sq",
     "level_set",
     "level_sets",
     "log_derivative",
-    "pseudohyperbolic",
     "pw_gram",
     "pw_split",
     "rate_comparability",
-    "riesz_verdict",
     "select_arc_system",
-    "shift_off_axis",
     "spectrum_distance",
     "split_by_interpolation",
-    "stability_margin",
     "uncovered_region_report",
     "variation_along_path",
 ]

@@ -68,13 +68,6 @@ def _require_interior(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def pseudohyperbolic(lam: complex, mu: complex) -> float:
-    """Pseudohyperbolic distance |(l - m)/(1 - conj(m) l)| of interior points."""
-    a, b = complex(lam), complex(mu)
-    _require_interior(np.array([a, b]))
-    return abs((a - b) / (1.0 - b.conjugate() * a))
-
-
 def _pair_denominators(z: np.ndarray) -> np.ndarray:
     """D[i, j] = |1 - z_i conj(z_j)|, the denominator of every pairwise sum here."""
     return np.abs(1.0 - z[:, None] * z[None, :].conj())
@@ -123,14 +116,9 @@ def carleson_report(seq: PointSequence) -> CarlesonReport:
     )
 
 
-def embedding_sup(seq: PointSequence) -> float:
-    """Max row sum of the embedding double-sum statistic."""
-    z = _require_interior(seq.z)
-    return _embedding_sup(z, _pair_denominators(z))
-
-
 def _embedding_sup(z: np.ndarray, denom: np.ndarray) -> float:
-    """``embedding_sup`` of points z with their ``_pair_denominators``."""
+    """Max row sum of the embedding double-sum statistic of points z, with
+    their ``_pair_denominators``."""
     w = 1.0 - np.abs(z) ** 2
     return float((w[:, None] * w[None, :] / denom**2).sum(axis=1).max())
 

@@ -24,9 +24,16 @@ complete family these weights reproduce the Herglotz transform
     Re (alpha + Theta(z))/(alpha - Theta(z))
         = sum_n a_n (1 - |z|^2)/|tau_n - z|^2,
 
-which ``herglotz_residual`` checks pointwise.  Near a singular atom the
-level points accumulate, so enumeration is capped and the family flagged
-``truncated``; a truncated family no longer certifies the identity.
+which ``herglotz_residuals`` checks at an array of points.  Near a
+singular atom the level points accumulate, so enumeration is capped and
+the family flagged ``truncated``; a truncated family no longer certifies
+the identity.  A point's stability margin against the level point that
+anchors its Carleson square is taken with the square parts, in
+``mslab.decompose``.
+
+``variation_along_path`` integrates |Theta'| along a polyline inside the
+disk by adaptive quadrature (``mslab.quadrature``); off the circle no
+closed form gives it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .inner import (
     derivative,
     eval_points,
 )
-from .points import TWO_PI, PointSequence, normalize_angles
+from .points import TWO_PI, normalize_angles
 from .quadrature import adaptive_simpson
 
 
@@ -319,19 +326,15 @@ def level_set(
     return level_sets(theta, [alpha], max_points_per_arc)[0]
 
 
-def herglotz_residual(theta: InnerFunction, family: ClarkFamily, z: complex) -> float:
-    """Gap between the Herglotz transform and the family's Poisson sum at z.
-
-    Small (<= 1e-8) only for complete families; a truncated family misses
-    mass near the spectrum and its residual does not certify anything.
-    """
-    return float(herglotz_residuals(theta, family, np.array([complex(z)]))[0])
-
-
 def herglotz_residuals(
     theta: InnerFunction, family: ClarkFamily, z: np.ndarray
 ) -> np.ndarray:
-    """``herglotz_residual`` over a 1-D array of interior points."""
+    """Gap between the Herglotz transform and the family's Poisson sum at
+    each of a 1-D array of interior points.
+
+    Small (<= 1e-8) only for complete families; a truncated family misses
+    mass near the spectrum and its residuals do not certify anything.
+    """
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise NumericDomainError("Herglotz residual needs an interior point")
@@ -340,22 +343,6 @@ def herglotz_residuals(
     taus = np.exp(1j * family.points)
     poisson = (1.0 - np.abs(z[:, None]) ** 2) / np.abs(taus - z[:, None]) ** 2
     return np.abs(lhs - poisson @ family.weights)
-
-
-def stability_margin(
-    theta: InnerFunction, family: ClarkFamily, seq: PointSequence
-) -> list[float]:
-    """Per-index perturbation ratios |lambda_n - tau_n| * |Theta'(tau_n)|.
-
-    The pairing is by position, never re-matched: a silent nearest-point
-    rematch would hide exactly the violations this measures.
-    """
-    if len(seq) != len(family):
-        raise ConfigError(
-            f"sequence length {len(seq)} does not match family size {len(family)}"
-        )
-    gap = seq.z - np.exp(1j * family.points)
-    return (np.hypot(gap.real, gap.imag) * family.derivs).tolist()
 
 
 def variation_along_path(

@@ -46,9 +46,14 @@ from .carleson import earl_bound, interpolation_threshold, log_distance_matrix
 from .clark import level_sets
 from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import FrameBounds, part_frame_bounds
-from .inner import InnerFunction, eval_points, normalized_values, spectrum_distance
+from .inner import (
+    InnerFunction,
+    boundary_argument,
+    eval_points,
+    normalized_values,
+    spectrum_distance,
+)
 from .points import TWO_PI, PointSequence, normalize_angles
-from .quadrature import adaptive_simpson
 
 _ARC_MASS_REL_TOL = 1e-6
 _GAMMA_CEILING = 1.0 - 1e-14
@@ -349,6 +354,15 @@ def split_log_distances(
 # is flagged.
 _HEALTH_MARGIN = 0.9
 
+# The level-count search accepts an arc system whose per-arc spread of
+# |Theta'|, sampled at _RATE_GRID midpoints per arc, stays below
+# _SPREAD_CEILING; it tries the powers of two from _LEVEL_COUNT_START to
+# _LEVEL_COUNT_LIMIT.
+_SPREAD_CEILING = 4.0
+_RATE_GRID = 32
+_LEVEL_COUNT_START = 8
+_LEVEL_COUNT_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -356,7 +370,7 @@ class Arc:
 
     ``hi`` is the designated level-set endpoint, in [0, 2 pi); ``lo`` may be
     negative for the arc wrapping through angle zero.  ``mass`` is the
-    independently integrated angular mass, verified against 1/N.  The
+    angular mass (Phi(hi) - Phi(lo))/(2 pi), checked against 1/N.  The
     square is (lo, hi] x [1 - |J|/(2 pi), 1], anchored at e^{i hi}, where
     |Theta'| is ``hi_derivative``.
     """
@@ -424,9 +438,10 @@ def build_arc_system(
 
     The level sets at e^{2 pi i l / N} are merged and sorted; consecutive
     points bound the arcs, each tagged by the level of its hi endpoint.
-    Per-arc mass is re-integrated independently of the level sets, all
-    arcs in one lockstep adaptive Simpson over the rate |Theta'|/(2 pi) of
-    ``eval_points``, and checked against 1/N.
+    An arc's mass, the integral of |Theta'|/(2 pi) over it, is
+    (Phi(hi) - Phi(lo))/(2 pi) from one ``boundary_argument`` call on the
+    arc ends, and is checked against 1/N: level points that double
+    precision cannot resolve fail that check.
     Arcs that would contain a singular atom are dropped and the system is
     flagged truncated.
     """
@@ -462,9 +477,8 @@ def build_arc_system(
     truncated = truncated or bool(holds_atom.any())
     keep = ~holds_atom
     lo, hi, level, deriv = lo[keep], hi[keep], level[keep], deriv[keep]
-    masses = adaptive_simpson(
-        lambda t: eval_points(theta, np.exp(1j * t))[1] / TWO_PI, lo, hi, rel_tol=1e-9
-    )
+    phi_lo, phi_hi = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    masses = (phi_hi - phi_lo) / TWO_PI
     target = 1.0 / level_count
     off = np.abs(masses - target) > _ARC_MASS_REL_TOL * target
     if off.any() and not truncated:
@@ -483,7 +497,6 @@ class UncoveredRegionReport:
     """Sampled boundary diagnostics of the region left under the squares."""
 
     delta: float
-    log_modulus_worst_const: float
     samples: int
 
 
@@ -495,8 +508,7 @@ def uncovered_region_report(
     The boundary consists of the squares' inner sides plus the radial
     segments joining adjacent squares of different depths; by the maximum
     principle the sampled max bounds |Theta| throughout the region (up to
-    sampling resolution).  Also records the worst constant C for which
-    log|Theta(z)| <= -C (1-|z|) |Theta'(z/|z|)| held on the samples.
+    sampling resolution).
     """
     if not arcs.arcs:
         raise NumericDomainError("arc system is empty")
@@ -511,27 +523,18 @@ def uncovered_region_report(
     joints = r_lo[joint, None] + (r_hi - r_lo)[joint, None] * (np.arange(8) + 0.5) / 8
     radii = np.concatenate([np.repeat(inner, per_side), joints.ravel()])
     z = radii * np.exp(1j * np.concatenate([sides.ravel(), np.repeat(hi[joint], 8)]))
-    values, rates = eval_points(theta, z)
-    mod = np.abs(values)
-    r = np.abs(z)
-    # log|Theta| <= -C (1-|z|) |Theta'| holds for every C at a zero of Theta
-    off_zero = (r > 0.0) & (r < 1.0) & (mod > 0.0)
-    consts = -np.log(mod[off_zero]) / ((1.0 - r[off_zero]) * rates[off_zero])
-    return UncoveredRegionReport(
-        delta=float(mod.max()),
-        log_modulus_worst_const=float(consts.min()) if consts.size else math.inf,
-        samples=int(z.size),
-    )
+    values, _ = eval_points(theta, z)
+    return UncoveredRegionReport(delta=float(np.abs(values).max()), samples=int(z.size))
 
 
 # ---------------------------------------------------------------------------
 # Full square-pipeline decomposition
 # ---------------------------------------------------------------------------
 
-def rate_comparability(theta: InnerFunction, arcs: ArcSystem, grid: int = 32) -> float:
-    """Worst per-arc max/min ratio of |Theta'| over a midpoint subgrid of each arc."""
+def rate_comparability(theta: InnerFunction, arcs: ArcSystem) -> float:
+    """Worst per-arc max/min ratio of |Theta'| over _RATE_GRID midpoints of each arc."""
     lo, length = np.array([(arc.lo, arc.length) for arc in arcs.arcs]).T
-    angles = lo[:, None] + length[:, None] * (np.arange(grid) + 0.5) / grid
+    angles = lo[:, None] + length[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
     _, rates = eval_points(theta, np.exp(1j * angles.ravel()))
     rates = rates.reshape(angles.shape)
     return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
@@ -540,29 +543,25 @@ def rate_comparability(theta: InnerFunction, arcs: ArcSystem, grid: int = 32) ->
 def select_arc_system(
     theta: InnerFunction,
     *,
-    delta_ceiling: float = _HEALTH_MARGIN,
-    spread_ceiling: float = 4.0,
-    start: int = 8,
-    limit: int = 256,
     samples: int = 2048,
     max_points_per_arc: int = 512,
 ) -> tuple[ArcSystem, UncoveredRegionReport]:
     """The arc system at the smallest usable power-of-two N, with its uncovered-region report.
 
     Usable means: the uncovered region's sampled sup of |Theta| is below
-    ``delta_ceiling`` and the per-arc rate spread stays below
-    ``spread_ceiling``.  The two criteria pull in opposite directions (the
+    ``_HEALTH_MARGIN`` and the per-arc rate spread stays below
+    ``_SPREAD_CEILING``.  The two criteria pull in opposite directions (the
     spread improves with N while the sublevel sup creeps toward 1), so when
     no N meets the health margin the spread-qualified N with the smallest
     sup below 1 is taken instead; certificates stay valid for any sup < 1.
     """
     best: tuple[ArcSystem, UncoveredRegionReport] | None = None
-    n = start
-    while n <= limit:
+    n = _LEVEL_COUNT_START
+    while n <= _LEVEL_COUNT_LIMIT:
         arcs = build_arc_system(theta, n, max_points_per_arc)
         region = uncovered_region_report(theta, arcs, samples)
-        if rate_comparability(theta, arcs) <= spread_ceiling:
-            if region.delta < delta_ceiling:
+        if rate_comparability(theta, arcs) <= _SPREAD_CEILING:
+            if region.delta < _HEALTH_MARGIN:
                 return arcs, region
             if region.delta < 1.0 - 1e-9 and (best is None or region.delta < best[1].delta):
                 best = (arcs, region)
@@ -570,7 +569,7 @@ def select_arc_system(
     if best is not None:
         return best
     raise CertificationError(
-        f"no usable level count up to {limit}: sublevel bound or rate spread failed"
+        f"no usable level count up to {_LEVEL_COUNT_LIMIT}: sublevel bound or rate spread failed"
     )
 
 

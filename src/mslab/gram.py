@@ -8,7 +8,8 @@ is Hermitian with unit diagonal and positive semidefinite; its extremal
 eigenvalues are the finite-section surrogates of the Bessel constant
 (lambda_max) and the lower Riesz bound (lambda_min).  A finite section can
 only certify necessary conditions for the corresponding infinite
-statements: verdicts below carry the section size for that reason.
+statements: verdicts (``FrameBounds.verdict_at``) carry the section size
+for that reason.
 
 Entries are assembled from the closed kernel formula, never by quadrature,
 out of each point's Theta value and kernel norm: one
@@ -111,23 +112,16 @@ class FrameBounds:
         return out
 
 
-def _evaluated(
-    theta: InnerFunction, seq: PointSequence
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A non-empty sequence's points, Theta values, kernel norms squared and ids."""
-    if len(seq) == 0:
-        raise NumericDomainError("empty point sequence")
-    values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    return seq.z, values, norms_sq, seq.ids
-
-
 def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
     """Normalized-kernel Gram section for a sequence off the spectrum.
 
     Each point's Theta value and kernel norm is computed once; entries are
     the exact rational expressions in those values.
     """
-    return gram_from_values(*_evaluated(theta, seq))
+    if len(seq) == 0:
+        raise NumericDomainError("empty point sequence")
+    values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return gram_from_values(seq.z, values, norms_sq, seq.ids)
 
 
 def gram_from_values(
@@ -319,26 +313,14 @@ def _sections(
 # Hermitian extremal eigenvalues
 # ---------------------------------------------------------------------------
 
-def extremal_eigs(g: GramMatrix | np.ndarray) -> FrameBounds:
-    """Smallest and largest eigenvalue of a Hermitian section (LAPACK).
+def extremal_eigs(g: GramMatrix) -> FrameBounds:
+    """Smallest and largest eigenvalue of a Gram section (LAPACK).
 
     Tiny negative lambda_min from roundoff on a PSD Gram is clamped to 0.
     """
-    if isinstance(g, GramMatrix):
-        a = g.entries  # validated Hermitian on construction
-    else:
-        a = np.asarray(g, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NumericDomainError("eigenvalue input must be a square matrix")
-        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if dev > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-            raise NumericDomainError(f"matrix not Hermitian: deviation {dev!r}")
-    if not np.isfinite(a).all():
+    if not np.isfinite(g.entries).all():
         raise NumericDomainError("eigenvalue input has non-finite entries")
-    eigs = np.linalg.eigvalsh(a)
-    if isinstance(g, GramMatrix):
-        return _gram_bounds(eigs)
-    return FrameBounds(lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]), n=a.shape[0])
+    return _gram_bounds(np.linalg.eigvalsh(g.entries))
 
 
 def _gram_bounds(eigs: np.ndarray) -> FrameBounds:
@@ -347,28 +329,6 @@ def _gram_bounds(eigs: np.ndarray) -> FrameBounds:
     if -1e-10 < lam_min < 0.0:
         lam_min = 0.0
     return FrameBounds(lambda_min=lam_min, lambda_max=float(eigs[-1]), n=eigs.size)
-
-
-def bessel_constant_estimate(theta: InnerFunction, seq: PointSequence) -> float:
-    """lambda_max of the finite Gram section.
-
-    A certified lower bound for the true Bessel constant of the infinite
-    family; monotone nondecreasing as the section grows.
-    """
-    return section_frame_bounds(theta, *_evaluated(theta, seq)).lambda_max
-
-
-def riesz_verdict(
-    theta: InnerFunction, seq: PointSequence, floor: float
-) -> tuple[str, FrameBounds]:
-    """Finite-section Riesz certificate at the given eigenvalue floor.
-
-    "certified_riesz" means lambda_min of this section clears the floor; a
-    necessary condition for the infinite statement, never sufficient, which
-    is why the bounds carry the section size.
-    """
-    fb = section_frame_bounds(theta, *_evaluated(theta, seq))
-    return fb.verdict_at(floor), fb
 
 
 # ---------------------------------------------------------------------------

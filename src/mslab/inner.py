@@ -9,8 +9,8 @@ with the single Blaschke factor
 
     b_eta(z) = (|eta|/eta) * (eta - z)/(1 - conj(eta) z),      b_0(z) := z.
 
-Every quantity below (point evaluation, reproducing kernel, kernel norms,
-boundary derivatives) is then an exact finite expression in this data.  The
+Every quantity below (point values, kernel norms, boundary derivatives and
+the boundary argument) is then an exact finite expression in this data.  The
 spectrum of such a representation is the finite set of zeros and atom
 positions; evaluation on a boundary atom is refused rather than regularized.
 
@@ -24,7 +24,9 @@ points, and |Theta'(zeta)| at boundary points, where
     |Theta'(zeta)| = sum_n (1 - |z_n|^2)/|zeta - z_n|^2
                    + 2 sum_k m_k / |zeta - tau_k|^2
 
-is also the angular derivative of arg Theta(e^{i theta}).
+is also the angular derivative of arg Theta(e^{i theta}).  The kernel
+itself is assembled between points by ``mslab.gram``, from the values and
+norms that ``normalized_values`` gives here.
 
 The interior norm is not taken from the subtraction 1 - |Theta|^2, which
 loses digits as |lambda| -> 1.  Each factor gives its share exactly:
@@ -40,8 +42,8 @@ products and sums, not from rounded moduli, and 1 - conj(eta) z as
 so norms and rates keep their digits next to zeros at the circle.
 
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
-one numpy pass (points against zeros, points against atoms); the layers
-that evaluate a batch (level sets, square geometry) share it.
+one numpy pass (points against zeros, points against atoms); every layer
+that evaluates Theta at given points shares it.
 ``argument_and_rate`` gives, in the same way, the continuous argument Phi
 of Theta(e^{it}) on an atom-free boundary arc in closed form, together
 with its rate |Theta'| from the same sines; ``boundary_argument`` is its
@@ -50,11 +52,9 @@ Phi alone.
 sequence as arrays, from its ``z`` and ``angle`` arrays (NaN inside the
 disk), for Gram sections and the decomposition drivers; it takes rates
 only where it uses them.  ``log_derivative``, ``derivative`` and
-``spectrum_distance`` take a point or an array of points.  Each formula
-has this one array implementation, computed from arrays of the data
-built once per function: the scalar names ``eval_inner``,
-``boundary_derivative``, ``kernel_norm_sq`` and ``kernel`` take complex
-numbers and are one-point views of the array code.
+``spectrum_distance`` take a 1-D array of points.  Each formula has this
+one array implementation, computed from arrays of the data built once per
+function; a single point is a one-element array.
 """
 
 from __future__ import annotations
@@ -67,11 +67,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericDomainError, OnSpectrumError
+from .errors import ConfigError, OnSpectrumError
 from .points import ANGLE_TOL, TWO_PI, angle_distance, normalize_angle
-
-# Guard for the kernel's diagonal singularity 1 - conj(lambda) z = 0.
-_DIAG_GUARD = 1e-14
 
 # |z| within this distance of 1 counts as a boundary point for evaluation.
 _BOUNDARY_EVAL_TOL = 1e-9
@@ -203,13 +200,6 @@ class InnerFunction:
         return InnerFunction(tuple(zeros), tuple(atoms))
 
 
-def _as_points(z) -> tuple[np.ndarray, bool]:
-    """z as a 1-D complex array, and whether it was given as one point."""
-    if np.ndim(z) == 0:
-        return np.array([complex(z)]), True
-    return np.asarray(z, dtype=complex), False
-
-
 def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
     """Row slices of a rows-by-cols array with at most _BLOCK_ENTRIES entries each."""
     step = max(1, _BLOCK_ENTRIES // max(1, cols))
@@ -290,47 +280,14 @@ def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
     return values
 
 
-def eval_inner(theta: InnerFunction, z: complex) -> complex:
-    """Evaluate the inner function at a point off its boundary spectrum.
+def log_derivative(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+    """Theta'(z)/Theta(z) over a 1-D array of points, from the factorwise
+    logarithmic derivative.
 
-    Interior points always work; boundary points must avoid the atoms.
-    One point of the array evaluator, which takes no boundary rate here.
+    Valid off the zeros and atoms: a zero raises ``OnSpectrumError``, as
+    does a boundary point on an atom.
     """
-    return complex(_checked_values(theta, _as_points(z)[0])[0])
-
-
-def _checked_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
-    """Theta over a 1-D array of points, without rates; refuses boundary points on atoms."""
-    _refuse_atoms(theta._terms, z)
-    return _values(theta._terms, z)
-
-
-def boundary_derivative(theta: InnerFunction, zeta: complex) -> float:
-    """Angular derivative |Theta'| at a boundary point.
-
-        |Theta'(zeta)| = sum_n (1-|z_n|^2)/|zeta - z_n|^2
-                       + 2 sum_k m_k / |zeta - tau_k|^2
-
-    Returns +inf when zeta coincides with an atom.  The rate of
-    ``eval_points`` at one point.
-    """
-    w = complex(zeta)
-    if abs(abs(w) - 1.0) > _BOUNDARY_EVAL_TOL:
-        raise NumericDomainError(
-            f"boundary derivative needs a boundary point, got |z| = {abs(w)!r}"
-        )
-    zeta = np.array([w])
-    return float(_rates(theta._terms, zeta, _near_atoms(theta._terms, np.angle(zeta)))[0])
-
-
-def log_derivative(theta: InnerFunction, z):
-    """Theta'(z)/Theta(z), from the factorwise logarithmic derivative.
-
-    Takes one point (returns a complex) or a 1-D array of points (returns
-    an array).  Valid off the zeros and atoms: a zero raises
-    ``OnSpectrumError``, as does a boundary point on an atom.
-    """
-    w, one = _as_points(z)
+    w = np.asarray(z, dtype=complex)
     terms = theta._terms
     _refuse_atoms(terms, w)
     total = np.empty(w.shape, dtype=complex)
@@ -344,14 +301,14 @@ def log_derivative(theta: InnerFunction, z):
         total[rows] = (-terms.weight / denom).sum(axis=1) - (
             2.0 * terms.masses * terms.taus / (terms.taus - v) ** 2
         ).sum(axis=1)
-    return complex(total[0]) if one else total
+    return total
 
 
-def derivative(theta: InnerFunction, z):
-    """Analytic derivative Theta'(z), off the spectrum, at one point or a 1-D array."""
-    w, one = _as_points(z)
-    out = _checked_values(theta, w) * log_derivative(theta, w)
-    return complex(out[0]) if one else out
+def derivative(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
+    """Analytic derivative Theta'(z) over a 1-D array of points off the spectrum."""
+    w = np.asarray(z, dtype=complex)
+    # log_derivative refuses the atoms before _values would divide by zero there
+    return log_derivative(theta, w) * _values(theta._terms, w)
 
 
 def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,51 +418,17 @@ def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> n
     return -np.expm1(log_mod_sq) / gap
 
 
-def kernel_norm_sq(theta: InnerFunction, lam: complex) -> float:
-    """Squared norm of the reproducing kernel at a point of the closed disk.
-
-    (1 - |Theta(lambda)|^2)/(1 - |lambda|^2), from the factor identities of
-    the module docstring; for |lambda| >= 1 - 1e-12, the angular
-    derivative at lambda/|lambda|.  A point on an atom is an error.  One
-    interior-tagged point of ``normalized_values``.
-    """
-    return float(normalized_values(theta, np.array([complex(lam)]), np.array([math.nan]))[1][0])
-
-
-def kernel(theta: InnerFunction, lam: complex, z: complex) -> complex:
-    """Reproducing kernel k_lambda(z) of the model subspace of Theta.
-
-    Hermitian in its arguments: kernel(lam, z) == conj(kernel(z, lam)).
-    The diagonal is ``kernel_norm_sq``.
-    """
-    lw = complex(lam)
-    zw = complex(z)
-    if lw == zw:
-        return complex(kernel_norm_sq(theta, lw))
-    denom = 1.0 - lw.conjugate() * zw
-    values = _checked_values(theta, np.array([lw, zw]))
-    num = 1.0 - complex(values[0]).conjugate() * complex(values[1])
-    if abs(denom) < _DIAG_GUARD and (denom == 0 or abs(num) > 1e-10):
-        # z is numerically at the reflection 1/conj(lambda) without the
-        # numerator vanishing along with it; the formula has no limit here.
-        raise NumericDomainError(
-            f"kernel evaluated too close to the diagonal singularity: |1 - conj(l)z| = {abs(denom)!r}"
-        )
-    return num / denom
-
-
-def spectrum_distance(theta: InnerFunction, w):
-    """Euclidean distance from a point, or each of a 1-D array of points,
-    to the zero/atom set.
+def spectrum_distance(theta: InnerFunction, w: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each of a 1-D array of points to the zero/atom set.
 
     +inf for a constant representation (empty spectrum).
     """
-    v, one = _as_points(w)
+    v = np.asarray(w, dtype=complex)
     spectrum = np.concatenate([theta._terms.zeros, theta._terms.taus])
     dist = np.empty(v.shape)
     for rows in _row_blocks(v.size, spectrum.size):
         dist[rows] = np.abs(v[rows, None] - spectrum).min(axis=1, initial=math.inf)
-    return float(dist[0]) if one else dist
+    return dist
 
 
 def normalized_values(

@@ -3,8 +3,10 @@
 Oracles here deliberately avoid the library's own code paths: quadrature
 is plain composite rules on numpy arrays, eigenvalues come from a
 self-contained cyclic Jacobi sweep (the library calls LAPACK), Carleson
-constants are plain pairwise products and log distances one Python
-expression per pair (the library sums logs in numpy),
+constants are plain pairwise products and pseudohyperbolic and log
+distances one Python expression per pair (the library sums logs in
+numpy), exponential inner products are taken one pair at a time (the
+library forms the whole frequency matrix),
 Blaschke products and the boundary rate |Theta'| are re-evaluated factor
 by factor where a cross-check matters, kernel norms are exact rationals or
 a telescoping sum over the factors with exact weights 1 - |eta|^2 and
@@ -30,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from mslab.carleson import log_distance_matrix
-from mslab.clark import ClarkFamily, stability_margin
 from mslab.decompose import Partition, modulus_rank, split_log_distances
 from mslab.errors import ConfigError
 from mslab.inner import InnerFunction
@@ -161,6 +162,11 @@ def carleson_delta_oracle(values) -> float:
     return best
 
 
+def pseudohyperbolic_oracle(a: complex, b: complex) -> float:
+    """Pseudohyperbolic distance |(a - b)/(1 - conj(b) a)| of two disk points."""
+    return abs((a - b) / (1.0 - b.conjugate() * a))
+
+
 def log_distance_oracle(values) -> np.ndarray:
     """log rho(a, b) = log |(a - b)/(1 - conj(b) a)| for every pair of disk
     points, one Python expression per entry; 0 on the diagonal."""
@@ -199,6 +205,52 @@ def composite_gauss_legendre(f, a: float, b: float, panels: int, order: int = 8)
         x = lo + 0.5 * h * (nodes + 1.0)
         total += 0.5 * h * np.sum(weights * f(x))
     return total
+
+
+# 2 pi - TWO_PI: with it, t - 2 pi is formed to well below an ulp of the result.
+_TWO_PI_LO = 2.4492935982947064e-16
+
+
+def arc_mass_oracle(theta: InnerFunction, lo: float, hi: float) -> float:
+    """Integral of ``boundary_rate_oracle``/(2 pi) over the arc [lo, hi], lo >= -2 pi.
+
+    Composite Gauss-Legendre on cells that halve towards every zero's and
+    atom's angle (down to 1e-12), so a zero next to the circle is resolved.
+    Above pi the rate is taken at v = t - 2 pi: nodes near t = 2 pi round to
+    a grid of 8.9e-16, which next to a zero 1e-9 from the circle at angle 0
+    put the integral some 1e-8 off, while v keeps every node where the rule
+    puts it.
+    """
+    spectrum = [cmath.phase(z) for z in theta.blaschke_zeros] + [a for a, _ in theta.singular_atoms]
+    grading = 1e-12 * 2.0 ** np.arange(45)
+    total = 0.0
+    for a, b in ((lo, min(hi, math.pi)), (max(lo, math.pi), hi)):
+        if a >= b:
+            continue
+        if a >= math.pi:
+            a, b = (a - TWO_PI) - _TWO_PI_LO, (b - TWO_PI) - _TWO_PI_LO
+        cuts = [a, b]
+        for c in spectrum:
+            for centre in (c - TWO_PI, c, c + TWO_PI):
+                cuts += [centre, *(centre - grading), *(centre + grading)]
+        edges = np.unique(np.clip(cuts, a, b))
+        for x, y in zip(edges[:-1], edges[1:]):
+            total += composite_gauss_legendre(
+                lambda t: boundary_rate_oracle(theta, t), x, y, panels=2
+            ).real
+    return total / TWO_PI
+
+
+def exp_inner_oracle(a: float, lam: complex, mu: complex) -> complex:
+    """<e_lam, e_mu> on (-a, a): 2 sin(a d)/d with d = lam - conj(mu), one
+    pair at a time, and its series 2a (1 - w^2/6 + w^4/120) in w = a d
+    where |w| < 1e-4."""
+    d = complex(lam) - complex(mu).conjugate()
+    w = a * d
+    if abs(w) < 1e-4:
+        w2 = w * w
+        return 2.0 * a * (1.0 - w2 / 6.0 + w2 * w2 / 120.0)
+    return 2.0 * cmath.sin(w) / d
 
 
 def simpson_fixed(f, a: float, b: float, n: int = 4096) -> float:
@@ -479,14 +531,14 @@ def locate_reference(arcs, z) -> np.ndarray:
 
 
 def square_parts_reference(
-    theta: InnerFunction, seq: PointSequence, arcs, located: np.ndarray
+    seq: PointSequence, arcs, located: np.ndarray
 ) -> list[tuple[np.ndarray, str, tuple[float, ...]]]:
     """Square sub-parts as (positions in seq, route, stability margins).
 
     Points are bucketed by level and square, each square's ids sorted;
-    sub-part m of a level takes the m-th id of every square, and its margins
-    come from ``stability_margin`` against the family of the squares'
-    anchor points e^{i hi}, matched by index.
+    sub-part m of a level takes the m-th id of every square, and its
+    margins are |lambda - e^{i hi}| |Theta'(e^{i hi})| against the anchor
+    of each point's own square, matched by index.
     """
     bucket: dict[int, dict[int, list[int]]] = {}  # level -> arc index -> ids
     for k, pid in enumerate(seq.ids.tolist()):
@@ -500,7 +552,6 @@ def square_parts_reference(
         for ids in per_square.values():
             ids.sort()
         depth = max(len(ids) for ids in per_square.values())
-        alpha = cmath.exp(2j * math.pi * level / arcs.level_count)
         for m in range(depth):
             owner: dict[int, int] = {}  # id -> arc index
             for arc_index in sorted(per_square):
@@ -514,13 +565,8 @@ def square_parts_reference(
                 arc = arcs.arcs[owner[pid]]
                 anchors.append(normalize_angle(arc.hi))
                 derivs.append(arc.hi_derivative)
-            family = ClarkFamily(
-                alpha=alpha,
-                points=np.array(anchors),
-                derivs=np.array(derivs),
-                weights=1.0 / np.array(derivs),
-            )
-            margins = stability_margin(theta, family, part_seq)
+            gap = part_seq.z - np.exp(1j * np.array(anchors))
+            margins = (np.hypot(gap.real, gap.imag) * np.array(derivs)).tolist()
             out.append(
                 (
                     np.array([position[pid] for pid in part_seq.ids.tolist()]),

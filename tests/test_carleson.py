@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pseudohyperbolic_oracle
+
 from mslab.carleson import (
     carleson_constant,
     carleson_report,
     earl_bound,
-    embedding_sup,
     interpolation_threshold,
-    pseudohyperbolic,
+    log_distance_matrix,
 )
 from mslab.errors import NumericDomainError
 from mslab.points import PointSequence
@@ -27,27 +28,29 @@ def _random_interior(rng: np.random.Generator, n: int, rmax: float = 0.9) -> Poi
     return PointSequence.from_complex(pts)
 
 
+def _rho(points) -> np.ndarray:
+    """Pairwise pseudohyperbolic distances, from the log-distance matrix."""
+    return np.exp(log_distance_matrix(PointSequence.from_complex(points)))
+
+
 def test_pseudohyperbolic_examples() -> None:
-    assert pseudohyperbolic(0, 0.5) == pytest.approx(0.5)
-    assert pseudohyperbolic(0.5, -0.5) == pytest.approx(0.8)
-    assert pseudohyperbolic(0.3 + 0.1j, 0.3 + 0.1j) == 0.0
+    assert _rho([0, 0.5])[0, 1] == pytest.approx(0.5)
+    assert _rho([0.5, -0.5])[0, 1] == pytest.approx(0.8)
+    assert np.all(_rho([0.3 + 0.1j, -0.2, 0.5j]).diagonal() == 1.0)  # log rho = 0
 
 
 def test_pseudohyperbolic_symmetry_and_rotation() -> None:
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
-        b = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
-        t = cmath.exp(1j * rng.uniform(0, TWO_PI))
-        assert pseudohyperbolic(a, b) == pytest.approx(pseudohyperbolic(b, a))
-        assert pseudohyperbolic(t * a, t * b) == pytest.approx(
-            pseudohyperbolic(a, b), abs=1e-12
-        )
+    a = 0.9 * np.sqrt(rng.uniform(size=20)) * np.exp(1j * rng.uniform(0, TWO_PI, 20))
+    t = cmath.exp(1j * rng.uniform(0, TWO_PI))
+    rho = _rho(a)
+    assert np.array_equal(rho, rho.T)
+    assert _rho(t * a) == pytest.approx(rho, abs=1e-12)
 
 
 def test_pseudohyperbolic_boundary_rejected() -> None:
     with pytest.raises(NumericDomainError):
-        pseudohyperbolic(1.0, 0.5)
+        log_distance_matrix(PointSequence.from_complex([1.0, 0.5]))
 
 
 def test_carleson_singleton_empty_product() -> None:
@@ -94,25 +97,27 @@ def test_carleson_log_product_path_matches_direct() -> None:
 
 
 def test_embedding_examples() -> None:
-    assert embedding_sup(PointSequence.from_complex([0.0])) == pytest.approx(1.0)
-    assert embedding_sup(PointSequence.from_complex([0, 0.5])) == pytest.approx(1.75)
+    one = carleson_report(PointSequence.from_complex([0.0]))
+    two = carleson_report(PointSequence.from_complex([0, 0.5]))
+    assert one.embedding_sup == pytest.approx(1.0)
+    assert two.embedding_sup == pytest.approx(1.75)
 
 
 def test_embedding_diagonal_lower_bound() -> None:
     rng = np.random.default_rng(4)
     seq = _random_interior(rng, 12)
-    assert embedding_sup(seq) >= 1.0
+    assert carleson_report(seq).embedding_sup >= 1.0
 
 
 def test_monotone_under_point_removal() -> None:
     rng = np.random.default_rng(5)
     seq = _random_interior(rng, 10)
     base_delta = carleson_constant(seq)
-    base_emb = embedding_sup(seq)
+    base_emb = carleson_report(seq).embedding_sup
     for drop in seq.ids:
         rest = seq.subset(np.flatnonzero(seq.ids != drop))
         assert carleson_constant(rest) >= base_delta - 1e-14
-        assert embedding_sup(rest) <= base_emb + 1e-14
+        assert carleson_report(rest).embedding_sup <= base_emb + 1e-14
 
 
 def test_rotation_invariance_of_scalars() -> None:
@@ -121,7 +126,9 @@ def test_rotation_invariance_of_scalars() -> None:
     t = cmath.exp(0.77j)
     rotated = PointSequence.from_complex(t * seq.z)
     assert carleson_constant(rotated) == pytest.approx(carleson_constant(seq), abs=1e-12)
-    assert embedding_sup(rotated) == pytest.approx(embedding_sup(seq), abs=1e-12)
+    assert carleson_report(rotated).embedding_sup == pytest.approx(
+        carleson_report(seq).embedding_sup, abs=1e-12
+    )
 
 
 def test_delta_bounded_by_min_pairwise() -> None:
@@ -129,29 +136,33 @@ def test_delta_bounded_by_min_pairwise() -> None:
     seq = _random_interior(rng, 7)
     vals = seq.z.tolist()
     min_pair = min(
-        pseudohyperbolic(vals[i], vals[j])
+        pseudohyperbolic_oracle(vals[i], vals[j])
         for i in range(len(vals))
         for j in range(i + 1, len(vals))
     )
     assert carleson_constant(seq) <= min_pair + 1e-14
     pair = PointSequence.from_complex([0.1, 0.6j])
     assert carleson_constant(pair) == pytest.approx(
-        pseudohyperbolic(0.1, 0.6j), rel=1e-14
+        pseudohyperbolic_oracle(0.1, 0.6j), rel=1e-14
     )
 
 
 def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
-    # the report's two sums share one matrix, and give what the public
-    # functions that each form their own give, bit for bit
+    # the report's two sums share one matrix; its delta is carleson_constant's
+    # bit for bit, and its embedding sum the double sum written out
     module = importlib.import_module("mslab.carleson")
     seq = _random_interior(np.random.default_rng(8), 200, rmax=0.99)
-    want = (carleson_constant(seq), embedding_sup(seq))
+    w = 1.0 - np.abs(seq.z) ** 2
+    double_sum = w[:, None] * w / np.abs(1.0 - seq.z[:, None] * seq.z.conj()) ** 2
+    want_embedding = float(double_sum.sum(axis=1).max())
+    want_delta = carleson_constant(seq)
     formed = []
     denominators = module._pair_denominators
     monkeypatch.setattr(module, "_pair_denominators", lambda z: formed.append(1) or denominators(z))
     report = carleson_report(seq)
     assert len(formed) == 1
-    assert (report.delta, report.embedding_sup) == want
+    assert report.delta == want_delta
+    assert report.embedding_sup == pytest.approx(want_embedding, rel=1e-13)
 
 
 def test_empty_sequence_rejected() -> None:

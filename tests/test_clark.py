@@ -17,12 +17,12 @@ from mslab.clark import (
     _check_arc_clear,
     _level_arcs,
     _solve,
-    herglotz_residual,
+    herglotz_residuals,
     level_set,
     level_sets,
-    stability_margin,
     variation_along_path,
 )
+from mslab.decompose import decompose_by_squares
 from mslab.errors import ConfigError, NumericDomainError
 from mslab.gram import gram
 from mslab.inner import InnerFunction, argument_and_rate, boundary_argument
@@ -464,26 +464,26 @@ def test_parseval_at_desk_scale() -> None:
 def test_herglotz_center_value() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     fam = level_set(z3, 1.0)
-    assert herglotz_residual(z3, fam, 0.0) <= 1e-14
+    assert herglotz_residuals(z3, fam, np.zeros(1))[0] <= 1e-14
 
 
 def test_herglotz_interior_point() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     fam = level_set(z3, 1.0)
-    assert herglotz_residual(z3, fam, 0.5) <= 1e-10
+    assert herglotz_residuals(z3, fam, np.array([0.5]))[0] <= 1e-10
 
 
 def test_herglotz_blaschke_pair() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5, -0.5))
     fam = level_set(theta, 1.0)
-    assert herglotz_residual(theta, fam, 0.3j) <= 1e-8
+    assert herglotz_residuals(theta, fam, np.array([0.3j]))[0] <= 1e-8
 
 
 def test_herglotz_needs_interior_point() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     fam = level_set(z2, 1.0)
     with pytest.raises(NumericDomainError):
-        herglotz_residual(z2, fam, cmath.exp(0.5j))
+        herglotz_residuals(z2, fam, np.array([0.1, cmath.exp(0.5j)]))
 
 
 def _assert_light_atom_family(atom: float, mass: float) -> None:
@@ -521,28 +521,38 @@ def test_truncated_atomic_family_flagged() -> None:
     assert len(fam) <= 64
     assert np.max(np.abs(blaschke_values_on_circle(theta, fam.points) - 1.0)) <= 1e-9
     # residual is returned but does not certify for a truncated family
-    res = herglotz_residual(theta, fam, 0.2)
-    assert math.isfinite(res)
+    res = herglotz_residuals(theta, fam, np.array([0.2]))
+    assert np.isfinite(res).all()
 
 
 # ---------------------------------------------------------------------------
 # stability and variation
 # ---------------------------------------------------------------------------
 
+def _square_margins(theta: InnerFunction, seq: PointSequence) -> list[float]:
+    """Each point's stability margin |lambda - tau| |Theta'(tau)| against the
+    anchor tau of its Carleson square, at one level (alpha = 1), by id."""
+    margins = {}
+    for part in decompose_by_squares(theta, seq, 1).parts:
+        margins.update(zip(part.ids, part.stability_margins))
+    return [margins[k] for k in seq.ids.tolist()]
+
+
 def test_stability_margin_zero_for_exact_family() -> None:
     z4 = InnerFunction(blaschke_zeros=(0,) * 4)
     fam = level_set(z4, 1.0)
     seq = PointSequence.from_angles(fam.points)
-    assert stability_margin(z4, fam, seq) == pytest.approx([0.0] * 4, abs=1e-12)
+    assert _square_margins(z4, seq) == pytest.approx([0.0] * 4, abs=1e-12)
 
 
 def test_stability_margin_angular_shift() -> None:
+    # each point t/n before its level point stays in the square that point anchors
     n = 8
     zn = InnerFunction(blaschke_zeros=(0,) * n)
     fam = level_set(zn, 1.0)
     t = 0.1
-    seq = PointSequence.from_angles(fam.points + t / n)
-    margins = stability_margin(zn, fam, seq)
+    seq = PointSequence.from_angles(fam.points - t / n)
+    margins = _square_margins(zn, seq)
     expect = abs(cmath.exp(1j * t / n) - 1.0) * n
     assert margins == pytest.approx([expect] * n, rel=1e-12)
     assert expect == pytest.approx(t, rel=1e-3)
@@ -553,15 +563,8 @@ def test_stability_margin_radial_move() -> None:
     fam = level_set(z3, 1.0)
     s = 0.05
     pts = (1 - s) * np.exp(1j * fam.points)
-    margins = stability_margin(z3, fam, PointSequence.from_complex(pts))
+    margins = _square_margins(z3, PointSequence.from_complex(pts))
     assert margins == pytest.approx([s * 3.0] * 3, rel=1e-12)
-
-
-def test_stability_margin_size_mismatch() -> None:
-    z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    fam = level_set(z3, 1.0)
-    with pytest.raises(ConfigError):
-        stability_margin(z3, fam, PointSequence.from_complex([0.1]))
 
 
 def test_variation_trivial_and_radial() -> None:

@@ -158,18 +158,19 @@ def test_clark_command_near_the_boundary(tmp_path, name) -> None:
         assert not report["truncated"] and len(report["points"]) == len(inner["blaschke_zeros"])
 
 
-_SCALAR_VIEWS = ("eval_inner", "boundary_derivative", "kernel_norm_sq", "log_derivative", "derivative")
+# Evaluators no command needs: the analytic derivative serves path variation only.
+_UNUSED_BY_COMMANDS = ("log_derivative", "derivative")
 
 
 def test_commands_read_only_the_array_evaluators(tmp_path, monkeypatch) -> None:
-    # every module binding of a scalar view raises; each command still
-    # runs, so no layer evaluates Theta one point at a time
+    # every module binding of the derivatives raises; each command still
+    # runs, on eval_points, argument_and_rate and normalized_values alone
     def refuse(*args, **kwargs):
-        raise AssertionError("a layer called a scalar view of the evaluator")
+        raise AssertionError("a command called an evaluator it does not need")
 
     for name, module in list(sys.modules.items()):
         if name == "mslab" or name.startswith("mslab."):
-            for attr in _SCALAR_VIEWS:
+            for attr in _UNUSED_BY_COMMANDS:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     inner = {"blaschke_zeros": [[0.3, 0.1], [-0.2, 0.4]], "singular_atoms": [{"angle": 2.0, "mass": 0.3}]}

@@ -17,24 +17,33 @@ from mslab.errors import NumericDomainError, OnSpectrumError
 from mslab.gram import (
     FrameBounds,
     GramMatrix,
-    bessel_constant_estimate,
     extremal_eigs,
     gram,
     gram_from_values,
     hankel_distance_lb,
     part_frame_bounds,
-    riesz_verdict,
     section_frame_bounds,
 )
-from mslab.inner import InnerFunction, eval_inner, normalized_values
+from mslab.inner import InnerFunction, normalized_values
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
 
-def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2.0
+def _random_gram(rng: np.random.Generator, n: int) -> GramMatrix:
+    """The Gram matrix of n random unit vectors of C^n: Hermitian, unit diagonal."""
+    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    a = v.conj() @ v.T
+    a = (a + a.conj().T) / 2.0
+    np.fill_diagonal(a, 1.0)
+    return GramMatrix(a, tuple(range(n)))
+
+
+def _frame_bounds(theta: InnerFunction, seq: PointSequence) -> FrameBounds:
+    """A sequence's frame bounds by the route ``section_frame_bounds`` picks."""
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return section_frame_bounds(theta, seq.z, values, norms, seq.ids)
 
 
 def _clark_points(n: int) -> PointSequence:
@@ -159,7 +168,7 @@ def test_eigs_identity() -> None:
 def test_eigs_two_by_two_closed_form() -> None:
     for g_off in (0.1, 0.45, 0.894427190999916):
         m = np.array([[1.0, g_off], [g_off, 1.0]], dtype=np.complex128)
-        fb = extremal_eigs(m)
+        fb = extremal_eigs(GramMatrix(m, (0, 1)))
         assert fb.lambda_min == pytest.approx(1.0 - g_off, rel=1e-12)
         assert fb.lambda_max == pytest.approx(1.0 + g_off, rel=1e-12)
 
@@ -167,17 +176,12 @@ def test_eigs_two_by_two_closed_form() -> None:
 def test_eigs_match_numpy_oracle() -> None:
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 5, 8, 13, 21, 40):
-        a = _random_hermitian(rng, n)
-        lo, hi = eig_extremes_oracle(a)
+        a = _random_gram(rng, n)
+        lo, hi = eig_extremes_oracle(a.entries)
         fb = extremal_eigs(a)
         scale = max(1.0, abs(lo), abs(hi))
         assert abs(fb.lambda_min - lo) <= 1e-10 * scale
         assert abs(fb.lambda_max - hi) <= 1e-10 * scale
-
-
-def test_eigs_reject_non_hermitian() -> None:
-    with pytest.raises(NumericDomainError):
-        extremal_eigs(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
 
 def test_eigs_reject_non_finite() -> None:
@@ -192,13 +196,16 @@ def test_eigs_large_section_spike() -> None:
     n = 600
     rng = np.random.default_rng(15)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
+    v /= np.abs(v)  # unimodular entries: v v* has unit diagonal
+    # (1 - c) I + c v v* has unit diagonal and top eigenvalue 1 - c + c n
     spike = 3.0
-    a = np.eye(n, dtype=np.complex128) + spike * np.outer(v, v.conj())
+    c = spike / n
+    a = (1.0 - c) * np.eye(n, dtype=np.complex128) + c * np.outer(v, v.conj())
     a = (a + a.conj().T) / 2.0
-    fb = extremal_eigs(a)
-    assert fb.lambda_max == pytest.approx(1.0 + spike, rel=1e-9)
-    assert fb.lambda_min == pytest.approx(1.0, rel=1e-9)
+    np.fill_diagonal(a, 1.0)
+    fb = extremal_eigs(GramMatrix(a, tuple(range(n))))
+    assert fb.lambda_max == pytest.approx(1.0 - c + spike, rel=1e-9)
+    assert fb.lambda_min == pytest.approx(1.0 - c, rel=1e-9)
 
 
 def test_eigs_singular_large_section_not_certified() -> None:
@@ -317,11 +324,10 @@ def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> Non
     seq = PointSequence.from_complex(pts)
     lo, hi = eig_extremes_oracle(normalized_gram_exact(zeros, pts))
     assert abs(lo) <= 20 * np.finfo(float).eps * hi
-    verdict, fb = riesz_verdict(theta, seq, floor=1e-3)
-    assert verdict == "indeterminate"
+    fb = _frame_bounds(theta, seq)
+    assert fb.verdict_at(1e-3) == "indeterminate"
     assert fb.lambda_min == 0.0
     assert abs(fb.lambda_max - hi) <= 1e-13 * hi
-    assert bessel_constant_estimate(theta, seq) == fb.lambda_max
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
@@ -341,8 +347,7 @@ def test_factored_rows_stay_unit_next_to_zeros_at_the_circle(gap: float) -> None
     on = [a + da for a in angles for da in (1e-9, 1e-5, 0.1)]
     pts = inside + [0j] * len(on)
     seq = PointSequence.from_mixed(pts, [math.nan] * len(inside) + on)
-    fb = bessel_constant_estimate(theta, seq)
-    assert 1.0 <= fb <= len(pts)
+    assert 1.0 <= _frame_bounds(theta, seq).lambda_max <= len(pts)
 
 
 def test_factored_route_refuses_as_the_dense_route_does() -> None:
@@ -395,8 +400,8 @@ def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> 
 
 def test_certificate_soundness_clark_family() -> None:
     z6 = InnerFunction(blaschke_zeros=(0,) * 6)
-    verdict, fb = riesz_verdict(z6, _clark_points(6), floor=0.99)
-    assert verdict == "certified_riesz"
+    fb = _frame_bounds(z6, _clark_points(6))
+    assert fb.verdict_at(0.99) == "certified_riesz"
     assert fb.lambda_min == pytest.approx(1.0, abs=1e-12)
     assert fb.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -404,25 +409,25 @@ def test_certificate_soundness_clark_family() -> None:
 def test_verdict_indeterminate_for_close_pair() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     seq = PointSequence.from_complex([0.4, 0.4 + 1e-6])
-    verdict, fb = riesz_verdict(z2, seq, floor=0.1)
-    assert verdict == "indeterminate"
+    fb = _frame_bounds(z2, seq)
+    assert fb.verdict_at(0.1) == "indeterminate"
     assert fb.lambda_min < 0.1
 
 
 def test_verdict_empty_rejected() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     with pytest.raises(NumericDomainError):
-        riesz_verdict(z2, PointSequence((), (), ()), floor=0.5)
+        gram(z2, PointSequence((), (), ()))
 
 
 def test_bessel_estimate_orthonormal() -> None:
     z4 = InnerFunction(blaschke_zeros=(0,) * 4)
-    assert bessel_constant_estimate(z4, _clark_points(4)) == pytest.approx(1.0)
+    assert _frame_bounds(z4, _clark_points(4)).lambda_max == pytest.approx(1.0)
 
 
 def test_bessel_estimate_near_duplicate_pair() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    est = bessel_constant_estimate(z2, PointSequence.from_complex([0.3, 0.3 + 1e-7]))
+    est = _frame_bounds(z2, PointSequence.from_complex([0.3, 0.3 + 1e-7])).lambda_max
     assert est == pytest.approx(2.0, abs=1e-4)
 
 
@@ -432,7 +437,7 @@ def test_bessel_estimate_interleaved_clark_families() -> None:
     first = [TWO_PI * k / n for k in range(n)]
     second = [(TWO_PI * k + math.pi / n) / n for k in range(n)]
     seq = PointSequence.from_angles(first + second)
-    est = bessel_constant_estimate(zn, seq)
+    est = _frame_bounds(zn, seq).lambda_max
     oracle = eig_extremes_oracle(gram(zn, seq).entries)[1]
     assert est == pytest.approx(oracle, rel=1e-10)
     assert 1.0 < est <= 2.0 + 1e-12

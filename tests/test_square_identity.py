@@ -2,8 +2,8 @@
 
 ``locate_reference`` scans each arc's square by the rule the per-arc square
 objects carried, and ``square_parts_reference`` (conftest) is the grouping
-loop the pipeline ran before one lexsort replaced it: bucket dicts and an
-anchor Clark family per sub-part, with ``stability_margin``.  On a seeded
+loop the pipeline ran before one lexsort replaced it: bucket dicts, and
+each sub-part's margins against its squares' anchors matched by index.  On a seeded
 corpus of atom-truncated and plain systems, fixed and selected level
 counts, boundary points, anchors, squares holding several points and
 non-empty uncovered buckets, every located square must agree with the scan
@@ -89,13 +89,9 @@ def reports() -> list[tuple]:
     out = []
     for theta, seq, level_count in CORPUS:
         got = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
-
-        def reference_parts(seq, arcs, located, theta=theta):
-            return square_parts_reference(theta, seq, arcs, located)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose.ArcSystem, "locate", locate_reference)
-            mp.setattr(decompose, "_square_parts", reference_parts)
+            mp.setattr(decompose, "_square_parts", square_parts_reference)
             want = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
         out.append((got, want))
     return out
@@ -121,7 +117,7 @@ def test_square_parts_match_reference(reports) -> None:
     for (theta, seq, _), (got, _) in zip(CORPUS, reports):
         located = got.arcs.locate(seq.z)
         new = decompose._square_parts(seq, got.arcs, located)
-        ref = square_parts_reference(theta, seq, got.arcs, located)
+        ref = square_parts_reference(seq, got.arcs, located)
         assert len(new) == len(ref)
         for (idx, route, margins), (ref_idx, ref_route, ref_margins) in zip(new, ref):
             assert np.array_equal(idx, ref_idx)
