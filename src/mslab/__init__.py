@@ -46,7 +46,6 @@ from .gram import (
     GramMatrix,
     extremal_eigs,
     gram,
-    hankel_distance_lb,
 )
 from .inner import (
     InnerFunction,
@@ -84,7 +83,6 @@ __all__ = [
     "earl_bound",
     "extremal_eigs",
     "gram",
-    "hankel_distance_lb",
     "interpolation_threshold",
     "level_set",
     "level_sets",

@@ -10,8 +10,8 @@ Subcommands
 ``pw``       exponential-system report, optionally with a split.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
-Malformed options exit 2: counts are JSON integers >= 1, ``max_depth`` one
->= 0, ``split`` true or false, and ``riesz_floor`` a finite number.
+Malformed options exit 2: counts are JSON integers >= 1, ``split`` true or
+false, and ``riesz_floor`` a finite number; an unknown option key exits 2.
 
 Reports are compact, sorted-key JSON and deterministic: no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -90,10 +89,10 @@ def _number(raw: Any, what: str) -> float:
     return float(raw)
 
 
-def _integer(raw: Any, what: str, least: int = 1) -> int:
-    """A JSON integer (bool excluded) of at least ``least``, else ConfigError."""
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {raw!r}")
+def _integer(raw: Any, what: str) -> int:
+    """A JSON integer (bool excluded) of at least 1, else ConfigError."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {raw!r}")
     return raw
 
 
@@ -103,11 +102,8 @@ def _boolean(raw: Any, what: str) -> bool:
     return raw
 
 
-_DEPTH = functools.partial(_integer, least=0)
-
-
 def _parse_options(raw: Any, allowed: dict[str, Callable[[Any, str], Any]]) -> dict:
-    """Options checked by their parsers (``_number``, ``_boolean``, ``_integer``, ``_DEPTH``)."""
+    """Options checked by their parsers (``_number``, ``_boolean``, ``_integer``)."""
     if raw is None:
         return {}
     _require_keys(raw, set(allowed), set(), "options")
@@ -247,7 +243,6 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         {
             "level_count": _integer,
             "samples": _integer,
-            "max_depth": _DEPTH,
             "max_points_per_arc": _integer,
         },
     )
@@ -255,16 +250,13 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         raise ConfigError(f"mode must be 'interp' or 'squares', got {mode!r}")
     try:
         if mode == "interp":
-            partition = split_by_interpolation(
-                theta, seq, max_depth=opts.get("max_depth", 20)
-            )
+            partition = split_by_interpolation(theta, seq)
         else:
             partition = decompose_by_squares(
                 theta,
                 seq,
                 opts.get("level_count"),
                 samples=opts.get("samples", 4096),
-                max_depth=opts.get("max_depth", 20),
                 max_points_per_arc=opts.get("max_points_per_arc", 512),
             )
     except CertificationError as exc:
@@ -312,7 +304,7 @@ def cmd_clark(config: dict, out_dir: Path) -> None:
 def cmd_pw(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"pw", "options"}, {"pw"}, "config")
     system = ExpSystem.from_json_dict(config["pw"])
-    opts = _parse_options(config.get("options"), {"split": _boolean, "max_depth": _DEPTH})
+    opts = _parse_options(config.get("options"), {"split": _boolean})
     fb = extremal_eigs(pw_gram(system))
     report = {
         "system": system.to_json_dict(),
@@ -320,7 +312,7 @@ def cmd_pw(config: dict, out_dir: Path) -> None:
         "frame_bounds_note": _FINITE_SECTION_NOTE,
     }
     if opts.get("split", False):
-        partition = pw_split(system, max_depth=opts.get("max_depth", 20))
+        partition = pw_split(system)
         report["partition"] = partition.to_json_dict()
     _write_json(out_dir / "pw.json", report)
 

@@ -9,17 +9,18 @@ phi(delta_j), so the distance from Theta to B_j H^inf is bounded by
 gamma * phi(delta_j); once that product is below 1 the part's normalized
 kernels form a Riesz basic sequence.  The splitter therefore drives every
 part's separation above the threshold delta* with phi(delta*) = 1/gamma.
-Its core ``split_log_distances`` reads gamma, a Mills order and one
+Its core ``split_log_distances`` reads gamma, the points' labels and one
 matrix L[i, j] = log rho(l_i, l_j) that its caller forms once, in the disk
 or (``mslab.pw``) the half-plane: a part's constant is exp of the min row
-sum of L over the part.  Recursive two-way (Mills) splits on index sets
-run until every part certifies, a first-fit merge of the certified parts
-keeps running row sums and stops where a merged part would fall below
-delta*, and every emitted part is re-verified from a fresh sum over its
-own block of L before its certificate chain is written.  The merge tries
-a part against all bins with bincounts over the points' bin slots and no
-clash pre-filter.  At gamma = 0, delta* is the smallest delta with a
-finite phi(delta), about 1.49e-154.
+sum of L over the part.  One first-fit pass places the points one at a
+time, most clashing first (most points closer than delta*, ties to the
+smaller row sum of L), into the first part that keeps every member's
+running row sum at or above log delta*, opening a new part when none can
+take the point.  A lone point certifies for every gamma < 1, so every
+point ends in a certified part.  Every emitted part is re-verified from a
+fresh sum over its own block of L before its certificate chain is
+written.  At gamma = 0, delta* is the smallest delta with a finite
+phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -146,67 +147,35 @@ def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
     return 0.0 if len(idx) == 1 else float(L[idx][:, idx].sum(axis=1).min())
 
 
-def modulus_rank(modulus: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rank of each point in decreasing ``modulus`` order, ties by id: the Mills order."""
-    order = np.lexsort((ids, -modulus))
-    rank = np.empty(len(ids), dtype=int)
-    rank[order] = np.arange(len(ids))
-    return rank
-
-
-def _first_fit(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> list[np.ndarray]:
-    """First-fit of groups, largest first, into bins whose min row sum of L stays >= log_floor.
+def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.ndarray]:
+    """First-fit of single points, in ``order``, into bins whose min row sum stays >= log_floor.
 
     Every placed point keeps its running row sum within its bin and its bin's
-    slot, counted from 1 (slot 0: not placed yet).  One bincount per group row
-    over the slots sums each bin's entries in index order; one more counts the
-    members the group would push below the floor.  Entries of L are <= 0, so a
-    pair below the floor pushes its member below it: no clash pre-filter.
+    slot, counted from 1 (slot 0: not placed yet).  Per point, one bincount
+    of its row of L over the slots sums each bin's entries in index order,
+    and one more counts the members it would push below the floor.  Entries
+    of L are <= 0, so a pair below the floor pushes its member below it: no
+    clash pre-filter.
     """
     slot = np.zeros(len(L), dtype=int)
     running = np.zeros(len(L))  # row sum of each placed point within its bin
     opened = 0
-    for group in groups:
-        rows = L[group]
-        own = rows[:, group].sum(axis=1)
-        grown = running + rows.sum(axis=0)
+    for k in order.tolist():
+        row = L[k]
+        grown = running + row
         shut = np.bincount(slot, weights=grown < log_floor) > 0
-        joined = own[:, None] + np.array([np.bincount(slot, weights=row) for row in rows])
-        shut |= (joined < log_floor).any(axis=0)
-        shut[0] = True  # slot 0 takes no group
+        joined = np.bincount(slot, weights=row)
+        shut |= joined < log_floor
+        shut[0] = True  # slot 0 takes no point
         s = int(shut.argmin())  # the first open bin's slot, 0 if every bin is shut
         if s:
             np.copyto(running, grown, where=slot == s)
-            running[group] = joined[:, s]
+            running[k] = joined[s]
         else:
             opened += 1
             s = opened
-            running[group] = own
-        slot[group] = s
+        slot[k] = s
     return [np.flatnonzero(slot == s) for s in range(1, opened + 1)]
-
-
-def _mills_halves(
-    L: np.ndarray, idx: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves, as sorted positions into L, of the points ``idx`` (sorted)."""
-    sub = L[idx][:, idx]
-    sub.flat[:: len(idx) + 1] = np.inf
-    i0, j0 = divmod(int(np.argmin(sub)), len(idx))  # first closest pair, i0 < j0
-    near_a = sub[i0].copy()  # log distance from each point to the nearest of a
-    near_b = sub[j0].copy()
-    a, b = [i0], [j0]
-    for k in np.argsort(rank[idx]).tolist():
-        if k == i0 or k == j0:
-            continue
-        da, db = near_a[k], near_b[k]
-        if da > db or (da == db and len(a) <= len(b)):
-            a.append(k)
-            np.minimum(near_a, sub[k], out=near_a)
-        else:
-            b.append(k)
-            np.minimum(near_b, sub[k], out=near_b)
-    return idx[sorted(a)], idx[sorted(b)]
 
 
 def _clique_size(clash: np.ndarray) -> int:
@@ -220,12 +189,7 @@ def _clique_size(clash: np.ndarray) -> int:
     return size
 
 
-def split_by_interpolation(
-    theta: InnerFunction,
-    seq: PointSequence,
-    *,
-    max_depth: int = 20,
-) -> Partition:
+def split_by_interpolation(theta: InnerFunction, seq: PointSequence) -> Partition:
     """Split into parts whose certificates give gamma * phi(delta_j) < 1.
 
     Requires gamma = max |Theta(lambda_n)| < 1.  The sequence is evaluated
@@ -238,11 +202,9 @@ def split_by_interpolation(
     gamma = _off_spectrum(float(np.abs(values).max()))
     return split_log_distances(
         log_distance_matrix(seq),
-        modulus_rank(np.abs(seq.z), seq.ids),
         seq.ids,
         gamma,
         lambda parts: part_frame_bounds(seq.z, values, norms_sq, seq.ids, parts),
-        max_depth=max_depth,
     )
 
 
@@ -257,63 +219,37 @@ def _off_spectrum(gamma: float) -> float:
 
 def split_log_distances(
     L: np.ndarray,
-    rank: np.ndarray,
     ids: np.ndarray,
     gamma: float,
     frame_bounds,
     *,
-    max_depth: int = 20,
     route: str = "interp",
 ) -> Partition:
     """Split points into parts with gamma * phi(delta_j) < 1, from their log distances.
 
     L[i, j] = log rho(l_i, l_j) is the points' log-distance matrix (zero
-    diagonal, exactly symmetric), ``rank`` their Mills order, ``ids`` their
-    labels and gamma the certified bound on the symbol over them, any floor
-    included.  ``frame_bounds`` maps the emitted parts, as arrays of
-    positions, to their ``FrameBounds``.  ``parts_lower_bound`` in the
-    global info is the size of a greedy clique of points pairwise closer
-    than delta*, no two of which can share a part.
+    diagonal, exactly symmetric), ``ids`` their labels and gamma the
+    certified bound on the symbol over them, any floor included.
+    ``frame_bounds`` maps the emitted parts, as arrays of positions, to their
+    ``FrameBounds``.  Points are placed one at a time by first-fit, in
+    decreasing clash degree (the number of points closer than delta*), ties
+    to the smaller row sum of L, then the lower position.  A lone point has
+    delta = 1 and phi(1) = 1, so it certifies for every gamma < 1 and the
+    split cannot fail.  ``parts_lower_bound`` in the global info is the size
+    of a greedy clique of points pairwise closer than delta*, no two of
+    which can share a part.
     """
     gamma = _off_spectrum(gamma)
     delta_star = _DELTA_FINITE if gamma == 0.0 else max(_DELTA_FINITE, interpolation_threshold(gamma))
-
-    def certified(delta: float) -> bool:
-        return delta >= delta_star and gamma * earl_bound(delta) < 1.0
-
-    flags: list[str] = []
-    delta_all = math.exp(float(L.sum(axis=1).min()))
-    found: list[np.ndarray] = []
-    stack = [(np.arange(len(L)), delta_all, 0)]
-    while stack:
-        idx, delta_j, depth = stack.pop()
-        if certified(delta_j):
-            found.append(idx)
-            continue
-        if depth >= max_depth:
-            raise CertificationError(
-                f"split recursion exceeded depth {max_depth} (gamma = {gamma})"
-            )
-        if len(idx) == 1:  # a singleton has delta 1: impossible, guard anyway
-            raise CertificationError(
-                f"cannot certify singleton part at gamma = {gamma}"
-            )
-        halves = _mills_halves(L, idx, rank)
-        deltas = [math.exp(_log_delta(L, half)) for half in halves]
-        if min(deltas) < math.sqrt(delta_j) - 1e-12:
-            flags.append(
-                f"mills sqrt-target missed at depth {depth} (delta {delta_j:.6g}); re-splitting"
-            )
-        for half, delta in zip(halves, deltas):
-            stack.append((half, delta, depth + 1))
-
     log_star = math.log(delta_star)
-    found.sort(key=lambda idx: (-len(idx), int(idx[0])))
-    merged = _first_fit(L, found, log_star + _MERGE_SLACK)
+    sums = L.sum(axis=1)
+    clash = L < log_star
+    order = np.lexsort((sums, -clash.sum(axis=1)))
+    merged = _first_fit(L, order, log_star + _MERGE_SLACK)
     merged.sort(key=lambda idx: int(ids[idx].min()))
     deltas = [math.exp(_log_delta(L, idx)) for idx in merged]  # fresh sums, not the running ones
     for delta_j in deltas:
-        if not certified(delta_j):
+        if delta_j < delta_star or gamma * earl_bound(delta_j) >= 1.0:
             raise NumericDomainError(
                 f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
             )
@@ -338,10 +274,9 @@ def split_log_distances(
         global_info={
             "gamma": gamma,
             "delta_star": delta_star,
-            "delta_input": delta_all,
-            "parts_lower_bound": _clique_size(L < log_star),
+            "delta_input": math.exp(float(sums.min())),
+            "parts_lower_bound": _clique_size(clash),
         },
-        flags=tuple(flags),
     )
 
 
@@ -608,7 +543,6 @@ def decompose_by_squares(
     level_count: int | None = None,
     *,
     samples: int = 4096,
-    max_depth: int = 20,
     max_points_per_arc: int = 512,
 ) -> Partition:
     """Classify points into Carleson-square buckets and an uncovered bucket.
@@ -681,16 +615,13 @@ def decompose_by_squares(
         else:
             inner_partition = split_log_distances(
                 log_distance_matrix(sub),
-                modulus_rank(np.abs(sub.z), sub.ids),
                 sub.ids,
                 gamma_used,
                 lambda parts: part_frame_bounds(
                     z, values, norms_sq, seq.ids, [uncovered[p] for p in parts]
                 ),
-                max_depth=max_depth,
                 route="uncovered:interp",
             )
-            flags.extend(inner_partition.flags)
             parts.extend(inner_partition.parts)
 
     square_parts = _square_parts(seq, arcs, located)

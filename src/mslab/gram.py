@@ -1,4 +1,4 @@
-"""Finite Gram sections, extremal eigenvalues, and Hankel lower bounds.
+"""Finite Gram sections and their extremal eigenvalues.
 
 The Gram matrix of normalized kernels,
 
@@ -31,14 +31,6 @@ eigenvalue, and lambda_max is the top eigenvalue of the d-by-d V*V.  No
 n-by-n matrix is formed, and no entry 1 - conj(Theta(l_j)) Theta(l_i)
 cancels as |Theta| -> 1.  Sections with atoms, or with n <= d, are
 assembled in full as above.
-
-``hankel_distance_lb`` bounds dist(Theta * conj(B_L), H^inf) from below by
-the largest singular value of a finite Hankel section of the symbol's
-negative Fourier coefficients (Nehari's theorem makes the full Hankel norm
-equal to the distance; finite sections are dominated by it and increase
-with the section size).  Both factors of the symbol are sampled with
-``inner.eval_points`` on the whole grid, and the section is one gather of
-the coefficient vector by index arrays.
 """
 
 from __future__ import annotations
@@ -55,13 +47,11 @@ from .inner import (
     InnerFunction,
     _one_minus_conj_zeros,
     _row_blocks,
-    eval_points,
     normalized_values,
 )
-from .points import ANGLE_TOL, BOUNDARY_TOL, TWO_PI, PointSequence
+from .points import BOUNDARY_TOL, PointSequence
 
 _HERMITIAN_TOL = 1e-12
-_HANKEL_GRID_CAP = 1 << 16
 
 # Off-diagonal kernel denominators |1 - conj(z_j) z_i| below this are refused.
 _SEPARATION_TOL = 1e-14
@@ -329,54 +319,3 @@ def _gram_bounds(eigs: np.ndarray) -> FrameBounds:
     if -1e-10 < lam_min < 0.0:
         lam_min = 0.0
     return FrameBounds(lambda_min=lam_min, lambda_max=float(eigs[-1]), n=eigs.size)
-
-
-# ---------------------------------------------------------------------------
-# Hankel lower bound for dist(Theta * conj(B_L), H^inf)
-# ---------------------------------------------------------------------------
-
-def hankel_distance_lb(theta: InnerFunction, seq: PointSequence, n: int) -> float:
-    """Lower bound for the sup-norm distance of Theta*conj(B_L) to H^inf.
-
-    Samples u = Theta * conj(B_L) on a uniform grid of 2^k >= 8n boundary
-    nodes (k capped at 16; beyond that the section reuses the densest
-    grid, with geometrically small aliasing since u is smooth off the
-    spectrum), extracts the negative Fourier coefficients by the discrete
-    transform, and returns the largest singular value of the n-by-n Hankel
-    section H_jk = u_hat(-j-k+1).
-
-    The symbol is unimodular on the circle, so the distance is at most 1;
-    a returned bound at or above 1 - 1e-6 witnesses that the distance is
-    essentially 1 (the left-invertibility criterion fails).
-    """
-    if n < 1:
-        raise NumericDomainError("section size must be at least 1")
-    boundary = np.flatnonzero(seq.boundary)
-    if boundary.size:
-        raise NumericDomainError(
-            f"point {seq.ids[boundary[0]]} must be interior for the Blaschke symbol"
-        )
-    b_prod = InnerFunction(blaschke_zeros=tuple(seq.z.tolist()))
-    size = 8
-    while size < 8 * n and size < _HANKEL_GRID_CAP:
-        size *= 2
-
-    nodes = TWO_PI * np.arange(size) / size
-    offset = 0.0
-    if theta.singular_atoms:
-        # never sample exactly on an atom
-        atoms = np.array([a for a, _ in theta.singular_atoms])
-        gap = np.abs(nodes[:, None] - atoms)
-        if (np.minimum(gap, TWO_PI - gap) <= 1e3 * ANGLE_TOL).any():
-            offset = math.pi / size
-
-    zeta = np.exp(1j * (nodes + offset))
-    u = eval_points(theta, zeta)[0] * eval_points(b_prod, zeta)[0].conj()
-    coeffs = np.fft.fft(u) / size  # c_m = u_hat(m) for the offset grid
-    m = np.arange(1, 2 * n)
-    neg = coeffs[(size - m) % size]  # neg[m - 1] = u_hat(-m)
-    if offset != 0.0:
-        neg = neg * np.exp(1j * m * offset)
-    j = np.arange(n)
-    h = neg[j[:, None] + j]  # u_hat(-(j+k+1)) with 0-based j, k
-    return float(np.linalg.norm(h, 2))  # sigma_max

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import _log_distances
-from .decompose import Partition, modulus_rank, split_log_distances
+from .decompose import Partition, split_log_distances
 from .errors import ConfigError, NumericDomainError
 from .gram import FrameBounds, GramMatrix, extremal_eigs
 from .points import coincident_pair
@@ -125,14 +125,13 @@ def pw_gram(system: ExpSystem) -> GramMatrix:
     return GramMatrix(g, tuple(range(n)))
 
 
-def pw_split(system: ExpSystem, *, max_depth: int = 20) -> Partition:
+def pw_split(system: ExpSystem) -> Partition:
     """Split an exponential system into parts with exact Gram certificates.
 
     Runs the interpolation splitter on the shifted frequencies s = l + i:
-    L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|), the Mills order of
-    rho(s, i) = |s - i|/|s + i| (the modulus of the Cayley image) and
-    gamma = max exp(-a Im s), all exact in the half-plane.  Each part's
-    frame bounds are the exact exponential-Gram bounds of its frequencies.
+    L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|) and gamma = max exp(-a Im s),
+    both exact in the half-plane.  Each part's frame bounds are the exact
+    exponential-Gram bounds of its frequencies.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
@@ -145,14 +144,11 @@ def pw_split(system: ExpSystem, *, max_depth: int = 20) -> Partition:
             for idx in parts
         ]
 
-    ids = np.arange(len(system))
     partition = split_log_distances(
         _log_distances(s, np.abs(s[:, None] - s.conj())),
-        modulus_rank(np.abs(s - 1j) / np.abs(s + 1j), ids),
-        ids,
+        np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
         part_bounds,
-        max_depth=max_depth,
     )
     partition.global_info["a"] = a
     return partition

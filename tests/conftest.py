@@ -12,10 +12,8 @@ by factor where a cross-check matters, kernel norms are exact rationals or
 a telescoping sum over the factors with exact weights 1 - |eta|^2 and
 1 - |z|^2 (the library sums log1p terms), normalized Gram sections of
 Blaschke products are exact rationals rounded once (the library factors
-them or assembles them in floats), and Hankel sections are sampled point
-by point and transformed by a direct sum (the library uses its array
-evaluator and the FFT).  The splitter's
-earlier first-fit and Mills loops, and the square pipeline's earlier
+them or assembles them in floats).  The splitter's earlier first-fit loop
+over index groups, and the square pipeline's earlier
 membership scan and grouping loop, are kept at the end as references, as
 is the point classifier that ``PointSequence`` replaced: one object per
 point, and a dict scan for coincident points.  ``split_at_gamma`` is not
@@ -32,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from mslab.carleson import log_distance_matrix
-from mslab.decompose import Partition, modulus_rank, split_log_distances
+from mslab.decompose import Partition, split_log_distances
 from mslab.errors import ConfigError
 from mslab.inner import InnerFunction
 from mslab.points import BOUNDARY_TOL, PointSequence, normalize_angle
@@ -177,16 +175,11 @@ def log_distance_oracle(values) -> np.ndarray:
     ])
 
 
-def split_at_gamma(seq: PointSequence, gamma: float, **options) -> Partition:
+def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
     """The interpolation splitter's core on a disk sequence at a prescribed
-    gamma: its log-distance matrix, its modulus rank, no frame bounds."""
+    gamma: its log-distance matrix, no frame bounds."""
     return split_log_distances(
-        log_distance_matrix(seq),
-        modulus_rank(np.abs(seq.z), seq.ids),
-        seq.ids,
-        gamma,
-        lambda parts: [None] * len(parts),
-        **options,
+        log_distance_matrix(seq), seq.ids, gamma, lambda parts: [None] * len(parts)
     )
 
 
@@ -397,40 +390,12 @@ def gram_oracle(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
     return k / np.sqrt(np.outer(norms, norms))
 
 
-def hankel_section_oracle(theta: InnerFunction, points, n: int) -> float:
-    """sigma_max of the n-by-n Hankel section of Theta * conj(B), sampled point by point.
-
-    Same grid rule as the library (2^k >= 8n nodes, k <= 16, shifted by half
-    a step when a node comes within 1e-9 of an atom); the coefficients are
-    direct sums over the nodes, not an FFT.
-    """
-    size = 8
-    while size < 8 * n and size < 1 << 16:
-        size *= 2
-    nodes = [TWO_PI * j / size for j in range(size)]
-    offset = 0.0
-    for a, _ in theta.singular_atoms:
-        if any(min(abs(a - t), TWO_PI - abs(a - t)) <= 1e-9 for t in nodes):
-            offset = math.pi / size
-    angles = np.array(nodes) + offset
-    u = np.empty(size, dtype=complex)
-    for j, t in enumerate(angles):
-        zeta = cmath.exp(1j * t)
-        b = 1.0 + 0j
-        for w in points:
-            b *= zeta if w == 0 else (abs(w) / w) * (w - zeta) / (1.0 - w.conjugate() * zeta)
-        u[j] = complex(blaschke_values(theta, np.array([zeta]))[0]) * b.conjugate()
-    neg = [np.sum(u * np.exp(1j * m * angles)) / size for m in range(1, 2 * n)]
-    h = np.array([[neg[j + k] for k in range(n)] for j in range(n)])
-    return float(np.linalg.svd(h, compute_uv=False)[0])
-
-
 # ---------------------------------------------------------------------------
 # Reference loops of the interpolation splitter
 # ---------------------------------------------------------------------------
-# The splitter's first-fit merge and Mills halves as they were written with
-# a clash pre-filter, live/owner bookkeeping and np.delete; kept verbatim so
-# that tests can check the leaner versions take every decision alike.
+# The splitter's first-fit merge as it was written for index groups, with a
+# clash pre-filter and live/owner bookkeeping; kept verbatim so that tests
+# can check the one-point version takes every decision alike.
 
 def first_fit_reference(L: np.ndarray, groups: list[np.ndarray], log_floor: float) -> list[np.ndarray]:
     """First-fit of index groups into bins whose min row sum of L stays >= log_floor.
@@ -473,28 +438,6 @@ def first_fit_reference(L: np.ndarray, groups: list[np.ndarray], log_floor: floa
         label[group] = b
         bins[b].extend(int(k) for k in group)
     return [np.array(sorted(members)) for members in bins]
-
-
-def mills_halves_reference(
-    L: np.ndarray, idx: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves, as sorted positions into L, of the points ``idx``."""
-    sub = L[idx][:, idx]
-    np.fill_diagonal(sub, np.inf)
-    i0, j0 = divmod(int(np.argmin(sub)), len(idx))  # first closest pair, i0 < j0
-    near_a = sub[i0].copy()  # log distance from each point to the nearest of a
-    near_b = sub[j0].copy()
-    a, b = [i0], [j0]
-    rest = np.delete(np.arange(len(idx)), [i0, j0])
-    for k in rest[np.argsort(rank[idx[rest]])]:
-        da, db = near_a[k], near_b[k]
-        if da > db or (da == db and len(a) <= len(b)):
-            a.append(k)
-            np.minimum(near_a, sub[k], out=near_a)
-        else:
-            b.append(k)
-            np.minimum(near_b, sub[k], out=near_b)
-    return np.sort(idx[a]), np.sort(idx[b])
 
 
 # ---------------------------------------------------------------------------

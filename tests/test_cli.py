@@ -310,12 +310,11 @@ _SQUARES = {"inner": Z3, "points": [[0.5, 0.0]], "mode": "squares"}
         ("split", {**_SQUARES, "options": {"max_points_per_arc": 0}}),
         ("split", {**_SQUARES, "options": {"max_points_per_arc": -3}}),
         ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"max_points_per_arc": 0}}),
-        ("split", {**_SQUARES, "options": {"max_depth": -1}}),
         ("split", {**_SQUARES, "options": {"samples": True}}),
     ],
     ids=["split-string", "split-integer", "riesz-floor-nan", "herglotz-grid-negative",
          "level-count-float", "points-per-arc-zero", "points-per-arc-negative",
-         "clark-points-per-arc-zero", "max-depth-negative", "samples-bool"],
+         "clark-points-per-arc-zero", "samples-bool"],
 )
 def test_malformed_options_are_config_errors(tmp_path, capsys, command, config) -> None:
     cfg = _write(tmp_path / "cfg.json", config)
@@ -326,12 +325,29 @@ def test_malformed_options_are_config_errors(tmp_path, capsys, command, config) 
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [
+        ("split", {**_SQUARES, "options": {"max_depth": 20}}),
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": True, "max_depth": 20}}),
+    ],
+    ids=["split", "pw"],
+)
+def test_max_depth_is_an_unknown_option(tmp_path, capsys, command, config) -> None:
+    # the splitter has no recursion depth to cap
+    cfg = _write(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: unknown options keys: ['max_depth']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, config, report",
     [
-        ("pw", {"pw": _PW_SYSTEM, "options": {"split": False, "max_depth": 0}}, "pw.json"),
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": False}}, "pw.json"),
         ("analyze", {"inner": Z2, "points": [[0.1, 0.0]], "options": {"riesz_floor": 1}}, "analyze.json"),
         ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"herglotz_grid": 1, "max_points_per_arc": 1}}, "clark.json"),
-        ("split", {**_SQUARES, "options": {"level_count": 1, "samples": 1, "max_depth": 0}}, "partition.json"),
+        ("split", {**_SQUARES, "options": {"level_count": 1, "samples": 1}}, "partition.json"),
     ],
     ids=["pw", "analyze", "clark", "split"],
 )

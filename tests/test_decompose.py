@@ -8,19 +8,19 @@ from conftest import (
     arc_mass_oracle,
     blaschke_values,
     boundary_rate_oracle,
+    carleson_delta_oracle,
     composite_gauss_legendre,
+    earl_oracle,
     locate_reference,
     random_blaschke,
     split_at_gamma,
     square_contains_reference,
 )
 
-from mslab.carleson import carleson_constant, earl_bound, log_distance_matrix
+from mslab.carleson import carleson_constant, earl_bound
 from mslab.decompose import (
-    _mills_halves,
     build_arc_system,
     decompose_by_squares,
-    modulus_rank,
     rate_comparability,
     select_arc_system,
     split_by_interpolation,
@@ -39,44 +39,6 @@ def _random_interior(rng: np.random.Generator, n: int, rmax: float = 0.9) -> Poi
         for _ in range(n)
     ]
     return PointSequence.from_complex(pts)
-
-
-# ---------------------------------------------------------------------------
-# two-way (Mills) splits
-# ---------------------------------------------------------------------------
-
-def _mills_split(seq: PointSequence) -> tuple[PointSequence, PointSequence]:
-    """The splitter's two halves of a whole sequence, as subsequences."""
-    rank = modulus_rank(np.abs(seq.z), seq.ids)
-    halves = _mills_halves(log_distance_matrix(seq), np.arange(len(seq)), rank)
-    return tuple(seq.subset(idx) for idx in halves)
-
-
-def test_mills_pair_to_singletons() -> None:
-    seq = PointSequence.from_complex([0.0, 0.5])
-    a, b = _mills_split(seq)
-    assert len(a) == 1 and len(b) == 1
-    assert carleson_constant(a) == 1.0 >= math.sqrt(0.5)
-
-
-def test_mills_antipodal_quadruple() -> None:
-    seq = PointSequence.from_complex([0.5, -0.5, 0.5j, -0.5j])
-    delta = carleson_constant(seq)
-    a, b = _mills_split(seq)
-    da, db = carleson_constant(a), carleson_constant(b)
-    assert da == pytest.approx(0.8) and db == pytest.approx(0.8)
-    assert min(da, db) >= math.sqrt(delta)
-
-
-def test_mills_halves_nonempty_and_never_lose_separation() -> None:
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        seq = _random_interior(rng, int(rng.integers(2, 12)))
-        delta = carleson_constant(seq)
-        a, b = _mills_split(seq)
-        assert len(a) >= 1 and len(b) >= 1
-        assert len(a) + len(b) == len(seq)
-        assert min(carleson_constant(a), carleson_constant(b)) >= delta - 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +122,47 @@ def test_split_rejects_empty() -> None:
         split_by_interpolation(z2, PointSequence((), (), ()))
 
 
-def test_split_depth_cap_fails_loudly() -> None:
+def test_split_tight_quadruple_certifies_without_error() -> None:
+    # four points within 5e-4 of each other split with no error, and every
+    # part's certificate is re-derived from scratch
     theta = InnerFunction(blaschke_zeros=(0.5,))
     seq = PointSequence.from_complex([0.9, 0.9 + 1e-4j, 0.9 - 1e-4j, 0.9005])
-    with pytest.raises(CertificationError, match="depth"):
-        split_by_interpolation(theta, seq, max_depth=0)
+    partition = split_by_interpolation(theta, seq)
+    assert partition.all_ids() == (0, 1, 2, 3)
+    assert partition.flags == ()
+    for part in partition.parts:
+        cert = part.certificate
+        delta = carleson_delta_oracle(seq.z[list(part.ids)].tolist())
+        assert cert.delta_j == pytest.approx(delta, rel=1e-12)
+        assert cert.dist_bound < 1.0
+        assert cert.frame_bounds.lambda_min > 0.0
+
+
+@pytest.mark.parametrize(
+    "clusters, size, parts", [(6, 5, 16), (8, 7, 29), (12, 3, 18)], ids=["6x5", "8x7", "12x3"]
+)
+def test_split_ring_of_clusters_part_counts(clusters, size, parts) -> None:
+    # clusters of radius 1e-3 centred at 0.6 e^{2 pi i k/clusters}, all with
+    # the same orientation, at gamma 0.3: the points of one cluster clash
+    # with each other, so their clash degrees tie and the row-sum tie-break
+    # picks the order (by degree alone, stably, gives 20/35/24 parts).
+    # These counts stay put when every point moves by 1e-12 relative; on
+    # clusters turned with their centres they do not.
+    points = [
+        0.6 * cmath.exp(2j * math.pi * k / clusters) + 1e-3 * cmath.exp(2j * math.pi * j / size)
+        for k in range(clusters)
+        for j in range(size)
+    ]
+    seq = PointSequence.from_complex(points)
+    partition = split_at_gamma(seq, 0.3)
+    assert len(partition.parts) == parts
+    assert partition.all_ids() == tuple(range(clusters * size))
+    delta_star = partition.global_info["delta_star"]
+    for part in partition.parts:
+        delta = carleson_delta_oracle([points[i] for i in part.ids])
+        assert part.certificate.delta_j == pytest.approx(delta, rel=1e-9)
+        assert delta >= delta_star * (1.0 - 1e-12)
+        assert 0.3 * earl_oracle(delta) < 1.0
 
 
 def test_pipelines_are_deterministic() -> None:

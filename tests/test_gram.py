@@ -8,7 +8,6 @@ import pytest
 from conftest import (
     eig_extremes_oracle,
     gram_oracle,
-    hankel_section_oracle,
     normalized_gram_exact,
     random_blaschke,
 )
@@ -20,7 +19,6 @@ from mslab.gram import (
     extremal_eigs,
     gram,
     gram_from_values,
-    hankel_distance_lb,
     part_frame_bounds,
     section_frame_bounds,
 )
@@ -441,97 +439,3 @@ def test_bessel_estimate_interleaved_clark_families() -> None:
     oracle = eig_extremes_oracle(gram(zn, seq).entries)[1]
     assert est == pytest.approx(oracle, rel=1e-10)
     assert 1.0 < est <= 2.0 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Hankel lower bound
-# ---------------------------------------------------------------------------
-
-def test_hankel_symbol_in_hardy_space_gives_zero() -> None:
-    zeros = (0.3, -0.4j)
-    theta = InnerFunction(blaschke_zeros=zeros)
-    seq = PointSequence.from_complex(list(zeros))
-    assert hankel_distance_lb(theta, seq, 8) <= 1e-12
-
-
-def test_hankel_conjugate_z() -> None:
-    # constant symbol against the Blaschke factor z: u = conj(z)
-    seq = PointSequence.from_complex([0.0])
-    for n in (1, 3, 6):
-        assert hankel_distance_lb(InnerFunction(), seq, n) == pytest.approx(1.0)
-
-
-def test_hankel_monotone_in_section_size() -> None:
-    theta = InnerFunction(blaschke_zeros=(0, 0))
-    seq = PointSequence.from_complex([0.5])
-    values = [hankel_distance_lb(theta, seq, n) for n in (1, 2, 4, 8, 16)]
-    for a, b in zip(values, values[1:]):
-        assert b >= a - 1e-9
-
-
-def _lawson_sup_distance(u: np.ndarray, z: np.ndarray, degree: int, iters: int = 200) -> float:
-    """Minimax distance of boundary samples u to polynomials of degree <= degree.
-
-    Lawson's iteratively reweighted least squares; returns the achieved
-    sup-norm, an upper bound for dist(u, H^inf).
-    """
-    vander = np.vander(z, degree + 1, increasing=True)
-    weights = np.ones(len(z)) / len(z)
-    best = math.inf
-    for _ in range(iters):
-        w = np.sqrt(weights)
-        coeffs, *_ = np.linalg.lstsq(vander * w[:, None], u * w, rcond=None)
-        resid = np.abs(u - vander @ coeffs)
-        best = min(best, float(np.max(resid)))
-        weights = weights * resid
-        total = np.sum(weights)
-        if total <= 0:
-            break
-        weights = weights / total
-    return best
-
-
-def test_hankel_lower_bound_against_minimax_oracle() -> None:
-    theta = InnerFunction(blaschke_zeros=(0, 0))  # z^2
-    seq = PointSequence.from_complex([0.5])
-    bound = hankel_distance_lb(theta, seq, 24)
-    angles = TWO_PI * np.arange(2**12) / 2**12
-    z = np.exp(1j * angles)
-    b = (0.5 - z) / (1.0 - 0.5 * z)
-    u = z**2 * np.conj(b)
-    oracle = _lawson_sup_distance(u, z, 30)
-    assert bound <= oracle + 1e-3
-
-
-def test_hankel_rejects_boundary_points() -> None:
-    theta = InnerFunction(blaschke_zeros=(0,))
-    with pytest.raises(NumericDomainError):
-        hankel_distance_lb(theta, PointSequence.from_angles([0.3]), 2)
-
-
-@pytest.mark.parametrize(
-    "case",
-    ["z2", "atom on a node", "atoms and zeros"],
-)
-def test_hankel_matches_pointwise_oracle(case: str) -> None:
-    if case == "z2":
-        theta, points, n = InnerFunction(blaschke_zeros=(0, 0)), [0.5], 6
-    elif case == "atom on a node":  # the grid of test_hankel_atom_grid_offset
-        theta, points, n = InnerFunction(singular_atoms=((0.0, 0.8),)), [0.4], 4
-    else:
-        rng = np.random.default_rng(89)
-        theta = InnerFunction(
-            blaschke_zeros=random_blaschke(rng, 3).blaschke_zeros,
-            singular_atoms=((TWO_PI * 5 / 128, 0.3), (2.0, 0.6)),
-        )
-        points, n = [0.3 + 0.2j, -0.5j, 0.0], 16
-    bound = hankel_distance_lb(theta, PointSequence.from_complex(points), n)
-    assert bound == pytest.approx(hankel_section_oracle(theta, points, n), abs=1e-12)
-
-
-def test_hankel_atom_grid_offset() -> None:
-    # atom exactly on a would-be grid node: the grid shifts, result stays finite
-    theta = InnerFunction(singular_atoms=((0.0, 0.8),))
-    seq = PointSequence.from_complex([0.4])
-    val = hankel_distance_lb(theta, seq, 4)
-    assert 0.0 <= val <= 1.0 + 1e-9

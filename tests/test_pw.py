@@ -201,9 +201,9 @@ def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypat
     seen = {}
     split = pw.split_log_distances
 
-    def record(L, rank, ids, gamma, frame_bounds, **options):
-        seen.update(L=L, rank=rank, gamma=gamma)
-        return split(L, rank, ids, gamma, frame_bounds, **options)
+    def record(L, ids, gamma, frame_bounds, **options):
+        seen.update(L=L, gamma=gamma)
+        return split(L, ids, gamma, frame_bounds, **options)
 
     monkeypatch.setattr(pw, "split_log_distances", record)
     partition = pw_split(ExpSystem(math.pi, freqs))
@@ -212,7 +212,5 @@ def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypat
     assert math.exp(seen["L"].sum(axis=1).min()) == pytest.approx(
         carleson_delta_oracle(images), rel=1e-12
     )
-    by_modulus = sorted(range(len(freqs)), key=lambda k: (-abs(images[k]), k))
-    assert np.argsort(seen["rank"]).tolist() == by_modulus
     assert seen["gamma"] == max(math.exp(-math.pi * (f.imag + 1.0)) for f in freqs)
     assert partition.global_info["gamma"] == seen["gamma"]

@@ -1,11 +1,12 @@
-"""The splitter's first-fit merge and Mills halves against their reference loops.
+"""The splitter's one-point first-fit against its reference loop.
 
-``first_fit_reference`` and ``mills_halves_reference`` (conftest) are the
-loops the splitter ran before its first-fit lost the clash pre-filter and
-the live/owner bookkeeping.  On the calls of real recursions, over 51
-seeded sequences of 2-120 points with delta* between about 0.06 and
-0.9999, every bin and every half must come out equal, and so must the
-whole report against the one made with the reference loops patched in.
+``first_fit_reference`` (conftest) is the loop the splitter ran over index
+groups, with a clash pre-filter and live/owner bookkeeping.  The splitter
+now hands ``_first_fit`` single points in decreasing clash degree, ties to
+the smaller row sum of L.  On the recorded calls over 51 seeded sequences
+of 2-120 points with delta* between about 0.06 and 0.9999, the reference
+fed the same points as one-point groups, in the same order, must give
+every bin alike, and so must the whole report made with it patched in.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import first_fit_reference, mills_halves_reference, split_at_gamma
+from conftest import first_fit_reference, split_at_gamma
 
 import mslab.decompose as decompose
 from mslab.points import PointSequence
@@ -50,26 +51,25 @@ def _split(gamma: float, seq: PointSequence):
     return split_at_gamma(seq, max(abs(gamma / 0.9 * z) for z in seq.z.tolist()))
 
 
+def _singletons(order: np.ndarray) -> list[np.ndarray]:
+    return [np.array([k]) for k in order.tolist()]
+
+
 @pytest.fixture(scope="module")
 def recorded() -> list[dict]:
-    """Each sequence's partition with the reference loops, and the arguments of their calls."""
+    """Each sequence's partition with the reference loop, and the arguments of its call."""
     out = []
     for gamma, seq in CORPUS:
-        fits, halves = [], []
+        fits = []
 
-        def record_fit(L, groups, floor, fits=fits):
-            fits.append((L, [g.copy() for g in groups], floor))
-            return first_fit_reference(L, groups, floor)
-
-        def record_halves(L, idx, rank, halves=halves):
-            halves.append((L, idx.copy(), rank))
-            return mills_halves_reference(L, idx, rank)
+        def record_fit(L, order, floor, fits=fits):
+            fits.append((L, order.copy(), floor))
+            return first_fit_reference(L, _singletons(order), floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, "_first_fit", record_fit)
-            mp.setattr(decompose, "_mills_halves", record_halves)
             partition = _split(gamma, seq)
-        out.append({"partition": partition, "fits": fits, "halves": halves})
+        out.append({"partition": partition, "fits": fits})
     return out
 
 
@@ -82,53 +82,52 @@ def test_corpus_covers_sizes_thresholds_and_group_shapes(recorded) -> None:
     assert min(sizes) == 2 and max(sizes) == 120
     stars = [r["partition"].global_info["delta_star"] for r in recorded]
     assert min(stars) < 0.07 and max(stars) > 0.9999
-    group_sizes = {len(g) for r in recorded for _, groups, _ in r["fits"] for g in groups}
-    assert {1, 2, 3} <= group_sizes
-    assert sum(len(r["halves"]) for r in recorded) > 500
-    # Mills halves run on whole sequences, pairs and triples alike
-    assert {2, 3} <= {len(idx) for r in recorded for _, idx, _ in r["halves"]}
+    assert all(len(r["fits"]) == 1 for r in recorded)
+    part_sizes = {len(p.ids) for r in recorded for p in r["partition"].parts}
+    assert {1, 2, 3} <= part_sizes
 
 
-def test_mills_halves_match_reference(recorded) -> None:
+def test_order_is_decreasing_clash_degree_then_row_sum(recorded) -> None:
     for r in recorded:
-        for L, idx, rank in r["halves"]:
-            got = decompose._mills_halves(L, idx, rank)
-            assert _same_arrays(list(got), list(mills_halves_reference(L, idx, rank)))
+        ((L, order, _),) = r["fits"]
+        assert sorted(order.tolist()) == list(range(len(L)))
+        degree = (L < math.log(r["partition"].global_info["delta_star"])).sum(axis=1)[order]
+        sums = L.sum(axis=1)[order]
+        assert (np.diff(degree) <= 0).all()
+        tied = np.diff(degree) == 0
+        assert (np.diff(sums)[tied] >= 0).all()
+        assert (np.diff(order)[tied & (np.diff(sums) == 0)] > 0).all()
 
 
 @pytest.mark.parametrize("floor", ["recorded", "-inf"])
 def test_first_fit_matches_reference(recorded, floor) -> None:
     for r in recorded:
-        for L, groups, log_floor in r["fits"]:
+        for L, order, log_floor in r["fits"]:
             if floor == "-inf":
                 log_floor = -math.inf
-            got = decompose._first_fit(L, [g.copy() for g in groups], log_floor)
-            want = first_fit_reference(L, [g.copy() for g in groups], log_floor)
-            assert _same_arrays(got, want)
+            got = decompose._first_fit(L, order, log_floor)
+            assert _same_arrays(got, first_fit_reference(L, _singletons(order), log_floor))
 
 
 @pytest.mark.parametrize("floor", ["recorded", "-inf"])
 def test_minus_inf_entries_match_reference(recorded, floor) -> None:
     # distinct points never lie at distance 0, so -inf entries of L are
-    # planted: one pair inside a certified group, one across two groups
+    # planted: one pair inside an emitted bin, one across two bins
     checked = 0
     for r in recorded:
-        for L, groups, log_floor in r["fits"]:
-            pair = next((g for g in groups if len(g) >= 2), None)
-            if pair is None:
+        for L, order, log_floor in r["fits"]:
+            bins = first_fit_reference(L, _singletons(order), log_floor)
+            pair = next((b for b in bins if len(b) >= 2), None)
+            if pair is None or len(bins) < 2:
                 continue
             L = L.copy()
             i, j = int(pair[0]), int(pair[1])
-            k = int(groups[-1][0])
+            k = int(next(b for b in bins[::-1] if b is not pair)[0])
             L[i, j] = L[j, i] = L[i, k] = L[k, i] = -math.inf
             if floor == "-inf":
                 log_floor = -math.inf
-            got = decompose._first_fit(L, [g.copy() for g in groups], log_floor)
-            assert _same_arrays(got, first_fit_reference(L, [g.copy() for g in groups], log_floor))
-            idx = np.arange(len(L))
-            rank = np.arange(len(L))[::-1].copy()
-            got = decompose._mills_halves(L, idx, rank)
-            assert _same_arrays(list(got), list(mills_halves_reference(L, idx, rank)))
+            got = decompose._first_fit(L, order, log_floor)
+            assert _same_arrays(got, first_fit_reference(L, _singletons(order), log_floor))
             checked += 1
     assert checked >= 20
 
@@ -139,14 +138,13 @@ def test_reports_match_with_reference_loops(recorded) -> None:
         assert partition.to_json_dict() == r["partition"].to_json_dict()
 
 
-
 def test_first_fit_keeps_the_running_sums_of_a_joined_group() -> None:
-    # {2} joins {0, 1}; then {3} fits every row but point 2's, whose running
-    # sum -0.6 would fall to -1.1, below the floor -1
+    # 1 and then 2 join {0}, one point at a time; then 3 fits every row but point 2's, whose
+    # running sum -0.6 would fall to -1.1, below the floor -1
     L = np.zeros((4, 4))
     for i, j, v in [(0, 1, -0.1), (0, 2, -0.3), (1, 2, -0.3), (0, 3, -0.05), (1, 3, -0.05), (2, 3, -0.5)]:
         L[i, j] = L[j, i] = v
-    groups = [np.array([0, 1]), np.array([2]), np.array([3])]
-    bins = decompose._first_fit(L, groups, -1.0)
+    order = np.arange(4)
+    bins = decompose._first_fit(L, order, -1.0)
     assert [b.tolist() for b in bins] == [[0, 1, 2], [3]]
-    assert _same_arrays(bins, first_fit_reference(L, groups, -1.0))
+    assert _same_arrays(bins, first_fit_reference(L, _singletons(order), -1.0))

@@ -103,7 +103,7 @@ def test_merged_parts_are_reverified(monkeypatch) -> None:
     import mslab.decompose as decompose
 
     monkeypatch.setattr(
-        decompose, "_first_fit", lambda L, groups, floor: [np.arange(len(L))]
+        decompose, "_first_fit", lambda L, order, floor: [np.arange(len(L))]
     )
     seq = PointSequence.from_complex([0.3, 0.3001, -0.4j])
     with pytest.raises(NumericDomainError, match="re-verification"):
