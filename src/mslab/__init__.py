@@ -22,7 +22,6 @@ from .clark import (
     variation_along_path,
 )
 from .decompose import (
-    Arc,
     ArcSystem,
     Partition,
     PartitionPart,
@@ -58,7 +57,6 @@ from .pw import ExpSystem, pw_gram, pw_split
 
 __all__ = [
     "__version__",
-    "Arc",
     "ArcSystem",
     "CarlesonReport",
     "CertificationError",

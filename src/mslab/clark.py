@@ -90,13 +90,16 @@ class ClarkFamily:
         }
 
 
-def _check_arc_clear(theta: InnerFunction, lo: float, hi: float) -> None:
-    for a, _ in theta.singular_atoms:
-        for shift in (a, a + TWO_PI, a - TWO_PI):
-            if lo - 1e-13 <= shift <= hi + 1e-13:
-                raise NumericDomainError(
-                    f"arc [{lo}, {hi}] touches the singular atom at angle {a}"
-                )
+def _check_arc_clear(theta: InnerFunction, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Refuse the first arc [lo, hi] within 1e-13 of an atom's angle or its 2*pi shifts."""
+    atoms = np.array([a for a, _ in theta.singular_atoms])
+    shifts = atoms[:, None] + np.array([0.0, TWO_PI, -TWO_PI])
+    touch = (lo[:, None, None] - 1e-13 <= shifts) & (shifts <= hi[:, None, None] + 1e-13)
+    if touch.any():
+        j, i, _ = np.argwhere(touch)[0]
+        raise NumericDomainError(
+            f"arc [{float(lo[j])}, {float(hi[j])}] touches the singular atom at angle {atoms[i]}"
+        )
 
 
 def _solve(
@@ -199,30 +202,42 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
     )
     lo, hi = b[: atoms.size], a[atoms.size :]
     keep = hi - lo > 0.0
-    for l, h in zip(lo[keep].tolist(), hi[keep].tolist()):
-        _check_arc_clear(theta, l, h)
+    _check_arc_clear(theta, lo[keep], hi[keep])
     return lo[keep], hi[keep]
 
 
-def _branch_targets(
-    v0: float, v1: float, target_arg: float, full_circle: bool, max_points_per_arc: int
-) -> tuple[list[float], bool]:
-    """Values of Phi in [v0, v1] at which arg Theta = target_arg (mod 2*pi), and a cap flag."""
-    k = math.ceil((v0 - target_arg) / TWO_PI)
+def _level_targets(
+    v0: np.ndarray, v1: np.ndarray, phase: np.ndarray, full_circle: bool, max_points_per_arc: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
+    """Values of Phi at which arg Theta = phase[i] (mod 2*pi), on each arc's range [v0[j], v1[j]].
+
+    Returns the targets, ordered by arc, then level, then value, with the
+    arc and the level of each, and per level whether an arc hit the cap.
+    The targets on arc j for level i are phase[i] + 2*pi (k + m), m = 0,
+    1, ..., with k = ceil((v0 - phase)/2*pi).  On the full circle their
+    count is the number of turns round((v1 - v0)/2*pi): any run of
+    degree-many consecutive sheets carries the complete root set mod 2*pi,
+    which sidesteps all float-noise bookkeeping at the wrap seam; it is
+    capped above ``max_points_per_arc``.  On an arc between atoms the count
+    is the number of targets <= v1, a floor estimate moved by one either
+    way by that very test; it is capped at ``max_points_per_arc``.
+    """
+    k = np.ceil((v0[:, None] - phase) / TWO_PI)  # (arc, level)
     if full_circle:
-        # any run of degree-many consecutive sheets carries the complete
-        # root set mod 2*pi; enumerating exactly that many sidesteps all
-        # float-noise bookkeeping at the wrap seam
-        count = int(round((v1 - v0) / TWO_PI))
+        count = np.broadcast_to(np.round((v1 - v0) / TWO_PI)[:, None], k.shape)
         capped = count > max_points_per_arc
-        return [target_arg + TWO_PI * (k + j) for j in range(min(count, max_points_per_arc))], capped
-    targets: list[float] = []
-    while len(targets) < max_points_per_arc:
-        target = target_arg + TWO_PI * (k + len(targets))
-        if target > v1:
-            break
-        targets.append(target)
-    return targets, len(targets) >= max_points_per_arc
+    else:
+        top = v1[:, None]
+        count = np.maximum(np.floor((top - phase) / TWO_PI) - k + 1.0, 0.0)
+        count -= (count >= 1.0) & (phase + TWO_PI * (k + count - 1.0) > top)
+        count += phase + TWO_PI * (k + count) <= top
+        capped = count >= max_points_per_arc
+    count = np.minimum(count, max_points_per_arc).astype(int).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    step = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    arc, level = np.divmod(pair, phase.size)
+    targets = phase[level] + TWO_PI * (k.ravel()[pair] + step)
+    return targets, arc, level, capped.any(axis=0).tolist()
 
 
 def level_sets(
@@ -262,21 +277,8 @@ def level_sets(
             raise NumericDomainError(
                 f"argument increase {increase} inconsistent with degree {theta.degree}"
             )
-    targets: list[float] = []
-    owner: list[int] = []  # the level of each target
-    arc: list[int] = []  # the arc of each target
-    capped = [False] * len(values)
-    for j in range(lo.size):
-        for i, alpha in enumerate(values):
-            found, cap = _branch_targets(
-                float(v0[j]), float(v1[j]), cmath.phase(alpha), full_circle, max_points_per_arc
-            )
-            capped[i] = capped[i] or cap
-            targets += found
-            owner += [i] * len(found)
-            arc += [j] * len(found)
-    t = np.array(targets, dtype=float)
-    arc_of, owner_of = np.array(arc, dtype=int), np.array(owner, dtype=int)
+    phase = np.array([cmath.phase(alpha) for alpha in values], dtype=float)
+    t, arc_of, owner_of, capped = _level_targets(v0, v1, phase, full_circle, max_points_per_arc)
     if np.any(v0[arc_of] - t > 1e-8):
         raise NumericDomainError("level target below the branch range")
     if np.any(t - v1[arc_of] > 1e-8):

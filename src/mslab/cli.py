@@ -242,7 +242,6 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         config.get("options"),
         {
             "level_count": _integer,
-            "samples": _integer,
             "max_points_per_arc": _integer,
         },
     )
@@ -256,7 +255,6 @@ def cmd_split(config: dict, out_dir: Path) -> None:
                 theta,
                 seq,
                 opts.get("level_count"),
-                samples=opts.get("samples", 4096),
                 max_points_per_arc=opts.get("max_points_per_arc", 512),
             )
     except CertificationError as exc:
@@ -271,13 +269,12 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     _partition_csvs(out_dir, seq, partition)
 
     if mode == "squares":
+        arcs = partition.arcs
+        columns = (arcs.level, arcs.lo, arcs.hi, arcs.inner_radius, arcs.mass)
         _write_csv(
             out_dir / "geometry.csv",
             ["arc", "level", "theta_lo", "theta_hi", "inner_radius", "mass"],
-            [
-                [i, arc.level, arc.lo, arc.hi, arc.inner_radius, arc.mass]
-                for i, arc in enumerate(partition.arcs.arcs)
-            ],
+            [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))],
         )
 
 

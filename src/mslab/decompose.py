@@ -24,9 +24,10 @@ phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
-arcs carrying equal angular mass 1/N.  An ``Arc`` is also the Carleson
-square over it, (lo, hi] x [1 - |J|/2pi, 1], anchored at its hi endpoint,
-and ``ArcSystem.locate`` is the one membership rule.  A point inside a
+arcs carrying equal angular mass 1/N.  An ``ArcSystem`` holds the arcs
+as arrays, one entry per arc; arc (lo, hi] = J carries the Carleson square
+(lo, hi] x [1 - |J|/2pi, 1], anchored at its hi endpoint, and
+``ArcSystem.locate`` is the one membership rule.  A point inside a
 square joins that square's level bucket: one sort ranks each square's
 points by id, and sub-part m of a level takes the m-th point of every
 square of that level, so each sub-part is a small perturbation of one
@@ -295,50 +296,47 @@ _HEALTH_MARGIN = 0.9
 # _LEVEL_COUNT_LIMIT.
 _SPREAD_CEILING = 4.0
 _RATE_GRID = 32
+# Points sampled along the squares' inner sides for the uncovered-region sup.
+_UNCOVERED_SAMPLES = 4096
 _LEVEL_COUNT_START = 8
 _LEVEL_COUNT_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One boundary arc (lo, hi] in angle and the Carleson square over it.
+@dataclass(frozen=True, eq=False)
+class ArcSystem:
+    """Arcs of angular mass 1/N in increasing angle, and the Carleson squares over them.
 
-    ``hi`` is the designated level-set endpoint, in [0, 2 pi); ``lo`` may be
-    negative for the arc wrapping through angle zero.  ``mass`` is the
-    angular mass (Phi(hi) - Phi(lo))/(2 pi), checked against 1/N.  The
-    square is (lo, hi] x [1 - |J|/(2 pi), 1], anchored at e^{i hi}, where
-    |Theta'| is ``hi_derivative``.
+    Arc k is (lo[k], hi[k]]: ``hi`` is its designated level-set endpoint, in
+    [0, 2 pi), of level ``level`` (1..N); ``lo`` may be negative for the arc
+    wrapping through angle zero.  ``mass`` is the angular mass
+    (Phi(hi) - Phi(lo))/(2 pi), checked against 1/N, and ``rate`` is
+    |Theta'| at e^{i hi}.  The square over arc k is
+    (lo, hi] x [inner_radius, 1], inner_radius = 1 - (hi - lo)/(2 pi),
+    anchored at e^{i hi}.  ``truncated`` if arcs near atoms were dropped.
+    The arrays are read-only.
     """
 
-    lo: float
-    hi: float
-    level: int
-    mass: float
-    hi_derivative: float
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def inner_radius(self) -> float:
-        return 1.0 - self.length / TWO_PI
-
-
-@dataclass(frozen=True)
-class ArcSystem:
-    """Arcs of angular mass 1/N in increasing angle; ``truncated`` if arcs near atoms were dropped."""
-
     level_count: int
-    arcs: tuple[Arc, ...]
-    truncated: bool = False
+    lo: np.ndarray
+    hi: np.ndarray
+    level: np.ndarray
+    mass: np.ndarray
+    rate: np.ndarray
+    truncated: bool
+
+    def __post_init__(self) -> None:
+        for name in ("lo", "hi", "level", "mass", "rate"):
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.lo.size
 
     @property
-    def total_mass(self) -> float:
-        return sum(a.mass for a in self.arcs)
+    def inner_radius(self) -> np.ndarray:
+        return 1.0 - (self.hi - self.lo) / TWO_PI
 
     def locate(self, z: np.ndarray) -> np.ndarray:
-        """Position in ``arcs`` of the first arc whose square holds each point, -1 if none.
+        """Position of the first arc whose square holds each point, -1 if none.
 
         A square holds the points with inner_radius <= |z| <= 1 + 1e-14 and
         phase in the window (lo + 1e-12, hi + 1e-12]: a point within 1e-12
@@ -350,11 +348,11 @@ class ArcSystem:
         ``cmath.phase`` of each point (numpy's differs in the last bit).
         """
         z = np.asarray(z, dtype=complex)
-        m = len(self.arcs)
+        m = len(self)
         if m == 0 or z.size == 0:
             return np.full(z.size, -1)
         found = np.full(z.size, m)
-        lo, width, inner = np.array([(a.lo, a.length, a.inner_radius) for a in self.arcs]).T
+        lo, width, inner = self.lo, self.hi - self.lo, self.inner_radius
         phase = np.array([cmath.phase(w) for w in z.tolist()])
         radius = np.hypot(z.real, z.imag)
         k = np.searchsorted(lo, np.mod(phase, TWO_PI), side="right") - 1
@@ -422,36 +420,33 @@ def build_arc_system(
         )
     # an end arc next to a truncation cut can lose its partner point; it is
     # surrendered along with the already-cut zone
-    fields = (x[~off].tolist() for x in (lo, hi, level, masses, deriv))
-    arcs = tuple(Arc(*row) for row in zip(*fields))
-    return ArcSystem(level_count=level_count, arcs=arcs, truncated=truncated)
+    return ArcSystem(
+        level_count, lo[~off], hi[~off], level[~off], masses[~off], deriv[~off], truncated
+    )
 
 
 @dataclass(frozen=True)
 class UncoveredRegionReport:
-    """Sampled boundary diagnostics of the region left under the squares."""
+    """Sampled sup of |Theta| under the squares, and the number of points sampled."""
 
     delta: float
     samples: int
 
 
-def uncovered_region_report(
-    theta: InnerFunction, arcs: ArcSystem, samples: int = 4096
-) -> UncoveredRegionReport:
+def uncovered_region_report(theta: InnerFunction, arcs: ArcSystem) -> UncoveredRegionReport:
     """Max |Theta| over the in-disk boundary of the region under the arcs' squares.
 
-    The boundary consists of the squares' inner sides plus the radial
-    segments joining adjacent squares of different depths; by the maximum
-    principle the sampled max bounds |Theta| throughout the region (up to
-    sampling resolution).
+    The boundary consists of the squares' inner sides, about
+    ``_UNCOVERED_SAMPLES`` points in all and at least 8 per side, plus the
+    radial segments joining adjacent squares of different depths, 8 points
+    each; by the maximum principle the sampled max bounds |Theta|
+    throughout the region (up to sampling resolution).
     """
-    if not arcs.arcs:
+    if not len(arcs):
         raise NumericDomainError("arc system is empty")
-    lo, length, hi, inner = (
-        np.array([(arc.lo, arc.length, arc.hi, arc.inner_radius) for arc in arcs.arcs]).T
-    )
-    per_side = max(8, math.ceil(samples / lo.size))
-    sides = lo[:, None] + length[:, None] * (np.arange(per_side) + 0.5) / per_side
+    lo, hi, inner = arcs.lo, arcs.hi, arcs.inner_radius
+    per_side = max(8, math.ceil(_UNCOVERED_SAMPLES / lo.size))
+    sides = lo[:, None] + (hi - lo)[:, None] * (np.arange(per_side) + 0.5) / per_side
     # radial joints between adjacent squares of different depth
     r_lo, r_hi = np.minimum(inner, np.roll(inner, -1)), np.maximum(inner, np.roll(inner, -1))
     joint = r_hi - r_lo >= 1e-15
@@ -468,20 +463,17 @@ def uncovered_region_report(
 
 def rate_comparability(theta: InnerFunction, arcs: ArcSystem) -> float:
     """Worst per-arc max/min ratio of |Theta'| over _RATE_GRID midpoints of each arc."""
-    lo, length = np.array([(arc.lo, arc.length) for arc in arcs.arcs]).T
-    angles = lo[:, None] + length[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
+    lo, hi = arcs.lo, arcs.hi
+    angles = lo[:, None] + (hi - lo)[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
     _, rates = eval_points(theta, np.exp(1j * angles.ravel()))
     rates = rates.reshape(angles.shape)
     return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
 
 
 def select_arc_system(
-    theta: InnerFunction,
-    *,
-    samples: int = 2048,
-    max_points_per_arc: int = 512,
-) -> tuple[ArcSystem, UncoveredRegionReport]:
-    """The arc system at the smallest usable power-of-two N, with its uncovered-region report.
+    theta: InnerFunction, *, max_points_per_arc: int = 512
+) -> tuple[ArcSystem, float]:
+    """The arc system at the smallest usable power-of-two N, with its uncovered-region sup.
 
     Usable means: the uncovered region's sampled sup of |Theta| is below
     ``_HEALTH_MARGIN`` and the per-arc rate spread stays below
@@ -490,16 +482,16 @@ def select_arc_system(
     no N meets the health margin the spread-qualified N with the smallest
     sup below 1 is taken instead; certificates stay valid for any sup < 1.
     """
-    best: tuple[ArcSystem, UncoveredRegionReport] | None = None
+    best: tuple[ArcSystem, float] | None = None
     n = _LEVEL_COUNT_START
     while n <= _LEVEL_COUNT_LIMIT:
         arcs = build_arc_system(theta, n, max_points_per_arc)
-        region = uncovered_region_report(theta, arcs, samples)
+        delta = uncovered_region_report(theta, arcs).delta
         if rate_comparability(theta, arcs) <= _SPREAD_CEILING:
-            if region.delta < _HEALTH_MARGIN:
-                return arcs, region
-            if region.delta < 1.0 - 1e-9 and (best is None or region.delta < best[1].delta):
-                best = (arcs, region)
+            if delta < _HEALTH_MARGIN:
+                return arcs, delta
+            if delta < 1.0 - 1e-9 and (best is None or delta < best[1]):
+                best = (arcs, delta)
         n *= 2
     if best is not None:
         return best
@@ -521,14 +513,12 @@ def _square_parts(
     held = np.flatnonzero(located >= 0)
     held = held[np.lexsort((seq.ids[held], located[held]))]
     rank = np.arange(held.size) - np.searchsorted(located[held], located[held])
-    level = np.array([arc.level for arc in arcs.arcs], dtype=int)[located[held]]
+    level = arcs.level[located[held]]
     order = np.lexsort((held, rank, level))
     held, rank, level = held[order], rank[order], level[order]
     starts = np.flatnonzero((np.diff(level, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
-    hi = np.array([arc.hi for arc in arcs.arcs])[located[held]]
-    rate = np.array([arc.hi_derivative for arc in arcs.arcs])[located[held]]
-    gap = seq.z[held] - np.exp(1j * hi)
-    margin = np.hypot(gap.real, gap.imag) * rate
+    gap = seq.z[held] - np.exp(1j * arcs.hi[located[held]])
+    margin = np.hypot(gap.real, gap.imag) * arcs.rate[located[held]]
     return [
         (idx, f"square:{level[s]}:{rank[s] + 1}", tuple(m.tolist()))
         for s, idx, m in zip(
@@ -542,7 +532,6 @@ def decompose_by_squares(
     seq: PointSequence,
     level_count: int | None = None,
     *,
-    samples: int = 4096,
     max_points_per_arc: int = 512,
 ) -> Partition:
     """Classify points into Carleson-square buckets and an uncovered bucket.
@@ -566,20 +555,18 @@ def decompose_by_squares(
         raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
     if level_count is None:
-        arcs, region = select_arc_system(
-            theta, samples=samples, max_points_per_arc=max_points_per_arc
-        )
+        arcs, delta = select_arc_system(theta, max_points_per_arc=max_points_per_arc)
         level_count = arcs.level_count
     else:
         arcs = build_arc_system(theta, level_count, max_points_per_arc)
-        region = uncovered_region_report(theta, arcs, samples)
+        delta = uncovered_region_report(theta, arcs).delta
 
     flags: list[str] = []
     if arcs.truncated:
         flags.append("square system truncated near the spectrum")
-    if region.delta >= _HEALTH_MARGIN:
+    if delta >= _HEALTH_MARGIN:
         flags.append(
-            f"uncovered-region modulus bound {region.delta:.6f} exceeds the "
+            f"uncovered-region modulus bound {delta:.6f} exceeds the "
             f"{_HEALTH_MARGIN} health margin"
         )
 
@@ -598,7 +585,7 @@ def decompose_by_squares(
 
     if uncovered.size:
         sub = seq.subset(uncovered)
-        gamma_used = max(region.delta, float(np.abs(values[uncovered]).max()))
+        gamma_used = max(delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
                 f"sublevel bound failed at level count {level_count} "
@@ -642,7 +629,7 @@ def decompose_by_squares(
         global_info={
             "level_count": level_count,
             "max_per_square": int(counts.max()) if counts.size else 0,
-            "delta_uncovered": region.delta,
+            "delta_uncovered": delta,
         },
         flags=tuple(flags),
         arcs=arcs,

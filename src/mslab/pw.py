@@ -131,17 +131,18 @@ def pw_split(system: ExpSystem) -> Partition:
     Runs the interpolation splitter on the shifted frequencies s = l + i:
     L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|) and gamma = max exp(-a Im s),
     both exact in the half-plane.  Each part's frame bounds are the exact
-    exponential-Gram bounds of its frequencies.
+    exponential-Gram bounds of its frequencies, from its principal block of
+    the system's one normalized Gram.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
     a = system.a
     s = np.array(system.freqs) + 1j
+    g = pw_gram(system).entries
 
     def part_bounds(parts: list[np.ndarray]) -> list[FrameBounds]:
         return [
-            extremal_eigs(pw_gram(ExpSystem(a, tuple(system.freqs[i] for i in idx))))
-            for idx in parts
+            extremal_eigs(GramMatrix(g[np.ix_(idx, idx)], tuple(idx.tolist()))) for idx in parts
         ]
 
     partition = split_log_distances(

@@ -13,11 +13,12 @@ a telescoping sum over the factors with exact weights 1 - |eta|^2 and
 1 - |z|^2 (the library sums log1p terms), normalized Gram sections of
 Blaschke products are exact rationals rounded once (the library factors
 them or assembles them in floats).  The splitter's earlier first-fit loop
-over index groups, and the square pipeline's earlier
-membership scan and grouping loop, are kept at the end as references, as
-is the point classifier that ``PointSequence`` replaced: one object per
-point, and a dict scan for coincident points.  ``split_at_gamma`` is not
-an oracle: it runs the library's splitter core at a gamma a test sets.
+over index groups, the square pipeline's earlier membership scan and
+grouping loop and the earlier loop over level-set targets are kept at the
+end as references, as is the point classifier that ``PointSequence``
+replaced: one object per point, and a dict scan for coincident points.
+``split_at_gamma`` is not an oracle: it runs the library's splitter core
+at a gamma a test sets.
 """
 
 from __future__ import annotations
@@ -449,28 +450,40 @@ def first_fit_reference(L: np.ndarray, groups: list[np.ndarray], log_floor: floa
 # sub-part; kept so that tests can check the array versions take every
 # decision alike.
 
-def square_contains_reference(arc, z: complex) -> bool:
-    """Whether the square over ``arc`` holds z: angles (lo, hi], 1 - |J|/(2 pi) <= |z| <= 1."""
+def square_contains_reference(lo: float, hi: float, z: complex) -> bool:
+    """Whether the square over the arc (lo, hi] holds z: 1 - (hi - lo)/(2 pi) <= |z| <= 1."""
     w = complex(z)
     r = abs(w)
-    if r < 1.0 - (arc.hi - arc.lo) / TWO_PI or r > 1.0 + 1e-14:
+    if r < 1.0 - (hi - lo) / TWO_PI or r > 1.0 + 1e-14:
         return False
-    if arc.hi - arc.lo >= TWO_PI - 1e-12:
+    if hi - lo >= TWO_PI - 1e-12:
         return True
     # a point within angle tolerance of lo belongs to the previous arc
-    d = normalize_angle(cmath.phase(w) - arc.lo)
-    return 1e-12 < d <= (arc.hi - arc.lo) + 1e-12
+    d = normalize_angle(cmath.phase(w) - lo)
+    return 1e-12 < d <= (hi - lo) + 1e-12
 
 
 def locate_reference(arcs, z) -> np.ndarray:
-    """Position of the first arc whose square holds each point, by a linear scan; -1 if none."""
+    """Position of the first arc whose square holds each point, by a linear scan; -1 if none.
+
+    ``arcs`` is anything with arrays ``lo`` and ``hi`` of the arcs' ends.
+    """
+    ends = list(zip(np.asarray(arcs.lo).tolist(), np.asarray(arcs.hi).tolist()))
     return np.array(
         [
-            next((k for k, arc in enumerate(arcs.arcs) if square_contains_reference(arc, w)), -1)
+            next((k for k, (lo, hi) in enumerate(ends) if square_contains_reference(lo, hi, w)), -1)
             for w in z
         ],
         dtype=int,
     )
+
+
+def assert_same_arc_system(got, want) -> None:
+    """Two arc systems hold equal fields: N, the truncation flag and every array, bit for bit."""
+    assert (got.level_count, got.truncated) == (want.level_count, want.truncated)
+    for name in ("lo", "hi", "level", "mass", "rate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def square_parts_reference(
@@ -487,7 +500,7 @@ def square_parts_reference(
     for k, pid in enumerate(seq.ids.tolist()):
         if located[k] >= 0:
             arc_index = int(located[k])
-            bucket.setdefault(arcs.arcs[arc_index].level, {}).setdefault(arc_index, []).append(pid)
+            bucket.setdefault(int(arcs.level[arc_index]), {}).setdefault(arc_index, []).append(pid)
     position = {pid: k for k, pid in enumerate(seq.ids.tolist())}
     out = []
     for level in sorted(bucket):
@@ -505,9 +518,8 @@ def square_parts_reference(
             anchors = []
             derivs = []
             for pid in part_seq.ids.tolist():
-                arc = arcs.arcs[owner[pid]]
-                anchors.append(normalize_angle(arc.hi))
-                derivs.append(arc.hi_derivative)
+                anchors.append(normalize_angle(float(arcs.hi[owner[pid]])))
+                derivs.append(float(arcs.rate[owner[pid]]))
             gap = part_seq.z - np.exp(1j * np.array(anchors))
             margins = (np.hypot(gap.real, gap.imag) * np.array(derivs)).tolist()
             out.append(
@@ -518,6 +530,54 @@ def square_parts_reference(
                 )
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference loop of the level-set targets
+# ---------------------------------------------------------------------------
+# The values of Phi that ``clark.level_sets`` solves for, as they were built
+# one (arc, level) pair at a time: a closed count on the full circle and a
+# step-by-step walk up to the arc's top between atoms; kept so that tests
+# can check the array version builds every target and cap flag alike.
+
+def branch_targets_reference(
+    v0: float, v1: float, target_arg: float, full_circle: bool, max_points_per_arc: int
+) -> tuple[list[float], bool]:
+    """Values of Phi in [v0, v1] at which arg Theta = target_arg (mod 2*pi), and a cap flag."""
+    k = math.ceil((v0 - target_arg) / TWO_PI)
+    if full_circle:
+        # any run of degree-many consecutive sheets carries the complete
+        # root set mod 2*pi; enumerating exactly that many sidesteps all
+        # float-noise bookkeeping at the wrap seam
+        count = int(round((v1 - v0) / TWO_PI))
+        capped = count > max_points_per_arc
+        return [target_arg + TWO_PI * (k + j) for j in range(min(count, max_points_per_arc))], capped
+    targets: list[float] = []
+    while len(targets) < max_points_per_arc:
+        target = target_arg + TWO_PI * (k + len(targets))
+        if target > v1:
+            break
+        targets.append(target)
+    return targets, len(targets) >= max_points_per_arc
+
+
+def level_targets_reference(
+    v0, v1, phases, full_circle: bool, max_points_per_arc: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
+    """Targets of every level on every arc, arc by arc and level by level, with
+    each target's arc and level, and per level whether some arc hit the cap."""
+    targets: list[float] = []
+    arc: list[int] = []
+    level: list[int] = []
+    capped = [False] * len(phases)
+    for j, (lo, hi) in enumerate(zip(np.asarray(v0).tolist(), np.asarray(v1).tolist())):
+        for i, phase in enumerate(np.asarray(phases).tolist()):
+            found, cap = branch_targets_reference(lo, hi, phase, full_circle, max_points_per_arc)
+            capped[i] = capped[i] or cap
+            targets += found
+            arc += [j] * len(found)
+            level += [i] * len(found)
+    return np.array(targets, dtype=float), np.array(arc, dtype=int), np.array(level, dtype=int), capped
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,10 @@ def test_criterion_06_arc_mass_conservation() -> None:
             d = theta.degree
             for n_levels in (4, 8, 16):
                 arcs = build_arc_system(theta, n_levels)
-                assert len(arcs.arcs) == n_levels * d
-                for arc in arcs.arcs:
-                    assert abs(arc.mass * n_levels - 1.0) <= 1e-6
-                assert abs(arcs.total_mass - d) <= 1e-6 * d
+                assert len(arcs) == n_levels * d
+                for mass in arcs.mass.tolist():
+                    assert abs(mass * n_levels - 1.0) <= 1e-6
+                assert abs(math.fsum(arcs.mass) - d) <= 1e-6 * d
 
 
 def test_criterion_07_uncovered_region_delta_brackets() -> None:
@@ -156,7 +156,7 @@ def test_criterion_07_uncovered_region_delta_brackets() -> None:
         for d in (2, 3, 5):
             zd = InnerFunction(blaschke_zeros=(0,) * d)
             for n_levels in (8, 16):
-                delta = uncovered_region_report(zd, build_arc_system(zd, n_levels), 2048).delta
+                delta = uncovered_region_report(zd, build_arc_system(zd, n_levels)).delta
                 assert math.exp(-2.0 / n_levels) <= delta <= math.exp(-0.5 / n_levels)
 
 

@@ -1,0 +1,137 @@
+"""Adversarial inputs to the square pipeline, pinned by exit code through the CLI.
+
+Every case runs ``split`` in mode ``squares`` on the zeros 0.5, -0.3+0.4i
+and -0.6i and the points 0.9 e^{ik}, k = 1..11, with one thing pushed to an
+edge: near-coincident boundary points or atoms, a heavy atom, many levels,
+high degree, a one-point sequence, boundary points next to the wrap at
+angle zero.  Those exit 0, and each partition is checked by conftest's
+independent oracles: the parts cover every id exactly once; a point sits
+in a square part exactly when the reference scan over ``geometry.csv``'s
+arcs finds a square holding it, and a square part holds at most one point
+per square, all of its own level; and each part's frame bounds match
+cyclic Jacobi on the oracle Gram.  A point on the spectrum, and a zero at
+1 - 1e-12 whose level points double precision cannot separate, exit 3.
+"""
+
+import csv
+import json
+import math
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from conftest import eig_extremes_oracle, gram_oracle, locate_reference
+
+from mslab.cli import main
+from mslab.inner import InnerFunction
+from mslab.points import PointSequence
+
+ZEROS = [[0.5, 0.0], [-0.3, 0.4], [0.0, -0.6]]
+POINTS = [[0.9 * math.cos(k), 0.9 * math.sin(k)] for k in range(1, 12)]
+RING = [[0.8 * math.cos(math.tau * k / 500), 0.8 * math.sin(math.tau * k / 500)] for k in range(500)]
+ATOM = {"angle": 2.0, "mass": 0.5}
+
+# name: (inner, points, options)
+PASSING = {
+    "boundary-points-1e-15-apart": (
+        {"blaschke_zeros": ZEROS}, POINTS + [{"angle": 0.7}, {"angle": 0.7 + 1e-15}], None,
+    ),
+    "atoms-1e-9-apart": (
+        {"blaschke_zeros": ZEROS, "singular_atoms": [ATOM, {"angle": 2.0 + 1e-9, "mass": 0.5}]},
+        POINTS,
+        None,
+    ),
+    "mass-50-atom": (
+        {"blaschke_zeros": ZEROS, "singular_atoms": [{"angle": 2.0, "mass": 50.0}]}, POINTS, None,
+    ),
+    "level-count-256": ({"blaschke_zeros": ZEROS}, POINTS, {"level_count": 256}),
+    "degree-500": ({"blaschke_zeros": RING}, POINTS, {"level_count": 8}),
+    "one-interior-point": ({"blaschke_zeros": ZEROS}, [[0.1, 0.2]], None),
+    "one-boundary-point": ({"blaschke_zeros": ZEROS}, [{"angle": 1.0}], None),
+    "boundary-points-at-the-wrap": (
+        {"blaschke_zeros": ZEROS}, POINTS + [{"angle": 0.0}, {"angle": math.tau - 1e-9}], None,
+    ),
+}
+
+# name: (inner, points, options, message)
+FAILING = {
+    "interior-point-on-a-zero": (
+        {"blaschke_zeros": ZEROS}, POINTS + [[0.5, 0.0]], None, "point 11 lies on the spectrum",
+    ),
+    "boundary-point-on-an-atom": (
+        {"blaschke_zeros": ZEROS, "singular_atoms": [ATOM]},
+        POINTS + [{"angle": 2.0}],
+        None,
+        "point 11 lies on the spectrum",
+    ),
+    "zero-at-1-minus-1e-12": (
+        {"blaschke_zeros": ZEROS + [[1.0 - 1e-12, 0.0]]}, POINTS, None, "level points at angles .* collide",
+    ),
+}
+
+
+def _run(tmp_path, inner, points, options) -> tuple[int, object]:
+    config = {"inner": inner, "points": points, "mode": "squares"}
+    if options is not None:
+        config["options"] = options
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return main(["split", "--config", str(path), "--out", str(out)]), out
+
+
+def _sequence(points) -> PointSequence:
+    z = [0j if isinstance(p, dict) else complex(*p) for p in points]
+    angles = [p["angle"] if isinstance(p, dict) else math.nan for p in points]
+    return PointSequence.from_mixed(z, angles)
+
+
+def _geometry(out) -> SimpleNamespace:
+    with open(out / "geometry.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    return SimpleNamespace(
+        lo=np.array([float(r["theta_lo"]) for r in rows]),
+        hi=np.array([float(r["theta_hi"]) for r in rows]),
+        level=np.array([int(r["level"]) for r in rows], dtype=int),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PASSING))
+def test_edge_input_splits_and_passes_the_oracles(tmp_path, name: str) -> None:
+    inner, points, options = PASSING[name]
+    code, out = _run(tmp_path, inner, points, options)
+    assert code == 0
+    parts = json.loads((out / "partition.json").read_text())["parts"]
+    ids = sorted(pid for part in parts for pid in part["ids"])
+    assert ids == list(range(len(points)))
+
+    theta = InnerFunction.from_json_dict(inner)
+    seq = _sequence(points)
+    arcs = _geometry(out)
+    square_of = locate_reference(arcs, seq.z)
+    for part in parts:
+        held = square_of[part["ids"]]
+        if part["route"].startswith("square:"):
+            level = int(part["route"].split(":")[1])
+            assert (held >= 0).all()
+            assert len(set(held.tolist())) == held.size
+            assert (arcs.level[held] == level).all()
+        else:
+            assert (held < 0).all()
+        want = eig_extremes_oracle(gram_oracle(theta, seq.subset(np.array(part["ids"]))))
+        got = part["certificate"]["frame_bounds"]
+        assert got["lambda_min"] == pytest.approx(want[0], abs=1e-8)
+        assert got["lambda_max"] == pytest.approx(want[1], abs=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_edge_input_exits_three(tmp_path, capsys, name: str) -> None:
+    inner, points, options, message = FAILING[name]
+    code, out = _run(tmp_path, inner, points, options)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mslab: numeric domain error: ")
+    assert re.search(message, err)
+    assert not (out / "partition.json").exists()

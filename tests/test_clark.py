@@ -8,6 +8,7 @@ from conftest import (
     blaschke_values,
     blaschke_values_on_circle,
     boundary_rate_oracle,
+    level_targets_reference,
     random_blaschke,
     simpson_fixed,
 )
@@ -16,6 +17,7 @@ from mslab import clark
 from mslab.clark import (
     _check_arc_clear,
     _level_arcs,
+    _level_targets,
     _solve,
     herglotz_residuals,
     level_set,
@@ -63,14 +65,23 @@ def test_branch_rate_peaks_at_zero_angle() -> None:
 
 def test_branch_rejects_atom_in_arc() -> None:
     theta = InnerFunction(singular_atoms=((1.0, 0.5),))
-    with pytest.raises(NumericDomainError):
-        _check_arc_clear(theta, 0.5, 1.5)
+
+    def check(*arcs: tuple[float, float]) -> None:
+        lo, hi = np.array(arcs).T
+        _check_arc_clear(theta, lo, hi)
+
+    with pytest.raises(NumericDomainError, match=r"arc \[0.5, 1.5\]"):
+        check((0.5, 1.5))
     # the atom's images a -+ 2*pi count too, and so does an end within 1e-13
     with pytest.raises(NumericDomainError):
-        _check_arc_clear(theta, 1.0 + TWO_PI - 0.5, 1.0 + TWO_PI + 0.5)
+        check((1.0 + TWO_PI - 0.5, 1.0 + TWO_PI + 0.5))
     with pytest.raises(NumericDomainError):
-        _check_arc_clear(theta, 1.0 + 5e-14, 2.0)
-    _check_arc_clear(theta, 1.0 + 1e-11, 1.0 + TWO_PI - 1e-11)
+        check((1.0 + 5e-14, 2.0))
+    check((1.0 + 1e-11, 1.0 + TWO_PI - 1e-11))
+    # all arcs are checked in one call, and the first touching arc is named
+    with pytest.raises(NumericDomainError, match=r"arc \[-3.0, 0.99999999999999\]"):
+        check((1.0 + 1e-11, 3.0), (-3.0, 1.0 - 1e-14), (0.9, 1.1))
+    check((1.0 + 1e-11, 3.0), (3.5, 7.2), (-2.0, 1.0 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +386,80 @@ def test_level_set_seam_targets() -> None:
                 assert b - a > 1e-8
             residual = blaschke_values_on_circle(theta, fam.points) - alpha
             assert np.max(np.abs(residual)) <= 1e-9
+
+
+def _assert_same_targets(got, want) -> None:
+    """Targets, arcs and levels equal bit for bit, in order, and equal cap flags."""
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got[3] == want[3] and all(type(flag) is bool for flag in got[3])
+
+
+@pytest.mark.parametrize("full_circle", [False, True], ids=["atom-arcs", "full-circle"])
+def test_level_targets_match_the_reference_loop_on_random_ranges(full_circle: bool) -> None:
+    # 20,000 (arc, level) pairs over ranges of 0-10 turns; of every four
+    # arcs, three end on a target of the first level or one ulp either side
+    rng = np.random.default_rng(2024)
+    for cap in (1, 2, 3, 5, 8):
+        v0 = rng.uniform(-40.0, 40.0, 400)
+        v1 = v0 + TWO_PI * rng.uniform(0.0, 10.0, 400)
+        phases = rng.uniform(-math.pi, math.pi, 10)
+        on = phases[0] + TWO_PI * (np.ceil((v0 - phases[0]) / TWO_PI) + rng.integers(0, 2 * cap, 400))
+        v1[::4] = on[::4]
+        v1[1::4] = np.nextafter(on[1::4], np.inf)
+        v1[2::4] = np.nextafter(on[2::4], -np.inf)
+        v1 = np.maximum(v0, v1)
+        got = _level_targets(v0, v1, phases, full_circle, cap)
+        _assert_same_targets(got, level_targets_reference(v0, v1, phases, full_circle, cap))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["count-below-cap", "count-at-cap", "count-above-cap"])
+def test_level_targets_cap_flags_at_the_edge(extra: int) -> None:
+    # between atoms a count equal to the cap is capped (>=); on the full
+    # circle only a count above the cap is (>)
+    cap = 4
+    phases = np.array([0.5, -2.0])
+    v0 = np.array([0.25])
+    top = phases + TWO_PI * (np.ceil((v0 - phases) / TWO_PI) + cap - 1 + extra)
+    for v1 in (np.array([top[0]]), np.array([top[1]])):
+        got = _level_targets(v0, v1, phases, False, cap)
+        _assert_same_targets(got, level_targets_reference(v0, v1, phases, False, cap))
+    assert _level_targets(v0, np.array([top[0]]), phases, False, cap)[3][0] == (extra >= 0)
+    v1 = v0 + TWO_PI * (cap + extra)
+    got = _level_targets(v0, v1, phases, True, cap)
+    _assert_same_targets(got, level_targets_reference(v0, v1, phases, True, cap))
+    assert got[3] == [extra > 0] * 2
+    assert np.bincount(got[2]).tolist() == [min(cap + extra, cap)] * 2
+
+
+@pytest.mark.parametrize(
+    "theta, cap",
+    [
+        (InnerFunction(blaschke_zeros=(0.3j, -0.5, 0.7 + 0.1j)), 512),
+        (InnerFunction(blaschke_zeros=(0.3j,) * 5), 3),
+        (InnerFunction(blaschke_zeros=(0.3j,), singular_atoms=((0.5, 0.2), (2.5, 1.0), (4.5, 0.05))), 16),
+        (InnerFunction(singular_atoms=((1.0, 0.01),)), 6),
+    ],
+    ids=["blaschke", "blaschke-capped", "three-atoms", "light-atom"],
+)
+def test_level_sets_solve_the_reference_targets(monkeypatch, theta: InnerFunction, cap: int) -> None:
+    seen = []
+
+    def recording(theta, lo, hi, cells, arc, targets):
+        seen.append((arc, targets))
+        return _solve(theta, lo, hi, cells, arc, targets)
+
+    monkeypatch.setattr(clark, "_solve", recording)
+    alphas = [cmath.exp(2j * math.pi * l / 8) for l in range(1, 9)]
+    families = level_sets(theta, alphas, cap)
+    monkeypatch.undo()
+    lo, hi = _level_arcs(theta, cap)
+    v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    phases = np.array([cmath.phase(alpha) for alpha in alphas])
+    full_circle = not theta.singular_atoms
+    t, arc, _, capped = level_targets_reference(v0, v1, phases, full_circle, cap)
+    assert np.array_equal(seen[-1][0], arc) and np.array_equal(seen[-1][1], t)
+    assert [fam.truncated for fam in families] == [not full_circle or c for c in capped]
 
 
 def test_level_set_rejects_bad_alpha() -> None:

@@ -310,11 +310,11 @@ _SQUARES = {"inner": Z3, "points": [[0.5, 0.0]], "mode": "squares"}
         ("split", {**_SQUARES, "options": {"max_points_per_arc": 0}}),
         ("split", {**_SQUARES, "options": {"max_points_per_arc": -3}}),
         ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"max_points_per_arc": 0}}),
-        ("split", {**_SQUARES, "options": {"samples": True}}),
+        ("split", {**_SQUARES, "options": {"level_count": True}}),
     ],
     ids=["split-string", "split-integer", "riesz-floor-nan", "herglotz-grid-negative",
          "level-count-float", "points-per-arc-zero", "points-per-arc-negative",
-         "clark-points-per-arc-zero", "samples-bool"],
+         "clark-points-per-arc-zero", "level-count-bool"],
 )
 def test_malformed_options_are_config_errors(tmp_path, capsys, command, config) -> None:
     cfg = _write(tmp_path / "cfg.json", config)
@@ -341,13 +341,22 @@ def test_max_depth_is_an_unknown_option(tmp_path, capsys, command, config) -> No
     assert not out.exists()
 
 
+def test_samples_is_an_unknown_option(tmp_path, capsys) -> None:
+    # the uncovered-region sup is sampled at one fixed resolution
+    cfg = _write(tmp_path / "cfg.json", {**_SQUARES, "options": {"samples": 4096}})
+    out = tmp_path / "o"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: unknown options keys: ['samples']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, config, report",
     [
         ("pw", {"pw": _PW_SYSTEM, "options": {"split": False}}, "pw.json"),
         ("analyze", {"inner": Z2, "points": [[0.1, 0.0]], "options": {"riesz_floor": 1}}, "analyze.json"),
         ("clark", {"inner": Z3, "alpha": [1.0, 0.0], "options": {"herglotz_grid": 1, "max_points_per_arc": 1}}, "clark.json"),
-        ("split", {**_SQUARES, "options": {"level_count": 1, "samples": 1}}, "partition.json"),
+        ("split", {**_SQUARES, "options": {"level_count": 1}}, "partition.json"),
     ],
     ids=["pw", "analyze", "clark", "split"],
 )

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     arc_mass_oracle,
+    assert_same_arc_system,
     blaschke_values,
     boundary_rate_oracle,
     carleson_delta_oracle,
@@ -187,37 +188,39 @@ def test_pipelines_are_deterministic() -> None:
 def test_arcs_z2_four_levels() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     arcs = build_arc_system(z2, 4)
-    assert len(arcs.arcs) == 8
-    for arc in arcs.arcs:
-        assert arc.length == pytest.approx(TWO_PI / 8, abs=1e-10)
-        assert arc.mass == pytest.approx(0.25, rel=1e-9)
+    assert len(arcs) == 8
+    assert arcs.hi - arcs.lo == pytest.approx(np.full(8, TWO_PI / 8), abs=1e-10)
+    assert arcs.mass == pytest.approx(np.full(8, 0.25), rel=1e-9)
+    for name in ("lo", "hi", "level", "mass", "rate"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(arcs, name)[0] = 0
 
 
 def test_arcs_degree_one_single_level() -> None:
     z1 = InnerFunction(blaschke_zeros=(0,))
     arcs = build_arc_system(z1, 1)
-    assert len(arcs.arcs) == 1
-    assert arcs.arcs[0].length == pytest.approx(TWO_PI)
-    assert arcs.arcs[0].mass == pytest.approx(1.0, rel=1e-9)
+    assert len(arcs) == 1
+    assert arcs.hi[0] - arcs.lo[0] == pytest.approx(TWO_PI)
+    assert arcs.mass[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_arcs_blaschke_pair_mass_oracle() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5, -0.5))
     n_levels = 8
     arcs = build_arc_system(theta, n_levels)
-    assert len(arcs.arcs) == 16
-    lengths = {round(a.length, 12) for a in arcs.arcs}
+    assert len(arcs) == 16
+    lengths = {round(length, 12) for length in (arcs.hi - arcs.lo).tolist()}
     assert len(lengths) > 1  # nonuniform
-    for arc in arcs.arcs:
+    for lo, hi, mass in zip(arcs.lo.tolist(), arcs.hi.tolist(), arcs.mass.tolist()):
         oracle = composite_gauss_legendre(
             lambda t: boundary_rate_oracle(theta, t) / TWO_PI,
-            arc.lo,
-            arc.hi,
+            lo,
+            hi,
             panels=64,
         ).real
-        assert abs(arc.mass - oracle) <= 1e-9
-        assert abs(arc.mass - 1.0 / n_levels) <= 1e-6 / n_levels
-    assert arcs.total_mass == pytest.approx(theta.degree, rel=1e-6)
+        assert abs(mass - oracle) <= 1e-9
+        assert abs(mass - 1.0 / n_levels) <= 1e-6 / n_levels
+    assert math.fsum(arcs.mass) == pytest.approx(theta.degree, rel=1e-6)
 
 
 # The zero 1e-9 from the circle sits at angle 0, where the oracle's nodes
@@ -236,10 +239,10 @@ def test_arc_masses_match_the_integrated_rate(name: str) -> None:
     theta, n_levels = _MASS_CASES[name]
     arcs = build_arc_system(theta, n_levels, max_points_per_arc=48)
     assert arcs.truncated == bool(theta.singular_atoms)
-    for arc in arcs.arcs:
-        oracle = arc_mass_oracle(theta, arc.lo, arc.hi)
-        assert abs(arc.mass - oracle) <= 1e-9 * oracle
-        assert abs(arc.mass - 1.0 / n_levels) <= 1e-6 / n_levels
+    for lo, hi, mass in zip(arcs.lo.tolist(), arcs.hi.tolist(), arcs.mass.tolist()):
+        oracle = arc_mass_oracle(theta, lo, hi)
+        assert abs(mass - oracle) <= 1e-9 * oracle
+        assert abs(mass - 1.0 / n_levels) <= 1e-6 / n_levels
 
 
 def test_arcs_with_atom_truncate_cleanly() -> None:
@@ -248,11 +251,11 @@ def test_arcs_with_atom_truncate_cleanly() -> None:
     )
     arcs = build_arc_system(theta, 4, max_points_per_arc=48)
     assert arcs.truncated
-    assert len(arcs.arcs) > 4
-    for arc in arcs.arcs:
-        assert abs(arc.mass * 4 - 1.0) <= 1e-6
+    assert len(arcs) > 4
+    assert np.abs(arcs.mass * 4 - 1.0).max() <= 1e-6
+    for lo, hi in zip(arcs.lo.tolist(), arcs.hi.tolist()):
         # the dropped zone straddles the atom: no surviving arc's square holds it
-        assert not square_contains_reference(arc, cmath.exp(1j * math.pi))
+        assert not square_contains_reference(lo, hi, cmath.exp(1j * math.pi))
     assert arcs.locate([cmath.exp(1j * math.pi), 0.999 * cmath.exp(1j * math.pi)]).tolist() == [-1, -1]
 
 
@@ -263,19 +266,18 @@ def test_squares_pipeline_with_atom() -> None:
     seq = PointSequence.from_complex([0.2, 0.4j, 0.99])
     partition = decompose_by_squares(theta, seq, 4, max_points_per_arc=48)
     assert partition.all_ids() == (0, 1, 2)
-    assert partition.arcs == build_arc_system(theta, 4, max_points_per_arc=48)
+    assert_same_arc_system(partition.arcs, build_arc_system(theta, 4, max_points_per_arc=48))
     assert "square system truncated near the spectrum" in partition.flags
 
 
 def test_squares_geometry() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     arcs = build_arc_system(z2, 4)
-    arc = arcs.arcs[0]
-    assert arc.inner_radius == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-10)
-    mid = 0.5 * (arc.lo + arc.hi)
+    assert arcs.inner_radius[0] == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-10)
+    mid = 0.5 * (arcs.lo[0] + arcs.hi[0])
     pts = [
         0.99 * cmath.exp(1j * mid),
-        0.999 * cmath.exp(1j * (arc.hi + 0.5)),
+        0.999 * cmath.exp(1j * (arcs.hi[0] + 0.5)),
         0.5 * cmath.exp(1j * mid),
     ]
     assert arcs.locate(pts)[0] == 0
@@ -286,15 +288,15 @@ def test_squares_geometry() -> None:
 def test_anchor_point_belongs_to_its_own_square() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     arcs = build_arc_system(z3, 4)
-    anchors = PointSequence.from_angles([arc.hi for arc in arcs.arcs]).z
-    assert arcs.locate(anchors).tolist() == list(range(len(arcs.arcs)))
+    anchors = PointSequence.from_angles(arcs.hi).z
+    assert arcs.locate(anchors).tolist() == list(range(len(arcs)))
 
 
 def test_uncovered_delta_power_brackets() -> None:
     for d in (2, 3):
         zd = InnerFunction(blaschke_zeros=(0,) * d)
         for n_levels in (8, 16):
-            delta = uncovered_region_report(zd, build_arc_system(zd, n_levels), 2048).delta
+            delta = uncovered_region_report(zd, build_arc_system(zd, n_levels)).delta
             assert delta == pytest.approx((1 - 1 / (n_levels * d)) ** d, rel=1e-9)
             assert math.exp(-2 / n_levels) <= delta <= math.exp(-1 / (2 * n_levels))
 
@@ -302,13 +304,13 @@ def test_uncovered_delta_power_brackets() -> None:
 def test_uncovered_delta_degree_one_single_square() -> None:
     z1 = InnerFunction(blaschke_zeros=(0,))
     arcs = build_arc_system(z1, 1)
-    assert uncovered_region_report(z1, arcs, 64).delta == pytest.approx(0.0, abs=1e-12)
+    assert uncovered_region_report(z1, arcs).delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uncovered_delta_random_strictly_below_one() -> None:
     rng = np.random.default_rng(59)
     theta = random_blaschke(rng, 6)
-    report = uncovered_region_report(theta, build_arc_system(theta, 16), 2048)
+    report = uncovered_region_report(theta, build_arc_system(theta, 16))
     assert report.delta < 1.0
 
 
@@ -318,18 +320,17 @@ def test_located_counts_and_max_per_square() -> None:
 
     def counts(seq: PointSequence) -> np.ndarray:
         located = arcs.locate(seq.z)
-        return np.bincount(located[located >= 0], minlength=len(arcs.arcs))
+        return np.bincount(located[located >= 0], minlength=len(arcs))
 
     def max_per_square(seq: PointSequence) -> int:
         return decompose_by_squares(z3, seq, 8).global_info["max_per_square"]
 
     deep = PointSequence.from_complex([0.1, -0.2j, 0.3])
     assert counts(deep).sum() == 0 and max_per_square(deep) == 0
-    anchors = PointSequence.from_angles([arc.hi for arc in arcs.arcs[:5]])
+    anchors = PointSequence.from_angles(arcs.hi[:5])
     assert counts(anchors).max() == 1 and counts(anchors).sum() == 5
     assert max_per_square(anchors) == 1
-    one = arcs.arcs[0]
-    mid = 0.5 * (one.lo + one.hi)
+    mid = 0.5 * (arcs.lo[0] + arcs.hi[0])
     cluster = PointSequence.from_complex(
         [(1 - 1e-4 * (k + 1)) * cmath.exp(1j * mid) for k in range(5)]
     )
@@ -354,14 +355,14 @@ def test_square_lookup_agrees_with_linear_scan(theta: InnerFunction, levels: int
     pts = list(
         np.sqrt(rng.uniform(0.5, 1.0, 400)) * np.exp(1j * rng.uniform(-4.0, 8.0, 400))
     )
-    for arc in arcs.arcs:
-        depth = 0.5 * (1.0 + arc.inner_radius)
-        for end in (arc.lo, arc.hi):
+    for lo, hi, inner in zip(arcs.lo.tolist(), arcs.hi.tolist(), arcs.inner_radius.tolist()):
+        depth = 0.5 * (1.0 + inner)
+        for end in (lo, hi):
             for shift in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12):
                 pts.append(depth * cmath.exp(1j * (end + shift)))
                 pts.append(cmath.exp(1j * (end + shift)))
-        pts.append(arc.inner_radius * cmath.exp(1j * 0.5 * (arc.lo + arc.hi)))
-        pts.append(0.999 * arc.inner_radius * cmath.exp(1j * 0.5 * (arc.lo + arc.hi)))
+        pts.append(inner * cmath.exp(1j * 0.5 * (lo + hi)))
+        pts.append(0.999 * inner * cmath.exp(1j * 0.5 * (lo + hi)))
     found = arcs.locate(pts)
     assert found.tolist() == locate_reference(arcs, pts).tolist()
     assert (found >= 0).any() and ((found < 0).any() or levels == 1)
@@ -449,9 +450,10 @@ def test_squares_pipeline_mixed_membership() -> None:
     ]
     arcs = build_arc_system(theta, 8)
     near = [
-        (arc.inner_radius + 0.6 * (1 - arc.inner_radius))
-        * cmath.exp(1j * (0.5 * (arc.lo + arc.hi)))
-        for arc in arcs.arcs[:4]
+        (inner + 0.6 * (1 - inner)) * cmath.exp(1j * (0.5 * (lo + hi)))
+        for lo, hi, inner in zip(
+            arcs.lo[:4].tolist(), arcs.hi[:4].tolist(), arcs.inner_radius[:4].tolist()
+        )
     ]
     seq = PointSequence.from_complex(pts + near)
     partition = decompose_by_squares(theta, seq, 8)
@@ -475,11 +477,11 @@ def test_rate_comparability_shrinks_with_level_count() -> None:
 
 def test_select_level_count_power_function() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    arcs, region = select_arc_system(z3)
+    arcs, delta = select_arc_system(z3)
     assert arcs.level_count == 8
-    assert arcs == build_arc_system(z3, 8)
-    assert region == uncovered_region_report(z3, arcs, 2048)
-    assert region.delta < 0.9
+    assert_same_arc_system(arcs, build_arc_system(z3, 8))
+    assert delta == uncovered_region_report(z3, arcs).delta
+    assert delta < 0.9
 
 
 def test_auto_level_count_used_when_omitted() -> None:
@@ -488,7 +490,7 @@ def test_auto_level_count_used_when_omitted() -> None:
     partition = decompose_by_squares(z2, seq)
     assert partition.global_info["level_count"] == 8
     # the selected arc system travels on the partition, outside the report
-    assert partition.arcs == build_arc_system(z2, 8)
+    assert_same_arc_system(partition.arcs, build_arc_system(z2, 8))
     assert "arcs" not in partition.to_json_dict()
 
 
