@@ -78,8 +78,10 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
 
     The row sum of L is the log of that point's Carleson product.  L is made
     exactly symmetric (the smaller of the two roundings is kept), so a
-    subsequence's constant does not depend on which of a pair is asked.  A
-    pair whose distance underflows to 0 gives -inf.
+    subsequence's constant does not depend on which of a pair is asked, and
+    no entry exceeds 0 (rho <= 1, though for far points near the circle it
+    can round to just above 1).  A pair whose distance underflows to 0
+    gives -inf.
     """
     z = _require_interior(seq.z)
     return _log_distances(z, _pair_denominators(z))
@@ -90,7 +92,7 @@ def _log_distances(z: np.ndarray, denom: np.ndarray) -> np.ndarray:
     dist = np.abs(z[:, None] - z[None, :]) / denom
     with np.errstate(divide="ignore"):
         out = np.log(dist)
-    out = np.minimum(out, out.T)
+    out = np.minimum(np.minimum(out, out.T), 0.0)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -67,8 +68,18 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
 
 
 def _parse_points(raw: Any) -> PointSequence:
+    """Points from ``[re, im]`` pairs and ``{"angle": a}`` objects.
+
+    A list of finite number pairs alone takes one type scan and one
+    ``np.array``; the real and imaginary parts are the float pairs' bits
+    (a ``-0.0`` kept).  Any other list goes entry by entry, which also
+    names the first bad entry.
+    """
     if not isinstance(raw, list) or not raw:
         raise ConfigError("'points' must be a non-empty list")
+    xy = _number_pairs(raw)
+    if xy is not None:
+        return PointSequence.from_complex(xy.view(complex).ravel())
     z = np.zeros(len(raw), dtype=complex)
     angle = np.full(len(raw), math.nan)
     for i, entry in enumerate(raw):
@@ -82,11 +93,31 @@ def _parse_points(raw: Any) -> PointSequence:
     return PointSequence.from_mixed(z, angle)
 
 
+def _number_pairs(raw: list) -> np.ndarray | None:
+    """The (n, 2) float array of a list of [re, im] pairs of finite JSON numbers, else None."""
+    if (
+        set(map(type, raw)) != {list}
+        or set(map(len, raw)) != {2}
+        or not set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
+    ):
+        return None
+    try:
+        xy = np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return xy if np.isfinite(xy).all() else None
+
+
 def _number(raw: Any, what: str) -> float:
     """A finite JSON number (bool excluded), else ConfigError."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
-        raise ConfigError(f"{what} must hold finite numbers, got {raw!r}")
-    return float(raw)
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{what} must hold finite numbers, got {raw!r}")
 
 
 def _integer(raw: Any, what: str) -> int:
@@ -302,14 +333,15 @@ def cmd_pw(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"pw", "options"}, {"pw"}, "config")
     system = ExpSystem.from_json_dict(config["pw"])
     opts = _parse_options(config.get("options"), {"split": _boolean})
-    fb = extremal_eigs(pw_gram(system))
+    g = pw_gram(system)
+    fb = extremal_eigs(g)
     report = {
         "system": system.to_json_dict(),
         "frame_bounds": fb.to_json_dict(),
         "frame_bounds_note": _FINITE_SECTION_NOTE,
     }
     if opts.get("split", False):
-        partition = pw_split(system)
+        partition = pw_split(system, g)
         report["partition"] = partition.to_json_dict()
     _write_json(out_dir / "pw.json", report)
 
@@ -332,23 +364,25 @@ def _run_one(command: str, config: dict, out_dir: Path) -> None:
     _COMMANDS[command](config, out_dir)
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="mslab",
+    description="model-subspace kernel geometry: diagnostics and decompositions",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", required=True, help="output directory")
+_PARSER.add_argument(
+    "--seed", type=int, default=None, help="accepted and ignored; no computation is random"
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mslab",
-        description="model-subspace kernel geometry: diagnostics and decompositions",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="accepted and ignored; no computation is random"
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config) as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad JSON and integers of over 4300 digits
         print(f"mslab: cannot read config: {exc}", file=sys.stderr)
         return 2
 

@@ -16,11 +16,13 @@ sum of L over the part.  One first-fit pass places the points one at a
 time, most clashing first (most points closer than delta*, ties to the
 smaller row sum of L), into the first part that keeps every member's
 running row sum at or above log delta*, opening a new part when none can
-take the point.  A lone point certifies for every gamma < 1, so every
-point ends in a certified part.  Every emitted part is re-verified from a
-fresh sum over its own block of L before its certificate chain is
-written.  At gamma = 0, delta* is the smallest delta with a finite
-phi(delta), about 1.49e-154.
+take the point; a point closer than delta* to every point placed so far
+opens its part without trying any.  A lone point certifies for every
+gamma < 1, so every point ends in a certified part.  Every emitted part is
+re-verified from a fresh sum over its own block of L, all parts of one
+size in one stacked sum, before its certificate chain is written.  At
+gamma = 0, delta* is the smallest delta with a finite phi(delta), about
+1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -47,7 +49,7 @@ import numpy as np
 from .carleson import earl_bound, interpolation_threshold, log_distance_matrix
 from .clark import level_sets
 from .errors import CertificationError, ConfigError, NumericDomainError
-from .gram import FrameBounds, part_frame_bounds
+from .gram import FrameBounds, _by_size, part_frame_bounds
 from .inner import (
     InnerFunction,
     boundary_argument,
@@ -143,9 +145,20 @@ _MERGE_SLACK = 1e-9
 _DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
 
 
-def _log_delta(L: np.ndarray, idx: np.ndarray) -> float:
-    """Log Carleson constant of the points ``idx``: min row sum of L[idx, idx], 0 for one."""
-    return 0.0 if len(idx) == 1 else float(L[idx][:, idx].sum(axis=1).min())
+def _log_deltas(L: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """Log Carleson constant of each part: min row sum of its block of L, 0 for one point.
+
+    The parts of one size are summed as one stack of blocks, over axis 1:
+    row after row, as a lone block ``L[idx][:, idx]`` (Fortran-ordered)
+    sums along its rows, so with L exactly symmetric each value equals that
+    block's ``.sum(axis=1).min()`` bit for bit.
+    """
+    out = np.zeros(len(parts))
+    for m, members in _by_size(parts).items():
+        if m > 1:
+            idx = np.array([parts[p] for p in members])
+            out[members] = L[idx[:, :, None], idx[:, None, :]].sum(axis=1).min(axis=1)
+    return out
 
 
 def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.ndarray]:
@@ -155,20 +168,30 @@ def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.nd
     slot, counted from 1 (slot 0: not placed yet).  Per point, one bincount
     of its row of L over the slots sums each bin's entries in index order,
     and one more counts the members it would push below the floor.  Entries
-    of L are <= 0, so a pair below the floor pushes its member below it: no
-    clash pre-filter.
+    of L, and so the running sums, are <= 0: one member closer than the
+    floor shuts its bin.  So a point closer than the floor to every placed
+    point, counted by one vector add per placement, opens a new bin without
+    the bincounts.  Bins come out in slot order, each in ascending position.
     """
+    near = L < log_floor
+    # the point at position t of the order opens at once only if it is near
+    # all t placed points: the count is kept up to the last position where
+    # the point there has that many near points
+    live = np.flatnonzero(np.count_nonzero(near, axis=1)[order] >= np.arange(order.size))[-1]
     slot = np.zeros(len(L), dtype=int)
     running = np.zeros(len(L))  # row sum of each placed point within its bin
+    near_placed = np.zeros(len(L), dtype=int)  # placed points closer than the floor
     opened = 0
-    for k in order.tolist():
-        row = L[k]
-        grown = running + row
-        shut = np.bincount(slot, weights=grown < log_floor) > 0
-        joined = np.bincount(slot, weights=row)
-        shut |= joined < log_floor
-        shut[0] = True  # slot 0 takes no point
-        s = int(shut.argmin())  # the first open bin's slot, 0 if every bin is shut
+    for placed, k in enumerate(order.tolist()):
+        s = 0
+        if near_placed[k] < placed:
+            row = L[k]
+            grown = running + row
+            shut = np.bincount(slot, weights=grown < log_floor) > 0
+            joined = np.bincount(slot, weights=row)
+            shut |= joined < log_floor
+            shut[0] = True  # slot 0 takes no point
+            s = int(shut.argmin())  # the first open bin's slot, 0 if every bin is shut
         if s:
             np.copyto(running, grown, where=slot == s)
             running[k] = joined[s]
@@ -176,7 +199,11 @@ def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.nd
             opened += 1
             s = opened
         slot[k] = s
-    return [np.flatnonzero(slot == s) for s in range(1, opened + 1)]
+        if placed < live:
+            near_placed += near[k]
+    members = np.argsort(slot, kind="stable")
+    ends = np.cumsum(np.bincount(slot)).tolist()  # slot 0 is empty
+    return [members[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _clique_size(clash: np.ndarray) -> int:
@@ -247,16 +274,22 @@ def split_log_distances(
     clash = L < log_star
     order = np.lexsort((sums, -clash.sum(axis=1)))
     merged = _first_fit(L, order, log_star + _MERGE_SLACK)
-    merged.sort(key=lambda idx: int(ids[idx].min()))
-    deltas = [math.exp(_log_delta(L, idx)) for idx in merged]  # fresh sums, not the running ones
+    sizes = [idx.size for idx in merged]
+    labels = ids[np.concatenate(merged)]
+    first = np.minimum.reduceat(labels, np.cumsum(sizes) - sizes)  # each part's smallest label
+    merged = [merged[p] for p in np.argsort(first).tolist()]
+    # fresh sums, not the running ones
+    deltas = [math.exp(x) for x in _log_deltas(L, merged).tolist()]
+    phis = []
     for delta_j in deltas:
-        if delta_j < delta_star or gamma * earl_bound(delta_j) >= 1.0:
+        phi = earl_bound(delta_j) if delta_j >= delta_star else None
+        if phi is None or gamma * phi >= 1.0:
             raise NumericDomainError(
                 f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
             )
+        phis.append(phi)
     parts = []
-    for idx, delta_j, fb in zip(merged, deltas, frame_bounds(merged)):
-        phi = earl_bound(delta_j)
+    for idx, delta_j, phi, fb in zip(merged, deltas, phis, frame_bounds(merged)):
         parts.append(
             PartitionPart(
                 ids=tuple(ids[idx].tolist()),

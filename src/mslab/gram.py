@@ -19,7 +19,8 @@ Assembly works on stacks of equal-size sections in numpy row blocks of the
 upper triangles, mirrored exactly below the diagonal, so no temporary grows
 with a full section: ``gram_from_values`` builds a stack of one, and
 ``part_frame_bounds`` stacks a splitter's parts by size, with one stacked
-call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack.
+call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack and
+the stack's extremal eigenvalues read, and clamped, as arrays.
 
 ``section_frame_bounds`` picks a route for one section.  A Blaschke
 product of degree d spans a d-dimensional K_Theta, with the
@@ -133,24 +134,30 @@ def part_frame_bounds(
     """Frame bounds of the Gram section of each part, an index array into the points.
 
     Parts of one size are assembled as stacks of at most 2^15 entries, and
-    each stack takes one stacked ``eigvalsh`` call: a part costs a share of
-    a few numpy calls, not a few numpy calls of its own.
+    each stack takes one stacked ``eigvalsh`` call and one ``_gram_bounds``:
+    a part costs a share of a few numpy calls, not a few numpy calls of its
+    own.
     """
-    bounds: dict[int, FrameBounds] = {}
-    by_size: dict[int, list[int]] = {}
-    for k, idx in enumerate(parts):
-        by_size.setdefault(len(idx), []).append(k)
+    bounds: list[FrameBounds | None] = [None] * len(parts)
     labels = np.asarray(ids)
-    for m, members in by_size.items():
+    for m, members in _by_size(parts).items():
         for rows in _row_blocks(len(members), m * m):
             chunk = members[rows]
             idx = np.array([parts[k] for k in chunk])
             stack = _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
-            for k, eigs in zip(chunk, np.linalg.eigvalsh(stack)):
-                bounds[k] = _gram_bounds(eigs)
-    return [bounds[k] for k in range(len(parts))]
+            for k, fb in zip(chunk, _gram_bounds(np.linalg.eigvalsh(stack))):
+                bounds[k] = fb
+    return bounds
+
+
+def _by_size(parts: Sequence[np.ndarray]) -> dict[int, list[int]]:
+    """Positions in ``parts`` of the parts of each size, sizes in order of first appearance."""
+    by_size: dict[int, list[int]] = {}
+    for k, idx in enumerate(parts):
+        by_size.setdefault(len(idx), []).append(k)
+    return by_size
 
 
 def section_frame_bounds(
@@ -310,12 +317,18 @@ def extremal_eigs(g: GramMatrix) -> FrameBounds:
     """
     if not np.isfinite(g.entries).all():
         raise NumericDomainError("eigenvalue input has non-finite entries")
-    return _gram_bounds(np.linalg.eigvalsh(g.entries))
+    return _gram_bounds(np.linalg.eigvalsh(g.entries[None]))[0]
 
 
-def _gram_bounds(eigs: np.ndarray) -> FrameBounds:
-    """Bounds from a Gram section's ascending eigenvalues; roundoff just below 0 is clamped."""
-    lam_min = float(eigs[0])
-    if -1e-10 < lam_min < 0.0:
-        lam_min = 0.0
-    return FrameBounds(lambda_min=lam_min, lambda_max=float(eigs[-1]), n=eigs.size)
+def _gram_bounds(eigs: np.ndarray) -> list[FrameBounds]:
+    """Bounds from a stack of Gram sections' ascending eigenvalues, one row each.
+
+    Roundoff just below 0 in lambda_min is clamped to 0.
+    """
+    low = eigs[:, 0]
+    low = np.where((-1e-10 < low) & (low < 0.0), 0.0, low)
+    n = eigs.shape[1]
+    return [
+        FrameBounds(lambda_min=a, lambda_max=b, n=n)
+        for a, b in zip(low.tolist(), eigs[:, -1].tolist())
+    ]

@@ -114,7 +114,7 @@ class InnerFunction:
         try:
             zeros = tuple(complex(z) for z in self.blaschke_zeros)
             atoms = tuple((float(a), float(m)) for a, m in self.singular_atoms)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"inner function data must be numeric: {exc}") from exc
         for z in zeros:
             if not abs(z) < 1.0:  # also refuses NaN
@@ -192,7 +192,7 @@ class InnerFunction:
         try:
             zeros = [complex(re, im) for re, im in data.get("blaschke_zeros", [])]
             atoms = [(d["angle"], d["mass"]) for d in data.get("singular_atoms", [])]
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(
                 "zeros must be [re, im] number pairs and atoms {\"angle\", \"mass\"} "
                 f"objects: {exc!r}"

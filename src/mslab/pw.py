@@ -85,7 +85,7 @@ class ExpSystem:
         try:
             a = float(data["a"])
             freqs = tuple(complex(re, im) for re, im in data["freqs"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"'a' must be a number and 'freqs' a list of [re, im] pairs: {exc}"
             ) from exc
@@ -125,24 +125,24 @@ def pw_gram(system: ExpSystem) -> GramMatrix:
     return GramMatrix(g, tuple(range(n)))
 
 
-def pw_split(system: ExpSystem) -> Partition:
+def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
     """Split an exponential system into parts with exact Gram certificates.
 
     Runs the interpolation splitter on the shifted frequencies s = l + i:
     L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|) and gamma = max exp(-a Im s),
     both exact in the half-plane.  Each part's frame bounds are the exact
     exponential-Gram bounds of its frequencies, from its principal block of
-    the system's one normalized Gram.
+    ``g``, the system's one normalized Gram (``pw_gram``).
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
     a = system.a
     s = np.array(system.freqs) + 1j
-    g = pw_gram(system).entries
 
     def part_bounds(parts: list[np.ndarray]) -> list[FrameBounds]:
         return [
-            extremal_eigs(GramMatrix(g[np.ix_(idx, idx)], tuple(idx.tolist()))) for idx in parts
+            extremal_eigs(GramMatrix(g.entries[np.ix_(idx, idx)], tuple(idx.tolist())))
+            for idx in parts
         ]
 
     partition = split_log_distances(

@@ -221,7 +221,7 @@ def test_criterion_09_exponential_systems() -> None:
                     assert abs(g.entries[i, j] - oracle) <= 1e-9
 
         perturbed = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(41)))
-        partition = pw_split(perturbed)
+        partition = pw_split(perturbed, pw_gram(perturbed))
         assert partition.all_ids() == tuple(range(41))
         for part in partition.parts:
             assert part.certificate.frame_bounds.lambda_min > 0.0

@@ -1,16 +1,24 @@
-"""Adversarial inputs to the square pipeline, pinned by exit code through the CLI.
+"""Adversarial inputs to both split pipelines, pinned by exit code through the CLI.
 
-Every case runs ``split`` in mode ``squares`` on the zeros 0.5, -0.3+0.4i
-and -0.6i and the points 0.9 e^{ik}, k = 1..11, with one thing pushed to an
-edge: near-coincident boundary points or atoms, a heavy atom, many levels,
-high degree, a one-point sequence, boundary points next to the wrap at
-angle zero.  Those exit 0, and each partition is checked by conftest's
+Every ``squares`` case runs on the zeros 0.5, -0.3+0.4i and -0.6i and the
+points 0.9 e^{ik}, k = 1..11, with one thing pushed to an edge:
+near-coincident boundary points or atoms, a heavy atom, many levels, high
+degree, a one-point sequence, boundary points next to the wrap at angle
+zero.  Those exit 0, and each partition is checked by conftest's
 independent oracles: the parts cover every id exactly once; a point sits
 in a square part exactly when the reference scan over ``geometry.csv``'s
 arcs finds a square holding it, and a square part holds at most one point
 per square, all of its own level; and each part's frame bounds match
 cyclic Jacobi on the oracle Gram.  A point on the spectrum, and a zero at
 1 - 1e-12 whose level points double precision cannot separate, exit 3.
+
+Every ``interp`` case runs on the zero 0.5 and the same points, unless
+it says otherwise: interior points 1e-15 apart, a point on the zero,
+every point on a zero (gamma = 0, so delta* is about 1.49e-154 and nothing
+clashes), a one-point sequence and an imaginary part of -0.0 exit 0, each
+part's delta_j matching a from-scratch product and its frame bounds
+Jacobi's.  Coincident points, a ``true`` coordinate and integers beyond
+the float range exit 2, and a boundary point exits 4.
 """
 
 import csv
@@ -22,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import eig_extremes_oracle, gram_oracle, locate_reference
+from conftest import carleson_delta_oracle, eig_extremes_oracle, gram_oracle, locate_reference
 
 from mslab.cli import main
 from mslab.inner import InnerFunction
@@ -72,8 +80,8 @@ FAILING = {
 }
 
 
-def _run(tmp_path, inner, points, options) -> tuple[int, object]:
-    config = {"inner": inner, "points": points, "mode": "squares"}
+def _run(tmp_path, inner, points, options, mode="squares") -> tuple[int, object]:
+    config = {"inner": inner, "points": points, "mode": mode}
     if options is not None:
         config["options"] = options
     path = tmp_path / "cfg.json"
@@ -135,3 +143,74 @@ def test_edge_input_exits_three(tmp_path, capsys, name: str) -> None:
     assert err.startswith("mslab: numeric domain error: ")
     assert re.search(message, err)
     assert not (out / "partition.json").exists()
+
+
+ZERO = {"blaschke_zeros": [[0.5, 0.0]]}
+HUGE = 10**400  # a JSON integer beyond the float range
+
+# name: (inner, points)
+INTERP_PASSING = {
+    "interior-points-1e-15-apart": (ZERO, POINTS + [[0.2, 0.1], [0.2 + 1e-15, 0.1]]),
+    "point-on-the-zero": (ZERO, POINTS + [[0.5, 0.0]]),
+    "every-point-on-a-zero": ({"blaschke_zeros": POINTS}, POINTS),
+    "one-point": (ZERO, [[0.1, 0.2]]),
+    "minus-zero-imaginary-part": (ZERO, POINTS + [[-0.3, -0.0]]),
+}
+
+# name: (points, exit code, message)
+INTERP_FAILING = {
+    "coincident-points": (POINTS + [POINTS[3]], 2, "config error: .*coincide"),
+    "true-coordinate": (POINTS + [[True, 0.0]], 2, "config error: point 11 must hold finite numbers, got True"),
+    "huge-integer-coordinate": (POINTS + [[0.1, HUGE]], 2, "config error: point 11 must hold finite numbers"),
+    "boundary-point": (POINTS + [{"angle": 1.0}], 4, "certification failure: off-spectrum condition violated"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERP_PASSING))
+def test_interp_edge_input_splits_and_passes_the_oracles(tmp_path, name: str) -> None:
+    inner, points = INTERP_PASSING[name]
+    code, out = _run(tmp_path, inner, points, None, mode="interp")
+    assert code == 0
+    parts = json.loads((out / "partition.json").read_text())["parts"]
+    ids = sorted(pid for part in parts for pid in part["ids"])
+    assert ids == list(range(len(points)))
+
+    theta = InnerFunction.from_json_dict(inner)
+    seq = _sequence(points)
+    for part in parts:
+        sub = seq.subset(np.array(part["ids"]))
+        cert = part["certificate"]
+        assert cert["delta_j"] == pytest.approx(carleson_delta_oracle(sub.z.tolist()), rel=1e-12)
+        assert cert["dist_bound"] < 1.0
+        want = eig_extremes_oracle(gram_oracle(theta, sub))
+        assert cert["frame_bounds"]["lambda_min"] == pytest.approx(want[0], abs=1e-8)
+        assert cert["frame_bounds"]["lambda_max"] == pytest.approx(want[1], abs=1e-8)
+
+
+def test_interp_keeps_a_minus_zero_imaginary_part(tmp_path) -> None:
+    inner, points = INTERP_PASSING["minus-zero-imaginary-part"]
+    _, out = _run(tmp_path, inner, points, None, mode="interp")
+    with open(out / "points.csv") as handle:
+        last = list(csv.DictReader(handle))[-1]
+    assert (last["re"], last["im"]) == ("-0.3", "-0.0")
+
+
+def test_interp_split_at_gamma_zero_keeps_every_point_together(tmp_path) -> None:
+    inner, points = INTERP_PASSING["every-point-on-a-zero"]
+    _, out = _run(tmp_path, inner, points, None, mode="interp")
+    report = json.loads((out / "partition.json").read_text())
+    assert report["global"]["gamma"] == 0.0
+    assert report["global"]["delta_star"] == pytest.approx(1.49e-154, rel=1e-2)
+    assert [part["ids"] for part in report["parts"]] == [list(range(len(points)))]
+
+
+@pytest.mark.parametrize("name", sorted(INTERP_FAILING))
+def test_interp_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> None:
+    points, want, message = INTERP_FAILING[name]
+    code, out = _run(tmp_path, ZERO, points, None, mode="interp")
+    assert code == want
+    assert re.match(f"mslab: {message}", capsys.readouterr().err)
+    if want == 4:  # the certification failure leaves its partial report
+        assert json.loads((out / "partition.json").read_text())["failed"] is True
+    else:
+        assert not out.exists()

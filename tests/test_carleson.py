@@ -96,6 +96,20 @@ def test_carleson_log_product_path_matches_direct() -> None:
     assert carleson_constant(seq) == pytest.approx(min(per_point), rel=1e-9)
 
 
+def test_log_distances_never_exceed_zero_near_the_circle() -> None:
+    # nearly antipodal points within 1e-9 of the circle: |l - m| and
+    # |1 - conj(m) l| agree to about 1e-18, so their ratio often rounds above 1
+    rng = np.random.default_rng(17)
+    r = 1.0 - rng.uniform(1.1e-14, 1e-9, size=(200, 2))
+    a = rng.uniform(0, TWO_PI, size=200)
+    b = a + math.pi + rng.uniform(-1e-3, 1e-3, size=200)
+    z = np.stack([r[:, 0] * np.exp(1j * a), r[:, 1] * np.exp(1j * b)], axis=1)
+    ratios = np.abs(z[:, 0] - z[:, 1]) / np.abs(1.0 - z[:, 0] * z[:, 1].conj())
+    assert (ratios > 1.0).sum() >= 20
+    for pair in z:
+        assert log_distance_matrix(PointSequence.from_complex(pair)).max() == 0.0
+
+
 def test_embedding_examples() -> None:
     one = carleson_report(PointSequence.from_complex([0.0]))
     two = carleson_report(PointSequence.from_complex([0, 0.5]))

@@ -3,9 +3,12 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
+import mslab.cli as cli
 from mslab.cli import main
+from mslab.errors import ConfigError
 
 Z2 = {"blaschke_zeros": [[0.0, 0.0], [0.0, 0.0]], "singular_atoms": []}
 Z3 = {"blaschke_zeros": [[0.0, 0.0]] * 3, "singular_atoms": []}
@@ -190,14 +193,18 @@ def test_commands_read_only_the_array_evaluators(tmp_path, monkeypatch) -> None:
         assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{k}")]) == 0
 
 
-def test_pw_command_with_split(tmp_path) -> None:
+def test_pw_command_with_split(tmp_path, monkeypatch) -> None:
     cfg = _write(
         tmp_path / "cfg.json",
         {"pw": {"a": math.pi, "freqs": [[float(n), 0.0] for n in range(8)]},
          "options": {"split": True}},
     )
     out = tmp_path / "out"
+    formed = []
+    pw_gram = cli.pw_gram
+    monkeypatch.setattr(cli, "pw_gram", lambda system: formed.append(1) or pw_gram(system))
     assert main(["pw", "--config", cfg, "--out", str(out)]) == 0
+    assert len(formed) == 1  # the split takes its part bounds from the report's Gram
     report = json.loads((out / "pw.json").read_text())
     assert report["frame_bounds"]["lambda_min"] == pytest.approx(1.0)
     assert "partition" in report
@@ -378,6 +385,110 @@ def test_exit_code_malformed_json(tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+_ALPHA = [1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("split", {"inner": Z2, "points": [[_HUGE, 0.0]], "mode": "interp"}),
+        ("split", {"inner": Z2, "points": [[0.1, 0.0], [0.2, -_HUGE]], "mode": "interp"}),
+        ("split", {"inner": Z2, "points": [[0.1, 0.0], {"angle": _HUGE}], "mode": "squares"}),
+        ("clark", {"inner": {"blaschke_zeros": [[_HUGE, 0.0]]}, "alpha": _ALPHA}),
+        ("clark", {"inner": {"singular_atoms": [{"angle": _HUGE, "mass": 1.0}]}, "alpha": _ALPHA}),
+        ("clark", {"inner": {"singular_atoms": [{"angle": 1.0, "mass": _HUGE}]}, "alpha": _ALPHA}),
+        ("clark", {"inner": Z3, "alpha": [_HUGE, 0.0]}),
+        ("analyze", {"inner": Z2, "points": [[0.1, 0.0]], "options": {"riesz_floor": _HUGE}}),
+        ("pw", {"pw": {"a": _HUGE, "freqs": [[0.0, 0.0], [1.0, 0.0]]}}),
+        ("pw", {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [_HUGE, 0.0]]}}),
+    ],
+    ids=["point", "point-negative", "angle", "zero", "atom-angle", "atom-mass", "alpha",
+         "riesz-floor", "pw-a", "pw-freq"],
+)
+def test_integers_beyond_the_float_range_are_config_errors(tmp_path, capsys, command, config) -> None:
+    cfg = _write(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mslab: config error: ")
+    assert not out.exists()
+
+
+def test_integer_literal_past_the_digit_limit_is_a_config_error(tmp_path, capsys) -> None:
+    # json.load refuses integers of over 4300 digits with a plain ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"inner": {}, "points": [[1' + "0" * 5000 + ', 0.0]], "mode": "interp"}')
+    assert main(["split", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("mslab: cannot read config: ")
+
+
+def test_parser_serves_every_call(tmp_path, capsys) -> None:
+    cfg = _write(tmp_path / "cfg.json", {"inner": Z2, "points": [[0.1, 0.0]]})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", cfg, "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mslab [-h] --config CONFIG --out OUT [--seed SEED]")
+    assert "invalid choice: 'bogus'" in err
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "q")]) == 0
+    assert not (tmp_path / "p").exists()
+
+
+_RNG_PAIRS = [
+    [x, y] for x, y in np.random.default_rng(18).uniform(-0.6, 0.6, size=(200, 2)).tolist()
+]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[0.1, -0.0], [-0.0, 0.5], [-0.3, 0.0], [0.0, -0.2]],
+        [[0, 0], [1, 0], [0, -1], [-1, 0], [0.5, 0]],
+        _RNG_PAIRS,
+        [[0.1, 0.0], {"angle": 2.0}, [-0.2, -0.0]],
+    ],
+    ids=["minus-zeros", "integers", "random", "mixed"],
+)
+def test_bulk_point_parse_matches_the_loop(monkeypatch, raw) -> None:
+    bulk = cli._parse_points(raw)
+    monkeypatch.setattr(cli, "_number_pairs", lambda raw: None)
+    loop = cli._parse_points(raw)
+    for name in ("z", "angle", "ids"):
+        got, want = getattr(bulk, name), getattr(loop, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bulk_point_parse_takes_pair_lists_only() -> None:
+    assert cli._number_pairs([[0, -0.0], [0.5, 1]]).tolist() == [[0.0, -0.0], [0.5, 1.0]]
+    for raw in (
+        [[0.1, 0.0], {"angle": 2.0}],
+        [[0.1, 0.0], [True, 0.0]],
+        [[0.1, 0.0], [0.2]],
+        [[0.1, 0.0], [0.2, _NAN]],
+        [[0.1, 0.0], [0.2, _HUGE]],
+        [[0.1, 0.0], [0.2, "0.1"]],
+    ):
+        assert cli._number_pairs(raw) is None
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([[0.1, 0.0], [True, 0.0]], "point 1 must hold finite numbers, got True"),
+        ([[0.1, 0.0], [0.2, _NAN]], "point 1 must hold finite numbers, got nan"),
+        ([[0.1, 0.0], [0.2]], "point 1 must be [re, im] or {\"angle\": a}"),
+        ([[0.1, 0.0], [0.2, _HUGE]], "point 1 must hold finite numbers, got 1000"),
+        ([[0.1, 0.0], [0.1, 0.0]], "coincide"),
+    ],
+    ids=["bool", "nan", "short", "huge", "coincident"],
+)
+def test_bad_points_keep_their_messages(raw, message) -> None:
+    with pytest.raises(ConfigError) as exc:
+        cli._parse_points(raw)
+    assert message in str(exc.value)
 
 
 def test_exit_code_numeric_domain(tmp_path, capsys) -> None:

@@ -16,6 +16,7 @@ from mslab.errors import NumericDomainError, OnSpectrumError
 from mslab.gram import (
     FrameBounds,
     GramMatrix,
+    _gram_bounds,
     extremal_eigs,
     gram,
     gram_from_values,
@@ -117,6 +118,15 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
         assert fb.n == want.n == len(idx)
         assert fb.lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
         assert fb.lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
+
+
+def test_gram_bounds_clamp_roundoff_below_zero_per_section() -> None:
+    eigs = np.array([[-5e-11, 1.0], [-1e-9, 2.0], [-0.0, 1.5], [0.3, 0.4]])
+    got = _gram_bounds(eigs)
+    assert got == [FrameBounds(0.0, 1.0, 2), FrameBounds(-1e-9, 2.0, 2),
+                   FrameBounds(-0.0, 1.5, 2), FrameBounds(0.3, 0.4, 2)]
+    assert math.copysign(1.0, got[2].lambda_min) == -1.0  # -0.0 is not below 0
+    assert all(type(fb.lambda_min) is float and type(fb.lambda_max) is float for fb in got)
 
 
 def test_gram_inseparable_pair_names_both_points() -> None:

@@ -13,7 +13,7 @@ from conftest import (
 
 import mslab.pw as pw
 from mslab.errors import ConfigError, NumericDomainError
-from mslab.gram import extremal_eigs
+from mslab.gram import FrameBounds, GramMatrix, extremal_eigs
 from mslab.pw import ExpSystem, pw_gram, pw_split
 
 # The exp_inner tests pin the reference formula that pw_gram is checked
@@ -161,7 +161,7 @@ def test_modulus_law_of_exponential_symbol() -> None:
 
 def test_pw_split_integers_certificates() -> None:
     system = ExpSystem(math.pi, tuple(float(n) for n in range(21)))
-    partition = pw_split(system)
+    partition = pw_split(system, pw_gram(system))
     assert partition.all_ids() == tuple(range(21))
     assert partition.global_info["gamma"] == pytest.approx(math.exp(-math.pi))
     for part in partition.parts:
@@ -172,19 +172,29 @@ def test_pw_split_integers_certificates() -> None:
         assert cert.frame_bounds.lambda_max == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pw_split_takes_its_part_bounds_from_the_given_gram(monkeypatch) -> None:
+    system = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(12)))
+    monkeypatch.setattr(pw, "pw_gram", lambda system: pytest.fail("the Gram is formed again"))
+    partition = pw_split(system, GramMatrix(np.eye(12), tuple(range(12))))
+    assert partition.all_ids() == tuple(range(12))
+    for part in partition.parts:
+        assert part.certificate.frame_bounds == FrameBounds(1.0, 1.0, len(part.ids))
+
+
 def test_pw_split_near_duplicate_pairs() -> None:
     freqs = []
     for n in range(8):
         freqs += [float(n), n + 0.01]
-    partition = pw_split(ExpSystem(math.pi, tuple(freqs)))
+    system = ExpSystem(math.pi, tuple(freqs))
+    partition = pw_split(system, pw_gram(system))
     assert len(partition.parts) >= 2
     for part in partition.parts:
         assert part.certificate.frame_bounds.lambda_min > 0.1
 
 
 def test_pw_split_perturbed_integer_corpus() -> None:
-    freqs = tuple(n + 0.2 * math.sin(n) for n in range(41))
-    partition = pw_split(ExpSystem(math.pi, freqs))
+    system = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(41)))
+    partition = pw_split(system, pw_gram(system))
     assert partition.all_ids() == tuple(range(41))
     for part in partition.parts:
         assert part.certificate.frame_bounds.lambda_min > 0.0
@@ -206,7 +216,8 @@ def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypat
         return split(L, ids, gamma, frame_bounds, **options)
 
     monkeypatch.setattr(pw, "split_log_distances", record)
-    partition = pw_split(ExpSystem(math.pi, freqs))
+    system = ExpSystem(math.pi, freqs)
+    partition = pw_split(system, pw_gram(system))
     images = [(s - 1j) / (s + 1j) for s in (f + 1j for f in freqs)]
     np.testing.assert_allclose(seen["L"], log_distance_oracle(images), rtol=1e-12, atol=1e-12)
     assert math.exp(seen["L"].sum(axis=1).min()) == pytest.approx(

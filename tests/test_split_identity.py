@@ -3,10 +3,13 @@
 ``first_fit_reference`` (conftest) is the loop the splitter ran over index
 groups, with a clash pre-filter and live/owner bookkeeping.  The splitter
 now hands ``_first_fit`` single points in decreasing clash degree, ties to
-the smaller row sum of L.  On the recorded calls over 51 seeded sequences
-of 2-120 points with delta* between about 0.06 and 0.9999, the reference
+the smaller row sum of L, and opens a bin at once for a point that clashes
+with every placed point.  On the recorded calls over 53 seeded sequences
+of 2-300 points with delta* between about 0.06 and 0.9999, the reference
 fed the same points as one-point groups, in the same order, must give
 every bin alike, and so must the whole report made with it patched in.
+The parts' re-verification sums blocks of L in stacks of one size; each
+value must equal the one-block sum it replaced, bit for bit.
 """
 
 import cmath
@@ -40,6 +43,12 @@ def _corpus() -> list[tuple[float, PointSequence]]:
     cluster = [0.0, 1e-200, 1e-200j, -1e-200, 1e-320]
     ring = [0.6 * cmath.exp(1j * TWO_PI * k / 12) for k in range(12)]
     out.append((0.5, PointSequence.from_complex(cluster + ring + [0.9])))
+    # 300 points, sparse at gamma 1e-3 and crowded at 0.9
+    rng = np.random.default_rng(300)
+    for gamma in (1e-3, 0.9):
+        pts = 0.9 * np.sqrt(rng.uniform(size=300)) * np.exp(1j * rng.uniform(0, TWO_PI, size=300))
+        pts[0] = 0.9
+        out.append((gamma, PointSequence.from_complex(pts)))
     return out
 
 
@@ -79,7 +88,7 @@ def _same_arrays(got: list[np.ndarray], want: list[np.ndarray]) -> bool:
 
 def test_corpus_covers_sizes_thresholds_and_group_shapes(recorded) -> None:
     sizes = [len(seq) for _, seq in CORPUS]
-    assert min(sizes) == 2 and max(sizes) == 120
+    assert min(sizes) == 2 and max(sizes) == 300
     stars = [r["partition"].global_info["delta_star"] for r in recorded]
     assert min(stars) < 0.07 and max(stars) > 0.9999
     assert all(len(r["fits"]) == 1 for r in recorded)
@@ -148,3 +157,31 @@ def test_first_fit_keeps_the_running_sums_of_a_joined_group() -> None:
     bins = decompose._first_fit(L, order, -1.0)
     assert [b.tolist() for b in bins] == [[0, 1, 2], [3]]
     assert _same_arrays(bins, first_fit_reference(L, _singletons(order), -1.0))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_stacked_reverification_matches_one_block_at_a_time(recorded, planted) -> None:
+    ((L, _, _),) = recorded[-1]["fits"]  # 300 points
+    rng = np.random.default_rng(20)
+    parts = [rng.choice(len(L), size=m, replace=False) for m in range(1, 21) for _ in range(3)]
+    if planted:  # -inf pairs inside every other part of two or more points
+        L = L.copy()
+        for idx in parts[3::2]:
+            L[idx[0], idx[-1]] = L[idx[-1], idx[0]] = -math.inf
+    want = [0.0 if idx.size == 1 else L[idx][:, idx].sum(axis=1).min() for idx in parts]
+    got = decompose._log_deltas(L, parts)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.isneginf(got).any() == planted
+
+
+def test_first_fit_opens_a_bin_at_once_for_a_point_near_every_placed_one(monkeypatch) -> None:
+    # points 0-4 clash pairwise; 5 and 6 clash with nothing and join point 0
+    L = np.zeros((7, 7))
+    L[:5, :5] = -2.0
+    np.fill_diagonal(L, 0.0)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or bincount(*a, **k))
+    bins = decompose._first_fit(L, np.arange(7), -1.0)
+    assert [b.tolist() for b in bins] == [[0, 5, 6], [1], [2], [3], [4]]
+    assert len(calls) == 2 * 2 + 1  # two per point 5 and 6, one to list the bins
