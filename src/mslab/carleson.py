@@ -47,13 +47,6 @@ class CarlesonReport:
     embedding_sup: float
     witness_index: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "embedding_sup": self.embedding_sup,
-            "witness_index": self.witness_index,
-        }
-
 
 def _require_interior(z: np.ndarray) -> np.ndarray:
     """z, a non-empty 1-D complex array, if every point has |z| < 1 - 1e-14.

@@ -80,15 +80,6 @@ class ClarkFamily:
     def __len__(self) -> int:
         return self.points.size
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "points": self.points.tolist(),
-            "derivs": self.derivs.tolist(),
-            "weights": self.weights.tolist(),
-            "truncated": self.truncated,
-        }
-
 
 def _check_arc_clear(theta: InnerFunction, lo: np.ndarray, hi: np.ndarray) -> None:
     """Refuse the first arc [lo, hi] within 1e-13 of an atom's angle or its 2*pi shifts."""

@@ -9,9 +9,19 @@ Subcommands
 ``clark``    builds a level-set family and its Herglotz residual report.
 ``pw``       exponential-system report, optionally with a split.
 
+This is the one module that knows the file formats, both ways.  Configs
+are read by ``_parse_inner``, ``_parse_pw`` and ``_parse_points`` on one
+number rule, ``_number``: a finite JSON number, not a bool or a string.
+Each ``[re, im]`` pair (a point, zero, frequency or ``alpha``) is read by
+``_pair``.  Each report's keys are spelled out here, next to its writer;
+the library types carry only the mathematics.
+
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
-Malformed options exit 2: counts are JSON integers >= 1, ``split`` true or
-false, and ``riesz_floor`` a finite number; an unknown option key exits 2.
+Malformed config values exit 2: numbers (of points, zeros, atoms, pw
+systems and ``riesz_floor``) are finite JSON numbers, counts are JSON
+integers >= 1 and ``split`` true or false; an unknown key of a config, an
+inner function, an atom, a pw system or the options exits 2 as well, and
+the message names the entry.
 
 Reports are compact, sorted-key JSON and deterministic: no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
@@ -41,7 +51,7 @@ from .carleson import carleson_report
 from .clark import herglotz_residuals, level_set
 from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
-from .gram import extremal_eigs, section_frame_bounds
+from .gram import FrameBounds, extremal_eigs, section_frame_bounds
 from .inner import InnerFunction, normalized_values
 from .points import PointSequence
 from .pw import ExpSystem, pw_gram, pw_split
@@ -86,11 +96,44 @@ def _parse_points(raw: Any) -> PointSequence:
         if isinstance(entry, dict):
             _require_keys(entry, {"angle"}, {"angle"}, f"point {i}")
             angle[i] = _number(entry["angle"], f"point {i}")
-        elif isinstance(entry, list) and len(entry) == 2:
-            z[i] = complex(_number(entry[0], f"point {i}"), _number(entry[1], f"point {i}"))
         else:
-            raise ConfigError(f"point {i} must be [re, im] or {{\"angle\": a}}")
+            z[i] = _pair(entry, f"point {i}", '[re, im] or {"angle": a}')
     return PointSequence.from_mixed(z, angle)
+
+
+def _parse_inner(raw: Any) -> InnerFunction:
+    """An inner function from ``{"blaschke_zeros": [[re, im], ...],
+    "singular_atoms": [{"angle": a, "mass": m}, ...]}``, both keys optional."""
+    _require_keys(raw, {"blaschke_zeros", "singular_atoms"}, set(), "inner function")
+    zeros = _pairs(raw.get("blaschke_zeros", []), "'blaschke_zeros'", "zero")
+    atoms = raw.get("singular_atoms", [])
+    if not isinstance(atoms, list):
+        raise ConfigError(f"'singular_atoms' must be a list, got {atoms!r}")
+    pairs = []
+    for i, atom in enumerate(atoms):
+        _require_keys(atom, {"angle", "mass"}, {"angle", "mass"}, f"atom {i}")
+        pairs.append((_number(atom["angle"], f"atom {i}"), _number(atom["mass"], f"atom {i}")))
+    return InnerFunction(tuple(zeros), tuple(pairs))
+
+
+def _parse_pw(raw: Any) -> ExpSystem:
+    """An exponential system from ``{"a": a, "freqs": [[re, im], ...]}``."""
+    _require_keys(raw, {"a", "freqs"}, {"a", "freqs"}, "exponential system")
+    return ExpSystem(_number(raw["a"], "'a'"), tuple(_pairs(raw["freqs"], "'freqs'", "frequency")))
+
+
+def _pairs(raw: Any, what: str, entry: str) -> list[complex]:
+    """A list of ``[re, im]`` pairs; ``what`` names the list and ``entry`` one pair."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{what} must be a list of [re, im] pairs, got {raw!r}")
+    return [_pair(pair, f"{entry} {i}") for i, pair in enumerate(raw)]
+
+
+def _pair(raw: Any, what: str, shape: str = "[re, im]") -> complex:
+    """An ``[re, im]`` pair of finite JSON numbers as a complex number, else ConfigError."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ConfigError(f"{what} must be {shape}, got {raw!r}")
+    return complex(_number(raw[0], what), _number(raw[1], what))
 
 
 def _number_pairs(raw: list) -> np.ndarray | None:
@@ -141,12 +184,6 @@ def _parse_options(raw: Any, allowed: dict[str, Callable[[Any, str], Any]]) -> d
     return {key: allowed[key](value, f"option {key!r}") for key, value in raw.items()}
 
 
-def _parse_alpha(raw: Any) -> complex:
-    if isinstance(raw, list) and len(raw) == 2:
-        return complex(_number(raw[0], "'alpha'"), _number(raw[1], "'alpha'"))
-    raise ConfigError("'alpha' must be [re, im] on the unit circle")
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -179,12 +216,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands and their reports
 # ---------------------------------------------------------------------------
+
+def _frame_bounds_json(fb: FrameBounds) -> dict:
+    return {"lambda_min": fb.lambda_min, "lambda_max": fb.lambda_max, "n": fb.n}
+
 
 def cmd_analyze(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"inner", "points", "options"}, {"inner", "points"}, "config")
-    theta = InnerFunction.from_json_dict(config["inner"])
+    theta = _parse_inner(config["inner"])
     seq = _parse_points(config["points"])
     opts = _parse_options(config.get("options"), {"riesz_floor": _number})
     floor = opts.get("riesz_floor", 0.5)
@@ -194,12 +235,19 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     has_boundary = bool(seq.boundary.any())
 
     interior = seq.interior_only()
-    carleson = carleson_report(interior).to_json_dict() if len(interior) else None
+    carleson = None
+    if len(interior):
+        cr = carleson_report(interior)
+        carleson = {
+            "delta": cr.delta,
+            "embedding_sup": cr.embedding_sup,
+            "witness_index": cr.witness_index,
+        }
     fb = section_frame_bounds(theta, seq.z, values, norms, seq.ids)
 
     report = {
         "carleson": carleson,
-        "frame_bounds": fb.to_json_dict(fb.verdict_at(floor)),
+        "frame_bounds": {**_frame_bounds_json(fb), "verdict": fb.verdict_at(floor)},
         "frame_bounds_note": _FINITE_SECTION_NOTE,
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,
@@ -209,6 +257,28 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
         "riesz_floor": floor,
     }
     _write_json(out_dir / "analyze.json", report)
+
+
+def _partition_json(partition: Partition) -> dict:
+    """A partition's report: parts with their certificates, global data and flags."""
+    parts = []
+    for part in partition.parts:
+        cert = part.certificate
+        entry = {
+            "ids": list(part.ids),
+            "route": part.route,
+            "certificate": {
+                "gamma": cert.gamma,
+                "delta_j": cert.delta_j,
+                "earl_value": cert.earl_value,
+                "dist_bound": cert.dist_bound,
+                "frame_bounds": _frame_bounds_json(cert.frame_bounds),
+            },
+        }
+        if part.stability_margins is not None:
+            entry["stability_margins"] = list(part.stability_margins)
+        parts.append(entry)
+    return {"parts": parts, "global": dict(partition.global_info), "flags": list(partition.flags)}
 
 
 def _partition_csvs(
@@ -231,7 +301,6 @@ def _partition_csvs(
     rows = []
     for idx, part in enumerate(partition.parts):
         cert = part.certificate
-        fb = cert.frame_bounds
         rows.append(
             [
                 idx,
@@ -241,8 +310,8 @@ def _partition_csvs(
                 cert.earl_value if cert.earl_value is not None else "",
                 cert.gamma if cert.gamma is not None else "",
                 cert.dist_bound if cert.dist_bound is not None else "",
-                fb.lambda_min if fb is not None else "",
-                fb.lambda_max if fb is not None else "",
+                cert.frame_bounds.lambda_min,
+                cert.frame_bounds.lambda_max,
             ]
         )
     _write_csv(
@@ -266,7 +335,7 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     _require_keys(
         config, {"inner", "points", "mode", "options"}, {"inner", "points", "mode"}, "config"
     )
-    theta = InnerFunction.from_json_dict(config["inner"])
+    theta = _parse_inner(config["inner"])
     seq = _parse_points(config["points"])
     mode = config["mode"]
     opts = _parse_options(
@@ -296,7 +365,7 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         )
         raise
 
-    _write_json(out_dir / "partition.json", partition.to_json_dict())
+    _write_json(out_dir / "partition.json", _partition_json(partition))
     _partition_csvs(out_dir, seq, partition)
 
     if mode == "squares":
@@ -311,8 +380,8 @@ def cmd_split(config: dict, out_dir: Path) -> None:
 
 def cmd_clark(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"inner", "alpha", "options"}, {"inner", "alpha"}, "config")
-    theta = InnerFunction.from_json_dict(config["inner"])
-    alpha = _parse_alpha(config["alpha"])
+    theta = _parse_inner(config["inner"])
+    alpha = _pair(config["alpha"], "'alpha'")
     opts = _parse_options(
         config.get("options"), {"max_points_per_arc": _integer, "herglotz_grid": _integer}
     )
@@ -323,26 +392,30 @@ def cmd_clark(config: dict, out_dir: Path) -> None:
     r = 0.05 + 0.85 * np.arange(side) / max(1, side - 1)
     ang = 2.0 * math.pi * (np.arange(side) + 0.37) / side
     grid = (r[:, None] * np.exp(1j * ang[None, :])).ravel()
-    report = family.to_json_dict()
-    report["herglotz_residual_max"] = float(herglotz_residuals(theta, family, grid).max())
-    report["herglotz_certifying"] = not family.truncated
+    report = {
+        "alpha": [family.alpha.real, family.alpha.imag],
+        "points": family.points.tolist(),
+        "derivs": family.derivs.tolist(),
+        "weights": family.weights.tolist(),
+        "truncated": family.truncated,
+        "herglotz_residual_max": float(herglotz_residuals(theta, family, grid).max()),
+        "herglotz_certifying": not family.truncated,
+    }
     _write_json(out_dir / "clark.json", report)
 
 
 def cmd_pw(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"pw", "options"}, {"pw"}, "config")
-    system = ExpSystem.from_json_dict(config["pw"])
+    system = _parse_pw(config["pw"])
     opts = _parse_options(config.get("options"), {"split": _boolean})
     g = pw_gram(system)
-    fb = extremal_eigs(g)
     report = {
-        "system": system.to_json_dict(),
-        "frame_bounds": fb.to_json_dict(),
+        "system": {"a": system.a, "freqs": [[f.real, f.imag] for f in system.freqs]},
+        "frame_bounds": _frame_bounds_json(extremal_eigs(g)),
         "frame_bounds_note": _FINITE_SECTION_NOTE,
     }
     if opts.get("split", False):
-        partition = pw_split(system, g)
-        report["partition"] = partition.to_json_dict()
+        report["partition"] = _partition_json(pw_split(system, g))
     _write_json(out_dir / "pw.json", report)
 
 

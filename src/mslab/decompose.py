@@ -71,22 +71,11 @@ _GAMMA_CEILING = 1.0 - 1e-14
 class PartCertificate:
     """Per-part certificate data; interpolation fields are None on square parts."""
 
+    frame_bounds: FrameBounds
     gamma: float | None = None
     delta_j: float | None = None
     earl_value: float | None = None
     dist_bound: float | None = None
-    frame_bounds: FrameBounds | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta_j": self.delta_j,
-            "earl_value": self.earl_value,
-            "dist_bound": self.dist_bound,
-            "frame_bounds": None
-            if self.frame_bounds is None
-            else self.frame_bounds.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -95,16 +84,6 @@ class PartitionPart:
     route: str
     certificate: PartCertificate
     stability_margins: tuple[float, ...] | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "ids": list(self.ids),
-            "route": self.route,
-            "certificate": self.certificate.to_json_dict(),
-        }
-        if self.stability_margins is not None:
-            out["stability_margins"] = list(self.stability_margins)
-        return out
 
 
 @dataclass(frozen=True)
@@ -121,13 +100,6 @@ class Partition:
         for part in self.parts:
             out.extend(part.ids)
         return tuple(sorted(out))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "parts": [p.to_json_dict() for p in self.parts],
-            "global": dict(self.global_info),
-            "flags": list(self.flags),
-        }
 
 
 # ---------------------------------------------------------------------------

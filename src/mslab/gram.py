@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,12 +96,6 @@ class FrameBounds:
         """"certified_riesz" when lambda_min clears the floor, else "indeterminate"."""
         return "certified_riesz" if self.lambda_min >= floor else "indeterminate"
 
-    def to_json_dict(self, verdict: str | None = None) -> dict:
-        out = {"lambda_min": self.lambda_min, "lambda_max": self.lambda_max, "n": self.n}
-        if verdict is not None:
-            out["verdict"] = verdict
-        return out
-
 
 def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
     """Normalized-kernel Gram section for a sequence off the spectrum.
@@ -133,18 +127,30 @@ def part_frame_bounds(
 ) -> list[FrameBounds]:
     """Frame bounds of the Gram section of each part, an index array into the points.
 
-    Parts of one size are assembled as stacks of at most 2^15 entries, and
-    each stack takes one stacked ``eigvalsh`` call and one ``_gram_bounds``:
-    a part costs a share of a few numpy calls, not a few numpy calls of its
-    own.
+    Parts of one size are assembled as stacks (``_stacked_bounds``): a part
+    costs a share of a few numpy calls, not a few numpy calls of its own.
+    """
+    labels = np.asarray(ids)
+    return _stacked_bounds(
+        parts, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+    )
+
+
+def _stacked_bounds(
+    parts: Sequence[np.ndarray], sections: Callable[[np.ndarray], np.ndarray]
+) -> list[FrameBounds]:
+    """Frame bounds of each part, from ``sections``, which maps a (P, m) array of
+    parts of size m to the (P, m, m) stack of their Gram sections.
+
+    Parts of one size go in stacks of at most 2^15 entries, and each stack
+    takes one finiteness check, one stacked ``eigvalsh`` call and one
+    ``_gram_bounds``.
     """
     bounds: list[FrameBounds | None] = [None] * len(parts)
-    labels = np.asarray(ids)
     for m, members in _by_size(parts).items():
         for rows in _row_blocks(len(members), m * m):
             chunk = members[rows]
-            idx = np.array([parts[k] for k in chunk])
-            stack = _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+            stack = sections(np.array([parts[k] for k in chunk]))
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
             for k, fb in zip(chunk, _gram_bounds(np.linalg.eigvalsh(stack))):

@@ -13,6 +13,10 @@ Every quantity below (point values, kernel norms, boundary derivatives and
 the boundary argument) is then an exact finite expression in this data.  The
 spectrum of such a representation is the finite set of zeros and atom
 positions; evaluation on a boundary atom is refused rather than regularized.
+An ``InnerFunction`` checks only this domain: zeros strictly inside the
+disk, finite atom angles (stored in [0, 2*pi)) more than 1e-12 apart the
+short way round, and positive finite masses.  Reading one from a config
+is ``mslab.cli``'s work.
 
 The reproducing kernel of the associated model subspace is
 
@@ -68,7 +72,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, OnSpectrumError
-from .points import ANGLE_TOL, TWO_PI, angle_distance, normalize_angle
+from .points import ANGLE_TOL, TWO_PI, normalize_angles
 
 # |z| within this distance of 1 counts as a boundary point for evaluation.
 _BOUNDARY_EVAL_TOL = 1e-9
@@ -111,11 +115,8 @@ class InnerFunction:
     singular_atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        try:
-            zeros = tuple(complex(z) for z in self.blaschke_zeros)
-            atoms = tuple((float(a), float(m)) for a, m in self.singular_atoms)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"inner function data must be numeric: {exc}") from exc
+        zeros = tuple(complex(z) for z in self.blaschke_zeros)
+        atoms = tuple((float(a), float(m)) for a, m in self.singular_atoms)
         for z in zeros:
             if not abs(z) < 1.0:  # also refuses NaN
                 raise ConfigError(f"Blaschke zero must be strictly interior, got {z!r}")
@@ -124,11 +125,13 @@ class InnerFunction:
                 raise ConfigError(f"atom angle must be finite, got {a!r}")
             if not 0.0 < m < math.inf:
                 raise ConfigError(f"atom mass must be positive and finite, got {m!r}")
-        atoms = tuple((normalize_angle(a), m) for a, m in atoms)
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if angle_distance(atoms[i][0], atoms[j][0]) <= ANGLE_TOL:
-                    raise ConfigError("atom angles must be pairwise distinct")
+        angles = normalize_angles(np.array([a for a, _ in atoms], dtype=float))
+        # the closest pair, min(d, 2 pi - d) over |a_i - a_j|, is a neighbouring
+        # pair of the sorted angles or the first and last across the wrap
+        s = np.sort(angles)
+        if s.size > 1 and min(np.diff(s).min(), TWO_PI - (s[-1] - s[0])) <= ANGLE_TOL:
+            raise ConfigError("atom angles must be pairwise distinct")
+        atoms = tuple(zip(angles.tolist(), (m for _, m in atoms)))
         object.__setattr__(self, "blaschke_zeros", zeros)
         object.__setattr__(self, "singular_atoms", atoms)
 
@@ -173,31 +176,6 @@ class InnerFunction:
         return self.blaschke_zeros + tuple(
             cmath.exp(1j * a) for a, _ in self.singular_atoms
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "blaschke_zeros": [[z.real, z.imag] for z in self.blaschke_zeros],
-            "singular_atoms": [
-                {"angle": a, "mass": m} for a, m in self.singular_atoms
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "InnerFunction":
-        if not isinstance(data, dict):
-            raise ConfigError("inner function data must be an object")
-        unknown = set(data) - {"blaschke_zeros", "singular_atoms"}
-        if unknown:
-            raise ConfigError(f"unknown inner function keys: {sorted(unknown)}")
-        try:
-            zeros = [complex(re, im) for re, im in data.get("blaschke_zeros", [])]
-            atoms = [(d["angle"], d["mass"]) for d in data.get("singular_atoms", [])]
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise ConfigError(
-                "zeros must be [re, im] number pairs and atoms {\"angle\", \"mass\"} "
-                f"objects: {exc!r}"
-            ) from exc
-        return InnerFunction(tuple(zeros), tuple(atoms))
 
 
 def _row_blocks(rows: int, cols: int) -> Iterator[slice]:

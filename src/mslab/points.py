@@ -36,27 +36,11 @@ BOUNDARY_TOL = 1e-14
 ANGLE_TOL = 1e-12
 
 
-def normalize_angle(theta: float) -> float:
-    """Reduce an angle to the canonical window [0, 2*pi)."""
-    theta = math.fmod(theta, TWO_PI)
-    if theta < 0.0:
-        theta += TWO_PI
-    if theta >= TWO_PI:  # fmod can round up to 2*pi
-        theta -= TWO_PI
-    return theta
-
-
 def normalize_angles(theta: np.ndarray) -> np.ndarray:
-    """``normalize_angle``, elementwise."""
+    """Reduce angles, elementwise, to the canonical window [0, 2*pi)."""
     theta = np.fmod(theta, TWO_PI)
     theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-    return np.where(theta >= TWO_PI, theta - TWO_PI, theta)
-
-
-def angle_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two angles, in [0, pi]."""
-    d = abs(normalize_angle(a) - normalize_angle(b))
-    return min(d, TWO_PI - d)
+    return np.where(theta >= TWO_PI, theta - TWO_PI, theta)  # -tiny + 2*pi rounds to 2*pi
 
 
 def coincident_pair(z: np.ndarray) -> tuple[int, int] | None:

@@ -15,7 +15,9 @@ the frequencies see the symbol exp(iaz) with modulus exp(-a Im s) <=
 exp(-a) < 1.  The half-plane's rho(s, t) = |s - t|/|s - conj(t)| is the
 disk's pseudohyperbolic distance under the Cayley map, so the interpolation
 splitter runs on log rho of the shifted frequencies, with no transport.
-Each resulting part gets its exact exponential-Gram frame bounds.
+Each resulting part gets its exact exponential-Gram frame bounds.  An
+``ExpSystem`` holds only the mathematics: ``mslab.cli`` reads it from a
+config and writes its report.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .carleson import _log_distances
 from .decompose import Partition, split_log_distances
 from .errors import ConfigError, NumericDomainError
-from .gram import FrameBounds, GramMatrix, extremal_eigs
+from .gram import GramMatrix, _stacked_bounds
 from .points import coincident_pair
 
 # Switch to the power series of sin(w)/w below this argument size.
@@ -69,27 +71,6 @@ class ExpSystem:
 
     def __len__(self) -> int:
         return len(self.freqs)
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "freqs": [[f.real, f.imag] for f in self.freqs]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ExpSystem":
-        if not isinstance(data, dict):
-            raise ConfigError("exponential system data must be an object")
-        unknown = set(data) - {"a", "freqs"}
-        if unknown:
-            raise ConfigError(f"unknown exponential system keys: {sorted(unknown)}")
-        if "a" not in data or "freqs" not in data:
-            raise ConfigError("exponential system needs keys 'a' and 'freqs'")
-        try:
-            a = float(data["a"])
-            freqs = tuple(complex(re, im) for re, im in data["freqs"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"'a' must be a number and 'freqs' a list of [re, im] pairs: {exc}"
-            ) from exc
-        return ExpSystem(a, freqs)
 
 
 def pw_gram(system: ExpSystem) -> GramMatrix:
@@ -132,24 +113,22 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
     L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|) and gamma = max exp(-a Im s),
     both exact in the half-plane.  Each part's frame bounds are the exact
     exponential-Gram bounds of its frequencies, from its principal block of
-    ``g``, the system's one normalized Gram (``pw_gram``).
+    ``g``, the system's one normalized Gram (``pw_gram``); the blocks of the
+    parts of one size are bounded as one stack, as ``gram.part_frame_bounds``
+    bounds its sections.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
     a = system.a
     s = np.array(system.freqs) + 1j
 
-    def part_bounds(parts: list[np.ndarray]) -> list[FrameBounds]:
-        return [
-            extremal_eigs(GramMatrix(g.entries[np.ix_(idx, idx)], tuple(idx.tolist())))
-            for idx in parts
-        ]
-
     partition = split_log_distances(
         _log_distances(s, np.abs(s[:, None] - s.conj())),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
-        part_bounds,
+        lambda parts: _stacked_bounds(
+            parts, lambda idx: g.entries[idx[:, :, None], idx[:, None, :]]
+        ),
     )
     partition.global_info["a"] = a
     return partition

@@ -33,10 +33,21 @@ import numpy as np
 from mslab.carleson import log_distance_matrix
 from mslab.decompose import Partition, split_log_distances
 from mslab.errors import ConfigError
+from mslab.gram import FrameBounds
 from mslab.inner import InnerFunction
-from mslab.points import BOUNDARY_TOL, PointSequence, normalize_angle
+from mslab.points import BOUNDARY_TOL, PointSequence
 
 TWO_PI = 2.0 * math.pi
+
+
+def normalize_angle(theta: float) -> float:
+    """An angle reduced to [0, 2*pi), one scalar at a time: the oracles' own copy."""
+    theta = math.fmod(theta, TWO_PI)
+    if theta < 0.0:
+        theta += TWO_PI
+    if theta >= TWO_PI:  # -tiny + 2*pi rounds to 2*pi
+        theta -= TWO_PI
+    return theta
 
 
 def random_blaschke(rng: np.random.Generator, degree: int, rmax: float = 0.8) -> InnerFunction:
@@ -178,9 +189,12 @@ def log_distance_oracle(values) -> np.ndarray:
 
 def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
     """The interpolation splitter's core on a disk sequence at a prescribed
-    gamma: its log-distance matrix, no frame bounds."""
+    gamma: its log-distance matrix, and placeholder frame bounds (0, 0)."""
     return split_log_distances(
-        log_distance_matrix(seq), seq.ids, gamma, lambda parts: [None] * len(parts)
+        log_distance_matrix(seq),
+        seq.ids,
+        gamma,
+        lambda parts: [FrameBounds(0.0, 0.0, len(idx)) for idx in parts],
     )
 
 

@@ -32,8 +32,8 @@ import pytest
 
 from conftest import carleson_delta_oracle, eig_extremes_oracle, gram_oracle, locate_reference
 
+from mslab import cli
 from mslab.cli import main
-from mslab.inner import InnerFunction
 from mslab.points import PointSequence
 
 ZEROS = [[0.5, 0.0], [-0.3, 0.4], [0.0, -0.6]]
@@ -115,7 +115,7 @@ def test_edge_input_splits_and_passes_the_oracles(tmp_path, name: str) -> None:
     ids = sorted(pid for part in parts for pid in part["ids"])
     assert ids == list(range(len(points)))
 
-    theta = InnerFunction.from_json_dict(inner)
+    theta = cli._parse_inner(inner)
     seq = _sequence(points)
     arcs = _geometry(out)
     square_of = locate_reference(arcs, seq.z)
@@ -175,7 +175,7 @@ def test_interp_edge_input_splits_and_passes_the_oracles(tmp_path, name: str) ->
     ids = sorted(pid for part in parts for pid in part["ids"])
     assert ids == list(range(len(points)))
 
-    theta = InnerFunction.from_json_dict(inner)
+    theta = cli._parse_inner(inner)
     seq = _sequence(points)
     for part in parts:
         sub = seq.subset(np.array(part["ids"]))

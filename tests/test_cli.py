@@ -212,6 +212,85 @@ def test_pw_command_with_split(tmp_path, monkeypatch) -> None:
     assert ids == list(range(8))
 
 
+# ---------------------------------------------------------------------------
+# report formats: the exact keys of every report
+
+_FRAME_BOUNDS_KEYS = {"lambda_min", "lambda_max", "n"}
+_CERTIFICATE_KEYS = {"gamma", "delta_j", "earl_value", "dist_bound", "frame_bounds"}
+
+
+def _report(tmp_path, command: str, config: dict, name: str) -> dict:
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    return json.loads((tmp_path / "out" / name).read_text())
+
+
+def _assert_partition_keys(partition: dict, global_keys: set[str]) -> list[str]:
+    """Checks a partition's keys; returns its parts' routes."""
+    assert set(partition) == {"parts", "global", "flags"}
+    assert set(partition["global"]) == global_keys
+    for part in partition["parts"]:
+        square = part["route"].startswith("square:")
+        assert set(part) == {"ids", "route", "certificate"} | ({"stability_margins"} if square else set())
+        assert set(part["certificate"]) == _CERTIFICATE_KEYS
+        assert set(part["certificate"]["frame_bounds"]) == _FRAME_BOUNDS_KEYS
+    return [part["route"] for part in partition["parts"]]
+
+
+def test_analyze_report_keys(tmp_path) -> None:
+    report = _report(
+        tmp_path, "analyze", {"inner": Z2, "points": [[0.1, 0.2], {"angle": 1.0}]}, "analyze.json"
+    )
+    assert set(report) == {
+        "carleson", "frame_bounds", "frame_bounds_note", "gamma", "gamma_flag",
+        "kernel_norms_sq", "riesz_floor", "generated_by",
+    }
+    assert set(report["carleson"]) == {"delta", "embedding_sup", "witness_index"}
+    assert set(report["frame_bounds"]) == _FRAME_BOUNDS_KEYS | {"verdict"}
+    assert [set(entry) for entry in report["kernel_norms_sq"]] == [{"id", "value"}] * 2
+
+
+def test_interp_partition_report_keys(tmp_path) -> None:
+    points = [[0.3 * math.cos(k), 0.3 * math.sin(k)] for k in range(5)]
+    report = _report(
+        tmp_path, "split", {"inner": Z2, "points": points, "mode": "interp"}, "partition.json"
+    )
+    assert report.pop("generated_by").startswith("mslab ")
+    routes = _assert_partition_keys(
+        report, {"gamma", "delta_star", "delta_input", "parts_lower_bound"}
+    )
+    assert set(routes) == {"interp"}
+
+
+def test_squares_partition_report_keys(tmp_path) -> None:
+    points = [[0.1, 0.0], [0.999 * math.cos(0.3), 0.999 * math.sin(0.3)]]
+    config = {"inner": Z3, "points": points, "mode": "squares", "options": {"level_count": 8}}
+    report = _report(tmp_path, "split", config, "partition.json")
+    assert report.pop("generated_by").startswith("mslab ")
+    routes = _assert_partition_keys(report, {"level_count", "max_per_square", "delta_uncovered"})
+    assert "uncovered:interp" in routes and any(r.startswith("square:") for r in routes)
+
+
+def test_clark_report_keys(tmp_path) -> None:
+    report = _report(tmp_path, "clark", {"inner": Z3, "alpha": [1.0, 0.0]}, "clark.json")
+    assert set(report) == {
+        "alpha", "points", "derivs", "weights", "truncated",
+        "herglotz_residual_max", "herglotz_certifying", "generated_by",
+    }
+
+
+def test_pw_report_keys(tmp_path) -> None:
+    config = {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [0.1, 0.0], [3.0, 0.5]]}, "options": {"split": True}}
+    report = _report(tmp_path, "pw", config, "pw.json")
+    assert set(report) == {"system", "frame_bounds", "frame_bounds_note", "partition", "generated_by"}
+    assert set(report["system"]) == {"a", "freqs"}
+    assert set(report["frame_bounds"]) == _FRAME_BOUNDS_KEYS
+    routes = _assert_partition_keys(
+        report["partition"], {"gamma", "delta_star", "delta_input", "parts_lower_bound", "a"}
+    )
+    assert set(routes) == {"interp"} and len(routes) > 1
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -283,23 +362,39 @@ _NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, named",
     [
-        ("pw", {"pw": {"a": "x", "freqs": [[0.0, 0.0], [1.0, 0.0]]}}),
-        ("pw", {"pw": {"a": 1.0, "freqs": [[0.0, 0.0, 0.0], [1.0, 0.0]]}}),
-        ("split", {"inner": Z2, "points": [[0.1, "y"], [0.2, 0.0]], "mode": "interp"}),
-        ("clark", {"inner": {"blaschke_zeros": [["0.1", 0.0]]}, "alpha": [1.0, 0.0]}),
-        ("clark", {"inner": Z3, "alpha": [_NAN, 0.0]}),
-        ("clark", {"inner": {"blaschke_zeros": [[_NAN, 0.0]]}, "alpha": [1.0, 0.0]}),
+        ("pw", {"pw": {"a": "x", "freqs": [[0.0, 0.0], [1.0, 0.0]]}}, "'a'"),
+        ("pw", {"pw": {"a": True, "freqs": [[0.0, 0.0], [1.0, 0.0]]}}, "'a'"),
+        ("pw", {"pw": {"a": "3.0", "freqs": [[0.0, 0.0], [1.0, 0.0]]}}, "'a'"),
+        ("pw", {"pw": {"a": 1.0, "freqs": [[0.0, 0.0, 0.0], [1.0, 0.0]]}}, "frequency 0"),
+        ("pw", {"pw": {"a": 1.0, "freqs": [[0.0, 0.0], [1, False]]}}, "frequency 1"),
+        ("pw", {"pw": {"a": 1.0, "freqs": {"0": [0.0, 0.0]}}}, "'freqs'"),
+        ("split", {"inner": Z2, "points": [[0.1, "y"], [0.2, 0.0]], "mode": "interp"}, "point 0"),
+        ("clark", {"inner": {"blaschke_zeros": [["0.1", 0.0]]}, "alpha": [1.0, 0.0]}, "zero 0"),
+        ("clark", {"inner": Z3, "alpha": [_NAN, 0.0]}, "'alpha'"),
+        ("clark", {"inner": {"blaschke_zeros": [[_NAN, 0.0]]}, "alpha": [1.0, 0.0]}, "zero 0"),
+        ("clark", {"inner": {"blaschke_zeros": [[0.1, 0.0], [False, 0.5]]}, "alpha": [1.0, 0.0]},
+         "zero 1"),
+        ("clark", {"inner": {"blaschke_zeros": {"0": [0.1, 0.0]}}, "alpha": [1.0, 0.0]},
+         "'blaschke_zeros'"),
         ("clark", {"inner": {"singular_atoms": [{"angle": _NAN, "mass": 1.0}]},
-                   "alpha": [1.0, 0.0]}),
+                   "alpha": [1.0, 0.0]}, "atom 0"),
+        ("clark", {"inner": {"singular_atoms": [{"angle": "1.5", "mass": "2"}]},
+                   "alpha": [1.0, 0.0]}, "atom 0"),
+        ("clark", {"inner": {"singular_atoms": [{"angle": 1.5, "mass": 2.0, "x": 0}]},
+                   "alpha": [1.0, 0.0]}, "atom 0"),
     ],
-    ids=["pw-a-string", "pw-three-element-freq", "point-string", "zero-string",
-         "alpha-nan", "zero-nan", "atom-angle-nan"],
+    ids=["pw-a-string", "pw-a-true", "pw-a-numeric-string", "pw-three-element-freq",
+         "pw-freq-false", "pw-freqs-not-a-list", "point-string", "zero-string", "alpha-nan",
+         "zero-nan", "zero-false", "zeros-not-a-list", "atom-angle-nan", "atom-strings",
+         "atom-unknown-key"],
 )
-def test_malformed_numbers_are_config_errors(tmp_path, command, config) -> None:
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, config, named) -> None:
     cfg = _write(tmp_path / "cfg.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mslab: config error: ") and named in err
 
 
 _PW_SYSTEM = {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0]]}

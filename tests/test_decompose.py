@@ -18,6 +18,7 @@ from conftest import (
     square_contains_reference,
 )
 
+from mslab import cli
 from mslab.carleson import carleson_constant, earl_bound
 from mslab.decompose import (
     build_arc_system,
@@ -172,12 +173,12 @@ def test_pipelines_are_deterministic() -> None:
     seq = _random_interior(rng, 15, rmax=0.6)
     first = split_by_interpolation(theta, seq)
     second = split_by_interpolation(theta, seq)
-    assert first.to_json_dict() == second.to_json_dict()
+    assert cli._partition_json(first) == cli._partition_json(second)
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     pts = PointSequence.from_complex([0.2, 0.99 * cmath.exp(0.1j), -0.3j])
     assert (
-        decompose_by_squares(z3, pts, 8).to_json_dict()
-        == decompose_by_squares(z3, pts, 8).to_json_dict()
+        cli._partition_json(decompose_by_squares(z3, pts, 8))
+        == cli._partition_json(decompose_by_squares(z3, pts, 8))
     )
 
 
@@ -491,7 +492,7 @@ def test_auto_level_count_used_when_omitted() -> None:
     assert partition.global_info["level_count"] == 8
     # the selected arc system travels on the partition, outside the report
     assert_same_arc_system(partition.arcs, build_arc_system(z2, 8))
-    assert "arcs" not in partition.to_json_dict()
+    assert "arcs" not in cli._partition_json(partition)
 
 
 def test_mixed_clouds_decompose_cleanly() -> None:

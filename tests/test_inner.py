@@ -12,9 +12,11 @@ from conftest import (
     boundary_rate_oracle,
     kernel_norm_sq_exact,
     kernel_norm_sq_oracle,
+    normalize_angle,
     random_blaschke,
 )
 
+from mslab import cli
 from mslab.errors import ConfigError, OnSpectrumError
 from mslab.gram import gram, gram_from_values
 from mslab.inner import (
@@ -27,7 +29,7 @@ from mslab.inner import (
     normalized_values,
     spectrum_distance,
 )
-from mslab.points import PointSequence
+from mslab.points import ANGLE_TOL, PointSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,9 +51,52 @@ def test_invalid_atom_rejected() -> None:
 
 
 def test_json_round_trip() -> None:
-    theta = InnerFunction(blaschke_zeros=(0.3 + 0.1j,), singular_atoms=((1.0, 0.25),))
-    again = InnerFunction.from_json_dict(theta.to_json_dict())
-    assert again == theta
+    theta = InnerFunction(blaschke_zeros=(0.3 + 0.1j, -0.0j), singular_atoms=((1.0, 0.25),))
+    config = {
+        "blaschke_zeros": [[z.real, z.imag] for z in theta.blaschke_zeros],
+        "singular_atoms": [{"angle": a, "mass": m} for a, m in theta.singular_atoms],
+    }
+    assert cli._parse_inner(config) == theta
+    assert cli._parse_inner({}) == InnerFunction()
+    # angles are stored in [0, 2 pi)
+    wrapped = cli._parse_inner({"singular_atoms": [{"angle": 1.0 + 2 * math.pi, "mass": 1}]})
+    assert wrapped.singular_atoms[0][0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_atom_distinctness_is_the_pairwise_rule() -> None:
+    # the sorted-gap check refuses exactly the sets with a pair
+    # min(d, 2 pi - d) <= ANGLE_TOL, d = |a_i - a_j| of the reduced angles
+    rng = np.random.default_rng(19)
+    cases = [
+        [0.0, 2 * math.pi - ANGLE_TOL],
+        [0.0, 2 * math.pi - 2 * ANGLE_TOL],
+        [1.0, 1.0 + ANGLE_TOL],
+        [1.0, 1.0 + 2 * ANGLE_TOL],
+        [-ANGLE_TOL / 2, ANGLE_TOL / 2, 3.0],
+    ]
+    for _ in range(300):
+        angles = rng.uniform(-10.0, 10.0, rng.integers(2, 6))
+        near = rng.integers(len(angles))
+        angles[near - 1] = angles[near] + rng.choice([-1, 1]) * rng.uniform(0, 3) * ANGLE_TOL
+        if rng.uniform() < 0.5:
+            angles[near - 1] += 2 * math.pi * rng.choice([-1, 1])
+        cases.append(angles.tolist())
+    refused = 0
+    for angles in cases:
+        reduced = [normalize_angle(a) for a in angles]
+        clash = any(
+            min(abs(a - b), 2 * math.pi - abs(a - b)) <= ANGLE_TOL
+            for i, a in enumerate(reduced)
+            for b in reduced[i + 1 :]
+        )
+        atoms = tuple((a, 1.0) for a in angles)
+        if clash:
+            refused += 1
+            with pytest.raises(ConfigError, match="pairwise distinct"):
+                InnerFunction(singular_atoms=atoms)
+        else:
+            assert [a for a, _ in InnerFunction(singular_atoms=atoms).singular_atoms] == reduced
+    assert 50 < refused < len(cases) - 50
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,31 @@ import pytest
 from conftest import UnitPointReference, first_coincidence_reference
 
 from mslab.errors import ConfigError
+from mslab.inner import InnerFunction
 from mslab.points import (
     ANGLE_TOL,
     BOUNDARY_TOL,
     PointSequence,
-    angle_distance,
     coincident_pair,
-    normalize_angle,
+    normalize_angles,
 )
 
 
 def test_normalize_angle_window() -> None:
-    assert normalize_angle(0.0) == 0.0
-    assert normalize_angle(2 * math.pi) == 0.0
-    assert normalize_angle(-0.5) == pytest.approx(2 * math.pi - 0.5)
-    assert 0.0 <= normalize_angle(123.456) < 2 * math.pi
+    got = normalize_angles(np.array([0.0, 2 * math.pi, -0.5, 123.456, -1e-300]))
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert got[2] == pytest.approx(2 * math.pi - 0.5)
+    assert 0.0 <= got[3] < 2 * math.pi
+    assert got[4] == 0.0  # -1e-300 + 2*pi rounds to 2*pi, which wraps to 0
 
 
 def test_angle_distance_shortest() -> None:
-    assert angle_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
-    assert angle_distance(1.0, 1.0) == 0.0
+    # atoms are told apart by the shorter way round the circle
+    InnerFunction(singular_atoms=((0.1, 1.0), (2 * math.pi - 0.1, 1.0)))
+    with pytest.raises(ConfigError, match="pairwise distinct"):
+        InnerFunction(singular_atoms=((1e-13, 1.0), (2 * math.pi - 1e-13, 1.0)))
+    with pytest.raises(ConfigError, match="pairwise distinct"):
+        InnerFunction(singular_atoms=((1.0, 1.0), (3.0, 1.0), (1.0, 0.5)))
 
 
 def test_from_complex_classifies() -> None:
@@ -54,7 +59,7 @@ def test_outside_disk_rejected() -> None:
 def test_boundary_stored_by_angle() -> None:
     seq = PointSequence.from_angles([7.0])  # wraps past 2*pi
     assert 0.0 <= seq.angle[0] < 2 * math.pi
-    assert angle_distance(seq.angle[0], PointSequence.from_angles([7.0 - 2 * math.pi]).angle[0]) <= ANGLE_TOL
+    assert abs(seq.angle[0] - PointSequence.from_angles([7.0 - 2 * math.pi]).angle[0]) <= ANGLE_TOL
     assert seq.z[0] == np.exp(1j * seq.angle[0])
 
 
