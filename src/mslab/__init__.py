@@ -24,8 +24,6 @@ from .clark import (
 from .decompose import (
     ArcSystem,
     Partition,
-    PartitionPart,
-    PartCertificate,
     build_arc_system,
     decompose_by_squares,
     rate_comparability,
@@ -70,8 +68,6 @@ __all__ = [
     "NumericDomainError",
     "OnSpectrumError",
     "Partition",
-    "PartitionPart",
-    "PartCertificate",
     "PointSequence",
     "build_arc_system",
     "carleson_constant",

@@ -122,10 +122,14 @@ def earl_bound(delta: float) -> float:
     """Interpolation-constant bound phi(delta); decreasing, phi(1) = 1."""
     if not 0.0 < delta <= 1.0:
         raise NumericDomainError(f"separation must lie in (0, 1], got {delta!r}")
+    with np.errstate(over="ignore", divide="ignore"):  # phi beyond every float is inf
+        return float(_earl_bounds(np.float64(delta)))
+
+
+def _earl_bounds(delta: np.ndarray) -> np.ndarray:
+    """``earl_bound``'s arithmetic elementwise, on deltas in (0, 1]."""
     d2 = delta * delta
-    if d2 == 0.0:
-        return math.inf  # delta^2 underflows; phi exceeds every float
-    return (2.0 - d2 + 2.0 * math.sqrt(max(0.0, 1.0 - d2))) / d2
+    return (2.0 - d2 + 2.0 * np.sqrt(np.maximum(0.0, 1.0 - d2))) / d2
 
 
 def interpolation_threshold(gamma: float) -> float:

@@ -14,7 +14,9 @@ are read by ``_parse_inner``, ``_parse_pw`` and ``_parse_points`` on one
 number rule, ``_number``: a finite JSON number, not a bool or a string.
 Each ``[re, im]`` pair (a point, zero, frequency or ``alpha``) is read by
 ``_pair``.  Each report's keys are spelled out here, next to its writer;
-the library types carry only the mathematics.
+the library types carry only the mathematics.  Every partition's parts are
+rendered from its columns into fixed templates whose fields follow the
+sorted keys, each distinct number encoded once per format.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
 Malformed config values exit 2: numbers (of points, zeros, atoms, pw
@@ -33,8 +35,6 @@ subdirectory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -201,18 +201,30 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Json(str):
+    """JSON text already rendered, which ``_json_object`` takes as it is."""
+
+
+def _json_object(fields: dict) -> str:
+    """Compact sorted-key JSON of ``fields``; a ``_Json`` value goes in as it is."""
+    if not any(isinstance(value, _Json) for value in fields.values()):
+        return _dumps(fields)
+    return "{" + ",".join(
+        json.dumps(key) + ":" + (value if isinstance(value, _Json) else _dumps(value))
+        for key, value in sorted(fields.items())
+    ) + "}"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["generated_by"] = f"mslab {__version__}"
-    _atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _atomic_write(path, _json_object({**payload, "generated_by": f"mslab {__version__}"}) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    """CSV from rows already joined: none of the program's fields needs quoting."""
+    _atomic_write(path, "\n".join([header, *rows]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -259,76 +271,64 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     _write_json(out_dir / "analyze.json", report)
 
 
-def _partition_json(partition: Partition) -> dict:
-    """A partition's report: parts with their certificates, global data and flags."""
-    parts = []
-    for part in partition.parts:
-        cert = part.certificate
-        entry = {
-            "ids": list(part.ids),
-            "route": part.route,
-            "certificate": {
-                "gamma": cert.gamma,
-                "delta_j": cert.delta_j,
-                "earl_value": cert.earl_value,
-                "dist_bound": cert.dist_bound,
-                "frame_bounds": _frame_bounds_json(cert.frame_bounds),
-            },
-        }
-        if part.stability_margins is not None:
-            entry["stability_margins"] = list(part.stability_margins)
-        parts.append(entry)
-    return {"parts": parts, "global": dict(partition.global_info), "flags": list(partition.flags)}
+# One part of partition.json, its fields in sorted-key order: the columns
+# below, with n after lambda_min, then the ids, the route and the margins.
+_PART_JSON = (
+    '{{"certificate":{{"delta_j":{},"dist_bound":{},"earl_value":{},'
+    '"frame_bounds":{{"lambda_max":{},"lambda_min":{},"n":{}}},"gamma":{}}},'
+    '"ids":[{}],"route":{}{}}}'
+).format
+_JSON_COLUMNS = (
+    "delta_j", "dist_bound", "earl_value", "lambda_max", "lambda_min", "gamma", "margins"
+)
+_CSV_COLUMNS = ("delta_j", "earl_value", "gamma", "dist_bound", "lambda_min", "lambda_max")
 
 
-def _partition_csvs(
-    out_dir: Path, seq: PointSequence, partition: Partition
-) -> None:
-    route_of = {}
-    part_of = {}
-    for idx, part in enumerate(partition.parts):
-        for pid in part.ids:
-            part_of[pid] = idx
-            route_of[pid] = part.route
-    _write_csv(
-        out_dir / "points.csv",
-        ["id", "re", "im", "part", "route"],
-        [
-            [pid, re, im, part_of[pid], route_of[pid]]
-            for pid, re, im in zip(seq.ids.tolist(), seq.z.real.tolist(), seq.z.imag.tolist())
-        ],
-    )
-    rows = []
-    for idx, part in enumerate(partition.parts):
-        cert = part.certificate
-        rows.append(
-            [
-                idx,
-                part.route,
-                len(part.ids),
-                cert.delta_j if cert.delta_j is not None else "",
-                cert.earl_value if cert.earl_value is not None else "",
-                cert.gamma if cert.gamma is not None else "",
-                cert.dist_bound if cert.dist_bound is not None else "",
-                cert.frame_bounds.lambda_min,
-                cert.frame_bounds.lambda_max,
-            ]
+def _column_texts(partition: Partition, names: tuple, encode: Callable) -> list[list[str]]:
+    """``encode`` of the columns ``names``, each distinct value (by its bits) encoded once."""
+    columns = [getattr(partition, name) for name in names]
+    distinct, inverse = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    texts = [encode(v) for v in distinct.view(np.float64).tolist()]
+    ends, pick = [0, *itertools.accumulate(c.size for c in columns)], inverse.tolist()
+    return [[texts[i] for i in pick[a:b]] for a, b in zip(ends, ends[1:])]
+
+
+def _json_number(v: float) -> str:
+    """``v`` as the json module writes it (``repr`` if finite); NaN, an absent field, as null."""
+    return repr(v) if math.isfinite(v) else "null" if v != v else json.dumps(v)
+
+
+def _partition_json(partition: Partition, ids: np.ndarray) -> dict:
+    """A partition's report fields, ``ids`` labelling the split points."""
+    labels = list(map(str, ids[partition.members].tolist()))
+    offsets = partition.offsets.tolist()
+    routes = {route: json.dumps(route) for route in set(partition.route)}
+    marked = (~np.isnan(partition.margins[partition.offsets[:-1]])).tolist()
+    *numbers, margins = _column_texts(partition, _JSON_COLUMNS, _json_number)
+    parts = [
+        _PART_JSON(
+            delta_j, dist_bound, earl_value, high, low, b - a, gamma, ",".join(labels[a:b]),
+            routes[route], f',"stability_margins":[{",".join(margins[a:b])}]' if marks else "",
         )
-    _write_csv(
-        out_dir / "parts.csv",
-        [
-            "part",
-            "route",
-            "n_points",
-            "delta_j",
-            "earl_value",
-            "gamma",
-            "dist_bound",
-            "lambda_min",
-            "lambda_max",
-        ],
-        rows,
-    )
+        for a, b, route, marks, delta_j, dist_bound, earl_value, high, low, gamma in zip(
+            offsets, offsets[1:], partition.route, marked, *numbers
+        )
+    ]
+    parts = _Json("[" + ",".join(parts) + "]")
+    return {"flags": list(partition.flags), "global": dict(partition.global_info), "parts": parts}
+
+
+def _partition_csvs(out_dir: Path, seq: PointSequence, partition: Partition) -> None:
+    """points.csv and parts.csv; an absent number is an empty field."""
+    sizes = np.diff(partition.offsets)
+    part_of = np.repeat(np.arange(sizes.size), sizes)[np.argsort(partition.members, kind="stable")]
+    points = zip(seq.ids.tolist(), seq.z.real.tolist(), seq.z.imag.tolist(), part_of.tolist())
+    rows = [f"{pid},{re!r},{im!r},{k},{partition.route[k]}" for pid, re, im, k in points]
+    _write_csv(out_dir / "points.csv", "id,re,im,part,route", rows)
+    numbers = _column_texts(partition, _CSV_COLUMNS, lambda v: "" if v != v else repr(v))
+    parts = zip(range(sizes.size), partition.route, sizes.tolist(), *numbers)
+    header = ",".join(("part", "route", "n_points", *_CSV_COLUMNS))
+    _write_csv(out_dir / "parts.csv", header, [",".join(map(str, row)) for row in parts])
 
 
 def cmd_split(config: dict, out_dir: Path) -> None:
@@ -365,17 +365,15 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         )
         raise
 
-    _write_json(out_dir / "partition.json", _partition_json(partition))
+    _write_json(out_dir / "partition.json", _partition_json(partition, seq.ids))
     _partition_csvs(out_dir, seq, partition)
 
     if mode == "squares":
         arcs = partition.arcs
         columns = (arcs.level, arcs.lo, arcs.hi, arcs.inner_radius, arcs.mass)
-        _write_csv(
-            out_dir / "geometry.csv",
-            ["arc", "level", "theta_lo", "theta_hi", "inner_radius", "mass"],
-            [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))],
-        )
+        rows = zip(range(len(arcs)), *(c.tolist() for c in columns))
+        text = [",".join(map(repr, row)) for row in rows]
+        _write_csv(out_dir / "geometry.csv", "arc,level,theta_lo,theta_hi,inner_radius,mass", text)
 
 
 def cmd_clark(config: dict, out_dir: Path) -> None:
@@ -415,7 +413,8 @@ def cmd_pw(config: dict, out_dir: Path) -> None:
         "frame_bounds_note": _FINITE_SECTION_NOTE,
     }
     if opts.get("split", False):
-        report["partition"] = _partition_json(pw_split(system, g))
+        partition = _partition_json(pw_split(system, g), np.arange(len(system)))
+        report["partition"] = _Json(_json_object(partition))
     _write_json(out_dir / "pw.json", report)
 
 

@@ -36,24 +36,31 @@ square of that level, so each sub-part is a small perturbation of one
 Clark family.  A point outside all squares lies in the uncovered region,
 where |Theta| stays below a measurable delta < 1 and the interpolation
 splitter applies.  ``select_arc_system`` picks N when none is given.
+
+Both return a ``Partition``, one table of arrays: member positions with
+per-part offsets, per-part routes, certificates and frame bounds, and
+per-member margins; the square pipeline joins the tables of its uncovered
+bucket and its square parts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .carleson import earl_bound, interpolation_threshold, log_distance_matrix
+from .carleson import _earl_bounds, interpolation_threshold, log_distance_matrix
 from .clark import level_sets
 from .errors import CertificationError, ConfigError, NumericDomainError
-from .gram import FrameBounds, _by_size, part_frame_bounds
+from .gram import _by_size, part_frame_bounds
 from .inner import (
     InnerFunction,
+    _rates,
+    _refuse_atoms,
+    _values,
     boundary_argument,
-    eval_points,
     normalized_values,
     spectrum_distance,
 )
@@ -67,39 +74,60 @@ _GAMMA_CEILING = 1.0 - 1e-14
 # Partition containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartCertificate:
-    """Per-part certificate data; interpolation fields are None on square parts."""
-
-    frame_bounds: FrameBounds
-    gamma: float | None = None
-    delta_j: float | None = None
-    earl_value: float | None = None
-    dist_bound: float | None = None
-
-
-@dataclass(frozen=True)
-class PartitionPart:
-    ids: tuple[int, ...]
-    route: str
-    certificate: PartCertificate
-    stability_margins: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Parts plus global data; ``arcs`` is the square pipeline's arc system, not reported."""
+    """A partition's parts as one table of arrays, plus global data and flags.
 
-    parts: tuple[PartitionPart, ...]
+    Part k holds the points at positions ``members[offsets[k]:offsets[k + 1]]``
+    of the split sequence, in report order, and row k of the per-part
+    columns: ``route``; the certificate's ``gamma``, ``delta_j``,
+    ``earl_value`` and ``dist_bound``, NaN where the part has none (square
+    parts, and all but gamma on the uncertified bucket); and the frame
+    bounds ``lambda_min`` and ``lambda_max`` of its Gram section.
+    ``margins`` holds each member's stability margin, in ``members`` order,
+    NaN on the parts that have none.  ``arcs`` is the square pipeline's arc
+    system, not reported.
+    """
+
+    members: np.ndarray
+    offsets: np.ndarray
+    route: tuple[str, ...]
+    gamma: np.ndarray
+    delta_j: np.ndarray
+    earl_value: np.ndarray
+    dist_bound: np.ndarray
+    lambda_min: np.ndarray
+    lambda_max: np.ndarray
+    margins: np.ndarray
     global_info: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     arcs: ArcSystem | None = None
 
-    def all_ids(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for part in self.parts:
-            out.extend(part.ids)
-        return tuple(sorted(out))
+    @property
+    def parts(self) -> list[np.ndarray]:
+        """Each part's member positions."""
+        return np.split(self.members, self.offsets[1:-1])
+
+
+# The table's columns of numbers.
+_COLUMNS = ("gamma", "delta_j", "earl_value", "dist_bound", "lambda_min", "lambda_max", "margins")
+
+
+def _plain_parts(members, offsets, route, bounds, gamma=math.nan, margins=math.nan) -> Partition:
+    """Parts with frame bounds, and gamma and margins if given, but no interpolation certificate."""
+    blank = np.full(len(route), math.nan)
+    return Partition(
+        members, offsets, route, np.full(len(route), gamma), blank, blank, blank, *bounds,
+        np.broadcast_to(margins, members.shape),
+    )
+
+
+def _joined(pieces: list[Partition], **info) -> Partition:
+    """One table of the pieces' parts, piece after piece, with ``info`` as its global data."""
+    sizes = np.concatenate([np.diff(p.offsets) for p in pieces])
+    stacked = {c: np.concatenate([getattr(p, c) for p in pieces]) for c in ("members", *_COLUMNS)}
+    offsets, route = np.concatenate([[0], np.cumsum(sizes)]), sum((p.route for p in pieces), ())
+    return Partition(offsets=offsets, route=route, **stacked, **info)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +145,7 @@ _MERGE_SLACK = 1e-9
 _DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
 
 
-def _log_deltas(L: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+def _log_deltas(L: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Log Carleson constant of each part: min row sum of its block of L, 0 for one point.
 
     The parts of one size are summed as one stack of blocks, over axis 1:
@@ -125,15 +153,17 @@ def _log_deltas(L: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
     sums along its rows, so with L exactly symmetric each value equals that
     block's ``.sum(axis=1).min()`` bit for bit.
     """
-    out = np.zeros(len(parts))
-    for m, members in _by_size(parts).items():
-        if m > 1:
-            idx = np.array([parts[p] for p in members])
-            out[members] = L[idx[:, :, None], idx[:, None, :]].sum(axis=1).min(axis=1)
+    out = np.zeros(offsets.size - 1)
+    for parts, slots in _by_size(offsets):
+        if slots.shape[1] > 1:
+            idx = members[slots]
+            out[parts] = L[idx[:, :, None], idx[:, None, :]].sum(axis=1).min(axis=1)
     return out
 
 
-def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.ndarray]:
+def _first_fit(
+    L: np.ndarray, order: np.ndarray, log_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
     """First-fit of single points, in ``order``, into bins whose min row sum stays >= log_floor.
 
     Every placed point keeps its running row sum within its bin and its bin's
@@ -143,7 +173,8 @@ def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.nd
     of L, and so the running sums, are <= 0: one member closer than the
     floor shuts its bin.  So a point closer than the floor to every placed
     point, counted by one vector add per placement, opens a new bin without
-    the bincounts.  Bins come out in slot order, each in ascending position.
+    the bincounts.  Bins come out as member positions and offsets, in slot
+    order, each in ascending position.
     """
     near = L < log_floor
     # the point at position t of the order opens at once only if it is near
@@ -173,9 +204,8 @@ def _first_fit(L: np.ndarray, order: np.ndarray, log_floor: float) -> list[np.nd
         slot[k] = s
         if placed < live:
             near_placed += near[k]
-    members = np.argsort(slot, kind="stable")
-    ends = np.cumsum(np.bincount(slot)).tolist()  # slot 0 is empty
-    return [members[a:b] for a, b in zip(ends, ends[1:])]
+    # slot 0 is empty, so the cumulative counts start at 0
+    return np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))
 
 
 def _clique_size(clash: np.ndarray) -> int:
@@ -204,7 +234,7 @@ def split_by_interpolation(theta: InnerFunction, seq: PointSequence) -> Partitio
         log_distance_matrix(seq),
         seq.ids,
         gamma,
-        lambda parts: part_frame_bounds(seq.z, values, norms_sq, seq.ids, parts),
+        lambda *table: part_frame_bounds(seq.z, values, norms_sq, seq.ids, *table),
     )
 
 
@@ -230,14 +260,17 @@ def split_log_distances(
     L[i, j] = log rho(l_i, l_j) is the points' log-distance matrix (zero
     diagonal, exactly symmetric), ``ids`` their labels and gamma the
     certified bound on the symbol over them, any floor included.
-    ``frame_bounds`` maps the emitted parts, as arrays of positions, to their
-    ``FrameBounds``.  Points are placed one at a time by first-fit, in
-    decreasing clash degree (the number of points closer than delta*), ties
-    to the smaller row sum of L, then the lower position.  A lone point has
-    delta = 1 and phi(1) = 1, so it certifies for every gamma < 1 and the
-    split cannot fail.  ``parts_lower_bound`` in the global info is the size
-    of a greedy clique of points pairwise closer than delta*, no two of
-    which can share a part.
+    ``frame_bounds`` maps the emitted parts, as member positions and
+    offsets, to their lambda_min and lambda_max arrays.  Points are placed
+    one at a time by first-fit, in decreasing clash degree (the number of
+    points closer than delta*), ties to the smaller row sum of L, then the
+    lower position.  A lone point has delta = 1 and phi(1) = 1, so it
+    certifies for every gamma < 1 and the split cannot fail.  Each part's
+    delta_j is exp of a fresh sum (``math.exp``: ``np.exp`` may differ in
+    the last bit), and phi and gamma * phi are ``earl_bound``'s arithmetic
+    on the whole column.  ``parts_lower_bound`` in the global info is the
+    size of a greedy clique of points pairwise closer than delta*, no two
+    of which can share a part.
     """
     gamma = _off_spectrum(gamma)
     delta_star = _DELTA_FINITE if gamma == 0.0 else max(_DELTA_FINITE, interpolation_threshold(gamma))
@@ -245,38 +278,24 @@ def split_log_distances(
     sums = L.sum(axis=1)
     clash = L < log_star
     order = np.lexsort((sums, -clash.sum(axis=1)))
-    merged = _first_fit(L, order, log_star + _MERGE_SLACK)
-    sizes = [idx.size for idx in merged]
-    labels = ids[np.concatenate(merged)]
-    first = np.minimum.reduceat(labels, np.cumsum(sizes) - sizes)  # each part's smallest label
-    merged = [merged[p] for p in np.argsort(first).tolist()]
-    # fresh sums, not the running ones
-    deltas = [math.exp(x) for x in _log_deltas(L, merged).tolist()]
-    phis = []
-    for delta_j in deltas:
-        phi = earl_bound(delta_j) if delta_j >= delta_star else None
-        if phi is None or gamma * phi >= 1.0:
-            raise NumericDomainError(
-                f"part re-verification failed: delta {delta_j} at delta* {delta_star}"
-            )
-        phis.append(phi)
-    parts = []
-    for idx, delta_j, phi, fb in zip(merged, deltas, phis, frame_bounds(merged)):
-        parts.append(
-            PartitionPart(
-                ids=tuple(ids[idx].tolist()),
-                route=route,
-                certificate=PartCertificate(
-                    gamma=gamma,
-                    delta_j=delta_j,
-                    earl_value=phi,
-                    dist_bound=gamma * phi,
-                    frame_bounds=fb,
-                ),
-            )
+    members, offsets = _first_fit(L, order, log_star + _MERGE_SLACK)
+    # parts in the order of their smallest labels, members kept in order
+    sizes = np.diff(offsets)
+    first = np.minimum.reduceat(ids[members], offsets[:-1])
+    members = members[np.argsort(np.repeat(first, sizes), kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(sizes[np.argsort(first, kind="stable")])])
+    delta_j = np.array([math.exp(x) for x in _log_deltas(L, members, offsets).tolist()])
+    certified = delta_j >= delta_star
+    earl_value = _earl_bounds(np.where(certified, delta_j, 1.0))
+    dist_bound = gamma * earl_value
+    failed = np.flatnonzero(~certified | (dist_bound >= 1.0))
+    if failed.size:
+        raise NumericDomainError(
+            f"part re-verification failed: delta {float(delta_j[failed[0]])} at delta* {delta_star}"
         )
     return Partition(
-        parts=tuple(parts),
+        members, offsets, (route,) * delta_j.size, np.full(delta_j.size, gamma), delta_j,
+        earl_value, dist_bound, *frame_bounds(members, offsets), np.full(members.size, math.nan),
         global_info={
             "gamma": gamma,
             "delta_star": delta_star,
@@ -458,8 +477,8 @@ def uncovered_region_report(theta: InnerFunction, arcs: ArcSystem) -> UncoveredR
     joints = r_lo[joint, None] + (r_hi - r_lo)[joint, None] * (np.arange(8) + 0.5) / 8
     radii = np.concatenate([np.repeat(inner, per_side), joints.ravel()])
     z = radii * np.exp(1j * np.concatenate([sides.ravel(), np.repeat(hi[joint], 8)]))
-    values, _ = eval_points(theta, z)
-    return UncoveredRegionReport(delta=float(np.abs(values).max()), samples=int(z.size))
+    delta = float(np.abs(_values(theta._terms, z)).max())
+    return UncoveredRegionReport(delta=delta, samples=int(z.size))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +489,8 @@ def rate_comparability(theta: InnerFunction, arcs: ArcSystem) -> float:
     """Worst per-arc max/min ratio of |Theta'| over _RATE_GRID midpoints of each arc."""
     lo, hi = arcs.lo, arcs.hi
     angles = lo[:, None] + (hi - lo)[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
-    _, rates = eval_points(theta, np.exp(1j * angles.ravel()))
-    rates = rates.reshape(angles.shape)
+    zeta = np.exp(1j * angles.ravel())  # on the circle, where eval_points takes its rates
+    rates = _rates(theta._terms, zeta, _refuse_atoms(theta._terms, zeta)).reshape(angles.shape)
     return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
 
 
@@ -507,8 +526,9 @@ def select_arc_system(
 
 def _square_parts(
     seq: PointSequence, arcs: ArcSystem, located: np.ndarray
-) -> list[tuple[np.ndarray, str, tuple[float, ...]]]:
-    """Square sub-parts as (positions in ``seq``, route, stability margins).
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
+    """Square sub-parts as member positions in ``seq``, offsets, routes and
+    each member's stability margin.
 
     One lexsort ranks each square's points by id; sub-part m of a level
     holds the m-th point of every square of that level, in sequence order.
@@ -524,12 +544,8 @@ def _square_parts(
     starts = np.flatnonzero((np.diff(level, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
     gap = seq.z[held] - np.exp(1j * arcs.hi[located[held]])
     margin = np.hypot(gap.real, gap.imag) * arcs.rate[located[held]]
-    return [
-        (idx, f"square:{level[s]}:{rank[s] + 1}", tuple(m.tolist()))
-        for s, idx, m in zip(
-            starts.tolist(), np.split(held, starts[1:]), np.split(margin, starts[1:])
-        )
-    ]
+    routes = tuple(f"square:{level[s]}:{rank[s] + 1}" for s in starts.tolist())
+    return held, np.append(starts, held.size), routes, margin
 
 
 def decompose_by_squares(
@@ -586,51 +602,37 @@ def decompose_by_squares(
 
     z = seq.z
     values, norms_sq = normalized_values(theta, z, seq.angle, seq.ids)
-    parts: list[PartitionPart] = []
-
+    pieces = []
     if uncovered.size:
-        sub = seq.subset(uncovered)
         gamma_used = max(delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
                 f"sublevel bound failed at level count {level_count} "
                 f"(delta = {gamma_used}); uncovered bucket left uncertified - increase N"
             )
-            (fb,) = part_frame_bounds(z, values, norms_sq, seq.ids, [uncovered])
-            parts.append(
-                PartitionPart(
-                    ids=tuple(sorted(sub.ids.tolist())),
-                    route="uncovered:uncertified",
-                    certificate=PartCertificate(gamma=gamma_used, frame_bounds=fb),
-                )
-            )
+            one = np.array([0, uncovered.size])
+            bounds = part_frame_bounds(z, values, norms_sq, seq.ids, uncovered, one)
+            route = ("uncovered:uncertified",)
+            pieces.append(_plain_parts(uncovered, one, route, bounds, gamma_used))
         else:
-            inner_partition = split_log_distances(
-                log_distance_matrix(sub),
-                sub.ids,
+            inner = split_log_distances(
+                log_distance_matrix(seq.subset(uncovered)),
+                seq.ids[uncovered],
                 gamma_used,
-                lambda parts: part_frame_bounds(
-                    z, values, norms_sq, seq.ids, [uncovered[p] for p in parts]
+                lambda members, offsets: part_frame_bounds(
+                    z, values, norms_sq, seq.ids, uncovered[members], offsets
                 ),
                 route="uncovered:interp",
             )
-            parts.extend(inner_partition.parts)
+            pieces.append(replace(inner, members=uncovered[inner.members]))
 
-    square_parts = _square_parts(seq, arcs, located)
-    bounds = part_frame_bounds(z, values, norms_sq, seq.ids, [idx for idx, _, _ in square_parts])
-    for (idx, route, margins), fb in zip(square_parts, bounds):
-        parts.append(
-            PartitionPart(
-                ids=tuple(seq.ids[idx].tolist()),
-                route=route,
-                certificate=PartCertificate(frame_bounds=fb),
-                stability_margins=margins,
-            )
-        )
+    held, offsets, routes, margins = _square_parts(seq, arcs, located)
+    bounds = part_frame_bounds(z, values, norms_sq, seq.ids, held, offsets)
+    pieces.append(_plain_parts(held, offsets, routes, bounds, margins=margins))
     counts = np.bincount(located[located >= 0])
 
-    partition = Partition(
-        parts=tuple(parts),
+    partition = _joined(
+        pieces,
         global_info={
             "level_count": level_count,
             "max_per_square": int(counts.max()) if counts.size else 0,
@@ -639,6 +641,6 @@ def decompose_by_squares(
         flags=tuple(flags),
         arcs=arcs,
     )
-    if partition.all_ids() != tuple(sorted(seq.ids.tolist())):
+    if not np.array_equal(np.sort(partition.members, kind="stable"), np.arange(len(seq))):
         raise NumericDomainError("partition failed to cover the sequence exactly")
     return partition

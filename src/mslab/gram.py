@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,47 +123,49 @@ def part_frame_bounds(
     values: np.ndarray,
     norms_sq: np.ndarray,
     ids: Sequence[int],
-    parts: Sequence[np.ndarray],
-) -> list[FrameBounds]:
-    """Frame bounds of the Gram section of each part, an index array into the points.
+    members: np.ndarray,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and lambda_max of the Gram section of each part, as arrays.
 
+    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``.
     Parts of one size are assembled as stacks (``_stacked_bounds``): a part
     costs a share of a few numpy calls, not a few numpy calls of its own.
     """
     labels = np.asarray(ids)
     return _stacked_bounds(
-        parts, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+        members, offsets, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
     )
 
 
 def _stacked_bounds(
-    parts: Sequence[np.ndarray], sections: Callable[[np.ndarray], np.ndarray]
-) -> list[FrameBounds]:
-    """Frame bounds of each part, from ``sections``, which maps a (P, m) array of
-    parts of size m to the (P, m, m) stack of their Gram sections.
+    members: np.ndarray, offsets: np.ndarray, sections: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and lambda_max of each part, from ``sections``, which maps a
+    (P, m) array of parts of size m to the (P, m, m) stack of their Gram sections.
 
     Parts of one size go in stacks of at most 2^15 entries, and each stack
     takes one finiteness check, one stacked ``eigvalsh`` call and one
     ``_gram_bounds``.
     """
-    bounds: list[FrameBounds | None] = [None] * len(parts)
-    for m, members in _by_size(parts).items():
-        for rows in _row_blocks(len(members), m * m):
-            chunk = members[rows]
-            stack = sections(np.array([parts[k] for k in chunk]))
+    low, high = np.empty((2, offsets.size - 1))
+    for parts, slots in _by_size(offsets):
+        for rows in _row_blocks(parts.size, slots.shape[1] ** 2):
+            stack = sections(members[slots[rows]])
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
-            for k, fb in zip(chunk, _gram_bounds(np.linalg.eigvalsh(stack))):
-                bounds[k] = fb
-    return bounds
+            low[parts[rows]], high[parts[rows]] = _gram_bounds(np.linalg.eigvalsh(stack))
+    return low, high
 
 
-def _by_size(parts: Sequence[np.ndarray]) -> dict[int, list[int]]:
-    """Positions in ``parts`` of the parts of each size, sizes in order of first appearance."""
-    by_size: dict[int, list[int]] = {}
-    for k, idx in enumerate(parts):
-        by_size.setdefault(len(idx), []).append(k)
-    return by_size
+def _by_size(offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per size m of the parts with members at ``offsets[k]:offsets[k + 1]``: the
+    positions of the parts of size m, and the (count, m) array of their member slots."""
+    groups: dict[int, list[int]] = {}
+    for k, m in enumerate(np.diff(offsets).tolist()):
+        groups.setdefault(m, []).append(k)
+    for m, parts in groups.items():
+        yield np.array(parts), np.add.outer(offsets[parts], np.arange(m))
 
 
 def section_frame_bounds(
@@ -323,18 +325,15 @@ def extremal_eigs(g: GramMatrix) -> FrameBounds:
     """
     if not np.isfinite(g.entries).all():
         raise NumericDomainError("eigenvalue input has non-finite entries")
-    return _gram_bounds(np.linalg.eigvalsh(g.entries[None]))[0]
+    low, high = _gram_bounds(np.linalg.eigvalsh(g.entries[None]))
+    return FrameBounds(lambda_min=float(low[0]), lambda_max=float(high[0]), n=g.n)
 
 
-def _gram_bounds(eigs: np.ndarray) -> list[FrameBounds]:
-    """Bounds from a stack of Gram sections' ascending eigenvalues, one row each.
+def _gram_bounds(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and lambda_max of a stack of Gram sections, from their
+    ascending eigenvalues, one row each.
 
-    Roundoff just below 0 in lambda_min is clamped to 0.
+    Roundoff in (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
     """
     low = eigs[:, 0]
-    low = np.where((-1e-10 < low) & (low < 0.0), 0.0, low)
-    n = eigs.shape[1]
-    return [
-        FrameBounds(lambda_min=a, lambda_max=b, n=n)
-        for a, b in zip(low.tolist(), eigs[:, -1].tolist())
-    ]
+    return np.where((-1e-10 < low) & (low < 0.0), 0.0, low), eigs[:, -1]

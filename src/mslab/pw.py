@@ -126,8 +126,8 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
         _log_distances(s, np.abs(s[:, None] - s.conj())),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
-        lambda parts: _stacked_bounds(
-            parts, lambda idx: g.entries[idx[:, :, None], idx[:, None, :]]
+        lambda members, offsets: _stacked_bounds(
+            members, offsets, lambda idx: g.entries[idx[:, :, None], idx[:, None, :]]
         ),
     )
     partition.global_info["a"] = a

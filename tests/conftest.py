@@ -18,7 +18,9 @@ grouping loop and the earlier loop over level-set targets are kept at the
 end as references, as is the point classifier that ``PointSequence``
 replaced: one object per point, and a dict scan for coincident points.
 ``split_at_gamma`` is not an oracle: it runs the library's splitter core
-at a gamma a test sets.
+at a gamma a test sets.  Nor are ``part_table``, ``part_ids``, ``all_ids``
+and ``partition_text``: they read a partition's table of arrays, or
+render it as the CLI does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from mslab.carleson import log_distance_matrix
 from mslab.decompose import Partition, split_log_distances
 from mslab.errors import ConfigError
-from mslab.gram import FrameBounds
 from mslab.inner import InnerFunction
 from mslab.points import BOUNDARY_TOL, PointSequence
 
@@ -194,8 +195,31 @@ def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
         log_distance_matrix(seq),
         seq.ids,
         gamma,
-        lambda parts: [FrameBounds(0.0, 0.0, len(idx)) for idx in parts],
+        lambda members, offsets: (np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)),
     )
+
+
+def part_table(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Parts given as position arrays, as member positions part after part and offsets."""
+    members = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+    return members, np.cumsum([0] + [len(idx) for idx in parts])
+
+
+def part_ids(partition: Partition, ids) -> list[tuple[int, ...]]:
+    """Each part's point labels, ``ids`` being the labels of the split points."""
+    return [tuple(np.asarray(ids)[p].tolist()) for p in partition.parts]
+
+
+def all_ids(partition: Partition, ids) -> tuple[int, ...]:
+    """The labels of every part's points, sorted."""
+    return tuple(sorted(np.asarray(ids)[partition.members].tolist()))
+
+
+def partition_text(partition: Partition, ids) -> str:
+    """A partition's report object, as the CLI renders it."""
+    from mslab import cli
+
+    return cli._json_object(cli._partition_json(partition, np.asarray(ids)))
 
 
 def earl_oracle(delta: float) -> float:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import composite_gauss_legendre, random_blaschke
+from conftest import all_ids, composite_gauss_legendre, random_blaschke
 
 from mslab.carleson import carleson_constant, earl_bound, interpolation_threshold
 from mslab.clark import herglotz_residuals, level_set
@@ -124,11 +124,10 @@ def test_criterion_05_interpolation_split_end_to_end() -> None:
             gamma = float(np.abs(eval_points(theta, seq.z)[0]).max())
             assert gamma <= 0.5
             partition = split_by_interpolation(theta, seq)
-            assert partition.all_ids() == tuple(sorted(seq.ids))
-            for part in partition.parts:
-                cert = part.certificate
-                assert cert.gamma * cert.earl_value < 1.0
-                assert cert.frame_bounds.lambda_min > 0.0
+            assert all_ids(partition, seq.ids) == tuple(sorted(seq.ids))
+            for k in range(len(partition.parts)):
+                assert partition.gamma[k] * partition.earl_value[k] < 1.0
+                assert partition.lambda_min[k] > 0.0
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.3f} s"
 
@@ -173,14 +172,13 @@ def test_criterion_08_square_pipeline_end_to_end() -> None:
                 pts.append(0.999 * cmath.exp(1j * (base + off * (TWO_PI / 24))))
         seq = PointSequence.from_complex(pts)
         partition = decompose_by_squares(z3, seq, 8)
-        assert partition.all_ids() == tuple(range(9))
+        assert all_ids(partition, seq.ids) == tuple(range(9))
         assert partition.global_info["max_per_square"] == 3
-        for part in partition.parts:
-            assert part.certificate.frame_bounds.lambda_min > 0.0
-        uncovered = [p for p in partition.parts if p.route.startswith("uncovered")]
-        for part in uncovered:
-            cert = part.certificate
-            assert cert.gamma * cert.earl_value < 1.0
+        for k in range(len(partition.parts)):
+            assert partition.lambda_min[k] > 0.0
+        uncovered = [k for k, route in enumerate(partition.route) if route.startswith("uncovered")]
+        for k in uncovered:
+            assert partition.gamma[k] * partition.earl_value[k] < 1.0
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.3f} s"
 
@@ -222,9 +220,9 @@ def test_criterion_09_exponential_systems() -> None:
 
         perturbed = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(41)))
         partition = pw_split(perturbed, pw_gram(perturbed))
-        assert partition.all_ids() == tuple(range(41))
-        for part in partition.parts:
-            assert part.certificate.frame_bounds.lambda_min > 0.0
+        assert all_ids(partition, range(41)) == tuple(range(41))
+        for k in range(len(partition.parts)):
+            assert partition.lambda_min[k] > 0.0
 
 
 def test_criterion_10_norm_ratio_sweep_regression() -> None:

@@ -18,8 +18,6 @@ EXPORTED = [
     "NumericDomainError",
     "OnSpectrumError",
     "Partition",
-    "PartitionPart",
-    "PartCertificate",
     "PointSequence",
     "build_arc_system",
     "carleson_constant",

@@ -617,9 +617,8 @@ def test_truncated_atomic_family_flagged() -> None:
 def _square_margins(theta: InnerFunction, seq: PointSequence) -> list[float]:
     """Each point's stability margin |lambda - tau| |Theta'(tau)| against the
     anchor tau of its Carleson square, at one level (alpha = 1), by id."""
-    margins = {}
-    for part in decompose_by_squares(theta, seq, 1).parts:
-        margins.update(zip(part.ids, part.stability_margins))
+    partition = decompose_by_squares(theta, seq, 1)
+    margins = dict(zip(seq.ids[partition.members].tolist(), partition.margins.tolist()))
     return [margins[k] for k in seq.ids.tolist()]
 
 

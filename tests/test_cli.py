@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import mslab.cli as cli
+import mslab.decompose as decompose
 from mslab.cli import main
 from mslab.errors import ConfigError
 
@@ -289,6 +291,109 @@ def test_pw_report_keys(tmp_path) -> None:
         report["partition"], {"gamma", "delta_star", "delta_input", "parts_lower_bound", "a"}
     )
     assert set(routes) == {"interp"} and len(routes) > 1
+
+
+# ---------------------------------------------------------------------------
+# rendered partitions: the json module's text, and the table's values bit for bit
+
+_NEAR_CIRCLE = [[0.999 * math.cos(a), 0.999 * math.sin(a)] for a in (0.3, 0.31, 2.4, 4.4)]
+_RENDER_CASES = {
+    "interp": ("split", {"inner": Z3, "points": [[0.3 * math.cos(k), 0.3 * math.sin(k)] for k in range(6)]
+                         + [[0.30001, 0.0], [-0.5, -0.1]], "mode": "interp"}, 0),
+    # square parts carry margins and null interpolation fields
+    "squares": ("split", {"inner": Z3, "points": [[0.1, 0.0], [-0.2, 0.1], *_NEAR_CIRCLE],
+                          "mode": "squares", "options": {"level_count": 8}}, 0),
+    # the same with the ceiling on gamma at 0: the uncovered bucket is left uncertified
+    "uncertified": ("split", {"inner": Z3, "points": [[0.1, 0.0], [-0.2, 0.1], *_NEAR_CIRCLE],
+                              "mode": "squares", "options": {"level_count": 8}}, 0),
+    "pw": ("pw", {"pw": {"a": 5.0, "freqs": [[0.0, 0.0], [2.0, 0.0], [4.0, 0.5], [4.05, 0.5], [7.0, 0.0]]},
+                  "options": {"split": True}}, 0),
+    # CertificationError: the partial partition.json
+    "failed": ("split", {"inner": Z3, "points": [{"angle": 0.3}], "mode": "interp"}, 4),
+}
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _table_value(value: float, absent):
+    """A table value's bits, ``absent`` for NaN: the mark of a field the part has not."""
+    return absent if value != value else _bits(value)
+
+
+def test_column_texts_encode_each_bit_pattern_once() -> None:
+    bounds = (np.array([-0.0, 0.0]), np.array([math.inf, 1.0]))
+    margins = np.array([math.nan, -0.0, 0.0])
+    p = decompose._plain_parts(np.arange(3), np.array([0, 1, 3]), ("a", "b"), bounds, 0.5, margins)
+    null = ["null", "null"]
+    assert cli._column_texts(p, cli._JSON_COLUMNS, cli._json_number) == [
+        null, null, null, ["Infinity", "1.0"], ["-0.0", "0.0"], ["0.5", "0.5"], ["null", "-0.0", "0.0"]
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(_RENDER_CASES))
+def test_rendered_reports_are_the_json_modules_text_and_the_tables_values(
+    tmp_path, monkeypatch, case
+) -> None:
+    command, config, code = _RENDER_CASES[case]
+    if case == "uncertified":
+        monkeypatch.setattr(decompose, "_GAMMA_CEILING", 0.0)
+    rendered = []
+    render = cli._partition_json
+    monkeypatch.setattr(cli, "_partition_json", lambda p, ids: rendered.append(p) or render(p, ids))
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path / "cfg.json", config), "--out", str(out)]) == code
+    reports = {}
+    for path in out.glob("*.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        reports[path.name] = json.loads(text)
+    if case == "failed":
+        assert rendered == [] and reports["partition.json"]["failed"] is True
+        return
+    (partition,) = rendered
+    report = reports["pw.json"]["partition"] if case == "pw" else reports["partition.json"]
+    offsets = partition.offsets.tolist()
+    routes = {"interp": {"interp"}, "pw": {"interp"}, "uncertified": {"uncovered:uncertified"}}
+    assert routes.get(case, {"uncovered:interp"}) <= set(partition.route)
+    assert (case in ("interp", "pw")) != any(r.startswith("square:") for r in partition.route)
+    assert max(np.diff(offsets)) > 1
+    for k, (part, a, b) in enumerate(zip(report["parts"], offsets, offsets[1:])):
+        assert part["ids"] == partition.members[a:b].tolist()  # the labels are the positions
+        assert part["route"] == partition.route[k]
+        cert, fb = part["certificate"], part["certificate"]["frame_bounds"]
+        for name in ("gamma", "delta_j", "earl_value", "dist_bound"):
+            got = None if cert[name] is None else _bits(cert[name])
+            assert got == _table_value(getattr(partition, name)[k], None)
+        assert [_bits(fb["lambda_min"]), _bits(fb["lambda_max"]), fb["n"]] == [
+            _bits(partition.lambda_min[k]), _bits(partition.lambda_max[k]), b - a
+        ]
+        margins = [_table_value(m, None) for m in partition.margins[a:b].tolist()]
+        got = [None] * (b - a)
+        if "stability_margins" in part:
+            got = [_bits(m) for m in part["stability_margins"]]
+        assert got == margins
+    assert len(report["parts"]) == len(offsets) - 1
+    if command == "pw":
+        return
+    seq = cli._parse_points(config["points"])
+    with open(out / "parts.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["part", "route", "n_points", *cli._CSV_COLUMNS]
+    assert len(rows) == len(offsets) - 1
+    for k, row in enumerate(rows):
+        assert [int(row[0]), row[1], int(row[2])] == [k, partition.route[k], offsets[k + 1] - offsets[k]]
+        numbers = [getattr(partition, name)[k] for name in cli._CSV_COLUMNS]
+        assert [_bits(float(t)) if t else "" for t in row[3:]] == [_table_value(x, "") for x in numbers]
+    part_of = {pid: k for k, p in enumerate(partition.parts) for pid in p.tolist()}
+    with open(out / "points.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["id", "re", "im", "part", "route"] and len(rows) == len(seq)
+    for pid, z, row in zip(seq.ids.tolist(), seq.z.tolist(), rows):
+        got = [int(row[0]), _bits(float(row[1])), _bits(float(row[2]))]
+        assert got == [pid, _bits(z.real), _bits(z.imag)]
+        assert [int(row[3]), row[4]] == [part_of[pid], partition.route[part_of[pid]]]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -12,13 +13,15 @@ from conftest import (
     carleson_delta_oracle,
     composite_gauss_legendre,
     earl_oracle,
+    all_ids,
     locate_reference,
+    part_ids,
+    partition_text,
     random_blaschke,
     split_at_gamma,
     square_contains_reference,
 )
 
-from mslab import cli
 from mslab.carleson import carleson_constant, earl_bound
 from mslab.decompose import (
     build_arc_system,
@@ -51,10 +54,9 @@ def test_split_trivial_gamma_zero() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     partition = split_by_interpolation(z2, PointSequence.from_complex([0.0]))
     assert len(partition.parts) == 1
-    cert = partition.parts[0].certificate
-    assert cert.gamma == 0.0
-    assert cert.dist_bound == 0.0
-    assert cert.frame_bounds.lambda_min == pytest.approx(1.0)
+    assert partition.gamma[0] == 0.0
+    assert partition.dist_bound[0] == 0.0
+    assert partition.lambda_min[0] == pytest.approx(1.0)
     # at gamma = 0, delta* is the smallest delta with a finite phi
     delta_star = partition.global_info["delta_star"]
     assert math.isfinite(earl_bound(delta_star))
@@ -70,8 +72,8 @@ def test_split_keeps_one_part_at_a_tiny_gamma(points, gamma) -> None:
     # delta* = 2 sqrt(gamma)/(1 + gamma) lies below the separation of the
     # whole sequence, and gamma * phi(delta) < 1 there: one part certifies
     partition = split_at_gamma(PointSequence.from_complex(points), gamma)
-    assert [p.ids for p in partition.parts] == [tuple(range(len(points)))]
-    assert partition.parts[0].certificate.dist_bound < 1.0
+    assert part_ids(partition, range(len(points))) == [tuple(range(len(points)))]
+    assert partition.dist_bound[0] < 1.0
     assert partition.global_info["delta_star"] == pytest.approx(2.0 * math.sqrt(gamma), rel=1e-15)
 
 
@@ -82,7 +84,7 @@ def test_split_floors_delta_star_at_a_subnormal_gamma() -> None:
     seq = PointSequence.from_complex([0.0, 1e-157, 0.5])
     partition = split_at_gamma(seq, 1e-320)
     assert partition.global_info["delta_star"] == 2.0 / math.sqrt(np.finfo(float).max)
-    assert sorted(p.ids for p in partition.parts) == [(0, 2), (1,)]
+    assert sorted(part_ids(partition, seq.ids)) == [(0, 2), (1,)]
 
 
 def test_split_ring_end_to_end() -> None:
@@ -93,17 +95,16 @@ def test_split_ring_end_to_end() -> None:
     partition = split_by_interpolation(theta, ring)
     gamma = partition.global_info["gamma"]
     assert gamma == pytest.approx(np.abs(blaschke_values(theta, ring.z)).max())
-    assert partition.all_ids() == tuple(range(10))
-    for part in partition.parts:
-        cert = part.certificate
+    assert all_ids(partition, ring.ids) == tuple(range(10))
+    for k, ids in enumerate(part_ids(partition, ring.ids)):
         # re-derive the certificate from scratch
-        sub = ring.subset(np.flatnonzero(np.isin(ring.ids, part.ids)))
+        sub = ring.subset(np.flatnonzero(np.isin(ring.ids, ids)))
         delta = carleson_constant(sub)
-        assert cert.delta_j == pytest.approx(delta, rel=1e-12)
-        assert cert.earl_value == pytest.approx(earl_bound(delta), rel=1e-12)
-        assert cert.dist_bound == pytest.approx(gamma * earl_bound(delta), rel=1e-12)
-        assert cert.dist_bound < 1.0
-        assert cert.frame_bounds.lambda_min > 0.0
+        assert partition.delta_j[k] == pytest.approx(delta, rel=1e-12)
+        assert partition.earl_value[k] == pytest.approx(earl_bound(delta), rel=1e-12)
+        assert partition.dist_bound[k] == pytest.approx(gamma * earl_bound(delta), rel=1e-12)
+        assert partition.dist_bound[k] < 1.0
+        assert partition.lambda_min[k] > 0.0
 
 
 def test_split_certificate_arithmetic_example() -> None:
@@ -130,14 +131,13 @@ def test_split_tight_quadruple_certifies_without_error() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5,))
     seq = PointSequence.from_complex([0.9, 0.9 + 1e-4j, 0.9 - 1e-4j, 0.9005])
     partition = split_by_interpolation(theta, seq)
-    assert partition.all_ids() == (0, 1, 2, 3)
+    assert all_ids(partition, seq.ids) == (0, 1, 2, 3)
     assert partition.flags == ()
-    for part in partition.parts:
-        cert = part.certificate
-        delta = carleson_delta_oracle(seq.z[list(part.ids)].tolist())
-        assert cert.delta_j == pytest.approx(delta, rel=1e-12)
-        assert cert.dist_bound < 1.0
-        assert cert.frame_bounds.lambda_min > 0.0
+    for k, ids in enumerate(part_ids(partition, seq.ids)):
+        delta = carleson_delta_oracle(seq.z[list(ids)].tolist())
+        assert partition.delta_j[k] == pytest.approx(delta, rel=1e-12)
+        assert partition.dist_bound[k] < 1.0
+        assert partition.lambda_min[k] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -158,11 +158,11 @@ def test_split_ring_of_clusters_part_counts(clusters, size, parts) -> None:
     seq = PointSequence.from_complex(points)
     partition = split_at_gamma(seq, 0.3)
     assert len(partition.parts) == parts
-    assert partition.all_ids() == tuple(range(clusters * size))
+    assert all_ids(partition, seq.ids) == tuple(range(clusters * size))
     delta_star = partition.global_info["delta_star"]
-    for part in partition.parts:
-        delta = carleson_delta_oracle([points[i] for i in part.ids])
-        assert part.certificate.delta_j == pytest.approx(delta, rel=1e-9)
+    for k, ids in enumerate(part_ids(partition, seq.ids)):
+        delta = carleson_delta_oracle([points[i] for i in ids])
+        assert partition.delta_j[k] == pytest.approx(delta, rel=1e-9)
         assert delta >= delta_star * (1.0 - 1e-12)
         assert 0.3 * earl_oracle(delta) < 1.0
 
@@ -173,12 +173,12 @@ def test_pipelines_are_deterministic() -> None:
     seq = _random_interior(rng, 15, rmax=0.6)
     first = split_by_interpolation(theta, seq)
     second = split_by_interpolation(theta, seq)
-    assert cli._partition_json(first) == cli._partition_json(second)
+    assert partition_text(first, seq.ids) == partition_text(second, seq.ids)
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
     pts = PointSequence.from_complex([0.2, 0.99 * cmath.exp(0.1j), -0.3j])
     assert (
-        cli._partition_json(decompose_by_squares(z3, pts, 8))
-        == cli._partition_json(decompose_by_squares(z3, pts, 8))
+        partition_text(decompose_by_squares(z3, pts, 8), pts.ids)
+        == partition_text(decompose_by_squares(z3, pts, 8), pts.ids)
     )
 
 
@@ -266,7 +266,7 @@ def test_squares_pipeline_with_atom() -> None:
     )
     seq = PointSequence.from_complex([0.2, 0.4j, 0.99])
     partition = decompose_by_squares(theta, seq, 4, max_points_per_arc=48)
-    assert partition.all_ids() == (0, 1, 2)
+    assert all_ids(partition, seq.ids) == (0, 1, 2)
     assert_same_arc_system(partition.arcs, build_arc_system(theta, 4, max_points_per_arc=48))
     assert "square system truncated near the spectrum" in partition.flags
 
@@ -380,11 +380,10 @@ def test_squares_pipeline_clark_family_input() -> None:
     seq = PointSequence.from_angles([TWO_PI * k / 3 for k in range(3)])
     partition = decompose_by_squares(z3, seq, 4)
     assert len(partition.parts) == 1
-    part = partition.parts[0]
-    assert part.route.startswith("square:")
-    assert part.ids == (0, 1, 2)
-    assert part.stability_margins == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
-    assert part.certificate.frame_bounds.lambda_min == pytest.approx(1.0, abs=1e-10)
+    assert partition.route[0].startswith("square:")
+    assert part_ids(partition, seq.ids) == [(0, 1, 2)]
+    assert tuple(partition.margins) == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
+    assert partition.lambda_min[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_squares_pipeline_clustered_corpus() -> None:
@@ -397,15 +396,17 @@ def test_squares_pipeline_clustered_corpus() -> None:
     seq = PointSequence.from_complex(pts)
     partition = decompose_by_squares(z3, seq, 8)
     assert partition.global_info["max_per_square"] == 3
-    square_parts = [p for p in partition.parts if p.route.startswith("square:")]
+    square_parts = [
+        ids for ids, route in zip(part_ids(partition, seq.ids), partition.route)
+        if route.startswith("square:")
+    ]
     assert len(square_parts) == 3
-    for part in partition.parts:
-        assert part.certificate.frame_bounds.lambda_min > 0.0
-    assert partition.all_ids() == tuple(range(9))
+    assert (partition.lambda_min > 0.0).all()
+    assert all_ids(partition, seq.ids) == tuple(range(9))
     # shape precondition: within one part, at most one point per square
     arcs = build_arc_system(z3, 8)
-    for part in square_parts:
-        owners = arcs.locate(seq.z[np.isin(seq.ids, part.ids)]).tolist()
+    for ids in square_parts:
+        owners = arcs.locate(seq.z[np.isin(seq.ids, ids)]).tolist()
         assert min(owners) >= 0 and len(set(owners)) == len(owners)
 
 
@@ -416,11 +417,10 @@ def test_squares_pipeline_splits_a_near_coincident_boundary_pair() -> None:
     seq = PointSequence.from_angles(angles)
     assert abs(1.0 - seq.z[3].conjugate() * seq.z[0]) < 1e-14
     partition = decompose_by_squares(z3, seq, 4)
-    assert partition.all_ids() == (0, 1, 2, 3)
-    owner = {pid: k for k, part in enumerate(partition.parts) for pid in part.ids}
+    assert all_ids(partition, seq.ids) == (0, 1, 2, 3)
+    owner = {pid: k for k, ids in enumerate(part_ids(partition, seq.ids)) for pid in ids}
     assert owner[0] != owner[3]
-    for part in partition.parts:
-        assert part.certificate.frame_bounds.lambda_max >= 1.0 - 1e-12
+    assert (partition.lambda_max >= 1.0 - 1e-12).all()
 
 
 def test_squares_pipeline_deep_ring_routed_to_interpolation() -> None:
@@ -429,11 +429,11 @@ def test_squares_pipeline_deep_ring_routed_to_interpolation() -> None:
         [0.3 * cmath.exp(2j * math.pi * k / 7) for k in range(7)]
     )
     partition = decompose_by_squares(z3, ring, 8)
-    assert all(p.route == "uncovered:interp" for p in partition.parts)
+    assert all(route == "uncovered:interp" for route in partition.route)
     delta_region = partition.global_info["delta_uncovered"]
-    for p in partition.parts:
-        assert p.certificate.gamma == pytest.approx(delta_region)
-        assert p.certificate.dist_bound < 1.0
+    for k in range(len(partition.parts)):
+        assert partition.gamma[k] == pytest.approx(delta_region)
+        assert partition.dist_bound[k] < 1.0
 
 
 def test_squares_pipeline_rejects_spectrum_point() -> None:
@@ -458,10 +458,10 @@ def test_squares_pipeline_mixed_membership() -> None:
     ]
     seq = PointSequence.from_complex(pts + near)
     partition = decompose_by_squares(theta, seq, 8)
-    routes = {p.route for p in partition.parts}
+    routes = set(partition.route)
     assert any(r.startswith("square:") for r in routes)
     assert any(r.startswith("uncovered") for r in routes)
-    assert partition.all_ids() == tuple(range(10))
+    assert all_ids(partition, seq.ids) == tuple(range(10))
 
 
 def test_rate_comparability_shrinks_with_level_count() -> None:
@@ -492,7 +492,7 @@ def test_auto_level_count_used_when_omitted() -> None:
     assert partition.global_info["level_count"] == 8
     # the selected arc system travels on the partition, outside the report
     assert_same_arc_system(partition.arcs, build_arc_system(z2, 8))
-    assert "arcs" not in cli._partition_json(partition)
+    assert "arcs" not in json.loads(partition_text(partition, seq.ids))
 
 
 def test_mixed_clouds_decompose_cleanly() -> None:
@@ -515,12 +515,12 @@ def test_mixed_clouds_decompose_cleanly() -> None:
             angles.append(rng.uniform(0, TWO_PI))
         seq = PointSequence.from_mixed(pts, angles)
         partition = decompose_by_squares(theta, seq)
-        assert partition.all_ids() == tuple(sorted(seq.ids))
-        for part in partition.parts:
-            assert part.certificate.frame_bounds.lambda_min >= 0.0
-            if part.route == "uncovered:interp":
-                cert = part.certificate
-                assert cert.gamma * cert.earl_value < 1.0
+        assert all_ids(partition, seq.ids) == tuple(sorted(seq.ids))
+        for k, route in enumerate(partition.route):
+            assert partition.lambda_min[k] >= 0.0
+            if route == "uncovered:interp":
+                assert partition.gamma[k] * partition.earl_value[k] < 1.0
+        parts = part_ids(partition, seq.ids)
         for pid in seq.ids[seq.boundary].tolist():
-            owner = [q for q in partition.parts if pid in q.ids]
-            assert len(owner) == 1 and owner[0].route.startswith("square:")
+            owner = [k for k, ids in enumerate(parts) if pid in ids]
+            assert len(owner) == 1 and partition.route[owner[0]].startswith("square:")

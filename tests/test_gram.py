@@ -9,6 +9,7 @@ from conftest import (
     eig_extremes_oracle,
     gram_oracle,
     normalized_gram_exact,
+    part_table,
     random_blaschke,
 )
 
@@ -112,21 +113,24 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
     cuts = [40 * k for k in range(26)] + [1000 + 2 * k for k in range(1, 80)] + [1197, 1200]
     parts = [np.sort(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    bounds = part_frame_bounds(seq.z, values, norms, seq.ids, parts)
-    for idx, fb in zip(parts, bounds):
+    low, high = part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    assert low.size == high.size == len(parts)
+    for idx, lambda_min, lambda_max in zip(parts, low, high):
         want = extremal_eigs(gram(theta, seq.subset(idx)))
-        assert fb.n == want.n == len(idx)
-        assert fb.lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
-        assert fb.lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
+        assert want.n == len(idx)
+        assert lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
+        assert lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
 
 
 def test_gram_bounds_clamp_roundoff_below_zero_per_section() -> None:
-    eigs = np.array([[-5e-11, 1.0], [-1e-9, 2.0], [-0.0, 1.5], [0.3, 0.4]])
-    got = _gram_bounds(eigs)
-    assert got == [FrameBounds(0.0, 1.0, 2), FrameBounds(-1e-9, 2.0, 2),
-                   FrameBounds(-0.0, 1.5, 2), FrameBounds(0.3, 0.4, 2)]
-    assert math.copysign(1.0, got[2].lambda_min) == -1.0  # -0.0 is not below 0
-    assert all(type(fb.lambda_min) is float and type(fb.lambda_max) is float for fb in got)
+    eigs = np.array([[-5e-11, 1.0], [-1e-9, 2.0], [-0.0, 1.5], [0.3, 0.4], [-1e-10, 0.5]])
+    low, high = _gram_bounds(eigs)
+    assert low.tolist() == [0.0, -1e-9, -0.0, 0.3, -1e-10]  # the clamp's window is open
+    assert high.tolist() == [1.0, 2.0, 1.5, 0.4, 0.5]
+    assert math.copysign(1.0, low[2]) == -1.0  # -0.0 is not below 0
+    fb = extremal_eigs(GramMatrix(np.eye(3), (0, 1, 2)))
+    assert fb == FrameBounds(1.0, 1.0, 3)
+    assert type(fb.lambda_min) is float and type(fb.lambda_max) is float
 
 
 def test_gram_inseparable_pair_names_both_points() -> None:
@@ -136,10 +140,12 @@ def test_gram_inseparable_pair_names_both_points() -> None:
         gram(theta, seq)
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
-        part_frame_bounds(seq.z, values, norms, seq.ids, [np.array([0]), np.array([1, 2])])
+        part_frame_bounds(seq.z, values, norms, seq.ids, *part_table([np.array([0]), np.array([1, 2])]))
     # the pair in different parts is no error
-    bounds = part_frame_bounds(seq.z, values, norms, seq.ids, [np.array([0, 1]), np.array([2])])
-    assert bounds[1] == FrameBounds(1.0, 1.0, 1)
+    low, high = part_frame_bounds(
+        seq.z, values, norms, seq.ids, *part_table([np.array([0, 1]), np.array([2])])
+    )
+    assert (low[1], high[1]) == (1.0, 1.0)
 
 
 def test_gram_names_the_point_on_an_atom() -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    all_ids,
     carleson_delta_oracle,
     composite_gauss_legendre,
     exp_inner_oracle,
@@ -13,7 +14,7 @@ from conftest import (
 
 import mslab.pw as pw
 from mslab.errors import ConfigError, NumericDomainError
-from mslab.gram import FrameBounds, GramMatrix, extremal_eigs
+from mslab.gram import GramMatrix, extremal_eigs
 from mslab.pw import ExpSystem, pw_gram, pw_split
 
 # The exp_inner tests pin the reference formula that pw_gram is checked
@@ -162,23 +163,22 @@ def test_modulus_law_of_exponential_symbol() -> None:
 def test_pw_split_integers_certificates() -> None:
     system = ExpSystem(math.pi, tuple(float(n) for n in range(21)))
     partition = pw_split(system, pw_gram(system))
-    assert partition.all_ids() == tuple(range(21))
+    assert all_ids(partition, range(21)) == tuple(range(21))
     assert partition.global_info["gamma"] == pytest.approx(math.exp(-math.pi))
-    for part in partition.parts:
-        cert = part.certificate
-        assert cert.dist_bound < 1.0
+    for k in range(len(partition.parts)):
+        assert partition.dist_bound[k] < 1.0
         # integer exponentials stay orthonormal in any subset
-        assert cert.frame_bounds.lambda_min == pytest.approx(1.0, abs=1e-12)
-        assert cert.frame_bounds.lambda_max == pytest.approx(1.0, abs=1e-12)
+        assert partition.lambda_min[k] == pytest.approx(1.0, abs=1e-12)
+        assert partition.lambda_max[k] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pw_split_takes_its_part_bounds_from_the_given_gram(monkeypatch) -> None:
     system = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(12)))
     monkeypatch.setattr(pw, "pw_gram", lambda system: pytest.fail("the Gram is formed again"))
     partition = pw_split(system, GramMatrix(np.eye(12), tuple(range(12))))
-    assert partition.all_ids() == tuple(range(12))
-    for part in partition.parts:
-        assert part.certificate.frame_bounds == FrameBounds(1.0, 1.0, len(part.ids))
+    assert all_ids(partition, range(12)) == tuple(range(12))
+    for k in range(len(partition.parts)):
+        assert (partition.lambda_min[k], partition.lambda_max[k]) == (1.0, 1.0)
 
 
 def test_pw_split_near_duplicate_pairs() -> None:
@@ -188,17 +188,17 @@ def test_pw_split_near_duplicate_pairs() -> None:
     system = ExpSystem(math.pi, tuple(freqs))
     partition = pw_split(system, pw_gram(system))
     assert len(partition.parts) >= 2
-    for part in partition.parts:
-        assert part.certificate.frame_bounds.lambda_min > 0.1
+    for k in range(len(partition.parts)):
+        assert partition.lambda_min[k] > 0.1
 
 
 def test_pw_split_perturbed_integer_corpus() -> None:
     system = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(41)))
     partition = pw_split(system, pw_gram(system))
-    assert partition.all_ids() == tuple(range(41))
-    for part in partition.parts:
-        assert part.certificate.frame_bounds.lambda_min > 0.0
-        assert part.certificate.dist_bound < 1.0
+    assert all_ids(partition, range(41)) == tuple(range(41))
+    for k in range(len(partition.parts)):
+        assert partition.lambda_min[k] > 0.0
+        assert partition.dist_bound[k] < 1.0
 
 
 def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypatch) -> None:

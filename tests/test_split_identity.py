@@ -18,10 +18,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import first_fit_reference, split_at_gamma
+from conftest import first_fit_reference, part_table, partition_text, split_at_gamma
 
 import mslab.decompose as decompose
-from mslab import cli
+from mslab.carleson import _earl_bounds, earl_bound, interpolation_threshold
+from mslab.errors import NumericDomainError
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +66,11 @@ def _singletons(order: np.ndarray) -> list[np.ndarray]:
     return [np.array([k]) for k in order.tolist()]
 
 
+def _bins(table: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    members, offsets = table
+    return np.split(members, offsets[1:-1])
+
+
 @pytest.fixture(scope="module")
 def recorded() -> list[dict]:
     """Each sequence's partition with the reference loop, and the arguments of its call."""
@@ -74,7 +80,7 @@ def recorded() -> list[dict]:
 
         def record_fit(L, order, floor, fits=fits):
             fits.append((L, order.copy(), floor))
-            return first_fit_reference(L, _singletons(order), floor)
+            return part_table(first_fit_reference(L, _singletons(order), floor))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, "_first_fit", record_fit)
@@ -93,7 +99,7 @@ def test_corpus_covers_sizes_thresholds_and_group_shapes(recorded) -> None:
     stars = [r["partition"].global_info["delta_star"] for r in recorded]
     assert min(stars) < 0.07 and max(stars) > 0.9999
     assert all(len(r["fits"]) == 1 for r in recorded)
-    part_sizes = {len(p.ids) for r in recorded for p in r["partition"].parts}
+    part_sizes = {p.size for r in recorded for p in r["partition"].parts}
     assert {1, 2, 3} <= part_sizes
 
 
@@ -115,7 +121,7 @@ def test_first_fit_matches_reference(recorded, floor) -> None:
         for L, order, log_floor in r["fits"]:
             if floor == "-inf":
                 log_floor = -math.inf
-            got = decompose._first_fit(L, order, log_floor)
+            got = _bins(decompose._first_fit(L, order, log_floor))
             assert _same_arrays(got, first_fit_reference(L, _singletons(order), log_floor))
 
 
@@ -136,7 +142,7 @@ def test_minus_inf_entries_match_reference(recorded, floor) -> None:
             L[i, j] = L[j, i] = L[i, k] = L[k, i] = -math.inf
             if floor == "-inf":
                 log_floor = -math.inf
-            got = decompose._first_fit(L, order, log_floor)
+            got = _bins(decompose._first_fit(L, order, log_floor))
             assert _same_arrays(got, first_fit_reference(L, _singletons(order), log_floor))
             checked += 1
     assert checked >= 20
@@ -145,7 +151,7 @@ def test_minus_inf_entries_match_reference(recorded, floor) -> None:
 def test_reports_match_with_reference_loops(recorded) -> None:
     for (gamma, seq), r in zip(CORPUS, recorded):
         partition = _split(gamma, seq)
-        assert cli._partition_json(partition) == cli._partition_json(r["partition"])
+        assert partition_text(partition, seq.ids) == partition_text(r["partition"], seq.ids)
 
 
 def test_first_fit_keeps_the_running_sums_of_a_joined_group() -> None:
@@ -155,7 +161,7 @@ def test_first_fit_keeps_the_running_sums_of_a_joined_group() -> None:
     for i, j, v in [(0, 1, -0.1), (0, 2, -0.3), (1, 2, -0.3), (0, 3, -0.05), (1, 3, -0.05), (2, 3, -0.5)]:
         L[i, j] = L[j, i] = v
     order = np.arange(4)
-    bins = decompose._first_fit(L, order, -1.0)
+    bins = _bins(decompose._first_fit(L, order, -1.0))
     assert [b.tolist() for b in bins] == [[0, 1, 2], [3]]
     assert _same_arrays(bins, first_fit_reference(L, _singletons(order), -1.0))
 
@@ -170,7 +176,7 @@ def test_stacked_reverification_matches_one_block_at_a_time(recorded, planted) -
         for idx in parts[3::2]:
             L[idx[0], idx[-1]] = L[idx[-1], idx[0]] = -math.inf
     want = [0.0 if idx.size == 1 else L[idx][:, idx].sum(axis=1).min() for idx in parts]
-    got = decompose._log_deltas(L, parts)
+    got = decompose._log_deltas(L, *part_table(parts))
     assert got.tobytes() == np.array(want).tobytes()
     assert np.isneginf(got).any() == planted
 
@@ -183,6 +189,39 @@ def test_first_fit_opens_a_bin_at_once_for_a_point_near_every_placed_one(monkeyp
     calls = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or bincount(*a, **k))
-    bins = decompose._first_fit(L, np.arange(7), -1.0)
+    bins = _bins(decompose._first_fit(L, np.arange(7), -1.0))
     assert [b.tolist() for b in bins] == [[0, 5, 6], [1], [2], [3], [4]]
     assert len(calls) == 2 * 2 + 1  # two per point 5 and 6, one to list the bins
+
+
+def test_certificate_columns_are_the_scalar_arithmetic(recorded) -> None:
+    # phi and gamma * phi over a column equal the scalar earl_bound bit for bit:
+    # at 1, at the smallest delta with a finite phi, and next to delta*
+    deltas = [1.0, decompose._DELTA_FINITE, *np.linspace(0.05, 1.0, 40).tolist()]
+    for gamma in (1e-300, 1e-3, 0.3, 0.99):
+        star = interpolation_threshold(gamma)
+        deltas += [star, math.nextafter(star, 0.0), math.nextafter(star, 2.0), star * (1 + 1e-9)]
+    phi = _earl_bounds(np.array(deltas))
+    assert phi.tobytes() == np.array([earl_bound(d) for d in deltas]).tobytes()
+    for gamma in (0.0, 1e-300, 0.3, 0.99):
+        want = np.array([gamma * earl_bound(d) for d in deltas])
+        assert (gamma * phi).tobytes() == want.tobytes()
+    # and so do the columns of every partition the splitter emitted
+    for r in recorded:
+        p = r["partition"]
+        gamma = p.global_info["gamma"]
+        assert (p.gamma == gamma).all()
+        assert p.earl_value.tobytes() == np.array([earl_bound(d) for d in p.delta_j.tolist()]).tobytes()
+        want = np.array([gamma * earl_bound(d) for d in p.delta_j.tolist()])
+        assert p.dist_bound.tobytes() == want.tobytes()
+
+
+def test_a_part_merged_at_delta_star_fails_its_reverification(monkeypatch) -> None:
+    # at gamma 0.3, gamma * phi(delta*) rounds up to 1, so a part whose
+    # constant is delta* itself is refused, though delta_j >= delta* holds
+    star = interpolation_threshold(0.3)
+    assert 0.3 * earl_bound(star) >= 1.0
+    L = np.array([[0.0, math.log(star)], [math.log(star), 0.0]])
+    monkeypatch.setattr(decompose, "_first_fit", lambda L, order, floor: (np.arange(2), np.array([0, 2])))
+    with pytest.raises(NumericDomainError, match="re-verification failed"):
+        decompose.split_log_distances(L, np.arange(2), 0.3, lambda m, o: (np.zeros(1), np.zeros(1)))

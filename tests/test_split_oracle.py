@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import carleson_delta_oracle, earl_oracle, split_at_gamma
+from conftest import all_ids, carleson_delta_oracle, earl_oracle, part_ids, split_at_gamma
 
 from mslab.errors import NumericDomainError
 from mslab.points import PointSequence
@@ -35,16 +35,15 @@ def _gamma(scale: float, seq: PointSequence) -> float:
 def _check_against_oracle(scale: float, seq: PointSequence) -> None:
     gamma = _gamma(scale, seq)
     partition = split_at_gamma(seq, gamma)
-    assert partition.all_ids() == tuple(sorted(seq.ids))
+    assert all_ids(partition, seq.ids) == tuple(sorted(seq.ids))
     assert partition.global_info["gamma"] == gamma
     assert partition.global_info["delta_input"] == pytest.approx(
         carleson_delta_oracle(seq.z.tolist()), rel=1e-9, abs=1e-300
     )
-    for part in partition.parts:
-        delta = carleson_delta_oracle(seq.z[np.isin(seq.ids, part.ids)].tolist())
-        cert = part.certificate
-        assert cert.delta_j == pytest.approx(delta, rel=1e-9)
-        assert cert.delta_j >= partition.global_info["delta_star"]
+    for k, ids in enumerate(part_ids(partition, seq.ids)):
+        delta = carleson_delta_oracle(seq.z[np.isin(seq.ids, ids)].tolist())
+        assert partition.delta_j[k] == pytest.approx(delta, rel=1e-9)
+        assert partition.delta_j[k] >= partition.global_info["delta_star"]
         assert gamma * earl_oracle(delta) < 1.0
     assert 1 <= partition.global_info["parts_lower_bound"] <= len(partition.parts)
 
@@ -103,7 +102,7 @@ def test_merged_parts_are_reverified(monkeypatch) -> None:
     import mslab.decompose as decompose
 
     monkeypatch.setattr(
-        decompose, "_first_fit", lambda L, order, floor: [np.arange(len(L))]
+        decompose, "_first_fit", lambda L, order, floor: (np.arange(len(L)), np.array([0, len(L)]))
     )
     seq = PointSequence.from_complex([0.3, 0.3001, -0.4j])
     with pytest.raises(NumericDomainError, match="re-verification"):

@@ -17,10 +17,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_same_arc_system, locate_reference, square_parts_reference
+from conftest import (
+    assert_same_arc_system,
+    locate_reference,
+    part_table,
+    partition_text,
+    square_parts_reference,
+)
 
 import mslab.decompose as decompose
-from mslab import cli
 from mslab.decompose import build_arc_system, decompose_by_squares, select_arc_system
 from mslab.inner import InnerFunction
 from mslab.points import PointSequence
@@ -82,6 +87,14 @@ def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
 CORPUS = _corpus()
 
 
+def _square_table(seq: PointSequence, arcs, located: np.ndarray) -> tuple:
+    """The reference's sub-parts as the pipeline's table: members, offsets, routes, margins."""
+    parts = square_parts_reference(seq, arcs, located)
+    members, offsets = part_table([idx for idx, _, _ in parts])
+    margins = np.array([m for _, _, part_margins in parts for m in part_margins], dtype=float)
+    return members, offsets, tuple(route for _, route, _ in parts), margins
+
+
 @pytest.fixture(scope="module")
 def reports() -> list[tuple]:
     """Each case's partition, and the partition made with the reference loops patched in."""
@@ -90,7 +103,7 @@ def reports() -> list[tuple]:
         got = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose.ArcSystem, "locate", locate_reference)
-            mp.setattr(decompose, "_square_parts", square_parts_reference)
+            mp.setattr(decompose, "_square_parts", _square_table)
             want = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
         out.append((got, want))
     return out
@@ -103,7 +116,7 @@ def test_corpus_covers_truncation_boundary_points_deep_squares_and_uncovered(rep
     assert all(seq.boundary.any() for _, seq, _ in CORPUS)
     assert max(got.global_info["max_per_square"] for got, _ in reports) >= 3
     assert all(
-        any(p.route.startswith("uncovered") for p in got.parts) for got, _ in reports
+        any(route.startswith("uncovered") for route in got.route) for got, _ in reports
     )
 
 
@@ -115,16 +128,15 @@ def test_locate_matches_scan_on_corpus(reports) -> None:
 def test_square_parts_match_reference(reports) -> None:
     for (theta, seq, _), (got, _) in zip(CORPUS, reports):
         located = got.arcs.locate(seq.z)
-        new = decompose._square_parts(seq, got.arcs, located)
-        ref = square_parts_reference(seq, got.arcs, located)
-        assert len(new) == len(ref)
-        for (idx, route, margins), (ref_idx, ref_route, ref_margins) in zip(new, ref):
-            assert np.array_equal(idx, ref_idx)
-            assert route == ref_route
-            assert margins == ref_margins
+        members, offsets, routes, margins = decompose._square_parts(seq, got.arcs, located)
+        ref_members, ref_offsets, ref_routes, ref_margins = _square_table(seq, got.arcs, located)
+        assert np.array_equal(members, ref_members)
+        assert np.array_equal(offsets, ref_offsets)
+        assert routes == ref_routes
+        assert margins.tolist() == ref_margins.tolist()
 
 
 def test_reports_match_with_reference_loops(reports) -> None:
-    for got, want in reports:
-        assert cli._partition_json(got) == cli._partition_json(want)
+    for (_, seq, _), (got, want) in zip(CORPUS, reports):
+        assert partition_text(got, seq.ids) == partition_text(want, seq.ids)
         assert_same_arc_system(got.arcs, want.arcs)
