@@ -19,7 +19,6 @@ from .clark import (
     ClarkFamily,
     level_set,
     level_sets,
-    variation_along_path,
 )
 from .decompose import (
     ArcSystem,
@@ -46,8 +45,6 @@ from .gram import (
 )
 from .inner import (
     InnerFunction,
-    derivative,
-    log_derivative,
     spectrum_distance,
 )
 from .points import PointSequence
@@ -73,14 +70,12 @@ __all__ = [
     "carleson_constant",
     "carleson_report",
     "decompose_by_squares",
-    "derivative",
     "earl_bound",
     "extremal_eigs",
     "gram",
     "interpolation_threshold",
     "level_set",
     "level_sets",
-    "log_derivative",
     "pw_gram",
     "pw_split",
     "rate_comparability",
@@ -88,5 +83,4 @@ __all__ = [
     "spectrum_distance",
     "split_by_interpolation",
     "uncovered_region_report",
-    "variation_along_path",
 ]

@@ -30,10 +30,6 @@ the family flagged ``truncated``; a truncated family no longer certifies
 the identity.  A point's stability margin against the level point that
 anchors its Carleson square is taken with the square parts, in
 ``mslab.decompose``.
-
-``variation_along_path`` integrates |Theta'| along a polyline inside the
-disk by adaptive quadrature (``mslab.quadrature``); off the circle no
-closed form gives it.
 """
 
 from __future__ import annotations
@@ -48,13 +44,12 @@ import numpy as np
 from .errors import ConfigError, NumericDomainError
 from .inner import (
     InnerFunction,
+    _values,
     argument_and_rate,
     boundary_argument,
-    derivative,
     eval_points,
 )
 from .points import TWO_PI, normalize_angles
-from .quadrature import adaptive_simpson
 
 
 # A trim cut stays this far, in angle, from the atom it cuts away: ten times
@@ -331,51 +326,9 @@ def herglotz_residuals(
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise NumericDomainError("Herglotz residual needs an interior point")
-    val, _ = eval_points(theta, z)
+    val = _values(theta._terms, z)
     lhs = ((family.alpha + val) / (family.alpha - val)).real
     taus = np.exp(1j * family.points)
     poisson = (1.0 - np.abs(z[:, None]) ** 2) / np.abs(taus - z[:, None]) ** 2
     return np.abs(lhs - poisson @ family.weights)
 
-
-def variation_along_path(
-    theta: InnerFunction,
-    tau: complex,
-    lam: complex,
-    via: Sequence[complex] | None = None,
-) -> float:
-    """Integral of |Theta'| along the path from tau to lam.
-
-    The path is the straight segment by default; ``via`` inserts polyline
-    waypoints (useful to route around spectrum points).  The analytic
-    derivative comes from differentiating the product/atom representation;
-    every segment must stay clear of the spectrum.
-    """
-    nodes = [complex(tau)] + [complex(w) for w in (via or ())] + [complex(lam)]
-    total = 0.0
-    for start, end in zip(nodes, nodes[1:]):
-        if start == end:
-            continue
-        for p in theta.spectrum_points():
-            if _segment_distance(start, end, p) < 1e-12:
-                raise NumericDomainError(
-                    f"path from {start} to {end} hits the spectrum at {p}"
-                )
-        chord = end - start
-
-        def integrand(t: np.ndarray, base: complex = start, step: complex = chord) -> np.ndarray:
-            return np.abs(derivative(theta, base + t * step))
-
-        total += abs(chord) * float(adaptive_simpson(integrand, 0.0, 1.0, rel_tol=1e-8)[0])
-    return total
-
-
-def _segment_distance(a: complex, b: complex, p: complex) -> float:
-    """Euclidean distance from point p to the segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))

@@ -55,15 +55,14 @@ Phi alone.
 ``normalized_values`` gives the Theta values and kernel norms of a point
 sequence as arrays, from its ``z`` and ``angle`` arrays (NaN inside the
 disk), for Gram sections and the decomposition drivers; it takes rates
-only where it uses them.  ``log_derivative``, ``derivative`` and
-``spectrum_distance`` take a 1-D array of points.  Each formula has this
-one array implementation, computed from arrays of the data built once per
-function; a single point is a one-element array.
+only where it uses them.  ``spectrum_distance`` takes a 1-D array of
+points.  Each formula has this one array implementation, computed from
+arrays of the data built once per function; a single point is a
+one-element array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -171,12 +170,6 @@ class InnerFunction:
             masses=np.array([m for _, m in self.singular_atoms], dtype=float),
         )
 
-    def spectrum_points(self) -> tuple[complex, ...]:
-        """Zeros and atom positions as points of the closed disk."""
-        return self.blaschke_zeros + tuple(
-            cmath.exp(1j * a) for a, _ in self.singular_atoms
-        )
-
 
 def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
     """Row slices of a rows-by-cols array with at most _BLOCK_ENTRIES entries each."""
@@ -256,37 +249,6 @@ def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
     if terms.origin:
         values *= z**terms.origin
     return values
-
-
-def log_derivative(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
-    """Theta'(z)/Theta(z) over a 1-D array of points, from the factorwise
-    logarithmic derivative.
-
-    Valid off the zeros and atoms: a zero raises ``OnSpectrumError``, as
-    does a boundary point on an atom.
-    """
-    w = np.asarray(z, dtype=complex)
-    terms = theta._terms
-    _refuse_atoms(terms, w)
-    total = np.empty(w.shape, dtype=complex)
-    for rows in _row_blocks(w.size, max(terms.zeros.size, terms.taus.size)):
-        v = w[rows, None]
-        denom = (terms.zeros - v) * (1.0 - terms.zeros.conj() * v)
-        at_zero = np.argwhere(denom == 0)
-        if at_zero.size:
-            eta = complex(terms.zeros[at_zero[0, 1]])
-            raise OnSpectrumError(f"derivative requested at Blaschke zero {eta!r}")
-        total[rows] = (-terms.weight / denom).sum(axis=1) - (
-            2.0 * terms.masses * terms.taus / (terms.taus - v) ** 2
-        ).sum(axis=1)
-    return total
-
-
-def derivative(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
-    """Analytic derivative Theta'(z) over a 1-D array of points off the spectrum."""
-    w = np.asarray(z, dtype=complex)
-    # log_derivative refuses the atoms before _values would divide by zero there
-    return log_derivative(theta, w) * _values(theta._terms, w)
 
 
 def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,8 @@ The recursion runs level by level: each round evaluates the integrand once,
 on the new nodes of every open interval.  Past ``_BATCH`` open intervals the
 rest wait on a stack, newest first, so memory stays bounded and a hopeless
 integrand meets the depth limit as soon as the recursion would.
+No module of the package integrates numerically any more; this one is
+kept only because ``bench/tracer.py`` lists it among the traced layers.
 """
 
 from __future__ import annotations

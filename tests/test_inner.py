@@ -23,9 +23,7 @@ from mslab.inner import (
     InnerFunction,
     argument_and_rate,
     boundary_argument,
-    derivative,
     eval_points,
-    log_derivative,
     normalized_values,
     spectrum_distance,
 )
@@ -303,16 +301,16 @@ def test_normalized_values_rates_only_the_points_that_use_them() -> None:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("view", ["eval_inner", "kernel", "derivative"])
+@pytest.mark.parametrize("view", ["eval_inner", "kernel"])
 def test_scalar_views_at_a_zero_next_to_the_circle(view: str) -> None:
-    # one point, as a one-element array, of the value, kernel and derivative
-    # paths: none takes a boundary rate at the point itself, where a rate
+    # one point, as a one-element array, of the value and kernel paths:
+    # neither takes a boundary rate at the point itself, where a rate
     # divides by zero
     eta = (1 - 1e-9) * cmath.exp(2.5j)
     theta = InnerFunction(blaschke_zeros=(eta, 0.3))
     if view == "eval_inner":
         assert normalized_values(theta, np.array([eta]), np.array([math.nan]))[0][0] == 0.0
-    elif view == "kernel":
+    else:
         # Theta(eta) = 0, so k_eta(z) = 1/(1 - conj(eta) z), here in exact rationals
         re = 1 - Fraction(0.1) * Fraction(eta.real)
         im = Fraction(0.1) * Fraction(eta.imag)
@@ -322,9 +320,6 @@ def test_scalar_views_at_a_zero_next_to_the_circle(view: str) -> None:
         values, norms = normalized_values(theta, z, np.full(2, math.nan))
         k = gram_from_values(z, values, norms, (0, 1)).entries[1, 0] * np.sqrt(norms[0] * norms[1])
         assert abs(k - exact) <= 1e-15 * abs(exact)
-    else:
-        with pytest.raises(OnSpectrumError, match="Blaschke zero"):
-            derivative(theta, np.array([eta]))
 
 
 def test_normalized_values_names_the_point_on_an_atom() -> None:
@@ -386,16 +381,6 @@ def test_boundary_derivative_matches_argument_rate() -> None:
     fd = np.angle(hi / lo) / (2 * h)
     exact = eval_points(theta, np.exp(1j * ang))[1]
     assert np.all(np.abs(fd - exact) <= 1e-6 * exact)
-
-
-def test_analytic_derivative_consistency() -> None:
-    # complex-step-free check: compare with a small centered difference
-    theta = InnerFunction(blaschke_zeros=(0.4, -0.2 + 0.3j), singular_atoms=((2.5, 0.3),))
-    z = np.array([0.2 + 0.1j, -0.5j, 0.6])
-    h = 1e-6
-    fd = (eval_points(theta, z + h)[0] - eval_points(theta, z - h)[0]) / (2 * h)
-    assert derivative(theta, z) == pytest.approx(fd, rel=1e-7)
-    assert log_derivative(theta, z) == pytest.approx(fd / eval_points(theta, z)[0], rel=1e-7)
 
 
 def test_spectrum_distance_examples() -> None:

@@ -225,3 +225,25 @@ def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypat
     )
     assert seen["gamma"] == max(math.exp(-math.pi * (f.imag + 1.0)) for f in freqs)
     assert partition.global_info["gamma"] == seen["gamma"]
+
+
+def test_pw_split_delta_j_is_math_exp_of_each_parts_row_sum_minimum(monkeypatch) -> None:
+    # np.exp and math.exp differ in the last bit on a few percent of
+    # arguments in [-3, 0]; these 12 systems hold about 70 multi-point parts
+    seen = {}
+    split = pw.split_log_distances
+
+    def record(L, ids, gamma, frame_bounds, **options):
+        seen["L"] = L
+        return split(L, ids, gamma, frame_bounds, **options)
+
+    monkeypatch.setattr(pw, "split_log_distances", record)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        freqs = tuple(complex(n + rng.uniform(-0.3, 0.3), rng.uniform(0.0, 1.0)) for n in range(50))
+        system = ExpSystem(math.pi, freqs)
+        partition = pw_split(system, pw_gram(system))
+        L = seen["L"]
+        for k, part in enumerate(partition.parts):
+            fresh = math.exp(L[part][:, part].sum(axis=1).min())
+            assert partition.delta_j[k].tobytes() == np.float64(fresh).tobytes()
