@@ -15,6 +15,8 @@ the frequencies see the symbol exp(iaz) with modulus exp(-a Im s) <=
 exp(-a) < 1.  The half-plane's rho(s, t) = |s - t|/|s - conj(t)| is the
 disk's pseudohyperbolic distance under the Cayley map, so the interpolation
 splitter runs on log rho of the shifted frequencies, with no transport.
+Since |s - conj(t)|^2 = |s - t|^2 + 4 Im s Im t, log rho comes from the
+disk's row kernel (``mslab.carleson``) with weights w = 2 Im s.
 Each resulting part gets its exact exponential-Gram frame bounds.  An
 ``ExpSystem`` holds only the mathematics: ``mslab.cli`` reads it from a
 config and writes its report.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import _log_distances
+from .carleson import _log_rho_matrix
 from .decompose import Partition, split_log_distances
 from .errors import ConfigError, NumericDomainError
 from .gram import GramMatrix, _stacked_bounds
@@ -110,8 +112,9 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
     """Split an exponential system into parts with exact Gram certificates.
 
     Runs the interpolation splitter on the shifted frequencies s = l + i:
-    L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|) and gamma = max exp(-a Im s),
-    both exact in the half-plane.  Each part's frame bounds are the exact
+    L[i, j] = log(|s_i - s_j|/|s_i - conj(s_j)|), from the row kernel with
+    w = 2 Im s, and gamma = max exp(-a Im s), both exact in the half-plane.
+    Each part's frame bounds are the exact
     exponential-Gram bounds of its frequencies, from its principal block of
     ``g``, the system's one normalized Gram (``pw_gram``); the blocks of the
     parts of one size are bounded as one stack, as ``gram.part_frame_bounds``
@@ -123,7 +126,7 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
     s = np.array(system.freqs) + 1j
 
     partition = split_log_distances(
-        _log_distances(s, np.abs(s[:, None] - s.conj())),
+        _log_rho_matrix(s.real, s.imag, 2.0 * s.imag),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
         lambda members, offsets: _stacked_bounds(

@@ -1,12 +1,15 @@
 import cmath
 import importlib
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import pseudohyperbolic_oracle
+from conftest import log_distance_oracle, pseudohyperbolic_oracle
 
+from mslab import pw
 from mslab.carleson import (
     carleson_constant,
     carleson_report,
@@ -15,6 +18,7 @@ from mslab.carleson import (
     log_distance_matrix,
 )
 from mslab.errors import NumericDomainError
+from mslab.inner import _row_blocks
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
@@ -162,21 +166,99 @@ def test_delta_bounded_by_min_pairwise() -> None:
 
 
 def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
-    # the report's two sums share one matrix; its delta is carleson_constant's
-    # bit for bit, and its embedding sum the double sum written out
+    # the report's two sums come from one pass of the row kernel over the
+    # row blocks; its delta is carleson_constant's bit for bit, and its
+    # embedding sum the double sum written out
     module = importlib.import_module("mslab.carleson")
     seq = _random_interior(np.random.default_rng(8), 200, rmax=0.99)
     w = 1.0 - np.abs(seq.z) ** 2
     double_sum = w[:, None] * w / np.abs(1.0 - seq.z[:, None] * seq.z.conj()) ** 2
     want_embedding = float(double_sum.sum(axis=1).max())
     want_delta = carleson_constant(seq)
-    formed = []
-    denominators = module._pair_denominators
-    monkeypatch.setattr(module, "_pair_denominators", lambda z: formed.append(1) or denominators(z))
+    passes, blocks = [], []
+    kernel = module._log_rho_rows
+
+    def counted(*args, **options):
+        passes.append(1)
+        for block in kernel(*args, **options):
+            blocks.append(block[0])
+            yield block
+
+    monkeypatch.setattr(module, "_log_rho_rows", counted)
     report = carleson_report(seq)
-    assert len(formed) == 1
+    assert len(passes) == 1
+    assert blocks == list(_row_blocks(200, 200)) and len(blocks) > 1
     assert report.delta == want_delta
     assert report.embedding_sup == pytest.approx(want_embedding, rel=1e-13)
+
+
+def test_far_pairs_near_the_circle_keep_their_digits() -> None:
+    # nearly antipodal pairs 1e-6 from the circle: rho = 1 - O(1e-12), so a
+    # ratio |l - m|/|1 - conj(m) l| rounded to a double keeps about 4 digits
+    # of log rho; the reference takes 1 - rho^2 exactly from the floats
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        r = 1.0 - rng.uniform(0.5e-6, 2e-6, size=2)
+        a = rng.uniform(0, TWO_PI)
+        b = a + math.pi + rng.uniform(-1e-3, 1e-3)
+        p, q = r[0] * cmath.exp(1j * a), r[1] * cmath.exp(1j * b)
+        xp, yp, xq, yq = (Fraction(t) for t in (p.real, p.imag, q.real, q.imag))
+        num = (xp - xq) ** 2 + (yp - yq) ** 2
+        den = (1 - xp * xq - yp * yq) ** 2 + (xq * yp - xp * yq) ** 2
+        want = 0.5 * math.log1p(-float((den - num) / den))
+        got = log_distance_matrix(PointSequence.from_complex([p, q]))[0, 1]
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_log_distances_of_pairs_closer_than_a_normal_square() -> None:
+    # |l - m|^2 underflows below the smallest normal float: those entries are
+    # log|l - m| - log(w_l w_m)/2, finite, to rounding
+    points = [0.5j, 1e-200 + 0.5j, 1e-320 + 0.5j, 0.25]
+    L = log_distance_matrix(PointSequence.from_complex(points))
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        a, b = points[i], points[j]
+        want = math.log(abs(a - b)) - 0.5 * math.log((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2))
+        assert L[i, j] == L[j, i] == pytest.approx(want, rel=1e-15)
+    assert L[0, 3] == pytest.approx(log_distance_oracle([0.5j, 0.25])[0, 1], rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_half_plane_log_distances_survive_overflow(monkeypatch) -> None:
+    # |s_i - s_j|^2 overflows for frequencies 1e300 apart, where rho = 1 to
+    # rounding; at Im s ~ 1e155 the weights' products overflow too, and at
+    # Im s ~ 1e5 a pair 1e-150 apart overflows q.  L is still
+    # log(|s_i - s_j|/|s_i - conj(s_j)|) as Python's hypot-based abs gives it,
+    # up to that reference's own rounding of ratios near 1
+    seen = {}
+    split = pw.split_log_distances
+    monkeypatch.setattr(pw, "split_log_distances", lambda L, *rest: seen.update(L=L) or split(L, *rest))
+    system = pw.ExpSystem(1.0, (0.0, 1.0, 1e300, -1e300))
+    pw.pw_split(system, pw.pw_gram(system))
+    L = seen["L"]
+    assert L[0, 1] == L[1, 0] == pytest.approx(0.5 * math.log(1.0 / 5.0), rel=1e-15)
+    assert (L[2:, :2] == 0.0).all() and (L[:2, 2:] == 0.0).all() and L[2, 3] == L[3, 2] == 0.0
+    for system in [
+        pw.ExpSystem(1e-160, (1e155j, 1e155 + 1e155j, 3e154 + 2e155j, -1e300 + 1e155j)),
+        pw.ExpSystem(1e-3, (1e5j, 1e-150 + 1e5j, 3.0)),
+    ]:
+        pw.pw_split(system, pw.pw_gram(system))
+        s = [f + 1j for f in system.freqs]
+        want = [[0.0 if a == b else math.log(abs(a - b) / abs(a - b.conjugate())) for b in s] for a in s]
+        np.testing.assert_allclose(seen["L"], want, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(seen["L"], seen["L"].T)
+
+
+def test_report_holds_no_pairwise_matrix() -> None:
+    # numpy reports its buffers to tracemalloc; an n x n float array at
+    # n = 2000 alone would take 32 MB
+    seq = _random_interior(np.random.default_rng(9), 2000, rmax=0.99)
+    tracemalloc.start()
+    try:
+        carleson_report(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_empty_sequence_rejected() -> None:
