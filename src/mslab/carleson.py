@@ -152,8 +152,9 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
 
 
 def carleson_constant(seq: PointSequence) -> float:
-    """Carleson separation constant of a finite interior sequence."""
-    return math.exp(float(log_distance_matrix(seq).sum(axis=1).min()))
+    """Carleson separation constant of a finite interior sequence: the
+    ``delta`` of ``carleson_report``, whose row sums hold no n x n array."""
+    return carleson_report(seq).delta
 
 
 def carleson_report(seq: PointSequence) -> CarlesonReport:

@@ -14,7 +14,8 @@ brackets every target, then safeguarded Newton steps, one array
 evaluation per round, close each bracket to the rounding band of Phi.
 The arcs between singular atoms, where Phi diverges, are cut by one
 earlier run of the same solver where the increase from each arc's middle
-reaches the budget.
+reaches the budget, each cut started inside a closed-form bracket from
+its atom's own term.
 
 A level set carries a Clark family: arrays of the angles of its points
 tau_n (``ClarkFamily.points``), their angular derivatives, and the weights
@@ -133,30 +134,32 @@ def _solve(
     a, b = grid[k - 1], grid[k]
     a[below], b[above] = lo[arc[below]], hi[arc[above]]
     b[below], a[above] = a[below], b[above]
-    # Newton starts from the sample whose Phi is nearer the target
+    # Newton starts from the sample whose Phi is nearer the target; the
+    # open brackets are carried as compact arrays, written back as they close
     near = np.where(targets - values[k - 1] < values[k] - targets, k - 1, k)
-    x, phi, rate = grid[near], values[near], rates[near]
     live = np.flatnonzero(~(below | above))
+    a_, b_, t_, noise_ = a[live], b[live], targets[live], noise[live]
+    x_, phi, rate = grid[near[live]], values[near[live]], rates[near[live]]
     while True:
-        a_, b_ = a[live], b[live]
-        band = np.maximum(
-            noise[live] / rate[live], 2.0 * np.spacing(np.maximum(np.abs(a_), np.abs(b_)))
-        )
+        band = np.maximum(noise_ / rate, 2.0 * np.spacing(np.maximum(np.abs(a_), np.abs(b_))))
         open_ = b_ - a_ > band
-        live, a_, b_, band = live[open_], a_[open_], b_[open_], band[open_]
-        if not live.size:
-            return a, b
-        t_ = targets[live]
-        step = (t_ - phi[live]) / rate[live]
+        if not (live.size and open_.all()):
+            a[live], b[live] = a_, b_
+            if not open_.any():
+                return a, b
+            live, a_, b_, t_, noise_ = live[open_], a_[open_], b_[open_], t_[open_], noise_[open_]
+            x_, phi, rate, band = x_[open_], phi[open_], rate[open_], band[open_]
+        step = (t_ - phi) / rate
         short = np.abs(step) < 0.5 * band  # probe the open side instead
-        step[short] = np.where(phi[live[short]] < t_[short], 0.5, -0.5) * band[short]
-        x_ = x[live] + step
+        if short.any():
+            step[short] = np.where(phi[short] < t_[short], 0.5, -0.5) * band[short]
+        x_ = x_ + step
         out = ~((x_ > a_) & (x_ < b_))
-        x_[out] = 0.5 * (a_[out] + b_[out])
-        x[live] = x_
-        phi[live], rate[live] = argument_and_rate(theta, x_)
-        low = phi[live] < t_
-        a[live[low]], b[live[~low]] = x_[low], x_[~low]
+        if out.any():
+            x_[out] = 0.5 * (a_[out] + b_[out])
+        phi, rate = argument_and_rate(theta, x_)
+        low = phi < t_
+        a_, b_ = np.where(low, x_, a_), np.where(low, b_, x_)
 
 
 def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,25 +171,51 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
     that stays within that budget, but never nearer than ``_ATOM_CLEARANCE``
     to the atom: next to a light atom Phi reaches the budget only there,
     and the arc ends at the clearance with less.  Both cuts of every arc
-    come from one ``_solve``, each bracketed by its half-arc's ends alone.
+    come from one ``_solve``.
+
+    Each cut is bracketed in closed form first.  On a half-arc [lo, hi]
+    with the atom (a, m) at its outer end, Phi = m cot((a - t)/2) + R,
+    where every other term of R increases along the arc; so at the cut,
+    m cot((a - t)/2) = target - R lies between target - R(hi) and
+    target - R(lo), and inverting the cotangent there brackets t.  An end
+    of that bracket inside the half-arc replaces the half-arc's end where
+    Phi, evaluated there, confirms it; the solve then starts inside the
+    bracket, not from the arc's middle, whose Newton steps overshoot
+    towards the pole.
     """
     if not theta.singular_atoms:
         return np.array([0.0]), np.array([TWO_PI])
-    atoms = np.sort([a for a, _ in theta.singular_atoms])
+    atoms, mass = np.array(sorted(theta.singular_atoms)).T
     ends = np.append(atoms[1:], atoms[0] + TWO_PI)
     mid = 0.5 * (atoms + ends)
-    centre = boundary_argument(theta, mid)
+    count = atoms.size
+    # the half-arcs: [atom + clearance, mid] against the atom below, then
+    # [mid, end - clearance] against the atom above
+    lo = np.concatenate([np.minimum(atoms + _ATOM_CLEARANCE, mid), mid])
+    hi = np.concatenate([mid, np.maximum(ends - _ATOM_CLEARANCE, mid)])
+    pole, m = np.concatenate([atoms, ends]), np.concatenate([mass, np.roll(mass, -1)])
+    side = np.repeat([-1.0, 1.0], count)  # the pole's side of its half-arc
+    phi_lo, phi_hi = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
     half = math.pi * (max_points_per_arc + 1)
-    cuts = np.arange(2 * atoms.size)
+    targets = np.concatenate([phi_hi[:count] - half, phi_lo[count:] + half])  # Phi(mid) -+ half
+
+    def own(t: np.ndarray) -> np.ndarray:  # the pole's term m cot((a - t)/2)
+        return m / np.tan(0.5 * (pole - t))
+
+    def inverse(c: np.ndarray) -> np.ndarray:  # the t on the half-arc where own(t) = c
+        return np.clip(pole - 2.0 * np.arctan2(side * m, side * c), lo, hi)
+
+    below, above = inverse(targets - (phi_hi - own(hi))), inverse(targets - (phi_lo - own(lo)))
+    phi_below, phi_above = np.split(boundary_argument(theta, np.concatenate([below, above])), 2)
     a, b = _solve(
         theta,
-        np.concatenate([np.minimum(atoms + _ATOM_CLEARANCE, mid), mid]),
-        np.concatenate([mid, np.maximum(ends - _ATOM_CLEARANCE, mid)]),
-        np.ones_like(cuts),
-        cuts,
-        np.concatenate([centre - half, centre + half]),
+        np.where((phi_below < targets) & (below < hi), below, lo),
+        np.where((phi_above >= targets) & (above > lo), above, hi),
+        np.ones(2 * count, dtype=int),
+        np.arange(2 * count),
+        targets,
     )
-    lo, hi = b[: atoms.size], a[atoms.size :]
+    lo, hi = b[:count], a[count:]
     keep = hi - lo > 0.0
     _check_arc_clear(theta, lo[keep], hi[keep])
     return lo[keep], hi[keep]

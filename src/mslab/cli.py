@@ -16,7 +16,8 @@ Each ``[re, im]`` pair (a point, zero, frequency or ``alpha``) is read by
 ``_pair``.  Each report's keys are spelled out here, next to its writer;
 the library types carry only the mathematics.  Every partition's parts are
 rendered from its columns into fixed templates whose fields follow the
-sorted keys, each distinct number encoded once per format.
+sorted keys; each distinct number is encoded once for both
+``partition.json`` and ``parts.csv``.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
 Malformed config values exit 2: numbers (of points, zeros, atoms, pw
@@ -27,7 +28,8 @@ the message names the entry.
 
 Reports are compact, sorted-key JSON and deterministic: no timestamps; the only
 provenance is a ``generated_by`` field carrying the tool version.  Output
-files are written atomically (temp file + rename).  A config file may hold
+files are written atomically: to ``<name>.<pid>.tmp`` beside the report,
+then renamed onto it; they take the process umask.  A config file may hold
 a list of configs; the sweep runs each entry, in order, into its own
 subdirectory.
 """
@@ -40,7 +42,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -188,16 +189,29 @@ def _parse_options(raw: Any, allowed: dict[str, Callable[[Any, str], Any]]) -> d
 # output helpers
 # ---------------------------------------------------------------------------
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``text`` to ``<path>.<pid>.tmp`` and rename it onto ``path``.
+
+    The file takes the process umask, as ``open`` would give it.  The
+    directory is made only when the open finds it missing, so a run that
+    fails before its first report leaves no directory behind.  The temp
+    file is removed on any failure.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -281,7 +295,11 @@ _PART_JSON = (
 _JSON_COLUMNS = (
     "delta_j", "dist_bound", "earl_value", "lambda_max", "lambda_min", "gamma", "margins"
 )
+# One row of parts.csv: the part, its route and size, then these columns.
+_PART_CSV = "{},{},{},{},{},{},{},{},{}".format
 _CSV_COLUMNS = ("delta_j", "earl_value", "gamma", "dist_bound", "lambda_min", "lambda_max")
+# A number's CSV text where it is not its JSON text: NaN, an absent field, is empty.
+_CSV_TEXT = {"null": "", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 def _column_texts(partition: Partition, names: tuple, encode: Callable) -> list[list[str]]:
@@ -298,13 +316,21 @@ def _json_number(v: float) -> str:
     return repr(v) if math.isfinite(v) else "null" if v != v else json.dumps(v)
 
 
-def _partition_json(partition: Partition, ids: np.ndarray) -> dict:
-    """A partition's report fields, ``ids`` labelling the split points."""
+def _partition_json(
+    partition: Partition, ids: np.ndarray, numbers: list[list[str]] | None = None
+) -> dict:
+    """A partition's report fields, ``ids`` labelling the split points.
+
+    ``numbers`` are the JSON texts of its ``_JSON_COLUMNS``, from
+    ``_column_texts``; they are encoded here when not given.
+    """
     labels = list(map(str, ids[partition.members].tolist()))
     offsets = partition.offsets.tolist()
     routes = {route: json.dumps(route) for route in set(partition.route)}
     marked = (~np.isnan(partition.margins[partition.offsets[:-1]])).tolist()
-    *numbers, margins = _column_texts(partition, _JSON_COLUMNS, _json_number)
+    if numbers is None:
+        numbers = _column_texts(partition, _JSON_COLUMNS, _json_number)
+    *numbers, margins = numbers
     parts = [
         _PART_JSON(
             delta_j, dist_bound, earl_value, high, low, b - a, gamma, ",".join(labels[a:b]),
@@ -318,17 +344,23 @@ def _partition_json(partition: Partition, ids: np.ndarray) -> dict:
     return {"flags": list(partition.flags), "global": dict(partition.global_info), "parts": parts}
 
 
-def _partition_csvs(out_dir: Path, seq: PointSequence, partition: Partition) -> None:
-    """points.csv and parts.csv; an absent number is an empty field."""
+def _partition_csvs(
+    out_dir: Path, seq: PointSequence, partition: Partition, numbers: list[list[str]]
+) -> None:
+    """points.csv and parts.csv; ``numbers`` are ``_partition_json``'s texts."""
     sizes = np.diff(partition.offsets)
     part_of = np.repeat(np.arange(sizes.size), sizes)[np.argsort(partition.members, kind="stable")]
     points = zip(seq.ids.tolist(), seq.z.real.tolist(), seq.z.imag.tolist(), part_of.tolist())
     rows = [f"{pid},{re!r},{im!r},{k},{partition.route[k]}" for pid, re, im, k in points]
     _write_csv(out_dir / "points.csv", "id,re,im,part,route", rows)
-    numbers = _column_texts(partition, _CSV_COLUMNS, lambda v: "" if v != v else repr(v))
-    parts = zip(range(sizes.size), partition.route, sizes.tolist(), *numbers)
-    header = ",".join(("part", "route", "n_points", *_CSV_COLUMNS))
-    _write_csv(out_dir / "parts.csv", header, [",".join(map(str, row)) for row in parts])
+    delta_j, dist_bound, earl_value, high, low, gamma = (
+        [_CSV_TEXT.get(text, text) for text in column] for column in numbers[:6]
+    )
+    rows = list(map(
+        _PART_CSV, range(sizes.size), partition.route, sizes.tolist(),
+        delta_j, earl_value, gamma, dist_bound, low, high,
+    ))
+    _write_csv(out_dir / "parts.csv", ",".join(("part", "route", "n_points", *_CSV_COLUMNS)), rows)
 
 
 def cmd_split(config: dict, out_dir: Path) -> None:
@@ -365,8 +397,9 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         )
         raise
 
-    _write_json(out_dir / "partition.json", _partition_json(partition, seq.ids))
-    _partition_csvs(out_dir, seq, partition)
+    numbers = _column_texts(partition, _JSON_COLUMNS, _json_number)
+    _write_json(out_dir / "partition.json", _partition_json(partition, seq.ids, numbers))
+    _partition_csvs(out_dir, seq, partition, numbers)
 
     if mode == "squares":
         arcs = partition.arcs

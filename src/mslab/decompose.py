@@ -57,9 +57,10 @@ from .errors import CertificationError, ConfigError, NumericDomainError
 from .gram import _by_size, part_frame_bounds
 from .inner import (
     InnerFunction,
+    _log_modulus_sq,
+    _one_minus_modulus_sq,
     _rates,
     _refuse_atoms,
-    _values,
     boundary_argument,
     normalized_values,
     spectrum_distance,
@@ -464,7 +465,9 @@ def uncovered_region_report(theta: InnerFunction, arcs: ArcSystem) -> UncoveredR
     ``_UNCOVERED_SAMPLES`` points in all and at least 8 per side, plus the
     radial segments joining adjacent squares of different depths, 8 points
     each; by the maximum principle the sampled max bounds |Theta|
-    throughout the region (up to sampling resolution).
+    throughout the region (up to sampling resolution).  |Theta| is read as
+    exp(S/2) from the real kernel ``inner._log_modulus_sq``, S = log|Theta|^2,
+    with no complex value formed.
     """
     if not len(arcs):
         raise NumericDomainError("arc system is empty")
@@ -477,8 +480,8 @@ def uncovered_region_report(theta: InnerFunction, arcs: ArcSystem) -> UncoveredR
     joints = r_lo[joint, None] + (r_hi - r_lo)[joint, None] * (np.arange(8) + 0.5) / 8
     radii = np.concatenate([np.repeat(inner, per_side), joints.ravel()])
     z = radii * np.exp(1j * np.concatenate([sides.ravel(), np.repeat(hi[joint], 8)]))
-    delta = float(np.abs(_values(theta._terms, z)).max())
-    return UncoveredRegionReport(delta=delta, samples=int(z.size))
+    log_mod_sq = _log_modulus_sq(theta._terms, z, _one_minus_modulus_sq(z))
+    return UncoveredRegionReport(delta=math.exp(0.5 * float(log_mod_sq.max())), samples=int(z.size))
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,10 @@ def _factored_gram(
     an interior point with |z| >= 1 - 1e-12 at z/|z|.  There and at
     boundary points, the norm is the rate sum (1 - |a|^2)/|zeta - a|^2, so
     1 - conj(a) zeta is formed as zeta conj(zeta - a), equal on the circle,
-    with the same |zeta - a|; inside, as in ``_interior_norm_sq``.  Either
-    way the rows of V keep unit norm next to zeros at the circle.
-    Rows are formed in blocks and summed into V*V.
+    with the same |zeta - a|; inside, by ``inner._one_minus_conj_zeros``.
+    Either way the rows of V keep unit norm next to zeros at the circle.
+    Rows are formed in blocks, held as (terms, points) arrays, and summed
+    into V*V.
     """
     terms = theta._terms
     a = terms.zeros
@@ -231,16 +232,16 @@ def _factored_gram(
     scale = 1.0 / np.sqrt(norms_sq)
     m = np.zeros((a.size, a.size), dtype=complex)
     rows_sq = np.empty(z.size)
-    for rows in _row_blocks(z.size, a.size):
-        w = zeta[rows, None]
-        den = np.where(on_circle[rows, None], w * (w - a).conj(), _one_minus_conj_zeros(terms, w))
+    for cols in _row_blocks(z.size, a.size):
+        w = zeta[cols]
+        den = np.where(on_circle[cols], w * (w - a).conj(), _one_minus_conj_zeros(terms, w))
         e = np.empty(den.shape, dtype=complex)
-        e[:, :1] = 1.0
-        np.cumprod((w - a[:-1]) / den[:, :-1], axis=1, out=e[:, 1:])
+        e[:1] = 1.0
+        np.cumprod((w - a[:-1]) / den[:-1], axis=0, out=e[1:])
         e *= root_weight / den
-        v = e.conj() * scale[rows, None]
-        rows_sq[rows] = (v.real * v.real + v.imag * v.imag).sum(axis=1)
-        m += v.conj().T @ v
+        e *= scale[cols]  # column i of e is conj(V[i])
+        rows_sq[cols] = (e.real * e.real + e.imag * e.imag).sum(axis=0)
+        m += e @ e.conj().T
     return m, rows_sq
 
 

@@ -33,18 +33,28 @@ itself is assembled between points by ``mslab.gram``, from the values and
 norms that ``normalized_values`` gives here.
 
 The interior norm is not taken from the subtraction 1 - |Theta|^2, which
-loses digits as |lambda| -> 1.  Each factor gives its share exactly:
+loses digits as |lambda| -> 1.  Each factor gives its share exactly, on
+the identity that ``mslab.carleson`` rests on as well,
 
-    1 - |b_eta(z)|^2 = (1 - |eta|^2)(1 - |z|^2)/|1 - conj(eta) z|^2,
+    |1 - conj(eta) z|^2 = |z - eta|^2 + (1 - |eta|^2)(1 - |z|^2):
+
+    -log|b_eta(z)|^2 = log1p((1 - |eta|^2)(1 - |z|^2)/|z - eta|^2),
     -log|exp(-s(z))|^2 = 2 sum_k m_k (1 - |z|^2)/|tau_k - z|^2,
 
-so log|Theta|^2 is a sum S of log1p terms and the squared norm is
--expm1(S)/(1 - |z|^2), with the factor 1 - |z|^2 cancelling exactly.  That
-factor and each zero's weight 1 - |eta|^2 are computed with exact
-products and sums, not from rounded moduli, and 1 - conj(eta) z as
-(1 - |eta|^2) - conj(eta)(z - eta), where neither term cancels the other;
-so norms and rates keep their digits next to zeros at the circle.
+so S = log|Theta|^2 is a sum of real terms, none of which cancels
+(``_log_modulus_sq``), the squared norm is -expm1(S)/(1 - |z|^2), with
+the factor 1 - |z|^2 cancelling exactly, and |Theta| = exp(S/2) where
+only the modulus is read.  That factor and each zero's weight 1 - |eta|^2
+are computed with exact products and sums, not from rounded moduli; so
+norms and rates keep their digits next to zeros at the circle.  Where the
+complex 1 - conj(eta) z itself is needed (``mslab.gram``'s factored
+sections), it is formed as (1 - |eta|^2) - conj(eta)(z - eta), where
+neither term cancels the other.
 
+Every evaluator works on (terms, points) blocks: the data's arrays are
+held as columns, a slice of at most 2^15 entries' worth of points as a
+row, and each sum or product over the terms reduces axis 0, so numpy's
+inner loops run along the points.
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
 one numpy pass (points against zeros, points against atoms); every layer
 that evaluates Theta at given points shares it.
@@ -76,7 +86,7 @@ from .points import ANGLE_TOL, TWO_PI, normalize_angles
 # |z| within this distance of 1 counts as a boundary point for evaluation.
 _BOUNDARY_EVAL_TOL = 1e-9
 
-# Entries per block of a points-by-zeros array: bounds the temporaries.
+# Entries per (terms, points) block: bounds the temporaries.
 _BLOCK_ENTRIES = 1 << 15
 
 # Interior points with |z| at or above this take the boundary kernel norm.
@@ -84,7 +94,12 @@ _NORM_EDGE = 1.0 - 1e-12
 
 
 class _Terms(NamedTuple):
-    """Arrays of an inner function's data, built once (``InnerFunction._terms``)."""
+    """Arrays of an inner function's data, built once (``InnerFunction._terms``).
+
+    Each per-term array is a column, shape (terms, 1): against a row of
+    points it broadcasts to the (terms, points) blocks that the kernels
+    reduce over axis 0.
+    """
 
     zeros: np.ndarray  # all Blaschke zeros z_n
     weight: np.ndarray  # 1 - |z_n|^2, exact: gap below, and 1 at 0
@@ -155,33 +170,46 @@ class InnerFunction:
         weight[~at_origin] = gap
         angles = np.array([a for a, _ in self.singular_atoms], dtype=float)
         return _Terms(
-            zeros=zeros,
-            weight=weight,
-            nonzero=nonzero,
-            unit=r / nonzero,
+            zeros=zeros[:, None],
+            weight=weight[:, None],
+            nonzero=nonzero[:, None],
+            unit=(r / nonzero)[:, None],
             origin=zeros.size - nonzero.size,
-            r=r,
-            phi=phi,
-            gap=gap,
-            depth=gap / (1.0 + r),
+            r=r[:, None],
+            phi=phi[:, None],
+            gap=gap[:, None],
+            depth=(gap / (1.0 + r))[:, None],
             offset=math.fsum(math.pi - phi),
-            atom_angles=angles,
-            taus=np.exp(1j * angles),
-            masses=np.array([m for _, m in self.singular_atoms], dtype=float),
+            atom_angles=angles[:, None],
+            taus=np.exp(1j * angles)[:, None],
+            masses=np.array([m for _, m in self.singular_atoms], dtype=float)[:, None],
         )
 
 
 def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
-    """Row slices of a rows-by-cols array with at most _BLOCK_ENTRIES entries each."""
+    """Row slices of a rows-by-cols array with at most _BLOCK_ENTRIES entries each.
+
+    The point kernels below slice their points with it, as ``_row_blocks(
+    points, terms)``, and hold each slice as a (terms, points) block.
+    """
     step = max(1, _BLOCK_ENTRIES // max(1, cols))
     for start in range(0, rows, step):
         yield slice(start, start + step)
 
 
+def _distance_sq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|z - c|^2 = (Re z - Re c)^2 + (Im z - Im c)^2, for a column c of terms and a row z."""
+    dx, dy = z.real - c.real, z.imag - c.imag
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def _near_atoms(terms: _Terms, angles: np.ndarray) -> np.ndarray:
     """Which angles lie within ANGLE_TOL of an atom's angle."""
-    gap = np.mod(angles[:, None] - terms.atom_angles, TWO_PI)
-    return (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=1)
+    gap = np.mod(angles - terms.atom_angles, TWO_PI)
+    return (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=0)
 
 
 def _refuse_atoms(
@@ -205,12 +233,12 @@ def _refuse_atoms(
 def _rates(terms: _Terms, zeta: np.ndarray, at_atom: np.ndarray) -> np.ndarray:
     """|Theta'| at boundary points zeta, +inf where ``at_atom`` flags an atom's angle."""
     rates = np.empty(zeta.shape, dtype=float)
-    for rows in _row_blocks(zeta.size, max(terms.zeros.size, terms.taus.size)):
-        zw = zeta[rows, None]
-        rates[rows] = (terms.weight / np.abs(zw - terms.zeros) ** 2).sum(axis=1)
+    for cols in _row_blocks(zeta.size, max(terms.zeros.size, terms.taus.size)):
+        w = zeta[cols]
+        rates[cols] = (terms.weight / np.abs(w - terms.zeros) ** 2).sum(axis=0)
         if terms.taus.size:
             with np.errstate(divide="ignore"):
-                rates[rows] += (2.0 * terms.masses / np.abs(zw - terms.taus) ** 2).sum(axis=1)
+                rates[cols] += (2.0 * terms.masses / np.abs(w - terms.taus) ** 2).sum(axis=0)
     rates[at_atom] = math.inf
     return rates
 
@@ -238,17 +266,38 @@ def eval_points(
 def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
     """Theta over a 1-D array of points off the atoms."""
     values = np.empty(z.shape, dtype=complex)
-    for rows in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
-        w = z[rows, None]
-        values[rows] = (
+    for cols in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
+        w = z[cols]
+        values[cols] = (
             terms.unit * (terms.nonzero - w) / (1.0 - terms.nonzero.conj() * w)
-        ).prod(axis=1)
+        ).prod(axis=0)
         if terms.taus.size:
-            s = (terms.masses * (terms.taus + w) / (terms.taus - w)).sum(axis=1)
-            values[rows] *= np.exp(-s)
+            s = (terms.masses * (terms.taus + w) / (terms.taus - w)).sum(axis=0)
+            values[cols] *= np.exp(-s)
     if terms.origin:
         values *= z**terms.origin
     return values
+
+
+def _log_modulus_sq(terms: _Terms, z: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """log|Theta(z)|^2 over a 1-D array of interior points z, with gap = 1 - |z|^2.
+
+    By |1 - conj(z_n) z|^2 = |z - z_n|^2 + (1 - |z_n|^2)(1 - |z|^2), the
+    identity ``mslab.carleson`` rests on, a zero's share log|b_{z_n}(z)|^2
+    is -log1p((1 - |z_n|^2) gap/|z - z_n|^2), and an atom's is
+    -2 m gap/|tau - z|^2: real arithmetic, with no subtraction that
+    cancels, and -inf at a zero of Theta.
+    """
+    log_mod_sq = np.zeros(z.shape, dtype=float)  # +0.0 for a constant Theta
+    for cols in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
+        w, g = z[cols], gap[cols]
+        q = _distance_sq(terms.zeros, w)
+        with np.errstate(divide="ignore", over="ignore"):  # q = inf at a zero
+            np.divide(terms.weight * g, q, out=q)
+        log_mod_sq[cols] -= np.log1p(q, out=q).sum(axis=0)
+        if terms.taus.size:
+            log_mod_sq[cols] -= 2.0 * g * (terms.masses / _distance_sq(terms.taus, w)).sum(axis=0)
+    return log_mod_sq
 
 
 def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,22 +319,26 @@ def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, 
     of atoms, exp(i Phi) = Theta(e^{it}) exactly and Phi is continuous and
     strictly increasing at the rate Phi'; it diverges at the atoms.  The
     linear parts pi - phi + t of the zeros are summed apart, as one
-    constant plus degree * t, and 1 - r and 1 - r^2 are exact.
+    constant plus degree * t, and 1 - r and 1 - r^2 are exact.  Data
+    without atoms does no atom work.
     """
     t = np.asarray(t, dtype=float)
     terms = theta._terms
     r = terms.r
     bend = np.empty(t.shape, dtype=float)
     rate = np.empty(t.shape, dtype=float)
-    for rows in _row_blocks(t.size, max(r.size, terms.masses.size)):
-        s = terms.phi - t[rows, None]
+    for cols in _row_blocks(t.size, max(r.size, terms.masses.size)):
+        t_ = t[cols]
+        s = terms.phi - t_
         half = np.sin(0.5 * s)
         lift = 2.0 * r * half * half
         turn = np.arctan2(r * np.sin(s), terms.depth + lift)
-        cot = 1.0 / np.tan(0.5 * (terms.atom_angles - t[rows, None]))
-        bend[rows] = (terms.masses * cot).sum(axis=1) - 2.0 * turn.sum(axis=1)
-        rate[rows] = (terms.gap / (terms.depth * terms.depth + 2.0 * lift)).sum(axis=1)
-        rate[rows] += (0.5 * terms.masses * (1.0 + cot * cot)).sum(axis=1)
+        bend[cols] = -2.0 * turn.sum(axis=0)
+        rate[cols] = (terms.gap / (terms.depth * terms.depth + 2.0 * lift)).sum(axis=0)
+        if terms.masses.size:
+            cot = 1.0 / np.tan(0.5 * (terms.atom_angles - t_))
+            bend[cols] += (terms.masses * cot).sum(axis=0)
+            rate[cols] += (0.5 * terms.masses * (1.0 + cot * cot)).sum(axis=0)
     return terms.offset + theta.degree * t + bend, terms.origin + rate
 
 
@@ -322,7 +375,7 @@ def _one_minus_modulus_sq(z: np.ndarray) -> np.ndarray:
 
 
 def _one_minus_conj_zeros(terms: _Terms, w: np.ndarray) -> np.ndarray:
-    """1 - conj(z_n) w against every zero z_n, for a column of points w.
+    """1 - conj(z_n) w against every zero z_n, for a row of points w: (terms, points).
 
     Formed as (1 - |z_n|^2) - conj(z_n)(w - z_n), from the exact weight.
     Its modulus is at least 1 - |z_n| >= (1 - |z_n|^2)/2 and at least
@@ -333,31 +386,6 @@ def _one_minus_conj_zeros(terms: _Terms, w: np.ndarray) -> np.ndarray:
     return terms.weight - terms.zeros.conj() * (w - terms.zeros)
 
 
-def _interior_norm_sq(theta: InnerFunction, z: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """(1 - |Theta(z)|^2)/(1 - |z|^2) over a 1-D array of interior points.
-
-    With gap = 1 - |z|^2 from ``_one_minus_modulus_sq``,
-    t_n = (1 - |z_n|^2) gap/|1 - conj(z_n) z|^2 and
-    S = sum log1p(-t_n) - 2 sum m_k gap/|tau_k - z|^2 = log|Theta(z)|^2,
-    the value is -expm1(S)/gap: no digits are lost as |z| -> 1.
-    """
-    terms = theta._terms
-    log_mod_sq = np.empty(z.shape, dtype=float)
-    for rows in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
-        w = z[rows, None]
-        g = gap[rows, None]
-        # t_n rounds at most an ulp above 1 at a zero of Theta, where
-        # log1p(-1) = -inf gives |Theta| = 0
-        t = np.minimum(terms.weight * g / np.abs(_one_minus_conj_zeros(terms, w)) ** 2, 1.0)
-        with np.errstate(divide="ignore"):
-            log_mod_sq[rows] = np.sum(np.log1p(-t), axis=1)
-        if terms.taus.size:
-            log_mod_sq[rows] -= 2.0 * np.sum(
-                terms.masses * g / np.abs(terms.taus - w) ** 2, axis=1
-            )
-    return -np.expm1(log_mod_sq) / gap
-
-
 def spectrum_distance(theta: InnerFunction, w: np.ndarray) -> np.ndarray:
     """Euclidean distance from each of a 1-D array of points to the zero/atom set.
 
@@ -366,8 +394,8 @@ def spectrum_distance(theta: InnerFunction, w: np.ndarray) -> np.ndarray:
     v = np.asarray(w, dtype=complex)
     spectrum = np.concatenate([theta._terms.zeros, theta._terms.taus])
     dist = np.empty(v.shape)
-    for rows in _row_blocks(v.size, spectrum.size):
-        dist[rows] = np.abs(v[rows, None] - spectrum).min(axis=1, initial=math.inf)
+    for cols in _row_blocks(v.size, spectrum.size):
+        dist[cols] = np.abs(v[cols] - spectrum).min(axis=0, initial=math.inf)
     return dist
 
 
@@ -402,5 +430,7 @@ def normalized_values(
         terms, np.concatenate([z[~interior], projected]), np.zeros(rated.size, dtype=bool)
     )
     interior[edge] = False
-    norms[interior] = _interior_norm_sq(theta, z[interior], _one_minus_modulus_sq(z[interior]))
+    # -expm1(S)/(1 - |z|^2), S = log|Theta|^2: no digits are lost as |z| -> 1
+    gap = _one_minus_modulus_sq(z[interior])
+    norms[interior] = -np.expm1(_log_modulus_sq(terms, z[interior], gap)) / gap
     return _values(terms, z), norms

@@ -295,8 +295,8 @@ def simpson_fixed(f, a: float, b: float, n: int = 4096) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 
 
-def kernel_norm_sq_exact(zeros, z: complex) -> Fraction:
-    """(1 - |B(z)|^2)/(1 - |z|^2) in exact rational arithmetic, B the Blaschke product.
+def modulus_sq_exact(zeros, z: complex) -> Fraction:
+    """|B(z)|^2 in exact rational arithmetic, B the Blaschke product.
 
     Each |b_eta(z)|^2 = |eta - z|^2/|1 - conj(eta) z|^2 (|z|^2 when eta = 0)
     is rational in the binary fractions that make up the floats eta and z.
@@ -311,7 +311,13 @@ def kernel_norm_sq_exact(zeros, z: complex) -> Fraction:
             num = (a - x) ** 2 + (b - y) ** 2
             den = (1 - a * x - b * y) ** 2 + (a * y - b * x) ** 2
             mod_sq *= num / den
-    return (1 - mod_sq) / (1 - x * x - y * y)
+    return mod_sq
+
+
+def kernel_norm_sq_exact(zeros, z: complex) -> Fraction:
+    """(1 - |B(z)|^2)/(1 - |z|^2) in exact rational arithmetic, B the Blaschke product."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    return (1 - modulus_sq_exact(zeros, z)) / (1 - x * x - y * y)
 
 
 def boundary_rate_exact(zeros, zeta: complex) -> Fraction:

@@ -252,13 +252,14 @@ def test_report_holds_no_pairwise_matrix() -> None:
     # numpy reports its buffers to tracemalloc; an n x n float array at
     # n = 2000 alone would take 32 MB
     seq = _random_interior(np.random.default_rng(9), 2000, rmax=0.99)
-    tracemalloc.start()
-    try:
-        carleson_report(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    for scalar in (carleson_report, carleson_constant):
+        tracemalloc.start()
+        try:
+            scalar(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, scalar.__name__
 
 
 def test_empty_sequence_rejected() -> None:

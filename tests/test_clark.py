@@ -306,6 +306,8 @@ _SOLVER_CASES = {
     "atoms 1e-6 apart": ((0.5j,), ((1.0, 0.5), (1.0 + 1e-6, 0.5)), 24),
     "light atom 1e-11": ((0.3,), ((1.0, 1e-11),), 24),
     "light atom 1e-13": ((0.3,), ((1.0, 1e-13),), 24),
+    "two atoms": ((0.3, 0.5j, -0.2 + 0.1j), ((1.0, 0.7), (4.0, 0.2)), 512),
+    "mass-50 atom": ((0.3,), ((1.0, 50.0),), 512),
     "degree 500": (random_blaschke(np.random.default_rng(500), 500, rmax=0.95).blaschke_zeros, (), 512),
 }
 
@@ -347,6 +349,28 @@ def test_solver_brackets_every_root(monkeypatch, name: str) -> None:
         rate = boundary_rate_oracle(theta, b[inner])
         band = noise[inner] / rate
         assert np.all(b[inner] - a[inner] <= np.maximum(2.0 * band, 1e-15 * np.abs(b[inner])))
+
+
+@pytest.mark.parametrize("name", ["two atoms", "mass-50 atom"])
+def test_trim_cuts_take_few_newton_rounds(monkeypatch, name: str) -> None:
+    # each cut starts inside its closed-form bracket from the atom's own
+    # term; Newton from the arc's middle took 19 and 12 rounds here
+    zeros, atoms, cap = _SOLVER_CASES[name]
+    calls, solves = [], []
+
+    def counting(theta, t):
+        calls.append(t.size)
+        return argument_and_rate(theta, t)
+
+    def marking(*args):
+        solves.append(len(calls))
+        return _solve(*args)
+
+    monkeypatch.setattr(clark, "argument_and_rate", counting)
+    monkeypatch.setattr(clark, "_solve", marking)
+    level_sets(InnerFunction(blaschke_zeros=zeros, singular_atoms=atoms), [1.0, 1j], cap)
+    trim_calls = solves[1] - solves[0]  # the grid evaluation, then one per round
+    assert trim_calls - 1 <= 5
 
 
 def test_blaschke_solve_takes_few_phi_calls(monkeypatch) -> None:

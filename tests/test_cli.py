@@ -311,9 +311,9 @@ def test_rendered_reports_are_the_json_modules_text_and_the_tables_values(
     command, config, code = _RENDER_CASES[case]
     if case == "uncertified":
         monkeypatch.setattr(decompose, "_GAMMA_CEILING", 0.0)
-    rendered = []
-    render = cli._partition_json
-    monkeypatch.setattr(cli, "_partition_json", lambda p, ids: rendered.append(p) or render(p, ids))
+    rendered = []  # every partition rendered, captured where its numbers are encoded
+    encode = cli._column_texts
+    monkeypatch.setattr(cli, "_column_texts", lambda p, *args: rendered.append(p) or encode(p, *args))
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path / "cfg.json", config), "--out", str(out)]) == code
     reports = {}
@@ -543,6 +543,33 @@ def test_smallest_well_formed_options_run(tmp_path, command, config, report) -> 
     cfg = _write(tmp_path / "cfg.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / report).exists()
+
+
+def test_reports_are_renamed_from_pid_temp_files_and_follow_the_umask(tmp_path, monkeypatch) -> None:
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: renames.append((src, dst)) or replace(src, dst))
+    cfg = _write(tmp_path / "cfg.json", {**_SQUARES, "options": {"level_count": 1}})
+    out = tmp_path / "deep" / "o"  # made, parents too, at the first write
+    old = os.umask(0o027)
+    try:
+        assert main(["split", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["geometry.csv", "partition.json", "parts.csv", "points.csv"]
+    assert sorted(renames) == sorted((f"{out / n}.{os.getpid()}.tmp", out / n) for n in names)
+    assert all((out / n).stat().st_mode & 0o777 == 0o640 for n in names)
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch) -> None:
+    def failing(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(tmp_path / "o" / "report.json", "{}\n")
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_exit_code_config_error(tmp_path) -> None:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     earl_oracle,
     all_ids,
     locate_reference,
+    modulus_sq_exact,
     part_ids,
     partition_text,
     random_blaschke,
@@ -22,6 +24,7 @@ from conftest import (
     square_contains_reference,
 )
 
+from mslab import decompose
 from mslab.carleson import carleson_constant, earl_bound
 from mslab.decompose import (
     build_arc_system,
@@ -306,6 +309,48 @@ def test_uncovered_delta_degree_one_single_square() -> None:
     z1 = InnerFunction(blaschke_zeros=(0,))
     arcs = build_arc_system(z1, 1)
     assert uncovered_region_report(z1, arcs).delta == pytest.approx(0.0, abs=1e-12)
+
+
+def _modulus_exact(theta: InnerFunction, w: complex) -> float:
+    """|Theta(w)|: |B(w)|^2 and each atom's 2 m (1 - |w|^2)/|tau - w|^2 exact in
+    rationals, at the atoms' float points tau, then one exp and one sqrt."""
+    x, y = Fraction(w.real), Fraction(w.imag)
+    gap = 1 - x * x - y * y
+    taus = theta._terms.taus.ravel().tolist()
+    exponent = sum(
+        2 * Fraction(m) * gap / ((x - Fraction(t.real)) ** 2 + (y - Fraction(t.imag)) ** 2)
+        for t, (_, m) in zip(taus, theta.singular_atoms)
+    )
+    return math.sqrt(float(modulus_sq_exact(theta.blaschke_zeros, w)) * math.exp(-float(exponent)))
+
+
+_UNCOVERED_CASES = {
+    "degree 26": (random_blaschke(np.random.default_rng(33), 26, rmax=0.95).blaschke_zeros, (), 16),
+    # squares of depth ~1e-6 next to the atoms: there the complex values
+    # lose 8e3 ulps of |Theta| to 1 - |w|^2 left implicit in (tau + w)/(tau - w)
+    "atoms": ((0.65 + 0.24j, -0.12 + 0.76j, -0.21 - 0.33j), ((1.62, 0.82), (1.85, 0.14)), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCOVERED_CASES))
+def test_uncovered_delta_is_the_sup_of_the_modulus_at_its_samples(monkeypatch, name) -> None:
+    # the sup comes from the real log-modulus kernel, as exp(max S/2); it is
+    # within 4 ulps of the largest exact |Theta| at the same samples
+    zeros, atoms, levels = _UNCOVERED_CASES[name]
+    theta = InnerFunction(blaschke_zeros=zeros, singular_atoms=atoms)
+    arcs = build_arc_system(theta, levels, max_points_per_arc=64)
+    samples = []
+    kernel = decompose._log_modulus_sq
+    monkeypatch.setattr(
+        decompose, "_log_modulus_sq", lambda terms, z, gap: samples.append(z) or kernel(terms, z, gap)
+    )
+    delta = uncovered_region_report(theta, arcs).delta
+    (z,) = samples
+    # the float values rank the samples to far better than 1e-8
+    values = np.abs(blaschke_values(theta, z))
+    top = z[values >= (1.0 - 1e-8) * values.max()].tolist()
+    want = max(_modulus_exact(theta, w) for w in top)
+    assert abs(delta - want) <= 4.0 * np.spacing(want)
 
 
 def test_uncovered_delta_random_strictly_below_one() -> None:

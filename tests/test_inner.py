@@ -12,6 +12,7 @@ from conftest import (
     boundary_rate_oracle,
     kernel_norm_sq_exact,
     kernel_norm_sq_oracle,
+    modulus_sq_exact,
     normalize_angle,
     random_blaschke,
 )
@@ -21,6 +22,8 @@ from mslab.errors import ConfigError, OnSpectrumError
 from mslab.gram import gram, gram_from_values
 from mslab.inner import (
     InnerFunction,
+    _log_modulus_sq,
+    _one_minus_modulus_sq,
     argument_and_rate,
     boundary_argument,
     eval_points,
@@ -204,6 +207,17 @@ def test_norm_error_on_atom() -> None:
         normalized_values(theta, seq.z, seq.angle)
 
 
+def _assert_log_modulus_is_exact(theta: InnerFunction, points: list) -> None:
+    """``_log_modulus_sq`` S against exact rationals: exp(S) = |Theta|^2 and
+    -expm1(S) = 1 - |Theta|^2, each to 1e-13 relative."""
+    z = np.array(points)
+    log_mod_sq = _log_modulus_sq(theta._terms, z, _one_minus_modulus_sq(z))
+    for w, s in zip(points, log_mod_sq.tolist()):
+        exact = modulus_sq_exact(theta.blaschke_zeros, w)
+        assert abs(math.exp(s) - exact) <= 1e-13 * exact
+        assert abs(-math.expm1(s) - (1 - exact)) <= 1e-13 * (1 - exact)
+
+
 def test_norm_keeps_its_digits_near_the_circle() -> None:
     # against exact rational arithmetic; 1 - |Theta|^2 by subtraction was
     # 2.4e-5 off at 1 - |z| = 5e-12
@@ -212,13 +226,14 @@ def test_norm_keeps_its_digits_near_the_circle() -> None:
     theta = InnerFunction(blaschke_zeros=zeros)
     points = [
         (1.0 - gap) * cmath.exp(1j * angle)
-        for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 5e-12)
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 5e-12)
         for angle in (0.3, 2.1, 4.4)
     ]
     _, norms = normalized_values(theta, np.array(points), np.full(len(points), math.nan))
     for z, array_norm in zip(points, norms):
         exact = kernel_norm_sq_exact(zeros, z)
         assert abs(float(array_norm) - exact) <= 1e-13 * exact
+    _assert_log_modulus_is_exact(theta, points)
 
 
 def _zeros_at_the_circle(gap: float) -> tuple[complex, ...]:
@@ -244,6 +259,7 @@ def test_norm_keeps_its_digits_next_to_zeros_at_the_circle(gap: float) -> None:
     for z, norm in zip(points, norms):
         exact = kernel_norm_sq_exact(zeros, z)
         assert abs(float(norm) - exact) <= 1e-13 * exact
+    _assert_log_modulus_is_exact(theta, points)
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
