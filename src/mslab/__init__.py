@@ -37,12 +37,6 @@ from .errors import (
     NumericDomainError,
     OnSpectrumError,
 )
-from .gram import (
-    FrameBounds,
-    GramMatrix,
-    extremal_eigs,
-    gram,
-)
 from .inner import (
     InnerFunction,
     spectrum_distance,
@@ -58,8 +52,6 @@ __all__ = [
     "ClarkFamily",
     "ConfigError",
     "ExpSystem",
-    "FrameBounds",
-    "GramMatrix",
     "InnerFunction",
     "MslabError",
     "NumericDomainError",
@@ -71,8 +63,6 @@ __all__ = [
     "carleson_report",
     "decompose_by_squares",
     "earl_bound",
-    "extremal_eigs",
-    "gram",
     "interpolation_threshold",
     "level_set",
     "level_sets",

@@ -3,7 +3,8 @@
 Subcommands
 -----------
 ``analyze``  sequence diagnostics: Carleson report, frame bounds, gamma,
-             per-point kernel norms.
+             per-point kernel norms; the verdict is "certified_riesz" when
+             lambda_min >= ``riesz_floor``, else "indeterminate".
 ``split``    runs a decomposition (mode "interp" or "squares") and writes
              the partition plus CSV plot data.
 ``clark``    builds a level-set family and its Herglotz residual report.
@@ -21,7 +22,8 @@ sorted keys; each distinct number is encoded once for both
 
 Exit codes: 0 ok, 2 configuration, 3 numeric domain, 4 certification.
 Malformed config values exit 2: numbers (of points, zeros, atoms, pw
-systems and ``riesz_floor``) are finite JSON numbers, counts are JSON
+systems and ``riesz_floor``) are finite JSON numbers, ``riesz_floor`` is
+> 0 (a floor of 0 would certify a singular section), counts are JSON
 integers >= 1 and ``split`` true or false; an unknown key of a config, an
 inner function, an atom, a pw system or the options exits 2 as well, and
 the message names the entry.
@@ -52,7 +54,7 @@ from .carleson import carleson_report
 from .clark import herglotz_residuals, level_set
 from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
-from .gram import FrameBounds, extremal_eigs, section_frame_bounds
+from .gram import block_frame_bounds, section_frame_bounds
 from .inner import InnerFunction, normalized_values
 from .points import PointSequence
 from .pw import ExpSystem, pw_gram, pw_split
@@ -164,6 +166,14 @@ def _number(raw: Any, what: str) -> float:
     raise ConfigError(f"{what} must hold finite numbers, got {raw!r}")
 
 
+def _positive(raw: Any, what: str) -> float:
+    """A finite JSON number > 0, else ConfigError."""
+    value = _number(raw, what)
+    if not value > 0.0:
+        raise ConfigError(f"{what} must be a number > 0, got {raw!r}")
+    return value
+
+
 def _integer(raw: Any, what: str) -> int:
     """A JSON integer (bool excluded) of at least 1, else ConfigError."""
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
@@ -245,15 +255,15 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 # commands and their reports
 # ---------------------------------------------------------------------------
 
-def _frame_bounds_json(fb: FrameBounds) -> dict:
-    return {"lambda_min": fb.lambda_min, "lambda_max": fb.lambda_max, "n": fb.n}
+def _frame_bounds_json(low: float, high: float, n: int) -> dict:
+    return {"lambda_min": low, "lambda_max": high, "n": n}
 
 
 def cmd_analyze(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"inner", "points", "options"}, {"inner", "points"}, "config")
     theta = _parse_inner(config["inner"])
     seq = _parse_points(config["points"])
-    opts = _parse_options(config.get("options"), {"riesz_floor": _number})
+    opts = _parse_options(config.get("options"), {"riesz_floor": _positive})
     floor = opts.get("riesz_floor", 0.5)
 
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
@@ -269,11 +279,12 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
             "embedding_sup": cr.embedding_sup,
             "witness_index": cr.witness_index,
         }
-    fb = section_frame_bounds(theta, seq.z, values, norms, seq.ids)
+    low, high = section_frame_bounds(theta, seq.z, values, norms, seq.ids)
+    verdict = "certified_riesz" if low >= floor else "indeterminate"
 
     report = {
         "carleson": carleson,
-        "frame_bounds": {**_frame_bounds_json(fb), "verdict": fb.verdict_at(floor)},
+        "frame_bounds": {**_frame_bounds_json(low, high, len(seq)), "verdict": verdict},
         "frame_bounds_note": _FINITE_SECTION_NOTE,
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,
@@ -440,9 +451,11 @@ def cmd_pw(config: dict, out_dir: Path) -> None:
     system = _parse_pw(config["pw"])
     opts = _parse_options(config.get("options"), {"split": _boolean})
     g = pw_gram(system)
+    n = len(system)
+    (low,), (high,) = block_frame_bounds(g, np.arange(n), np.array([0, n]))
     report = {
         "system": {"a": system.a, "freqs": [[f.real, f.imag] for f in system.freqs]},
-        "frame_bounds": _frame_bounds_json(extremal_eigs(g)),
+        "frame_bounds": _frame_bounds_json(float(low), float(high), n),
         "frame_bounds_note": _FINITE_SECTION_NOTE,
     }
     if opts.get("split", False):

@@ -8,8 +8,9 @@ is Hermitian with unit diagonal and positive semidefinite; its extremal
 eigenvalues are the finite-section surrogates of the Bessel constant
 (lambda_max) and the lower Riesz bound (lambda_min).  A finite section can
 only certify necessary conditions for the corresponding infinite
-statements: verdicts (``FrameBounds.verdict_at``) carry the section size
-for that reason.
+statements: reports carry the section size for that reason.  Sections are
+plain complex arrays: the strict lower triangle is an exact mirror of the
+upper and the diagonal is set to 1, so nothing re-checks either at run time.
 
 Entries are assembled from the closed kernel formula, never by quadrature,
 out of each point's Theta value and kernel norm: one
@@ -17,10 +18,15 @@ out of each point's Theta value and kernel norm: one
 decomposition drivers and the CLI pass on instead of evaluating again.
 Assembly works on stacks of equal-size sections in numpy row blocks of the
 upper triangles, mirrored exactly below the diagonal, so no temporary grows
-with a full section: ``gram_from_values`` builds a stack of one, and
-``part_frame_bounds`` stacks a splitter's parts by size, with one stacked
-call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack and
-the stack's extremal eigenvalues read, and clamped, as arrays.
+with a full section.
+
+Every section's eigenvalues come from ``_stacked_bounds``: one stacked
+call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack of
+equal-size parts, the stack's extremal eigenvalues read, and clamped, as
+arrays.  ``part_frame_bounds`` feeds it assembled sections of a
+splitter's parts, ``block_frame_bounds`` principal blocks of a Gram
+already formed (an exponential system's, ``mslab.pw``), and a whole
+section is one part of either.
 
 ``section_frame_bounds`` picks a route for one section.  A Blaschke
 product of degree d spans a d-dimensional K_Theta, with the
@@ -31,91 +37,25 @@ factors: lambda_min = 0 is then a proof by rank, not a computed
 eigenvalue, and lambda_max is the top eigenvalue of the d-by-d V*V.  No
 n-by-n matrix is formed, and no entry 1 - conj(Theta(l_j)) Theta(l_i)
 cancels as |Theta| -> 1.  Sections with atoms, or with n <= d, are
-assembled in full as above.
+assembled in full, as one part of ``part_frame_bounds``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericDomainError
-from .inner import (
-    _NORM_EDGE,
-    InnerFunction,
-    _one_minus_conj_zeros,
-    _row_blocks,
-    normalized_values,
-)
-from .points import BOUNDARY_TOL, PointSequence
+from .inner import _NORM_EDGE, InnerFunction, _one_minus_conj_zeros, _row_blocks
+from .points import BOUNDARY_TOL
 
-_HERMITIAN_TOL = 1e-12
+# Rows of the factored route's V must have unit norm to this tolerance.
+_UNIT_ROW_TOL = 1e-12
 
 # Off-diagonal kernel denominators |1 - conj(z_j) z_i| below this are refused.
 _SEPARATION_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian unit-diagonal Gram section with its point labels."""
-
-    entries: np.ndarray
-    point_ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NumericDomainError("Gram matrix must be square")
-        if a.shape[0] != len(self.point_ids):
-            raise NumericDomainError("Gram size and id count disagree")
-        if not (a == a.conj().T).all():  # exact mirrors skip the deviation pass
-            dev = np.max(np.abs(a - a.conj().T))
-            if dev > _HERMITIAN_TOL:
-                raise NumericDomainError(f"Gram matrix not Hermitian: deviation {dev!r}")
-        if a.size and np.abs(a.diagonal() - 1.0).max() > _HERMITIAN_TOL:
-            raise NumericDomainError("Gram matrix must have unit diagonal")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class FrameBounds:
-    """Extremal eigenvalues of one finite section."""
-
-    lambda_min: float
-    lambda_max: float
-    n: int
-
-    def verdict_at(self, floor: float) -> str:
-        """"certified_riesz" when lambda_min clears the floor, else "indeterminate"."""
-        return "certified_riesz" if self.lambda_min >= floor else "indeterminate"
-
-
-def gram(theta: InnerFunction, seq: PointSequence) -> GramMatrix:
-    """Normalized-kernel Gram section for a sequence off the spectrum.
-
-    Each point's Theta value and kernel norm is computed once; entries are
-    the exact rational expressions in those values.
-    """
-    if len(seq) == 0:
-        raise NumericDomainError("empty point sequence")
-    values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    return gram_from_values(seq.z, values, norms_sq, seq.ids)
-
-
-def gram_from_values(
-    z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[int]
-) -> GramMatrix:
-    """Gram section of points z from their Theta values and kernel norms squared."""
-    return GramMatrix(
-        _sections(z[None], values[None], norms_sq[None], [ids])[0], tuple(np.asarray(ids).tolist())
-    )
 
 
 def part_frame_bounds(
@@ -138,6 +78,14 @@ def part_frame_bounds(
     )
 
 
+def block_frame_bounds(
+    g: np.ndarray, members: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and lambda_max of the principal block of the Gram ``g`` at
+    each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays."""
+    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]])
+
+
 def _stacked_bounds(
     members: np.ndarray, offsets: np.ndarray, sections: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +93,8 @@ def _stacked_bounds(
     (P, m) array of parts of size m to the (P, m, m) stack of their Gram sections.
 
     Parts of one size go in stacks of at most 2^15 entries, and each stack
-    takes one finiteness check, one stacked ``eigvalsh`` call and one
-    ``_gram_bounds``.
+    takes one finiteness check and one stacked ``eigvalsh`` call.  Roundoff
+    in (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
     """
     low, high = np.empty((2, offsets.size - 1))
     for parts, slots in _by_size(offsets):
@@ -154,7 +102,10 @@ def _stacked_bounds(
             stack = sections(members[slots[rows]])
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
-            low[parts[rows]], high[parts[rows]] = _gram_bounds(np.linalg.eigvalsh(stack))
+            eigs = np.linalg.eigvalsh(stack)
+            least = eigs[:, 0]
+            low[parts[rows]] = np.where((-1e-10 < least) & (least < 0.0), 0.0, least)
+            high[parts[rows]] = eigs[:, -1]
     return low, high
 
 
@@ -174,31 +125,35 @@ def section_frame_bounds(
     values: np.ndarray,
     norms_sq: np.ndarray,
     ids: Sequence[int],
-) -> FrameBounds:
-    """Frame bounds of the Gram section of points z, from their Theta values and kernel norms.
+) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the Gram section of points z, from their
+    Theta values and kernel norms.
 
     Blaschke products of degree d < n take the factored route: the n
     normalized kernels lie in the d-dimensional K_Theta, so lambda_min is 0
     by rank, and lambda_max is the top eigenvalue of the d-by-d matrix V*V
     of ``_factored_gram``.  Other sections (atoms, or n <= d) are assembled
-    in full.  Both routes refuse an unusable norm, an inseparable pair and
-    non-finite input alike.
+    in full, as one part of ``part_frame_bounds``.  Both routes refuse an
+    unusable norm, an inseparable pair and non-finite input alike.
     """
     z = np.asarray(z, dtype=complex)
     if theta.singular_atoms or z.size <= theta.degree:
-        return extremal_eigs(gram_from_values(z, values, norms_sq, ids))
+        low, high = part_frame_bounds(
+            z, values, norms_sq, ids, np.arange(z.size), np.array([0, z.size])
+        )
+        return float(low[0]), float(high[0])
     _require_usable(norms_sq[None], [ids])
     _refuse_inseparable(z, ids)
     m, rows_sq = _factored_gram(theta, z, norms_sq)
     if not (np.isfinite(values).all() and np.isfinite(m).all()):
         raise NumericDomainError("eigenvalue input has non-finite entries")
-    off = np.abs(rows_sq - 1.0) > _HERMITIAN_TOL
+    off = np.abs(rows_sq - 1.0) > _UNIT_ROW_TOL
     if off.any():
         k = int(np.argmax(off))
         raise NumericDomainError(
             f"Gram matrix must have unit diagonal: point {ids[k]} has {float(rows_sq[k])!r}"
         )
-    return FrameBounds(lambda_min=0.0, lambda_max=float(np.linalg.eigvalsh(m)[-1]), n=z.size)
+    return 0.0, float(np.linalg.eigvalsh(m)[-1])
 
 
 def _factored_gram(
@@ -313,28 +268,3 @@ def _sections(
     d = np.arange(n)
     g[:, d, d] = 1.0
     return g
-
-
-# ---------------------------------------------------------------------------
-# Hermitian extremal eigenvalues
-# ---------------------------------------------------------------------------
-
-def extremal_eigs(g: GramMatrix) -> FrameBounds:
-    """Smallest and largest eigenvalue of a Gram section (LAPACK).
-
-    Tiny negative lambda_min from roundoff on a PSD Gram is clamped to 0.
-    """
-    if not np.isfinite(g.entries).all():
-        raise NumericDomainError("eigenvalue input has non-finite entries")
-    low, high = _gram_bounds(np.linalg.eigvalsh(g.entries[None]))
-    return FrameBounds(lambda_min=float(low[0]), lambda_max=float(high[0]), n=g.n)
-
-
-def _gram_bounds(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min and lambda_max of a stack of Gram sections, from their
-    ascending eigenvalues, one row each.
-
-    Roundoff in (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
-    """
-    low = eigs[:, 0]
-    return np.where((-1e-10 < low) & (low < 0.0), 0.0, low), eigs[:, -1]

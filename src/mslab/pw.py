@@ -17,7 +17,9 @@ disk's pseudohyperbolic distance under the Cayley map, so the interpolation
 splitter runs on log rho of the shifted frequencies, with no transport.
 Since |s - conj(t)|^2 = |s - t|^2 + 4 Im s Im t, log rho comes from the
 disk's row kernel (``mslab.carleson``) with weights w = 2 Im s.
-Each resulting part gets its exact exponential-Gram frame bounds.  An
+Each resulting part gets its exact exponential-Gram frame bounds, and the
+whole system is one part: ``gram.block_frame_bounds`` bounds principal
+blocks of the one array ``pw_gram`` forms.  An
 ``ExpSystem`` holds only the mathematics: ``mslab.cli`` reads it from a
 config and writes its report.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from .carleson import _log_rho_matrix
 from .decompose import Partition, split_log_distances
 from .errors import ConfigError, NumericDomainError
-from .gram import GramMatrix, _stacked_bounds
+from .gram import block_frame_bounds
 from .points import coincident_pair
 
 # Switch to the power series of sin(w)/w below this argument size.
@@ -75,12 +77,14 @@ class ExpSystem:
         return len(self.freqs)
 
 
-def pw_gram(system: ExpSystem) -> GramMatrix:
-    """Exact normalized Gram of an exponential system (no quadrature).
+def pw_gram(system: ExpSystem) -> np.ndarray:
+    """Exact normalized Gram of an exponential system (no quadrature), as an (n, n) array.
 
     Entry (i, j) is <e_{l_j}, e_{l_i}> = 2 sin(a d)/d, d = l_j - conj(l_i),
     over the two norms, all entries at once; where |a d| < 1e-4 it takes the
-    series 2a (1 - w^2/6 + w^4/120) of that expression in w = a d.
+    series 2a (1 - w^2/6 + w^4/120) of that expression in w = a d.  Entry
+    (j, i) is formed from d_ji = -conj(d_ij) by the same operations, so the
+    array comes out exactly Hermitian, with diagonal 1.
     """
     n = len(system)
     if n == 0:
@@ -105,10 +109,10 @@ def pw_gram(system: ExpSystem) -> GramMatrix:
     norms = np.sqrt(norms_sq)
     g = ip / (norms[:, None] * norms)
     np.fill_diagonal(g, 1.0)
-    return GramMatrix(g, tuple(range(n)))
+    return g
 
 
-def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
+def pw_split(system: ExpSystem, g: np.ndarray) -> Partition:
     """Split an exponential system into parts with exact Gram certificates.
 
     Runs the interpolation splitter on the shifted frequencies s = l + i:
@@ -116,9 +120,9 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
     w = 2 Im s, and gamma = max exp(-a Im s), both exact in the half-plane.
     Each part's frame bounds are the exact
     exponential-Gram bounds of its frequencies, from its principal block of
-    ``g``, the system's one normalized Gram (``pw_gram``); the blocks of the
-    parts of one size are bounded as one stack, as ``gram.part_frame_bounds``
-    bounds its sections.
+    ``g``, the system's one normalized Gram (``pw_gram``), by
+    ``gram.block_frame_bounds``: the blocks of the parts of one size are
+    bounded as one stack.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
@@ -129,9 +133,7 @@ def pw_split(system: ExpSystem, g: GramMatrix) -> Partition:
         _log_rho_matrix(s.real, s.imag, 2.0 * s.imag),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
-        lambda members, offsets: _stacked_bounds(
-            members, offsets, lambda idx: g.entries[idx[:, :, None], idx[:, None, :]]
-        ),
+        lambda members, offsets: block_frame_bounds(g, members, offsets),
     )
     partition.global_info["a"] = a
     return partition

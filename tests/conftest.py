@@ -20,7 +20,9 @@ replaced: one object per point, and a dict scan for coincident points.
 ``split_at_gamma`` is not an oracle: it runs the library's splitter core
 at a gamma a test sets.  Nor are ``part_table``, ``part_ids``, ``all_ids``
 and ``partition_text``: they read a partition's table of arrays, or
-render it as the CLI does.
+render it as the CLI does.  Nor are ``library_gram`` and
+``section_bounds``: they read the library's own Gram section and frame
+bounds of a sequence, for tests of those.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import numpy as np
 from mslab.carleson import log_distance_matrix
 from mslab.decompose import Partition, split_log_distances
 from mslab.errors import ConfigError
-from mslab.inner import InnerFunction
+from mslab.gram import _sections, section_frame_bounds
+from mslab.inner import InnerFunction, normalized_values
 from mslab.points import BOUNDARY_TOL, PointSequence
 
 TWO_PI = 2.0 * math.pi
@@ -197,6 +200,19 @@ def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
         gamma,
         lambda members, offsets: (np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)),
     )
+
+
+def library_gram(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
+    """The library's normalized Gram section of ``seq``: its ``normalized_values``
+    and one stack of one from ``gram._sections``."""
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return _sections(seq.z[None], values[None], norms[None], [seq.ids])[0]
+
+
+def section_bounds(theta: InnerFunction, seq: PointSequence) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of ``seq`` by the route ``section_frame_bounds`` picks."""
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    return section_frame_bounds(theta, seq.z, values, norms, seq.ids)
 
 
 def part_table(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

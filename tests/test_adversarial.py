@@ -1,4 +1,5 @@
-"""Adversarial inputs to both split pipelines, pinned by exit code through the CLI.
+"""Adversarial inputs to both split pipelines, ``analyze`` and ``pw``, pinned by
+exit code through the CLI.
 
 Every ``squares`` case runs on the zeros 0.5, -0.3+0.4i and -0.6i and the
 points 0.9 e^{ik}, k = 1..11, with one thing pushed to an edge:
@@ -19,6 +20,16 @@ clashes), a one-point sequence and an imaginary part of -0.0 exit 0, each
 part's delta_j matching a from-scratch product and its frame bounds
 Jacobi's.  Coincident points, a ``true`` coordinate and integers beyond
 the float range exit 2, and a boundary point exits 4.
+
+``analyze`` runs on the same zeros and points, with interior points 1e-15
+apart, a zero at 1 - 1e-12, a mass-50 atom, degree 500 (fewer points than
+zeros), one interior point and one boundary point; ``pw`` runs one
+frequency, frequencies 1e-15 apart, and a = 1e-160 at imaginary parts near
+1e155.  Those exit 0, and the report's frame bounds match cyclic Jacobi on
+the oracle Gram: ``gram_oracle`` for ``analyze``, the normalized
+``exp_inner_oracle`` Gram for ``pw``.  Coincident points or frequencies
+exit 2; a boundary point on an atom, boundary points 1e-15 apart in one
+section, a constant Theta and an overflowing a (l - conj(m)) exit 3.
 """
 
 import csv
@@ -30,7 +41,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import carleson_delta_oracle, eig_extremes_oracle, gram_oracle, locate_reference
+from conftest import (
+    carleson_delta_oracle,
+    eig_extremes_oracle,
+    exp_inner_oracle,
+    gram_oracle,
+    locate_reference,
+)
 
 from mslab import cli
 from mslab.cli import main
@@ -214,3 +231,103 @@ def test_interp_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> N
         assert json.loads((out / "partition.json").read_text())["failed"] is True
     else:
         assert not out.exists()
+
+
+# name: (inner, points)
+ANALYZE_PASSING = {
+    "interior-points-1e-15-apart": ({"blaschke_zeros": ZEROS}, POINTS + [[0.2, 0.1], [0.2 + 1e-15, 0.1]]),
+    "zero-at-1-minus-1e-12": ({"blaschke_zeros": ZEROS + [[1.0 - 1e-12, 0.0]]}, POINTS),
+    "mass-50-atom": ({"blaschke_zeros": ZEROS, "singular_atoms": [{"angle": 2.0, "mass": 50.0}]}, POINTS),
+    "degree-500": ({"blaschke_zeros": RING}, POINTS),
+    "one-interior-point": ({"blaschke_zeros": ZEROS}, [[0.1, 0.2]]),
+    "one-boundary-point": ({"blaschke_zeros": ZEROS}, [{"angle": 1.0}]),
+}
+
+# name: (inner, points, exit code, message)
+ANALYZE_FAILING = {
+    "coincident-points": ({"blaschke_zeros": ZEROS}, POINTS + [POINTS[3]], 2, "config error: .*coincide"),
+    "boundary-point-on-an-atom": (
+        {"blaschke_zeros": ZEROS, "singular_atoms": [ATOM]},
+        POINTS + [{"angle": 2.0}],
+        3,
+        "numeric domain error: point 11: .* is on the spectrum",
+    ),
+    "boundary-points-1e-15-apart": (
+        {"blaschke_zeros": ZEROS},
+        POINTS + [{"angle": 0.7}, {"angle": 0.7 + 1e-15}],
+        3,
+        "numeric domain error: points 11 and 12 are numerically inseparable",
+    ),
+    "constant-theta": ({}, POINTS, 3, "numeric domain error: point 0 has unusable kernel norm squared"),
+}
+
+
+def _run_command(tmp_path, command: str, config: dict) -> tuple[int, object]:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return main([command, "--config", str(path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_PASSING))
+def test_analyze_edge_input_passes_the_eigenvalue_oracle(tmp_path, name: str) -> None:
+    inner, points = ANALYZE_PASSING[name]
+    code, out = _run_command(tmp_path, "analyze", {"inner": inner, "points": points})
+    assert code == 0
+    got = json.loads((out / "analyze.json").read_text())["frame_bounds"]
+    assert got["n"] == len(points)
+    want = eig_extremes_oracle(gram_oracle(cli._parse_inner(inner), _sequence(points)))
+    assert got["lambda_min"] == pytest.approx(want[0], abs=1e-12)
+    assert got["lambda_max"] == pytest.approx(want[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_FAILING))
+def test_analyze_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> None:
+    inner, points, want, message = ANALYZE_FAILING[name]
+    code, out = _run_command(tmp_path, "analyze", {"inner": inner, "points": points})
+    assert code == want
+    assert re.match(f"mslab: {message}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+# name: (a, frequencies)
+PW_PASSING = {
+    "one-frequency": (1.0, [[0.5, 0.0]]),
+    "frequencies-1e-15-apart": (1.0, [[1.0, 0.0], [1.0 + 1e-15, 0.0], [2.0, 0.0]]),
+    "a-1e-160-at-im-1e155": (1e-160, [[0.0, 1e155], [1e150, 2e155], [3e150, 1e155]]),
+}
+
+# name: (a, frequencies, exit code, message)
+PW_FAILING = {
+    "coincident-frequencies": (1.0, [[1.0, 0.0], [2.0, 0.5], [1.0, 0.0]], 2, "config error: frequencies 0 and 2 coincide"),
+    "a-times-difference-overflows": (
+        1.0, [[1e308, 0.0], [-1e308, 0.0]], 3, r"numeric domain error: .* a \(l - conj\(m\)\) overflows",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PW_PASSING))
+def test_pw_edge_input_passes_the_eigenvalue_oracle(tmp_path, name: str) -> None:
+    a, freqs = PW_PASSING[name]
+    code, out = _run_command(tmp_path, "pw", {"pw": {"a": a, "freqs": freqs}})
+    assert code == 0
+    got = json.loads((out / "pw.json").read_text())["frame_bounds"]
+    assert got["n"] == len(freqs)
+    f = [complex(*pair) for pair in freqs]
+    norms = [math.sqrt(exp_inner_oracle(a, fi, fi).real) for fi in f]
+    g = np.array([
+        [1.0 if i == j else exp_inner_oracle(a, fj, fi) / (norms[i] * norms[j]) for j, fj in enumerate(f)]
+        for i, fi in enumerate(f)
+    ])
+    want = eig_extremes_oracle(g)
+    assert got["lambda_min"] == pytest.approx(want[0], abs=1e-12)
+    assert got["lambda_max"] == pytest.approx(want[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PW_FAILING))
+def test_pw_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> None:
+    a, freqs, want, message = PW_FAILING[name]
+    code, out = _run_command(tmp_path, "pw", {"pw": {"a": a, "freqs": freqs}})
+    assert code == want
+    assert re.match(f"mslab: {message}", capsys.readouterr().err)
+    assert not out.exists()

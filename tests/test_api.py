@@ -11,8 +11,6 @@ EXPORTED = [
     "ClarkFamily",
     "ConfigError",
     "ExpSystem",
-    "FrameBounds",
-    "GramMatrix",
     "InnerFunction",
     "MslabError",
     "NumericDomainError",
@@ -24,8 +22,6 @@ EXPORTED = [
     "carleson_report",
     "decompose_by_squares",
     "earl_bound",
-    "extremal_eigs",
-    "gram",
     "interpolation_threshold",
     "level_set",
     "level_sets",

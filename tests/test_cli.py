@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -501,6 +502,58 @@ def test_malformed_options_are_config_errors(tmp_path, capsys, command, config) 
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "config error: option" in capsys.readouterr().err
     assert not out.exists()
+
+
+# degree-5 Blaschke data and 40 points in |z| <= 0.85: rank gives lambda_min = 0
+_RANK_DEFICIENT = {
+    "inner": {"blaschke_zeros": [[0.5 * math.cos(k), 0.5 * math.sin(k)] for k in range(5)]},
+    "points": [
+        [r * math.cos(2.4 * k), r * math.sin(2.4 * k)]
+        for k, r in enumerate(0.85 * math.sqrt((k + 0.5) / 40) for k in range(40))
+    ],
+}
+
+
+@pytest.mark.parametrize("floor", [0, 0.0, -0.0, -1.0])
+def test_riesz_floor_must_be_positive(tmp_path, capsys, floor) -> None:
+    # a floor of 0 or below certified this singular section as a Riesz sequence
+    cfg = _write(tmp_path / "cfg.json", {**_RANK_DEFICIENT, "options": {"riesz_floor": floor}})
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mslab: config error: option 'riesz_floor' must be a number > 0, got {floor!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("floor", [5e-324, 1e-300, 0.5])
+def test_singular_section_is_indeterminate_at_every_positive_floor(tmp_path, floor) -> None:
+    report = _report(
+        tmp_path, "analyze", {**_RANK_DEFICIENT, "options": {"riesz_floor": floor}}, "analyze.json"
+    )
+    assert report["frame_bounds"]["lambda_min"] == 0.0
+    assert report["frame_bounds"]["verdict"] == "indeterminate"
+    assert report["riesz_floor"] == floor
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("analyze", {"inner": Z3, "points": [[0.1, 0.2], [-0.3, 0.1], {"angle": 2.0}]}),
+        ("analyze", {"inner": {"singular_atoms": [{"angle": 1.0, "mass": 0.5}]}, "points": [[0.1, 0.2], [0.4, -0.2]]}),
+        ("pw", {"pw": _PW_SYSTEM}),
+        ("pw", {"pw": _PW_SYSTEM, "options": {"split": True}}),
+        ("split", {"inner": Z2, "points": [[0.1, 0.2], [-0.5, 0.3]], "mode": "interp"}),
+        ("split", _SQUARES),
+    ],
+    ids=["analyze-n-at-most-degree", "analyze-atoms", "pw", "pw-split", "split-interp", "split-squares"],
+)
+def test_every_section_takes_its_eigenvalues_from_one_path(tmp_path, monkeypatch, command, config) -> None:
+    calls = []
+    gram = importlib.import_module("mslab.gram")
+    stacked = gram._stacked_bounds
+    monkeypatch.setattr(gram, "_stacked_bounds", lambda *args: calls.append(1) or stacked(*args))
+    assert main([command, "--config", _write(tmp_path / "cfg.json", config), "--out", str(tmp_path / "o")]) == 0
+    assert calls
 
 
 @pytest.mark.parametrize(

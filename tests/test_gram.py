@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import json
 import math
 
 import numpy as np
@@ -8,42 +9,47 @@ import pytest
 from conftest import (
     eig_extremes_oracle,
     gram_oracle,
+    library_gram,
     normalized_gram_exact,
     part_table,
     random_blaschke,
+    section_bounds,
 )
 
+from mslab.cli import main
 from mslab.errors import NumericDomainError, OnSpectrumError
-from mslab.gram import (
-    FrameBounds,
-    GramMatrix,
-    _gram_bounds,
-    extremal_eigs,
-    gram,
-    gram_from_values,
-    part_frame_bounds,
-    section_frame_bounds,
-)
+from mslab.gram import block_frame_bounds, part_frame_bounds, section_frame_bounds
 from mslab.inner import InnerFunction, normalized_values
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
 
 
-def _random_gram(rng: np.random.Generator, n: int) -> GramMatrix:
+def _random_gram(rng: np.random.Generator, n: int) -> np.ndarray:
     """The Gram matrix of n random unit vectors of C^n: Hermitian, unit diagonal."""
     v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     a = v.conj() @ v.T
     a = (a + a.conj().T) / 2.0
     np.fill_diagonal(a, 1.0)
-    return GramMatrix(a, tuple(range(n)))
+    return a
 
 
-def _frame_bounds(theta: InnerFunction, seq: PointSequence) -> FrameBounds:
-    """A sequence's frame bounds by the route ``section_frame_bounds`` picks."""
+def _whole(a: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a whole Gram array, as one part of ``block_frame_bounds``."""
+    n = a.shape[0]
+    (low,), (high,) = block_frame_bounds(a, np.arange(n), np.array([0, n]))
+    return float(low), float(high)
+
+
+def _dense(theta: InnerFunction, seq: PointSequence) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a sequence's assembled section, whatever its size."""
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    return section_frame_bounds(theta, seq.z, values, norms, seq.ids)
+    n = len(seq)
+    (low,), (high,) = part_frame_bounds(
+        seq.z, values, norms, seq.ids, np.arange(n), np.array([0, n])
+    )
+    return float(low), float(high)
 
 
 def _clark_points(n: int) -> PointSequence:
@@ -56,27 +62,29 @@ def _clark_points(n: int) -> PointSequence:
 
 def test_gram_identity_for_cube_roots() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    g = gram(z3, _clark_points(3))
-    assert np.max(np.abs(g.entries - np.eye(3))) <= 1e-12
+    g = library_gram(z3, _clark_points(3))
+    assert np.max(np.abs(g - np.eye(3))) <= 1e-12
 
 
 def test_gram_singleton() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    g = gram(z2, PointSequence.from_complex([0.2 + 0.1j]))
-    assert g.entries.shape == (1, 1)
-    assert g.entries[0, 0] == pytest.approx(1.0)
+    g = library_gram(z2, PointSequence.from_complex([0.2 + 0.1j]))
+    assert g.shape == (1, 1)
+    assert g[0, 0] == pytest.approx(1.0)
 
 
 def test_gram_example_entry() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    g = gram(z2, PointSequence.from_complex([0.0, 0.5]))
-    assert g.entries[0, 1] == pytest.approx(1.0 / math.sqrt(1.25))
+    g = library_gram(z2, PointSequence.from_complex([0.0, 0.5]))
+    assert g[0, 1] == pytest.approx(1.0 / math.sqrt(1.25))
 
 
 def test_gram_unusable_norm_names_the_point() -> None:
     constant = InnerFunction()  # identically 1, kernels vanish
     with pytest.raises(NumericDomainError, match="point 0"):
-        gram(constant, PointSequence.from_complex([0.3]))
+        library_gram(constant, PointSequence.from_complex([0.3]))
+    with pytest.raises(NumericDomainError, match="point 0"):
+        section_bounds(constant, PointSequence.from_complex([0.3]))
 
 
 def _oracle_corpus(rng: np.random.Generator, n: int) -> PointSequence:
@@ -97,9 +105,43 @@ def test_gram_matches_independent_oracle(n: int) -> None:
         singular_atoms=((0.05, 0.4), (3.3, 1.1)),
     )
     seq = _oracle_corpus(rng, n)
-    g = gram(theta, seq).entries
+    g = library_gram(theta, seq)
     assert np.max(np.abs(g - gram_oracle(theta, seq))) <= 1e-12
     assert np.array_equal(g, g.conj().T)
+
+
+def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> None:
+    # both properties hold by construction; nothing checks them at run time
+    gram = importlib.import_module("mslab.gram")
+    stacks = []
+    sections = gram._sections
+    monkeypatch.setattr(gram, "_sections", lambda *args: stacks.append(sections(*args)) or stacks[-1])
+    rng = np.random.default_rng(97)
+    theta = InnerFunction(
+        blaschke_zeros=random_blaschke(rng, 6).blaschke_zeros, singular_atoms=((1.0, 0.5),)
+    )
+    corpus = _oracle_corpus(rng, 400)
+    pairs = [0.2 + 0.1j, 0.2 + 1e-15 + 0.1j, -0.6j, -0.6j + 1e-15]  # two pairs 1e-15 apart
+    seq = PointSequence.from_mixed(
+        np.concatenate([corpus.z, pairs]), np.concatenate([corpus.angle, np.full(4, math.nan)])
+    )
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    n = len(seq)
+    # a part of 50, a stack of parts of 10, pairs, and the last 300 points,
+    # the close pairs among them, in one part that takes several row blocks
+    cuts = [0, 50] + [50 + 10 * k for k in range(1, 11)] + [150 + 2 * k for k in range(1, 31)]
+    parts = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])] + [np.arange(n - 300, n)]
+    parts += [np.array([n - 4, n - 3]), np.array([n - 2, n - 1])]
+    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    # random data, not from a Theta
+    w = 0.95 * np.sqrt(rng.uniform(size=(1, 60))) * np.exp(1j * rng.uniform(0, TWO_PI, (1, 60)))
+    v = rng.uniform(0, 0.9, w.shape) * np.exp(1j * rng.uniform(0, TWO_PI, w.shape))
+    whole = np.arange(60), np.array([0, 60])
+    part_frame_bounds(w[0], v[0], rng.uniform(0.5, 50.0, 60), np.arange(60), *whole)
+    assert {g.shape[1] for g in stacks} == {2, 10, 50, 300, 60}
+    for g in stacks:
+        assert np.array_equal(g, g.conj().swapaxes(1, 2))
+        assert (g.diagonal(axis1=1, axis2=2) == 1.0).all()
 
 
 def test_part_frame_bounds_match_one_section_at_a_time() -> None:
@@ -116,28 +158,31 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
     low, high = part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
     assert low.size == high.size == len(parts)
     for idx, lambda_min, lambda_max in zip(parts, low, high):
-        want = extremal_eigs(gram(theta, seq.subset(idx)))
-        assert want.n == len(idx)
-        assert lambda_min == pytest.approx(want.lambda_min, rel=1e-9, abs=1e-12)
-        assert lambda_max == pytest.approx(want.lambda_max, rel=1e-12)
+        want = np.linalg.eigvalsh(library_gram(theta, seq.subset(idx)))
+        assert want.size == len(idx)
+        assert lambda_min == pytest.approx(want[0], rel=1e-9, abs=1e-12)
+        assert lambda_max == pytest.approx(want[-1], rel=1e-12)
 
 
 def test_gram_bounds_clamp_roundoff_below_zero_per_section() -> None:
+    # five 2 x 2 diagonal blocks, whose eigenvalues are their diagonals
     eigs = np.array([[-5e-11, 1.0], [-1e-9, 2.0], [-0.0, 1.5], [0.3, 0.4], [-1e-10, 0.5]])
-    low, high = _gram_bounds(eigs)
+    g = np.diag(eigs.ravel()).astype(complex)
+    low, high = block_frame_bounds(g, np.arange(10), np.arange(0, 11, 2))
     assert low.tolist() == [0.0, -1e-9, -0.0, 0.3, -1e-10]  # the clamp's window is open
     assert high.tolist() == [1.0, 2.0, 1.5, 0.4, 0.5]
     assert math.copysign(1.0, low[2]) == -1.0  # -0.0 is not below 0
-    fb = extremal_eigs(GramMatrix(np.eye(3), (0, 1, 2)))
-    assert fb == FrameBounds(1.0, 1.0, 3)
-    assert type(fb.lambda_min) is float and type(fb.lambda_max) is float
+    z6 = InnerFunction(blaschke_zeros=(0,) * 6)
+    for bounds in (_whole(np.eye(3)), section_bounds(z6, _clark_points(6))):
+        assert bounds == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert [type(b) for b in bounds] == [float, float]
 
 
 def test_gram_inseparable_pair_names_both_points() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
     seq = PointSequence.from_mixed([0.2, 0, 0], [math.nan, 0.5, 0.5 + 2e-15], ids=(7, 3, 9))
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
-        gram(theta, seq)
+        library_gram(theta, seq)
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
         part_frame_bounds(seq.z, values, norms, seq.ids, *part_table([np.array([0]), np.array([1, 2])]))
@@ -152,22 +197,17 @@ def test_gram_names_the_point_on_an_atom() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3,), singular_atoms=((1.0, 0.5),))
     seq = PointSequence.from_mixed([0.2, 0, 0], [math.nan, 2.0, 1.0], ids=(4, 5, 6))
     with pytest.raises(OnSpectrumError, match="point 6: "):
-        gram(theta, seq)
+        library_gram(theta, seq)
 
 
-def test_gram_from_values_unusable_norm_names_the_point() -> None:
+def test_part_frame_bounds_unusable_norm_names_the_point() -> None:
     z = np.array([0.1, 0.2, 0.3], dtype=complex)
     values = np.zeros(3, dtype=complex)
+    whole = np.arange(3), np.array([0, 3])
     with pytest.raises(NumericDomainError, match="point 12 has unusable"):
-        gram_from_values(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12))
+        part_frame_bounds(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12), *whole)
     with pytest.raises(NumericDomainError, match="point 11 has unusable"):
-        gram_from_values(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12))
-
-
-def test_gram_matrix_validation() -> None:
-    bad = np.array([[1.0, 0.5], [0.4, 1.0]], dtype=np.complex128)
-    with pytest.raises(NumericDomainError):
-        GramMatrix(bad, (0, 1))
+        part_frame_bounds(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12), *whole)
 
 
 # ---------------------------------------------------------------------------
@@ -175,35 +215,34 @@ def test_gram_matrix_validation() -> None:
 # ---------------------------------------------------------------------------
 
 def test_eigs_identity() -> None:
-    fb = extremal_eigs(GramMatrix(np.eye(5, dtype=np.complex128), tuple(range(5))))
-    assert fb == FrameBounds(1.0, 1.0, 5)
+    assert _whole(np.eye(5, dtype=np.complex128)) == (1.0, 1.0)
 
 
 def test_eigs_two_by_two_closed_form() -> None:
     for g_off in (0.1, 0.45, 0.894427190999916):
         m = np.array([[1.0, g_off], [g_off, 1.0]], dtype=np.complex128)
-        fb = extremal_eigs(GramMatrix(m, (0, 1)))
-        assert fb.lambda_min == pytest.approx(1.0 - g_off, rel=1e-12)
-        assert fb.lambda_max == pytest.approx(1.0 + g_off, rel=1e-12)
+        low, high = _whole(m)
+        assert low == pytest.approx(1.0 - g_off, rel=1e-12)
+        assert high == pytest.approx(1.0 + g_off, rel=1e-12)
 
 
 def test_eigs_match_numpy_oracle() -> None:
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 5, 8, 13, 21, 40):
         a = _random_gram(rng, n)
-        lo, hi = eig_extremes_oracle(a.entries)
-        fb = extremal_eigs(a)
+        lo, hi = eig_extremes_oracle(a)
+        low, high = _whole(a)
         scale = max(1.0, abs(lo), abs(hi))
-        assert abs(fb.lambda_min - lo) <= 1e-10 * scale
-        assert abs(fb.lambda_max - hi) <= 1e-10 * scale
+        assert abs(low - lo) <= 1e-10 * scale
+        assert abs(high - hi) <= 1e-10 * scale
 
 
 def test_eigs_reject_non_finite() -> None:
-    # NaN passes GramMatrix's tolerance checks; LAPACK would return NaN bounds
+    # LAPACK would return NaN bounds
     a = np.eye(2, dtype=np.complex128)
     a[0, 1] = a[1, 0] = np.nan
-    with pytest.raises(NumericDomainError):
-        extremal_eigs(GramMatrix(a, (0, 1)))
+    with pytest.raises(NumericDomainError, match="non-finite entries"):
+        _whole(a)
 
 
 def test_eigs_large_section_spike() -> None:
@@ -217,9 +256,9 @@ def test_eigs_large_section_spike() -> None:
     a = (1.0 - c) * np.eye(n, dtype=np.complex128) + c * np.outer(v, v.conj())
     a = (a + a.conj().T) / 2.0
     np.fill_diagonal(a, 1.0)
-    fb = extremal_eigs(GramMatrix(a, tuple(range(n))))
-    assert fb.lambda_max == pytest.approx(1.0 - c + spike, rel=1e-9)
-    assert fb.lambda_min == pytest.approx(1.0 - c, rel=1e-9)
+    low, high = _whole(a)
+    assert high == pytest.approx(1.0 - c + spike, rel=1e-9)
+    assert low == pytest.approx(1.0 - c, rel=1e-9)
 
 
 def test_eigs_singular_large_section_not_certified() -> None:
@@ -230,8 +269,8 @@ def test_eigs_singular_large_section_not_certified() -> None:
     radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 520))
     angles = rng.uniform(0.0, TWO_PI, 520)
     seq = PointSequence.from_complex(radii * np.exp(1j * angles))
-    fb = extremal_eigs(gram(theta, seq))
-    assert fb.lambda_min <= fb.n * np.finfo(float).eps * fb.lambda_max
+    low, high = _dense(theta, seq)
+    assert low <= len(seq) * np.finfo(float).eps * high
 
 
 def test_interlacing_under_point_addition() -> None:
@@ -243,10 +282,10 @@ def test_interlacing_under_point_addition() -> None:
     ]
     seq_small = PointSequence.from_complex(pts[:-1])
     seq_big = PointSequence.from_complex(pts)
-    small = extremal_eigs(gram(theta, seq_small))
-    big = extremal_eigs(gram(theta, seq_big))
-    assert big.lambda_min <= small.lambda_min + 1e-10
-    assert big.lambda_max >= small.lambda_max - 1e-10
+    small = _dense(theta, seq_small)
+    big = _dense(theta, seq_big)
+    assert big[0] <= small[0] + 1e-10
+    assert big[1] >= small[1] - 1e-10
 
 
 def test_frame_operator_subadditivity() -> None:
@@ -259,9 +298,9 @@ def test_frame_operator_subadditivity() -> None:
     union = PointSequence.from_complex(pts)
     first = union.subset(np.arange(5))
     second = union.subset(np.arange(5, 10))
-    lam_union = extremal_eigs(gram(theta, union)).lambda_max
-    lam_1 = extremal_eigs(gram(theta, first)).lambda_max
-    lam_2 = extremal_eigs(gram(theta, second)).lambda_max
+    lam_union = _dense(theta, union)[1]
+    lam_1 = _dense(theta, first)[1]
+    lam_2 = _dense(theta, second)[1]
     assert lam_union <= lam_1 + lam_2 + 1e-10
 
 
@@ -307,7 +346,9 @@ def _routes(theta: InnerFunction, seq: PointSequence) -> tuple:
 
 def _both(theta, z, values, norms, ids) -> tuple:
     out = []
-    for route in (section_frame_bounds, lambda _t, *args: extremal_eigs(gram_from_values(*args))):
+    whole = np.arange(len(z)), np.array([0, len(z)])
+    dense = lambda _t, *args: tuple(float(b[0]) for b in part_frame_bounds(*args, *whole))  # noqa: E731
+    for route in (section_frame_bounds, dense):
         try:
             out.append(route(theta, z, values, norms, ids))
         except NumericDomainError as exc:
@@ -319,10 +360,10 @@ def _both(theta, z, values, norms, ids) -> tuple:
 def test_factored_route_matches_the_dense_route(name: str) -> None:
     theta, seq = _route_case(name)
     factored, dense = _routes(theta, seq)
-    assert factored.n == dense.n == len(seq) > theta.degree
-    assert factored.lambda_min == 0.0  # by rank
-    assert dense.lambda_min <= len(seq) * np.finfo(float).eps * dense.lambda_max
-    assert abs(factored.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
+    assert len(seq) > theta.degree
+    assert factored[0] == 0.0  # by rank
+    assert dense[0] <= len(seq) * np.finfo(float).eps * dense[1]
+    assert abs(factored[1] - dense[1]) <= 1e-13 * dense[1]
 
 
 def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> None:
@@ -338,10 +379,9 @@ def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> Non
     seq = PointSequence.from_complex(pts)
     lo, hi = eig_extremes_oracle(normalized_gram_exact(zeros, pts))
     assert abs(lo) <= 20 * np.finfo(float).eps * hi
-    fb = _frame_bounds(theta, seq)
-    assert fb.verdict_at(1e-3) == "indeterminate"
-    assert fb.lambda_min == 0.0
-    assert abs(fb.lambda_max - hi) <= 1e-13 * hi
+    low, high = section_bounds(theta, seq)
+    assert low == 0.0
+    assert abs(high - hi) <= 1e-13 * hi
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
@@ -361,7 +401,7 @@ def test_factored_rows_stay_unit_next_to_zeros_at_the_circle(gap: float) -> None
     on = [a + da for a in angles for da in (1e-9, 1e-5, 0.1)]
     pts = inside + [0j] * len(on)
     seq = PointSequence.from_mixed(pts, [math.nan] * len(inside) + on)
-    assert 1.0 <= _frame_bounds(theta, seq).lambda_max <= len(pts)
+    assert 1.0 <= section_bounds(theta, seq)[1] <= len(pts)
 
 
 def test_factored_route_refuses_as_the_dense_route_does() -> None:
@@ -384,8 +424,8 @@ def test_factored_route_refuses_as_the_dense_route_does() -> None:
     bad[1] = math.nan
     assert _both(theta, z, bad, norms, ids) == ("eigenvalue input has non-finite entries",) * 2
     factored, dense = _both(theta, z, values, norms, ids)
-    assert factored.lambda_min == 0.0
-    assert factored.lambda_max == pytest.approx(dense.lambda_max, rel=1e-13)
+    assert factored[0] == 0.0
+    assert factored[1] == pytest.approx(dense[1], rel=1e-13)
     # a norm that does not belong to its point leaves a row of V off the unit sphere
     bad = norms.copy()
     bad[3] *= 1.01
@@ -404,44 +444,46 @@ def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> 
     for th, n in ((theta, 5), (atoms, 12)):
         seq = _oracle_corpus(rng, n)
         values, norms = normalized_values(th, seq.z, seq.angle)
-        fb = section_frame_bounds(th, seq.z, values, norms, seq.ids)
-        assert fb == extremal_eigs(gram(th, seq))
+        low, high = section_frame_bounds(th, seq.z, values, norms, seq.ids)
+        want = np.linalg.eigvalsh(library_gram(th, seq))
+        assert (low, high) == pytest.approx((want[0], want[-1]), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# verdicts and Bessel estimates
+# Riesz and Bessel bounds
 # ---------------------------------------------------------------------------
 
 def test_certificate_soundness_clark_family() -> None:
     z6 = InnerFunction(blaschke_zeros=(0,) * 6)
-    fb = _frame_bounds(z6, _clark_points(6))
-    assert fb.verdict_at(0.99) == "certified_riesz"
-    assert fb.lambda_min == pytest.approx(1.0, abs=1e-12)
-    assert fb.lambda_max == pytest.approx(1.0, abs=1e-12)
+    low, high = section_bounds(z6, _clark_points(6))
+    assert low >= 0.99  # analyze's verdict at a floor of 0.99: certified
+    assert low == pytest.approx(1.0, abs=1e-12)
+    assert high == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verdict_indeterminate_for_close_pair() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
     seq = PointSequence.from_complex([0.4, 0.4 + 1e-6])
-    fb = _frame_bounds(z2, seq)
-    assert fb.verdict_at(0.1) == "indeterminate"
-    assert fb.lambda_min < 0.1
+    assert section_bounds(z2, seq)[0] < 0.1  # analyze's verdict at 0.1: indeterminate
 
 
-def test_verdict_empty_rejected() -> None:
-    z2 = InnerFunction(blaschke_zeros=(0, 0))
-    with pytest.raises(NumericDomainError):
-        gram(z2, PointSequence((), (), ()))
+def test_verdict_empty_rejected(tmp_path, capsys) -> None:
+    # an empty sequence has no section to bound: the config reader refuses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inner": {"blaschke_zeros": [[0.0, 0.0]] * 2}, "points": []}))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "mslab: config error: 'points' must be a non-empty list\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_bessel_estimate_orthonormal() -> None:
     z4 = InnerFunction(blaschke_zeros=(0,) * 4)
-    assert _frame_bounds(z4, _clark_points(4)).lambda_max == pytest.approx(1.0)
+    assert section_bounds(z4, _clark_points(4))[1] == pytest.approx(1.0)
 
 
 def test_bessel_estimate_near_duplicate_pair() -> None:
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    est = _frame_bounds(z2, PointSequence.from_complex([0.3, 0.3 + 1e-7])).lambda_max
+    est = section_bounds(z2, PointSequence.from_complex([0.3, 0.3 + 1e-7]))[1]
     assert est == pytest.approx(2.0, abs=1e-4)
 
 
@@ -451,7 +493,7 @@ def test_bessel_estimate_interleaved_clark_families() -> None:
     first = [TWO_PI * k / n for k in range(n)]
     second = [(TWO_PI * k + math.pi / n) / n for k in range(n)]
     seq = PointSequence.from_angles(first + second)
-    est = _frame_bounds(zn, seq).lambda_max
-    oracle = eig_extremes_oracle(gram(zn, seq).entries)[1]
+    est = section_bounds(zn, seq)[1]
+    oracle = eig_extremes_oracle(library_gram(zn, seq))[1]
     assert est == pytest.approx(oracle, rel=1e-10)
     assert 1.0 < est <= 2.0 + 1e-12

@@ -14,7 +14,7 @@ from conftest import (
 
 import mslab.pw as pw
 from mslab.errors import ConfigError, NumericDomainError
-from mslab.gram import GramMatrix, extremal_eigs
+from mslab.gram import block_frame_bounds
 from mslab.pw import ExpSystem, pw_gram, pw_split
 
 # The exp_inner tests pin the reference formula that pw_gram is checked
@@ -81,28 +81,28 @@ def test_coincident_frequencies_name_the_first_repeat() -> None:
 def test_pw_gram_integer_identity() -> None:
     system = ExpSystem(math.pi, tuple(float(n) for n in range(10)))
     g = pw_gram(system)
-    assert np.max(np.abs(g.entries - np.eye(10))) <= 1e-14
+    assert np.max(np.abs(g - np.eye(10))) <= 1e-14
 
 
 def test_pw_gram_pair_example() -> None:
     g = pw_gram(ExpSystem(math.pi, (0.0, 0.5)))
-    assert g.entries[0, 1] == pytest.approx(2.0 / math.pi)
-    fb = extremal_eigs(g)
-    assert fb.lambda_min == pytest.approx(1 - 2 / math.pi)
-    assert fb.lambda_max == pytest.approx(1 + 2 / math.pi)
+    assert g[0, 1] == pytest.approx(2.0 / math.pi)
+    low, high = block_frame_bounds(g, np.arange(2), np.array([0, 2]))
+    assert low[0] == pytest.approx(1 - 2 / math.pi)
+    assert high[0] == pytest.approx(1 + 2 / math.pi)
 
 
 def test_pw_gram_singleton() -> None:
     g = pw_gram(ExpSystem(2.0, (0.7,)))
-    assert g.entries.shape == (1, 1)
-    assert g.entries[0, 0] == pytest.approx(1.0)
+    assert g.shape == (1, 1)
+    assert g[0, 0] == pytest.approx(1.0)
 
 
 def test_pw_gram_matches_scalar_exp_inner_entrywise() -> None:
     a = 1.3
     # 0 and 1e-6 (and each real frequency with itself) take the series branch
     freqs = (0.0, 1e-6, 0.5 + 0.2j, 3.0, -2.0 + 1.5j, 5e-5 + 1e-5j)
-    g = pw_gram(ExpSystem(a, freqs)).entries
+    g = pw_gram(ExpSystem(a, freqs))
     norms = [math.sqrt(exp_inner_oracle(a, f, f).real) for f in freqs]
     series = 0
     for i, fi in enumerate(freqs):
@@ -111,6 +111,26 @@ def test_pw_gram_matches_scalar_exp_inner_entrywise() -> None:
             want = 1.0 if i == j else exp_inner_oracle(a, fj, fi) / (norms[i] * norms[j])
             assert abs(g[i, j] - want) <= 1e-14 * max(1.0, abs(want))
     assert series > 6  # off-diagonal entries on the series branch too
+
+
+def test_pw_gram_is_exactly_hermitian_with_unit_diagonal() -> None:
+    # both properties hold by construction; nothing checks them at run time
+    rng = np.random.default_rng(89)
+    systems = [
+        ExpSystem(
+            float(rng.uniform(0.3, 3.0)),
+            tuple(complex(rng.uniform(-6, 6), rng.uniform(0, 2)) for _ in range(int(rng.integers(1, 40)))),
+        )
+        for _ in range(100)
+    ]
+    # off-diagonal entries on the series branch, |a d| < 1e-4
+    systems.append(ExpSystem(1.3, (0.0, 1e-6, 5e-5 + 1e-5j, 2e-5j, 0.5 + 0.2j, -2.0 + 1.5j)))
+    for system in systems:
+        g = pw_gram(system)
+        assert np.array_equal(g, g.conj().T)
+        assert (g.diagonal() == 1.0).all()
+    f = np.array(systems[-1].freqs)
+    assert (np.abs(1.3 * (f - f.conj()[:, None])) < 1e-4).sum() > len(f)
 
 
 def test_pw_gram_refuses_overflowing_norms() -> None:
@@ -146,7 +166,7 @@ def test_pw_gram_matches_quadrature_on_random_systems() -> None:
                     a,
                     panels=512,
                 ) / (norms[i] * norms[j])
-                assert abs(g.entries[i, j] - oracle) <= 1e-9
+                assert abs(g[i, j] - oracle) <= 1e-9
 
 
 def test_modulus_law_of_exponential_symbol() -> None:
@@ -175,7 +195,7 @@ def test_pw_split_integers_certificates() -> None:
 def test_pw_split_takes_its_part_bounds_from_the_given_gram(monkeypatch) -> None:
     system = ExpSystem(math.pi, tuple(n + 0.2 * math.sin(n) for n in range(12)))
     monkeypatch.setattr(pw, "pw_gram", lambda system: pytest.fail("the Gram is formed again"))
-    partition = pw_split(system, GramMatrix(np.eye(12), tuple(range(12))))
+    partition = pw_split(system, np.eye(12, dtype=complex))
     assert all_ids(partition, range(12)) == tuple(range(12))
     for k in range(len(partition.parts)):
         assert (partition.lambda_min[k], partition.lambda_max[k]) == (1.0, 1.0)
