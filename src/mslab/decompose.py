@@ -16,13 +16,14 @@ sum of L over the part.  One first-fit pass places the points one at a
 time, most clashing first (most points closer than delta*, ties to the
 smaller row sum of L), into the first part that keeps every member's
 running row sum at or above log delta*, opening a new part when none can
-take the point; a point closer than delta* to every point placed so far
-opens its part without trying any.  A lone point certifies for every
-gamma < 1, so every point ends in a certified part.  Every emitted part is
-re-verified from a fresh sum over its own block of L, all parts of one
-size in one stacked sum, before its certificate chain is written.  At
-gamma = 0, delta* is the smallest delta with a finite phi(delta), about
-1.49e-154.
+take the point.  The longest head of that order whose points are pairwise
+closer than delta* opens one part per point in one step; every later
+point takes one bincount of its row of L over the parts.  A lone point
+certifies for every gamma < 1, so every point ends in a certified part.
+Every emitted part is re-verified from a fresh sum over its own block of
+L, all parts of one size in one stacked sum, before its certificate chain
+is written.  At gamma = 0, delta* is the smallest delta with a finite
+phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -168,43 +169,34 @@ def _first_fit(
     """First-fit of single points, in ``order``, into bins whose min row sum stays >= log_floor.
 
     Every placed point keeps its running row sum within its bin and its bin's
-    slot, counted from 1 (slot 0: not placed yet).  Per point, one bincount
-    of its row of L over the slots sums each bin's entries in index order,
-    and one more counts the members it would push below the floor.  Entries
-    of L, and so the running sums, are <= 0: one member closer than the
-    floor shuts its bin.  So a point closer than the floor to every placed
-    point, counted by one vector add per placement, opens a new bin without
-    the bincounts.  Bins come out as member positions and offsets, in slot
+    slot, counted from 1 (slot 0: not placed yet).  Entries of L, and so the
+    running sums, are <= 0: one member closer than the floor shuts its bin.
+    So the longest head of the order whose points are pairwise closer than
+    the floor opens one bin per point, in one step.  Every later point takes
+    one bincount of its row of L over the slots, in which a member it would
+    push below the floor weighs -inf: each bin's sum is the point's row sum
+    there, or -inf, and the point joins the first bin whose sum is
+    >= log_floor.  Bins come out as member positions and offsets, in slot
     order, each in ascending position.
     """
-    near = L < log_floor
-    # the point at position t of the order opens at once only if it is near
-    # all t placed points: the count is kept up to the last position where
-    # the point there has that many near points
-    live = np.flatnonzero(np.count_nonzero(near, axis=1)[order] >= np.arange(order.size))[-1]
+    near = np.tril((L < log_floor)[np.ix_(order, order)], -1)
+    # the head ends at the first point that is not near every point before it
+    head = int(np.append(np.count_nonzero(near, axis=1) < np.arange(order.size), True).argmax())
     slot = np.zeros(len(L), dtype=int)
+    slot[order[:head]] = np.arange(1, head + 1)
     running = np.zeros(len(L))  # row sum of each placed point within its bin
-    near_placed = np.zeros(len(L), dtype=int)  # placed points closer than the floor
-    opened = 0
-    for placed, k in enumerate(order.tolist()):
-        s = 0
-        if near_placed[k] < placed:
-            row = L[k]
-            grown = running + row
-            shut = np.bincount(slot, weights=grown < log_floor) > 0
-            joined = np.bincount(slot, weights=row)
-            shut |= joined < log_floor
-            shut[0] = True  # slot 0 takes no point
-            s = int(shut.argmin())  # the first open bin's slot, 0 if every bin is shut
+    for k in order[head:].tolist():
+        row = L[k]
+        grown = running + row
+        joined = np.bincount(slot, weights=np.where(grown < log_floor, -np.inf, row))
+        joined[0] = np.nan  # slot 0 takes no point, even at a floor of -inf
+        s = int((joined >= log_floor).argmax())  # the first open bin's slot, 0 if none
         if s:
             np.copyto(running, grown, where=slot == s)
             running[k] = joined[s]
         else:
-            opened += 1
-            s = opened
+            s = joined.size
         slot[k] = s
-        if placed < live:
-            near_placed += near[k]
     # slot 0 is empty, so the cumulative counts start at 0
     return np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))
 

@@ -98,6 +98,8 @@ def _stacked_bounds(
     """
     low, high = np.empty((2, offsets.size - 1))
     for parts, slots in _by_size(offsets):
+        if not slots.shape[1]:
+            raise NumericDomainError(f"part {int(parts[0])} is empty: it has no Gram section")
         for rows in _row_blocks(parts.size, slots.shape[1] ** 2):
             stack = sections(members[slots[rows]])
             if not np.isfinite(stack).all():
@@ -112,11 +114,10 @@ def _stacked_bounds(
 def _by_size(offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per size m of the parts with members at ``offsets[k]:offsets[k + 1]``: the
     positions of the parts of size m, and the (count, m) array of their member slots."""
-    groups: dict[int, list[int]] = {}
-    for k, m in enumerate(np.diff(offsets).tolist()):
-        groups.setdefault(m, []).append(k)
-    for m, parts in groups.items():
-        yield np.array(parts), np.add.outer(offsets[parts], np.arange(m))
+    sizes = np.diff(offsets)
+    for m in dict.fromkeys(sizes.tolist()):
+        parts = np.flatnonzero(sizes == m)
+        yield parts, np.add.outer(offsets[parts], np.arange(m))
 
 
 def section_frame_bounds(

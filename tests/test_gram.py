@@ -1,5 +1,4 @@
 import cmath
-import importlib
 import json
 import math
 
@@ -16,6 +15,7 @@ from conftest import (
     section_bounds,
 )
 
+from mslab import gram
 from mslab.cli import main
 from mslab.errors import NumericDomainError, OnSpectrumError
 from mslab.gram import block_frame_bounds, part_frame_bounds, section_frame_bounds
@@ -112,7 +112,6 @@ def test_gram_matches_independent_oracle(n: int) -> None:
 
 def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> None:
     # both properties hold by construction; nothing checks them at run time
-    gram = importlib.import_module("mslab.gram")
     stacks = []
     sections = gram._sections
     monkeypatch.setattr(gram, "_sections", lambda *args: stacks.append(sections(*args)) or stacks[-1])
@@ -208,6 +207,35 @@ def test_part_frame_bounds_unusable_norm_names_the_point() -> None:
         part_frame_bounds(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12), *whole)
     with pytest.raises(NumericDomainError, match="point 11 has unusable"):
         part_frame_bounds(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12), *whole)
+
+
+def test_empty_part_or_sequence_is_refused() -> None:
+    seq = PointSequence.from_complex([0.1, 0.2j])
+    theta = InnerFunction(blaschke_zeros=(0.3,))
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    with pytest.raises(NumericDomainError, match="part 1 is empty"):
+        part_frame_bounds(seq.z, values, norms, seq.ids, np.arange(2), np.array([0, 1, 1, 2]))
+    with pytest.raises(NumericDomainError, match="part 0 is empty"):
+        block_frame_bounds(np.eye(2), np.zeros(0, dtype=int), np.array([0, 0]))
+    empty = np.zeros(0, dtype=complex)
+    with pytest.raises(NumericDomainError, match="part 0 is empty"):
+        section_frame_bounds(theta, empty, empty, np.zeros(0), ())
+
+
+def test_by_size_groups_parts_in_order_of_first_appearance() -> None:
+    sizes = [1, 2, 0, 1, 3, 2]
+    offsets = np.cumsum([0] + sizes)
+    want: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for k, m in enumerate(sizes):
+        parts, slots = want.setdefault(m, ([], []))
+        parts.append(k)
+        slots.append(list(range(offsets[k], offsets[k + 1])))
+    got = list(gram._by_size(offsets))
+    assert [slots.shape[1] for _, slots in got] == [1, 2, 0, 3]
+    for (parts, slots), (want_parts, want_slots) in zip(got, want.values()):
+        assert parts.tolist() == want_parts
+        assert slots.shape == (len(want_parts), len(want_slots[0]))
+        assert slots.tolist() == want_slots
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +465,7 @@ def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> 
     def factored(*args):
         raise AssertionError("the factored route was taken")
 
-    monkeypatch.setattr(importlib.import_module("mslab.gram"), "_factored_gram", factored)
+    monkeypatch.setattr(gram, "_factored_gram", factored)
     rng = np.random.default_rng(41)
     theta = random_blaschke(rng, 5)
     atoms = InnerFunction(theta.blaschke_zeros, singular_atoms=((1.0, 0.5),))

@@ -3,8 +3,9 @@
 ``first_fit_reference`` (conftest) is the loop the splitter ran over index
 groups, with a clash pre-filter and live/owner bookkeeping.  The splitter
 now hands ``_first_fit`` single points in decreasing clash degree, ties to
-the smaller row sum of L, and opens a bin at once for a point that clashes
-with every placed point.  On the recorded calls over 53 seeded sequences
+the smaller row sum of L, opens one bin per point of the order's longest
+head of pairwise clashing points in one step, and tries every later point
+with one bincount.  On the recorded calls over 53 seeded sequences
 of 2-300 points with delta* between about 0.06 and 0.9999, the reference
 fed the same points as one-point groups, in the same order, must give
 every bin alike, and so must the whole report made with it patched in.
@@ -181,17 +182,52 @@ def test_stacked_reverification_matches_one_block_at_a_time(recorded, planted) -
     assert np.isneginf(got).any() == planted
 
 
+def _counted_first_fit(monkeypatch, L: np.ndarray, order: np.ndarray, log_floor: float):
+    """``_first_fit``'s bins, and the number of ``np.bincount`` calls it made."""
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or bincount(*a, **k))
+    bins = _bins(decompose._first_fit(L, order, log_floor))
+    monkeypatch.undo()
+    assert _same_arrays(bins, first_fit_reference(L, _singletons(order), log_floor))
+    return bins, len(calls)
+
+
 def test_first_fit_opens_a_bin_at_once_for_a_point_near_every_placed_one(monkeypatch) -> None:
     # points 0-4 clash pairwise; 5 and 6 clash with nothing and join point 0
     L = np.zeros((7, 7))
     L[:5, :5] = -2.0
     np.fill_diagonal(L, 0.0)
-    calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or bincount(*a, **k))
-    bins = _bins(decompose._first_fit(L, np.arange(7), -1.0))
+    bins, calls = _counted_first_fit(monkeypatch, L, np.arange(7), -1.0)
     assert [b.tolist() for b in bins] == [[0, 5, 6], [1], [2], [3], [4]]
-    assert len(calls) == 2 * 2 + 1  # two per point 5 and 6, one to list the bins
+    assert calls == 2 + 1  # one per point 5 and 6, one to list the bins
+
+
+def test_first_fit_of_one_clique_takes_only_the_final_bincount(monkeypatch) -> None:
+    # six points clash pairwise, placed in a shuffled order: one bin each
+    L = np.full((6, 6), -2.0)
+    np.fill_diagonal(L, 0.0)
+    order = np.array([3, 0, 5, 1, 4, 2])
+    bins, calls = _counted_first_fit(monkeypatch, L, order, -1.0)
+    assert [b.tolist() for b in bins] == [[3], [0], [5], [1], [4], [2]]
+    assert calls == 1
+
+
+def test_first_fit_tries_a_point_near_every_placed_one_after_a_broken_head(monkeypatch) -> None:
+    # 0 and 1 clash; 2 clashes with neither and joins 0, which ends the head;
+    # 3 clashes with 0, 1 and 2, so its one trial finds every bin shut
+    L = np.zeros((4, 4))
+    for i, j in [(0, 1), (0, 3), (1, 3), (2, 3)]:
+        L[i, j] = L[j, i] = -2.0
+    bins, calls = _counted_first_fit(monkeypatch, L, np.arange(4), -1.0)
+    assert [b.tolist() for b in bins] == [[0, 2], [1], [3]]
+    assert calls == 2 + 1  # one per point 2 and 3, one to list the bins
+
+
+def test_first_fit_of_one_point_at_a_floor_of_minus_inf(monkeypatch) -> None:
+    bins, calls = _counted_first_fit(monkeypatch, np.zeros((1, 1)), np.arange(1), -math.inf)
+    assert [b.tolist() for b in bins] == [[0]]
+    assert calls == 1
 
 
 def test_certificate_columns_are_the_scalar_arithmetic(recorded) -> None:
