@@ -205,10 +205,12 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``<path>.<pid>.tmp`` and rename it onto ``path``.
 
-    The file takes the process umask, as ``open`` would give it.  The
-    directory is made only when the open finds it missing, so a run that
-    fails before its first report leaves no directory behind.  The temp
-    file is removed on any failure.
+    The bytes are ``text.encode()``, written with ``os.write`` until none
+    is left; reports are ASCII (``json`` escapes the rest), so they are the
+    text's characters one for one.  The file takes the process umask, as
+    ``open`` would give it.  The directory is made only when the open finds
+    it missing, so a run that fails before its first report leaves no
+    directory behind.  The temp file is removed on any failure.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -217,8 +219,12 @@ def _atomic_write(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(tmp, _WRITE_FLAGS, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

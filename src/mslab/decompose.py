@@ -21,9 +21,10 @@ closer than delta* opens one part per point in one step; every later
 point takes one bincount of its row of L over the parts.  A lone point
 certifies for every gamma < 1, so every point ends in a certified part.
 Every emitted part is re-verified from a fresh sum over its own block of
-L, all parts of one size in one stacked sum, before its certificate chain
-is written.  At gamma = 0, delta* is the smallest delta with a finite
-phi(delta), about 1.49e-154.
+L, all parts of one size in one stacked sum (a pair reads its one entry),
+before its certificate chain is written; the parts are grouped by size
+once, for these sums and the caller's frame bounds.  At gamma = 0,
+delta* is the smallest delta with a finite phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -49,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -147,18 +149,24 @@ _MERGE_SLACK = 1e-9
 _DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
 
 
-def _log_deltas(L: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _log_deltas(
+    L: np.ndarray, members: np.ndarray, offsets: np.ndarray, groups: list
+) -> np.ndarray:
     """Log Carleson constant of each part: min row sum of its block of L, 0 for one point.
 
-    The parts of one size are summed as one stack of blocks, over axis 1:
-    row after row, as a lone block ``L[idx][:, idx]`` (Fortran-ordered)
-    sums along its rows, so with L exactly symmetric each value equals that
-    block's ``.sum(axis=1).min()`` bit for bit.
+    ``groups`` is ``gram._by_size(offsets)``.  The parts of one size are
+    summed as one stack of blocks, over axis 1: row after row, as a lone
+    block ``L[idx][:, idx]`` (Fortran-ordered) sums along its rows, so with
+    L exactly symmetric each value equals that block's
+    ``.sum(axis=1).min()`` bit for bit.  A pair's value is its entry L[i, j]
+    itself: with a zero diagonal, each of its block's two sums is 0 + L[i, j].
     """
     out = np.zeros(offsets.size - 1)
-    for parts, slots in _by_size(offsets):
-        if slots.shape[1] > 1:
-            idx = members[slots]
+    for parts, slots in groups:
+        idx = members[slots]
+        if slots.shape[1] == 2:
+            out[parts] = L[idx[:, 0], idx[:, 1]]
+        elif slots.shape[1] > 2:
             out[parts] = L[idx[:, :, None], idx[:, None, :]].sum(axis=1).min(axis=1)
     return out
 
@@ -227,7 +235,7 @@ def split_by_interpolation(theta: InnerFunction, seq: PointSequence) -> Partitio
         log_distance_matrix(seq),
         seq.ids,
         gamma,
-        lambda *table: part_frame_bounds(seq.z, values, norms_sq, seq.ids, *table),
+        partial(part_frame_bounds, seq.z, values, norms_sq, seq.ids),
     )
 
 
@@ -253,8 +261,9 @@ def split_log_distances(
     L[i, j] = log rho(l_i, l_j) is the points' log-distance matrix (zero
     diagonal, exactly symmetric), ``ids`` their labels and gamma the
     certified bound on the symbol over them, any floor included.
-    ``frame_bounds`` maps the emitted parts, as member positions and
-    offsets, to their lambda_min and lambda_max arrays.  Points are placed
+    ``frame_bounds`` maps the emitted parts, as member positions, offsets
+    and their grouping by size (``gram._by_size``, formed once here), to
+    their lambda_min and lambda_max arrays.  Points are placed
     one at a time by first-fit, in decreasing clash degree (the number of
     points closer than delta*), ties to the smaller row sum of L, then the
     lower position.  A lone point has delta = 1 and phi(1) = 1, so it
@@ -277,7 +286,8 @@ def split_log_distances(
     first = np.minimum.reduceat(ids[members], offsets[:-1])
     members = members[np.argsort(np.repeat(first, sizes), kind="stable")]
     offsets = np.concatenate([[0], np.cumsum(sizes[np.argsort(first, kind="stable")])])
-    delta_j = np.array([math.exp(x) for x in _log_deltas(L, members, offsets).tolist()])
+    groups = _by_size(offsets)
+    delta_j = np.array([math.exp(x) for x in _log_deltas(L, members, offsets, groups).tolist()])
     certified = delta_j >= delta_star
     earl_value = _earl_bounds(np.where(certified, delta_j, 1.0))
     dist_bound = gamma * earl_value
@@ -288,7 +298,8 @@ def split_log_distances(
         )
     return Partition(
         members, offsets, (route,) * delta_j.size, np.full(delta_j.size, gamma), delta_j,
-        earl_value, dist_bound, *frame_bounds(members, offsets), np.full(members.size, math.nan),
+        earl_value, dist_bound, *frame_bounds(members, offsets, groups),
+        np.full(members.size, math.nan),
         global_info={
             "gamma": gamma,
             "delta_star": delta_star,
@@ -614,8 +625,8 @@ def decompose_by_squares(
                 log_distance_matrix(seq.subset(uncovered)),
                 seq.ids[uncovered],
                 gamma_used,
-                lambda members, offsets: part_frame_bounds(
-                    z, values, norms_sq, seq.ids, uncovered[members], offsets
+                lambda members, *table: part_frame_bounds(
+                    z, values, norms_sq, seq.ids, uncovered[members], *table
                 ),
                 route="uncovered:interp",
             )

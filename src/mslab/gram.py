@@ -20,11 +20,17 @@ Assembly works on stacks of equal-size sections in numpy row blocks of the
 upper triangles, mirrored exactly below the diagonal, so no temporary grows
 with a full section.
 
-Every section's eigenvalues come from ``_stacked_bounds``: one stacked
-call of LAPACK's Hermitian solver (``np.linalg.eigvalsh``) per stack of
-equal-size parts, the stack's extremal eigenvalues read, and clamped, as
-arrays.  ``part_frame_bounds`` feeds it assembled sections of a
-splitter's parts, ``block_frame_bounds`` principal blocks of a Gram
+Every section's eigenvalues come from ``_stacked_bounds``, by part size.
+Parts of three or more points take one stacked call of LAPACK's Hermitian
+solver (``np.linalg.eigvalsh``) per stack of equal-size parts, the
+stack's extremal eigenvalues read, and clamped, as arrays.  Parts of one
+or two points take a closed form, with no section assembled: a section
+with unit diagonal [[1, G_12], [G_21, 1]] has eigenvalues exactly
+1 -+ |G_21|, so the bounds are one point's (1, 1) and a pair's
+1 -+ |G_21| up to the rounding of |G_21| and of the sum, where LAPACK's
+reduction and 2-by-2 solve round several times more.  ``part_frame_bounds``
+feeds it sections of a splitter's parts (a pair's entry G_12 formed as the
+assembly forms it), ``block_frame_bounds`` principal blocks of a Gram
 already formed (an exponential system's, ``mslab.pw``), and a whole
 section is one part of either.
 
@@ -43,7 +49,7 @@ assembled in full, as one part of ``part_frame_bounds``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,59 +71,112 @@ def part_frame_bounds(
     ids: Sequence[int],
     members: np.ndarray,
     offsets: np.ndarray,
+    groups: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of the Gram section of each part, as arrays.
 
-    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``.
-    Parts of one size are assembled as stacks (``_stacked_bounds``): a part
+    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``;
+    ``groups`` is ``_by_size(offsets)``, when the caller has it already.
+    Parts of one size are bounded together (``_stacked_bounds``): a part
     costs a share of a few numpy calls, not a few numpy calls of its own.
     """
     labels = np.asarray(ids)
     return _stacked_bounds(
-        members, offsets, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+        members,
+        offsets,
+        groups,
+        lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx]),
+        lambda idx: (1.0, 1.0, _couplings(z[idx], values[idx], norms_sq[idx], labels[idx])),
     )
 
 
 def block_frame_bounds(
-    g: np.ndarray, members: np.ndarray, offsets: np.ndarray
+    g: np.ndarray,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    groups: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min and lambda_max of the principal block of the Gram ``g`` at
-    each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays."""
-    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]])
+    """lambda_min and lambda_max of the principal block of the Hermitian ``g``
+    at each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays;
+    ``groups`` is ``_by_size(offsets)``, when the caller has it already."""
+
+    def pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        i, j = idx[:, 0], idx[:, -1]
+        return g[i, i], g[j, j], g[j, i] if idx.shape[1] == 2 else np.zeros(i.size)
+
+    return _stacked_bounds(
+        members, offsets, groups, lambda idx: g[idx[:, :, None], idx[:, None, :]], pairs
+    )
 
 
 def _stacked_bounds(
-    members: np.ndarray, offsets: np.ndarray, sections: Callable[[np.ndarray], np.ndarray]
+    members: np.ndarray,
+    offsets: np.ndarray,
+    groups: list[tuple[np.ndarray, np.ndarray]] | None,
+    sections: Callable[[np.ndarray], np.ndarray],
+    pairs: Callable[[np.ndarray], tuple],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min and lambda_max of each part, from ``sections``, which maps a
-    (P, m) array of parts of size m to the (P, m, m) stack of their Gram sections.
+    """lambda_min and lambda_max of each part, grouped by size as in ``groups``
+    (``_by_size(offsets)`` when None).
 
-    Parts of one size go in stacks of at most 2^15 entries, and each stack
-    takes one finiteness check and one stacked ``eigvalsh`` call.  Roundoff
-    in (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
+    ``sections`` maps a (P, m) array of parts of size m >= 3 to the
+    (P, m, m) stack of their Gram sections.  These go in stacks of at most
+    2^15 entries, and each stack takes one finiteness check and one stacked
+    ``eigvalsh`` call.  ``pairs`` maps a (P, m) array of parts of one or
+    two points to their sections' diagonal entries G_11 and G_mm (the
+    scalar 1 on a unit diagonal) and their entries G_21 (0 for one point),
+    which take one finiteness check and the closed form of ``_pair_bounds``:
+    no section is assembled and no eigensolver runs.  Roundoff in
+    (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
     """
     low, high = np.empty((2, offsets.size - 1))
-    for parts, slots in _by_size(offsets):
-        if not slots.shape[1]:
+    for parts, slots in _by_size(offsets) if groups is None else groups:
+        m = slots.shape[1]
+        if not m:
             raise NumericDomainError(f"part {int(parts[0])} is empty: it has no Gram section")
-        for rows in _row_blocks(parts.size, slots.shape[1] ** 2):
+        if m <= 2:
+            entries = pairs(members[slots])
+            if not all(np.isfinite(x).all() for x in entries):
+                raise NumericDomainError("eigenvalue input has non-finite entries")
+            a, d, lower = entries
+            low[parts], high[parts] = _pair_bounds(np.real(a), np.real(d), np.abs(lower))
+            continue
+        for rows in _row_blocks(parts.size, m * m):
             stack = sections(members[slots[rows]])
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
             eigs = np.linalg.eigvalsh(stack)
-            least = eigs[:, 0]
-            low[parts[rows]] = np.where((-1e-10 < least) & (least < 0.0), 0.0, least)
+            low[parts[rows]] = eigs[:, 0]
             high[parts[rows]] = eigs[:, -1]
-    return low, high
+    return np.where((-1e-10 < low) & (low < 0.0), 0.0, low), high
 
 
-def _by_size(offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pair_bounds(a, d, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the Hermitian [[a, G_12], [G_21, d]], with |G_21| = c.
+
+    They are mean -+ r, with r = hypot((a - d)/2, c), written without
+    cancellation as min(a, d) - t and max(a, d) + t, where
+    t = r - |a - d|/2 = c (c/(r + |a - d|/2)).  On a unit diagonal r = c
+    exactly and t = c (c/c) = c, so the bounds are 1 - c and 1 + c: the
+    exact eigenvalues of the stored entries up to the rounding of c and of
+    the sum (1 - c is exact where c >= 1/2).  With c = 0 they are the
+    diagonal itself.
+    """
+    half = 0.5 * np.abs(a - d)
+    gap = np.hypot(half, c) + half
+    t = c * np.divide(c, gap, out=np.zeros_like(gap), where=gap > 0.0)
+    return np.minimum(a, d) - t, np.maximum(a, d) + t
+
+
+def _by_size(offsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per size m of the parts with members at ``offsets[k]:offsets[k + 1]``: the
     positions of the parts of size m, and the (count, m) array of their member slots."""
     sizes = np.diff(offsets)
+    groups = []
     for m in dict.fromkeys(sizes.tolist()):
         parts = np.flatnonzero(sizes == m)
-        yield parts, np.add.outer(offsets[parts], np.arange(m))
+        groups.append((parts, np.add.outer(offsets[parts], np.arange(m))))
+    return groups
 
 
 def section_frame_bounds(
@@ -228,6 +287,31 @@ def _refuse_inseparable(z: np.ndarray, ids: Sequence[int]) -> None:
         raise NumericDomainError(
             f"points {ids[near[k]]} and {ids[near[c]]} are numerically inseparable"
         )
+
+
+def _couplings(
+    z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """The entry G_12 of each section of one or two points: row p of the (P, m)
+    inputs gives section p, and a section of one point has none (0).
+
+    G_12 is formed as ``_sections`` forms it, with the same refusals: an
+    unusable norm, then an inseparable pair.  ``ids[p][k]`` names point k
+    of section p in errors.
+    """
+    _require_usable(norms_sq, ids)
+    if z.shape[1] == 1:
+        return np.zeros(len(z))
+    denom = 1.0 - z[:, 1].conj() * z[:, 0]
+    near = np.abs(denom) < _SEPARATION_TOL
+    if near.any():
+        p = int(np.argmax(near))
+        raise NumericDomainError(f"points {ids[p][0]} and {ids[p][1]} are numerically inseparable")
+    s = 1.0 / np.sqrt(norms_sq)
+    g = 1.0 - values[:, 1].conj() * values[:, 0]
+    g /= denom
+    g *= s[:, 0] * s[:, 1]
+    return g
 
 
 def _sections(

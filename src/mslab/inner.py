@@ -264,16 +264,30 @@ def eval_points(
 
 
 def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
-    """Theta over a 1-D array of points off the atoms."""
+    """Theta over a 1-D array of points off the atoms.
+
+    An atom's exponent is taken from
+
+        (tau + z)/(tau - z) = ((1 - |z|^2) + 2i Im(z conj(tau)))/|tau - z|^2,
+
+    with 1 - |z|^2 exact and Im(z conj(tau)) = Im((z - tau) conj(tau)) from
+    the small difference z - tau.  So the factor's modulus
+    exp(-m (1 - |z|^2)/|tau - z|^2) keeps its digits next to the circle,
+    where the complex quotient cancels; the phase is as exact as the
+    rounded tau = e^{ia} allows.
+    """
     values = np.empty(z.shape, dtype=complex)
+    gap = _one_minus_modulus_sq(z) if terms.taus.size else None
     for cols in _row_blocks(z.size, max(terms.zeros.size, terms.taus.size)):
         w = z[cols]
         values[cols] = (
             terms.unit * (terms.nonzero - w) / (1.0 - terms.nonzero.conj() * w)
         ).prod(axis=0)
         if terms.taus.size:
-            s = (terms.masses * (terms.taus + w) / (terms.taus - w)).sum(axis=0)
-            values[cols] *= np.exp(-s)
+            dx, dy = w.real - terms.taus.real, w.imag - terms.taus.imag
+            cross = dy * terms.taus.real - dx * terms.taus.imag  # Im((w - tau) conj(tau))
+            s = terms.masses * (gap[cols] + 2j * cross) / (dx * dx + dy * dy)
+            values[cols] *= np.exp(-s.sum(axis=0))
     if terms.origin:
         values *= z**terms.origin
     return values

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def pw_split(system: ExpSystem, g: np.ndarray) -> Partition:
         _log_rho_matrix(s.real, s.imag, 2.0 * s.imag),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
-        lambda members, offsets: block_frame_bounds(g, members, offsets),
+        partial(block_frame_bounds, g),
     )
     partition.global_info["a"] = a
     return partition

@@ -79,9 +79,14 @@ def blaschke_values(theta: InnerFunction, z: np.ndarray) -> np.ndarray:
             out = out * z
         else:
             out = out * (abs(eta) / eta) * (eta - z) / (1.0 - np.conj(eta) * z)
+    # an atom's (tau + z)/(tau - z) is (1 - |z|^2 + 2i Im((z - tau) conj(tau)))/|tau - z|^2
+    # with 1 - |z|^2 exact: the quotient itself cancels next to the circle
+    gap = np.array([float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2) for w in z.ravel()])
     for a, m in theta.singular_atoms:
         tau = cmath.exp(1j * a)
-        out = out * np.exp(-m * (tau + z) / (tau - z))
+        d = z - tau
+        cross = d.imag * tau.real - d.real * tau.imag
+        out = out * np.exp(-m * (gap.reshape(z.shape) + 2j * cross) / (d.real**2 + d.imag**2))
     return out
 
 
@@ -198,7 +203,7 @@ def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
         log_distance_matrix(seq),
         seq.ids,
         gamma,
-        lambda members, offsets: (np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)),
+        lambda members, offsets, groups: (np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)),
     )
 
 

@@ -1,5 +1,5 @@
-"""Adversarial inputs to both split pipelines, ``analyze`` and ``pw``, pinned by
-exit code through the CLI.
+"""Adversarial inputs to both split pipelines, ``analyze``, ``pw`` and
+``clark``, pinned by exit code through the CLI.
 
 Every ``squares`` case runs on the zeros 0.5, -0.3+0.4i and -0.6i and the
 points 0.9 e^{ik}, k = 1..11, with one thing pushed to an edge:
@@ -30,6 +30,15 @@ the oracle Gram: ``gram_oracle`` for ``analyze``, the normalized
 ``exp_inner_oracle`` Gram for ``pw``.  Coincident points or frequencies
 exit 2; a boundary point on an atom, boundary points 1e-15 apart in one
 section, a constant Theta and an overflowing a (l - conj(m)) exit 3.
+
+``clark`` runs at alpha = 1 with a zero at 1 - 1e-12, a mass-50 atom, two
+atoms 1e-9 apart and degree 500, and on the three zeros at alpha =
+Theta(1), a level point on the seam at angle 0.  Those exit 0: every
+point solves Theta = alpha to within a few ulps of its angle times the
+oracle rate there; Blaschke data gives degree-many points and a complete
+family whose weights pass the Herglotz identity against the oracle
+Theta; data with atoms gives a family flagged truncated.  A
+non-unimodular alpha exits 2 and a constant Theta exits 3.
 """
 
 import csv
@@ -42,6 +51,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    blaschke_values,
+    blaschke_values_on_circle,
+    boundary_rate_oracle,
     carleson_delta_oracle,
     eig_extremes_oracle,
     exp_inner_oracle,
@@ -328,6 +340,69 @@ def test_pw_edge_input_passes_the_eigenvalue_oracle(tmp_path, name: str) -> None
 def test_pw_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> None:
     a, freqs, want, message = PW_FAILING[name]
     code, out = _run_command(tmp_path, "pw", {"pw": {"a": a, "freqs": freqs}})
+    assert code == want
+    assert re.match(f"mslab: {message}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _theta_at_one() -> list[float]:
+    """Theta(1) for the zeros ZEROS, from the oracle: a level value with a point at angle 0."""
+    value = complex(blaschke_values(cli._parse_inner({"blaschke_zeros": ZEROS}), np.array([1.0]))[0])
+    return [value.real, value.imag]
+
+
+# name: (inner, alpha)
+CLARK_PASSING = {
+    "zero-at-1-minus-1e-12": ({"blaschke_zeros": ZEROS + [[1.0 - 1e-12, 0.0]]}, [1.0, 0.0]),
+    "mass-50-atom": ({"blaschke_zeros": ZEROS, "singular_atoms": [{"angle": 2.0, "mass": 50.0}]}, [1.0, 0.0]),
+    "atoms-1e-9-apart": (
+        {"blaschke_zeros": ZEROS, "singular_atoms": [ATOM, {"angle": 2.0 + 1e-9, "mass": 0.5}]}, [1.0, 0.0],
+    ),
+    "degree-500": ({"blaschke_zeros": RING}, [1.0, 0.0]),
+    "alpha-theta-at-1": ({"blaschke_zeros": ZEROS}, _theta_at_one()),
+}
+
+# name: (inner, alpha, exit code, message)
+CLARK_FAILING = {
+    "alpha-not-unimodular": (
+        {"blaschke_zeros": ZEROS}, [0.5, 0.0], 2, r"config error: level value must be unimodular, got \|alpha\| = 0.5",
+    ),
+    "constant-theta": ({}, [1.0, 0.0], 3, "numeric domain error: constant inner function has no level sets"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLARK_PASSING))
+def test_clark_edge_input_passes_the_level_and_herglotz_oracles(tmp_path, name: str) -> None:
+    inner, alpha = CLARK_PASSING[name]
+    code, out = _run_command(tmp_path, "clark", {"inner": inner, "alpha": alpha})
+    assert code == 0
+    report = json.loads((out / "clark.json").read_text())
+    theta = cli._parse_inner(inner)
+    a = complex(*report["alpha"])
+    points, weights = np.array(report["points"]), np.array(report["weights"])
+    assert (np.diff(points) > 0.0).all() and 0.0 <= points[0] and points[-1] < math.tau
+    # each point solves Theta = alpha up to a few ulps of its angle, times the rate there
+    residual = np.abs(blaschke_values_on_circle(theta, points) - a)
+    assert (residual <= 2e-14 * (1.0 + boundary_rate_oracle(theta, points))).all()
+    if theta.singular_atoms:
+        # the level set accumulates at the atoms: the family is cut, and says so
+        assert report["truncated"] is True and report["herglotz_certifying"] is False
+        return
+    assert report["truncated"] is False and report["herglotz_certifying"] is True
+    assert points.size == theta.degree
+    # Re (alpha + Theta(z))/(alpha - Theta(z)) is the Poisson integral of the Clark measure
+    z = np.array([0.0, 0.3j, -0.5 + 0.2j, 0.85])
+    value = blaschke_values(theta, z)
+    lhs = ((a + value) / (a - value)).real
+    poisson = (1.0 - np.abs(z[:, None]) ** 2) / np.abs(np.exp(1j * points) - z[:, None]) ** 2
+    assert np.abs(lhs - poisson @ weights).max() <= 1e-10
+    assert report["herglotz_residual_max"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(CLARK_FAILING))
+def test_clark_edge_input_exits_with_its_code(tmp_path, capsys, name: str) -> None:
+    inner, alpha, want, message = CLARK_FAILING[name]
+    code, out = _run_command(tmp_path, "clark", {"inner": inner, "alpha": alpha})
     assert code == want
     assert re.match(f"mslab: {message}", capsys.readouterr().err)
     assert not out.exists()

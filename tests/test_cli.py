@@ -623,6 +623,25 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch) -> None:
     with pytest.raises(OSError, match="rename refused"):
         cli._atomic_write(tmp_path / "o" / "report.json", "{}\n")
     assert list((tmp_path / "o").iterdir()) == []
+    monkeypatch.undo()
+
+    def full_disk(fd, data):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError, match="no space left"):
+        cli._atomic_write(tmp_path / "o" / "report.json", "{}\n")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_short_writes_are_resumed_until_every_byte_is_written(tmp_path, monkeypatch) -> None:
+    write = os.write
+    sizes = []
+    monkeypatch.setattr(os, "write", lambda fd, data: sizes.append(write(fd, data[:7])) or sizes[-1])
+    text = '{"a":[1.5,-0.25,"\\u00e9"]}\n' * 3
+    cli._atomic_write(tmp_path / "report.json", text)
+    assert (tmp_path / "report.json").read_bytes() == text.encode("ascii")
+    assert sizes == [7] * (len(text) // 7) + [len(text) % 7]
 
 
 def test_exit_code_config_error(tmp_path) -> None:

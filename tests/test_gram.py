@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,7 +128,8 @@ def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> 
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     n = len(seq)
     # a part of 50, a stack of parts of 10, pairs, and the last 300 points,
-    # the close pairs among them, in one part that takes several row blocks
+    # the close pairs among them, in one part that takes several row blocks;
+    # parts of two points take the closed form and assemble no section
     cuts = [0, 50] + [50 + 10 * k for k in range(1, 11)] + [150 + 2 * k for k in range(1, 31)]
     parts = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])] + [np.arange(n - 300, n)]
     parts += [np.array([n - 4, n - 3]), np.array([n - 2, n - 1])]
@@ -137,7 +139,7 @@ def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> 
     v = rng.uniform(0, 0.9, w.shape) * np.exp(1j * rng.uniform(0, TWO_PI, w.shape))
     whole = np.arange(60), np.array([0, 60])
     part_frame_bounds(w[0], v[0], rng.uniform(0.5, 50.0, 60), np.arange(60), *whole)
-    assert {g.shape[1] for g in stacks} == {2, 10, 50, 300, 60}
+    assert {g.shape[1] for g in stacks} == {10, 50, 300, 60}
     for g in stacks:
         assert np.array_equal(g, g.conj().swapaxes(1, 2))
         assert (g.diagonal(axis1=1, axis2=2) == 1.0).all()
@@ -171,6 +173,13 @@ def test_gram_bounds_clamp_roundoff_below_zero_per_section() -> None:
     assert low.tolist() == [0.0, -1e-9, -0.0, 0.3, -1e-10]  # the clamp's window is open
     assert high.tolist() == [1.0, 2.0, 1.5, 0.4, 0.5]
     assert math.copysign(1.0, low[2]) == -1.0  # -0.0 is not below 0
+    # unit-diagonal pairs take 1 -+ |G_21|, clamped alike
+    c = np.array([1.0 + 2.0**-50, 1.0 + 1e-9]) * np.exp(0.3j)
+    g = np.eye(4, dtype=complex)
+    g[[1, 3], [0, 2]], g[[0, 2], [1, 3]] = c, c.conj()
+    low, high = block_frame_bounds(g, np.arange(4), np.array([0, 2, 4]))
+    assert low.tolist() == [0.0, 1.0 - np.abs(c)[1]] and low[1] < -1e-10
+    assert high.tolist() == (1.0 + np.abs(c)).tolist()
     z6 = InnerFunction(blaschke_zeros=(0,) * 6)
     for bounds in (_whole(np.eye(3)), section_bounds(z6, _clark_points(6))):
         assert bounds == pytest.approx((1.0, 1.0), abs=1e-12)
@@ -207,6 +216,105 @@ def test_part_frame_bounds_unusable_norm_names_the_point() -> None:
         part_frame_bounds(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12), *whole)
     with pytest.raises(NumericDomainError, match="point 11 has unusable"):
         part_frame_bounds(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12), *whole)
+
+
+def _pair_corpus(rng: np.random.Generator, n: int) -> PointSequence:
+    """n points and, after them, a partner for each: turned by 1e-6 to 1 rad, so
+    |G_12| runs from about 0 to 1 - 1e-12; every third point within 1e-9 of
+    the circle, and every fifth pair on it, tagged by angle."""
+    angles = rng.uniform(0.0, TWO_PI, n)
+    radii = 0.9 * np.sqrt(rng.uniform(size=n))
+    radii[::3] = 1.0 - 1e-9
+    turned = angles + 10.0 ** rng.uniform(-6.0, 0.0, n)
+    z = np.concatenate([radii * np.exp(1j * angles), radii * np.exp(1j * turned)])
+    tags = np.full(2 * n, math.nan)
+    tags[:n:5], tags[n::5] = angles[::5], turned[::5]
+    return PointSequence.from_mixed(z, tags)
+
+
+def test_parts_of_one_or_two_points_match_exact_eigenvalues() -> None:
+    rng = np.random.default_rng(26)
+    theta = InnerFunction(
+        blaschke_zeros=random_blaschke(rng, 4).blaschke_zeros,
+        singular_atoms=((1.0, 0.5), (4.0, 2.0)),
+    )
+    n = 300
+    seq = _pair_corpus(rng, n)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    parts = [np.array([k, n + k]) for k in range(n)] + [np.array([k]) for k in range(0, 2 * n, 7)]
+    low, high = part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    ulp = np.spacing(1.0)
+    entries = []
+    for idx, lambda_min, lambda_max in zip(parts, low, high):
+        g = library_gram(theta, seq.subset(idx))
+        entries.append(g[-1, 0] if idx.size == 2 else 0j)
+        # the eigenvalues of the stored section are 1 -+ |G_21|, in exact arithmetic
+        c = mpmath.sqrt(mpmath.mpf(entries[-1].real) ** 2 + mpmath.mpf(entries[-1].imag) ** 2)
+        assert abs(lambda_max - (1 + c)) <= ulp
+        assert abs(lambda_min - (1 - c)) <= ulp or (lambda_min == 0.0 and -1e-10 < 1 - c < 0)
+        # cyclic Jacobi is itself up to about 4 ulps off on these
+        want = eig_extremes_oracle(g)
+        assert abs(lambda_min - want[0]) <= 8 * ulp or lambda_min == 0.0
+        assert abs(lambda_max - want[1]) <= 8 * ulp
+    # the closed form, from the entries the sections hold (none for one point),
+    # with the clamp: |G_21| reaches 1 + 1.1e-11 next to the circle
+    c = np.abs(entries)
+    assert low.tolist() == np.where((-1e-10 < 1.0 - c) & (c > 1.0), 0.0, 1.0 - c).tolist()
+    assert high.tolist() == (1.0 + c).tolist()
+    assert 0.0 < c[:n].min() < 1e-3 and (c > 1.0 - 1e-11).any() and (low == 0.0).any()
+
+
+def test_parts_of_one_or_two_points_assemble_no_section(monkeypatch) -> None:
+    calls = []
+    sections, eigvalsh = gram._sections, np.linalg.eigvalsh
+    monkeypatch.setattr(gram, "_sections", lambda *a: calls.append("sections") or sections(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    seq = _oracle_corpus(np.random.default_rng(3), 9)
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    small = [np.array([0]), np.array([1, 2]), np.array([3, 4]), np.array([5])]
+    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small))
+    block_frame_bounds(np.eye(6), *part_table(small))
+    assert calls == []
+    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small + [np.arange(6, 9)]))
+    assert calls == ["sections", "eigvalsh"]
+
+
+def test_closed_form_refuses_as_sections_do() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    seq = PointSequence.from_mixed(
+        [0.2, 0, 0, -0.4 + 0.3j], [math.nan, 0.5, 0.5 + 2e-15, math.nan], ids=(7, 3, 9, 4)
+    )
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+
+    def refusals(values, norms, parts) -> tuple[str, str]:
+        """The closed form's message on ``parts``, and that of the assembled
+        section of the last part, bounded as a whole."""
+        idx = parts[-1]
+        out = []
+        for run in (
+            lambda: part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts)),
+            lambda: _whole(
+                gram._sections(seq.z[idx][None], values[idx][None], norms[idx][None], [seq.ids[idx]])[0]
+            ),
+        ):
+            with pytest.raises(NumericDomainError) as exc:
+                run()
+            out.append(str(exc.value))
+        return tuple(out)
+
+    inseparable = "points 3 and 9 are numerically inseparable"
+    assert refusals(values, norms, [np.array([0, 3]), np.array([1, 2])]) == (inseparable,) * 2
+    for k, bad in ((0, 0.0), (3, math.inf), (1, -1.0)):
+        broken = norms.copy()
+        broken[k] = bad
+        message = f"point {seq.ids[k]} has unusable kernel norm squared {bad!r}"
+        for parts in ([np.array([k])], [np.array([2]), np.array(sorted({k, 2}))]):
+            assert refusals(values, broken, parts) == (message,) * 2
+    non_finite = "eigenvalue input has non-finite entries"
+    broken = values.copy()
+    broken[3] = math.nan
+    assert refusals(broken, norms, [np.array([0, 3])]) == (non_finite,) * 2
 
 
 def test_empty_part_or_sequence_is_refused() -> None:

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -292,6 +293,42 @@ def test_norm_at_a_zero_and_near_an_atom() -> None:
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     assert norms == pytest.approx(kernel_norm_sq_oracle(theta, seq), rel=1e-13)
     assert values == pytest.approx(blaschke_values(theta, seq.z), abs=1e-14)
+
+
+def _theta_mp(theta: InnerFunction, z: complex) -> mpmath.mpc:
+    """Theta(z) in 60-digit arithmetic, each atom at the exact e^{ia} of its angle a."""
+    w = mpmath.mpc(z.real, z.imag)
+    out = mpmath.mpc(1)
+    for eta in theta.blaschke_zeros:
+        e = mpmath.mpc(eta.real, eta.imag)
+        out *= w if eta == 0 else (abs(e) / e) * (e - w) / (1 - mpmath.conj(e) * w)
+    for a, m in theta.singular_atoms:
+        tau = mpmath.expj(mpmath.mpf(a))
+        out *= mpmath.exp(-m * (tau + w) / (tau - w))
+    return out
+
+
+def test_values_next_to_atoms_keep_the_modulus() -> None:
+    # the complex quotient (tau + z)/(tau - z) cancels next to the circle:
+    # taken that way, |Theta| was 7.8e-13 off here at 0.01 from an atom
+    # (and 7.8e-11 at 1e-3), where the exact gap 1 - |z|^2 keeps it within
+    # the 1.7e-14 that the atom angle's rounding alone costs at 1e-3
+    theta = InnerFunction(
+        blaschke_zeros=(0.5 + 0.3j, -0.6j, -0.4 + 0.1j), singular_atoms=((1.62, 0.82), (1.85, 0.14))
+    )
+    z = np.array([
+        (1.0 - depth) * cmath.exp(1j * (a + s))
+        for depth in (1e-6, 1e-9)
+        for a in (1.62, 1.85)
+        for s in (-0.1, -0.01, -1e-3, 1e-3, 0.01, 0.1)
+    ])
+    values = normalized_values(theta, z, np.full(z.size, math.nan))[0]
+    with mpmath.workdps(60):
+        exact = [_theta_mp(theta, w) for w in z]
+        modulus = [float(abs(abs(mpmath.mpc(v.real, v.imag)) - abs(e)) / abs(e)) for v, e in zip(values, exact)]
+        value = [float(abs(mpmath.mpc(v.real, v.imag) - e) / abs(e)) for v, e in zip(values, exact)]
+    assert max(modulus) <= 4e-14
+    assert max(value) <= 1e-10  # the phase, whose error the atom angle's rounding sets
 
 
 def test_normalized_values_edge_points_take_the_boundary_norm() -> None:
