@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .carleson import (
     CarlesonReport,
-    carleson_constant,
     carleson_report,
     earl_bound,
     interpolation_threshold,
@@ -59,7 +58,6 @@ __all__ = [
     "Partition",
     "PointSequence",
     "build_arc_system",
-    "carleson_constant",
     "carleson_report",
     "decompose_by_squares",
     "earl_bound",

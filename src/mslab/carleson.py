@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError
-from .inner import _row_blocks
+from .inner import _one_minus_modulus_sq, _row_blocks
 from .points import BOUNDARY_TOL, PointSequence
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -123,9 +123,9 @@ def _log_rho_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, embedding: bool =
 
 
 def _disk(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's x, y and w = 1 - |z|^2 for interior points z."""
-    x, y = z.real, z.imag
-    return x, y, 1.0 - (x * x + y * y)
+    """The kernel's x, y and w = 1 - |z|^2 for interior points z, w from
+    error-free products (``inner._one_minus_modulus_sq``)."""
+    return z.real, z.imag, _one_minus_modulus_sq(z)
 
 
 def _log_rho_matrix(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -144,17 +144,12 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
     filled row block by row block into one array.  L is exactly symmetric,
     so a subsequence's constant does not depend on which of a pair is
     asked, and no entry exceeds 0.  Far pairs near the circle keep their
-    relative digits, up to the cancellation in 1 - x^2 - y^2 (about 1e-16
-    relative to 1 - |l|^2).  A pair too close for |l_i - l_j|^2 to be a
-    normal float gets log|l_i - l_j| - log((1 - |l_i|^2)(1 - |l_j|^2))/2.
+    relative digits: 1 - |l|^2 is formed from error-free products, to about
+    one rounding however near the circle l lies.  A pair too close for
+    |l_i - l_j|^2 to be a normal float gets
+    log|l_i - l_j| - log((1 - |l_i|^2)(1 - |l_j|^2))/2.
     """
     return _log_rho_matrix(*_disk(_require_interior(seq.z)))
-
-
-def carleson_constant(seq: PointSequence) -> float:
-    """Carleson separation constant of a finite interior sequence: the
-    ``delta`` of ``carleson_report``, whose row sums hold no n x n array."""
-    return carleson_report(seq).delta
 
 
 def carleson_report(seq: PointSequence) -> CarlesonReport:

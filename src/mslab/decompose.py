@@ -22,9 +22,11 @@ point takes one bincount of its row of L over the parts.  A lone point
 certifies for every gamma < 1, so every point ends in a certified part.
 Every emitted part is re-verified from a fresh sum over its own block of
 L, all parts of one size in one stacked sum (a pair reads its one entry),
-before its certificate chain is written; the parts are grouped by size
-once, for these sums and the caller's frame bounds.  At gamma = 0,
-delta* is the smallest delta with a finite phi(delta), about 1.49e-154.
+before its certificate chain is written.  The splitter leaves the frame
+bounds NaN: each driver bounds its finished partition in one call of
+``gram.part_frame_bounds``, the square pipeline its uncovered bucket and
+square parts together.  At gamma = 0, delta* is the smallest delta with a
+finite phi(delta), about 1.49e-154.
 
 ``decompose_by_squares`` covers points that approach the boundary.  It
 builds the N level sets {Theta = e^{2pi i l/N}} and cuts the circle into
@@ -50,7 +52,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -117,11 +118,11 @@ class Partition:
 _COLUMNS = ("gamma", "delta_j", "earl_value", "dist_bound", "lambda_min", "lambda_max", "margins")
 
 
-def _plain_parts(members, offsets, route, bounds, gamma=math.nan, margins=math.nan) -> Partition:
-    """Parts with frame bounds, and gamma and margins if given, but no interpolation certificate."""
+def _plain_parts(members, offsets, route, gamma=math.nan, margins=math.nan) -> Partition:
+    """Parts with gamma and margins if given, but no interpolation certificate or frame bounds."""
     blank = np.full(len(route), math.nan)
     return Partition(
-        members, offsets, route, np.full(len(route), gamma), blank, blank, blank, *bounds,
+        members, offsets, route, np.full(len(route), gamma), blank, blank, blank, blank, blank,
         np.broadcast_to(margins, members.shape),
     )
 
@@ -149,20 +150,17 @@ _MERGE_SLACK = 1e-9
 _DELTA_FINITE = 2.0 / math.sqrt(np.finfo(float).max)
 
 
-def _log_deltas(
-    L: np.ndarray, members: np.ndarray, offsets: np.ndarray, groups: list
-) -> np.ndarray:
+def _log_deltas(L: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Log Carleson constant of each part: min row sum of its block of L, 0 for one point.
 
-    ``groups`` is ``gram._by_size(offsets)``.  The parts of one size are
-    summed as one stack of blocks, over axis 1: row after row, as a lone
-    block ``L[idx][:, idx]`` (Fortran-ordered) sums along its rows, so with
-    L exactly symmetric each value equals that block's
-    ``.sum(axis=1).min()`` bit for bit.  A pair's value is its entry L[i, j]
+    The parts of one size (``gram._by_size``) are summed as one stack of
+    blocks, over axis 1: row after row, as a lone block ``L[idx][:, idx]``
+    (Fortran-ordered) sums along its rows, so with L exactly symmetric each
+    value equals that block's ``.sum(axis=1).min()`` bit for bit.  A pair's value is its entry L[i, j]
     itself: with a zero diagonal, each of its block's two sums is 0 + L[i, j].
     """
     out = np.zeros(offsets.size - 1)
-    for parts, slots in groups:
+    for parts, slots in _by_size(offsets):
         idx = members[slots]
         if slots.shape[1] == 2:
             out[parts] = L[idx[:, 0], idx[:, 1]]
@@ -224,19 +222,17 @@ def split_by_interpolation(theta: InnerFunction, seq: PointSequence) -> Partitio
     """Split into parts whose certificates give gamma * phi(delta_j) < 1.
 
     Requires gamma = max |Theta(lambda_n)| < 1.  The sequence is evaluated
-    once, for gamma and for every part's Gram section.
+    once, for gamma and for every part's Gram section; the finished parts
+    are bounded in one ``part_frame_bounds`` call.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot split an empty sequence")
     values, norms_sq = normalized_values(theta, seq.z, seq.angle, seq.ids)
     # refused before L is formed, which refuses boundary points itself
     gamma = _off_spectrum(float(np.abs(values).max()))
-    return split_log_distances(
-        log_distance_matrix(seq),
-        seq.ids,
-        gamma,
-        partial(part_frame_bounds, seq.z, values, norms_sq, seq.ids),
-    )
+    partition = split_log_distances(log_distance_matrix(seq), seq.ids, gamma)
+    low, high = part_frame_bounds(seq.z, values, norms_sq, seq.ids, partition.members, partition.offsets)
+    return replace(partition, lambda_min=low, lambda_max=high)
 
 
 def _off_spectrum(gamma: float) -> float:
@@ -249,24 +245,17 @@ def _off_spectrum(gamma: float) -> float:
 
 
 def split_log_distances(
-    L: np.ndarray,
-    ids: np.ndarray,
-    gamma: float,
-    frame_bounds,
-    *,
-    route: str = "interp",
+    L: np.ndarray, ids: np.ndarray, gamma: float, *, route: str = "interp"
 ) -> Partition:
     """Split points into parts with gamma * phi(delta_j) < 1, from their log distances.
 
     L[i, j] = log rho(l_i, l_j) is the points' log-distance matrix (zero
     diagonal, exactly symmetric), ``ids`` their labels and gamma the
-    certified bound on the symbol over them, any floor included.
-    ``frame_bounds`` maps the emitted parts, as member positions, offsets
-    and their grouping by size (``gram._by_size``, formed once here), to
-    their lambda_min and lambda_max arrays.  Points are placed
-    one at a time by first-fit, in decreasing clash degree (the number of
-    points closer than delta*), ties to the smaller row sum of L, then the
-    lower position.  A lone point has delta = 1 and phi(1) = 1, so it
+    certified bound on the symbol over them, any floor included.  The
+    parts' frame bounds are left NaN, for the caller to fill from its own
+    Gram data.  Points are placed one at a time by first-fit, in decreasing
+    clash degree (the number of points closer than delta*), ties to the
+    smaller row sum of L, then the lower position.  A lone point has delta = 1 and phi(1) = 1, so it
     certifies for every gamma < 1 and the split cannot fail.  Each part's
     delta_j is exp of a fresh sum (``math.exp``: ``np.exp`` may differ in
     the last bit), and phi and gamma * phi are ``earl_bound``'s arithmetic
@@ -286,8 +275,7 @@ def split_log_distances(
     first = np.minimum.reduceat(ids[members], offsets[:-1])
     members = members[np.argsort(np.repeat(first, sizes), kind="stable")]
     offsets = np.concatenate([[0], np.cumsum(sizes[np.argsort(first, kind="stable")])])
-    groups = _by_size(offsets)
-    delta_j = np.array([math.exp(x) for x in _log_deltas(L, members, offsets, groups).tolist()])
+    delta_j = np.array([math.exp(x) for x in _log_deltas(L, members, offsets).tolist()])
     certified = delta_j >= delta_star
     earl_value = _earl_bounds(np.where(certified, delta_j, 1.0))
     dist_bound = gamma * earl_value
@@ -296,10 +284,10 @@ def split_log_distances(
         raise NumericDomainError(
             f"part re-verification failed: delta {float(delta_j[failed[0]])} at delta* {delta_star}"
         )
+    blank = np.full(delta_j.size, math.nan)
     return Partition(
         members, offsets, (route,) * delta_j.size, np.full(delta_j.size, gamma), delta_j,
-        earl_value, dist_bound, *frame_bounds(members, offsets, groups),
-        np.full(members.size, math.nan),
+        earl_value, dist_bound, blank, blank, np.full(members.size, math.nan),
         global_info={
             "gamma": gamma,
             "delta_star": delta_star,
@@ -565,13 +553,14 @@ def decompose_by_squares(
 
     Square-bucket points are grouped by level and spread into sub-parts
     with at most one point per square: sub-part m of a level takes the
-    m-th smallest id of every square of that level.  Each sub-part gets
-    exact Gram frame bounds and, per point, the stability margin
-    |lambda - e^{i hi}| |Theta'(e^{i hi})| against its own square's anchor.
-    The uncovered bucket is routed through the interpolation splitter with
-    the region-wide modulus bound as its gamma.  If that bound reaches 1 the
-    bucket is emitted uncertified and flagged; a larger level count fixes
-    it.
+    m-th smallest id of every square of that level.  Each sub-part gets,
+    per point, the stability margin |lambda - e^{i hi}| |Theta'(e^{i hi})|
+    against its own square's anchor.  The uncovered bucket is routed
+    through the interpolation splitter with the region-wide modulus bound
+    as its gamma.  If that bound reaches 1 the bucket is emitted
+    uncertified and flagged; a larger level count fixes it.  The joined
+    parts, uncovered and square alike, get exact Gram frame bounds from one
+    ``part_frame_bounds`` call.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot decompose an empty sequence")
@@ -616,25 +605,19 @@ def decompose_by_squares(
                 f"sublevel bound failed at level count {level_count} "
                 f"(delta = {gamma_used}); uncovered bucket left uncertified - increase N"
             )
-            one = np.array([0, uncovered.size])
-            bounds = part_frame_bounds(z, values, norms_sq, seq.ids, uncovered, one)
             route = ("uncovered:uncertified",)
-            pieces.append(_plain_parts(uncovered, one, route, bounds, gamma_used))
+            pieces.append(_plain_parts(uncovered, np.array([0, uncovered.size]), route, gamma_used))
         else:
             inner = split_log_distances(
                 log_distance_matrix(seq.subset(uncovered)),
                 seq.ids[uncovered],
                 gamma_used,
-                lambda members, *table: part_frame_bounds(
-                    z, values, norms_sq, seq.ids, uncovered[members], *table
-                ),
                 route="uncovered:interp",
             )
             pieces.append(replace(inner, members=uncovered[inner.members]))
 
     held, offsets, routes, margins = _square_parts(seq, arcs, located)
-    bounds = part_frame_bounds(z, values, norms_sq, seq.ids, held, offsets)
-    pieces.append(_plain_parts(held, offsets, routes, bounds, margins=margins))
+    pieces.append(_plain_parts(held, offsets, routes, margins=margins))
     counts = np.bincount(located[located >= 0])
 
     partition = _joined(
@@ -649,4 +632,5 @@ def decompose_by_squares(
     )
     if not np.array_equal(np.sort(partition.members, kind="stable"), np.arange(len(seq))):
         raise NumericDomainError("partition failed to cover the sequence exactly")
-    return partition
+    low, high = part_frame_bounds(z, values, norms_sq, seq.ids, partition.members, partition.offsets)
+    return replace(partition, lambda_min=low, lambda_max=high)

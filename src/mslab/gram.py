@@ -28,10 +28,12 @@ or two points take a closed form, with no section assembled: a section
 with unit diagonal [[1, G_12], [G_21, 1]] has eigenvalues exactly
 1 -+ |G_21|, so the bounds are one point's (1, 1) and a pair's
 1 -+ |G_21| up to the rounding of |G_21| and of the sum, where LAPACK's
-reduction and 2-by-2 solve round several times more.  ``part_frame_bounds``
-feeds it sections of a splitter's parts (a pair's entry G_12 formed as the
-assembly forms it), ``block_frame_bounds`` principal blocks of a Gram
-already formed (an exponential system's, ``mslab.pw``), and a whole
+reduction and 2-by-2 solve round several times more.  Two front ends feed
+it, and each driver calls one of them once, on its finished partition:
+``part_frame_bounds`` assembles sections from points (a pair's entry G_12
+formed as the assembly forms it) for ``split_by_interpolation`` and
+``decompose_by_squares``, and ``block_frame_bounds`` reads principal
+blocks of a Gram already formed for ``pw_split`` (``mslab.pw``).  A whole
 section is one part of either.
 
 ``section_frame_bounds`` picks a route for one section.  A Blaschke
@@ -71,12 +73,10 @@ def part_frame_bounds(
     ids: Sequence[int],
     members: np.ndarray,
     offsets: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of the Gram section of each part, as arrays.
 
-    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``;
-    ``groups`` is ``_by_size(offsets)``, when the caller has it already.
+    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``.
     Parts of one size are bounded together (``_stacked_bounds``): a part
     costs a share of a few numpy calls, not a few numpy calls of its own.
     """
@@ -84,42 +84,34 @@ def part_frame_bounds(
     return _stacked_bounds(
         members,
         offsets,
-        groups,
         lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx]),
         lambda idx: (1.0, 1.0, _couplings(z[idx], values[idx], norms_sq[idx], labels[idx])),
     )
 
 
 def block_frame_bounds(
-    g: np.ndarray,
-    members: np.ndarray,
-    offsets: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    g: np.ndarray, members: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of the principal block of the Hermitian ``g``
-    at each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays;
-    ``groups`` is ``_by_size(offsets)``, when the caller has it already."""
+    at each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays."""
 
     def pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i, j = idx[:, 0], idx[:, -1]
         return g[i, i], g[j, j], g[j, i] if idx.shape[1] == 2 else np.zeros(i.size)
 
-    return _stacked_bounds(
-        members, offsets, groups, lambda idx: g[idx[:, :, None], idx[:, None, :]], pairs
-    )
+    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]], pairs)
 
 
 def _stacked_bounds(
     members: np.ndarray,
     offsets: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]] | None,
     sections: Callable[[np.ndarray], np.ndarray],
     pairs: Callable[[np.ndarray], tuple],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min and lambda_max of each part, grouped by size as in ``groups``
-    (``_by_size(offsets)`` when None).
+    """lambda_min and lambda_max of each part, grouped by size here.
 
-    ``sections`` maps a (P, m) array of parts of size m >= 3 to the
+    ``part_frame_bounds`` and ``block_frame_bounds`` supply the two
+    callbacks.  ``sections`` maps a (P, m) array of parts of size m >= 3 to the
     (P, m, m) stack of their Gram sections.  These go in stacks of at most
     2^15 entries, and each stack takes one finiteness check and one stacked
     ``eigvalsh`` call.  ``pairs`` maps a (P, m) array of parts of one or
@@ -130,7 +122,7 @@ def _stacked_bounds(
     (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
     """
     low, high = np.empty((2, offsets.size - 1))
-    for parts, slots in _by_size(offsets) if groups is None else groups:
+    for parts, slots in _by_size(offsets):
         m = slots.shape[1]
         if not m:
             raise NumericDomainError(f"part {int(parts[0])} is empty: it has no Gram section")

@@ -17,19 +17,18 @@ disk's pseudohyperbolic distance under the Cayley map, so the interpolation
 splitter runs on log rho of the shifted frequencies, with no transport.
 Since |s - conj(t)|^2 = |s - t|^2 + 4 Im s Im t, log rho comes from the
 disk's row kernel (``mslab.carleson``) with weights w = 2 Im s.
-Each resulting part gets its exact exponential-Gram frame bounds, and the
-whole system is one part: ``gram.block_frame_bounds`` bounds principal
-blocks of the one array ``pw_gram`` forms.  An
-``ExpSystem`` holds only the mathematics: ``mslab.cli`` reads it from a
-config and writes its report.
+The splitter leaves the frame bounds NaN; ``pw_split`` bounds its
+finished parts in one ``gram.block_frame_bounds`` call, from principal
+blocks of the one array ``pw_gram`` forms, and the whole system is one
+part of the same function.  An ``ExpSystem`` holds only the mathematics:
+``mslab.cli`` reads it from a config and writes its report.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,9 +120,9 @@ def pw_split(system: ExpSystem, g: np.ndarray) -> Partition:
     w = 2 Im s, and gamma = max exp(-a Im s), both exact in the half-plane.
     Each part's frame bounds are the exact
     exponential-Gram bounds of its frequencies, from its principal block of
-    ``g``, the system's one normalized Gram (``pw_gram``), by
-    ``gram.block_frame_bounds``: the blocks of the parts of one size are
-    bounded as one stack.
+    ``g``, the system's one normalized Gram (``pw_gram``): one
+    ``gram.block_frame_bounds`` call on the finished parts bounds the blocks
+    of the parts of one size as one stack.
     """
     if len(system) == 0:
         raise ConfigError("empty exponential system")
@@ -134,7 +133,8 @@ def pw_split(system: ExpSystem, g: np.ndarray) -> Partition:
         _log_rho_matrix(s.real, s.imag, 2.0 * s.imag),
         np.arange(len(system)),
         math.exp(-a * float(s.imag.min())),
-        partial(block_frame_bounds, g),
     )
-    partition.global_info["a"] = a
-    return partition
+    low, high = block_frame_bounds(g, partition.members, partition.offsets)
+    return replace(
+        partition, lambda_min=low, lambda_max=high, global_info={**partition.global_info, "a": a}
+    )

@@ -198,13 +198,8 @@ def log_distance_oracle(values) -> np.ndarray:
 
 def split_at_gamma(seq: PointSequence, gamma: float) -> Partition:
     """The interpolation splitter's core on a disk sequence at a prescribed
-    gamma: its log-distance matrix, and placeholder frame bounds (0, 0)."""
-    return split_log_distances(
-        log_distance_matrix(seq),
-        seq.ids,
-        gamma,
-        lambda members, offsets, groups: (np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)),
-    )
+    gamma, from its log-distance matrix; the frame bounds stay NaN."""
+    return split_log_distances(log_distance_matrix(seq), seq.ids, gamma)
 
 
 def library_gram(theta: InnerFunction, seq: PointSequence) -> np.ndarray:

@@ -20,7 +20,7 @@ from conftest import (
     section_bounds,
 )
 
-from mslab.carleson import carleson_constant, earl_bound, interpolation_threshold
+from mslab.carleson import earl_bound, interpolation_threshold
 from mslab.clark import herglotz_residuals, level_set
 from mslab.decompose import (
     build_arc_system,

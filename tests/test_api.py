@@ -18,7 +18,6 @@ EXPORTED = [
     "Partition",
     "PointSequence",
     "build_arc_system",
-    "carleson_constant",
     "carleson_report",
     "decompose_by_squares",
     "earl_bound",

@@ -11,7 +11,6 @@ from conftest import log_distance_oracle, pseudohyperbolic_oracle
 
 from mslab import pw
 from mslab.carleson import (
-    carleson_constant,
     carleson_report,
     earl_bound,
     interpolation_threshold,
@@ -58,16 +57,16 @@ def test_pseudohyperbolic_boundary_rejected() -> None:
 
 
 def test_carleson_singleton_empty_product() -> None:
-    assert carleson_constant(PointSequence.from_complex([0.5])) == 1.0
+    assert carleson_report(PointSequence.from_complex([0.5])).delta == 1.0
 
 
 def test_carleson_pair() -> None:
-    assert carleson_constant(PointSequence.from_complex([0, 0.5])) == pytest.approx(0.5)
+    assert carleson_report(PointSequence.from_complex([0, 0.5])).delta == pytest.approx(0.5)
 
 
 def test_carleson_triple_brute_force() -> None:
     seq = PointSequence.from_complex([0, 0.5, -0.5])
-    assert carleson_constant(seq) == pytest.approx(0.25)
+    assert carleson_report(seq).delta == pytest.approx(0.25)
 
 
 def test_carleson_brute_force_oracle_random() -> None:
@@ -97,7 +96,7 @@ def test_carleson_log_product_path_matches_direct() -> None:
             if i != j:
                 prod *= abs((v - w) / (1 - w.conjugate() * v))
         per_point.append(prod)
-    assert carleson_constant(seq) == pytest.approx(min(per_point), rel=1e-9)
+    assert carleson_report(seq).delta == pytest.approx(min(per_point), rel=1e-9)
 
 
 def test_log_distances_never_exceed_zero_near_the_circle() -> None:
@@ -130,11 +129,11 @@ def test_embedding_diagonal_lower_bound() -> None:
 def test_monotone_under_point_removal() -> None:
     rng = np.random.default_rng(5)
     seq = _random_interior(rng, 10)
-    base_delta = carleson_constant(seq)
+    base_delta = carleson_report(seq).delta
     base_emb = carleson_report(seq).embedding_sup
     for drop in seq.ids:
         rest = seq.subset(np.flatnonzero(seq.ids != drop))
-        assert carleson_constant(rest) >= base_delta - 1e-14
+        assert carleson_report(rest).delta >= base_delta - 1e-14
         assert carleson_report(rest).embedding_sup <= base_emb + 1e-14
 
 
@@ -143,7 +142,7 @@ def test_rotation_invariance_of_scalars() -> None:
     seq = _random_interior(rng, 8)
     t = cmath.exp(0.77j)
     rotated = PointSequence.from_complex(t * seq.z)
-    assert carleson_constant(rotated) == pytest.approx(carleson_constant(seq), abs=1e-12)
+    assert carleson_report(rotated).delta == pytest.approx(carleson_report(seq).delta, abs=1e-12)
     assert carleson_report(rotated).embedding_sup == pytest.approx(
         carleson_report(seq).embedding_sup, abs=1e-12
     )
@@ -158,23 +157,23 @@ def test_delta_bounded_by_min_pairwise() -> None:
         for i in range(len(vals))
         for j in range(i + 1, len(vals))
     )
-    assert carleson_constant(seq) <= min_pair + 1e-14
+    assert carleson_report(seq).delta <= min_pair + 1e-14
     pair = PointSequence.from_complex([0.1, 0.6j])
-    assert carleson_constant(pair) == pytest.approx(
+    assert carleson_report(pair).delta == pytest.approx(
         pseudohyperbolic_oracle(0.1, 0.6j), rel=1e-14
     )
 
 
 def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
     # the report's two sums come from one pass of the row kernel over the
-    # row blocks; its delta is carleson_constant's bit for bit, and its
+    # row blocks; its delta is the unpatched report's bit for bit, and its
     # embedding sum the double sum written out
     module = importlib.import_module("mslab.carleson")
     seq = _random_interior(np.random.default_rng(8), 200, rmax=0.99)
     w = 1.0 - np.abs(seq.z) ** 2
     double_sum = w[:, None] * w / np.abs(1.0 - seq.z[:, None] * seq.z.conj()) ** 2
     want_embedding = float(double_sum.sum(axis=1).max())
-    want_delta = carleson_constant(seq)
+    want_delta = carleson_report(seq).delta
     passes, blocks = [], []
     kernel = module._log_rho_rows
 
@@ -193,21 +192,24 @@ def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
 
 
 def test_far_pairs_near_the_circle_keep_their_digits() -> None:
-    # nearly antipodal pairs 1e-6 from the circle: rho = 1 - O(1e-12), so a
-    # ratio |l - m|/|1 - conj(m) l| rounded to a double keeps about 4 digits
-    # of log rho; the reference takes 1 - rho^2 exactly from the floats
+    # nearly antipodal pairs 1e-6 to 1e-12 from the circle: rho = 1 -
+    # O(depth^2), so a ratio |l - m|/|1 - conj(m) l| rounded to a double keeps
+    # about 4 digits of log rho at 1e-6 and none at 1e-9, and a plain
+    # 1 - x^2 - y^2 cancels to 1e-4 relative at 1e-12; the reference takes
+    # 1 - rho^2 exactly from the floats
     rng = np.random.default_rng(29)
-    for _ in range(50):
-        r = 1.0 - rng.uniform(0.5e-6, 2e-6, size=2)
-        a = rng.uniform(0, TWO_PI)
-        b = a + math.pi + rng.uniform(-1e-3, 1e-3)
-        p, q = r[0] * cmath.exp(1j * a), r[1] * cmath.exp(1j * b)
-        xp, yp, xq, yq = (Fraction(t) for t in (p.real, p.imag, q.real, q.imag))
-        num = (xp - xq) ** 2 + (yp - yq) ** 2
-        den = (1 - xp * xq - yp * yq) ** 2 + (xq * yp - xp * yq) ** 2
-        want = 0.5 * math.log1p(-float((den - num) / den))
-        got = log_distance_matrix(PointSequence.from_complex([p, q]))[0, 1]
-        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    for depth in (1e-6, 1e-9, 1e-12):
+        for _ in range(50):
+            r = 1.0 - depth * rng.uniform(0.5, 2.0, size=2)
+            a = rng.uniform(0, TWO_PI)
+            b = a + math.pi + rng.uniform(-1e-3, 1e-3)
+            p, q = r[0] * cmath.exp(1j * a), r[1] * cmath.exp(1j * b)
+            xp, yp, xq, yq = (Fraction(t) for t in (p.real, p.imag, q.real, q.imag))
+            num = (xp - xq) ** 2 + (yp - yq) ** 2
+            den = (1 - xp * xq - yp * yq) ** 2 + (xq * yp - xp * yq) ** 2
+            want = 0.5 * math.log1p(-float((den - num) / den))
+            got = log_distance_matrix(PointSequence.from_complex([p, q]))[0, 1]
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), depth
 
 
 def test_log_distances_of_pairs_closer_than_a_normal_square() -> None:
@@ -252,19 +254,18 @@ def test_report_holds_no_pairwise_matrix() -> None:
     # numpy reports its buffers to tracemalloc; an n x n float array at
     # n = 2000 alone would take 32 MB
     seq = _random_interior(np.random.default_rng(9), 2000, rmax=0.99)
-    for scalar in (carleson_report, carleson_constant):
-        tracemalloc.start()
-        try:
-            scalar(seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6, scalar.__name__
+    tracemalloc.start()
+    try:
+        carleson_report(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_empty_sequence_rejected() -> None:
     with pytest.raises(NumericDomainError):
-        carleson_constant(PointSequence((), (), ()))
+        carleson_report(PointSequence((), (), ()))
 
 
 def test_earl_values() -> None:

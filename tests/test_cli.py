@@ -3,12 +3,14 @@ import importlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mslab.cli as cli
 import mslab.decompose as decompose
+import mslab.pw as pw
 from mslab.cli import main
 from mslab.errors import ConfigError
 
@@ -279,6 +281,9 @@ _RENDER_CASES = {
     # the same with the ceiling on gamma at 0: the uncovered bucket is left uncertified
     "uncertified": ("split", {"inner": Z3, "points": [[0.1, 0.0], [-0.2, 0.1], *_NEAR_CIRCLE],
                               "mode": "squares", "options": {"level_count": 8}}, 0),
+    # every point in a square: no uncovered bucket
+    "covered": ("split", {"inner": Z3, "points": _NEAR_CIRCLE, "mode": "squares",
+                          "options": {"level_count": 8}}, 0),
     "pw": ("pw", {"pw": {"a": 5.0, "freqs": [[0.0, 0.0], [2.0, 0.0], [4.0, 0.5], [4.05, 0.5], [7.0, 0.0]]},
                   "options": {"split": True}}, 0),
     # CertificationError: the partial partition.json
@@ -290,15 +295,27 @@ def _bits(value: float) -> int:
     return int(np.float64(value).view(np.int64))
 
 
+def _spy(monkeypatch, module, name: str, log: list) -> None:
+    """Replace ``module.name`` by a wrapper that appends (function, args, result) to ``log``."""
+    f = getattr(module, name)
+
+    def spy(*args, **options):
+        result = f(*args, **options)
+        log.append((f, args, result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+
+
 def _table_value(value: float, absent):
     """A table value's bits, ``absent`` for NaN: the mark of a field the part has not."""
     return absent if value != value else _bits(value)
 
 
 def test_column_texts_encode_each_bit_pattern_once() -> None:
-    bounds = (np.array([-0.0, 0.0]), np.array([math.inf, 1.0]))
     margins = np.array([math.nan, -0.0, 0.0])
-    p = decompose._plain_parts(np.arange(3), np.array([0, 1, 3]), ("a", "b"), bounds, 0.5, margins)
+    p = decompose._plain_parts(np.arange(3), np.array([0, 1, 3]), ("a", "b"), 0.5, margins)
+    p = replace(p, lambda_min=np.array([-0.0, 0.0]), lambda_max=np.array([math.inf, 1.0]))
     null = ["null", "null"]
     assert cli._column_texts(p, cli._JSON_COLUMNS, cli._json_number) == [
         null, null, null, ["Infinity", "1.0"], ["-0.0", "0.0"], ["0.5", "0.5"], ["null", "-0.0", "0.0"]
@@ -315,6 +332,11 @@ def test_rendered_reports_are_the_json_modules_text_and_the_tables_values(
     rendered = []  # every partition rendered, captured where its numbers are encoded
     encode = cli._column_texts
     monkeypatch.setattr(cli, "_column_texts", lambda p, *args: rendered.append(p) or encode(p, *args))
+    bounded, splits = [], []  # each driver's frame-bound calls, and each splitter's table
+    _spy(monkeypatch, decompose, "part_frame_bounds", bounded)
+    _spy(monkeypatch, pw, "block_frame_bounds", bounded)
+    for module in (decompose, pw):
+        _spy(monkeypatch, module, "split_log_distances", splits)
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path / "cfg.json", config), "--out", str(out)]) == code
     reports = {}
@@ -328,9 +350,22 @@ def test_rendered_reports_are_the_json_modules_text_and_the_tables_values(
     (partition,) = rendered
     report = reports["pw.json"]["partition"] if case == "pw" else reports["partition.json"]
     offsets = partition.offsets.tolist()
-    routes = {"interp": {"interp"}, "pw": {"interp"}, "uncertified": {"uncovered:uncertified"}}
+    routes = {"interp": {"interp"}, "pw": {"interp"}, "uncertified": {"uncovered:uncertified"},
+              "covered": set()}
     assert routes.get(case, {"uncovered:interp"}) <= set(partition.route)
     assert (case in ("interp", "pw")) != any(r.startswith("square:") for r in partition.route)
+    assert (case == "covered") == all(r.startswith("square:") for r in partition.route)
+    # the splitter leaves the bounds NaN, and the driver bounds its finished
+    # table in one call: each part's bounds are that function's on the part alone
+    assert len(splits) == (case not in ("uncertified", "covered"))
+    for *_, table in splits:
+        assert np.isnan(table.lambda_min).all() and np.isnan(table.lambda_max).all()
+    ((frame_bounds, (*data, _, _), _),) = bounded
+    low, high = partition.lambda_min, partition.lambda_max
+    assert np.isfinite(low).all() and np.isfinite(high).all() and (low <= high).all()
+    for k, part in enumerate(partition.parts):
+        alone = frame_bounds(*data, part, np.array([0, part.size]))
+        assert [_bits(b[0]) for b in alone] == [_bits(low[k]), _bits(high[k])]
     assert max(np.diff(offsets)) > 1
     for k, (part, a, b) in enumerate(zip(report["parts"], offsets, offsets[1:])):
         assert part["ids"] == partition.members[a:b].tolist()  # the labels are the positions

@@ -25,7 +25,7 @@ from conftest import (
 )
 
 from mslab import decompose
-from mslab.carleson import carleson_constant, earl_bound
+from mslab.carleson import carleson_report, earl_bound
 from mslab.decompose import (
     build_arc_system,
     decompose_by_squares,
@@ -102,7 +102,7 @@ def test_split_ring_end_to_end() -> None:
     for k, ids in enumerate(part_ids(partition, ring.ids)):
         # re-derive the certificate from scratch
         sub = ring.subset(np.flatnonzero(np.isin(ring.ids, ids)))
-        delta = carleson_constant(sub)
+        delta = carleson_report(sub).delta
         assert partition.delta_j[k] == pytest.approx(delta, rel=1e-12)
         assert partition.earl_value[k] == pytest.approx(earl_bound(delta), rel=1e-12)
         assert partition.dist_bound[k] == pytest.approx(gamma * earl_bound(delta), rel=1e-12)

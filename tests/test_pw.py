@@ -231,9 +231,9 @@ def test_pw_split_log_distances_match_the_disk_oracle_on_cayley_images(monkeypat
     seen = {}
     split = pw.split_log_distances
 
-    def record(L, ids, gamma, frame_bounds, **options):
+    def record(L, ids, gamma, **options):
         seen.update(L=L, gamma=gamma)
-        return split(L, ids, gamma, frame_bounds, **options)
+        return split(L, ids, gamma, **options)
 
     monkeypatch.setattr(pw, "split_log_distances", record)
     system = ExpSystem(math.pi, freqs)
@@ -253,9 +253,9 @@ def test_pw_split_delta_j_is_math_exp_of_each_parts_row_sum_minimum(monkeypatch)
     seen = {}
     split = pw.split_log_distances
 
-    def record(L, ids, gamma, frame_bounds, **options):
+    def record(L, ids, gamma, **options):
         seen["L"] = L
-        return split(L, ids, gamma, frame_bounds, **options)
+        return split(L, ids, gamma, **options)
 
     monkeypatch.setattr(pw, "split_log_distances", record)
     for seed in range(12):

@@ -22,7 +22,6 @@ import pytest
 from conftest import first_fit_reference, part_table, partition_text, split_at_gamma
 
 import mslab.decompose as decompose
-import mslab.gram as gram
 from mslab.carleson import _earl_bounds, earl_bound, interpolation_threshold
 from mslab.errors import NumericDomainError
 from mslab.points import PointSequence
@@ -179,7 +178,7 @@ def test_stacked_reverification_matches_one_block_at_a_time(recorded, planted) -
             L[idx[0], idx[-1]] = L[idx[-1], idx[0]] = -math.inf
     want = [0.0 if idx.size == 1 else L[idx][:, idx].sum(axis=1).min() for idx in parts]
     members, offsets = part_table(parts)
-    got = decompose._log_deltas(L, members, offsets, gram._by_size(offsets))
+    got = decompose._log_deltas(L, members, offsets)
     assert got.tobytes() == np.array(want).tobytes()
     assert np.isneginf(got).any() == planted
 
@@ -262,4 +261,4 @@ def test_a_part_merged_at_delta_star_fails_its_reverification(monkeypatch) -> No
     L = np.array([[0.0, math.log(star)], [math.log(star), 0.0]])
     monkeypatch.setattr(decompose, "_first_fit", lambda L, order, floor: (np.arange(2), np.array([0, 2])))
     with pytest.raises(NumericDomainError, match="re-verification failed"):
-        decompose.split_log_distances(L, np.arange(2), 0.3, lambda m, o, g: (np.zeros(1), np.zeros(1)))
+        decompose.split_log_distances(L, np.arange(2), 0.3)
