@@ -243,21 +243,18 @@ def _rates(terms: _Terms, zeta: np.ndarray, at_atom: np.ndarray) -> np.ndarray:
     return rates
 
 
-def eval_points(
-    theta: InnerFunction, z: np.ndarray, ids: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def eval_points(theta: InnerFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Theta(z) and the boundary rate |Theta'| over a 1-D array of points.
 
     The rate is taken at the radial projection e^{i arg z} (at z itself when
     |z| is within 1e-9 of 1), so the pair answers both boundary sampling and
     the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  A
-    boundary point on an atom raises ``OnSpectrumError``, naming the
-    point's label when ``ids`` gives one per point; the rate at an atom's
-    angle is +inf.
+    boundary point on an atom raises ``OnSpectrumError``; the rate at an
+    atom's angle is +inf.
     """
     z = np.asarray(z, dtype=complex)
     terms = theta._terms
-    at_atom = _refuse_atoms(terms, z, ids)
+    at_atom = _refuse_atoms(terms, z)
     on_circle = np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL
     zeta = np.where(on_circle, z, np.exp(1j * np.angle(z)))
     return _values(terms, z), _rates(terms, zeta, at_atom)

@@ -1,6 +1,19 @@
-"""The package's export list: every name resolves, none repeats, star import works."""
+"""The package's export list: every name resolves, none repeats, star import works.
+
+Also the layers the bench tracer imports: each one imports, and the empty
+``mslab.quadrature`` stub binds nothing and stays out of ``import mslab``.
+"""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mslab
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # The public surface, pinned so that it only changes on purpose.
 EXPORTED = [
@@ -84,3 +97,39 @@ def test_removed_square_names_are_not_exported() -> None:
     assert gone.isdisjoint(mslab.__all__)
     assert not any(hasattr(mslab, name) for name in gone)
     assert "select_arc_system" in mslab.__all__
+
+
+def _traced_layers() -> tuple[str, ...]:
+    """``LAYERS`` of the bench tracer, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py assigns no LAYERS")
+
+
+def test_every_traced_layer_imports_and_the_quadrature_stub_is_empty() -> None:
+    # the tracer imports each listed layer when a traced run starts; the
+    # stub and these checks go once the bench drops it from LAYERS
+    layers = _traced_layers()
+    assert "quadrature" in layers
+    for layer in layers:
+        importlib.import_module(f"mslab.{layer}")
+    stub = importlib.import_module("mslab.quadrature")
+    assert [name for name in vars(stub) if not name.startswith("_")] == []
+    assert stub.__doc__
+
+
+def test_importing_the_package_leaves_the_quadrature_stub_unloaded() -> None:
+    # a fresh interpreter: this process may have imported the stub already
+    src = Path(mslab.__file__).resolve().parents[1]
+    probe = "import sys, mslab; print('mslab.quadrature' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout == "False\n"

@@ -497,17 +497,31 @@ _NAN = float("nan")
                    "alpha": [1.0, 0.0]}, "atom 0"),
         ("clark", {"inner": {"singular_atoms": [{"angle": 1.5, "mass": 2.0, "x": 0}]},
                    "alpha": [1.0, 0.0]}, "atom 0"),
+        ("split", {"inner": 5, "points": [[0.1, 0.0]], "mode": "interp"},
+         "inner function must be a JSON object"),
+        ("clark", {"inner": {"singular_atoms": [5]}, "alpha": [1.0, 0.0]},
+         "atom 0 must be a JSON object"),
+        ("split", {"inner": Z2, "mode": "interp"}, "missing config keys: ['points']"),
+        ("clark", {"inner": {"singular_atoms": 5}, "alpha": [1.0, 0.0]},
+         "'singular_atoms' must be a list, got 5"),
+        ("split", {"inner": Z2, "points": [[0.1, 0.0]], "mode": "foo"},
+         "mode must be 'interp' or 'squares', got 'foo'"),
+        ("analyze", [5], "config entry must be a JSON object"),
+        ("pw", {"pw": {"a": 1.0, "freqs": []}}, "empty exponential system"),
     ],
     ids=["pw-a-string", "pw-a-true", "pw-a-numeric-string", "pw-three-element-freq",
          "pw-freq-false", "pw-freqs-not-a-list", "point-string", "zero-string", "alpha-nan",
          "zero-nan", "zero-false", "zeros-not-a-list", "atom-angle-nan", "atom-strings",
-         "atom-unknown-key"],
+         "atom-unknown-key", "inner-not-an-object", "atom-not-an-object", "points-missing",
+         "atoms-not-a-list", "mode-unknown", "sweep-entry-not-an-object", "pw-freqs-empty"],
 )
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, config, named) -> None:
     cfg = _write(tmp_path / "cfg.json", config)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("mslab: config error: ") and named in err
+    assert not out.exists()
 
 
 _PW_SYSTEM = {"a": 1.0, "freqs": [[0.0, 0.0], [1.0, 0.0]]}
@@ -805,6 +819,22 @@ def test_exit_code_numeric_domain(tmp_path, capsys) -> None:
     )
     assert main(["split", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "point 0" in capsys.readouterr().err
+
+
+def test_boundary_point_escaping_every_square_is_a_numeric_domain_error(tmp_path, capsys) -> None:
+    # next to the atom at angle 1.0 the eight-level arcs are truncated away
+    config = {
+        "inner": {"blaschke_zeros": [[0.3, 0.0]], "singular_atoms": [{"angle": 1.0, "mass": 0.5}]},
+        "points": [{"angle": 1.0001}, [0.2, 0.1]],
+        "mode": "squares",
+        "options": {"level_count": 8, "max_points_per_arc": 4},
+    }
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main(["split", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "mslab: numeric domain error: boundary point 0 escaped every square; "
+        "the uncovered region is interior-only\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from mslab.decompose import (
     split_by_interpolation,
     uncovered_region_report,
 )
-from mslab.errors import CertificationError, NumericDomainError
+from mslab.errors import CertificationError, ConfigError, NumericDomainError
 from mslab.inner import InnerFunction
 from mslab.points import PointSequence
 
@@ -485,6 +485,26 @@ def test_squares_pipeline_rejects_spectrum_point() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5,))
     with pytest.raises(NumericDomainError, match="point 0"):
         decompose_by_squares(theta, PointSequence.from_complex([0.5]), 8)
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: decompose_by_squares(InnerFunction(blaschke_zeros=(0.5,)), PointSequence((), (), ()), 8),
+         NumericDomainError, "cannot decompose an empty sequence"),
+        (lambda: decompose_by_squares(InnerFunction(), PointSequence.from_complex([0.5]), 8),
+         NumericDomainError, "constant inner function: nothing to decompose"),
+        (lambda: build_arc_system(InnerFunction(blaschke_zeros=(0.5,)), 0),
+         ConfigError, "level count must be at least 1"),
+        (lambda: build_arc_system(InnerFunction(), 4),
+         NumericDomainError, "constant inner function admits no arc system"),
+    ],
+    ids=["empty-sequence", "constant-theta", "zero-levels", "constant-theta-arcs"],
+)
+def test_square_pipeline_refusals(refused, error, message) -> None:
+    with pytest.raises(error) as exc:
+        refused()
+    assert str(exc.value) == message
 
 
 def test_squares_pipeline_mixed_membership() -> None:
