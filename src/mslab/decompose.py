@@ -301,15 +301,13 @@ def split_log_distances(
 # Arc systems and their Carleson squares
 # ---------------------------------------------------------------------------
 
-# The uncovered region is healthy while its sampled sup of |Theta| stays
-# below this: the level-count search aims under it, and a split above it
-# is flagged.
+# A split whose uncovered region has a sampled sup of |Theta| at or above
+# this is flagged, whoever chose the level count.
 _HEALTH_MARGIN = 0.9
 
-# The level-count search accepts an arc system whose per-arc spread of
-# |Theta'|, sampled at _RATE_GRID midpoints per arc, stays below
-# _SPREAD_CEILING; it tries the powers of two from _LEVEL_COUNT_START to
-# _LEVEL_COUNT_LIMIT.
+# The level-count search takes the first power of two from
+# _LEVEL_COUNT_START to _LEVEL_COUNT_LIMIT whose per-arc spread of |Theta'|,
+# sampled at _RATE_GRID midpoints per arc, is at most _SPREAD_CEILING.
 _SPREAD_CEILING = 4.0
 _RATE_GRID = 32
 # Points sampled along the squares' inner sides for the uncovered-region sup.
@@ -483,38 +481,27 @@ def rate_comparability(theta: InnerFunction, arcs: ArcSystem) -> float:
     """Worst per-arc max/min ratio of |Theta'| over _RATE_GRID midpoints of each arc."""
     lo, hi = arcs.lo, arcs.hi
     angles = lo[:, None] + (hi - lo)[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
-    zeta = np.exp(1j * angles.ravel())  # on the circle, where eval_points takes its rates
+    zeta = np.exp(1j * angles.ravel())  # on the circle, where _rates takes |Theta'|
     rates = _rates(theta._terms, zeta, _refuse_atoms(theta._terms, zeta)).reshape(angles.shape)
     return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
 
 
-def select_arc_system(
-    theta: InnerFunction, *, max_points_per_arc: int = 512
-) -> tuple[ArcSystem, float]:
-    """The arc system at the smallest usable power-of-two N, with its uncovered-region sup.
+def select_arc_system(theta: InnerFunction, *, max_points_per_arc: int = 512) -> ArcSystem:
+    """The arc system at the first power-of-two N with rate spread at most ``_SPREAD_CEILING``.
 
-    Usable means: the uncovered region's sampled sup of |Theta| is below
-    ``_HEALTH_MARGIN`` and the per-arc rate spread stays below
-    ``_SPREAD_CEILING``.  The two criteria pull in opposite directions (the
-    spread improves with N while the sublevel sup creeps toward 1), so when
-    no N meets the health margin the spread-qualified N with the smallest
-    sup below 1 is taken instead; certificates stay valid for any sup < 1.
+    The spread alone decides.  N/2's alphas are N's even ones, each solved on
+    its own, so N/2's level points are among N's and each square for N lies
+    in one for N/2: doubling N cannot lower the uncovered region's sup,
+    which ``decompose_by_squares`` reports and flags for any N.
     """
-    best: tuple[ArcSystem, float] | None = None
     n = _LEVEL_COUNT_START
     while n <= _LEVEL_COUNT_LIMIT:
         arcs = build_arc_system(theta, n, max_points_per_arc)
-        delta = uncovered_region_report(theta, arcs).delta
         if rate_comparability(theta, arcs) <= _SPREAD_CEILING:
-            if delta < _HEALTH_MARGIN:
-                return arcs, delta
-            if delta < 1.0 - 1e-9 and (best is None or delta < best[1]):
-                best = (arcs, delta)
+            return arcs
         n *= 2
-    if best is not None:
-        return best
     raise CertificationError(
-        f"no usable level count up to {_LEVEL_COUNT_LIMIT}: sublevel bound or rate spread failed"
+        f"no usable level count up to {_LEVEL_COUNT_LIMIT}: rate spread above {_SPREAD_CEILING}"
     )
 
 
@@ -558,9 +545,9 @@ def decompose_by_squares(
     against its own square's anchor.  The uncovered bucket is routed
     through the interpolation splitter with the region-wide modulus bound
     as its gamma.  If that bound reaches 1 the bucket is emitted
-    uncertified and flagged; a larger level count fixes it.  The joined
-    parts, uncovered and square alike, get exact Gram frame bounds from one
-    ``part_frame_bounds`` call.
+    uncertified and flagged; a smaller level count deepens the squares and
+    may lower it.  The joined parts, uncovered and square alike, get exact
+    Gram frame bounds from one ``part_frame_bounds`` call.
     """
     if len(seq) == 0:
         raise NumericDomainError("cannot decompose an empty sequence")
@@ -571,11 +558,10 @@ def decompose_by_squares(
         raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
     if level_count is None:
-        arcs, delta = select_arc_system(theta, max_points_per_arc=max_points_per_arc)
-        level_count = arcs.level_count
+        arcs = select_arc_system(theta, max_points_per_arc=max_points_per_arc)
     else:
         arcs = build_arc_system(theta, level_count, max_points_per_arc)
-        delta = uncovered_region_report(theta, arcs).delta
+    delta = uncovered_region_report(theta, arcs).delta
 
     flags: list[str] = []
     if arcs.truncated:
@@ -602,8 +588,8 @@ def decompose_by_squares(
         gamma_used = max(delta, float(np.abs(values[uncovered]).max()))
         if gamma_used >= _GAMMA_CEILING:
             flags.append(
-                f"sublevel bound failed at level count {level_count} "
-                f"(delta = {gamma_used}); uncovered bucket left uncertified - increase N"
+                f"sublevel bound failed at level count {arcs.level_count} (delta = {gamma_used}); "
+                "uncovered bucket left uncertified - a smaller level count deepens the squares"
             )
             route = ("uncovered:uncertified",)
             pieces.append(_plain_parts(uncovered, np.array([0, uncovered.size]), route, gamma_used))
@@ -623,7 +609,7 @@ def decompose_by_squares(
     partition = _joined(
         pieces,
         global_info={
-            "level_count": level_count,
+            "level_count": arcs.level_count,
             "max_per_square": int(counts.max()) if counts.size else 0,
             "delta_uncovered": delta,
         },

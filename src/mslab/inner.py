@@ -56,8 +56,8 @@ held as columns, a slice of at most 2^15 entries' worth of points as a
 row, and each sum or product over the terms reduces axis 0, so numpy's
 inner loops run along the points.
 ``eval_points`` evaluates Theta and |Theta'| over an array of points in
-one numpy pass (points against zeros, points against atoms); every layer
-that evaluates Theta at given points shares it.
+one numpy pass (points against zeros, points against atoms); its one
+caller in the package is ``clark.level_sets``, on the solved level points.
 ``argument_and_rate`` gives, in the same way, the continuous argument Phi
 of Theta(e^{it}) on an atom-free boundary arc in closed form, together
 with its rate |Theta'| from the same sines; ``boundary_argument`` is its

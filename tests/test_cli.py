@@ -349,6 +349,9 @@ def test_rendered_reports_are_the_json_modules_text_and_the_tables_values(
         return
     (partition,) = rendered
     report = reports["pw.json"]["partition"] if case == "pw" else reports["partition.json"]
+    if case == "uncertified":
+        (flag,) = [f for f in report["flags"] if f.startswith("sublevel bound failed")]
+        assert flag.endswith("uncovered bucket left uncertified - a smaller level count deepens the squares")
     offsets = partition.offsets.tolist()
     routes = {"interp": {"interp"}, "pw": {"interp"}, "uncertified": {"uncovered:uncertified"},
               "covered": set()}
@@ -872,16 +875,21 @@ def test_analyze_point_on_a_zero_next_to_the_circle(tmp_path) -> None:
 
 
 def test_exit_code_certification_failure_writes_partial(tmp_path) -> None:
-    cfg = _write(
-        tmp_path / "cfg.json",
-        {"inner": Z3, "points": [{"angle": 0.3}], "mode": "interp"},
-    )
-    out = tmp_path / "o"
-    assert main(["split", "--config", cfg, "--out", str(out)]) == 4
-    partial = json.loads((out / "partition.json").read_text())
-    assert partial["failed"] is True
-    assert partial["parts"] == []
-    assert any(f.startswith("failed:") for f in partial["flags"])
+    # a zero at (1 - 1e-6) e^{i} keeps the rate spread above 4 at every level
+    # count the search tries (27, 10, 36, 13, 32 and 23 at N = 8..256)
+    near_circle = {"blaschke_zeros": [[0.5403017655658339, 0.8414701433369117], [0.5, 0.0], [0.0, -0.3]]}
+    configs = {
+        "interp": ({"inner": Z3, "points": [{"angle": 0.3}], "mode": "interp"}, "failed:"),
+        "squares": ({"inner": near_circle, "points": [[0.1, 0.0], [0.0, 0.2]], "mode": "squares"},
+                    "failed: no usable level count up to 256: rate spread"),
+    }
+    for name, (config, flag) in configs.items():
+        out = tmp_path / name
+        assert main(["split", "--config", _write(tmp_path / f"{name}.json", config), "--out", str(out)]) == 4
+        partial = json.loads((out / "partition.json").read_text())
+        assert partial["failed"] is True
+        assert partial["parts"] == []
+        assert any(f.startswith(flag) for f in partial["flags"])
 
 
 def test_sweep_list_config(tmp_path) -> None:

@@ -543,11 +543,47 @@ def test_rate_comparability_shrinks_with_level_count() -> None:
 
 def test_select_level_count_power_function() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    arcs, delta = select_arc_system(z3)
+    arcs = select_arc_system(z3)
     assert arcs.level_count == 8
     assert_same_arc_system(arcs, build_arc_system(z3, 8))
-    assert delta == uncovered_region_report(z3, arcs).delta
-    assert delta < 0.9
+    assert uncovered_region_report(z3, arcs).delta < 0.9
+
+
+_NESTING_CASES = {
+    "z^3": InnerFunction(blaschke_zeros=(0, 0, 0)),
+    "zeros": InnerFunction(blaschke_zeros=(0.99 * cmath.exp(1j), 0.5, -0.3j)),
+    "one_atom": InnerFunction(singular_atoms=((0.0, 1.0),)),
+    "zeros_and_atoms": InnerFunction(
+        blaschke_zeros=(0.3 + 0.2j, -0.6j), singular_atoms=((1.0, 0.5), (4.0, 2.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTING_CASES))
+def test_doubling_the_level_count_nests_the_arcs_and_cannot_lower_the_sup(name) -> None:
+    # the premise of the spread-only search: N/2's level points are among N's
+    theta = _NESTING_CASES[name]
+    systems = [build_arc_system(theta, 2**k, 64) for k in range(3, 9)]
+    for half, full in zip(systems, systems[1:]):
+        assert np.isin(half.hi, full.hi).all()
+    sups = [uncovered_region_report(theta, arcs).delta for arcs in systems]
+    assert sups == sorted(sups)
+
+
+def test_the_uncovered_region_is_sampled_once_per_square_split(monkeypatch) -> None:
+    calls = []
+    report = decompose.uncovered_region_report
+    monkeypatch.setattr(
+        decompose, "uncovered_region_report", lambda *args: calls.append(args) or report(*args)
+    )
+    z2 = InnerFunction(blaschke_zeros=(0, 0))
+    assert select_arc_system(z2).level_count == 8
+    assert calls == []
+    seq = PointSequence.from_complex([0.1, 0.2j, 0.99])
+    for level_count in (None, 16):
+        decompose_by_squares(z2, seq, level_count)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_auto_level_count_used_when_omitted() -> None:

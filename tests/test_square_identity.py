@@ -77,7 +77,7 @@ def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
         theta = InnerFunction(blaschke_zeros=zeros, singular_atoms=atoms)
         level_count = (None, 4, 8, 16)[k % 4]
         if level_count is None:
-            arcs, _ = select_arc_system(theta, max_points_per_arc=CAP)
+            arcs = select_arc_system(theta, max_points_per_arc=CAP)
         else:
             arcs = build_arc_system(theta, level_count, CAP)
         out.append((theta, _points(rng, arcs), level_count))
