@@ -387,15 +387,11 @@ def cmd_split(config: dict, out_dir: Path) -> None:
     theta = _parse_inner(config["inner"])
     seq = _parse_points(config["points"])
     mode = config["mode"]
-    opts = _parse_options(
-        config.get("options"),
-        {
-            "level_count": _integer,
-            "max_points_per_arc": _integer,
-        },
-    )
     if mode not in ("interp", "squares"):
         raise ConfigError(f"mode must be 'interp' or 'squares', got {mode!r}")
+    # interp takes no options: level sets belong to the square route
+    square_options = {"level_count": _integer, "max_points_per_arc": _integer}
+    opts = _parse_options(config.get("options"), square_options if mode == "squares" else {})
     try:
         if mode == "interp":
             partition = split_by_interpolation(theta, seq)

@@ -502,6 +502,7 @@ def select_arc_system(theta: InnerFunction, *, max_points_per_arc: int = 512) ->
         n *= 2
     raise CertificationError(
         f"no usable level count up to {_LEVEL_COUNT_LIMIT}: rate spread above {_SPREAD_CEILING}"
+        "; a given level count (option 'level_count') skips this search"
     )
 
 

@@ -16,25 +16,25 @@ Entries are assembled from the closed kernel formula, never by quadrature,
 out of each point's Theta value and kernel norm: one
 ``inner.normalized_values`` pass per sequence, whose arrays the
 decomposition drivers and the CLI pass on instead of evaluating again.
-Assembly works on stacks of equal-size sections in numpy row blocks of the
-upper triangles, mirrored exactly below the diagonal, so no temporary grows
-with a full section.
+Assembly works on stacks of equal-size sections, of every size, in numpy
+row blocks of the upper triangles, mirrored exactly below the diagonal, so
+no temporary grows with a full section.
 
-Every section's eigenvalues come from ``_stacked_bounds``, by part size.
-Parts of three or more points take one stacked call of LAPACK's Hermitian
-solver (``np.linalg.eigvalsh``) per stack of equal-size parts, the
-stack's extremal eigenvalues read, and clamped, as arrays.  Parts of one
-or two points take a closed form, with no section assembled: a section
-with unit diagonal [[1, G_12], [G_21, 1]] has eigenvalues exactly
-1 -+ |G_21|, so the bounds are one point's (1, 1) and a pair's
-1 -+ |G_21| up to the rounding of |G_21| and of the sum, where LAPACK's
+Every section's eigenvalues come from ``_stacked_bounds``, by part size,
+from stacks assembled alike; only the eigen step differs.  Parts of three
+or more points take one stacked call of LAPACK's Hermitian solver
+(``np.linalg.eigvalsh``) per stack of equal-size parts, the stack's
+extremal eigenvalues read, and clamped, as arrays.  Parts of one or two
+points run no eigensolver: a section with unit diagonal
+[[1, G_12], [G_21, 1]] has eigenvalues exactly 1 -+ |G_21|, so the bounds
+are one point's (1, 1) and a pair's 1 -+ |G_21|, read off its assembled
+section, up to the rounding of |G_21| and of the sum, where LAPACK's
 reduction and 2-by-2 solve round several times more.  Two front ends feed
 it, and each driver calls one of them once, on its finished partition:
-``part_frame_bounds`` assembles sections from points (a pair's entry G_12
-formed as the assembly forms it) for ``split_by_interpolation`` and
-``decompose_by_squares``, and ``block_frame_bounds`` reads principal
-blocks of a Gram already formed for ``pw_split`` (``mslab.pw``).  A whole
-section is one part of either.
+``part_frame_bounds`` assembles sections from points for
+``split_by_interpolation`` and ``decompose_by_squares``, and
+``block_frame_bounds`` reads principal blocks of a Gram already formed for
+``pw_split`` (``mslab.pw``).  A whole section is one part of either.
 
 ``section_frame_bounds`` picks a route for one section.  A Blaschke
 product of degree d spans a d-dimensional K_Theta, with the
@@ -82,10 +82,7 @@ def part_frame_bounds(
     """
     labels = np.asarray(ids)
     return _stacked_bounds(
-        members,
-        offsets,
-        lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx]),
-        lambda idx: (1.0, 1.0, _couplings(z[idx], values[idx], norms_sq[idx], labels[idx])),
+        members, offsets, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
     )
 
 
@@ -93,71 +90,47 @@ def block_frame_bounds(
     g: np.ndarray, members: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of the principal block of the Hermitian ``g``
-    at each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays."""
+    at each part's positions ``members[offsets[k]:offsets[k + 1]]``, as arrays.
 
-    def pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i, j = idx[:, 0], idx[:, -1]
-        return g[i, i], g[j, j], g[j, i] if idx.shape[1] == 2 else np.zeros(i.size)
-
-    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]], pairs)
+    ``g`` has a unit diagonal, as ``pw.pw_gram``'s ``fill_diagonal`` makes
+    it: a part of one or two points is bounded by ``_stacked_bounds``' closed
+    form, which reads no diagonal entry.
+    """
+    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]])
 
 
 def _stacked_bounds(
-    members: np.ndarray,
-    offsets: np.ndarray,
-    sections: Callable[[np.ndarray], np.ndarray],
-    pairs: Callable[[np.ndarray], tuple],
+    members: np.ndarray, offsets: np.ndarray, sections: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of each part, grouped by size here.
 
-    ``part_frame_bounds`` and ``block_frame_bounds`` supply the two
-    callbacks.  ``sections`` maps a (P, m) array of parts of size m >= 3 to the
-    (P, m, m) stack of their Gram sections.  These go in stacks of at most
-    2^15 entries, and each stack takes one finiteness check and one stacked
-    ``eigvalsh`` call.  ``pairs`` maps a (P, m) array of parts of one or
-    two points to their sections' diagonal entries G_11 and G_mm (the
-    scalar 1 on a unit diagonal) and their entries G_21 (0 for one point),
-    which take one finiteness check and the closed form of ``_pair_bounds``:
-    no section is assembled and no eigensolver runs.  Roundoff in
-    (-1e-10, 0) in lambda_min is clamped to 0; -0.0 is kept.
+    ``part_frame_bounds`` and ``block_frame_bounds`` supply ``sections``,
+    which maps a (P, m) array of parts of size m to the (P, m, m) stack of
+    their Gram sections, each with unit diagonal.  Every size goes in stacks
+    of at most 2^15 entries, and each stack takes one finiteness check.  A
+    stack of parts of three or more points then takes one stacked
+    ``eigvalsh`` call.  A pair's bounds are read off its stack as 1 -+ c,
+    c = |G_21|, the exact eigenvalues of [[1, G_12], [G_21, 1]] up to the
+    rounding of c and of the sum (1 - c is exact where c >= 1/2), and one
+    point's as 1 -+ 0.  Roundoff in (-1e-10, 0) in lambda_min is clamped to
+    0; -0.0 is kept.
     """
     low, high = np.empty((2, offsets.size - 1))
     for parts, slots in _by_size(offsets):
         m = slots.shape[1]
         if not m:
             raise NumericDomainError(f"part {int(parts[0])} is empty: it has no Gram section")
-        if m <= 2:
-            entries = pairs(members[slots])
-            if not all(np.isfinite(x).all() for x in entries):
-                raise NumericDomainError("eigenvalue input has non-finite entries")
-            a, d, lower = entries
-            low[parts], high[parts] = _pair_bounds(np.real(a), np.real(d), np.abs(lower))
-            continue
         for rows in _row_blocks(parts.size, m * m):
             stack = sections(members[slots[rows]])
             if not np.isfinite(stack).all():
                 raise NumericDomainError("eigenvalue input has non-finite entries")
-            eigs = np.linalg.eigvalsh(stack)
-            low[parts[rows]] = eigs[:, 0]
-            high[parts[rows]] = eigs[:, -1]
+            if m > 2:
+                eigs = np.linalg.eigvalsh(stack)
+                low[parts[rows]], high[parts[rows]] = eigs[:, 0], eigs[:, -1]
+            else:
+                c = np.abs(stack[:, 1, 0]) if m == 2 else 0.0
+                low[parts[rows]], high[parts[rows]] = 1.0 - c, 1.0 + c
     return np.where((-1e-10 < low) & (low < 0.0), 0.0, low), high
-
-
-def _pair_bounds(a, d, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the Hermitian [[a, G_12], [G_21, d]], with |G_21| = c.
-
-    They are mean -+ r, with r = hypot((a - d)/2, c), written without
-    cancellation as min(a, d) - t and max(a, d) + t, where
-    t = r - |a - d|/2 = c (c/(r + |a - d|/2)).  On a unit diagonal r = c
-    exactly and t = c (c/c) = c, so the bounds are 1 - c and 1 + c: the
-    exact eigenvalues of the stored entries up to the rounding of c and of
-    the sum (1 - c is exact where c >= 1/2).  With c = 0 they are the
-    diagonal itself.
-    """
-    half = 0.5 * np.abs(a - d)
-    gap = np.hypot(half, c) + half
-    t = c * np.divide(c, gap, out=np.zeros_like(gap), where=gap > 0.0)
-    return np.minimum(a, d) - t, np.maximum(a, d) + t
 
 
 def _by_size(offsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -281,31 +254,6 @@ def _refuse_inseparable(z: np.ndarray, ids: Sequence[int]) -> None:
         )
 
 
-def _couplings(
-    z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """The entry G_12 of each section of one or two points: row p of the (P, m)
-    inputs gives section p, and a section of one point has none (0).
-
-    G_12 is formed as ``_sections`` forms it, with the same refusals: an
-    unusable norm, then an inseparable pair.  ``ids[p][k]`` names point k
-    of section p in errors.
-    """
-    _require_usable(norms_sq, ids)
-    if z.shape[1] == 1:
-        return np.zeros(len(z))
-    denom = 1.0 - z[:, 1].conj() * z[:, 0]
-    near = np.abs(denom) < _SEPARATION_TOL
-    if near.any():
-        p = int(np.argmax(near))
-        raise NumericDomainError(f"points {ids[p][0]} and {ids[p][1]} are numerically inseparable")
-    s = 1.0 / np.sqrt(norms_sq)
-    g = 1.0 - values[:, 1].conj() * values[:, 0]
-    g /= denom
-    g *= s[:, 0] * s[:, 1]
-    return g
-
-
 def _sections(
     z: np.ndarray, values: np.ndarray, norms_sq: np.ndarray, ids: Sequence[Sequence[int]]
 ) -> np.ndarray:
@@ -313,35 +261,34 @@ def _sections(
 
         G_ij = (1 - conj(v_j) v_i)/(1 - conj(z_j) z_i) * s_i s_j,   s = norms_sq^(-1/2)
 
-    Each row block of the upper triangles is one numpy expression over the
-    whole stack; the strict lower triangles are exact conjugate mirrors and
-    the diagonals are 1.  ``ids[p][k]`` names point k of section p in errors.
+    Sections of every size n, one and two points included, are assembled
+    here.  Each row block's index pairs i < j of the upper triangles are one
+    numpy expression over the whole stack; the strict lower triangles are
+    exact conjugate mirrors and the diagonals are 1.  The refusals are an
+    unusable norm, then the first inseparable pair, by section, then row,
+    then column.  ``ids[p][k]`` names point k of section p in errors.
     """
     _require_usable(norms_sq, ids)
     count, n = z.shape
     s = 1.0 / np.sqrt(norms_sq)
     g = np.empty((count, n, n), dtype=np.complex128)
-    for rows in _row_blocks(n, count * n):
-        a = rows.start
-        i = np.arange(a, min(rows.stop, n))
-        d = np.arange(i.size)
-        denom = z[:, None, a:].conj() * z[:, i, None]
-        np.subtract(1.0, denom, out=denom)
-        denom[:, d, d] = 1.0  # the diagonal of g is set to 1
-        near = np.abs(denom) < _SEPARATION_TOL
-        if near.any():
-            p, k, c = np.argwhere(np.triu(near, 1))[0]
-            raise NumericDomainError(
-                f"points {ids[p][a + k]} and {ids[p][a + c]} are numerically inseparable"
-            )
-        block = values[:, None, a:].conj() * values[:, i, None]
-        np.subtract(1.0, block, out=block)
-        block /= denom
-        block *= s[:, i, None] * s[:, None, a:]
-        square = block[:, :, : i.size]
-        np.copyto(square, square.swapaxes(1, 2).conj(), where=np.tri(i.size, k=-1, dtype=bool))
-        g[:, rows, a:] = block
-        g[:, rows.stop :, rows] = block[:, :, i.size :].swapaxes(1, 2).conj()
     d = np.arange(n)
     g[:, d, d] = 1.0
+    for rows in _row_blocks(n, count * n):
+        i, j = np.nonzero(d[rows, None] < d)
+        i += rows.start
+        denom = z[:, j].conj() * z[:, i]
+        np.subtract(1.0, denom, out=denom)
+        near = np.abs(denom) < _SEPARATION_TOL
+        if near.any():
+            p, k = np.argwhere(near)[0]
+            raise NumericDomainError(
+                f"points {ids[p][i[k]]} and {ids[p][j[k]]} are numerically inseparable"
+            )
+        block = values[:, j].conj() * values[:, i]
+        np.subtract(1.0, block, out=block)
+        block /= denom
+        block *= s[:, i] * s[:, j]
+        g[:, i, j] = block
+        g[:, j, i] = block.conj()
     return g

@@ -509,6 +509,8 @@ _NAN = float("nan")
          "'singular_atoms' must be a list, got 5"),
         ("split", {"inner": Z2, "points": [[0.1, 0.0]], "mode": "foo"},
          "mode must be 'interp' or 'squares', got 'foo'"),
+        ("split", {"inner": Z2, "points": [[0.1, 0.0]], "mode": "interp",
+                   "options": {"level_count": 8}}, "unknown options keys: ['level_count']"),
         ("analyze", [5], "config entry must be a JSON object"),
         ("pw", {"pw": {"a": 1.0, "freqs": []}}, "empty exponential system"),
     ],
@@ -516,7 +518,7 @@ _NAN = float("nan")
          "pw-freq-false", "pw-freqs-not-a-list", "point-string", "zero-string", "alpha-nan",
          "zero-nan", "zero-false", "zeros-not-a-list", "atom-angle-nan", "atom-strings",
          "atom-unknown-key", "inner-not-an-object", "atom-not-an-object", "points-missing",
-         "atoms-not-a-list", "mode-unknown", "sweep-entry-not-an-object", "pw-freqs-empty"],
+         "atoms-not-a-list", "mode-unknown", "interp-with-options", "sweep-entry-not-an-object", "pw-freqs-empty"],
 )
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, config, named) -> None:
     cfg = _write(tmp_path / "cfg.json", config)
@@ -890,6 +892,20 @@ def test_exit_code_certification_failure_writes_partial(tmp_path) -> None:
         assert partial["failed"] is True
         assert partial["parts"] == []
         assert any(f.startswith(flag) for f in partial["flags"])
+
+
+def test_level_count_refusal_says_a_given_count_skips_the_search(tmp_path, capsys) -> None:
+    # the spread enters no certificate: the search's refusal names the way
+    # round it, and a given level count splits the same points
+    near_circle = {"blaschke_zeros": [[0.5403017655658339, 0.8414701433369117], [0.5, 0.0], [0.0, -0.3]]}
+    config = {"inner": near_circle, "points": [[0.1, 0.0], [0.0, 0.2]], "mode": "squares"}
+    assert main(["split", "--config", _write(tmp_path / "auto.json", config), "--out", str(tmp_path / "a")]) == 4
+    assert capsys.readouterr().err.endswith(
+        "rate spread above 4.0; a given level count (option 'level_count') skips this search\n"
+    )
+    given = {**config, "options": {"level_count": 8}}
+    assert main(["split", "--config", _write(tmp_path / "given.json", given), "--out", str(tmp_path / "g")]) == 0
+    assert json.loads((tmp_path / "g" / "partition.json").read_text())["parts"]
 
 
 def test_sweep_list_config(tmp_path) -> None:

@@ -128,8 +128,7 @@ def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> 
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     n = len(seq)
     # a part of 50, a stack of parts of 10, pairs, and the last 300 points,
-    # the close pairs among them, in one part that takes several row blocks;
-    # parts of two points take the closed form and assemble no section
+    # the close pairs among them, in one part that takes several row blocks
     cuts = [0, 50] + [50 + 10 * k for k in range(1, 11)] + [150 + 2 * k for k in range(1, 31)]
     parts = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])] + [np.arange(n - 300, n)]
     parts += [np.array([n - 4, n - 3]), np.array([n - 2, n - 1])]
@@ -139,7 +138,7 @@ def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> 
     v = rng.uniform(0, 0.9, w.shape) * np.exp(1j * rng.uniform(0, TWO_PI, w.shape))
     whole = np.arange(60), np.array([0, 60])
     part_frame_bounds(w[0], v[0], rng.uniform(0.5, 50.0, 60), np.arange(60), *whole)
-    assert {g.shape[1] for g in stacks} == {10, 50, 300, 60}
+    assert {g.shape[1] for g in stacks} == {2, 10, 50, 300, 60}
     for g in stacks:
         assert np.array_equal(g, g.conj().swapaxes(1, 2))
         assert (g.diagonal(axis1=1, axis2=2) == 1.0).all()
@@ -166,10 +165,12 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
 
 
 def test_gram_bounds_clamp_roundoff_below_zero_per_section() -> None:
-    # five 2 x 2 diagonal blocks, whose eigenvalues are their diagonals
-    eigs = np.array([[-5e-11, 1.0], [-1e-9, 2.0], [-0.0, 1.5], [0.3, 0.4], [-1e-10, 0.5]])
+    # five 3 x 3 diagonal blocks, whose eigenvalues are their diagonals
+    eigs = np.array(
+        [[-5e-11, 0.5, 1.0], [-1e-9, 1.0, 2.0], [-0.0, 1.0, 1.5], [0.3, 0.35, 0.4], [-1e-10, 0.2, 0.5]]
+    )
     g = np.diag(eigs.ravel()).astype(complex)
-    low, high = block_frame_bounds(g, np.arange(10), np.arange(0, 11, 2))
+    low, high = block_frame_bounds(g, np.arange(15), np.arange(0, 16, 3))
     assert low.tolist() == [0.0, -1e-9, -0.0, 0.3, -1e-10]  # the clamp's window is open
     assert high.tolist() == [1.0, 2.0, 1.5, 0.4, 0.5]
     assert math.copysign(1.0, low[2]) == -1.0  # -0.0 is not below 0
@@ -199,6 +200,24 @@ def test_gram_inseparable_pair_names_both_points() -> None:
         seq.z, values, norms, seq.ids, *part_table([np.array([0, 1]), np.array([2])])
     )
     assert (low[1], high[1]) == (1.0, 1.0)
+
+
+def test_gram_inseparable_refusal_names_the_first_part_then_the_first_pair() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    # boundary pairs 2e-15 apart: (10, 11) and (20, 21); a part of five points
+    # whose positions 1, 4 (ids 31, 34) and 2, 3 (ids 32, 33) are such pairs
+    angles = [0.5, 0.5 + 2e-15, 2.0, 2.0 + 2e-15, 1.0, 3.0, 4.0, 4.0 + 2e-15, 3.0 + 2e-15]
+    ids = (10, 11, 20, 21, 30, 31, 32, 33, 34)
+    seq = PointSequence.from_mixed(np.zeros(9), angles, ids=ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    a, b, five = np.array([0, 1]), np.array([2, 3]), np.arange(4, 9)
+    for parts, named in (
+        ([a, b], "points 10 and 11"),
+        ([b, a], "points 20 and 21"),
+        ([five], "points 31 and 34"),  # row-major: (1, 4) comes before (2, 3)
+    ):
+        with pytest.raises(NumericDomainError, match=f"^{named} are numerically inseparable$"):
+            part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
 
 
 def test_gram_names_the_point_on_an_atom() -> None:
@@ -264,7 +283,7 @@ def test_parts_of_one_or_two_points_match_exact_eigenvalues() -> None:
     assert 0.0 < c[:n].min() < 1e-3 and (c > 1.0 - 1e-11).any() and (low == 0.0).any()
 
 
-def test_parts_of_one_or_two_points_assemble_no_section(monkeypatch) -> None:
+def test_parts_of_one_or_two_points_run_no_eigensolver(monkeypatch) -> None:
     calls = []
     sections, eigvalsh = gram._sections, np.linalg.eigvalsh
     monkeypatch.setattr(gram, "_sections", lambda *a: calls.append("sections") or sections(*a))
@@ -274,10 +293,12 @@ def test_parts_of_one_or_two_points_assemble_no_section(monkeypatch) -> None:
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     small = [np.array([0]), np.array([1, 2]), np.array([3, 4]), np.array([5])]
     part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small))
+    assert calls == ["sections", "sections"]  # one stack per size
     block_frame_bounds(np.eye(6), *part_table(small))
-    assert calls == []
+    assert calls == ["sections", "sections"]
+    calls.clear()
     part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small + [np.arange(6, 9)]))
-    assert calls == ["sections", "eigvalsh"]
+    assert calls == ["sections", "sections", "sections", "eigvalsh"]
 
 
 def test_closed_form_refuses_as_sections_do() -> None:
