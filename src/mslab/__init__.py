@@ -24,8 +24,6 @@ from .decompose import (
     Partition,
     build_arc_system,
     decompose_by_squares,
-    rate_comparability,
-    select_arc_system,
     split_by_interpolation,
     uncovered_region_report,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "level_sets",
     "pw_gram",
     "pw_split",
-    "rate_comparability",
-    "select_arc_system",
     "spectrum_distance",
     "split_by_interpolation",
     "uncovered_region_report",

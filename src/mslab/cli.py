@@ -396,12 +396,7 @@ def cmd_split(config: dict, out_dir: Path) -> None:
         if mode == "interp":
             partition = split_by_interpolation(theta, seq)
         else:
-            partition = decompose_by_squares(
-                theta,
-                seq,
-                opts.get("level_count"),
-                max_points_per_arc=opts.get("max_points_per_arc", 512),
-            )
+            partition = decompose_by_squares(theta, seq, **opts)
     except CertificationError as exc:
         # preserve what can be preserved: a partition file with the failure
         _write_json(

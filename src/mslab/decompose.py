@@ -39,7 +39,7 @@ points by id, and sub-part m of a level takes the m-th point of every
 square of that level, so each sub-part is a small perturbation of one
 Clark family.  A point outside all squares lies in the uncovered region,
 where |Theta| stays below a measurable delta < 1 and the interpolation
-splitter applies.  ``select_arc_system`` picks N when none is given.
+splitter applies.  N is 8 when none is given.
 
 Both return a ``Partition``, one table of arrays: member positions with
 per-part offsets, per-part routes, certificates and frame bounds, and
@@ -63,8 +63,6 @@ from .inner import (
     InnerFunction,
     _log_modulus_sq,
     _one_minus_modulus_sq,
-    _rates,
-    _refuse_atoms,
     boundary_argument,
     normalized_values,
     spectrum_distance,
@@ -302,18 +300,11 @@ def split_log_distances(
 # ---------------------------------------------------------------------------
 
 # A split whose uncovered region has a sampled sup of |Theta| at or above
-# this is flagged, whoever chose the level count.
+# this is flagged, at the default level count or a given one.
 _HEALTH_MARGIN = 0.9
 
-# The level-count search takes the first power of two from
-# _LEVEL_COUNT_START to _LEVEL_COUNT_LIMIT whose per-arc spread of |Theta'|,
-# sampled at _RATE_GRID midpoints per arc, is at most _SPREAD_CEILING.
-_SPREAD_CEILING = 4.0
-_RATE_GRID = 32
 # Points sampled along the squares' inner sides for the uncovered-region sup.
 _UNCOVERED_SAMPLES = 4096
-_LEVEL_COUNT_START = 8
-_LEVEL_COUNT_LIMIT = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,35 +468,6 @@ def uncovered_region_report(theta: InnerFunction, arcs: ArcSystem) -> UncoveredR
 # Full square-pipeline decomposition
 # ---------------------------------------------------------------------------
 
-def rate_comparability(theta: InnerFunction, arcs: ArcSystem) -> float:
-    """Worst per-arc max/min ratio of |Theta'| over _RATE_GRID midpoints of each arc."""
-    lo, hi = arcs.lo, arcs.hi
-    angles = lo[:, None] + (hi - lo)[:, None] * (np.arange(_RATE_GRID) + 0.5) / _RATE_GRID
-    zeta = np.exp(1j * angles.ravel())  # on the circle, where _rates takes |Theta'|
-    rates = _rates(theta._terms, zeta, _refuse_atoms(theta._terms, zeta)).reshape(angles.shape)
-    return float(np.max(rates.max(axis=1) / rates.min(axis=1)))
-
-
-def select_arc_system(theta: InnerFunction, *, max_points_per_arc: int = 512) -> ArcSystem:
-    """The arc system at the first power-of-two N with rate spread at most ``_SPREAD_CEILING``.
-
-    The spread alone decides.  N/2's alphas are N's even ones, each solved on
-    its own, so N/2's level points are among N's and each square for N lies
-    in one for N/2: doubling N cannot lower the uncovered region's sup,
-    which ``decompose_by_squares`` reports and flags for any N.
-    """
-    n = _LEVEL_COUNT_START
-    while n <= _LEVEL_COUNT_LIMIT:
-        arcs = build_arc_system(theta, n, max_points_per_arc)
-        if rate_comparability(theta, arcs) <= _SPREAD_CEILING:
-            return arcs
-        n *= 2
-    raise CertificationError(
-        f"no usable level count up to {_LEVEL_COUNT_LIMIT}: rate spread above {_SPREAD_CEILING}"
-        "; a given level count (option 'level_count') skips this search"
-    )
-
-
 def _square_parts(
     seq: PointSequence, arcs: ArcSystem, located: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
@@ -533,13 +495,16 @@ def _square_parts(
 def decompose_by_squares(
     theta: InnerFunction,
     seq: PointSequence,
-    level_count: int | None = None,
+    level_count: int = 8,
     *,
     max_points_per_arc: int = 512,
 ) -> Partition:
     """Classify points into Carleson-square buckets and an uncovered bucket.
 
-    Square-bucket points are grouped by level and spread into sub-parts
+    The squares are those of ``build_arc_system`` at ``level_count`` levels,
+    8 when none is given: doubling the count only nests the squares, which
+    cannot lower the uncovered region's sup.  Square-bucket points are
+    grouped by level and spread into sub-parts
     with at most one point per square: sub-part m of a level takes the
     m-th smallest id of every square of that level.  Each sub-part gets,
     per point, the stability margin |lambda - e^{i hi}| |Theta'(e^{i hi})|
@@ -558,10 +523,7 @@ def decompose_by_squares(
     if on_spectrum.size:
         raise NumericDomainError(f"point {seq.ids[on_spectrum[0]]} lies on the spectrum")
 
-    if level_count is None:
-        arcs = select_arc_system(theta, max_points_per_arc=max_points_per_arc)
-    else:
-        arcs = build_arc_system(theta, level_count, max_points_per_arc)
+    arcs = build_arc_system(theta, level_count, max_points_per_arc)
     delta = uncovered_region_report(theta, arcs).delta
 
     flags: list[str] = []

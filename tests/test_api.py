@@ -39,8 +39,6 @@ EXPORTED = [
     "level_sets",
     "pw_gram",
     "pw_split",
-    "rate_comparability",
-    "select_arc_system",
     "spectrum_distance",
     "split_by_interpolation",
     "uncovered_region_report",
@@ -96,7 +94,6 @@ def test_removed_square_names_are_not_exported() -> None:
     }
     assert gone.isdisjoint(mslab.__all__)
     assert not any(hasattr(mslab, name) for name in gone)
-    assert "select_arc_system" in mslab.__all__
 
 
 def _traced_layers() -> tuple[str, ...]:

@@ -29,8 +29,6 @@ from mslab.carleson import carleson_report, earl_bound
 from mslab.decompose import (
     build_arc_system,
     decompose_by_squares,
-    rate_comparability,
-    select_arc_system,
     split_by_interpolation,
     uncovered_region_report,
 )
@@ -529,26 +527,6 @@ def test_squares_pipeline_mixed_membership() -> None:
     assert all_ids(partition, seq.ids) == tuple(range(10))
 
 
-def test_rate_comparability_shrinks_with_level_count() -> None:
-    rng = np.random.default_rng(67)
-    theta = random_blaschke(rng, 4, rmax=0.7)
-    spreads = {}
-    for n_levels in (8, 16, 32):
-        arcs = build_arc_system(theta, n_levels)
-        spreads[n_levels] = rate_comparability(theta, arcs)
-        assert spreads[n_levels] <= 4.0
-    assert spreads[32] <= spreads[8] + 1e-9
-    assert spreads[32] < 1.5
-
-
-def test_select_level_count_power_function() -> None:
-    z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    arcs = select_arc_system(z3)
-    assert arcs.level_count == 8
-    assert_same_arc_system(arcs, build_arc_system(z3, 8))
-    assert uncovered_region_report(z3, arcs).delta < 0.9
-
-
 _NESTING_CASES = {
     "z^3": InnerFunction(blaschke_zeros=(0, 0, 0)),
     "zeros": InnerFunction(blaschke_zeros=(0.99 * cmath.exp(1j), 0.5, -0.3j)),
@@ -561,7 +539,8 @@ _NESTING_CASES = {
 
 @pytest.mark.parametrize("name", sorted(_NESTING_CASES))
 def test_doubling_the_level_count_nests_the_arcs_and_cannot_lower_the_sup(name) -> None:
-    # the premise of the spread-only search: N/2's level points are among N's
+    # why the default level count is a small one (8): N/2's level points
+    # are among N's, so doubling N never lowers the uncovered sup
     theta = _NESTING_CASES[name]
     systems = [build_arc_system(theta, 2**k, 64) for k in range(3, 9)]
     for half, full in zip(systems, systems[1:]):
@@ -577,11 +556,9 @@ def test_the_uncovered_region_is_sampled_once_per_square_split(monkeypatch) -> N
         decompose, "uncovered_region_report", lambda *args: calls.append(args) or report(*args)
     )
     z2 = InnerFunction(blaschke_zeros=(0, 0))
-    assert select_arc_system(z2).level_count == 8
-    assert calls == []
     seq = PointSequence.from_complex([0.1, 0.2j, 0.99])
-    for level_count in (None, 16):
-        decompose_by_squares(z2, seq, level_count)
+    for given in ((), (16,)):
+        decompose_by_squares(z2, seq, *given)
         assert len(calls) == 1
         calls.clear()
 
@@ -591,14 +568,33 @@ def test_auto_level_count_used_when_omitted() -> None:
     seq = PointSequence.from_complex([0.1, 0.2j])
     partition = decompose_by_squares(z2, seq)
     assert partition.global_info["level_count"] == 8
-    # the selected arc system travels on the partition, outside the report
+    # the default arc system travels on the partition, outside the report
     assert_same_arc_system(partition.arcs, build_arc_system(z2, 8))
     assert "arcs" not in json.loads(partition_text(partition, seq.ids))
+    z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
+    assert uncovered_region_report(z3, decompose_by_squares(z3, seq).arcs).delta < 0.9
+
+
+def test_zeros_next_to_the_circle_split_at_the_default_level_count() -> None:
+    # one zero at 1 - 10^u, u in [-5, -2], and up to two inside |z| < 0.8:
+    # every sequence splits at N = 8 with finite, nonnegative frame bounds
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        zeros = [(1 - 10 ** rng.uniform(-5, -2)) * cmath.exp(1j * rng.uniform(0, TWO_PI))]
+        for _ in range(int(rng.integers(0, 3))):
+            zeros.append(0.8 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI)))
+        n = int(rng.integers(10, 30))
+        pts = (1 - 10 ** rng.uniform(-3, -1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
+        theta, seq = InnerFunction(blaschke_zeros=tuple(zeros)), PointSequence.from_complex(pts.tolist())
+        partition = decompose_by_squares(theta, seq, max_points_per_arc=64)
+        assert partition.global_info["level_count"] == 8
+        assert all_ids(partition, seq.ids) == tuple(range(n))
+        assert np.isfinite(partition.lambda_min).all() and (partition.lambda_min >= 0.0).all()
 
 
 def test_mixed_clouds_decompose_cleanly() -> None:
     # interior, near-boundary, and exact boundary points together, with the
-    # level count auto-selected
+    # default level count
     rng = np.random.default_rng(8080)
     for _ in range(6):
         theta = random_blaschke(rng, int(rng.integers(1, 6)), rmax=0.75)

@@ -4,7 +4,7 @@
 objects carried, and ``square_parts_reference`` (conftest) is the grouping
 loop the pipeline ran before one lexsort replaced it: bucket dicts, and
 each sub-part's margins against its squares' anchors matched by index.  On a seeded
-corpus of atom-truncated and plain systems, fixed and selected level
+corpus of atom-truncated and plain systems, given and default level
 counts, boundary points, anchors, squares holding several points and
 non-empty uncovered buckets, every located square must agree with the scan
 and the whole report must equal the one made with both references
@@ -26,7 +26,7 @@ from conftest import (
 )
 
 import mslab.decompose as decompose
-from mslab.decompose import build_arc_system, decompose_by_squares, select_arc_system
+from mslab.decompose import build_arc_system, decompose_by_squares
 from mslab.inner import InnerFunction
 from mslab.points import PointSequence
 
@@ -66,7 +66,7 @@ def _points(rng: np.random.Generator, arcs) -> PointSequence:
 
 
 def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
-    """(Theta, sequence, level count) triples; level count None lets the pipeline pick."""
+    """(Theta, sequence, level count) triples; level count None leaves the pipeline's default of 8."""
     rng = np.random.default_rng(10)
     out = []
     for k in range(16):
@@ -76,10 +76,7 @@ def _corpus() -> list[tuple[InnerFunction, PointSequence, int | None]]:
         atoms = ((float(rng.uniform(0, TWO_PI)), 0.5),) if k % 3 == 0 else ()
         theta = InnerFunction(blaschke_zeros=zeros, singular_atoms=atoms)
         level_count = (None, 4, 8, 16)[k % 4]
-        if level_count is None:
-            arcs = select_arc_system(theta, max_points_per_arc=CAP)
-        else:
-            arcs = build_arc_system(theta, level_count, CAP)
+        arcs = build_arc_system(theta, 8 if level_count is None else level_count, CAP)
         out.append((theta, _points(rng, arcs), level_count))
     return out
 
@@ -100,11 +97,12 @@ def reports() -> list[tuple]:
     """Each case's partition, and the partition made with the reference loops patched in."""
     out = []
     for theta, seq, level_count in CORPUS:
-        got = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
+        given = () if level_count is None else (level_count,)
+        got = decompose_by_squares(theta, seq, *given, max_points_per_arc=CAP)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose.ArcSystem, "locate", locate_reference)
             mp.setattr(decompose, "_square_parts", _square_table)
-            want = decompose_by_squares(theta, seq, level_count, max_points_per_arc=CAP)
+            want = decompose_by_squares(theta, seq, *given, max_points_per_arc=CAP)
         out.append((got, want))
     return out
 
