@@ -571,8 +571,14 @@ def test_auto_level_count_used_when_omitted() -> None:
     # the default arc system travels on the partition, outside the report
     assert_same_arc_system(partition.arcs, build_arc_system(z2, 8))
     assert "arcs" not in json.loads(partition_text(partition, seq.ids))
+
+
+def test_select_level_count_power_function() -> None:
     z3 = InnerFunction(blaschke_zeros=(0, 0, 0))
-    assert uncovered_region_report(z3, decompose_by_squares(z3, seq).arcs).delta < 0.9
+    partition = decompose_by_squares(z3, PointSequence.from_complex([0.1, 0.2j]))
+    assert partition.global_info["level_count"] == 8
+    assert_same_arc_system(partition.arcs, build_arc_system(z3, 8))
+    assert uncovered_region_report(z3, partition.arcs).delta < 0.9
 
 
 def test_zeros_next_to_the_circle_split_at_the_default_level_count() -> None:
