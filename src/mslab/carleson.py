@@ -34,6 +34,14 @@ behind delta are taken as exp of row sums of L, so strongly clustered
 sequences cannot underflow a partial product; ``log_distance_matrix``
 exposes L for callers that ask about many subsequences of one sequence.
 
+Both sums are symmetric, so the report visits each pair once: each row
+block is paired only with the columns from its own first row on (an upper
+tile), and a tile's column sums stand in for the row sums of its mirror.
+Up to 181 points are one tile, whose sums are the full rows'.  The matrix
+keeps full row blocks: filling its lower triangle by mirroring the tiles
+writes across the whole matrix column-wise, which measured slower than
+forming every pair twice once n reaches a few thousand.
+
 Every function reads the sequence's ``z`` array, and one vectorized check
 rejects boundary points throughout (the pseudohyperbolic metric
 degenerates on the circle) as well as the empty sequence.
@@ -75,18 +83,20 @@ def _require_interior(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _log_rho_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, embedding: bool = False):
-    """Yield (rows, L, P) over the row blocks of the points x + iy with weights w.
+def _log_rho_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, upper: bool = False):
+    """Yield (rows, terms) over the row blocks of the points x + iy with weights w.
 
-    With n2 = (x_i - x_j)^2 + (y_i - y_j)^2 and q = w_i w_j / n2, L[i, j] =
-    -log1p(q)/2 is log rho with a zero diagonal, and P[i, j] = w_i w_j /
-    (n2 + w_i w_j) = 1 - rho^2 has a unit diagonal (None unless
-    ``embedding``).  The blocks are ``_row_blocks(n, n)``, held in three
-    work arrays that every block reuses: a block is valid until the next.
-    Where n2 is not above a floor (its squares underflowed, or q could
-    overflow) or overflowed, L is taken in logs instead, as -logaddexp(0,
-    log w_i + log w_j - 2 log hypot(x_i - x_j, y_i - y_j))/2: the same
-    value, with no intermediate out of range.
+    With n2 = (x_i - x_j)^2 + (y_i - y_j)^2 and q = w_i w_j / n2, terms[0]
+    is L[i, j] = -log1p(q)/2, log rho with a zero diagonal.  The blocks are
+    ``_row_blocks(n, n)``, held in three work arrays that every block
+    reuses: a block is valid until the next.  A block holds every column.
+    With ``upper`` it holds only the columns from its own first row on
+    (tile column j is column j + rows.start), so the upper tiles form each
+    pair once, and terms[1] is P[i, j] = w_i w_j / (n2 + w_i w_j) =
+    1 - rho^2, with a unit diagonal.  Where n2 is not above a floor (its
+    squares underflowed, or q could overflow) or overflowed, L is taken in
+    logs instead, as -logaddexp(0, log w_i + log w_j - 2 log hypot(x_i -
+    x_j, y_i - y_j))/2: the same value, with no intermediate out of range.
     """
     n = x.size
     x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)  # every block reads them whole
@@ -96,30 +106,33 @@ def _log_rho_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, embedding: bool =
     floor = _TINY * max(1.0, 16.0 * m * m)
     work = None
     for rows in _row_blocks(n, n):
-        size = len(range(n)[rows])
+        size = min(rows.stop, n) - rows.start
         if work is None:
-            work = np.empty((3, size, n))
-        n2, sq, ww = work[:, :size]
+            work = np.empty(3 * size * n)
+        start = rows.start if upper else 0  # the block's first column
+        width = n - start
+        diagonal = slice(rows.start - start, None, width + 1)  # of a flattened block
+        block = work[: 3 * size * width].reshape(3, size, width)
+        n2, L, P = block
         # entries out of range are redone in logs below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.square(np.subtract(x[rows, None], x, out=n2), out=n2)
-            n2 += np.square(np.subtract(y[rows, None], y, out=sq), out=sq)
-            n2.reshape(-1)[rows.start :: n + 1] = np.inf  # q = 0 on the diagonal
-            np.multiply(w[rows, None], w, out=ww)
-            P = None
-            if embedding:
-                P = np.divide(ww, np.add(n2, ww, out=sq), out=sq)
-                P.reshape(-1)[rows.start :: n + 1] = 1.0
-            L = np.log1p(np.divide(ww, n2, out=ww), out=ww)
+            np.square(np.subtract(x[rows, None], x[start:], out=n2), out=n2)
+            n2 += np.square(np.subtract(y[rows, None], y[start:], out=P), out=P)
+            n2.reshape(-1)[diagonal] = np.inf  # q = 0 on the diagonal
+            np.multiply(w[rows, None], w[start:], out=L)  # w_i w_j until L is formed
+            if upper:
+                np.divide(L, np.add(n2, L, out=P), out=P)
+                P.reshape(-1)[diagonal] = 1.0
+            np.log1p(np.divide(L, n2, out=L), out=L)
         L *= -0.5
         if not n2.min() > floor:  # one reduction on the common path
             i, j = np.nonzero(n2 <= floor)  # the diagonal too where the floor is inf
-            k = i + rows.start
+            k, c = i + rows.start, j + start
             with np.errstate(over="ignore", divide="ignore"):
-                t = np.log(w[k]) + np.log(w[j]) - 2.0 * np.log(np.hypot(x[k] - x[j], y[k] - y[j]))
+                t = np.log(w[k]) + np.log(w[c]) - 2.0 * np.log(np.hypot(x[k] - x[c], y[k] - y[c]))
             L[i, j] = -0.5 * np.logaddexp(0.0, t)
-        L.reshape(-1)[rows.start :: n + 1] = 0.0
-        yield rows, L, P
+        L.reshape(-1)[diagonal] = 0.0
+        yield rows, block[1 : 2 + upper]
 
 
 def _disk(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,7 +144,7 @@ def _disk(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _log_rho_matrix(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The L of ``_log_rho_rows``, filled block by block into one (n, n) array."""
     out = np.empty((x.size, x.size))
-    for rows, L, _ in _log_rho_rows(x, y, w):
+    for rows, (L,) in _log_rho_rows(x, y, w):
         out[rows] = L
     return out
 
@@ -155,15 +168,19 @@ def log_distance_matrix(seq: PointSequence) -> np.ndarray:
 def carleson_report(seq: PointSequence) -> CarlesonReport:
     """Carleson constant with witness, plus the embedding double sum.
 
-    Both are row sums accumulated block by block from one pass of the
-    kernel; no n x n array is held.
+    Both are row sums of symmetric matrices, accumulated from one pass of
+    the kernel over its upper tiles, so each pair is formed once: a tile's
+    row sums go to its own rows, and its column sums right of its diagonal
+    block to the later rows.  No n x n array is held.  A sequence of at most
+    181 points is one tile, whose row sums are those of the whole matrix.
     """
     z = _require_interior(seq.z)
-    sums = np.empty(z.size)
-    embedding = np.empty(z.size)
-    for rows, L, P in _log_rho_rows(*_disk(z), embedding=True):
-        sums[rows] = L.sum(axis=1)
-        embedding[rows] = P.sum(axis=1)
+    totals = np.zeros((2, z.size))  # row sums of L, then of P
+    for rows, terms in _log_rho_rows(*_disk(z), upper=True):
+        totals[:, rows] += terms.sum(axis=2)
+        if rows.stop < z.size:  # the columns right of the diagonal block
+            totals[:, rows.stop :] += terms[:, :, terms.shape[1] :].sum(axis=1)
+    sums, embedding = totals
     k = int(np.argmin(sums))  # the first minimal point, as in a scan
     return CarlesonReport(
         delta=math.exp(float(sums[k])),

@@ -265,6 +265,11 @@ def _frame_bounds_json(low: float, high: float, n: int) -> dict:
     return {"lambda_min": low, "lambda_max": high, "n": n}
 
 
+# One entry of analyze.json's kernel_norms_sq.  The norms are finite, as
+# section_frame_bounds has checked by then, so repr is the json module's text.
+_NORM_JSON = '{{"id":{},"value":{!r}}}'.format
+
+
 def cmd_analyze(config: dict, out_dir: Path) -> None:
     _require_keys(config, {"inner", "points", "options"}, {"inner", "points"}, "config")
     theta = _parse_inner(config["inner"])
@@ -276,7 +281,7 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
     gamma = float(np.abs(values).max())
     has_boundary = bool(seq.boundary.any())
 
-    interior = seq.interior_only()
+    interior = seq.interior_only() if has_boundary else seq
     carleson = None
     if len(interior):
         cr = carleson_report(interior)
@@ -294,9 +299,9 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
         "frame_bounds_note": _FINITE_SECTION_NOTE,
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,
-        "kernel_norms_sq": [
-            {"id": pid, "value": ns} for pid, ns in zip(seq.ids.tolist(), norms.tolist())
-        ],
+        "kernel_norms_sq": _Json(
+            "[" + ",".join(map(_NORM_JSON, seq.ids.tolist(), norms.tolist())) + "]"
+        ),
         "riesz_floor": floor,
     }
     _write_json(out_dir / "analyze.json", report)

@@ -229,7 +229,9 @@ def split_by_interpolation(theta: InnerFunction, seq: PointSequence) -> Partitio
     # refused before L is formed, which refuses boundary points itself
     gamma = _off_spectrum(float(np.abs(values).max()))
     partition = split_log_distances(log_distance_matrix(seq), seq.ids, gamma)
-    low, high = part_frame_bounds(seq.z, values, norms_sq, seq.ids, partition.members, partition.offsets)
+    low, high = part_frame_bounds(
+        theta, seq.z, values, norms_sq, seq.ids, partition.members, partition.offsets
+    )
     return replace(partition, lambda_min=low, lambda_max=high)
 
 
@@ -581,5 +583,7 @@ def decompose_by_squares(
     )
     if not np.array_equal(np.sort(partition.members, kind="stable"), np.arange(len(seq))):
         raise NumericDomainError("partition failed to cover the sequence exactly")
-    low, high = part_frame_bounds(z, values, norms_sq, seq.ids, partition.members, partition.offsets)
+    low, high = part_frame_bounds(
+        theta, z, values, norms_sq, seq.ids, partition.members, partition.offsets
+    )
     return replace(partition, lambda_min=low, lambda_max=high)

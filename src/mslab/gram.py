@@ -45,7 +45,9 @@ factors: lambda_min = 0 is then a proof by rank, not a computed
 eigenvalue, and lambda_max is the top eigenvalue of the d-by-d V*V.  No
 n-by-n matrix is formed, and no entry 1 - conj(Theta(l_j)) Theta(l_i)
 cancels as |Theta| -> 1.  Sections with atoms, or with n <= d, are
-assembled in full, as one part of ``part_frame_bounds``.
+assembled in full, as one part of ``part_frame_bounds``.  That takes
+Theta too, and gives any part of more than d points lambda_min = 0 by the
+same rank argument.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ _SEPARATION_TOL = 1e-14
 
 
 def part_frame_bounds(
+    theta: InnerFunction,
     z: np.ndarray,
     values: np.ndarray,
     norms_sq: np.ndarray,
@@ -76,13 +79,20 @@ def part_frame_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of the Gram section of each part, as arrays.
 
-    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``.
-    Parts of one size are bounded together (``_stacked_bounds``): a part
-    costs a share of a few numpy calls, not a few numpy calls of its own.
+    Part k is the points at positions ``members[offsets[k]:offsets[k + 1]]``
+    of z, whose Theta values and kernel norms are ``values`` and
+    ``norms_sq``.  Parts of one size are bounded together
+    (``_stacked_bounds``): a part costs a share of a few numpy calls, not a
+    few numpy calls of its own.  When Theta is a Blaschke product of degree
+    d, a part of more than d points has lambda_min = 0 by rank, as in
+    ``section_frame_bounds``, not the roundoff its eigensolver returns.
     """
     labels = np.asarray(ids)
     return _stacked_bounds(
-        members, offsets, lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx])
+        members,
+        offsets,
+        lambda idx: _sections(z[idx], values[idx], norms_sq[idx], labels[idx]),
+        math.inf if theta.singular_atoms else theta.degree,
     )
 
 
@@ -94,13 +104,19 @@ def block_frame_bounds(
 
     ``g`` has a unit diagonal, as ``pw.pw_gram``'s ``fill_diagonal`` makes
     it: a part of one or two points is bounded by ``_stacked_bounds``' closed
-    form, which reads no diagonal entry.
+    form, which reads no diagonal entry.  No Theta comes with ``g``, so no
+    lambda_min is set by rank.
     """
-    return _stacked_bounds(members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]])
+    return _stacked_bounds(
+        members, offsets, lambda idx: g[idx[:, :, None], idx[:, None, :]], math.inf
+    )
 
 
 def _stacked_bounds(
-    members: np.ndarray, offsets: np.ndarray, sections: Callable[[np.ndarray], np.ndarray]
+    members: np.ndarray,
+    offsets: np.ndarray,
+    sections: Callable[[np.ndarray], np.ndarray],
+    rank: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and lambda_max of each part, grouped by size here.
 
@@ -112,8 +128,9 @@ def _stacked_bounds(
     ``eigvalsh`` call.  A pair's bounds are read off its stack as 1 -+ c,
     c = |G_21|, the exact eigenvalues of [[1, G_12], [G_21, 1]] up to the
     rounding of c and of the sum (1 - c is exact where c >= 1/2), and one
-    point's as 1 -+ 0.  Roundoff in (-1e-10, 0) in lambda_min is clamped to
-    0; -0.0 is kept.
+    point's as 1 -+ 0.  Parts of more than ``rank`` points, the dimension
+    the kernels span, get lambda_min = 0.  Roundoff in (-1e-10, 0) in
+    lambda_min is clamped to 0; -0.0 is kept.
     """
     low, high = np.empty((2, offsets.size - 1))
     for parts, slots in _by_size(offsets):
@@ -130,6 +147,8 @@ def _stacked_bounds(
             else:
                 c = np.abs(stack[:, 1, 0]) if m == 2 else 0.0
                 low[parts[rows]], high[parts[rows]] = 1.0 - c, 1.0 + c
+            if m > rank:
+                low[parts[rows]] = 0.0
     return np.where((-1e-10 < low) & (low < 0.0), 0.0, low), high
 
 
@@ -164,7 +183,7 @@ def section_frame_bounds(
     z = np.asarray(z, dtype=complex)
     if theta.singular_atoms or z.size <= theta.degree:
         low, high = part_frame_bounds(
-            z, values, norms_sq, ids, np.arange(z.size), np.array([0, z.size])
+            theta, z, values, norms_sq, ids, np.arange(z.size), np.array([0, z.size])
         )
         return float(low[0]), float(high[0])
     _require_usable(norms_sq[None], [ids])

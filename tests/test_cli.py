@@ -227,6 +227,23 @@ def test_analyze_report_keys(tmp_path) -> None:
     assert [set(entry) for entry in report["kernel_norms_sq"]] == [{"id", "value"}] * 2
 
 
+def test_analyze_report_is_the_json_modules_text(tmp_path) -> None:
+    # the kernel norms are rendered from one template, not by the json module
+    # norms from about 1 to above 1e16, whose repr has an exponent: a point next to a heavy atom
+    points = [[0.1, 0.2], {"angle": 1.0}, [1.0 - 1e-9, 0.0], [-0.5, 1e-300], {"angle": 2.0 + 1e-4}]
+    inner = {"blaschke_zeros": [[0.3, 0.1]], "singular_atoms": [{"angle": 2.0, "mass": 1e9}]}
+    config = {"inner": inner, "points": points}
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", _write(tmp_path / "cfg.json", config), "--out", str(out)]) == 0
+    text = (out / "analyze.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    seq = cli._parse_points(points)
+    _, norms = cli.normalized_values(cli._parse_inner(inner), seq.z, seq.angle, seq.ids)
+    got = [(entry["id"], entry["value"]) for entry in json.loads(text)["kernel_norms_sq"]]
+    assert got == list(zip(seq.ids.tolist(), norms.tolist()))
+    assert "e+" in repr(max(v for _, v in got))
+
+
 def test_interp_partition_report_keys(tmp_path) -> None:
     points = [[0.3 * math.cos(k), 0.3 * math.sin(k)] for k in range(5)]
     report = _report(

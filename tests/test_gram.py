@@ -44,13 +44,9 @@ def _whole(a: np.ndarray) -> tuple[float, float]:
 
 
 def _dense(theta: InnerFunction, seq: PointSequence) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a sequence's assembled section, whatever its size."""
-    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    n = len(seq)
-    (low,), (high,) = part_frame_bounds(
-        seq.z, values, norms, seq.ids, np.arange(n), np.array([0, n])
-    )
-    return float(low), float(high)
+    """(lambda_min, lambda_max) of a sequence's assembled section, whatever its
+    size: its eigenvalues, with no rank argument."""
+    return _whole(library_gram(theta, seq))
 
 
 def _clark_points(n: int) -> PointSequence:
@@ -132,12 +128,12 @@ def test_part_sections_are_exactly_hermitian_with_unit_diagonal(monkeypatch) -> 
     cuts = [0, 50] + [50 + 10 * k for k in range(1, 11)] + [150 + 2 * k for k in range(1, 31)]
     parts = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])] + [np.arange(n - 300, n)]
     parts += [np.array([n - 4, n - 3]), np.array([n - 2, n - 1])]
-    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(parts))
     # random data, not from a Theta
     w = 0.95 * np.sqrt(rng.uniform(size=(1, 60))) * np.exp(1j * rng.uniform(0, TWO_PI, (1, 60)))
     v = rng.uniform(0, 0.9, w.shape) * np.exp(1j * rng.uniform(0, TWO_PI, w.shape))
     whole = np.arange(60), np.array([0, 60])
-    part_frame_bounds(w[0], v[0], rng.uniform(0.5, 50.0, 60), np.arange(60), *whole)
+    part_frame_bounds(theta, w[0], v[0], rng.uniform(0.5, 50.0, 60), np.arange(60), *whole)
     assert {g.shape[1] for g in stacks} == {2, 10, 50, 300, 60}
     for g in stacks:
         assert np.array_equal(g, g.conj().swapaxes(1, 2))
@@ -155,7 +151,7 @@ def test_part_frame_bounds_match_one_section_at_a_time() -> None:
     cuts = [40 * k for k in range(26)] + [1000 + 2 * k for k in range(1, 80)] + [1197, 1200]
     parts = [np.sort(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    low, high = part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    low, high = part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(parts))
     assert low.size == high.size == len(parts)
     for idx, lambda_min, lambda_max in zip(parts, low, high):
         want = np.linalg.eigvalsh(library_gram(theta, seq.subset(idx)))
@@ -194,10 +190,12 @@ def test_gram_inseparable_pair_names_both_points() -> None:
         library_gram(theta, seq)
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     with pytest.raises(NumericDomainError, match="points 3 and 9 are numerically inseparable"):
-        part_frame_bounds(seq.z, values, norms, seq.ids, *part_table([np.array([0]), np.array([1, 2])]))
+        part_frame_bounds(
+            theta, seq.z, values, norms, seq.ids, *part_table([np.array([0]), np.array([1, 2])])
+        )
     # the pair in different parts is no error
     low, high = part_frame_bounds(
-        seq.z, values, norms, seq.ids, *part_table([np.array([0, 1]), np.array([2])])
+        theta, seq.z, values, norms, seq.ids, *part_table([np.array([0, 1]), np.array([2])])
     )
     assert (low[1], high[1]) == (1.0, 1.0)
 
@@ -217,7 +215,7 @@ def test_gram_inseparable_refusal_names_the_first_part_then_the_first_pair() -> 
         ([five], "points 31 and 34"),  # row-major: (1, 4) comes before (2, 3)
     ):
         with pytest.raises(NumericDomainError, match=f"^{named} are numerically inseparable$"):
-            part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+            part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(parts))
 
 
 def test_gram_names_the_point_on_an_atom() -> None:
@@ -228,13 +226,14 @@ def test_gram_names_the_point_on_an_atom() -> None:
 
 
 def test_part_frame_bounds_unusable_norm_names_the_point() -> None:
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j, 0.1))
     z = np.array([0.1, 0.2, 0.3], dtype=complex)
     values = np.zeros(3, dtype=complex)
     whole = np.arange(3), np.array([0, 3])
     with pytest.raises(NumericDomainError, match="point 12 has unusable"):
-        part_frame_bounds(z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12), *whole)
+        part_frame_bounds(theta, z, values, np.array([1.0, 1.0, math.inf]), (10, 11, 12), *whole)
     with pytest.raises(NumericDomainError, match="point 11 has unusable"):
-        part_frame_bounds(z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12), *whole)
+        part_frame_bounds(theta, z, values, np.array([1.0, -0.0, 1.0]), (10, 11, 12), *whole)
 
 
 def _pair_corpus(rng: np.random.Generator, n: int) -> PointSequence:
@@ -261,7 +260,7 @@ def test_parts_of_one_or_two_points_match_exact_eigenvalues() -> None:
     seq = _pair_corpus(rng, n)
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     parts = [np.array([k, n + k]) for k in range(n)] + [np.array([k]) for k in range(0, 2 * n, 7)]
-    low, high = part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts))
+    low, high = part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(parts))
     ulp = np.spacing(1.0)
     entries = []
     for idx, lambda_min, lambda_max in zip(parts, low, high):
@@ -292,12 +291,12 @@ def test_parts_of_one_or_two_points_run_no_eigensolver(monkeypatch) -> None:
     theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     small = [np.array([0]), np.array([1, 2]), np.array([3, 4]), np.array([5])]
-    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small))
+    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(small))
     assert calls == ["sections", "sections"]  # one stack per size
     block_frame_bounds(np.eye(6), *part_table(small))
     assert calls == ["sections", "sections"]
     calls.clear()
-    part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(small + [np.arange(6, 9)]))
+    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(small + [np.arange(6, 9)]))
     assert calls == ["sections", "sections", "sections", "eigvalsh"]
 
 
@@ -314,7 +313,7 @@ def test_closed_form_refuses_as_sections_do() -> None:
         idx = parts[-1]
         out = []
         for run in (
-            lambda: part_frame_bounds(seq.z, values, norms, seq.ids, *part_table(parts)),
+            lambda: part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(parts)),
             lambda: _whole(
                 gram._sections(seq.z[idx][None], values[idx][None], norms[idx][None], [seq.ids[idx]])[0]
             ),
@@ -343,7 +342,7 @@ def test_empty_part_or_sequence_is_refused() -> None:
     theta = InnerFunction(blaschke_zeros=(0.3,))
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     with pytest.raises(NumericDomainError, match="part 1 is empty"):
-        part_frame_bounds(seq.z, values, norms, seq.ids, np.arange(2), np.array([0, 1, 1, 2]))
+        part_frame_bounds(theta, seq.z, values, norms, seq.ids, np.arange(2), np.array([0, 1, 1, 2]))
     with pytest.raises(NumericDomainError, match="part 0 is empty"):
         block_frame_bounds(np.eye(2), np.zeros(0, dtype=int), np.array([0, 0]))
     empty = np.zeros(0, dtype=complex)
@@ -503,8 +502,9 @@ def _routes(theta: InnerFunction, seq: PointSequence) -> tuple:
 
 def _both(theta, z, values, norms, ids) -> tuple:
     out = []
-    whole = np.arange(len(z)), np.array([0, len(z)])
-    dense = lambda _t, *args: tuple(float(b[0]) for b in part_frame_bounds(*args, *whole))  # noqa: E731
+    dense = lambda _t, z, values, norms, ids: _whole(  # noqa: E731
+        gram._sections(z[None], values[None], norms[None], [ids])[0]
+    )
     for route in (section_frame_bounds, dense):
         try:
             out.append(route(theta, z, values, norms, ids))
@@ -521,6 +521,28 @@ def test_factored_route_matches_the_dense_route(name: str) -> None:
     assert factored[0] == 0.0  # by rank
     assert dense[0] <= len(seq) * np.finfo(float).eps * dense[1]
     assert abs(factored[1] - dense[1]) <= 1e-13 * dense[1]
+
+
+def test_parts_of_more_points_than_the_degree_have_lambda_min_zero_by_rank() -> None:
+    # three kernels of a two-dimensional K_Theta are dependent, yet the
+    # eigensolver's lambda_min of such a part is roundoff of either sign:
+    # read off the eigenvalues, 109 of these 200 parts were above 0 (up to 6e-15)
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    seq = PointSequence.from_angles(np.random.default_rng(2).uniform(0.0, TWO_PI, 604))
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    offsets = np.append(np.arange(0, 601, 3), [602, 604])  # then two pairs
+    low, high = part_frame_bounds(theta, seq.z, values, norms, seq.ids, np.arange(604), offsets)
+    assert low[:200].tolist() == [0.0] * 200
+    for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        part = seq.subset(np.arange(a, b))
+        assert high[k] == pytest.approx(section_bounds(theta, part)[1], rel=1e-13)
+        if b - a == 2:  # within the degree: the eigenvalues stand
+            assert (low[k], high[k]) == _whole(library_gram(theta, part)) and low[k] > 0.0
+    # with an atom, K_Theta is infinite-dimensional and no rank argument applies
+    atom = InnerFunction(theta.blaschke_zeros, singular_atoms=((1.0, 0.5),))
+    values, norms = normalized_values(atom, seq.z, seq.angle, seq.ids)
+    low, _ = part_frame_bounds(atom, seq.z, values, norms, seq.ids, np.arange(604), offsets)
+    assert (low > 0.0).all()
 
 
 def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> None:
