@@ -191,35 +191,46 @@ def test_report_forms_the_pairwise_denominators_once(monkeypatch) -> None:
     assert report.embedding_sup == pytest.approx(want_embedding, rel=1e-13)
 
 
+def _pairwise_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's sum of log rho and of 1 - rho^2 over every point, from
+    plain complex arithmetic."""
+    den = np.abs(1.0 - z.conj() * z[:, None])
+    rho = np.abs(z[:, None] - z) / den
+    np.fill_diagonal(rho, 1.0)
+    w = 1.0 - np.abs(z) ** 2
+    return np.log(rho).sum(axis=1), (w[:, None] * w / den**2).sum(axis=1)
+
+
 @pytest.mark.parametrize("underflow", [False, True])
 def test_report_over_upper_tiles_matches_the_pairwise_sums(underflow: bool) -> None:
     # 300 points are three row blocks, and the report forms each pair once,
-    # in the upper tile of the earlier point's block.  The reference sums
-    # log rho and 1 - rho^2 over every pair from plain complex arithmetic.
+    # in the upper tile of the earlier point's block.  The witness and the
+    # embedding maximum are put last, so their rows take their pairs with
+    # the first two blocks from those blocks' column sums.
     rng = np.random.default_rng(0)
     n = 300
     z = (1.0 - 10.0 ** rng.uniform(-3.3, -1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
     if underflow:
-        # |z_150 - z_250|^2 is below 16 times the smallest normal float, so
-        # that pair's log rho comes from the log-domain fallback, in the
-        # second block's tile at its column 141 (column 250 of the matrix);
-        # the third point, on the same line, makes 150 the clear witness
+        # |0 - 4e-154|^2 is below 16 times the smallest normal float, so that
+        # pair's log rho comes from the log-domain fallback, in the third
+        # block's tile, whose column j is column j + 218; the third point, on
+        # the same line, makes 0 the clear witness
         z[150], z[160], z[250] = 0.0, -1e-146, 4e-154
-        assert abs(z[250] - z[150]) ** 2 < 16.0 * np.finfo(float).tiny
-    assert len(list(_row_blocks(n, n))) == 3
-    seq = PointSequence.from_complex(z, ids=7 * np.arange(n) + 3)
-    report = carleson_report(seq)
-    ratio = (z[:, None] - z) / (1.0 - z.conj() * z[:, None])
-    rho = np.abs(ratio)
-    np.fill_diagonal(rho, 1.0)
-    log_products = np.log(rho).sum(axis=1)
-    k = int(np.argmin(log_products))
-    w = 1.0 - np.abs(z) ** 2
-    embedding = (w[:, None] * w / np.abs(1.0 - z.conj() * z[:, None]) ** 2).sum(axis=1)
-    assert report.witness_index == 7 * k + 3 and (k == 150) == underflow
+    log_products, embedding = _pairwise_sums(z)
+    k, e = int(np.argmin(log_products)), int(np.argmax(embedding))
+    last = [e, k] if e != k else [k]
+    z = z[[i for i in range(n) if i not in last] + last]
+    log_products, embedding = _pairwise_sums(z)
+    assert np.argmin(log_products) == n - 1
+    assert embedding[-2:].max() == pytest.approx(embedding.max(), rel=1e-14)  # to rounding
+    assert [b.start for b in _row_blocks(n, n)] == [0, 109, 218]
+    if underflow:
+        assert z[-1] == 0.0 and abs(z[z.real == 4e-154][0]) ** 2 < 16.0 * np.finfo(float).tiny
+    report = carleson_report(PointSequence.from_complex(z, ids=7 * np.arange(n) + 3))
+    assert report.witness_index == 7 * (n - 1) + 3
     # a delta near e^-700 carries the rounding of its log-sum: 1 ulp of 700 is 1.1e-13
-    tol = 4.0 * np.finfo(float).eps * abs(log_products[k]) if underflow else 1e-13
-    assert report.delta == pytest.approx(math.exp(log_products[k]), rel=tol)
+    tol = 4.0 * np.finfo(float).eps * abs(log_products[-1]) if underflow else 1e-13
+    assert report.delta == pytest.approx(math.exp(log_products[-1]), rel=tol)
     assert np.finfo(float).tiny < report.delta < 1e-290 if underflow else report.delta > 1e-10
     assert report.embedding_sup == pytest.approx(embedding.max(), rel=1e-13)
 
