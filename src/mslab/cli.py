@@ -54,7 +54,7 @@ from .carleson import carleson_report
 from .clark import herglotz_residuals, level_set
 from .decompose import Partition, decompose_by_squares, split_by_interpolation
 from .errors import CertificationError, ConfigError, MslabError, NumericDomainError
-from .gram import block_frame_bounds, section_frame_bounds
+from .gram import block_frame_bounds, part_frame_bounds
 from .inner import InnerFunction, normalized_values
 from .points import PointSequence
 from .pw import ExpSystem, pw_gram, pw_split
@@ -266,7 +266,7 @@ def _frame_bounds_json(low: float, high: float, n: int) -> dict:
 
 
 # One entry of analyze.json's kernel_norms_sq.  The norms are finite, as
-# section_frame_bounds has checked by then, so repr is the json module's text.
+# part_frame_bounds has checked by then, so repr is the json module's text.
 _NORM_JSON = '{{"id":{},"value":{!r}}}'.format
 
 
@@ -290,12 +290,15 @@ def cmd_analyze(config: dict, out_dir: Path) -> None:
             "embedding_sup": cr.embedding_sup,
             "witness_index": cr.witness_index,
         }
-    low, high = section_frame_bounds(theta, seq.z, values, norms, seq.ids)
+    n = len(seq)
+    (low,), (high,) = part_frame_bounds(
+        theta, seq.z, values, norms, seq.ids, np.arange(n), np.array([0, n])
+    )
     verdict = "certified_riesz" if low >= floor else "indeterminate"
 
     report = {
         "carleson": carleson,
-        "frame_bounds": {**_frame_bounds_json(low, high, len(seq)), "verdict": verdict},
+        "frame_bounds": {**_frame_bounds_json(float(low), float(high), n), "verdict": verdict},
         "frame_bounds_note": _FINITE_SECTION_NOTE,
         "gamma": gamma,
         "gamma_flag": "boundary points" if has_boundary else None,

@@ -37,7 +37,7 @@ import numpy as np
 from mslab.carleson import log_distance_matrix
 from mslab.decompose import Partition, split_log_distances
 from mslab.errors import ConfigError
-from mslab.gram import _sections, section_frame_bounds
+from mslab.gram import _sections, part_frame_bounds
 from mslab.inner import InnerFunction, normalized_values
 from mslab.points import BOUNDARY_TOL, PointSequence
 
@@ -210,9 +210,15 @@ def library_gram(theta: InnerFunction, seq: PointSequence) -> np.ndarray:
 
 
 def section_bounds(theta: InnerFunction, seq: PointSequence) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of ``seq`` by the route ``section_frame_bounds`` picks."""
+    """(lambda_min, lambda_max) of ``seq`` as one part of ``part_frame_bounds``,
+    by the route it picks: factored for more points than an atom-free
+    Theta's degree, else assembled."""
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
-    return section_frame_bounds(theta, seq.z, values, norms, seq.ids)
+    n = len(seq)
+    (low,), (high,) = part_frame_bounds(
+        theta, seq.z, values, norms, seq.ids, np.arange(n), np.array([0, n])
+    )
+    return float(low), float(high)
 
 
 def part_table(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

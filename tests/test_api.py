@@ -6,6 +6,7 @@ Also the layers the bench tracer imports: each one imports, and the empty
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -130,3 +131,15 @@ def test_importing_the_package_leaves_the_quadrature_stub_unloaded() -> None:
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout == "False\n"
+
+
+def test_the_gram_layer_binds_two_public_functions() -> None:
+    # bench/tracer.py wraps every public function of each traced layer, so
+    # a public name added to mslab.gram changes what a traced run times
+    gram = importlib.import_module("mslab.gram")
+    public = [
+        name
+        for name, obj in vars(gram).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == gram.__name__
+    ]
+    assert sorted(public) == ["block_frame_bounds", "part_frame_bounds"]

@@ -627,6 +627,28 @@ def test_every_section_takes_its_eigenvalues_from_one_path(tmp_path, monkeypatch
     assert calls
 
 
+def test_analyze_bounds_a_section_past_the_degree_without_assembling_it(tmp_path, monkeypatch) -> None:
+    # the shape of the bench's 520-point analyze section: zeros and points on
+    # sunflower spirals over |z| <= 0.9, degree 5.  Its bounds come from the
+    # 5-by-5 V*V; a 520-by-520 section would be assembled and eigensolved
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+
+    def spiral(n: int) -> list[list[float]]:
+        z = 0.9 * np.sqrt((np.arange(n) + 0.5) / n) * np.exp(1j * (golden * np.arange(n) + 0.3))
+        return [[float(w.real), float(w.imag)] for w in z]
+
+    gram = importlib.import_module("mslab.gram")
+    sections, eigs = [], []
+    _spy(monkeypatch, gram, "_sections", sections)
+    _spy(monkeypatch, np.linalg, "eigvalsh", eigs)
+    config = {"inner": {"blaschke_zeros": spiral(5)}, "points": spiral(520)}
+    report = _report(tmp_path, "analyze", config, "analyze.json")
+    assert sections == []
+    assert [args[0].shape for _, args, _ in eigs] == [(1, 5, 5)]
+    assert report["frame_bounds"]["lambda_min"] == 0.0
+    assert report["frame_bounds"]["n"] == 520
+
+
 @pytest.mark.parametrize(
     "command, config",
     [

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import (
 from mslab import gram
 from mslab.cli import main
 from mslab.errors import NumericDomainError, OnSpectrumError
-from mslab.gram import block_frame_bounds, part_frame_bounds, section_frame_bounds
+from mslab.gram import block_frame_bounds, part_frame_bounds
 from mslab.inner import InnerFunction, normalized_values
 from mslab.points import PointSequence
 
@@ -40,6 +41,13 @@ def _whole(a: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a whole Gram array, as one part of ``block_frame_bounds``."""
     n = a.shape[0]
     (low,), (high,) = block_frame_bounds(a, np.arange(n), np.array([0, n]))
+    return float(low), float(high)
+
+
+def _one_part(theta: InnerFunction, z, values, norms, ids) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the points z as one part of ``part_frame_bounds``."""
+    n = len(z)
+    (low,), (high,) = part_frame_bounds(theta, z, values, norms, ids, np.arange(n), np.array([0, n]))
     return float(low), float(high)
 
 
@@ -288,7 +296,7 @@ def test_parts_of_one_or_two_points_run_no_eigensolver(monkeypatch) -> None:
     monkeypatch.setattr(gram, "_sections", lambda *a: calls.append("sections") or sections(*a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
     seq = _oracle_corpus(np.random.default_rng(3), 9)
-    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j, 0.2 + 0.6j))
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     small = [np.array([0]), np.array([1, 2]), np.array([3, 4]), np.array([5])]
     part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(small))
@@ -296,8 +304,16 @@ def test_parts_of_one_or_two_points_run_no_eigensolver(monkeypatch) -> None:
     block_frame_bounds(np.eye(6), *part_table(small))
     assert calls == ["sections", "sections"]
     calls.clear()
-    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(small + [np.arange(6, 9)]))
+    three = small + [np.arange(6, 9)]
+    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(three))
     assert calls == ["sections", "sections", "sections", "eigvalsh"]
+    # against a Theta of degree 2 the three points take the factored route:
+    # no section is assembled, and V*V takes the one eigensolver call
+    calls.clear()
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    part_frame_bounds(theta, seq.z, values, norms, seq.ids, *part_table(three))
+    assert calls == ["sections", "sections", "eigvalsh"]
 
 
 def test_closed_form_refuses_as_sections_do() -> None:
@@ -347,7 +363,7 @@ def test_empty_part_or_sequence_is_refused() -> None:
         block_frame_bounds(np.eye(2), np.zeros(0, dtype=int), np.array([0, 0]))
     empty = np.zeros(0, dtype=complex)
     with pytest.raises(NumericDomainError, match="part 0 is empty"):
-        section_frame_bounds(theta, empty, empty, np.zeros(0), ())
+        _one_part(theta, empty, empty, np.zeros(0), ())
 
 
 def test_by_size_groups_parts_in_order_of_first_appearance() -> None:
@@ -461,7 +477,7 @@ def test_frame_operator_subadditivity() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the two routes of section_frame_bounds
+# the two routes of part_frame_bounds
 # ---------------------------------------------------------------------------
 
 _ROUTE_CASES = [f"degree {d}" for d in range(1, 9)] + [
@@ -505,7 +521,7 @@ def _both(theta, z, values, norms, ids) -> tuple:
     dense = lambda _t, z, values, norms, ids: _whole(  # noqa: E731
         gram._sections(z[None], values[None], norms[None], [ids])[0]
     )
-    for route in (section_frame_bounds, dense):
+    for route in (_one_part, dense):
         try:
             out.append(route(theta, z, values, norms, ids))
         except NumericDomainError as exc:
@@ -523,7 +539,7 @@ def test_factored_route_matches_the_dense_route(name: str) -> None:
     assert abs(factored[1] - dense[1]) <= 1e-13 * dense[1]
 
 
-def test_parts_of_more_points_than_the_degree_have_lambda_min_zero_by_rank() -> None:
+def test_parts_of_more_points_than_the_degree_have_lambda_min_zero_by_rank(monkeypatch) -> None:
     # three kernels of a two-dimensional K_Theta are dependent, yet the
     # eigensolver's lambda_min of such a part is roundoff of either sign:
     # read off the eigenvalues, 109 of these 200 parts were above 0 (up to 6e-15)
@@ -531,13 +547,21 @@ def test_parts_of_more_points_than_the_degree_have_lambda_min_zero_by_rank() -> 
     seq = PointSequence.from_angles(np.random.default_rng(2).uniform(0.0, TWO_PI, 604))
     values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
     offsets = np.append(np.arange(0, 601, 3), [602, 604])  # then two pairs
+    calls = []
+    factored, eigvalsh = gram._factored_gram, np.linalg.eigvalsh
+    monkeypatch.setattr(gram, "_factored_gram", lambda th, z, *a: calls.append(z.shape) or factored(th, z, *a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     low, high = part_frame_bounds(theta, seq.z, values, norms, seq.ids, np.arange(604), offsets)
+    # the 200 parts are one stack: one V*V per part, from one call, and one eigensolver call
+    assert calls == [(200, 3), (200, 2, 2)]
     assert low[:200].tolist() == [0.0] * 200
     for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
         part = seq.subset(np.arange(a, b))
-        assert high[k] == pytest.approx(section_bounds(theta, part)[1], rel=1e-13)
+        assert high[k] == section_bounds(theta, part)[1]
         if b - a == 2:  # within the degree: the eigenvalues stand
             assert (low[k], high[k]) == _whole(library_gram(theta, part)) and low[k] > 0.0
+        else:  # the factored lambda_max is the assembled section's
+            assert high[k] == pytest.approx(_dense(theta, part)[1], rel=1e-13)
     # with an atom, K_Theta is infinite-dimensional and no rank argument applies
     atom = InnerFunction(theta.blaschke_zeros, singular_atoms=((1.0, 0.5),))
     values, norms = normalized_values(atom, seq.z, seq.angle, seq.ids)
@@ -561,6 +585,14 @@ def test_frame_bounds_next_to_zeros_at_the_circle_match_exact_rationals() -> Non
     low, high = section_bounds(theta, seq)
     assert low == 0.0
     assert abs(high - hi) <= 1e-13 * hi
+    # a splitter's parts of more points than the degree take the same route,
+    # as one stack; assembled, these four parts' lambda_max were 1.3e-4 off
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    low, high = part_frame_bounds(theta, seq.z, values, norms, seq.ids, np.arange(20), np.arange(0, 21, 5))
+    assert low.tolist() == [0.0] * 4
+    for k in range(4):
+        want = eig_extremes_oracle(normalized_gram_exact(zeros, pts[5 * k : 5 * k + 5]))[1]
+        assert abs(high[k] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
@@ -609,7 +641,66 @@ def test_factored_route_refuses_as_the_dense_route_does() -> None:
     bad = norms.copy()
     bad[3] *= 1.01
     with pytest.raises(NumericDomainError, match="unit diagonal: point 0 has"):
-        section_frame_bounds(theta, z, values, bad, ids)
+        _one_part(theta, z, values, bad, ids)
+
+
+def test_factored_stacks_refuse_in_the_order_of_sections() -> None:
+    # four parts of three boundary points against a Theta of degree 2: part 1
+    # holds an inseparable pair in its last two rows, part 2 one in its
+    # first two; both routes name part 1's pair, in its row order
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    angles = [0.1, 0.9, 1.7, 2.5, 3.3, 3.3 + 2e-15, 4.1, 4.1 + 2e-15, 4.9, 5.3, 5.7, 6.1]
+    ids = (40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51)
+    seq = PointSequence.from_angles(angles, ids=ids)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    # members out of id order: errors name points by row within their part
+    table = np.array([2, 0, 1, 3, 5, 4, 7, 6, 8, 11, 10, 9]), np.arange(0, 13, 3)
+
+    def refusals(values, norms) -> tuple[str, str]:
+        """The factored stack's message, and that of ``_sections`` on the same stack."""
+        idx = table[0].reshape(4, 3)
+        out = []
+        for run in (
+            lambda: part_frame_bounds(theta, seq.z, values, norms, seq.ids, *table),
+            lambda: gram._sections(seq.z[idx], values[idx], norms[idx], seq.ids[idx]),
+        ):
+            with pytest.raises(NumericDomainError) as exc:
+                run()
+            out.append(str(exc.value))
+        return tuple(out)
+
+    assert refusals(values, norms) == ("points 45 and 44 are numerically inseparable",) * 2
+    # an unusable norm anywhere in the stack comes before every pair
+    broken = norms.copy()
+    broken[10] = math.inf
+    assert refusals(values, broken) == ("point 50 has unusable kernel norm squared inf",) * 2
+    # a norm that does not belong to its point: the route names that point
+    good = [0, 1, 2, 8, 9, 10]
+    broken = norms.copy()
+    broken[9] *= 1.01
+    with pytest.raises(NumericDomainError, match="unit diagonal: point 49 has"):
+        part_frame_bounds(theta, seq.z, values, broken, seq.ids, np.array(good), np.array([0, 3, 6]))
+
+
+def test_factored_route_compares_only_the_pairs_near_the_circle() -> None:
+    # 2000 points past the degree, two of them on the circle: the pair check
+    # compares those two, and no 2000-by-2000 array (64 MB) is formed
+    theta = InnerFunction(blaschke_zeros=(0.3, -0.5j))
+    rng = np.random.default_rng(5)
+    n = 2000
+    z = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+    angles = np.full(n, math.nan)
+    angles[[700, 1400]] = [1.0, 4.0]
+    seq = PointSequence.from_mixed(z, angles)
+    values, norms = normalized_values(theta, seq.z, seq.angle, seq.ids)
+    tracemalloc.start()
+    try:
+        low, _ = part_frame_bounds(theta, seq.z, values, norms, seq.ids, np.arange(n), np.array([0, n]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert low.tolist() == [0.0]
+    assert peak < 4e6
 
 
 def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> None:
@@ -623,7 +714,7 @@ def test_sections_with_atoms_or_few_points_take_the_dense_route(monkeypatch) -> 
     for th, n in ((theta, 5), (atoms, 12)):
         seq = _oracle_corpus(rng, n)
         values, norms = normalized_values(th, seq.z, seq.angle)
-        low, high = section_frame_bounds(th, seq.z, values, norms, seq.ids)
+        low, high = _one_part(th, seq.z, values, norms, seq.ids)
         want = np.linalg.eigvalsh(library_gram(th, seq))
         assert (low, high) == pytest.approx((want[0], want[-1]), rel=1e-12, abs=1e-12)
 
