@@ -2,11 +2,11 @@
 
 On any boundary arc free of spectrum, a nonconstant inner function has a
 strictly increasing continuous argument whose rate is the angular
-derivative |Theta'|.  For finite data that argument has a closed form,
-``inner.boundary_argument`` (Phi), with exp(i Phi) = Theta(e^{it}) exactly,
-and ``inner.argument_and_rate`` gives Phi' = |Theta'| from the same pass;
-so every level set {Theta = alpha} is enumerated completely as the roots
-of the monotone Phi - target, one target per 2*pi of argument increase.
+derivative |Theta'|.  For finite data that argument has a closed form:
+``inner.argument_and_rate`` gives Phi, with exp(i Phi) = Theta(e^{it})
+exactly, and Phi' = |Theta'| from the same pass; so every level set
+{Theta = alpha} is enumerated completely as the roots of the monotone
+Phi - target, one target per 2*pi of argument increase.
 An arc is just its ends (lo, hi) and Phi there.  Every target of every
 level on every arc is solved in one lockstep run: one evaluation of Phi
 and Phi' on a grid of two points per 2*pi of each arc's increase
@@ -43,13 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError
-from .inner import (
-    InnerFunction,
-    _values,
-    argument_and_rate,
-    boundary_argument,
-    eval_points,
-)
+from .inner import InnerFunction, _rates, _refuse_atoms, _values, argument_and_rate
 from .points import TWO_PI, normalize_angles
 
 
@@ -195,7 +189,7 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
     hi = np.concatenate([mid, np.maximum(ends - _ATOM_CLEARANCE, mid)])
     pole, m = np.concatenate([atoms, ends]), np.concatenate([mass, np.roll(mass, -1)])
     side = np.repeat([-1.0, 1.0], count)  # the pole's side of its half-arc
-    phi_lo, phi_hi = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    phi_lo, phi_hi = np.split(argument_and_rate(theta, np.concatenate([lo, hi]))[0], 2)
     half = math.pi * (max_points_per_arc + 1)
     targets = np.concatenate([phi_hi[:count] - half, phi_lo[count:] + half])  # Phi(mid) -+ half
 
@@ -206,7 +200,7 @@ def _level_arcs(theta: InnerFunction, max_points_per_arc: int) -> tuple[np.ndarr
         return np.clip(pole - 2.0 * np.arctan2(side * m, side * c), lo, hi)
 
     below, above = inverse(targets - (phi_hi - own(hi))), inverse(targets - (phi_lo - own(lo)))
-    phi_below, phi_above = np.split(boundary_argument(theta, np.concatenate([below, above])), 2)
+    phi_below, phi_above = np.split(argument_and_rate(theta, np.concatenate([below, above]))[0], 2)
     a, b = _solve(
         theta,
         np.where((phi_below < targets) & (below < hi), below, lo),
@@ -284,7 +278,7 @@ def level_sets(
             )
         values.append(alpha)
     lo, hi = _level_arcs(theta, max_points_per_arc)
-    v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    v0, v1 = np.split(argument_and_rate(theta, np.concatenate([lo, hi]))[0], 2)
     full_circle = not theta.singular_atoms
     if full_circle:
         increase = float(v1[0] - v0[0])
@@ -309,7 +303,9 @@ def level_sets(
     order = np.lexsort((roots, owner_of))  # by level, then by angle
     ang = roots[order]
     level = np.array(values, dtype=complex)[owner_of[order]]
-    vals, derivs = eval_points(theta, np.exp(1j * ang))
+    z = np.exp(1j * ang)
+    _refuse_atoms(theta._terms, z)
+    vals, derivs = _values(theta._terms, z), _rates(theta._terms, z)
     residual = np.abs(vals - level)
     # the achievable residual is floored by the rate times one ulp of angle
     tol = np.maximum(1e-10, 8.0 * derivs * 2.3e-16 * np.maximum(1.0, np.abs(ang)))

@@ -432,9 +432,9 @@ def cmd_clark(config: dict, out_dir: Path) -> None:
     opts = _parse_options(
         config.get("options"), {"max_points_per_arc": _integer, "herglotz_grid": _integer}
     )
-    family = level_set(theta, alpha, opts.get("max_points_per_arc", 512))
+    grid_n = opts.pop("herglotz_grid", 100)
+    family = level_set(theta, alpha, **opts)
 
-    grid_n = opts.get("herglotz_grid", 100)
     side = max(1, int(math.isqrt(grid_n)))
     r = 0.05 + 0.85 * np.arange(side) / max(1, side - 1)
     ang = 2.0 * math.pi * (np.arange(side) + 0.37) / side

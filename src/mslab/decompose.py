@@ -63,7 +63,7 @@ from .inner import (
     InnerFunction,
     _log_modulus_sq,
     _one_minus_modulus_sq,
-    boundary_argument,
+    argument_and_rate,
     normalized_values,
     spectrum_distance,
 )
@@ -379,7 +379,7 @@ def build_arc_system(
     The level sets at e^{2 pi i l / N} are merged and sorted; consecutive
     points bound the arcs, each tagged by the level of its hi endpoint.
     An arc's mass, the integral of |Theta'|/(2 pi) over it, is
-    (Phi(hi) - Phi(lo))/(2 pi) from one ``boundary_argument`` call on the
+    (Phi(hi) - Phi(lo))/(2 pi) from one ``argument_and_rate`` call on the
     arc ends, and is checked against 1/N: level points that double
     precision cannot resolve fail that check.
     Arcs that would contain a singular atom are dropped and the system is
@@ -417,7 +417,7 @@ def build_arc_system(
     truncated = truncated or bool(holds_atom.any())
     keep = ~holds_atom
     lo, hi, level, deriv = lo[keep], hi[keep], level[keep], deriv[keep]
-    phi_lo, phi_hi = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    phi_lo, phi_hi = np.split(argument_and_rate(theta, np.concatenate([lo, hi]))[0], 2)
     masses = (phi_hi - phi_lo) / TWO_PI
     target = 1.0 / level_count
     off = np.abs(masses - target) > _ARC_MASS_REL_TOL * target

@@ -55,20 +55,19 @@ Every evaluator works on (terms, points) blocks: the data's arrays are
 held as columns, a slice of at most 2^15 entries' worth of points as a
 row, and each sum or product over the terms reduces axis 0, so numpy's
 inner loops run along the points.
-``eval_points`` evaluates Theta and |Theta'| over an array of points in
-one numpy pass (points against zeros, points against atoms); its one
-caller in the package is ``clark.level_sets``, on the solved level points.
-``argument_and_rate`` gives, in the same way, the continuous argument Phi
-of Theta(e^{it}) on an atom-free boundary arc in closed form, together
-with its rate |Theta'| from the same sines; ``boundary_argument`` is its
-Phi alone.
-``normalized_values`` gives the Theta values and kernel norms of a point
-sequence as arrays, from its ``z`` and ``angle`` arrays (NaN inside the
-disk), for Gram sections and the decomposition drivers; it takes rates
-only where it uses them.  ``spectrum_distance`` takes a 1-D array of
-points.  Each formula has this one array implementation, computed from
-arrays of the data built once per function; a single point is a
-one-element array.
+
+There is one public entry point per quantity.  ``argument_and_rate``
+gives the continuous argument Phi of Theta(e^{it}) on an atom-free
+boundary arc in closed form, together with its rate |Theta'| from the
+same sines.  ``normalized_values`` gives the Theta values and kernel
+norms of a point sequence as arrays, from its ``z`` and ``angle`` arrays
+(NaN inside the disk), for Gram sections and the decomposition drivers;
+it takes rates only where it uses them, and a boundary point's norm is
+its rate.  ``clark.level_sets`` reads the same kernels, ``_values`` and
+``_rates``, on its solved level points after ``_refuse_atoms``.
+``spectrum_distance`` takes a 1-D array of points.  Each formula has
+this one array implementation, computed from arrays of the data built
+once per function; a single point is a one-element array.
 """
 
 from __future__ import annotations
@@ -206,20 +205,13 @@ def _distance_sq(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _near_atoms(terms: _Terms, angles: np.ndarray) -> np.ndarray:
-    """Which angles lie within ANGLE_TOL of an atom's angle."""
-    gap = np.mod(angles - terms.atom_angles, TWO_PI)
-    return (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=0)
-
-
-def _refuse_atoms(
-    terms: _Terms, z: np.ndarray, ids: Sequence[int] | None = None
-) -> np.ndarray:
-    """``_near_atoms`` of the points' angles; a boundary point on an atom
-    raises ``OnSpectrumError``, naming its label when ``ids`` gives one."""
+def _refuse_atoms(terms: _Terms, z: np.ndarray, ids: Sequence[int] | None = None) -> None:
+    """Raise ``OnSpectrumError`` for the first boundary point within
+    ANGLE_TOL of an atom's angle, naming its label when ``ids`` gives one."""
     if not terms.taus.size:
-        return np.zeros(z.shape, dtype=bool)
-    at_atom = _near_atoms(terms, np.angle(z))
+        return
+    gap = np.mod(np.angle(z) - terms.atom_angles, TWO_PI)
+    at_atom = (np.minimum(gap, TWO_PI - gap) <= ANGLE_TOL).any(axis=0)
     hit = np.flatnonzero(at_atom & (np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL))
     if hit.size:
         k = int(hit[0])
@@ -227,37 +219,17 @@ def _refuse_atoms(
         raise OnSpectrumError(
             f"{label}evaluation at a singular atom (point {complex(z[k])!r}) is on the spectrum"
         )
-    return at_atom
 
 
-def _rates(terms: _Terms, zeta: np.ndarray, at_atom: np.ndarray) -> np.ndarray:
-    """|Theta'| at boundary points zeta, +inf where ``at_atom`` flags an atom's angle."""
+def _rates(terms: _Terms, zeta: np.ndarray) -> np.ndarray:
+    """|Theta'| at boundary points zeta that ``_refuse_atoms`` has passed."""
     rates = np.empty(zeta.shape, dtype=float)
     for cols in _row_blocks(zeta.size, max(terms.zeros.size, terms.taus.size)):
         w = zeta[cols]
         rates[cols] = (terms.weight / np.abs(w - terms.zeros) ** 2).sum(axis=0)
         if terms.taus.size:
-            with np.errstate(divide="ignore"):
-                rates[cols] += (2.0 * terms.masses / np.abs(w - terms.taus) ** 2).sum(axis=0)
-    rates[at_atom] = math.inf
+            rates[cols] += (2.0 * terms.masses / np.abs(w - terms.taus) ** 2).sum(axis=0)
     return rates
-
-
-def eval_points(theta: InnerFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Theta(z) and the boundary rate |Theta'| over a 1-D array of points.
-
-    The rate is taken at the radial projection e^{i arg z} (at z itself when
-    |z| is within 1e-9 of 1), so the pair answers both boundary sampling and
-    the interior checks that compare |Theta(z)| with |Theta'(z/|z|)|.  A
-    boundary point on an atom raises ``OnSpectrumError``; the rate at an
-    atom's angle is +inf.
-    """
-    z = np.asarray(z, dtype=complex)
-    terms = theta._terms
-    at_atom = _refuse_atoms(terms, z)
-    on_circle = np.abs(np.abs(z) - 1.0) <= _BOUNDARY_EVAL_TOL
-    zeta = np.where(on_circle, z, np.exp(1j * np.angle(z)))
-    return _values(terms, z), _rates(terms, zeta, at_atom)
 
 
 def _values(terms: _Terms, z: np.ndarray) -> np.ndarray:
@@ -353,11 +325,6 @@ def argument_and_rate(theta: InnerFunction, t: np.ndarray) -> tuple[np.ndarray, 
     return terms.offset + theta.degree * t + bend, terms.origin + rate
 
 
-def boundary_argument(theta: InnerFunction, t: np.ndarray) -> np.ndarray:
-    """Phi(t) of ``argument_and_rate``: the continuous argument of Theta(e^{it})."""
-    return argument_and_rate(theta, t)[0]
-
-
 def _two_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a*a = p + e exactly (Dekker's product, on Veltkamp's split a = hi + lo
     into halves of 26 significant bits)."""
@@ -437,9 +404,7 @@ def normalized_values(
     rated = np.concatenate([np.flatnonzero(~interior), edge])
     norms = np.empty(z.size)
     # every rated point is on the circle, so one on an atom was refused above
-    norms[rated] = _rates(
-        terms, np.concatenate([z[~interior], projected]), np.zeros(rated.size, dtype=bool)
-    )
+    norms[rated] = _rates(terms, np.concatenate([z[~interior], projected]))
     interior[edge] = False
     # -expm1(S)/(1 - |z|^2), S = log|Theta|^2: no digits are lost as |z| -> 1
     gap = _one_minus_modulus_sq(z[interior])

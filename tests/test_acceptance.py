@@ -29,7 +29,7 @@ from mslab.decompose import (
     uncovered_region_report,
 )
 from mslab.gram import block_frame_bounds
-from mslab.inner import InnerFunction, eval_points, normalized_values
+from mslab.inner import InnerFunction, normalized_values
 from mslab.points import PointSequence
 from mslab.pw import ExpSystem, pw_gram, pw_split
 
@@ -123,10 +123,11 @@ def test_criterion_05_interpolation_split_end_to_end() -> None:
                 z = 0.97 * math.sqrt(rng.uniform()) * cmath.exp(
                     1j * rng.uniform(0, TWO_PI)
                 )
-                if abs(eval_points(theta, np.array([z]))[0][0]) <= 0.5 and all(z != w for w in pts):
+                value = normalized_values(theta, np.array([z]), np.array([math.nan]))[0][0]
+                if abs(value) <= 0.5 and all(z != w for w in pts):
                     pts.append(z)
             seq = PointSequence.from_complex(pts)
-            gamma = float(np.abs(eval_points(theta, seq.z)[0]).max())
+            gamma = float(np.abs(normalized_values(theta, seq.z, seq.angle)[0]).max())
             assert gamma <= 0.5
             partition = split_by_interpolation(theta, seq)
             assert all_ids(partition, seq.ids) == tuple(sorted(seq.ids))
@@ -230,6 +231,10 @@ def test_criterion_09_exponential_systems() -> None:
             assert partition.lambda_min[k] > 0.0
 
 
+# the boundary point 1, whose kernel norm is the rate |Theta'(1)|
+_ONE = np.ones(1, dtype=complex)
+
+
 def test_criterion_10_norm_ratio_sweep_regression() -> None:
     with criterion(
         "AC-10", "single-factor norm ratio: swept constant holds on fresh samples"
@@ -242,7 +247,7 @@ def test_criterion_10_norm_ratio_sweep_regression() -> None:
         for s in s_grid:
             for phi in angle_grid:
                 theta = InnerFunction(blaschke_zeros=(s * cmath.exp(1j * phi),))
-                deriv = float(eval_points(theta, np.ones(1))[1][0])
+                deriv = float(normalized_values(theta, _ONE, np.zeros(1))[1][0])
                 _, norms = normalized_values(theta, r_grid + 0j, np.full(r_grid.size, math.nan))
                 ratio = float(np.max(norms)) / deriv
                 c_emp = max(c_emp, ratio)
@@ -261,7 +266,8 @@ def test_criterion_10_norm_ratio_sweep_regression() -> None:
             r = float(rng.uniform(0.0, 0.9999))
             theta = InnerFunction(blaschke_zeros=(s * cmath.exp(1j * phi),))
             _, norms = normalized_values(theta, np.array([r + 0j]), np.array([math.nan]))
-            ratio = float(norms[0]) / float(eval_points(theta, np.ones(1))[1][0])
+            deriv = float(normalized_values(theta, _ONE, np.zeros(1))[1][0])
+            ratio = float(norms[0]) / deriv
             assert ratio <= bound
 
 

@@ -133,13 +133,27 @@ def test_importing_the_package_leaves_the_quadrature_stub_unloaded() -> None:
     assert out.stdout == "False\n"
 
 
+def _public_functions(layer: str) -> list[str]:
+    """The functions a layer defines under names without a leading underscore."""
+    module = importlib.import_module(f"mslab.{layer}")
+    return sorted(
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__
+    )
+
+
 def test_the_gram_layer_binds_two_public_functions() -> None:
     # bench/tracer.py wraps every public function of each traced layer, so
     # a public name added to mslab.gram changes what a traced run times
-    gram = importlib.import_module("mslab.gram")
-    public = [
-        name
-        for name, obj in vars(gram).items()
-        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == gram.__name__
+    assert _public_functions("gram") == ["block_frame_bounds", "part_frame_bounds"]
+
+
+def test_the_inner_layer_binds_one_public_function_per_quantity() -> None:
+    # Theta with its kernel norms, the boundary argument with its rate, and
+    # the distance to the spectrum; each one is wrapped by the bench tracer
+    assert _public_functions("inner") == [
+        "argument_and_rate",
+        "normalized_values",
+        "spectrum_distance",
     ]
-    assert sorted(public) == ["block_frame_bounds", "part_frame_bounds"]

@@ -26,7 +26,7 @@ from mslab.clark import (
 )
 from mslab.decompose import decompose_by_squares
 from mslab.errors import ConfigError, NumericDomainError
-from mslab.inner import InnerFunction, argument_and_rate, boundary_argument
+from mslab.inner import InnerFunction, argument_and_rate, normalized_values
 from mslab.points import PointSequence
 
 TWO_PI = 2.0 * math.pi
@@ -38,7 +38,7 @@ TWO_PI = 2.0 * math.pi
 
 def _increase(theta: InnerFunction, lo: float, hi: float) -> float:
     """Phi(hi) - Phi(lo) of the closed-form boundary argument."""
-    v = boundary_argument(theta, np.array([lo, hi]))
+    v = argument_and_rate(theta, np.array([lo, hi]))[0]
     return float(v[1] - v[0])
 
 
@@ -252,7 +252,7 @@ def test_lockstep_solve_matches_one_target_at_a_time() -> None:
     for theta, cap, alphas in cases:
         lo, hi = _level_arcs(theta, cap)
         assert lo.size == max(1, len(theta.singular_atoms))
-        v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+        v0, v1 = np.split(argument_and_rate(theta, np.concatenate([lo, hi]))[0], 2)
         targets, arc = [], []
         for j in range(lo.size):
             for alpha in alphas:
@@ -337,7 +337,7 @@ def test_solver_brackets_every_root(monkeypatch, name: str) -> None:
     assert len(seen) == (2 if atoms else 1)
     for lo, hi, t, a, b in seen:
         assert np.all((lo <= a) & (a <= b) & (b <= hi))
-        phi_a, phi_b = boundary_argument(theta, a), boundary_argument(theta, b)
+        phi_a, phi_b = argument_and_rate(theta, a)[0], argument_and_rate(theta, b)[0]
         inner = a < b
         assert np.all(phi_a[inner] < t[inner]) and np.all(t[inner] <= phi_b[inner])
         first, last = ~inner & (a == lo), ~inner & (b == hi)
@@ -477,7 +477,7 @@ def test_level_sets_solve_the_reference_targets(monkeypatch, theta: InnerFunctio
     families = level_sets(theta, alphas, cap)
     monkeypatch.undo()
     lo, hi = _level_arcs(theta, cap)
-    v0, v1 = np.split(boundary_argument(theta, np.concatenate([lo, hi])), 2)
+    v0, v1 = np.split(argument_and_rate(theta, np.concatenate([lo, hi]))[0], 2)
     phases = np.array([cmath.phase(alpha) for alpha in alphas])
     full_circle = not theta.singular_atoms
     t, arc, _, capped = level_targets_reference(v0, v1, phases, full_circle, cap)
@@ -545,6 +545,22 @@ def test_clark_gram_is_identity() -> None:
     seq = PointSequence.from_angles(fam.points)
     off = np.max(np.abs(library_gram(theta, seq) - np.eye(len(fam))))
     assert off <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["blaschke", "atom"])
+def test_clark_derivatives_are_the_boundary_kernel_norms(name: str) -> None:
+    # the Clark weight 1/|Theta'(tau)| is 1/||k_tau||^2: a family's
+    # derivatives are the kernel norms of its points, bit for bit
+    rng = np.random.default_rng(53)
+    zeros = random_blaschke(rng, 6).blaschke_zeros
+    if name == "blaschke":
+        theta, cap = InnerFunction(zeros), 512
+    else:
+        theta, cap = InnerFunction(zeros[:2], ((2.5, 0.3),)), 40
+    fam = level_set(theta, cmath.exp(0.7j), max_points_per_arc=cap)
+    assert fam.truncated == (name == "atom") and len(fam) >= 6
+    norms = normalized_values(theta, np.exp(1j * fam.points), fam.points)[1]
+    assert np.array_equal(fam.derivs, norms)
 
 
 def test_parseval_at_desk_scale() -> None:

@@ -27,8 +27,6 @@ from mslab.inner import (
     _log_modulus_sq,
     _one_minus_modulus_sq,
     argument_and_rate,
-    boundary_argument,
-    eval_points,
     normalized_values,
     spectrum_distance,
 )
@@ -106,25 +104,38 @@ def test_atom_distinctness_is_the_pairwise_rule() -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _inside(theta: InnerFunction, z) -> np.ndarray:
+    """Theta at interior points z, from ``normalized_values``."""
+    z = np.asarray(z, dtype=complex)
+    return normalized_values(theta, z, np.full(z.shape, math.nan))[0]
+
+
+def _on_circle(theta: InnerFunction, t) -> tuple[np.ndarray, np.ndarray]:
+    """Theta and |Theta'| at the boundary points e^{it}, from
+    ``normalized_values``: a boundary point's kernel norm is its rate."""
+    t = np.asarray(t, dtype=float)
+    return normalized_values(theta, np.exp(1j * t), t)
+
+
 def test_eval_single_zero_at_origin() -> None:
     theta = InnerFunction(blaschke_zeros=(0,))
-    assert eval_points(theta, np.array([0.5]))[0][0] == pytest.approx(0.5)
+    assert _inside(theta, [0.5])[0] == pytest.approx(0.5)
 
 
 def test_eval_blaschke_factor_at_zero() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5,))
-    assert eval_points(theta, np.array([0.0]))[0][0] == pytest.approx(0.5)
+    assert _inside(theta, [0.0])[0] == pytest.approx(0.5)
 
 
 def test_eval_atomic_factor() -> None:
     theta = InnerFunction(singular_atoms=((0.0, 1.0),))
-    assert eval_points(theta, np.array([-0.5]))[0][0] == pytest.approx(math.exp(-1.0 / 3.0))
+    assert _inside(theta, [-0.5])[0] == pytest.approx(math.exp(-1.0 / 3.0))
 
 
 def test_eval_at_atom_is_on_spectrum() -> None:
     theta = InnerFunction(singular_atoms=((0.0, 1.0),))
     with pytest.raises(OnSpectrumError):
-        eval_points(theta, np.array([1.0]))
+        _on_circle(theta, [0.0])
 
 
 def test_modulus_contract() -> None:
@@ -134,10 +145,10 @@ def test_modulus_contract() -> None:
         singular_atoms=((2.0, 0.4),),
     )
     z = 0.95 * np.sqrt(rng.uniform(size=50)) * np.exp(1j * rng.uniform(0, TWO_PI, 50))
-    assert np.all(np.abs(eval_points(theta, z)[0]) < 1.0)
+    assert np.all(np.abs(_inside(theta, z)) < 1.0)
     ang = rng.uniform(0, TWO_PI, 50)
     ang = ang[np.abs(ang - 2.0) >= 1e-3]
-    assert np.all(np.abs(np.abs(eval_points(theta, np.exp(1j * ang))[0]) - 1.0) <= 1e-12)
+    assert np.all(np.abs(np.abs(_on_circle(theta, ang)[0]) - 1.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +281,8 @@ def test_boundary_rate_keeps_its_digits_next_to_zeros_at_the_circle(gap: float) 
     # rationals, 0.3 rad or more from the zeros' angles
     zeros = _zeros_at_the_circle(gap)
     theta = InnerFunction(blaschke_zeros=zeros)
-    zeta = np.exp(1j * np.array([0.0, 1.3, 3.3, 5.5]))
-    for w, rate in zip(zeta, eval_points(theta, zeta)[1]):
+    t = np.array([0.0, 1.3, 3.3, 5.5])
+    for w, rate in zip(np.exp(1j * t), _on_circle(theta, t)[1]):
         exact = boundary_rate_exact(zeros, complex(w))
         assert abs(float(rate) - exact) <= 1e-13 * exact
 
@@ -410,20 +421,17 @@ def test_reproducing_property_polynomials() -> None:
 
 def test_boundary_derivative_two_zeros() -> None:
     theta = InnerFunction(blaschke_zeros=(0.5, -0.5))
-    assert eval_points(theta, np.array([1j]))[1][0] == pytest.approx(1.2)
+    assert _on_circle(theta, [0.5 * math.pi])[1][0] == pytest.approx(1.2)
 
 
 def test_boundary_derivative_power() -> None:
     z5 = InnerFunction(blaschke_zeros=(0,) * 5)
-    assert eval_points(z5, np.exp([0.3j]))[1][0] == pytest.approx(5.0)
+    assert _on_circle(z5, [0.3])[1][0] == pytest.approx(5.0)
 
 
 def test_boundary_derivative_atom() -> None:
     theta = InnerFunction(singular_atoms=((0.0, 1.0),))
-    # an interior point over the atom takes the rate at the atom
-    rates = eval_points(theta, np.array([-1.0, 0.5]))[1]
-    assert rates[0] == pytest.approx(0.5)
-    assert math.isinf(rates[1])
+    assert _on_circle(theta, [math.pi])[1][0] == pytest.approx(0.5)
 
 
 def test_boundary_derivative_matches_argument_rate() -> None:
@@ -431,10 +439,10 @@ def test_boundary_derivative_matches_argument_rate() -> None:
     theta = random_blaschke(rng, 5)
     h = 1e-5
     ang = rng.uniform(0, TWO_PI, 12)
-    hi = eval_points(theta, np.exp(1j * (ang + h)))[0]
-    lo = eval_points(theta, np.exp(1j * (ang - h)))[0]
+    hi = _on_circle(theta, ang + h)[0]
+    lo = _on_circle(theta, ang - h)[0]
     fd = np.angle(hi / lo) / (2 * h)
-    exact = eval_points(theta, np.exp(1j * ang))[1]
+    exact = _on_circle(theta, ang)[1]
     assert np.all(np.abs(fd - exact) <= 1e-6 * exact)
 
 
@@ -455,8 +463,8 @@ def test_inverse_derivative_versus_spectrum_distance_ratio_finite() -> None:
     worst = 0.0
     for _ in range(5):
         theta = random_blaschke(rng, rng.integers(1, 7))
-        zeta = np.exp(1j * rng.uniform(0, TWO_PI, 40))
-        ratio = 1.0 / (eval_points(theta, zeta)[1] * spectrum_distance(theta, zeta))
+        t = rng.uniform(0, TWO_PI, 40)
+        ratio = 1.0 / (_on_circle(theta, t)[1] * spectrum_distance(theta, np.exp(1j * t)))
         worst = max(worst, float(ratio.max()))
     assert math.isfinite(worst) and worst > 0.0
 
@@ -469,7 +477,7 @@ def test_vectorized_oracle_agrees_with_scalar_eval() -> None:
     )
     angles = rng.uniform(0, TWO_PI, 16)
     vec = blaschke_values_on_circle(theta, angles)
-    assert eval_points(theta, np.exp(1j * angles))[0] == pytest.approx(vec)
+    assert _on_circle(theta, angles)[0] == pytest.approx(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +508,27 @@ def test_eval_points_matches_oracle_and_scalar_rate(name: str) -> None:
     angles = rng.uniform(-TWO_PI, 2 * TWO_PI, 300)
     radii = np.concatenate([np.ones(150), rng.uniform(0.0, 0.999, 149), [0.0]])
     z = radii * np.exp(1j * angles)
-    values, rates = eval_points(theta, z)
+    values, norms = normalized_values(theta, z, np.where(radii == 1.0, angles, math.nan))
     tol = 1e-12 * max(1, theta.degree)
     assert np.max(np.abs(values[:150] - blaschke_values_on_circle(theta, angles[:150]))) <= tol
     assert np.max(np.abs(values - blaschke_values(theta, z))) <= tol
-    # the rate is |Theta'| at the radial projection e^{i arg z}
-    assert rates == pytest.approx(boundary_rate_oracle(theta, np.angle(z)), rel=1e-12)
+    # a boundary point's norm is the rate |Theta'| there
+    assert norms[:150] == pytest.approx(boundary_rate_oracle(theta, angles[:150]), rel=1e-12)
 
 
 def test_eval_points_empty_batch() -> None:
-    values, rates = eval_points(_evaluator_case("zeros and atoms"), np.array([]))
-    assert values.shape == rates.shape == (0,)
+    values, norms = _on_circle(_evaluator_case("zeros and atoms"), [])
+    assert values.shape == norms.shape == (0,)
 
 
 def test_eval_points_refuses_atoms() -> None:
     theta = _evaluator_case("zeros and atoms")
     for angle in (0.7, 0.7 + TWO_PI, 3.9 - TWO_PI):
         with pytest.raises(OnSpectrumError):
-            eval_points(theta, np.exp(1j * np.array([0.1, angle])))
-    # an interior point over an atom has a value, and an infinite boundary rate
+            _on_circle(theta, [0.1, angle])
+    # an interior point over an atom has a value
     z = 0.5 * np.exp(1j * np.array([0.7, 1.0]))
-    values, rates = eval_points(theta, z)
-    assert values == pytest.approx(blaschke_values(theta, z), abs=1e-14)
-    assert math.isinf(rates[0])
-    assert rates[1] == pytest.approx(boundary_rate_oracle(theta, [1.0])[0], rel=1e-12)
+    assert _inside(theta, z) == pytest.approx(blaschke_values(theta, z), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +568,7 @@ _ARGUMENT_CASES = ["degree 256", "zeros at 0", "near-boundary zeros", "atoms 1e-
 def test_boundary_argument_exponentiates_to_theta(name: str) -> None:
     theta, arcs = _argument_case(name)
     for t in _argument_angles(arcs, 500):
-        phi = boundary_argument(theta, t)
+        phi = argument_and_rate(theta, t)[0]
         assert np.max(np.abs(np.exp(1j * phi) - blaschke_values_on_circle(theta, t))) <= 1e-12
 
 
@@ -571,26 +576,25 @@ def test_boundary_argument_exponentiates_to_theta(name: str) -> None:
 def test_boundary_argument_strictly_increasing(name: str) -> None:
     theta, arcs = _argument_case(name)
     for t in _argument_angles(arcs, 2000):
-        assert np.all(np.diff(boundary_argument(theta, np.sort(t))) > 0.0)
+        assert np.all(np.diff(argument_and_rate(theta, np.sort(t))[0]) > 0.0)
     # the increase over a full turn is 2*pi per zero
     if not theta.singular_atoms:
-        ends = boundary_argument(theta, np.array([0.3, 0.3 + TWO_PI]))
+        ends = argument_and_rate(theta, np.array([0.3, 0.3 + TWO_PI]))[0]
         assert ends[1] - ends[0] == pytest.approx(TWO_PI * theta.degree, rel=1e-13)
 
 
 @pytest.mark.parametrize("name", _ARGUMENT_CASES)
-def test_argument_rate_matches_eval_points(name: str) -> None:
-    # the fused pass gives boundary_argument's Phi bit for bit, and the
-    # rate of eval_points.  Next to zeros at 1 - 1e-12 eval_points forms
-    # |e^{it} - eta|^2 by subtraction, so there the rates are compared
-    # 0.01 or more from the zeros, where that keeps its digits
+def test_argument_rate_matches_normalized_values(name: str) -> None:
+    # the fused pass gives the rate that normalized_values gives as the
+    # kernel norm of a boundary point.  Next to zeros at 1 - 1e-12 that
+    # norm forms |e^{it} - eta|^2 by subtraction, so there the rates are
+    # compared 0.01 or more from the zeros, where that keeps its digits
     theta, arcs = _argument_case(name)
     for t in _argument_angles(arcs, 500):
-        phi, rate = argument_and_rate(theta, t)
-        assert np.array_equal(phi, boundary_argument(theta, t))
+        rate = argument_and_rate(theta, t)[1]
         if name == "near-boundary zeros":
             zeros = np.array(theta.blaschke_zeros)
             far = np.abs(np.exp(1j * t)[:, None] - zeros).min(axis=1) >= 0.01
             t, rate = t[far], rate[far]
-        expect = eval_points(theta, np.exp(1j * t))[1]
+        expect = _on_circle(theta, t)[1]
         assert np.max(np.abs(rate / expect - 1.0)) <= 1e-13
